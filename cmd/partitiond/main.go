@@ -75,7 +75,6 @@ func run() error {
 	timeout := flag.Duration("timeout", 10*time.Second, "default per-solve deadline")
 	maxTimeout := flag.Duration("max-timeout", time.Minute, "cap on client-requested solve deadlines")
 	retryAfter := flag.Duration("retry-after", time.Second, "Retry-After hint on 429/503 responses")
-	batchWorkers := flag.Int("batch-workers", 0, "worker pool size per /v1/batch call (0 = max-concurrent)")
 	jobWorkers := flag.Int("job-workers", 0, "async job worker pool size (0 = max-concurrent)")
 	jobQueue := flag.Int("job-queue", 64, "max jobs waiting for a worker; beyond it submissions are shed with 429")
 	jobRetention := flag.Duration("job-retention", 15*time.Minute, "how long finished jobs (and their results) stay fetchable")
@@ -126,9 +125,6 @@ func run() error {
 	}
 	if *maxTimeout < *timeout {
 		return fmt.Errorf("-max-timeout (%v) must be at least -timeout (%v)", *maxTimeout, *timeout)
-	}
-	if *batchWorkers < 0 {
-		return fmt.Errorf("-batch-workers must be non-negative (got %d)", *batchWorkers)
 	}
 	if *jobWorkers < 0 {
 		return fmt.Errorf("-job-workers must be non-negative (got %d)", *jobWorkers)
@@ -181,7 +177,6 @@ func run() error {
 		DefaultTimeout: *timeout,
 		MaxTimeout:     *maxTimeout,
 		RetryAfter:     *retryAfter,
-		BatchWorkers:   *batchWorkers,
 		JobWorkers:     *jobWorkers,
 		JobQueue:       *jobQueue,
 		JobRetention:   *jobRetention,

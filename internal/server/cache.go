@@ -6,8 +6,9 @@
 //
 // Partitioning workloads are highly repetitive — the same task graph is
 // re-solved across K values and solver choices when sizing a deployment — so
-// the cache turns repeated solves into O(1) lookups of the serialized
-// response, byte-identical to the first answer.
+// the cache turns repeated solves into O(1) lookups of the canonical PRS1
+// result frame, from which every response format renders byte-identically
+// to the first answer.
 package server
 
 import (
@@ -18,22 +19,20 @@ import (
 
 // cacheKey identifies one solve: the graph's stable fingerprint plus every
 // request parameter that changes the answer. Stats (duration, iterations)
-// ride along inside the cached body — they describe the original solve.
+// ride along inside the cached frame — they describe the original solve.
 type cacheKey struct {
 	fingerprint   uint64
 	solver        string
 	kBits         uint64 // math.Float64bits(K), canonical for float compare
 	maxComponents int
-	verify        bool // verified responses carry a certificate in the body
-	trace         bool // traced responses carry a span tree in the body
-	bin           bool // body is the binary (PRS1) rendering, not JSON
+	verify        bool // verified frames carry a certificate
 }
 
-func newCacheKey(fp uint64, solver string, k float64, maxComponents int, verify, trace, bin bool) cacheKey {
+func newCacheKey(fp uint64, solver string, k float64, maxComponents int, verify bool) cacheKey {
 	if k == 0 {
 		k = 0 // normalize -0.0, mirroring the fingerprint's weight rule
 	}
-	return cacheKey{fingerprint: fp, solver: solver, kBits: math.Float64bits(k), maxComponents: maxComponents, verify: verify, trace: trace, bin: bin}
+	return cacheKey{fingerprint: fp, solver: solver, kBits: math.Float64bits(k), maxComponents: maxComponents, verify: verify}
 }
 
 // shardIndex spreads keys across shards by re-mixing all key fields; the
@@ -53,12 +52,6 @@ func (k cacheKey) shardIndex(n int) int {
 	mix(uint64(k.maxComponents))
 	if k.verify {
 		mix(1)
-	}
-	if k.trace {
-		mix(2)
-	}
-	if k.bin {
-		mix(4)
 	}
 	for i := 0; i < len(k.solver); i++ {
 		h ^= uint64(k.solver[i])
@@ -83,7 +76,7 @@ type cacheShard struct {
 	evictions uint64
 }
 
-// Cache is a sharded LRU over serialized solve responses. A nil *Cache is a
+// Cache is a sharded LRU over canonical PRS1 solve frames. A nil *Cache is a
 // valid always-miss cache, which is how caching is disabled.
 type Cache struct {
 	shards []*cacheShard
@@ -119,7 +112,7 @@ func NewCache(size, shards int) *Cache {
 	return c
 }
 
-// Get returns the cached response body for key, marking it most recently
+// Get returns the cached frame for key, marking it most recently
 // used. The returned slice is shared — callers must not modify it.
 func (c *Cache) Get(key cacheKey) ([]byte, bool) {
 	if c == nil {
@@ -134,25 +127,6 @@ func (c *Cache) Get(key cacheKey) ([]byte, bool) {
 		return nil, false
 	}
 	s.hits++
-	s.ll.MoveToFront(el)
-	return el.Value.(*cacheEntry).body, true
-}
-
-// peek returns the cached body for key like Get but without touching the
-// hit/miss counters. The solve path uses it for the secondary canonical-frame
-// probe so the legacy cache counters keep counting one outcome per request;
-// the per-tier lookup metrics record the logical result separately.
-func (c *Cache) peek(key cacheKey) ([]byte, bool) {
-	if c == nil {
-		return nil, false
-	}
-	s := c.shards[key.shardIndex(len(c.shards))]
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	el, ok := s.items[key]
-	if !ok {
-		return nil, false
-	}
 	s.ll.MoveToFront(el)
 	return el.Value.(*cacheEntry).body, true
 }

@@ -6,7 +6,7 @@ import (
 	"testing"
 )
 
-func k(fp uint64) cacheKey { return newCacheKey(fp, "bandwidth", 100, 0, false, false, false) }
+func k(fp uint64) cacheKey { return newCacheKey(fp, "bandwidth", 100, 0, false) }
 
 func TestCacheHitMiss(t *testing.T) {
 	c := NewCache(8, 1)
@@ -20,20 +20,18 @@ func TestCacheHitMiss(t *testing.T) {
 	}
 	// Same fingerprint, different solve parameters: distinct entries.
 	for _, key := range []cacheKey{
-		newCacheKey(1, "bottleneck", 100, 0, false, false, false),
-		newCacheKey(1, "bandwidth", 200, 0, false, false, false),
-		newCacheKey(1, "bandwidth", 100, 4, false, false, false),
-		newCacheKey(1, "bandwidth", 100, 0, true, false, false), // verified body differs
-		newCacheKey(1, "bandwidth", 100, 0, false, true, false), // traced body differs
-		newCacheKey(1, "bandwidth", 100, 0, false, false, true), // binary body differs
+		newCacheKey(1, "bottleneck", 100, 0, false),
+		newCacheKey(1, "bandwidth", 200, 0, false),
+		newCacheKey(1, "bandwidth", 100, 4, false),
+		newCacheKey(1, "bandwidth", 100, 0, true), // verified frame differs
 	} {
 		if _, ok := c.Get(key); ok {
 			t.Errorf("key %+v unexpectedly hit", key)
 		}
 	}
 	st := c.Stats()
-	if st.Hits != 1 || st.Misses != 7 || st.Entries != 1 {
-		t.Errorf("stats = %+v, want 1 hit / 7 misses / 1 entry", st)
+	if st.Hits != 1 || st.Misses != 5 || st.Entries != 1 {
+		t.Errorf("stats = %+v, want 1 hit / 5 misses / 1 entry", st)
 	}
 }
 
@@ -111,7 +109,7 @@ func TestCacheConcurrent(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
-				key := newCacheKey(uint64(i%64), fmt.Sprintf("solver-%d", g%2), float64(i%8+1), 0, false, false, false)
+				key := newCacheKey(uint64(i%64), fmt.Sprintf("solver-%d", g%2), float64(i%8+1), 0, false)
 				if body, ok := c.Get(key); ok && len(body) == 0 {
 					t.Error("hit with empty body")
 					return

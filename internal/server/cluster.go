@@ -3,7 +3,6 @@ package server
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -11,48 +10,16 @@ import (
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/engine"
 	"repro/internal/obs"
-	"repro/internal/obs/flight"
 )
 
-// The cluster-aware solve path. With a cluster configured, every /v1/solve
-// cache miss on a graph this node does not own is forwarded to the owning
-// peer as a PSV1 binary frame; the owner answers with the PRS1 frame it
-// would serve locally (so binary clients get byte-identical results whether
-// or not their request crossed a node boundary). Forwarding is best-effort:
-// any failure falls back to a local solve, so a dead owner costs dedup and
-// cache locality, never availability.
-//
-// With or without a cluster, misses resolve under a single-flight group. The
-// flight value is the canonical PRS1 frame regardless of what the requester
-// negotiated — JSON waiters render from the frame (the encoding is lossless:
-// floats travel as their exact bits) — so the flight key normalizes the
-// response format away and N identical concurrent misses perform exactly one
-// engine solve no matter how the callers mix JSON and binary. Forwarded
-// internal requests land on the owner with that same normalized key, which is
-// what makes the dedup cluster-wide: a thundering herd on one hot graph,
-// spread across every node, collapses to a single solve on the owner.
-
-// flightBody is a resolved solve miss as shared through the single-flight
-// group: the canonical PRS1 frame, where it came from (for the X-Cluster
-// response header), and — for traced requests and remote-parented internal
-// solves — the request's own span tree plus its trace ID.
-type flightBody struct {
-	body    []byte
-	via     string        // forwarding peer URL; empty for a local solve
-	tree    *obs.SpanNode // non-nil for traced requests and remote-parented solves
-	traceID string        // set alongside tree; rendered as the JSON traceId field
-}
-
-// httpError carries an HTTP status through the single-flight group, so shed
-// decisions (429/503) made by a flight leader reach every joined waiter.
-type httpError struct {
-	status int
-	msg    string
-}
-
-func (e *httpError) Error() string { return e.msg }
+// Cluster forwarding. With a cluster configured, a cache miss on a graph
+// this node does not own is forwarded to the owning peer as a PSV1 binary
+// frame (see resolveMiss); the owner answers with the PRS1 frame it would
+// serve locally, so binary clients get byte-identical results whether or not
+// their request crossed a node boundary. Forwarding is best-effort: any
+// failure falls back to a local solve, so a dead owner costs dedup and cache
+// locality, never availability.
 
 // clusterMetrics attributes cache lookups to the requester tier: "local"
 // for external clients of this node, "peer" for forwarded internal requests
@@ -75,129 +42,6 @@ func (m *clusterMetrics) observeLookup(internal, hit bool) {
 	}
 }
 
-// acquireSlotCtx admits one unit of solve work, queueing under QueueTimeout
-// bounded also by ctx. Shed outcomes come back as *httpError so they can
-// travel through the single-flight group and be written by any waiter.
-func (s *Server) acquireSlotCtx(ctx context.Context) (release func(), err error) {
-	if release, ok := s.limiter.TryAcquire(); ok {
-		return release, nil
-	}
-	qctx, qcancel := context.WithTimeout(ctx, s.cfg.QueueTimeout)
-	release, aerr := s.limiter.Acquire(qctx)
-	qcancel()
-	if aerr != nil {
-		if errors.Is(aerr, ErrQueueFull) {
-			return nil, &httpError{status: http.StatusTooManyRequests, msg: "admission queue full"}
-		}
-		return nil, &httpError{status: http.StatusServiceUnavailable, msg: "timed out waiting for a solve slot"}
-	}
-	return release, nil
-}
-
-// writeSolveError maps a resolve error to its response: explicit HTTP
-// statuses pass through, engine/solve errors map via solveStatus.
-func (s *Server) writeSolveError(w http.ResponseWriter, err error) {
-	var he *httpError
-	if errors.As(err, &he) {
-		s.writeError(w, he.status, he.msg)
-		return
-	}
-	s.writeError(w, solveStatus(err), err.Error())
-}
-
-// solveTimeoutOf resolves the effective engine deadline for a requested
-// timeoutMs: the server default when unset, clamped to the server maximum.
-func (s *Server) solveTimeoutOf(ms int64) time.Duration {
-	timeout := s.cfg.DefaultTimeout
-	if ms > 0 {
-		timeout = time.Duration(ms) * time.Millisecond
-	}
-	if timeout > s.cfg.MaxTimeout {
-		timeout = s.cfg.MaxTimeout
-	}
-	return timeout
-}
-
-// resolveMiss computes the canonical PRS1 frame for a cache miss: forwarded
-// to the owning peer when a cluster is configured and this node does not own
-// the graph, a local engine solve otherwise (and as the fallback for any
-// failed forward). Usually runs as a single-flight leader; internal marks
-// requests that already crossed a node boundary and must not be forwarded
-// again. Rendering into the negotiated response format and the cache fill
-// are the caller's job.
-//
-// Every miss runs under a trace: the phase spans feed the per-phase metrics
-// and the flight recorder whether or not the client asked for the tree back.
-// Internal requests adopt the caller's propagated trace identity (same trace
-// ID cluster-wide, this node's root parented under the caller's forward
-// span); their tree travels back in the response trailer so the caller can
-// graft it. The "solve " root-name prefix only matters when the tree is
-// rendered into a response; skipping the concat keeps the untraced hot path
-// one allocation cheaper.
-func (s *Server) resolveMiss(ctx context.Context, p *parsedSolve, internal bool) (flightBody, error) {
-	name := p.req.Solver
-	if p.req.Trace {
-		name = "solve " + p.req.Solver
-	}
-	tr := obs.New(name)
-	tr.RequestID = obs.RequestIDFrom(ctx)
-	rem, hasRemote := obs.RemoteFromContext(ctx)
-	if internal && hasRemote {
-		tr.ID = rem.Trace
-		tr.Parent = rem.Span
-	} else {
-		hasRemote = false
-	}
-	tctx := obs.NewContext(ctx, tr)
-
-	var fb flightBody
-	var err error
-	forwarded := false
-	if s.cluster != nil && !internal && !p.req.NoCache {
-		if peer, local := s.cluster.Route(p.fp); !local {
-			fb, forwarded = s.forwardSolve(tctx, tr, p, peer)
-		}
-	}
-	if !forwarded {
-		fb, err = s.solveLocal(tctx, p, internal)
-	}
-	tr.Finish()
-	if err == nil && (p.req.Trace || hasRemote) {
-		fb.tree = tr.Tree()
-		fb.traceID = tr.ID.String()
-	}
-	s.offerTrace(flight.Info{
-		Trace:     tr,
-		Kind:      "solve",
-		Solver:    p.req.Solver,
-		Status:    errStatus(err),
-		Err:       errMessage(err),
-		Forwarded: forwarded,
-		Remote:    hasRemote,
-		Peer:      fb.via,
-	})
-	return fb, err
-}
-
-// errStatus maps a resolve error to the HTTP status it will be written as.
-func errStatus(err error) int {
-	if err == nil {
-		return http.StatusOK
-	}
-	var he *httpError
-	if errors.As(err, &he) {
-		return he.status
-	}
-	return solveStatus(err)
-}
-
-func errMessage(err error) string {
-	if err == nil {
-		return ""
-	}
-	return err.Error()
-}
-
 // forwardSolve encodes the parsed request as a PSV1 frame and asks the
 // owning peer to solve it, returning the owner's PRS1 frame. The hop runs
 // under a cluster-forward span whose identity travels in the trace header;
@@ -206,7 +50,7 @@ func errMessage(err error) string {
 // Reports ok=false on any failure, leaving the caller to solve locally; the
 // cluster transport has already recorded the outcome and marked the peer
 // dead when the failure was transport-level.
-func (s *Server) forwardSolve(ctx context.Context, tr *obs.Trace, p *parsedSolve, peer string) (flightBody, bool) {
+func (s *Server) forwardSolve(ctx context.Context, tr *obs.Trace, p *parsedSolve, peer string) (resolved, bool) {
 	// Trace and noCache are local concerns and do not cross the hop; the
 	// owner always answers the cacheable untraced binary form.
 	frame, err := AppendSolveRequest(nil, SolveParams{
@@ -217,7 +61,7 @@ func (s *Server) forwardSolve(ctx context.Context, tr *obs.Trace, p *parsedSolve
 		Verify:        p.req.Verify,
 	}, p.g)
 	if err != nil {
-		return flightBody{}, false
+		return resolved{}, false
 	}
 	// The forward deadline covers the owner's worst case: its admission
 	// queue wait plus the solve deadline we asked for, with margin.
@@ -231,7 +75,7 @@ func (s *Server) forwardSolve(ctx context.Context, tr *obs.Trace, p *parsedSolve
 	if err != nil {
 		s.cfg.Logger.Warn("cluster forward failed, solving locally",
 			"peer", peer, "solver", p.req.Solver, "err", err)
-		return flightBody{}, false
+		return resolved{}, false
 	}
 	// Validate the frame before sharing it: waiters of every format render
 	// from these bytes, and a corrupt answer must degrade to a local solve,
@@ -239,7 +83,7 @@ func (s *Server) forwardSolve(ctx context.Context, tr *obs.Trace, p *parsedSolve
 	if _, rest, err := DecodeSolveResult(body); err != nil || len(rest) != 0 {
 		s.cfg.Logger.Warn("cluster forward returned a bad frame, solving locally",
 			"peer", peer, "err", err)
-		return flightBody{}, false
+		return resolved{}, false
 	}
 	if len(spans) > 0 {
 		var node obs.SpanNode
@@ -252,72 +96,7 @@ func (s *Server) forwardSolve(ctx context.Context, tr *obs.Trace, p *parsedSolve
 			sp.Graft(&node)
 		}
 	}
-	return flightBody{body: body, via: peer}, true
-}
-
-// solveLocal runs the engine for a miss on this node under the trace already
-// in ctx: admission, solve, certification, and rendering into the canonical
-// PRS1 frame. internal requests (forwarded from a peer) nest the solve under
-// a remote-solve span so traces show which solves served the cluster rather
-// than this node's own clients.
-func (s *Server) solveLocal(ctx context.Context, p *parsedSolve, internal bool) (flightBody, error) {
-	release, err := s.acquireSlotCtx(ctx)
-	if err != nil {
-		return flightBody{}, err
-	}
-	defer release()
-	ser := s.solvem.enter(p.req.Solver)
-	defer s.solvem.exit(ser)
-
-	tctx := ctx
-	if internal {
-		var sp *obs.Span
-		tctx, sp = obs.StartSpan(ctx, "remote-solve")
-		defer sp.End()
-	}
-	ereq := s.engineRequest(*p, 0)
-	res, err := engine.Solve(tctx, ereq)
-	if err != nil {
-		return flightBody{}, err
-	}
-	var cert *verifyInfo
-	if p.req.Verify {
-		cert = s.certifyResult(ereq, res)
-	}
-	return flightBody{body: appendSolveResult(nil, p.fp, res, cert)}, nil
-}
-
-// renderJSONResult renders the JSON solve response from the canonical PRS1
-// frame — the rendering half of the solve path, shared by local solves,
-// forwarded results, and single-flight waiters alike. Field-for-field it
-// produces the same bytes marshalResult does for the same solve: the frame
-// carries every float as its exact bits.
-func renderJSONResult(frame []byte, trace *obs.SpanNode, traceID string) ([]byte, error) {
-	sr, rest, err := DecodeSolveResult(frame)
-	if err != nil {
-		return nil, err
-	}
-	if len(rest) != 0 {
-		return nil, errBadFrame
-	}
-	var body solveResponse
-	body.Solver = sr.Solver
-	body.K = sr.K
-	body.Cut = sr.Cut
-	if body.Cut == nil {
-		body.Cut = []int{}
-	}
-	body.CutWeight = sr.CutWeight
-	body.Bottleneck = sr.Bottleneck
-	body.ComponentWeights = sr.ComponentWeights
-	body.NumComponents = len(sr.ComponentWeights)
-	body.Fingerprint = fmt.Sprintf("%016x", sr.Fingerprint)
-	body.Verify = sr.Verify
-	body.Trace = trace
-	body.TraceID = traceID
-	body.Stats.DurationMs = sr.DurationMs
-	body.Stats.Iterations = sr.Iterations
-	return json.Marshal(&body)
+	return resolved{frame: body, via: peer}, true
 }
 
 // clusterEnvelope is the cluster summary inside the /v1/solvers envelope.

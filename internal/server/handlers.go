@@ -11,6 +11,7 @@ import (
 	"math"
 	"net/http"
 	"strconv"
+	"sync"
 	"time"
 
 	"repro/internal/cluster"
@@ -45,9 +46,10 @@ type solveRequest struct {
 	// Verify runs the solver-independent optimality certificate on the
 	// result (see internal/verify) and reports it in the response.
 	Verify bool `json:"verify,omitempty"`
-	// Trace returns the solve's phase-span tree in the response. Only
-	// honored on /v1/solve; batch items are solved under one shared batch
-	// trace and ignore this flag.
+	// Trace returns the solve's phase-span tree in the response, and
+	// always runs a fresh solve: a tree describes one solve and is never
+	// replayed from the cache. Honored on /v1/solve and /v1/jobs; batch
+	// items ignore it (each item is traced for the flight recorder anyway).
 	Trace bool `json:"trace,omitempty"`
 }
 
@@ -60,9 +62,10 @@ type verifyInfo struct {
 	Detail    string  `json:"detail,omitempty"`
 }
 
-// solveResponse is the body of a successful solve. Cached hits replay these
-// exact bytes, so Stats describe the solve that originally produced the
-// result; the X-Cache header says which case the caller got.
+// solveResponse is the body of a successful solve, rendered from the cached
+// PRS1 frame. Hits render the same bytes as the original answer, so Stats
+// describe the solve that produced the result; the X-Cache header says which
+// case the caller got.
 type solveResponse struct {
 	Solver           string    `json:"solver"`
 	K                float64   `json:"k"`
@@ -78,8 +81,7 @@ type solveResponse struct {
 	// verified request).
 	Verify *verifyInfo `json:"verify,omitempty"`
 	// Trace is the solve's span tree, present only when the request set
-	// "trace". Like Stats, cached hits replay the tree of the original
-	// solve (the trace flag is part of the cache key).
+	// "trace" (such requests always solve afresh).
 	Trace *obs.SpanNode `json:"trace,omitempty"`
 	// TraceID is the distributed trace identifier, present alongside Trace.
 	// When the flight recorder retained the trace it is retrievable at
@@ -102,7 +104,7 @@ type batchRequest struct {
 	TimeoutMs int64 `json:"timeoutMs,omitempty"`
 }
 
-// batchItem mirrors engine.BatchItem: exactly one of Result or Error is set.
+// batchItem is one batch answer: exactly one of Result or Error is set.
 // Result carries the same bytes a /v1/solve for that item would return.
 type batchItem struct {
 	Result json.RawMessage `json:"result,omitempty"`
@@ -121,15 +123,13 @@ type batchResponse struct {
 	} `json:"stats"`
 }
 
-// parsedSolve is a decoded, validated solve item ready for the engine. The
-// cache key is filled in by the handler once the response format is known
-// (the key includes it). pooled marks a graph decoded into the server's
-// codec pool, to be returned via releaseParsed after the response is built.
+// parsedSolve is a decoded, validated solve item ready for the engine.
+// pooled marks a graph decoded into the server's codec pool, to be returned
+// via releaseParsed after the response is built.
 type parsedSolve struct {
 	req    solveRequest
 	g      any    // *graph.Path or *graph.Tree
 	fp     uint64 // graph fingerprint
-	key    cacheKey
 	pooled bool
 }
 
@@ -203,57 +203,6 @@ func (s *Server) readBody(r *http.Request) (*bytes.Buffer, error) {
 	return buf, nil
 }
 
-// engineRequest builds the engine.Request for a parsed item. The solve
-// deadline comes from the item, clamped to the server maximum, falling back
-// to the server default.
-func (s *Server) engineRequest(p parsedSolve, defaultTimeoutMs int64) engine.Request {
-	ms := p.req.TimeoutMs
-	if ms == 0 {
-		ms = defaultTimeoutMs
-	}
-	req := engine.Request{
-		Solver: p.req.Solver,
-		K:      p.req.K,
-		Options: engine.Options{
-			MaxComponents: p.req.MaxComponents,
-			Timeout:       s.solveTimeoutOf(ms),
-			Observer:      s.observer,
-		},
-	}
-	switch g := p.g.(type) {
-	case *graph.Path:
-		req.Path = g
-	case *graph.Tree:
-		req.Tree = g
-	}
-	return req
-}
-
-// marshalResult renders the canonical response bytes for one solve result —
-// the bytes that get cached and replayed byte-identically on hits. cert is
-// nil unless the request asked for verification; trace is nil unless it asked
-// for the span tree.
-func marshalResult(fp uint64, res engine.Result, cert *verifyInfo, trace *obs.SpanNode, traceID string) ([]byte, error) {
-	var body solveResponse
-	body.Solver = res.Solver
-	body.K = res.K
-	body.Cut = res.Cut
-	if body.Cut == nil {
-		body.Cut = []int{}
-	}
-	body.CutWeight = res.CutWeight
-	body.Bottleneck = res.Bottleneck
-	body.ComponentWeights = res.ComponentWeights
-	body.NumComponents = res.NumComponents()
-	body.Fingerprint = fmt.Sprintf("%016x", fp)
-	body.Verify = cert
-	body.Trace = trace
-	body.TraceID = traceID
-	body.Stats.DurationMs = float64(res.Stats.Duration) / float64(time.Millisecond)
-	body.Stats.Iterations = res.Stats.Iterations
-	return json.Marshal(&body)
-}
-
 // certifyResult runs the optimality certificate for a solved request and
 // bumps the server's verify counters. A solver without a registered
 // objective is reported as an uncertified response rather than an error —
@@ -322,20 +271,6 @@ func (s *Server) writeError(w http.ResponseWriter, status int, msg string) {
 	writeJSON(w, status, body)
 }
 
-// acquireSlot admits one unit of solve work: the uncontended fast path takes
-// a free slot without building a wait context; otherwise the request queues
-// under QueueTimeout, bounded also by the client connection (r.Context()
-// ends on disconnect). On failure it writes the shed response and returns
-// nil.
-func (s *Server) acquireSlot(w http.ResponseWriter, r *http.Request) (release func()) {
-	release, err := s.acquireSlotCtx(r.Context())
-	if err != nil {
-		s.writeSolveError(w, err)
-		return nil
-	}
-	return release
-}
-
 // solveStatus maps an engine/solve error to an HTTP status.
 func solveStatus(err error) int {
 	switch {
@@ -355,47 +290,46 @@ func solveStatus(err error) int {
 	}
 }
 
+// decodeSolve decodes the body of /v1/solve and /v1/jobs: a PSV1 frame when
+// the Content-Type names the binary type, JSON otherwise. Binary graphs
+// decode into pool (nil = plain arrays, for jobs that outlive the request).
+// A JSON body may also carry a job priority, returned alongside; binary
+// bodies carry none. Errors map to a status via requestErrStatus.
+func (s *Server) decodeSolve(r *http.Request, pool *codec.Pool) (p parsedSolve, priority int, err error) {
+	if !isBinaryMedia(r.Header.Get("Content-Type")) {
+		var req jobSubmitRequest
+		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+			return p, 0, fmt.Errorf("bad request body: %w", err)
+		}
+		p, err = s.parseSolve(req.solveRequest)
+		return p, req.Priority, err
+	}
+	buf, err := s.readBody(r)
+	if err != nil {
+		return p, 0, fmt.Errorf("bad request body: %w", err)
+	}
+	defer s.bufPool.Put(buf)
+	p, rest, err := s.parseBinarySolveInto(buf.Bytes(), pool)
+	if err == nil && len(rest) != 0 {
+		s.releaseParsed(&p)
+		err = fmt.Errorf("%d trailing bytes after the solve frame", len(rest))
+	}
+	return p, 0, err
+}
+
 // handleSolve is POST /v1/solve: decode (JSON, or the binary frame when
-// Content-Type says so) → cache lookup → admission → engine.Solve → cache
-// fill. The response is binary when the Accept header names the binary type,
-// except traced solves, which always answer in JSON.
+// Content-Type says so) → resolve → render. The response is binary when the
+// Accept header names the binary type, except traced solves, which always
+// answer in JSON.
 func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
 		s.writeError(w, http.StatusServiceUnavailable, "server is draining")
 		return
 	}
-	var p parsedSolve
-	if isBinaryMedia(r.Header.Get("Content-Type")) {
-		buf, err := s.readBody(r)
-		if err != nil {
-			s.writeError(w, requestErrStatus(err), "bad request body: "+err.Error())
-			return
-		}
-		var rest []byte
-		p, rest, err = s.parseBinarySolve(buf.Bytes())
-		s.bufPool.Put(buf)
-		if err != nil {
-			s.writeError(w, requestErrStatus(err), err.Error())
-			return
-		}
-		if len(rest) != 0 {
-			s.releaseParsed(&p)
-			s.writeError(w, http.StatusBadRequest,
-				fmt.Sprintf("%d trailing bytes after the solve frame", len(rest)))
-			return
-		}
-	} else {
-		var req solveRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			s.writeError(w, requestErrStatus(err), "bad request body: "+err.Error())
-			return
-		}
-		var err error
-		p, err = s.parseSolve(req)
-		if err != nil {
-			s.writeError(w, requestErrStatus(err), err.Error())
-			return
-		}
+	p, _, err := s.decodeSolve(r, s.graphPool)
+	if err != nil {
+		s.writeError(w, requestErrStatus(err), err.Error())
+		return
 	}
 	defer s.releaseParsed(&p)
 	internal := r.Header.Get(cluster.InternalHeader) != ""
@@ -410,97 +344,32 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 			hasRemote = true
 		}
 	}
-	wantBin := acceptsBinary(r.Header.Get("Accept")) && !p.req.Trace
-	p.key = newCacheKey(p.fp, p.req.Solver, p.req.K, p.req.MaxComponents, p.req.Verify, p.req.Trace, wantBin)
-	// canonKey names the canonical PRS1 frame for this solve — the format-
-	// and trace-independent artifact every rendering derives from. Solves
-	// fill it alongside the request's own key, and JSON misses fall back to
-	// it, so one solve serves every response format without re-running the
-	// engine (for untraced binary requests it is p.key itself).
-	canonKey := p.key
-	canonKey.trace, canonKey.bin = false, true
-
-	if !p.req.NoCache {
-		if body, ok := s.cache.Get(p.key); ok {
-			s.clusterm.observeLookup(internal, true)
-			w.Header().Set("X-Cache", "HIT")
-			writeBody(w, http.StatusOK, body, wantBin)
-			return
-		}
-		if !wantBin && !p.req.Trace {
-			// Secondary probe via peek: the Get above already counted this
-			// request's outcome, and a fallback render still answers it.
-			if frame, ok := s.cache.peek(canonKey); ok {
-				if body, err := renderJSONResult(frame, nil, ""); err == nil {
-					s.clusterm.observeLookup(internal, true)
-					s.cache.Put(p.key, body)
-					w.Header().Set("X-Cache", "HIT")
-					writeBody(w, http.StatusOK, body, wantBin)
-					return
-				}
-			}
-		}
-		s.clusterm.observeLookup(internal, false)
-	}
-
-	// Misses resolve under the single-flight group: concurrent identical
-	// requests perform one solve (or one forward) and share its frame. The
-	// flight key normalizes the response format away (the value is always
-	// the canonical PRS1 frame; JSON renders from it below), so mixed JSON
-	// and binary callers — and forwarded internal requests, which arrive
-	// binary — all share one solve. Two request shapes bypass the flight:
-	// NoCache (the escape hatch from all result sharing) and Trace (a trace
-	// describes its own solve and cannot be shared from another caller's).
-	var (
-		fb     flightBody
-		shared bool
-		err    error
-	)
-	if p.req.NoCache || p.req.Trace {
-		fb, err = s.resolveMiss(ctx, &p, internal)
-	} else {
-		fb, shared, err = s.flight.Do(canonKey, func() (flightBody, error) {
-			// The solve is detached from this request's cancellation: every
-			// waiter that joined depends on it, and the engine deadline
-			// bounds it regardless. Context values (request ID, remote trace
-			// context) survive.
-			return s.resolveMiss(context.WithoutCancel(ctx), &p, internal)
-		})
-	}
+	res, err := s.resolve(ctx, &p, caller{peer: internal})
 	if err != nil {
 		s.writeSolveError(w, err)
 		return
 	}
-	out := fb.body
+	wantBin := acceptsBinary(r.Header.Get("Accept")) && !p.req.Trace
+	out := res.frame
 	if !wantBin {
-		// The tree renders into the body only for requests that asked for it:
-		// a remote-parented flight leader also carries one (for the trailer),
-		// and it must not leak into untraced JSON waiters.
-		var tree *obs.SpanNode
-		var traceID string
-		if p.req.Trace {
-			tree, traceID = fb.tree, fb.traceID
-		}
-		out, err = renderJSONResult(fb.body, tree, traceID)
-		if err != nil {
+		if out, err = renderJSONResult(&res, p.req.Trace); err != nil {
 			s.writeError(w, http.StatusInternalServerError, err.Error())
 			return
 		}
 	}
-	if !p.req.NoCache {
-		s.cache.Put(p.key, out)
-		if p.key != canonKey {
-			s.cache.Put(canonKey, fb.body)
-		}
+	if res.cached {
+		w.Header().Set("X-Cache", "HIT")
+		writeBody(w, http.StatusOK, out, wantBin)
+		return
 	}
 	if s.cluster != nil {
-		if fb.via != "" {
-			w.Header().Set("X-Cluster", "forwarded "+fb.via)
+		if res.via != "" {
+			w.Header().Set("X-Cluster", "forwarded "+res.via)
 		} else {
 			w.Header().Set("X-Cluster", "local")
 		}
 	}
-	if shared {
+	if res.shared {
 		w.Header().Set("X-Singleflight", "shared")
 	}
 	// Remote-parented internal solves return their span tree in a trailer so
@@ -508,8 +377,8 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	// the PRS1 body byte-identical to an untraced forward; it must be
 	// declared before the body and set after.
 	var trailerSpans string
-	if internal && hasRemote && fb.tree != nil {
-		if spans, jerr := json.Marshal(fb.tree); jerr == nil {
+	if internal && hasRemote && res.tree != nil {
+		if spans, jerr := json.Marshal(res.tree); jerr == nil {
 			trailerSpans = base64.StdEncoding.EncodeToString(spans)
 			w.Header().Set("Trailer", cluster.SpansTrailer)
 		}
@@ -530,11 +399,48 @@ type batchOutcome struct {
 	cached bool
 }
 
-// handleBatch is POST /v1/batch: per-item cache lookups, then one
-// engine.Batch over the misses. The whole batch holds a single admission
-// slot — its internal parallelism is cfg.BatchWorkers — so a batch counts as
-// one unit of heavy work against the limiter. Like solve, the request may be
-// JSON or the PBT1 binary frame, and the response format follows Accept.
+// decodeBatch decodes the body of /v1/batch — the PBT1 frame or JSON — into
+// per-item parsed solves. The slices are parallel: errMsgs[i] non-empty
+// means item i failed to parse. Errors reject the whole batch and map to a
+// status via requestErrStatus.
+func (s *Server) decodeBatch(r *http.Request) (parsed []parsedSolve, errMsgs []string, timeoutMs int64, err error) {
+	if isBinaryMedia(r.Header.Get("Content-Type")) {
+		buf, err := s.readBody(r)
+		if err != nil {
+			return nil, nil, 0, fmt.Errorf("bad request body: %w", err)
+		}
+		defer s.bufPool.Put(buf)
+		return s.parseBinaryBatch(buf.Bytes())
+	}
+	var breq batchRequest
+	if err := json.NewDecoder(r.Body).Decode(&breq); err != nil {
+		return nil, nil, 0, fmt.Errorf("bad request body: %w", err)
+	}
+	switch n := len(breq.Requests); {
+	case n == 0:
+		return nil, nil, 0, errors.New(`"requests" must be non-empty`)
+	case n > s.cfg.MaxBatchRequests:
+		return nil, nil, 0, fmt.Errorf("batch of %d exceeds the %d-request limit", n, s.cfg.MaxBatchRequests)
+	case breq.TimeoutMs < 0:
+		return nil, nil, 0, fmt.Errorf(`"timeoutMs" must be non-negative (got %d)`, breq.TimeoutMs)
+	}
+	parsed = make([]parsedSolve, len(breq.Requests))
+	errMsgs = make([]string, len(breq.Requests))
+	for i, item := range breq.Requests {
+		if parsed[i], err = s.parseSolve(item); err != nil {
+			errMsgs[i] = err.Error()
+		}
+	}
+	return parsed, errMsgs, breq.TimeoutMs, nil
+}
+
+// handleBatch is POST /v1/batch: every item resolves like its own /v1/solve
+// — cache, single-flight, forward or local solve, each local solve admitted
+// by the limiter — at most MaxConcurrent items at a time. An item that cannot
+// get a solve slot fails alone with the shed message. Like solve, the request
+// may be JSON or the PBT1 binary frame, and the response format follows
+// Accept. Item trace flags are ignored; each item's solve is retained by the
+// flight recorder under the request ID plus "#" and its index.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
 		s.writeError(w, http.StatusServiceUnavailable, "server is draining")
@@ -542,53 +448,10 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	start := time.Now()
 	wantBin := acceptsBinary(r.Header.Get("Accept"))
-	var (
-		parsed    []parsedSolve
-		errMsgs   []string
-		timeoutMs int64
-	)
-	if isBinaryMedia(r.Header.Get("Content-Type")) {
-		buf, err := s.readBody(r)
-		if err != nil {
-			s.writeError(w, requestErrStatus(err), "bad request body: "+err.Error())
-			return
-		}
-		parsed, errMsgs, timeoutMs, err = s.parseBinaryBatch(buf.Bytes())
-		s.bufPool.Put(buf)
-		if err != nil {
-			s.writeError(w, requestErrStatus(err), err.Error())
-			return
-		}
-	} else {
-		var breq batchRequest
-		if err := json.NewDecoder(r.Body).Decode(&breq); err != nil {
-			s.writeError(w, requestErrStatus(err), "bad request body: "+err.Error())
-			return
-		}
-		if len(breq.Requests) == 0 {
-			s.writeError(w, http.StatusBadRequest, `"requests" must be non-empty`)
-			return
-		}
-		if len(breq.Requests) > s.cfg.MaxBatchRequests {
-			s.writeError(w, http.StatusBadRequest,
-				fmt.Sprintf("batch of %d exceeds the %d-request limit", len(breq.Requests), s.cfg.MaxBatchRequests))
-			return
-		}
-		if breq.TimeoutMs < 0 {
-			s.writeError(w, http.StatusBadRequest, fmt.Sprintf(`"timeoutMs" must be non-negative (got %d)`, breq.TimeoutMs))
-			return
-		}
-		timeoutMs = breq.TimeoutMs
-		parsed = make([]parsedSolve, len(breq.Requests))
-		errMsgs = make([]string, len(breq.Requests))
-		for i, item := range breq.Requests {
-			p, err := s.parseSolve(item)
-			if err != nil {
-				errMsgs[i] = err.Error()
-				continue
-			}
-			parsed[i] = p
-		}
+	parsed, errMsgs, timeoutMs, err := s.decodeBatch(r)
+	if err != nil {
+		s.writeError(w, requestErrStatus(err), err.Error())
+		return
 	}
 	defer func() {
 		for i := range parsed {
@@ -598,82 +461,50 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 
 	n := len(parsed)
 	outcomes := make([]batchOutcome, n)
-	var solved, failed, hits int
-
-	// Cache-check every well-formed item first; only misses go to the pool.
-	var missIdx []int
+	rid := obs.RequestIDFrom(r.Context())
+	slots := make(chan struct{}, s.cfg.MaxConcurrent)
+	var wg sync.WaitGroup
 	for i := range parsed {
 		if errMsgs[i] != "" {
 			outcomes[i].errMsg = errMsgs[i]
-			failed++
 			continue
 		}
 		p := &parsed[i]
-		// Trace is solve-only: items run under the shared batch trace below,
-		// and their cached bodies must stay interchangeable with an untraced
-		// /v1/solve for the same request.
 		p.req.Trace = false
-		p.key = newCacheKey(p.fp, p.req.Solver, p.req.K, p.req.MaxComponents, p.req.Verify, false, wantBin)
-		if !p.req.NoCache {
-			if body, ok := s.cache.Get(p.key); ok {
-				outcomes[i] = batchOutcome{body: body, cached: true}
-				solved++
-				hits++
-				continue
-			}
+		if p.req.TimeoutMs == 0 {
+			p.req.TimeoutMs = timeoutMs
 		}
-		missIdx = append(missIdx, i)
+		slots <- struct{}{}
+		wg.Add(1)
+		go func(i int, p *parsedSolve) {
+			defer func() { <-slots; wg.Done() }()
+			ctx := obs.WithRequestID(r.Context(), rid+"#"+strconv.Itoa(i))
+			res, err := s.resolve(ctx, p, caller{})
+			body := res.frame
+			if err == nil && !wantBin {
+				body, err = renderJSONResult(&res, false)
+			}
+			if err != nil {
+				outcomes[i].errMsg = err.Error()
+				return
+			}
+			outcomes[i] = batchOutcome{body: body, cached: res.cached}
+		}(i, p)
 	}
-
-	if len(missIdx) > 0 {
-		release := s.acquireSlot(w, r)
-		if release == nil {
-			return
-		}
-		reqs := make([]engine.Request, len(missIdx))
-		for j, i := range missIdx {
-			reqs[j] = s.engineRequest(parsed[i], timeoutMs)
-		}
-		// One shared trace for the whole batch: each item's solver span grows
-		// a disjoint subtree under the root, and the phase metrics see every
-		// item. Item events are attributed via BatchIndex and "rid#i" IDs.
-		tr := obs.New("batch")
-		tr.RequestID = obs.RequestIDFrom(r.Context())
-		b := &engine.Batch{Workers: s.cfg.BatchWorkers}
-		out, _ := b.Run(obs.NewContext(r.Context(), tr), reqs) // per-item errors land in Items
-		tr.Finish()
-		release()
-		for j, i := range missIdx {
-			item := out.Items[j]
-			if item.Err != nil {
-				outcomes[i].errMsg = item.Err.Error()
-				failed++
-				continue
-			}
-			var cert *verifyInfo
-			if parsed[i].req.Verify {
-				cert = s.certifyResult(reqs[j], item.Result)
-			}
-			var body []byte
-			if wantBin {
-				body = appendSolveResult(nil, parsed[i].fp, item.Result, cert)
-			} else {
-				var err error
-				body, err = marshalResult(parsed[i].fp, item.Result, cert, nil, "")
-				if err != nil {
-					outcomes[i].errMsg = err.Error()
-					failed++
-					continue
-				}
-			}
-			if !parsed[i].req.NoCache {
-				s.cache.Put(parsed[i].key, body)
-			}
-			outcomes[i] = batchOutcome{body: body}
+	wg.Wait()
+	wallMs := float64(time.Since(start)) / float64(time.Millisecond)
+	var solved, failed, hits int
+	for _, o := range outcomes {
+		switch {
+		case o.errMsg != "":
+			failed++
+		case o.cached:
+			solved++
+			hits++
+		default:
 			solved++
 		}
 	}
-	wallMs := float64(time.Since(start)) / float64(time.Millisecond)
 
 	if wantBin {
 		out := append([]byte(nil), batchRespMagic...)

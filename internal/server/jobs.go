@@ -12,10 +12,8 @@ import (
 	"time"
 
 	"repro/internal/engine"
-	"repro/internal/graph"
 	"repro/internal/jobs"
 	"repro/internal/obs"
-	"repro/internal/obs/flight"
 )
 
 // The async jobs API. A solve submitted as a job outlives its HTTP request:
@@ -25,9 +23,10 @@ import (
 // Events stream of state transitions and live solve-phase spans — or polls
 // GET /v1/jobs/{id}. DELETE /v1/jobs/{id} cancels; the engine's context
 // plumbing aborts the solver mid-loop. Results are retained for
-// Config.JobRetention and flow through the same fingerprint-keyed cache as
-// /v1/solve, and a submission identical to a queued or running job
-// (fingerprint, solver, K, options) joins it instead of solving twice.
+// Config.JobRetention and resolve through the same cache of canonical frames
+// as /v1/solve (see resolve), and a submission identical to a queued or
+// running job (fingerprint, solver, K, options) joins it instead of solving
+// twice.
 
 // jobSubmitRequest is the JSON body of POST /v1/jobs: a solve request plus
 // queue placement. Binary (PSV1) bodies carry the same solve fields and take
@@ -97,67 +96,21 @@ func (s *Server) jobAcquire(ctx context.Context) (func(), error) {
 }
 
 // jobRun builds the closure the worker pool executes for a submitted solve:
-// cache lookup, then an engine solve under a fresh trace whose live span
-// events feed the job's SSE stream, then cache fill. rid is the submitting
+// resolve it locally under a job trace whose live span events feed the
+// job's SSE stream, then render the JSON result. rid is the submitting
 // request's ID, carried into solver logs and engine events for correlation.
 func (s *Server) jobRun(p parsedSolve, rid string) jobs.RunFunc {
-	key := newCacheKey(p.fp, p.req.Solver, p.req.K, p.req.MaxComponents, p.req.Verify, p.req.Trace, false)
 	return func(ctx context.Context, j *jobs.Job) (any, error) {
-		if !p.req.NoCache {
-			if body, ok := s.cache.Get(key); ok {
-				return jobResult{body: body, cached: true}, nil
-			}
-		}
-		tr := obs.New("job " + p.req.Solver)
-		tr.RequestID = rid
-		tr.OnSpan = j.PublishSpan
-		ctx = obs.WithRequestID(ctx, rid)
-		ctx = engine.WithJobID(ctx, j.ID)
-		ereq := engine.Request{
-			Solver: p.req.Solver,
-			K:      p.req.K,
-			Options: engine.Options{
-				MaxComponents: p.req.MaxComponents,
-				// No Options.Timeout: the job's own deadline rides ctx.
-				Observer: s.observer,
-			},
-		}
-		switch g := p.g.(type) {
-		case *graph.Path:
-			ereq.Path = g
-		case *graph.Tree:
-			ereq.Tree = g
-		}
-		res, err := engine.Solve(obs.NewContext(ctx, tr), ereq)
-		tr.Finish()
-		s.offerTrace(flight.Info{
-			Trace:  tr,
-			Kind:   "job",
-			Solver: p.req.Solver,
-			Status: errStatus(err),
-			Err:    errMessage(err),
-		})
+		ctx = engine.WithJobID(obs.WithRequestID(ctx, rid), j.ID)
+		res, err := s.resolve(ctx, &p, caller{job: j})
 		if err != nil {
 			return nil, err
 		}
-		var cert *verifyInfo
-		if p.req.Verify {
-			cert = s.certifyResult(ereq, res)
-		}
-		var spans *obs.SpanNode
-		var traceID string
-		if p.req.Trace {
-			spans = tr.Tree()
-			traceID = tr.ID.String()
-		}
-		body, err := marshalResult(p.fp, res, cert, spans, traceID)
+		body, err := renderJSONResult(&res, p.req.Trace)
 		if err != nil {
 			return nil, err
 		}
-		if !p.req.NoCache {
-			s.cache.Put(key, body)
-		}
-		return jobResult{body: body}, nil
+		return jobResult{body: body, cached: res.cached}, nil
 	}
 }
 
@@ -171,49 +124,16 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusServiceUnavailable, "server is draining")
 		return
 	}
-	var (
-		p        parsedSolve
-		priority int
-	)
-	if isBinaryMedia(r.Header.Get("Content-Type")) {
-		if pv := r.URL.Query().Get("priority"); pv != "" {
-			var err error
-			priority, err = strconv.Atoi(pv)
-			if err != nil {
-				s.writeError(w, http.StatusBadRequest, `bad "priority" query parameter: `+err.Error())
-				return
-			}
-		}
-		buf, err := s.readBody(r)
-		if err != nil {
-			s.writeError(w, requestErrStatus(err), "bad request body: "+err.Error())
-			return
-		}
-		var rest []byte
-		// Jobs outlive the request, so the graph decodes into plain arrays:
-		// the codec pool's recycling discipline is tied to request lifetime.
-		p, rest, err = s.parseBinarySolveInto(buf.Bytes(), nil)
-		s.bufPool.Put(buf)
-		if err != nil {
-			s.writeError(w, requestErrStatus(err), err.Error())
-			return
-		}
-		if len(rest) != 0 {
-			s.writeError(w, http.StatusBadRequest,
-				fmt.Sprintf("%d trailing bytes after the solve frame", len(rest)))
-			return
-		}
-	} else {
-		var req jobSubmitRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			s.writeError(w, requestErrStatus(err), "bad request body: "+err.Error())
-			return
-		}
-		priority = req.Priority
-		var err error
-		p, err = s.parseSolve(req.solveRequest)
-		if err != nil {
-			s.writeError(w, requestErrStatus(err), err.Error())
+	// Jobs outlive the request, so a binary graph decodes into plain arrays:
+	// the codec pool's recycling discipline is tied to request lifetime.
+	p, priority, err := s.decodeSolve(r, nil)
+	if err != nil {
+		s.writeError(w, requestErrStatus(err), err.Error())
+		return
+	}
+	if pv := r.URL.Query().Get("priority"); pv != "" && isBinaryMedia(r.Header.Get("Content-Type")) {
+		if priority, err = strconv.Atoi(pv); err != nil {
+			s.writeError(w, http.StatusBadRequest, `bad "priority" query parameter: `+err.Error())
 			return
 		}
 	}

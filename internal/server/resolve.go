@@ -1,0 +1,292 @@
+package server
+
+import (
+	"context"
+	"encoding/json"
+	"errors"
+	"fmt"
+	"net/http"
+	"time"
+
+	"repro/internal/engine"
+	"repro/internal/graph"
+	"repro/internal/jobs"
+	"repro/internal/obs"
+	"repro/internal/obs/flight"
+)
+
+// The solve path. /v1/solve, every /v1/batch item and every /v1/jobs run
+// resolve one request the same way and produce the same artifact: the
+// canonical PRS1 frame, which encodes a result losslessly (floats travel as
+// their exact bits). The cache stores only frames, keyed on the parameters
+// that change the answer, and JSON responses render from the frame at the
+// edge — so one solve serves every route and encoding.
+//
+// A miss resolves under a single-flight group keyed like the cache, so N
+// identical concurrent misses perform one solve however the callers mix
+// routes and encodings. With a cluster configured, a miss on a graph this
+// node does not own is forwarded to its owner, which answers from its own
+// cache and flight group; that makes the dedup cluster-wide.
+
+// resolved is one solve's answer: the canonical frame plus how it was
+// obtained. It is also the single-flight value every waiter shares.
+type resolved struct {
+	frame   []byte
+	cached  bool          // served from the result cache
+	shared  bool          // joined a concurrent identical miss
+	via     string        // forwarding peer URL; empty for a local solve or a hit
+	tree    *obs.SpanNode // non-nil for traced requests and remote-parented solves
+	traceID string        // set alongside tree; rendered as the JSON traceId field
+}
+
+// caller says who asked for a solve, which decides how its miss resolves.
+type caller struct {
+	// peer marks a request forwarded by another node: its lookup counts on
+	// the peer tier, and its miss is solved here, never forwarded again.
+	peer bool
+	// job is set for an async job's solve. A job solves locally and outside
+	// the flight group (it must stay cancelable by DELETE), already holds an
+	// admission slot from its worker, runs under the job's own deadline
+	// rather than the synchronous one, and streams its spans to the job.
+	job *jobs.Job
+}
+
+// httpError carries an HTTP status through the single-flight group, so shed
+// decisions (429/503) made by a flight leader reach every joined waiter.
+type httpError struct {
+	status int
+	msg    string
+}
+
+func (e *httpError) Error() string { return e.msg }
+
+// resolve answers one parsed solve with its canonical frame: cache lookup,
+// then the single-flight group, then resolveMiss, then the cache fill.
+// NoCache requests skip the cache and the flight. Traced requests skip the
+// lookup and the flight, because a span tree describes one solve and cannot
+// be replayed for another request, but still fill the cache.
+func (s *Server) resolve(ctx context.Context, p *parsedSolve, c caller) (resolved, error) {
+	key := newCacheKey(p.fp, p.req.Solver, p.req.K, p.req.MaxComponents, p.req.Verify)
+	lookup := !p.req.NoCache && !p.req.Trace
+	if lookup {
+		if frame, ok := s.cache.Get(key); ok {
+			s.clusterm.observeLookup(c.peer, true)
+			return resolved{frame: frame, cached: true}, nil
+		}
+		s.clusterm.observeLookup(c.peer, false)
+	}
+	var (
+		res    resolved
+		shared bool
+		err    error
+	)
+	if lookup && c.job == nil {
+		res, shared, err = s.flight.Do(key, func() (resolved, error) {
+			// The solve is detached from this request's cancellation: every
+			// waiter that joined depends on it, and the engine deadline
+			// bounds it regardless. Context values (request ID, remote trace
+			// context) survive.
+			return s.resolveMiss(context.WithoutCancel(ctx), p, c)
+		})
+		res.shared = shared
+	} else {
+		res, err = s.resolveMiss(ctx, p, c)
+	}
+	if err == nil && !p.req.NoCache {
+		s.cache.Put(key, res.frame)
+	}
+	return res, err
+}
+
+// resolveMiss computes the frame for a cache miss: forwarded to the owning
+// peer when a cluster is configured and this node does not own the graph, a
+// local engine solve otherwise (and as the fallback for any failed forward).
+//
+// Every miss runs under a trace: the phase spans feed the per-phase metrics
+// and the flight recorder whether or not the client asked for the tree back.
+// Peer requests adopt the caller's propagated trace identity (same trace ID
+// cluster-wide, this node's root parented under the caller's forward span);
+// their tree travels back in the response trailer so the caller can graft
+// it. The "solve " root-name prefix only matters when the tree is rendered
+// into a response; skipping the concat keeps the untraced hot path one
+// allocation cheaper.
+func (s *Server) resolveMiss(ctx context.Context, p *parsedSolve, c caller) (resolved, error) {
+	kind, name := "solve", p.req.Solver
+	switch {
+	case c.job != nil:
+		kind, name = "job", "job "+p.req.Solver
+	case p.req.Trace:
+		name = "solve " + p.req.Solver
+	}
+	tr := obs.New(name)
+	tr.RequestID = obs.RequestIDFrom(ctx)
+	if c.job != nil {
+		tr.OnSpan = c.job.PublishSpan
+	}
+	rem, hasRemote := obs.RemoteFromContext(ctx)
+	if c.peer && hasRemote {
+		tr.ID = rem.Trace
+		tr.Parent = rem.Span
+	} else {
+		hasRemote = false
+	}
+	tctx := obs.NewContext(ctx, tr)
+
+	var res resolved
+	var err error
+	forwarded := false
+	if s.cluster != nil && !c.peer && c.job == nil && !p.req.NoCache {
+		if peer, local := s.cluster.Route(p.fp); !local {
+			res, forwarded = s.forwardSolve(tctx, tr, p, peer)
+		}
+	}
+	if !forwarded {
+		res, err = s.solveLocal(tctx, p, c)
+	}
+	tr.Finish()
+	if err == nil && (p.req.Trace || hasRemote) {
+		res.tree = tr.Tree()
+		res.traceID = tr.ID.String()
+	}
+	s.offerTrace(flight.Info{
+		Trace:     tr,
+		Kind:      kind,
+		Solver:    p.req.Solver,
+		Status:    errStatus(err),
+		Err:       errMessage(err),
+		Forwarded: forwarded,
+		Remote:    hasRemote,
+		Peer:      res.via,
+	})
+	return res, err
+}
+
+// solveLocal runs the engine for a miss on this node under the trace already
+// in ctx: admission, solve, certification, and rendering into the canonical
+// frame. Peer requests nest the solve under a remote-solve span so traces
+// show which solves served the cluster rather than this node's own clients.
+func (s *Server) solveLocal(ctx context.Context, p *parsedSolve, c caller) (resolved, error) {
+	req := engine.Request{
+		Solver:  p.req.Solver,
+		K:       p.req.K,
+		Options: engine.Options{MaxComponents: p.req.MaxComponents, Observer: s.observer},
+	}
+	switch g := p.g.(type) {
+	case *graph.Path:
+		req.Path = g
+	case *graph.Tree:
+		req.Tree = g
+	}
+	if c.job == nil {
+		release, err := s.admit(ctx)
+		if err != nil {
+			return resolved{}, err
+		}
+		defer release()
+		req.Options.Timeout = s.solveTimeoutOf(p.req.TimeoutMs)
+	}
+	ser := s.solvem.enter(p.req.Solver)
+	defer s.solvem.exit(ser)
+	if c.peer {
+		var sp *obs.Span
+		ctx, sp = obs.StartSpan(ctx, "remote-solve")
+		defer sp.End()
+	}
+	res, err := engine.Solve(ctx, req)
+	if err != nil {
+		return resolved{}, err
+	}
+	var cert *verifyInfo
+	if p.req.Verify {
+		cert = s.certifyResult(req, res)
+	}
+	return resolved{frame: appendSolveResult(nil, p.fp, res, cert)}, nil
+}
+
+// admit takes one solve slot from the limiter: a free slot at once, else a
+// wait in the bounded queue under QueueTimeout, bounded also by ctx (which
+// ends when the client disconnects). Shed outcomes come back as *httpError so
+// they can travel through the single-flight group and be written by any
+// waiter.
+func (s *Server) admit(ctx context.Context) (release func(), err error) {
+	if release, ok := s.limiter.TryAcquire(); ok {
+		return release, nil
+	}
+	qctx, qcancel := context.WithTimeout(ctx, s.cfg.QueueTimeout)
+	release, aerr := s.limiter.Acquire(qctx)
+	qcancel()
+	if aerr != nil {
+		if errors.Is(aerr, ErrQueueFull) {
+			return nil, &httpError{status: http.StatusTooManyRequests, msg: "admission queue full"}
+		}
+		return nil, &httpError{status: http.StatusServiceUnavailable, msg: "timed out waiting for a solve slot"}
+	}
+	return release, nil
+}
+
+// solveTimeoutOf resolves the effective engine deadline for a requested
+// timeoutMs: the server default when unset, clamped to the server maximum.
+func (s *Server) solveTimeoutOf(ms int64) time.Duration {
+	timeout := s.cfg.DefaultTimeout
+	if ms > 0 {
+		timeout = time.Duration(ms) * time.Millisecond
+	}
+	if timeout > s.cfg.MaxTimeout {
+		timeout = s.cfg.MaxTimeout
+	}
+	return timeout
+}
+
+// renderJSONResult renders the JSON solve response from a resolved frame.
+// The span tree renders only when traced is set: a remote-parented miss also
+// carries one (for the trailer), and it must not leak into untraced JSON.
+func renderJSONResult(res *resolved, traced bool) ([]byte, error) {
+	sr, rest, err := DecodeSolveResult(res.frame)
+	if err != nil {
+		return nil, err
+	}
+	if len(rest) != 0 {
+		return nil, errBadFrame
+	}
+	var body solveResponse
+	body.Solver = sr.Solver
+	body.K = sr.K
+	body.Cut = sr.Cut
+	body.CutWeight = sr.CutWeight
+	body.Bottleneck = sr.Bottleneck
+	body.ComponentWeights = sr.ComponentWeights
+	body.NumComponents = len(sr.ComponentWeights)
+	body.Fingerprint = fmt.Sprintf("%016x", sr.Fingerprint)
+	body.Verify = sr.Verify
+	if traced {
+		body.Trace, body.TraceID = res.tree, res.traceID
+	}
+	body.Stats.DurationMs = sr.DurationMs
+	body.Stats.Iterations = sr.Iterations
+	return json.Marshal(&body)
+}
+
+// writeSolveError maps a resolve error to its response: explicit HTTP
+// statuses pass through, engine/solve errors map via solveStatus.
+func (s *Server) writeSolveError(w http.ResponseWriter, err error) {
+	s.writeError(w, errStatus(err), err.Error())
+}
+
+// errStatus maps a resolve error to the HTTP status it is written as.
+func errStatus(err error) int {
+	if err == nil {
+		return http.StatusOK
+	}
+	var he *httpError
+	if errors.As(err, &he) {
+		return he.status
+	}
+	return solveStatus(err)
+}
+
+func errMessage(err error) string {
+	if err == nil {
+		return ""
+	}
+	return err.Error()
+}

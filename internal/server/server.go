@@ -53,10 +53,6 @@ type Config struct {
 	// graphs are rejected before any array is allocated; JSON graphs are
 	// checked right after decode. Negative disables the limit.
 	MaxNodes int
-	// BatchWorkers bounds each /v1/batch run's worker pool (default
-	// MaxConcurrent). Batch admission takes one limiter slot per batch;
-	// the pool parallelism inside that slot is this knob.
-	BatchWorkers int
 	// MaxBatchRequests bounds the request count of one batch call
 	// (default 1024).
 	MaxBatchRequests int
@@ -150,9 +146,6 @@ func (cfg Config) withDefaults() Config {
 	if cfg.MaxNodes < 0 {
 		cfg.MaxNodes = 0 // 0 = unlimited downstream
 	}
-	if cfg.BatchWorkers <= 0 {
-		cfg.BatchWorkers = cfg.MaxConcurrent
-	}
 	if cfg.MaxBatchRequests <= 0 {
 		cfg.MaxBatchRequests = 1024
 	}
@@ -210,7 +203,7 @@ type Server struct {
 	// — because forwarded peer requests share the owner's keys — across the
 	// whole cluster; clusterm attributes cache lookups to requester tiers.
 	cluster  *cluster.Cluster
-	flight   cluster.Group[cacheKey, flightBody]
+	flight   cluster.Group[cacheKey, resolved]
 	clusterm clusterMetrics
 
 	// graphPool recycles the arrays binary-decoded graphs live in; bufPool

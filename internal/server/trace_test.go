@@ -134,8 +134,9 @@ func TestUntracedSolveOmitsTrace(t *testing.T) {
 	}
 }
 
-// TestTraceCacheSeparation checks traced and untraced responses for the same
-// solve never satisfy each other from the cache.
+// TestTraceCacheSeparation checks a traced request never replays a cached
+// answer — its tree must describe its own solve — while its solve still
+// fills the cache for untraced requests.
 func TestTraceCacheSeparation(t *testing.T) {
 	s := newTestServer(t, Config{})
 	h := s.Handler()
@@ -159,11 +160,18 @@ func TestTraceCacheSeparation(t *testing.T) {
 		t.Errorf("untraced replay contains a trace field")
 	}
 	replayTraced := doJSON(t, h, "POST", "/v1/solve", solveBody(t, 4, map[string]any{"trace": true}))
-	if c := replayTraced.Header().Get("X-Cache"); c != "HIT" {
-		t.Errorf("traced replay X-Cache = %q, want HIT", c)
+	if c := replayTraced.Header().Get("X-Cache"); c != "MISS" {
+		t.Errorf("traced replay X-Cache = %q, want MISS (a fresh solve)", c)
 	}
-	if replayTraced.Body.String() != traced.Body.String() {
-		t.Errorf("traced replay is not byte-identical to the original traced response")
+	var orig, again solveResponse
+	if err := json.Unmarshal(traced.Body.Bytes(), &orig); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(replayTraced.Body.Bytes(), &again); err != nil {
+		t.Fatal(err)
+	}
+	if again.Trace == nil || again.TraceID == "" || again.TraceID == orig.TraceID {
+		t.Errorf("traced replay traceId = %q (original %q), want a new trace", again.TraceID, orig.TraceID)
 	}
 }
 

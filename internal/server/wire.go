@@ -363,7 +363,9 @@ func (s *Server) releaseParsed(p *parsedSolve) {
 	}
 }
 
-// appendSolveResult renders the PRS1 binary twin of marshalResult.
+// appendSolveResult renders the canonical PRS1 frame for one solve result —
+// the artifact the cache stores and every response format renders from.
+// cert is nil unless the request asked for verification.
 func appendSolveResult(dst []byte, fp uint64, res engine.Result, cert *verifyInfo) []byte {
 	if dst == nil {
 		// One allocation for the whole frame: fixed fields plus worst-case
