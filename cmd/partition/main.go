@@ -223,7 +223,7 @@ func readGraph(r io.Reader) (any, error) {
 		return g, err
 	}
 	if t := bytes.TrimLeft(data, " \t\r\n"); len(t) > 0 && t[0] == '{' {
-		return graph.ReadJSON(bytes.NewReader(t))
+		return graph.DecodeJSON(t)
 	}
 	return graph.ReadAny(bytes.NewReader(data))
 }

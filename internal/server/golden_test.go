@@ -43,7 +43,7 @@ type goldenCase struct {
 // goldenGraphs are the fixed inputs: a 60-node path for the path solver and
 // a 40-node tree for the tree solvers. The tree's edge weights are integral
 // so every summation order of a cut weight gives the same bits.
-func goldenGraphs(t *testing.T) (*graph.Path, *graph.Tree) {
+func goldenGraphs(t testing.TB) (*graph.Path, *graph.Tree) {
 	t.Helper()
 	r := workload.NewRNG(20261016)
 	p := workload.RandomPath(r, 60, workload.UniformWeights(1, 100), workload.UniformWeights(1, 100))
@@ -85,7 +85,7 @@ func (c goldenCase) graph(p *graph.Path, tr *graph.Tree) any {
 	return p
 }
 
-func (c goldenCase) jsonRequest(t *testing.T, p *graph.Path, tr *graph.Tree) solveRequest {
+func (c goldenCase) jsonRequest(t testing.TB, p *graph.Path, tr *graph.Tree) solveRequest {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := graph.WriteJSON(&buf, c.graph(p, tr)); err != nil {

@@ -18,7 +18,6 @@ import (
 	"repro/internal/codec"
 	"repro/internal/core"
 	"repro/internal/engine"
-	"repro/internal/graph"
 	"repro/internal/obs"
 	"repro/internal/verify"
 )
@@ -28,6 +27,9 @@ import (
 // flat JSON. Durations cross the wire in milliseconds.
 
 // solveRequest is the body of POST /v1/solve and one element of a batch.
+// Requests are decoded by the one-pass decoder in jsonreq.go, which reads
+// the graph straight into its arrays; Graph is the field's wire form for
+// clients that marshal this struct.
 type solveRequest struct {
 	// Solver is the registry name (see GET /v1/solvers).
 	Solver string `json:"solver"`
@@ -155,41 +157,6 @@ func checkSolveParams(req solveRequest) error {
 	return nil
 }
 
-// parseSolve validates one JSON solve item. Errors are client errors (400,
-// or 413 for limit violations).
-func (s *Server) parseSolve(req solveRequest) (parsedSolve, error) {
-	if err := checkSolveParams(req); err != nil {
-		return parsedSolve{}, err
-	}
-	if len(req.Graph) == 0 {
-		return parsedSolve{}, errors.New(`"graph" is required`)
-	}
-	g, err := graph.ReadJSON(bytes.NewReader(req.Graph))
-	if err != nil {
-		return parsedSolve{}, fmt.Errorf("bad graph: %v", err)
-	}
-	var n int
-	switch g := g.(type) {
-	case *graph.Path:
-		n = g.Len()
-	case *graph.Tree:
-		n = g.Len()
-	default:
-		return parsedSolve{}, fmt.Errorf(`graph kind %T is not solvable; send "path" or "tree"`, g)
-	}
-	// JSON declares no count ahead of its arrays, so unlike the binary path
-	// this check runs post-decode; MaxBytesReader has already bounded the
-	// allocation to the body cap by then.
-	if lim := s.cfg.MaxNodes; lim > 0 && n > lim {
-		return parsedSolve{}, fmt.Errorf("graph has %d nodes > limit %d: %w", n, lim, errNodeLimit)
-	}
-	fp, err := graph.Fingerprint(g)
-	if err != nil {
-		return parsedSolve{}, err
-	}
-	return parsedSolve{req: req, g: g, fp: fp}, nil
-}
-
 // readBody drains a request body into a pooled buffer. The caller returns
 // the buffer via s.bufPool.Put once the bytes are no longer referenced
 // (decoded graphs never alias the body — weights are copied out).
@@ -294,21 +261,17 @@ func solveStatus(err error) int {
 // the Content-Type names the binary type, JSON otherwise. Binary graphs
 // decode into pool (nil = plain arrays, for jobs that outlive the request).
 // A JSON body may also carry a job priority, returned alongside; binary
-// bodies carry none. Errors map to a status via requestErrStatus.
+// bodies carry none. Bytes after the request, bar whitespace after JSON,
+// are a client error. Errors map to a status via requestErrStatus.
 func (s *Server) decodeSolve(r *http.Request, pool *codec.Pool) (p parsedSolve, priority int, err error) {
-	if !isBinaryMedia(r.Header.Get("Content-Type")) {
-		var req jobSubmitRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			return p, 0, fmt.Errorf("bad request body: %w", err)
-		}
-		p, err = s.parseSolve(req.solveRequest)
-		return p, req.Priority, err
-	}
 	buf, err := s.readBody(r)
 	if err != nil {
 		return p, 0, fmt.Errorf("bad request body: %w", err)
 	}
 	defer s.bufPool.Put(buf)
+	if !isBinaryMedia(r.Header.Get("Content-Type")) {
+		return s.parseSolveJSON(buf.Bytes())
+	}
 	p, rest, err := s.parseBinarySolveInto(buf.Bytes(), pool)
 	if err == nil && len(rest) != 0 {
 		s.releaseParsed(&p)
@@ -404,34 +367,34 @@ type batchOutcome struct {
 // means item i failed to parse. Errors reject the whole batch and map to a
 // status via requestErrStatus.
 func (s *Server) decodeBatch(r *http.Request) (parsed []parsedSolve, errMsgs []string, timeoutMs int64, err error) {
-	if isBinaryMedia(r.Header.Get("Content-Type")) {
-		buf, err := s.readBody(r)
-		if err != nil {
-			return nil, nil, 0, fmt.Errorf("bad request body: %w", err)
-		}
-		defer s.bufPool.Put(buf)
-		return s.parseBinaryBatch(buf.Bytes())
-	}
-	var breq batchRequest
-	if err := json.NewDecoder(r.Body).Decode(&breq); err != nil {
+	buf, err := s.readBody(r)
+	if err != nil {
 		return nil, nil, 0, fmt.Errorf("bad request body: %w", err)
 	}
-	switch n := len(breq.Requests); {
+	defer s.bufPool.Put(buf)
+	if isBinaryMedia(r.Header.Get("Content-Type")) {
+		return s.parseBinaryBatch(buf.Bytes())
+	}
+	items, timeoutMs, err := s.parseBatchJSON(buf.Bytes())
+	if err != nil {
+		return nil, nil, 0, err
+	}
+	switch n := len(items); {
 	case n == 0:
 		return nil, nil, 0, errors.New(`"requests" must be non-empty`)
 	case n > s.cfg.MaxBatchRequests:
 		return nil, nil, 0, fmt.Errorf("batch of %d exceeds the %d-request limit", n, s.cfg.MaxBatchRequests)
-	case breq.TimeoutMs < 0:
-		return nil, nil, 0, fmt.Errorf(`"timeoutMs" must be non-negative (got %d)`, breq.TimeoutMs)
+	case timeoutMs < 0:
+		return nil, nil, 0, fmt.Errorf(`"timeoutMs" must be non-negative (got %d)`, timeoutMs)
 	}
-	parsed = make([]parsedSolve, len(breq.Requests))
-	errMsgs = make([]string, len(breq.Requests))
-	for i, item := range breq.Requests {
-		if parsed[i], err = s.parseSolve(item); err != nil {
+	parsed = make([]parsedSolve, len(items))
+	errMsgs = make([]string, len(items))
+	for i := range items {
+		if parsed[i], err = validateItem(&items[i]); err != nil {
 			errMsgs[i] = err.Error()
 		}
 	}
-	return parsed, errMsgs, breq.TimeoutMs, nil
+	return parsed, errMsgs, timeoutMs, nil
 }
 
 // handleBatch is POST /v1/batch: every item resolves like its own /v1/solve

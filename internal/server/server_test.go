@@ -211,30 +211,56 @@ func TestSolveCacheHitByteIdentical(t *testing.T) {
 func TestSolveValidation(t *testing.T) {
 	s := newTestServer(t, Config{})
 	g := pathGraphJSON(t, 10, 3)
+	valid := `{"solver":"bandwidth","k":500,"graph":` + string(g) + `}`
 	cases := []struct {
-		name string
-		req  solveRequest
-		want int
+		name  string
+		route string // default /v1/solve
+		req   any    // the body, marshalled unless it is a string
+		want  int
+		// wantErr is a substring of the error message, when set.
+		wantErr string
 	}{
-		{"missing solver", solveRequest{K: 10, Graph: g}, http.StatusBadRequest},
-		{"zero K", solveRequest{Solver: "bandwidth", K: 0, Graph: g}, http.StatusBadRequest},
-		{"negative K", solveRequest{Solver: "bandwidth", K: -5, Graph: g}, http.StatusBadRequest},
-		{"missing graph", solveRequest{Solver: "bandwidth", K: 10}, http.StatusBadRequest},
-		{"bad graph json", solveRequest{Solver: "bandwidth", K: 10, Graph: json.RawMessage(`{"kind":"path","nodeWeights":[1,2],"edgeWeights":[]}`)}, http.StatusBadRequest},
-		{"unknown solver", solveRequest{Solver: "nope", K: 10, Graph: g}, http.StatusBadRequest},
-		{"negative maxComponents", solveRequest{Solver: "bandwidth", K: 10, MaxComponents: -1, Graph: g}, http.StatusBadRequest},
-		{"negative timeout", solveRequest{Solver: "bandwidth", K: 10, TimeoutMs: -1, Graph: g}, http.StatusBadRequest},
-		{"infeasible K", solveRequest{Solver: "bandwidth", K: 0.5, Graph: g}, http.StatusUnprocessableEntity},
+		{name: "missing solver", req: solveRequest{K: 10, Graph: g}, want: http.StatusBadRequest},
+		{name: "zero K", req: solveRequest{Solver: "bandwidth", K: 0, Graph: g}, want: http.StatusBadRequest},
+		{name: "negative K", req: solveRequest{Solver: "bandwidth", K: -5, Graph: g}, want: http.StatusBadRequest},
+		{name: "missing graph", req: `{"solver":"bandwidth","k":10}`, want: http.StatusBadRequest, wantErr: `"graph" is required`},
+		{name: "null graph", req: solveRequest{Solver: "bandwidth", K: 10}, want: http.StatusBadRequest, wantErr: `"graph" is required`},
+		{name: "bad graph json", req: solveRequest{Solver: "bandwidth", K: 10, Graph: json.RawMessage(`{"kind":"path","nodeWeights":[1,2],"edgeWeights":[]}`)}, want: http.StatusBadRequest},
+		{name: "unknown solver", req: solveRequest{Solver: "nope", K: 10, Graph: g}, want: http.StatusBadRequest},
+		{name: "negative maxComponents", req: solveRequest{Solver: "bandwidth", K: 10, MaxComponents: -1, Graph: g}, want: http.StatusBadRequest},
+		{name: "negative timeout", req: solveRequest{Solver: "bandwidth", K: 10, TimeoutMs: -1, Graph: g}, want: http.StatusBadRequest},
+		{name: "infeasible K", req: solveRequest{Solver: "bandwidth", K: 0.5, Graph: g}, want: http.StatusUnprocessableEntity},
+		{name: "fractional maxComponents", req: `{"solver":"bandwidth","k":10,"maxComponents":1.0,"graph":` + string(g) + `}`, want: http.StatusBadRequest},
+		{name: "trailing whitespace", req: valid + " \n", want: http.StatusOK},
+		{name: "trailing bytes solve", req: valid + "garbage", want: http.StatusBadRequest, wantErr: "after top-level value"},
+		{name: "trailing bytes job", route: "/v1/jobs", req: valid + "{}", want: http.StatusBadRequest, wantErr: "after top-level value"},
+		{name: "trailing bytes batch", route: "/v1/batch", req: `{"requests":[` + valid + `]}]`, want: http.StatusBadRequest, wantErr: "after top-level value"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			rec := doJSON(t, s.Handler(), "POST", "/v1/solve", tc.req)
+			route := tc.route
+			if route == "" {
+				route = "/v1/solve"
+			}
+			var rec *httptest.ResponseRecorder
+			if raw, ok := tc.req.(string); ok {
+				rec = httptest.NewRecorder()
+				s.Handler().ServeHTTP(rec, httptest.NewRequest("POST", route, strings.NewReader(raw)))
+			} else {
+				rec = doJSON(t, s.Handler(), "POST", route, tc.req)
+			}
 			if rec.Code != tc.want {
 				t.Errorf("status = %d, want %d (body %s)", rec.Code, tc.want, rec.Body.String())
+			}
+			if tc.want == http.StatusOK {
+				return
 			}
 			var er errorResponse
 			if err := json.Unmarshal(rec.Body.Bytes(), &er); err != nil || er.Error == "" {
 				t.Errorf("error body missing: %s", rec.Body.String())
+			}
+			if !strings.Contains(er.Error, tc.wantErr) {
+				t.Errorf("error = %q, want it to mention %q", er.Error, tc.wantErr)
 			}
 		})
 	}
