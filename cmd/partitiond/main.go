@@ -14,7 +14,7 @@
 // Endpoints:
 //
 //	POST /v1/solve    one solve: {"solver","k","graph",...}
-//	POST /v1/batch    many solves on a bounded worker pool
+//	POST /v1/batch    many solves, each item admitted like a /v1/solve
 //	POST /v1/jobs     async solve job (202 + job ID); same bodies as /v1/solve
 //	GET  /v1/jobs     retained jobs, newest first
 //	GET  /v1/jobs/{id}         job status (+ result once succeeded)
@@ -34,6 +34,9 @@
 // owning node; cache misses on non-owners forward the solve to the owner so
 // the cluster behaves as one logical cache with cluster-wide solve
 // deduplication. See the README "Clustering" section.
+//
+// Async jobs wait in a -job-queue-bounded priority queue for a solve slot no
+// synchronous request is queued for; -max-concurrent bounds every solve.
 //
 // On SIGINT/SIGTERM the server drains: new requests and job submissions get
 // 503, queued jobs turn terminal canceled, in-flight solves and running jobs
@@ -76,8 +79,7 @@ func run() error {
 	timeout := flag.Duration("timeout", 10*time.Second, "default per-solve deadline")
 	maxTimeout := flag.Duration("max-timeout", time.Minute, "cap on client-requested solve deadlines")
 	retryAfter := flag.Duration("retry-after", time.Second, "Retry-After hint on 429/503 responses")
-	jobWorkers := flag.Int("job-workers", 0, "async job worker pool size (0 = max-concurrent)")
-	jobQueue := flag.Int("job-queue", 64, "max jobs waiting for a worker; beyond it submissions are shed with 429")
+	jobQueue := flag.Int("job-queue", 64, "max jobs waiting for a solve slot; beyond it submissions are shed with 429")
 	jobRetention := flag.Duration("job-retention", 15*time.Minute, "how long finished jobs (and their results) stay fetchable")
 	maxJobTimeout := flag.Duration("max-job-timeout", 15*time.Minute, "cap on a job's total lifetime (queue wait included); also the default when the submission names none")
 	drain := flag.Duration("drain", 15*time.Second, "how long to wait for in-flight solves and running jobs on shutdown")
@@ -116,6 +118,9 @@ func run() error {
 		{"-job-retention", *jobRetention},
 		{"-max-job-timeout", *maxJobTimeout},
 		{"-drain", *drain},
+		{"-slow-trace", *slowTrace},
+		{"-health-interval", *healthInterval},
+		{"-health-timeout", *healthTimeout},
 	} {
 		if d.val <= 0 {
 			return fmt.Errorf("%s must be positive (got %v)", d.name, d.val)
@@ -124,34 +129,17 @@ func run() error {
 	if *maxTimeout < *timeout {
 		return fmt.Errorf("-max-timeout (%v) must be at least -timeout (%v)", *maxTimeout, *timeout)
 	}
-	if *jobWorkers < 0 {
-		return fmt.Errorf("-job-workers must be non-negative (got %d)", *jobWorkers)
-	}
 	if *jobQueue <= 0 {
 		return fmt.Errorf("-job-queue must be positive (got %d)", *jobQueue)
 	}
 	if *traceSample < 0 || *traceSample > 1 {
 		return fmt.Errorf("-trace-sample must be in [0,1] (got %g)", *traceSample)
 	}
-	if *slowTrace <= 0 {
-		return fmt.Errorf("-slow-trace must be positive (got %v)", *slowTrace)
-	}
 	if *peers == "" && *self != "" {
 		return errors.New("-self requires -peers")
 	}
 	if *peers != "" && *self == "" {
 		return errors.New("-peers requires -self")
-	}
-	for _, d := range []struct {
-		name string
-		val  time.Duration
-	}{
-		{"-health-interval", *healthInterval},
-		{"-health-timeout", *healthTimeout},
-	} {
-		if d.val <= 0 {
-			return fmt.Errorf("%s must be positive (got %v)", d.name, d.val)
-		}
 	}
 
 	var handler slog.Handler
@@ -174,7 +162,6 @@ func run() error {
 		DefaultTimeout: *timeout,
 		MaxTimeout:     *maxTimeout,
 		RetryAfter:     *retryAfter,
-		JobWorkers:     *jobWorkers,
 		JobQueue:       *jobQueue,
 		JobRetention:   *jobRetention,
 		MaxJobTimeout:  *maxJobTimeout,

@@ -1,13 +1,17 @@
 // Package jobs runs partitioning solves as durable asynchronous jobs. A job
-// outlives the HTTP request that submitted it: it sits in a priority- and
-// deadline-aware queue, runs on a bounded worker pool layered on the server's
-// admission limiter, records its progress in a bounded per-job event ring
+// outlives the HTTP request that submitted it: it waits in a priority- and
+// deadline-aware queue until the server's admission limiter grants it a
+// solve slot, records its progress in a bounded per-job event ring
 // (replayable for SSE resume), and keeps its terminal result until a
 // retention janitor reclaims it.
 //
+// There is no worker pool: one dispatcher waits for a slot (Config.Acquire)
+// while jobs are queued and gives it to the queue's top job, so the slot
+// count alone bounds running jobs and priority decides who gets each slot.
+//
 // The pieces:
 //
-//   - Manager owns the queue, the workers, the job table, and the dedup
+//   - Manager owns the queue, the dispatcher, the job table, and the dedup
 //     index; Submit/Get/Cancel/List/Shutdown are its surface.
 //   - Job is one solve: immutable identity plus mutable state guarded by its
 //     own mutex. Subscribers pull events with EventsSince — there are no
@@ -45,12 +49,6 @@ const (
 // Terminal reports whether no further transitions (or events) can occur.
 func (s State) Terminal() bool {
 	return s == StateSucceeded || s == StateFailed || s == StateCanceled
-}
-
-// States lists every job state, for metrics exporters that pre-register one
-// series per state.
-func States() []State {
-	return []State{StateQueued, StateRunning, StateSucceeded, StateFailed, StateCanceled}
 }
 
 // Event is one progress record. Data is serialized once at publish time, so
@@ -105,7 +103,8 @@ type Job struct {
 	run       RunFunc
 	deadline  time.Time // zero means none; set from Spec.Timeout at submit
 	submitSeq uint64
-	heapIdx   int // index in the manager's queue, -1 when not queued
+	heapIdx   int         // index in the manager's queue, -1 when not queued
+	expiry    *time.Timer // fails the job at its deadline if still queued
 
 	mu       sync.Mutex
 	state    State
@@ -178,8 +177,8 @@ func (j *Job) Done() <-chan struct{} { return j.doneCh }
 // greater than after, a channel that is closed when the next event is
 // published, and whether the returned events are the job's last (the job is
 // terminal and nothing newer is pending). If after predates the ring's
-// oldest retained event the replay has a gap; size the ring (Config
-// EventBuffer) for the longest disconnect to be bridged.
+// oldest retained event the replay has a gap: the ring keeps the latest
+// 256 events.
 func (j *Job) EventsSince(after uint64) ([]Event, <-chan struct{}, bool) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -222,16 +221,15 @@ func (j *Job) setStateLocked(s State, errMsg string) {
 	}
 }
 
-// requestCancelLocked flags the job canceled and aborts its running solve,
-// if any. Callers hold j.mu; terminal jobs are left untouched.
+// requestCancelLocked flags a running job canceled and aborts its solve.
+// Callers hold j.mu and have taken a queued job out of the queue instead;
+// terminal jobs are left untouched.
 func (j *Job) requestCancelLocked() {
 	if j.state.Terminal() {
 		return
 	}
 	j.canceled = true
-	if j.cancel != nil {
-		j.cancel()
-	}
+	j.cancel()
 }
 
 // newID returns a fresh job identifier: "j" + 16 hex digits.

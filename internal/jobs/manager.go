@@ -4,8 +4,8 @@ import (
 	"container/heap"
 	"context"
 	"errors"
+	"io"
 	"log/slog"
-	"runtime"
 	"sort"
 	"sync"
 	"time"
@@ -20,49 +20,42 @@ var (
 	ErrShuttingDown = errors.New("jobs: shutting down")
 )
 
-// Config sizes a Manager. The zero value is usable: GOMAXPROCS workers, a
-// 64-deep queue, 15-minute retention, 256-event rings.
+// Config sizes a Manager. The zero value is usable: a 64-deep queue,
+// 15-minute retention, and no admission gate.
 type Config struct {
-	// Workers bounds concurrent solves; <= 0 means GOMAXPROCS.
-	Workers int
-	// QueueCap bounds the pending queue; <= 0 means 64.
+	// QueueCap bounds the jobs waiting for a slot; <= 0 means 64.
 	QueueCap int
 	// Retention is how long terminal jobs stay fetchable; <= 0 means 15
 	// minutes.
 	Retention time.Duration
-	// EventBuffer is the per-job event-ring capacity; <= 0 means 256.
-	EventBuffer int
-	// Acquire, when non-nil, gates each solve on an admission slot shared
-	// with the rest of the server. It blocks until a slot is free or ctx is
-	// done, and returns the release function. A nil Acquire runs solves
-	// unguarded.
+	// Acquire gates each job on an admission slot shared with the rest of
+	// the server: it blocks until a slot is free or ctx is done, and
+	// returns the release function. Each slot goes to the queue's top job.
+	// A nil Acquire starts every job as soon as it is queued.
 	Acquire func(ctx context.Context) (release func(), err error)
 	// Logger receives job lifecycle logs; nil discards them.
 	Logger *slog.Logger
 }
 
 func (c Config) withDefaults() Config {
-	if c.Workers <= 0 {
-		c.Workers = runtime.GOMAXPROCS(0)
-	}
 	if c.QueueCap <= 0 {
 		c.QueueCap = 64
 	}
 	if c.Retention <= 0 {
 		c.Retention = 15 * time.Minute
 	}
-	if c.EventBuffer <= 0 {
-		c.EventBuffer = 256
+	if c.Acquire == nil {
+		c.Acquire = func(context.Context) (func(), error) { return func() {}, nil }
 	}
 	if c.Logger == nil {
-		c.Logger = slog.New(slog.NewTextHandler(discard{}, nil))
+		c.Logger = slog.New(slog.NewTextHandler(io.Discard, nil))
 	}
 	return c
 }
 
-type discard struct{}
-
-func (discard) Write(p []byte) (int, error) { return len(p), nil }
+// eventBuffer is the per-job event-ring capacity: the SSE replay window a
+// reconnecting client can bridge.
+const eventBuffer = 256
 
 // Spec describes one job submission.
 type Spec struct {
@@ -72,8 +65,9 @@ type Spec struct {
 	Key string
 	// Priority orders the queue; higher runs first.
 	Priority int
-	// Timeout bounds the job's total lifetime (queue wait included); 0
-	// means none. The deadline is fixed at submission.
+	// Timeout bounds the job's total lifetime (queue wait included): a job
+	// still queued at its deadline fails without running. 0 means none. The
+	// deadline is fixed at submission.
 	Timeout time.Duration
 	// Run is the solve; required.
 	Run RunFunc
@@ -81,9 +75,9 @@ type Spec struct {
 
 // Stats is a point-in-time view of the manager, shaped for metrics export.
 type Stats struct {
-	// Workers is the configured pool size; QueueCap the queue bound.
-	Workers, QueueCap int
-	// Queued and Running are current occupancy gauges.
+	// QueueCap is the queue bound.
+	QueueCap int
+	// Queued counts jobs waiting for a slot, Running jobs holding one.
 	Queued, Running int
 	// Submitted counts accepted submissions (dedup joins excluded);
 	// DedupJoined counts submissions answered by an existing job.
@@ -94,12 +88,12 @@ type Stats struct {
 	Retained int
 }
 
-// Manager owns the job table, the pending queue and the worker pool.
+// Manager owns the job table, the pending queue and the dispatcher that
+// feeds queued jobs to admission slots.
 type Manager struct {
 	cfg Config
 
 	mu          sync.Mutex
-	cond        *sync.Cond
 	queue       jobQueue
 	jobs        map[string]*Job
 	byKey       map[string]*Job // queued or running jobs, by dedup key
@@ -112,29 +106,30 @@ type Manager struct {
 	failed      uint64
 	canceled    uint64
 
-	wg          sync.WaitGroup
-	janitorStop chan struct{}
-	stopOnce    sync.Once
+	ready   chan struct{}   // holds a token while the queue may be non-empty
+	stopCtx context.Context // ends with Shutdown: stops dispatcher and janitor
+	stop    context.CancelFunc
+	wg      sync.WaitGroup // the dispatcher, the janitor and running jobs
 }
 
-// New starts a manager with cfg's worker pool and retention janitor.
-// Shutdown must be called to release them.
+// New starts a manager with its dispatcher and retention janitor. Shutdown
+// must be called to release them.
 func New(cfg Config) *Manager {
 	m := &Manager{
-		cfg:         cfg.withDefaults(),
-		jobs:        make(map[string]*Job),
-		byKey:       make(map[string]*Job),
-		janitorStop: make(chan struct{}),
+		cfg:   cfg.withDefaults(),
+		jobs:  make(map[string]*Job),
+		byKey: make(map[string]*Job),
+		ready: make(chan struct{}, 1),
 	}
-	m.cond = sync.NewCond(&m.mu)
-	for i := 0; i < m.cfg.Workers; i++ {
-		m.wg.Add(1)
-		go m.worker()
-	}
-	m.wg.Add(1)
+	m.stopCtx, m.stop = context.WithCancel(context.Background())
+	m.wg.Add(2)
+	go m.dispatch()
 	go m.janitor()
 	return m
 }
+
+// Config returns the manager's configuration with defaults applied.
+func (m *Manager) Config() Config { return m.cfg }
 
 // Submit enqueues a job for spec. When spec.Key matches a queued or running
 // job, that job is returned with joined == true and no new solve starts.
@@ -169,12 +164,13 @@ func (m *Manager) Submit(spec Spec) (j *Job, joined bool, err error) {
 		run:       spec.Run,
 		submitSeq: m.submitSeq,
 		heapIdx:   -1,
-		ring:      newEventRing(m.cfg.EventBuffer),
+		ring:      newEventRing(eventBuffer),
 		notifyCh:  make(chan struct{}),
 		doneCh:    make(chan struct{}),
 	}
 	if spec.Timeout > 0 {
 		j.deadline = now.Add(spec.Timeout)
+		j.expiry = time.AfterFunc(spec.Timeout, func() { m.expire(j) })
 	}
 	j.mu.Lock()
 	j.setStateLocked(StateQueued, "")
@@ -186,7 +182,7 @@ func (m *Manager) Submit(spec Spec) (j *Job, joined bool, err error) {
 	heap.Push(&m.queue, j)
 	m.submitted++
 	m.cfg.Logger.Info("job queued", "job", j.ID, "priority", j.Priority, "queue_depth", len(m.queue))
-	m.cond.Signal()
+	m.signalReady()
 	return j, false, nil
 }
 
@@ -214,10 +210,11 @@ func (m *Manager) List() []Snapshot {
 	return out
 }
 
-// Cancel requests cancellation of the job. A queued job becomes terminal
-// immediately; a running job's context is canceled and the worker records
-// the terminal state when the solver unwinds. The returned state is the
-// job's state at the time of the call; found is false for unknown IDs.
+// Cancel requests cancellation of the job. A queued job, which holds no
+// slot yet, becomes terminal immediately; a running job's context is
+// canceled and its terminal state is recorded when the solver unwinds. The
+// returned state is the job's state at the time of the call; found is false
+// for unknown IDs.
 func (m *Manager) Cancel(id string) (state State, found bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -225,14 +222,12 @@ func (m *Manager) Cancel(id string) (state State, found bool) {
 	if j == nil {
 		return "", false
 	}
-	j.mu.Lock()
-	state = j.state
-	switch {
-	case j.state == StateQueued && j.heapIdx >= 0:
+	state = j.State()
+	if j.heapIdx >= 0 {
 		heap.Remove(&m.queue, j.heapIdx)
-		j.mu.Unlock()
 		m.finishLocked(j, StateCanceled, "canceled before start", nil)
-	default:
+	} else {
+		j.mu.Lock()
 		j.requestCancelLocked()
 		j.mu.Unlock()
 	}
@@ -245,7 +240,6 @@ func (m *Manager) Stats() Stats {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return Stats{
-		Workers:     m.cfg.Workers,
 		QueueCap:    m.cfg.QueueCap,
 		Queued:      len(m.queue),
 		Running:     m.running,
@@ -260,10 +254,10 @@ func (m *Manager) Stats() Stats {
 
 // Shutdown drains the manager: new submissions are refused, queued jobs are
 // canceled immediately, and running jobs get until ctx's deadline to finish
-// before their contexts are force-canceled. It returns nil when every worker
-// exited within the deadline, ctx.Err() otherwise (workers are still waited
-// for after the forced cancel — solvers poll their context, so that wait is
-// prompt).
+// before their contexts are force-canceled. It returns nil when every
+// running job finished within the deadline, ctx.Err() otherwise (they are
+// still waited for after the forced cancel — solvers poll their context, so
+// that wait is prompt).
 func (m *Manager) Shutdown(ctx context.Context) error {
 	m.mu.Lock()
 	m.down = true
@@ -271,9 +265,8 @@ func (m *Manager) Shutdown(ctx context.Context) error {
 		j := heap.Pop(&m.queue).(*Job)
 		m.finishLocked(j, StateCanceled, "server shutting down", nil)
 	}
-	m.cond.Broadcast()
 	m.mu.Unlock()
-	m.stopOnce.Do(func() { close(m.janitorStop) })
+	m.stop()
 
 	done := make(chan struct{})
 	go func() {
@@ -299,6 +292,9 @@ func (m *Manager) Shutdown(ctx context.Context) error {
 // finishLocked records a job's terminal state: counters, dedup index and the
 // job's own transition. Callers hold m.mu but not j.mu.
 func (m *Manager) finishLocked(j *Job, s State, errMsg string, result any) {
+	if j.expiry != nil {
+		j.expiry.Stop()
+	}
 	if m.byKey[j.Key] == j {
 		delete(m.byKey, j.Key)
 	}
@@ -317,62 +313,84 @@ func (m *Manager) finishLocked(j *Job, s State, errMsg string, result any) {
 	m.cfg.Logger.Info("job finished", "job", j.ID, "state", string(s), "error", errMsg)
 }
 
-// worker pops and runs jobs until shutdown drains the queue.
-func (m *Manager) worker() {
+// signalReady wakes the dispatcher; a token already pending is enough.
+func (m *Manager) signalReady() {
+	select {
+	case m.ready <- struct{}{}:
+	default:
+	}
+}
+
+// dispatch is the manager's one scheduler: it waits for a queued job, then
+// for an admission slot, and gives that slot to whichever job tops the
+// queue by then, so jobs reach the solver in queue order.
+func (m *Manager) dispatch() {
 	defer m.wg.Done()
 	for {
-		m.mu.Lock()
-		for len(m.queue) == 0 && !m.down {
-			m.cond.Wait()
-		}
-		if len(m.queue) == 0 {
-			m.mu.Unlock()
+		select {
+		case <-m.ready:
+		case <-m.stopCtx.Done():
 			return
 		}
-		j := heap.Pop(&m.queue).(*Job)
-
-		j.mu.Lock()
-		if j.canceled {
-			j.mu.Unlock()
-			m.finishLocked(j, StateCanceled, "canceled before start", nil)
-			m.mu.Unlock()
-			continue
+		release, err := m.cfg.Acquire(m.stopCtx)
+		if err != nil {
+			return // shutting down
 		}
-		ctx := context.Background()
-		var cancel context.CancelFunc
-		if !j.deadline.IsZero() {
-			ctx, cancel = context.WithDeadline(ctx, j.deadline)
-		} else {
-			ctx, cancel = context.WithCancel(ctx)
+		if !m.start(release) {
+			release() // cancels or expiries emptied the queue meanwhile
 		}
-		j.cancel = cancel
-		j.started = time.Now().UTC()
-		j.setStateLocked(StateRunning, "")
-		j.mu.Unlock()
-		m.running++
-		m.mu.Unlock()
+	}
+}
 
-		result, err := m.execute(ctx, j)
+// start runs the queue's top job on its own goroutine, which holds the slot
+// until the job is terminal. It reports false, leaving the slot to the
+// caller, when the queue is empty.
+func (m *Manager) start(release func()) bool {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if len(m.queue) == 0 {
+		return false
+	}
+	j := heap.Pop(&m.queue).(*Job)
+	if len(m.queue) > 0 {
+		m.signalReady()
+	}
+	ctx := context.Background()
+	var cancel context.CancelFunc
+	if !j.deadline.IsZero() {
+		ctx, cancel = context.WithDeadline(ctx, j.deadline)
+	} else {
+		ctx, cancel = context.WithCancel(ctx)
+	}
+	j.mu.Lock()
+	j.cancel = cancel
+	j.started = time.Now().UTC()
+	j.setStateLocked(StateRunning, "")
+	j.mu.Unlock()
+	m.running++
+	m.wg.Add(1)
+	go func() {
+		defer m.wg.Done()
+		result, err := j.run(ctx, j)
 		cancel()
 		s, msg := finalState(j, err)
-
 		m.mu.Lock()
 		m.running--
 		m.finishLocked(j, s, msg, result)
 		m.mu.Unlock()
-	}
+		release()
+	}()
+	return true
 }
 
-// execute runs the job body behind the admission gate.
-func (m *Manager) execute(ctx context.Context, j *Job) (any, error) {
-	if m.cfg.Acquire != nil {
-		release, err := m.cfg.Acquire(ctx)
-		if err != nil {
-			return nil, err
-		}
-		defer release()
+// expire fails a job whose deadline passed while it waited for a slot.
+func (m *Manager) expire(j *Job) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if j.heapIdx >= 0 {
+		heap.Remove(&m.queue, j.heapIdx)
+		m.finishLocked(j, StateFailed, "job deadline exceeded", nil)
 	}
-	return j.run(ctx, j)
 }
 
 // finalState maps a solve outcome to the job's terminal state. A context
@@ -408,7 +426,7 @@ func (m *Manager) janitor() {
 	defer t.Stop()
 	for {
 		select {
-		case <-m.janitorStop:
+		case <-m.stopCtx.Done():
 			return
 		case <-t.C:
 			m.sweep(time.Now().Add(-m.cfg.Retention))

@@ -42,6 +42,20 @@ func checkNoLeak(t *testing.T, before int) {
 	t.Fatalf("goroutines: %d before, %d after:\n%s", before, now, buf[:runtime.Stack(buf, true)])
 }
 
+// oneSlot is an admission gate with a single slot, so jobs run one at a
+// time and the rest wait in the queue.
+func oneSlot() func(ctx context.Context) (func(), error) {
+	slot := make(chan struct{}, 1)
+	return func(ctx context.Context) (func(), error) {
+		select {
+		case slot <- struct{}{}:
+			return func() { <-slot }, nil
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
+	}
+}
+
 func shutdownNow(t *testing.T, m *Manager) {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
@@ -52,7 +66,7 @@ func shutdownNow(t *testing.T, m *Manager) {
 }
 
 func TestJobSucceeds(t *testing.T) {
-	m := New(Config{Workers: 2})
+	m := New(Config{})
 	defer shutdownNow(t, m)
 	j, joined, err := m.Submit(Spec{Run: func(ctx context.Context, j *Job) (any, error) {
 		return "answer", nil
@@ -94,11 +108,11 @@ func TestJobSucceeds(t *testing.T) {
 	}
 }
 
-// TestCancelRunning cancels a job mid-solve and checks the worker records a
+// TestCancelRunning cancels a job mid-solve and checks the manager records a
 // terminal canceled state and no goroutine leaks.
 func TestCancelRunning(t *testing.T) {
 	before := runtime.NumGoroutine()
-	m := New(Config{Workers: 1})
+	m := New(Config{Acquire: oneSlot()})
 	started := make(chan struct{})
 	j, _, err := m.Submit(Spec{Run: func(ctx context.Context, j *Job) (any, error) {
 		close(started)
@@ -122,9 +136,9 @@ func TestCancelRunning(t *testing.T) {
 }
 
 // TestCancelQueued cancels a job that never started: terminal immediately,
-// and the worker never runs it.
+// and it never runs.
 func TestCancelQueued(t *testing.T) {
-	m := New(Config{Workers: 1})
+	m := New(Config{Acquire: oneSlot()})
 	defer shutdownNow(t, m)
 	gate := make(chan struct{})
 	blocker, _, err := m.Submit(Spec{Run: func(ctx context.Context, j *Job) (any, error) {
@@ -162,7 +176,7 @@ func TestCancelQueued(t *testing.T) {
 // TestDeadlineExpiry gives the job a tiny timeout: the solve's context
 // expires and the job fails with a deadline message.
 func TestDeadlineExpiry(t *testing.T) {
-	m := New(Config{Workers: 1})
+	m := New(Config{Acquire: oneSlot()})
 	defer shutdownNow(t, m)
 	j, _, err := m.Submit(Spec{Timeout: 20 * time.Millisecond, Run: func(ctx context.Context, j *Job) (any, error) {
 		<-ctx.Done()
@@ -177,10 +191,41 @@ func TestDeadlineExpiry(t *testing.T) {
 	}
 }
 
+// TestDeadlineWhileQueued checks that a job whose deadline passes while it
+// waits for a slot fails at the deadline without running.
+func TestDeadlineWhileQueued(t *testing.T) {
+	m := New(Config{Acquire: oneSlot()})
+	defer shutdownNow(t, m)
+	gate := make(chan struct{})
+	defer close(gate)
+	blocker, _, err := m.Submit(Spec{Run: func(ctx context.Context, j *Job) (any, error) {
+		<-gate
+		return nil, nil
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, blocker, StateRunning)
+	j, _, err := m.Submit(Spec{Timeout: 20 * time.Millisecond, Run: func(ctx context.Context, j *Job) (any, error) {
+		t.Error("expired job ran")
+		return nil, nil
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, j, StateFailed)
+	if s := j.Snapshot(); !strings.Contains(s.Error, "deadline") || s.Started != nil {
+		t.Errorf("snapshot = %+v, want a deadline failure that never started", s)
+	}
+	if st := m.Stats(); st.Queued != 0 || st.Failed != 1 {
+		t.Errorf("stats = %+v", st)
+	}
+}
+
 // TestDedupJoin submits the same key concurrently and checks exactly one
 // solve runs, with every submission landing on the same job.
 func TestDedupJoin(t *testing.T) {
-	m := New(Config{Workers: 2})
+	m := New(Config{})
 	defer shutdownNow(t, m)
 	var solves int32
 	var mu sync.Mutex
@@ -255,10 +300,10 @@ func firstKey(m map[string]bool) string {
 	return ""
 }
 
-// TestPriorityAndDeadlineOrder floods a one-worker pool and checks the
+// TestPriorityAndDeadlineOrder floods a one-slot gate and checks the
 // execution order: priority first, then earlier deadline, then submission.
 func TestPriorityAndDeadlineOrder(t *testing.T) {
-	m := New(Config{Workers: 1})
+	m := New(Config{Acquire: oneSlot()})
 	defer shutdownNow(t, m)
 	gate := make(chan struct{})
 	blocker, _, err := m.Submit(Spec{Run: func(ctx context.Context, j *Job) (any, error) {
@@ -323,7 +368,7 @@ func TestPriorityAndDeadlineOrder(t *testing.T) {
 // TestQueueFull checks Submit refuses when the queue is at capacity, and
 // that capacity frees as jobs drain.
 func TestQueueFull(t *testing.T) {
-	m := New(Config{Workers: 1, QueueCap: 2})
+	m := New(Config{Acquire: oneSlot(), QueueCap: 2})
 	defer shutdownNow(t, m)
 	gate := make(chan struct{})
 	blocker, _, err := m.Submit(Spec{Run: func(ctx context.Context, j *Job) (any, error) {
@@ -351,7 +396,7 @@ func TestQueueFull(t *testing.T) {
 // fail, and no goroutines remain.
 func TestShutdownCancelsQueuedAndRefusesNew(t *testing.T) {
 	before := runtime.NumGoroutine()
-	m := New(Config{Workers: 1})
+	m := New(Config{Acquire: oneSlot()})
 	gate := make(chan struct{})
 	running, _, err := m.Submit(Spec{Run: func(ctx context.Context, j *Job) (any, error) {
 		<-gate
@@ -390,7 +435,7 @@ func TestShutdownCancelsQueuedAndRefusesNew(t *testing.T) {
 // window is force-canceled once the shutdown context expires.
 func TestShutdownForceCancelsAfterDeadline(t *testing.T) {
 	before := runtime.NumGoroutine()
-	m := New(Config{Workers: 1})
+	m := New(Config{Acquire: oneSlot()})
 	j, _, err := m.Submit(Spec{Run: func(ctx context.Context, j *Job) (any, error) {
 		<-ctx.Done() // only stops when force-canceled
 		return nil, ctx.Err()
@@ -413,7 +458,7 @@ func TestShutdownForceCancelsAfterDeadline(t *testing.T) {
 // TestRetentionSweep checks the janitor drops only terminal jobs older than
 // the cutoff.
 func TestRetentionSweep(t *testing.T) {
-	m := New(Config{Workers: 1})
+	m := New(Config{Acquire: oneSlot()})
 	defer shutdownNow(t, m)
 	j, _, err := m.Submit(Spec{Run: func(ctx context.Context, j *Job) (any, error) { return nil, nil }})
 	if err != nil {
@@ -436,7 +481,7 @@ func TestRetentionSweep(t *testing.T) {
 // TestEventsSinceResume checks replay: events after a resume point are the
 // same records, byte for byte, that a first read returned.
 func TestEventsSinceResume(t *testing.T) {
-	m := New(Config{Workers: 1})
+	m := New(Config{Acquire: oneSlot()})
 	defer shutdownNow(t, m)
 	j, _, err := m.Submit(Spec{Run: func(ctx context.Context, j *Job) (any, error) {
 		j.publish("phase", phasePayload{Phase: "alpha"})
@@ -471,7 +516,7 @@ func TestEventsSinceResume(t *testing.T) {
 // TestEventsNotify checks the notification channel closes on publish so a
 // subscriber blocked on it wakes for the new event.
 func TestEventsNotify(t *testing.T) {
-	m := New(Config{Workers: 1})
+	m := New(Config{Acquire: oneSlot()})
 	defer shutdownNow(t, m)
 	release := make(chan struct{})
 	j, _, err := m.Submit(Spec{Run: func(ctx context.Context, j *Job) (any, error) {

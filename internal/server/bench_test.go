@@ -230,7 +230,7 @@ func BenchmarkServerAtConcurrencyLimit(b *testing.B) {
 	}
 }
 
-// benchShutdownJobs stops the benchmark server's job workers so the next
+// benchShutdownJobs stops the benchmark server's job dispatcher so the next
 // benchmark's goroutine counts start clean.
 func benchShutdownJobs(b *testing.B, s *Server) {
 	b.Helper()

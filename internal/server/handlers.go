@@ -538,7 +538,6 @@ type limitsInfo struct {
 	MaxQueue         int   `json:"maxQueue"`
 	DefaultTimeoutMs int64 `json:"defaultTimeoutMs"`
 	MaxTimeoutMs     int64 `json:"maxTimeoutMs"`
-	JobWorkers       int   `json:"jobWorkers"`
 	JobQueue         int   `json:"jobQueue"`
 	JobRetentionMs   int64 `json:"jobRetentionMs"`
 	MaxJobTimeoutMs  int64 `json:"maxJobTimeoutMs"`
@@ -567,6 +566,7 @@ func (s *Server) handleSolvers(w http.ResponseWriter, r *http.Request) {
 			Objective: engine.ObjectiveOf(sol).String(),
 		})
 	}
+	jc := s.jobs.Config()
 	var env *clusterEnvelope
 	if s.cluster != nil {
 		st := s.cluster.Status()
@@ -583,9 +583,8 @@ func (s *Server) handleSolvers(w http.ResponseWriter, r *http.Request) {
 			MaxQueue:         s.cfg.MaxQueue,
 			DefaultTimeoutMs: s.cfg.DefaultTimeout.Milliseconds(),
 			MaxTimeoutMs:     s.cfg.MaxTimeout.Milliseconds(),
-			JobWorkers:       s.cfg.JobWorkers,
-			JobQueue:         s.cfg.JobQueue,
-			JobRetentionMs:   s.cfg.JobRetention.Milliseconds(),
+			JobQueue:         jc.QueueCap,
+			JobRetentionMs:   jc.Retention.Milliseconds(),
 			MaxJobTimeoutMs:  s.cfg.MaxJobTimeout.Milliseconds(),
 		},
 	})

@@ -17,11 +17,11 @@ import (
 )
 
 // The async jobs API. A solve submitted as a job outlives its HTTP request:
-// POST /v1/jobs answers 202 immediately with a job ID, the solve runs on the
-// job worker pool (sharing admission slots with the synchronous routes), and
-// the client follows along over GET /v1/jobs/{id}/events — a Server-Sent
-// Events stream of state transitions and live solve-phase spans — or polls
-// GET /v1/jobs/{id}. DELETE /v1/jobs/{id} cancels; the engine's context
+// POST /v1/jobs answers 202 immediately with a job ID, the job waits in the
+// job queue until the admission limiter has a slot no synchronous request is
+// queued for, and the client follows along over GET /v1/jobs/{id}/events —
+// a Server-Sent Events stream of state transitions and live solve-phase
+// spans — or polls GET /v1/jobs/{id}. DELETE /v1/jobs/{id} cancels; the engine's context
 // plumbing aborts the solver mid-loop. Results are retained for
 // Config.JobRetention and resolve through the same cache of canonical frames
 // as /v1/solve (see resolve), and a submission identical to a queued or
@@ -66,36 +66,14 @@ type jobResult struct {
 }
 
 // jobDedupKey identifies a solve for job deduplication: every parameter
-// that changes the answer (the response-format flag excluded — job results
-// are always rendered as JSON).
+// that changes the answer or how it is obtained, NoCache included (job
+// results are always JSON, so the response format is left out).
 func jobDedupKey(p parsedSolve) string {
-	return fmt.Sprintf("%016x|%s|%016x|%d|%t|%t",
-		p.fp, p.req.Solver, math.Float64bits(p.req.K), p.req.MaxComponents, p.req.Verify, p.req.Trace)
+	return fmt.Sprintf("%016x|%s|%016x|%d|%t|%t|%t",
+		p.fp, p.req.Solver, math.Float64bits(p.req.K), p.req.MaxComponents, p.req.Verify, p.req.Trace, p.req.NoCache)
 }
 
-// jobAcquire is the manager's admission hook: job workers borrow solve slots
-// from the same limiter as the synchronous routes, but only ever take free
-// ones — polling TryAcquire instead of joining the bounded HTTP wait queue,
-// whose occupancy and shed counters describe interactive traffic.
-func (s *Server) jobAcquire(ctx context.Context) (func(), error) {
-	if release, ok := s.limiter.TryAcquire(); ok {
-		return release, nil
-	}
-	t := time.NewTicker(10 * time.Millisecond)
-	defer t.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		case <-t.C:
-			if release, ok := s.limiter.TryAcquire(); ok {
-				return release, nil
-			}
-		}
-	}
-}
-
-// jobRun builds the closure the worker pool executes for a submitted solve:
+// jobRun builds the closure a job runs once it holds a solve slot:
 // resolve it locally under a job trace whose live span events feed the
 // job's SSE stream, then render the JSON result. rid is the submitting
 // request's ID, carried into solver logs and engine events for correlation.
@@ -218,16 +196,12 @@ func (s *Server) handleJobList(w http.ResponseWriter, r *http.Request) {
 // 202 with the job's snapshot. A queued job is terminal in the response; a
 // running one transitions once the solver notices its context.
 func (s *Server) handleJobCancel(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	if _, found := s.jobs.Cancel(id); !found {
-		s.writeError(w, http.StatusNotFound, "unknown job "+id)
+	j := s.jobOr404(w, r)
+	if j == nil {
 		return
 	}
-	var resp jobStatusResponse
-	if j := s.jobs.Get(id); j != nil {
-		resp.Snapshot = j.Snapshot()
-	}
-	body, _ := json.Marshal(resp)
+	s.jobs.Cancel(j.ID)
+	body, _ := json.Marshal(jobStatusResponse{Snapshot: j.Snapshot()})
 	writeJSON(w, http.StatusAccepted, body)
 }
 

@@ -326,16 +326,26 @@ func TestJobDedup(t *testing.T) {
 	if other.Joined || other.ID == first.ID {
 		t.Fatalf("different-K submission joined: %+v", other)
 	}
+	// So is the same request with noCache: it must neither answer from the
+	// cache nor lend its uncached answer to a cached submission.
+	noCache := req
+	noCache.NoCache = true
+	bypass := submitJob(t, ts, noCache)
+	if bypass.Joined || bypass.ID == first.ID {
+		t.Fatalf("noCache submission joined: %+v", bypass)
+	}
 
 	release()
 	waitJobState(t, ts, first.ID, jobs.StateSucceeded)
 	waitJobState(t, ts, other.ID, jobs.StateSucceeded)
+	waitJobState(t, ts, bypass.ID, jobs.StateSucceeded)
 	// The gate solver signals once per solve; first's signal was consumed
-	// above, so exactly other's should remain — the join added none.
-	if got := len(started); got != 1 {
-		t.Errorf("%d gate starts pending, want 1 (one solve per distinct job)", got)
+	// above, so exactly other's and bypass's should remain — the join added
+	// none.
+	if got := len(started); got != 2 {
+		t.Errorf("%d gate starts pending, want 2 (one solve per distinct job)", got)
 	}
-	if st := s.JobStats(); st.DedupJoined != 1 || st.Submitted != 2 {
+	if st := s.JobStats(); st.DedupJoined != 1 || st.Submitted != 3 {
 		t.Errorf("job stats = %+v", st)
 	}
 }
@@ -458,7 +468,7 @@ func TestJobErrors(t *testing.T) {
 // TestJobQueueFullShed fills the job queue and checks the 429 + Retry-After
 // shed path.
 func TestJobQueueFullShed(t *testing.T) {
-	s := newTestServer(t, Config{JobWorkers: 1, JobQueue: 1, MaxConcurrent: 1})
+	s := newTestServer(t, Config{JobQueue: 1, MaxConcurrent: 1})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	started, release := armGate(t)
@@ -488,7 +498,7 @@ func TestJobQueueFullShed(t *testing.T) {
 // shed with 503, the running job is force-canceled at the drain deadline,
 // and open SSE streams end.
 func TestJobDrain(t *testing.T) {
-	s := newTestServer(t, Config{JobWorkers: 1})
+	s := newTestServer(t, Config{MaxConcurrent: 1})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	started, release := armGate(t)
@@ -563,5 +573,86 @@ func TestJobResultCached(t *testing.T) {
 	}
 	if !bytes.Equal(bytes.TrimRight(rec.Body.Bytes(), "\n"), []byte(st.Result)) {
 		t.Errorf("cached job result differs from the synchronous response:\n%s\nvs\n%s", st.Result, rec.Body.Bytes())
+	}
+}
+
+// holdSlot starts a synchronous test-gate solve and returns once it holds a
+// solve slot; it runs until the gate is released.
+func holdSlot(t *testing.T, ts *httptest.Server, started <-chan struct{}) {
+	t.Helper()
+	b, _ := json.Marshal(solveRequest{Solver: "test-gate", K: 100, Graph: pathGraphJSON(t, 16, 20)})
+	go func() {
+		resp, err := http.Post(ts.URL+"/v1/solve", "application/json", bytes.NewReader(b))
+		if err == nil {
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+		}
+	}()
+	<-started
+}
+
+// TestJobPriorityAtAdmission checks that priority decides which job gets a
+// freed slot: a low-priority job submitted before a high-priority one waits
+// in the queue (state queued, no start time) and runs second.
+func TestJobPriorityAtAdmission(t *testing.T) {
+	s := newTestServer(t, Config{MaxConcurrent: 1})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	started, release := armGate(t)
+	defer release()
+	holdSlot(t, ts, started)
+
+	low := submitJob(t, ts, jobSubmitRequest{solveRequest: solveRequest{Solver: "bandwidth", K: 500, Graph: pathGraphJSON(t, 64, 21)}})
+	high := submitJob(t, ts, jobSubmitRequest{solveRequest: solveRequest{Solver: "bandwidth", K: 500, Graph: pathGraphJSON(t, 64, 22)}, Priority: 5})
+	for _, id := range []string{low.ID, high.ID} {
+		if st := getJob(t, ts, id); st.State != jobs.StateQueued || st.Started != nil {
+			t.Errorf("job %s waiting for the slot: state %s, started %v; want queued, not started", id, st.State, st.Started)
+		}
+	}
+
+	release()
+	lowSt := waitJobState(t, ts, low.ID, jobs.StateSucceeded)
+	highSt := waitJobState(t, ts, high.ID, jobs.StateSucceeded)
+	if lowSt.Started.Before(*highSt.Finished) {
+		t.Errorf("low-priority job started at %v, before the high-priority job finished at %v",
+			lowSt.Started, highSt.Finished)
+	}
+}
+
+// TestJobCancelWhileWaiting checks that DELETE on a job still waiting for a
+// slot is terminal in the 202 body and starts no solve.
+func TestJobCancelWhileWaiting(t *testing.T) {
+	s := newTestServer(t, Config{MaxConcurrent: 1})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	started, release := armGate(t)
+	defer release()
+	holdSlot(t, ts, started)
+
+	sub := submitJob(t, ts, jobSubmitRequest{solveRequest: solveRequest{Solver: "test-gate", K: 101, Graph: pathGraphJSON(t, 16, 23)}})
+	req, _ := http.NewRequest("DELETE", ts.URL+"/v1/jobs/"+sub.ID, nil)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("cancel status = %d, body = %s", resp.StatusCode, raw)
+	}
+	if !strings.Contains(string(raw), `"state":"canceled"`) || strings.Contains(string(raw), `"started"`) {
+		t.Fatalf("cancel body = %s, want state canceled and no start time", raw)
+	}
+
+	// Free the slot and push another job through it: the canceled job
+	// never reaches the solver.
+	release()
+	flush := submitJob(t, ts, jobSubmitRequest{solveRequest: solveRequest{Solver: "bandwidth", K: 500, Graph: pathGraphJSON(t, 16, 24)}})
+	waitJobState(t, ts, flush.ID, jobs.StateSucceeded)
+	if got := len(started); got != 0 {
+		t.Errorf("%d gate solves started after the cancel, want 0", got)
+	}
+	if st := getJob(t, ts, sub.ID); st.State != jobs.StateCanceled {
+		t.Errorf("canceled job state = %s", st.State)
 	}
 }

@@ -16,10 +16,19 @@ var ErrQueueFull = errors.New("server: admission queue full")
 // shed immediately. Waiters honor their context, so a queued request whose
 // deadline expires (or whose client disconnects) leaves the queue without
 // ever starting to solve.
+//
+// Two classes share the slots. Synchronous requests wait in the bounded
+// queue (Acquire); background work waits behind them (AcquireIdle) and only
+// takes a slot that no queued request wants.
 type Limiter struct {
 	slots    chan struct{}
 	maxQueue int64
 	queued   atomic.Int64
+
+	// idle holds a token that wakes an AcquireIdle waiter to look again;
+	// every release and every departure from the queue leaves one, so a
+	// change after a waiter's look is never missed.
+	idle chan struct{}
 
 	// releaseFn is the one shared release closure; binding l.release at
 	// every Acquire would allocate a method value per admission.
@@ -43,6 +52,7 @@ func NewLimiter(maxConcurrent, maxQueue int) *Limiter {
 	l := &Limiter{
 		slots:    make(chan struct{}, maxConcurrent),
 		maxQueue: int64(maxQueue),
+		idle:     make(chan struct{}, 1),
 	}
 	l.releaseFn = l.release
 	return l
@@ -66,19 +76,15 @@ func (l *Limiter) TryAcquire() (release func(), ok bool) {
 // ErrQueueFull when the queue is saturated, or ctx.Err() when the context
 // ends while waiting.
 func (l *Limiter) Acquire(ctx context.Context) (release func(), err error) {
-	// Fast path: a free slot, no queueing.
-	select {
-	case l.slots <- struct{}{}:
-		l.admitted.Add(1)
-		return l.releaseFn, nil
-	default:
+	if release, ok := l.TryAcquire(); ok {
+		return release, nil
 	}
 	if l.queued.Add(1) > l.maxQueue {
-		l.queued.Add(-1)
+		l.dequeue()
 		l.shedQueueFull.Add(1)
 		return nil, ErrQueueFull
 	}
-	defer l.queued.Add(-1)
+	defer l.dequeue()
 	select {
 	case l.slots <- struct{}{}:
 		l.admitted.Add(1)
@@ -89,7 +95,45 @@ func (l *Limiter) Acquire(ctx context.Context) (release func(), err error) {
 	}
 }
 
-func (l *Limiter) release() { <-l.slots }
+// AcquireIdle obtains a slot for background work: it waits, without a
+// place in the bounded queue, until a slot is free and no Acquire is queued
+// for one, so synchronous requests always go first. It returns a release
+// function that must be called exactly once, or ctx.Err() when the context
+// ends first. It counts in Admitted but never in the queue or shed counters.
+func (l *Limiter) AcquireIdle(ctx context.Context) (release func(), err error) {
+	for {
+		if l.queued.Load() == 0 {
+			if release, ok := l.TryAcquire(); ok {
+				l.wakeIdle() // another idle waiter may fit a further free slot
+				return release, nil
+			}
+		}
+		select {
+		case <-l.idle:
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
+	}
+}
+
+func (l *Limiter) release() {
+	<-l.slots
+	l.wakeIdle()
+}
+
+// dequeue takes a synchronous waiter off the queue. An idle waiter may have
+// stood back for it, so it looks again.
+func (l *Limiter) dequeue() {
+	l.queued.Add(-1)
+	l.wakeIdle()
+}
+
+func (l *Limiter) wakeIdle() {
+	select {
+	case l.idle <- struct{}{}:
+	default: // a token is already waiting
+	}
+}
 
 // LimiterStats snapshots the admission counters and gauges.
 type LimiterStats struct {

@@ -3,6 +3,8 @@ package server
 import (
 	"context"
 	"errors"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -115,5 +117,185 @@ func TestLimiterContextCancelWhileQueued(t *testing.T) {
 	}
 	if st.Queued != 0 {
 		t.Errorf("queued = %d after deadline, want 0", st.Queued)
+	}
+}
+
+// acquireIdleAsync runs AcquireIdle on its own goroutine and delivers the
+// outcome; a granted slot is handed back through the release channel.
+func acquireIdleAsync(l *Limiter, ctx context.Context) (<-chan func(), <-chan error) {
+	granted := make(chan func(), 1)
+	failed := make(chan error, 1)
+	go func() {
+		release, err := l.AcquireIdle(ctx)
+		if err != nil {
+			failed <- err
+			return
+		}
+		granted <- release
+	}()
+	return granted, failed
+}
+
+// checkIdleShedFree asserts that idle waits left the queue and shed
+// counters alone.
+func checkIdleShedFree(t *testing.T, l *Limiter) {
+	t.Helper()
+	if st := l.Stats(); st.Queued != 0 || st.ShedQueueFull != 0 || st.ShedDeadline != 0 {
+		t.Errorf("stats = %+v, want no queued requests and no sheds", st)
+	}
+}
+
+func TestLimiterQueuedAcquireBeforeIdle(t *testing.T) {
+	l := NewLimiter(1, 1)
+	release, err := l.Acquire(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	idle, _ := acquireIdleAsync(l, context.Background())
+	synced := make(chan func(), 1)
+	go func() {
+		r, err := l.Acquire(context.Background())
+		if err == nil {
+			synced <- r
+		}
+	}()
+	deadline := time.Now().Add(5 * time.Second)
+	for l.Stats().Queued == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("sync waiter never queued")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	release()
+	var syncRelease func()
+	select {
+	case syncRelease = <-synced:
+	case r := <-idle:
+		r()
+		t.Fatal("idle waiter took the slot ahead of a queued Acquire")
+	case <-time.After(5 * time.Second):
+		t.Fatal("queued Acquire never admitted")
+	}
+	syncRelease()
+	select {
+	case r := <-idle:
+		r()
+	case <-time.After(5 * time.Second):
+		t.Fatal("idle waiter never admitted after the queue emptied")
+	}
+	if st := l.Stats(); st.Admitted != 3 || st.InFlight != 0 {
+		t.Errorf("stats = %+v, want 3 admitted, none in flight", st)
+	}
+}
+
+func TestLimiterIdleAdmitsWhenSlotFrees(t *testing.T) {
+	l := NewLimiter(1, 4)
+	release, err := l.Acquire(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	idle, _ := acquireIdleAsync(l, context.Background())
+	release()
+	select {
+	case r := <-idle:
+		r()
+	case <-time.After(5 * time.Second):
+		t.Fatal("idle waiter never admitted")
+	}
+	checkIdleShedFree(t, l)
+}
+
+// TestLimiterIdleWakesWhenQueuedWaiterLeaves covers a job that stood back
+// for a synchronous waiter while a slot was free: a waiter is counted in
+// the queue before it reaches the slot channel, so for that moment a free
+// slot and a queued request coexist. When that waiter leaves (here on a
+// timeout), the idle waiter must look again instead of being stranded
+// until some later release.
+func TestLimiterIdleWakesWhenQueuedWaiterLeaves(t *testing.T) {
+	l := NewLimiter(1, 4)
+	l.queued.Add(1) // a waiter counted in the queue, not yet on the channel
+	idle, _ := acquireIdleAsync(l, context.Background())
+	select {
+	case r := <-idle:
+		r()
+		t.Fatal("idle waiter took a slot while a request was queued")
+	case <-time.After(20 * time.Millisecond):
+	}
+	l.dequeue() // the waiter times out and leaves
+	select {
+	case r := <-idle:
+		r()
+	case <-time.After(5 * time.Second):
+		t.Fatal("idle waiter stranded after the queued waiter left")
+	}
+	checkIdleShedFree(t, l)
+}
+
+func TestLimiterIdleContextCancel(t *testing.T) {
+	l := NewLimiter(1, 4)
+	release, err := l.Acquire(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer release()
+	ctx, cancel := context.WithCancel(context.Background())
+	_, failed := acquireIdleAsync(l, ctx)
+	cancel()
+	select {
+	case err := <-failed:
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("AcquireIdle err = %v, want context.Canceled", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("AcquireIdle ignored its context")
+	}
+	checkIdleShedFree(t, l)
+	if st := l.Stats(); st.Admitted != 1 {
+		t.Errorf("admitted = %d, want 1", st.Admitted)
+	}
+}
+
+// TestLimiterIdleUnderContention runs synchronous and idle holders against
+// each other: slots are never oversubscribed, and every idle waiter
+// finishes, so no wakeup is lost between the two classes.
+func TestLimiterIdleUnderContention(t *testing.T) {
+	const slots, syncers, idlers, rounds = 2, 8, 3, 50
+	l := NewLimiter(slots, syncers)
+	var held, over atomic.Int64
+	hold := func(release func()) {
+		if held.Add(1) > slots {
+			over.Add(1)
+		}
+		time.Sleep(10 * time.Microsecond)
+		held.Add(-1)
+		release()
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	var wg sync.WaitGroup
+	for i := 0; i < syncers+idlers; i++ {
+		wg.Add(1)
+		go func(idle bool) {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				acquire := l.Acquire
+				if idle {
+					acquire = l.AcquireIdle
+				}
+				release, err := acquire(ctx)
+				if err != nil {
+					t.Errorf("idle=%v round %d: %v", idle, r, err)
+					return
+				}
+				hold(release)
+			}
+		}(i >= syncers)
+	}
+	wg.Wait()
+	if over.Load() != 0 {
+		t.Errorf("slots oversubscribed %d times", over.Load())
+	}
+	if st := l.Stats(); st.InFlight != 0 || st.Queued != 0 || st.Admitted != (syncers+idlers)*rounds {
+		t.Errorf("stats = %+v", st)
 	}
 }

@@ -282,9 +282,6 @@ func writeJobsMetrics(w io.Writer, st jobs.Stats) {
 	series("partitiond_jobs_queue_capacity", "gauge", "Job queue capacity.", func() {
 		fmt.Fprintf(w, "partitiond_jobs_queue_capacity %d\n", st.QueueCap)
 	})
-	series("partitiond_jobs_workers", "gauge", "Job worker pool size.", func() {
-		fmt.Fprintf(w, "partitiond_jobs_workers %d\n", st.Workers)
-	})
 	series("partitiond_jobs_retained", "gauge", "Jobs currently retained (all states).", func() {
 		fmt.Fprintf(w, "partitiond_jobs_retained %d\n", st.Retained)
 	})

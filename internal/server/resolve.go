@@ -46,8 +46,9 @@ type caller struct {
 	peer bool
 	// job is set for an async job's solve. A job solves locally and outside
 	// the flight group (it must stay cancelable by DELETE), already holds an
-	// admission slot from its worker, runs under the job's own deadline
-	// rather than the synchronous one, and streams its spans to the job.
+	// admission slot from the job dispatcher, runs under the job's own
+	// deadline rather than the synchronous one, and streams its spans to the
+	// job.
 	job *jobs.Job
 }
 

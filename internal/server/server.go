@@ -53,20 +53,15 @@ type Config struct {
 	// MaxBatchRequests bounds the request count of one batch call
 	// (default 1024).
 	MaxBatchRequests int
-	// JobWorkers bounds concurrently running async jobs (default
-	// MaxConcurrent). Job workers borrow solve slots from the same
-	// admission limiter as the synchronous routes, so total solve
-	// concurrency stays bounded by MaxConcurrent either way.
-	JobWorkers int
-	// JobQueue bounds pending async jobs; beyond it submissions are shed
-	// with 429 (default 64).
+	// JobQueue bounds async jobs waiting for a solve slot; beyond it
+	// submissions are shed with 429 (default 64). Jobs take slots from the
+	// same admission limiter as the synchronous routes, only when no
+	// synchronous request is queued for one, so MaxConcurrent bounds every
+	// solve.
 	JobQueue int
 	// JobRetention is how long finished jobs stay fetchable before the
 	// janitor reclaims them (default 15m).
 	JobRetention time.Duration
-	// JobEventBuffer is the per-job event-ring capacity — the SSE replay
-	// window for reconnecting clients (default 256).
-	JobEventBuffer int
 	// MaxJobTimeout caps (and defaults) an async job's total lifetime,
 	// queue wait included (default 15m). This is the deadline that lets
 	// jobs run solves far past MaxTimeout, the synchronous cap.
@@ -140,18 +135,6 @@ func (cfg Config) withDefaults() Config {
 	if cfg.MaxBatchRequests <= 0 {
 		cfg.MaxBatchRequests = 1024
 	}
-	if cfg.JobWorkers <= 0 {
-		cfg.JobWorkers = cfg.MaxConcurrent
-	}
-	if cfg.JobQueue <= 0 {
-		cfg.JobQueue = 64
-	}
-	if cfg.JobRetention <= 0 {
-		cfg.JobRetention = 15 * time.Minute
-	}
-	if cfg.JobEventBuffer <= 0 {
-		cfg.JobEventBuffer = 256
-	}
 	if cfg.MaxJobTimeout <= 0 {
 		cfg.MaxJobTimeout = 15 * time.Minute
 	}
@@ -179,7 +162,7 @@ type Server struct {
 	cache    *Cache
 	limiter  *Limiter
 	solvem   *solveMetrics    // the engine observer of every solve: all solver metrics
-	jobs     *jobs.Manager    // async job queue + worker pool
+	jobs     *jobs.Manager    // async job queue and its dispatcher
 	recorder *flight.Recorder // always-on trace store; nil when disabled
 	httpm    *httpMetrics
 	handler  http.Handler
@@ -236,12 +219,10 @@ func New(cfg Config) *Server {
 		})
 	}
 	s.jobs = jobs.New(jobs.Config{
-		Workers:     cfg.JobWorkers,
-		QueueCap:    cfg.JobQueue,
-		Retention:   cfg.JobRetention,
-		EventBuffer: cfg.JobEventBuffer,
-		Acquire:     s.jobAcquire,
-		Logger:      cfg.Logger,
+		QueueCap:  cfg.JobQueue,
+		Retention: cfg.JobRetention,
+		Acquire:   s.limiter.AcquireIdle,
+		Logger:    cfg.Logger,
 	})
 	s.handler = s.routes()
 	s.hs = &http.Server{

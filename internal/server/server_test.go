@@ -33,7 +33,7 @@ func newTestServer(t *testing.T, cfg Config) *Server {
 		cfg.Logger = quietLogger()
 	}
 	s := New(cfg)
-	// New starts the job worker pool; stop it when the test ends so
+	// New starts the job dispatcher; stop it when the test ends so
 	// goroutine-leak checks elsewhere see a quiet baseline.
 	t.Cleanup(func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
@@ -513,7 +513,7 @@ func TestSolversHealthzMetrics(t *testing.T) {
 	// The envelope publishes the server's limits.
 	lim := sresp.Limits
 	if lim.MaxNodes != 4<<20 || lim.MaxBodyBytes != 32<<20 || lim.JobQueue != 64 ||
-		lim.JobWorkers <= 0 || lim.MaxTimeoutMs != 60_000 || lim.MaxJobTimeoutMs != 900_000 {
+		lim.MaxTimeoutMs != 60_000 || lim.MaxJobTimeoutMs != 900_000 {
 		t.Errorf("limits = %+v", lim)
 	}
 
@@ -592,7 +592,7 @@ func TestMetricsOneSeriesPerFact(t *testing.T) {
 	for p, want := range map[string][]string{
 		"partitiond_solver_": {"errors_total", "in_flight", "iterations_total", "latency_seconds_max"},
 		"partitiond_cache_":  {"capacity", "entries", "evictions_total", "requests_total"},
-		"partitiond_jobs_":   {"dedup_joined_total", "queue_capacity", "retained", "submitted_total", "total", "workers"},
+		"partitiond_jobs_":   {"dedup_joined_total", "queue_capacity", "retained", "submitted_total", "total"},
 	} {
 		got := byPrefix[p]
 		sort.Strings(got)
