@@ -5,7 +5,8 @@
 //	BenchmarkBandwidth*             — FIG2-C / TAB-CMP: the solver ladder
 //	BenchmarkTempSCompressionAblation — DESIGN §5 ablation: with/without
 //	                                  non-redundant edge compression
-//	BenchmarkBottleneck*            — §2.1 ladder (binary search vs paper greedy)
+//	BenchmarkBottleneck             — §2.1 reverse union-find sweep, O(n α(n))
+//	BenchmarkBottleneckPaperGreedy  — §2.1 paper greedy, O(n²)
 //	BenchmarkMinProcessors          — §2.2
 //	BenchmarkPartitionTreePipeline  — §2.2 full pipeline
 //	BenchmarkCCP*                   — TAB-CMP prior-work chains-on-chains ladder
@@ -164,7 +165,7 @@ func benchTree(seed uint64, n int) *graph.Tree {
 	return workload.RandomTree(r, n, workload.UniformWeights(1, 100), workload.UniformWeights(1, 100))
 }
 
-func BenchmarkBottleneckBinarySearch(b *testing.B) {
+func BenchmarkBottleneck(b *testing.B) {
 	for _, n := range []int{1000, 10000, 100000} {
 		tr := benchTree(4, n)
 		k := 4 * tr.MaxNodeWeight()
@@ -217,6 +218,35 @@ func BenchmarkPartitionTreePipeline(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// TestTreeSolverAllocBudget gates the allocations of the three tree solvers
+// on the n=10⁴ trees their benchmarks use. A solve allocates only its result
+// and O(1) working arrays; the rest comes from the pooled scratch.
+func TestTreeSolverAllocBudget(t *testing.T) {
+	const n = 10000
+	for _, c := range []struct {
+		name   string
+		seed   uint64
+		budget float64
+		solve  func(*graph.Tree, float64) (*core.TreePartition, error)
+	}{
+		{"bottleneck", 4, 16, core.Bottleneck},
+		{"minproc", 5, 32, core.MinProcessors},
+		{"partition-tree", 6, 96, core.PartitionTree},
+	} {
+		tr := benchTree(c.seed, n)
+		k := 4 * tr.MaxNodeWeight()
+		avg := testing.AllocsPerRun(20, func() {
+			if _, err := c.solve(tr, k); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("%s: %.1f allocs/op, budget %.0f", c.name, avg, c.budget)
+		if avg > c.budget {
+			t.Errorf("%s on a %d-node tree allocates %.1f/op, budget %.0f", c.name, n, avg, c.budget)
+		}
 	}
 }
 

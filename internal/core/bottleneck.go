@@ -3,7 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
-	"sort"
+	"math"
 
 	"repro/internal/graph"
 	"repro/internal/obs"
@@ -15,21 +15,54 @@ import (
 //
 // Algorithm 2.1 adds edges in increasing weight order until the partition is
 // feasible. Its correctness argument (§2.1) shows the output is always a
-// prefix of the weight-sorted edge list; since feasibility is monotone in the
-// prefix length, Bottleneck binary-searches the minimal feasible prefix
-// (O(n log n)) while BottleneckGreedy grows it one edge at a time exactly as
-// the paper states (O(n²) with per-step feasibility checks).
+// prefix of the weight-sorted edge list, and feasibility is monotone in the
+// prefix length. Bottleneck finds the shortest feasible prefix from the other
+// end in O(n α(n)): after a linear-time radix sort of the edges it starts
+// from the all-cut forest and un-cuts edges from heaviest to lightest with a
+// union-find, and the first union that would exceed K marks the last edge the
+// prefix needs. BottleneckGreedy grows the prefix one edge at a time exactly
+// as the paper states (O(n²) with per-step feasibility checks).
 
-// sortedEdgeOrder returns edge indices sorted by increasing weight into buf
-// (grown as needed), breaking ties by index for determinism.
-func sortedEdgeOrder(t *graph.Tree, buf []int) []int {
-	order := growI(buf, len(t.Edges))
-	for i := range order {
-		order[i] = i
+// sortedEdgeOrder returns edge indices sorted by increasing weight into
+// sc.order, breaking ties by index: a stable LSD radix sort over the weights'
+// IEEE-754 bits, which order like the weights themselves because validated
+// weights are non-negative (−0 is mapped to +0 so the two tie). Byte
+// positions on which every key agrees are skipped.
+func sortedEdgeOrder(t *graph.Tree, sc *scratch) []int {
+	m := len(t.Edges)
+	order, tmp := growI(sc.order, m), growI(sc.orderTmp, m)
+	keys, keysTmp := growU64(sc.keys, m), growU64(sc.keysTmp, m)
+	count := &sc.radixCount
+	*count = [8][256]int32{}
+	for i, e := range t.Edges {
+		key := math.Float64bits(e.W)
+		if e.W == 0 {
+			key = 0
+		}
+		order[i], keys[i] = i, key
+		for b := range count {
+			count[b][byte(key>>(8*b))]++
+		}
 	}
-	sort.SliceStable(order, func(a, b int) bool {
-		return t.Edges[order[a]].W < t.Edges[order[b]].W
-	})
+	for b := range count {
+		c := &count[b]
+		if m == 0 || c[byte(keys[0]>>(8*b))] == int32(m) {
+			continue
+		}
+		var sum int32
+		for d, n := range c {
+			c[d] = sum
+			sum += n
+		}
+		for i, key := range keys {
+			d := byte(key >> (8 * b))
+			tmp[c[d]], keysTmp[c[d]] = order[i], key
+			c[d]++
+		}
+		order, tmp = tmp, order
+		keys, keysTmp = keysTmp, keys
+	}
+	sc.order, sc.orderTmp, sc.keys, sc.keysTmp = order, tmp, keys, keysTmp
 	return order
 }
 
@@ -46,21 +79,7 @@ func prefixFeasible(t *graph.Tree, order []int, cnt int, k float64, tk *ticker, 
 	for _, e := range order[:cnt] {
 		inCut[e] = true
 	}
-	sc.parentV = growI(sc.parentV, t.Len())
-	sc.weight = growF(sc.weight, t.Len())
-	parent, weight := sc.parentV, sc.weight
-	for v := range parent {
-		parent[v] = v
-		weight[v] = t.NodeW[v]
-	}
-	var find func(int) int
-	find = func(x int) int {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]]
-			x = parent[x]
-		}
-		return x
-	}
+	parent, weight := sc.resetForest(t)
 	for i, e := range t.Edges {
 		if err := tk.tick(); err != nil {
 			return false, err
@@ -68,7 +87,7 @@ func prefixFeasible(t *graph.Tree, order []int, cnt int, k float64, tk *ticker, 
 		if inCut[i] {
 			continue
 		}
-		ru, rv := find(e.U), find(e.V)
+		ru, rv := ufFind(parent, e.U), ufFind(parent, e.V)
 		if ru == rv {
 			continue
 		}
@@ -79,16 +98,94 @@ func prefixFeasible(t *graph.Tree, order []int, cnt int, k float64, tk *ticker, 
 		}
 	}
 	for v := range parent {
-		if parent[v] == v && weight[v] > k {
+		if parent[v] < 0 && weight[v] > k {
 			return false, nil
 		}
 	}
 	return true, nil
 }
 
-// Bottleneck solves bottleneck minimization by binary search over the sorted
-// edge prefix: O(n log n). The returned cut is the paper's output — the
-// shortest feasible prefix of the weight-sorted edge list.
+// resetForest sets sc's union-find columns to the all-cut forest of t: every
+// vertex a root carrying its own weight. parent[v] is v's parent, or −size
+// for a root (−1 where the caller does not track sizes); weight[r] is the
+// load of the component rooted at r.
+func (sc *scratch) resetForest(t *graph.Tree) (parent []int, weight []float64) {
+	sc.parentV = growI(sc.parentV, t.Len())
+	sc.weight = growF(sc.weight, t.Len())
+	for v := range sc.parentV {
+		sc.parentV[v] = -1
+	}
+	copy(sc.weight, t.NodeW)
+	return sc.parentV, sc.weight
+}
+
+// ufFind returns the root of x in a resetForest union-find, halving the
+// path as it goes.
+func ufFind(parent []int, x int) int {
+	for parent[x] >= 0 {
+		if p := parent[x]; parent[p] >= 0 {
+			parent[x] = parent[p]
+		}
+		x = parent[x]
+	}
+	return x
+}
+
+// shortestFeasiblePrefix returns the length of the shortest prefix of order
+// whose removal leaves every component of t within k, given that each vertex
+// alone fits. It starts from the all-cut forest and un-cuts order's edges
+// from the back, so after position i the forest is t minus order[:i]. The
+// first union that would exceed k, at position i, shows that cutting
+// order[:i] is infeasible, and with it every shorter prefix, while cutting
+// order[:i+1] was feasible. One tick per edge visited.
+func shortestFeasiblePrefix(t *graph.Tree, order []int, k float64, tk *ticker, sc *scratch) (int, error) {
+	parent, weight := sc.resetForest(t)
+	for i := len(order) - 1; i >= 0; i-- {
+		if err := tk.tick(); err != nil {
+			return 0, err
+		}
+		e := t.Edges[order[i]]
+		// Distinct roots: the edges of a tree never close a cycle.
+		ru, rv := ufFind(parent, e.U), ufFind(parent, e.V)
+		w := weight[ru] + weight[rv]
+		if w > k {
+			return i + 1, nil
+		}
+		if parent[ru] > parent[rv] {
+			ru, rv = rv, ru
+		}
+		parent[ru] += parent[rv]
+		parent[rv] = ru
+		weight[ru] = w
+	}
+	return 0, nil
+}
+
+// prefixCut returns the first cnt edges of order as a cut in increasing
+// index order, nil when cnt is 0.
+func prefixCut(order []int, cnt int, sc *scratch) []int {
+	if cnt == 0 {
+		return nil
+	}
+	inCut := growB(sc.inCut, len(order))
+	sc.inCut = inCut
+	clear(inCut)
+	for _, e := range order[:cnt] {
+		inCut[e] = true
+	}
+	cut := make([]int, 0, cnt)
+	for e, in := range inCut {
+		if in {
+			cut = append(cut, e)
+		}
+	}
+	return cut
+}
+
+// Bottleneck solves bottleneck minimization with one reverse union-find
+// sweep over the radix-sorted edges: O(n α(n)). The returned cut is the
+// paper's output — the shortest feasible prefix of the weight-sorted edge
+// list.
 func Bottleneck(t *graph.Tree, k float64) (*TreePartition, error) {
 	tp, _, err := bottleneck(context.Background(), t, k, true)
 	return tp, err
@@ -113,7 +210,18 @@ func BottleneckGreedyCtx(ctx context.Context, t *graph.Tree, k float64) (*TreePa
 	return bottleneck(ctx, t, k, false)
 }
 
-func bottleneck(ctx context.Context, t *graph.Tree, k float64, binary bool) (*TreePartition, int64, error) {
+func bottleneck(ctx context.Context, t *graph.Tree, k float64, sweep bool) (*TreePartition, int64, error) {
+	cut, n, err := bottleneckCut(ctx, t, k, sweep)
+	if err != nil {
+		return nil, n, err
+	}
+	tp, err := newTreePartition(t, cut, k)
+	return tp, n, err
+}
+
+// bottleneckCut returns the optimal bottleneck cut in increasing index order
+// and the iteration count, by the reverse sweep or by the paper's greedy.
+func bottleneckCut(ctx context.Context, t *graph.Tree, k float64, sweep bool) ([]int, int64, error) {
 	ctx, err := enter(ctx)
 	if err != nil {
 		return nil, 0, err
@@ -131,36 +239,24 @@ func bottleneck(ctx context.Context, t *graph.Tree, k float64, binary bool) (*Tr
 	sc := getScratch()
 	defer sc.release()
 	sp := obs.Phase(ctx, "edge-sort")
-	sc.order = sortedEdgeOrder(t, sc.order)
-	order := sc.order
+	order := sortedEdgeOrder(t, sc)
 	sp.SetAttr("edges", len(order))
 	sp.End()
+	// One span for the whole feasibility sweep in both modes: a span per
+	// greedy probe would cost O(n) allocations on traced solves for no extra
+	// phase information.
+	ss := obs.Phase(ctx, "feasibility-sweep")
 	var cnt int
-	if binary {
-		// sort.Search semantics over [0, len(order)], written out so the
-		// feasibility probe can surface a cancellation error.
-		lo, hi := 0, len(order)+1
-		for lo < hi {
-			mid := int(uint(lo+hi) >> 1)
-			ps := obs.Phase(ctx, "feasibility-probe")
-			ok, err := prefixFeasible(t, order, mid, k, tk, sc)
-			ps.SetAttr("prefix", mid)
-			ps.SetAttr("feasible", ok)
-			ps.End()
-			if err != nil {
-				return nil, tk.n, err
-			}
-			if ok {
-				hi = mid
-			} else {
-				lo = mid + 1
-			}
+	if sweep {
+		cnt, err = shortestFeasiblePrefix(t, order, k, tk, sc)
+		if err != nil {
+			ss.End()
+			return nil, tk.n, err
 		}
-		cnt = lo
+		ss.SetAttr("edges", tk.n)
 	} else {
-		// One span for the whole O(n²) sweep: a span per probe would cost
-		// O(n) allocations on traced solves for no extra phase information.
-		ss := obs.Phase(ctx, "feasibility-sweep")
+		// Every edge cut leaves single vertices, all ≤ K by the check above,
+		// so the loop stops by cnt = len(order).
 		for cnt = 0; cnt <= len(order); cnt++ {
 			ok, err := prefixFeasible(t, order, cnt, k, tk, sc)
 			if err != nil {
@@ -172,16 +268,10 @@ func bottleneck(ctx context.Context, t *graph.Tree, k float64, binary bool) (*Tr
 			}
 		}
 		ss.SetAttr("probes", cnt+1)
-		ss.End()
 	}
-	if cnt > len(order) {
-		// With every edge cut, components are single vertices, all ≤ K by
-		// the check above; unreachable, kept as a guard.
-		return nil, tk.n, ErrInfeasible
-	}
-	cut := graph.NormalizeCut(order[:cnt])
-	tp, err := newTreePartition(t, cut, k)
-	return tp, tk.n, err
+	ss.SetAttr("prefix", cnt)
+	ss.End()
+	return prefixCut(order, cnt, sc), tk.n, nil
 }
 
 // BottleneckValue returns only the optimal bottleneck (the weight of the

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"math"
 	"reflect"
+	"slices"
+	"sort"
 	"testing"
 
 	"repro/internal/graph"
@@ -173,5 +175,46 @@ func TestBottleneckCutIsSortedPrefixOfWeights(t *testing.T) {
 				t.Fatalf("edge %d (w=%v) uncut but lighter than bottleneck %v", i, e.W, got.Bottleneck)
 			}
 		}
+	}
+}
+
+// TestSortedEdgeOrderMatchesStable pins the radix edge order to a stable
+// comparison sort by weight: ties, including −0 against +0, keep index order,
+// and subnormal and huge weights sort by value.
+func TestSortedEdgeOrderMatchesStable(t *testing.T) {
+	r := workload.NewRNG(1994)
+	ties := make([]float64, 300)
+	for i := range ties {
+		ties[i] = float64(r.Intn(4))
+	}
+	mixed := make([]float64, 500)
+	for i := range mixed {
+		mixed[i] = r.Float64() * math.Pow(10, float64(r.Intn(40)-20))
+	}
+	sub := math.SmallestNonzeroFloat64
+	for name, ws := range map[string][]float64{
+		"heavy ties":    ties,
+		"signed zeros":  {0, math.Copysign(0, -1), 1, 0, math.Copysign(0, -1), 0.5, 0},
+		"subnormals":    {2 * sub, sub, 0, math.Copysign(0, -1), 0x1p-1022, sub, 0x1p-1023},
+		"huge":          {1e300, 1, math.MaxFloat64, 1e300, 0, 1e-300, 1e300},
+		"scaled random": mixed,
+		"one vertex":    nil,
+	} {
+		t.Run(name, func(t *testing.T) {
+			edges := make([]graph.Edge, len(ws))
+			for i, w := range ws {
+				edges[i] = graph.Edge{U: i, V: i + 1, W: w}
+			}
+			tr := &graph.Tree{NodeW: make([]float64, len(ws)+1), Edges: edges}
+			want := make([]int, len(ws))
+			for i := range want {
+				want[i] = i
+			}
+			sort.SliceStable(want, func(a, b int) bool { return ws[want[a]] < ws[want[b]] })
+			got := sortedEdgeOrder(tr, new(scratch))
+			if !slices.Equal(got, want) {
+				t.Fatalf("radix order %v, stable sort %v", got, want)
+			}
+		})
 	}
 }

@@ -2,7 +2,9 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/graph"
@@ -143,6 +145,67 @@ func FuzzTreeAlgorithms(f *testing.F) {
 				t.Fatalf("minproc components = %d, oracle = %d\nnodeW=%v edges=%v k=%v",
 					mp.NumComponents(), want.Components, nodeW, edges, k)
 			}
+		}
+	})
+}
+
+// FuzzBottleneckAgreement requires the reverse union-find sweep of
+// Bottleneck to return exactly the paper greedy's cut on byte-derived trees.
+// Weights are small integers, so every component sum is exact and edge
+// weights tie often, and K is the weight of an actual subtree, so the
+// sweep's stopping union lands on K exactly rather than near it.
+func FuzzBottleneckAgreement(f *testing.F) {
+	f.Add([]byte{3, 1, 4, 1, 5, 9, 2, 6}, byte(3))
+	f.Add([]byte{7, 7, 7, 7, 7, 7}, byte(0))
+	f.Add([]byte{200}, byte(0))
+	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12}, byte(5))
+	f.Fuzz(func(t *testing.T, raw []byte, kRaw byte) {
+		if len(raw) < 1 || len(raw) > 200 {
+			t.Skip()
+		}
+		n := len(raw)
+		nodeW := make([]float64, n)
+		edges := make([]graph.Edge, n-1)
+		for i := range nodeW {
+			nodeW[i] = float64(raw[i]%50) + 1
+		}
+		for v := 1; v < n; v++ {
+			parent := int(raw[v-1]) % v
+			edges[v-1] = graph.Edge{U: parent, V: v, W: float64(raw[(v*7)%n] % 8)}
+		}
+		tr, err := graph.NewTree(nodeW, edges)
+		if err != nil {
+			t.Fatalf("generator produced invalid tree: %v", err)
+		}
+		// Parents precede children, so one backward pass sums subtrees.
+		sub := append([]float64(nil), nodeW...)
+		for v := n - 1; v > 0; v-- {
+			sub[edges[v-1].U] += sub[v]
+		}
+		k := math.Max(sub[int(kRaw)%n], tr.MaxNodeWeight())
+		a, errA := Bottleneck(tr, k)
+		b, errB := BottleneckGreedy(tr, k)
+		if (errA == nil) != (errB == nil) {
+			t.Fatalf("error mismatch: sweep %v, greedy %v", errA, errB)
+		}
+		if errA != nil {
+			return
+		}
+		if !reflect.DeepEqual(a.Cut, b.Cut) {
+			t.Fatalf("cuts differ at K=%v: sweep %v, greedy %v\nnodeW=%v edges=%v", k, a.Cut, b.Cut, nodeW, edges)
+		}
+		same := func(name string, x, y float64) {
+			if math.Float64bits(x) != math.Float64bits(y) {
+				t.Fatalf("%s differs: sweep %v, greedy %v", name, x, y)
+			}
+		}
+		same("CutWeight", a.CutWeight, b.CutWeight)
+		same("Bottleneck", a.Bottleneck, b.Bottleneck)
+		if len(a.ComponentWeights) != len(b.ComponentWeights) {
+			t.Fatalf("component counts differ: %d vs %d", len(a.ComponentWeights), len(b.ComponentWeights))
+		}
+		for i := range a.ComponentWeights {
+			same(fmt.Sprintf("ComponentWeights[%d]", i), a.ComponentWeights[i], b.ComponentWeights[i])
 		}
 	})
 }

@@ -1,9 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/graph"
 	"repro/internal/obs"
@@ -112,7 +113,7 @@ func MinProcessorsCtx(ctx context.Context, t *graph.Tree, k float64) (*TreeParti
 		// Prune the heaviest absorbed leaves first (paper step 5: "sort the
 		// leaves adjacent to v in decreasing order of weights ... find
 		// minimum r such that W − Σ_{i≤r} w_i ≤ K").
-		sort.Slice(children, func(a, b int) bool { return children[a].res > children[b].res })
+		slices.SortFunc(children, func(a, b childSlot) int { return cmp.Compare(b.res, a.res) })
 		for _, c := range children {
 			if total <= k {
 				break
@@ -193,15 +194,15 @@ func PartitionTree(t *graph.Tree, k float64) (*TreePartition, error) {
 // accounting (summed over the pipeline's stages).
 func PartitionTreeCtx(ctx context.Context, t *graph.Tree, k float64) (*TreePartition, int64, error) {
 	// Each pipeline stage runs inside its own span, so the stage's internal
-	// phase spans (edge-sort, feasibility probes, leaf-pruning) nest under it.
+	// phase spans (edge-sort, feasibility-sweep, leaf-pruning) nest under it.
 	bctx, sp := obs.StartSpan(ctx, "stage:bottleneck")
-	bt, it1, err := BottleneckCtx(bctx, t, k)
+	bcut, it1, err := bottleneckCut(bctx, t, k, true)
 	sp.End()
 	if err != nil {
 		return nil, it1, err
 	}
 	sp = obs.Phase(ctx, "contract")
-	contraction, err := t.Contract(bt.Cut)
+	contraction, err := t.Contract(bcut)
 	sp.End()
 	if err != nil {
 		return nil, it1, err

@@ -35,14 +35,19 @@ type scratch struct {
 	// order is the weight-sorted edge permutation (bottleneck) or the BFS
 	// vertex order (procmin).
 	order []int
+	// orderTmp, keys, keysTmp and radixCount are the bottleneck edge sort's
+	// double buffers and per-byte digit counts.
+	orderTmp      []int
+	keys, keysTmp []uint64
+	radixCount    [8][256]int32
 	// parentV / parentEdge / res are the rooted-tree columns of the procmin
-	// sweep; parentV doubles as the union-find parent of prefixFeasible.
+	// sweep; parentV doubles as the bottleneck's union-find parent.
 	parentV    []int
 	parentEdge []int
 	res        []float64
-	// weight is the union-find component weight of prefixFeasible.
+	// weight is the bottleneck's union-find component weight.
 	weight []float64
-	// inCut marks cut edges during feasibility probes.
+	// inCut marks the bottleneck's cut edges.
 	inCut []bool
 	// csrBuf backs the columnar adjacency (graph.CSR) of tree solvers.
 	csrBuf []int32
@@ -103,6 +108,14 @@ func growI(s []int, n int) []int {
 func growI32(s []int32, n int) []int32 {
 	if cap(s) < n {
 		return make([]int32, n)
+	}
+	return s[:n]
+}
+
+// growU64 returns a []uint64 of length n reusing s's capacity.
+func growU64(s []uint64, n int) []uint64 {
+	if cap(s) < n {
+		return make([]uint64, n)
 	}
 	return s[:n]
 }

@@ -1,10 +1,11 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/graph"
 	"repro/internal/obs"
@@ -49,14 +50,14 @@ type smState struct {
 // pruneStates sorts states by (j, m, cost) and keeps, per j, the Pareto
 // frontier: strictly increasing m with strictly decreasing cost.
 func pruneStates(states []smState) []smState {
-	sort.Slice(states, func(a, b int) bool {
-		if states[a].j != states[b].j {
-			return states[a].j < states[b].j
+	slices.SortFunc(states, func(a, b smState) int {
+		if a.j != b.j {
+			return cmp.Compare(a.j, b.j)
 		}
-		if states[a].m != states[b].m {
-			return states[a].m < states[b].m
+		if a.m != b.m {
+			return cmp.Compare(a.m, b.m)
 		}
-		return states[a].cost < states[b].cost
+		return cmp.Compare(a.cost, b.cost)
 	})
 	out := states[:0]
 	lastJ := int32(-1)

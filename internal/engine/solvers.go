@@ -19,7 +19,7 @@ import (
 //	bandwidth-deque    — O(n) monotone-deque ablation
 //	bandwidth-naive    — O(n·window) naive recurrence evaluation
 //	bandwidth-limited  — O(n·m) level-wise DP with a component cap
-//	bottleneck         — §2.1 Algorithm 2.1 via binary search
+//	bottleneck         — §2.1 Algorithm 2.1 via one reverse union-find sweep
 //	bottleneck-greedy  — paper-faithful O(n²) Algorithm 2.1
 //	minproc            — §2.2 Algorithm 2.2 on trees
 //	minproc-path       — first-fit processor minimization on paths

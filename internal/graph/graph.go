@@ -15,7 +15,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 )
 
 // Sentinel errors returned by constructors and validators.
@@ -75,17 +75,9 @@ func NormalizeCut(cut []int) []int {
 	if len(cut) == 0 {
 		return nil
 	}
-	out := make([]int, len(cut))
-	copy(out, cut)
-	sort.Ints(out)
-	j := 0
-	for i := 1; i < len(out); i++ {
-		if out[i] != out[j] {
-			j++
-			out[j] = out[i]
-		}
-	}
-	return out[:j+1]
+	out := slices.Clone(cut)
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // SumWeights returns the sum of ws.
@@ -109,40 +101,38 @@ func MaxWeight(ws []float64) float64 {
 }
 
 // unionFind is a standard disjoint-set structure used by tree validation and
-// component extraction.
-type unionFind struct {
-	parent []int
-	rank   []int
-}
+// component extraction: parent[x] is x's parent, or −size for a root.
+type unionFind []int32
 
-func newUnionFind(n int) *unionFind {
-	uf := &unionFind{parent: make([]int, n), rank: make([]int, n)}
-	for i := range uf.parent {
-		uf.parent[i] = i
+func newUnionFind(n int) unionFind {
+	uf := make(unionFind, n)
+	for i := range uf {
+		uf[i] = -1
 	}
 	return uf
 }
 
-func (uf *unionFind) find(x int) int {
-	for uf.parent[x] != x {
-		uf.parent[x] = uf.parent[uf.parent[x]]
-		x = uf.parent[x]
+func (uf unionFind) find(x int) int {
+	for uf[x] >= 0 {
+		if p := uf[x]; uf[p] >= 0 {
+			uf[x] = uf[p]
+		}
+		x = int(uf[x])
 	}
 	return x
 }
 
-// union merges the sets of x and y and reports whether they were distinct.
-func (uf *unionFind) union(x, y int) bool {
+// union merges the sets of x and y, by size, and reports whether they were
+// distinct.
+func (uf unionFind) union(x, y int) bool {
 	rx, ry := uf.find(x), uf.find(y)
 	if rx == ry {
 		return false
 	}
-	if uf.rank[rx] < uf.rank[ry] {
+	if uf[rx] > uf[ry] {
 		rx, ry = ry, rx
 	}
-	uf.parent[ry] = rx
-	if uf.rank[rx] == uf.rank[ry] {
-		uf.rank[rx]++
-	}
+	uf[rx] += uf[ry]
+	uf[ry] = int32(rx)
 	return true
 }

@@ -3,7 +3,6 @@ package graph
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Tree is a tree task graph: n vertices and exactly n−1 undirected weighted
@@ -134,17 +133,17 @@ func (t *Tree) componentLabels(cut []int) ([]int, int, error) {
 		}
 	}
 	label := make([]int, len(t.NodeW))
+	// rootLabel[r] is 1 + the label of the component rooted at r, 0 until
+	// its first vertex is seen, so labels follow smallest contained vertex.
+	rootLabel := make([]int32, len(t.NodeW))
 	next := 0
-	rootLabel := make(map[int]int, len(cut)+1)
 	for v := range label {
 		r := uf.find(v)
-		l, ok := rootLabel[r]
-		if !ok {
-			l = next
+		if rootLabel[r] == 0 {
 			next++
-			rootLabel[r] = l
+			rootLabel[r] = int32(next)
 		}
-		label[v] = l
+		label[v] = int(rootLabel[r]) - 1
 	}
 	return label, next, nil
 }
@@ -161,7 +160,6 @@ func (t *Tree) Components(cut []int) ([][]int, error) {
 	for v, l := range label {
 		comps[l] = append(comps[l], v)
 	}
-	sort.Slice(comps, func(i, j int) bool { return comps[i][0] < comps[j][0] })
 	return comps, nil
 }
 
@@ -257,10 +255,25 @@ func (t *Tree) Contract(cut []int) (*Contraction, error) {
 	if err != nil {
 		return nil, err
 	}
+	// Members share one backing array, counting-sorted by label; each keeps
+	// its vertices in increasing order.
 	nodeW := make([]float64, k)
-	members := make([][]int, k)
+	end := make([]int, k)
 	for v, l := range label {
 		nodeW[l] += t.NodeW[v]
+		end[l]++
+	}
+	for l := 1; l < k; l++ {
+		end[l] += end[l-1]
+	}
+	backing := make([]int, len(label))
+	members := make([][]int, k)
+	start := 0
+	for l := range members {
+		members[l] = backing[start:start:end[l]]
+		start = end[l]
+	}
+	for v, l := range label {
 		members[l] = append(members[l], v)
 	}
 	edges := make([]Edge, 0, len(cut))

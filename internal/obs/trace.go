@@ -4,7 +4,7 @@
 //
 //   - Traces: a hierarchy of timed Spans carried through context.Context.
 //     Solvers open spans at their structural phase boundaries (edge sort,
-//     feasibility probes, prime-subpath extraction, the TEMP_S DP sweep, ...)
+//     feasibility sweeps, prime-subpath extraction, the TEMP_S DP sweep, ...)
 //     so a finished trace shows the paper's complexity terms as measured wall
 //     time. Tracing is strictly opt-in per request: on a context without a
 //     trace, StartSpan returns its input context and a nil *Span, and every

@@ -10,11 +10,12 @@
 package oracle
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
 	"math/bits"
-	"sort"
+	"slices"
 
 	"repro/internal/graph"
 )
@@ -255,8 +256,8 @@ func MinComponentsTree(t *graph.Tree, k float64) (int, []int, error) {
 			total += residual[a.To]
 		}
 		if total > k {
-			sort.Slice(kids, func(i, j int) bool {
-				return residual[kids[i].To] > residual[kids[j].To]
+			slices.SortFunc(kids, func(a, b graph.Arc) int {
+				return cmp.Compare(residual[b.To], residual[a.To])
 			})
 			for _, a := range kids {
 				if total <= k {
@@ -268,6 +269,6 @@ func MinComponentsTree(t *graph.Tree, k float64) (int, []int, error) {
 		}
 		residual[v] = total
 	}
-	sort.Ints(cut)
+	slices.Sort(cut)
 	return len(cut) + 1, cut, nil
 }

@@ -128,7 +128,7 @@ type (
 
 // Request-scoped tracing (internal/obs). Attach a SolveTrace to the context
 // passed to Solve and the solvers record phase spans (edge sort, feasibility
-// probes, DP sweeps, ...) under it; see SolveTrace.WriteText/WriteChrome for
+// sweeps, DP sweeps, ...) under it; see SolveTrace.WriteText/WriteChrome for
 // rendering. Without a trace the span machinery is a no-op. ("Trace" was
 // already taken by the TEMP_S queue instrumentation above.)
 type (
@@ -272,7 +272,7 @@ func TradeoffCurve(p *Path, ks []float64) ([]TradeoffPoint, error) {
 }
 
 // Bottleneck solves bottleneck minimization on a tree task graph
-// (Algorithm 2.1; binary-search implementation).
+// (Algorithm 2.1; reverse union-find sweep, O(n α(n))).
 func Bottleneck(t *Tree, k float64) (*TreePartition, error) {
 	return solveTree("bottleneck", t, k)
 }
