@@ -115,7 +115,6 @@ type jobSnapshot struct {
 	ID        string          `json:"id"`
 	State     string          `json:"state"`
 	Error     string          `json:"error,omitempty"`
-	Joined    bool            `json:"joined,omitempty"`
 	EventsURL string          `json:"eventsUrl,omitempty"`
 	Result    json.RawMessage `json:"result,omitempty"`
 	Cached    bool            `json:"cached,omitempty"`
@@ -156,11 +155,7 @@ func runClient(opts clientOptions) error {
 			return err
 		}
 		id = snap.ID
-		joined := ""
-		if snap.Joined {
-			joined = " (joined an identical in-flight job)"
-		}
-		fmt.Printf("job:              %s%s\n", id, joined)
+		fmt.Printf("job:              %s\n", id)
 		fmt.Printf("state:            %s\n", snap.State)
 		fmt.Printf("events:           %s%s\n", base, snap.EventsURL)
 		if !opts.wait {

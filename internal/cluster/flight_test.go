@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"errors"
 	"sync"
 	"sync/atomic"
@@ -175,5 +176,137 @@ func TestFlightLeaderPanic(t *testing.T) {
 	v, shared, err := g.Do("k", func() (int, error) { return 9, nil })
 	if v != 9 || shared || err != nil {
 		t.Fatalf("post-panic Do = (%d, %v, %v), want (9, false, nil)", v, shared, err)
+	}
+}
+
+// joinFlight starts a DoContext("k") caller under ctx that joins the flight
+// already running, and returns its result channel once it has joined.
+func joinFlight(t *testing.T, g *Group[string, int], ctx context.Context) <-chan flightResult[int] {
+	t.Helper()
+	joined := make(chan struct{})
+	out := make(chan flightResult[int], 1)
+	go func() {
+		v, shared, err := g.DoContext(ctx, "k", func(context.Context) (int, error) {
+			t.Error("a joiner led a flight")
+			return 0, nil
+		}, func() { close(joined) })
+		out <- flightResult[int]{v: v, shared: shared, err: err}
+	}()
+	<-joined
+	return out
+}
+
+func TestFlightCanceledWhenEveryWaiterLeaves(t *testing.T) {
+	var g Group[string, int]
+	leaderCtx, leaveLeader := context.WithCancel(context.Background())
+	joinerCtx, leaveJoiner := context.WithCancel(context.Background())
+	entered := make(chan struct{})
+	canceled := make(chan struct{})
+	unwind := make(chan struct{})
+	led := make(chan error, 1)
+	go func() {
+		_, _, err := g.DoContext(leaderCtx, "k", func(ctx context.Context) (int, error) {
+			close(entered)
+			<-ctx.Done()
+			close(canceled)
+			<-unwind
+			return 0, ctx.Err()
+		}, nil)
+		led <- err
+	}()
+	<-entered
+	joiner := joinFlight(t, &g, joinerCtx)
+
+	leaveLeader()
+	select {
+	case <-canceled:
+		t.Fatal("fn canceled while a joiner still waits")
+	case <-time.After(50 * time.Millisecond):
+	}
+	leaveJoiner()
+	select {
+	case <-canceled:
+	case <-time.After(5 * time.Second):
+		t.Fatal("fn never saw ctx.Done() after every waiter left")
+	}
+	if r := <-joiner; !errors.Is(r.err, context.Canceled) || !r.shared {
+		t.Errorf("joiner = %+v, want a shared context.Canceled", r)
+	}
+
+	// The canceled flight is forgotten while its fn still unwinds: a later
+	// caller leads afresh instead of sharing it.
+	v, shared, err := g.DoContext(context.Background(), "k", func(context.Context) (int, error) { return 9, nil }, nil)
+	if v != 9 || shared || err != nil {
+		t.Fatalf("Do after cancel = (%d, %v, %v), want (9, false, nil)", v, shared, err)
+	}
+	close(unwind)
+	if err := <-led; !errors.Is(err, context.Canceled) {
+		t.Errorf("leader error = %v, want context.Canceled", err)
+	}
+}
+
+func TestFlightOneWaiterLeaves(t *testing.T) {
+	var g Group[string, int]
+	release := make(chan struct{})
+	entered := make(chan struct{})
+	led := make(chan error, 1)
+	go func() {
+		_, _, err := g.DoContext(context.Background(), "k", func(ctx context.Context) (int, error) {
+			close(entered)
+			select {
+			case <-release:
+				return 42, nil
+			case <-ctx.Done():
+				return 0, ctx.Err()
+			}
+		}, nil)
+		led <- err
+	}()
+	<-entered
+	leaverCtx, leave := context.WithCancel(context.Background())
+	leaver := joinFlight(t, &g, leaverCtx)
+	stayer := joinFlight(t, &g, context.Background())
+
+	leave()
+	if r := <-leaver; !errors.Is(r.err, context.Canceled) {
+		t.Errorf("leaving waiter = %+v, want context.Canceled", r)
+	}
+	close(release)
+	if r := <-stayer; r.v != 42 || r.err != nil || !r.shared {
+		t.Errorf("remaining waiter = %+v, want a shared 42", r)
+	}
+	if err := <-led; err != nil {
+		t.Errorf("leader error = %v", err)
+	}
+}
+
+func TestFlightLeaderLeaves(t *testing.T) {
+	var g Group[string, int]
+	leaderCtx, leaveLeader := context.WithCancel(context.Background())
+	release := make(chan struct{})
+	entered := make(chan struct{})
+	led := make(chan flightResult[int], 1)
+	go func() {
+		v, shared, err := g.DoContext(leaderCtx, "k", func(ctx context.Context) (int, error) {
+			close(entered)
+			select {
+			case <-release:
+				return 42, nil
+			case <-ctx.Done():
+				return 0, ctx.Err()
+			}
+		}, nil)
+		led <- flightResult[int]{v: v, shared: shared, err: err}
+	}()
+	<-entered
+	joiner := joinFlight(t, &g, context.Background())
+
+	leaveLeader()
+	close(release)
+	if r := <-led; !errors.Is(r.err, context.Canceled) || r.shared {
+		t.Errorf("leader = %+v, want its own context.Canceled", r)
+	}
+	if r := <-joiner; r.v != 42 || r.err != nil || !r.shared {
+		t.Errorf("joiner = %+v, want a shared 42", r)
 	}
 }

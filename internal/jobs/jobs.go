@@ -11,8 +11,9 @@
 //
 // The pieces:
 //
-//   - Manager owns the queue, the dispatcher, the job table, and the dedup
-//     index; Submit/Get/Cancel/List/Shutdown are its surface.
+//   - Manager owns the queue, the dispatcher and the job table;
+//     Submit/Get/Cancel/List/Shutdown are its surface. Every submission is
+//     its own job: deduplicating identical solves is the caller's concern.
 //   - Job is one solve: immutable identity plus mutable state guarded by its
 //     own mutex. Subscribers pull events with EventsSince — there are no
 //     per-subscriber goroutines, so a slow SSE client can never stall the
@@ -83,9 +84,6 @@ type Snapshot struct {
 	Error    string     `json:"error,omitempty"`
 	// Events is the sequence number of the latest published event.
 	Events uint64 `json:"events"`
-	// Joined counts submissions deduplicated onto this job beyond the
-	// first.
-	Joined int `json:"joined,omitempty"`
 }
 
 // Job is one asynchronous solve. The exported fields are immutable after
@@ -93,8 +91,6 @@ type Snapshot struct {
 type Job struct {
 	// ID is the job's unique identifier ("j" + 16 hex digits).
 	ID string
-	// Key is the dedup key the job was submitted under ("" for none).
-	Key string
 	// Priority orders the queue: higher runs first.
 	Priority int
 	// Created is the submission time.
@@ -106,6 +102,10 @@ type Job struct {
 	heapIdx   int         // index in the manager's queue, -1 when not queued
 	expiry    *time.Timer // fails the job at its deadline if still queued
 
+	// acquire is the manager's Acquire, set when the job starts, for
+	// HoldSlot.
+	acquire func(context.Context) (func(), error)
+
 	mu       sync.Mutex
 	state    State
 	started  time.Time
@@ -114,17 +114,18 @@ type Job struct {
 	result   any
 	canceled bool          // cancel requested (may precede the terminal state)
 	cancel   func()        // cancels the running solve's context
+	slot     func()        // releases the job's admission slot; nil once released
 	seq      uint64        // last published event sequence number
 	ring     *eventRing    // recent events, for replay
 	notifyCh chan struct{} // closed and replaced on every publish
 	doneCh   chan struct{} // closed when the job reaches a terminal state
-	joined   int
 }
 
 // RunFunc executes the job's solve. It must honor ctx cancellation (the
 // manager cancels it on DELETE, job deadline, and forced shutdown); the
 // returned value becomes the job's result on nil error. The *Job is the
-// handle to publish progress through (PublishSpan).
+// handle to publish progress through (PublishSpan) and to give the
+// admission slot back early (ReleaseSlot) or take one again (HoldSlot).
 type RunFunc func(ctx context.Context, j *Job) (any, error)
 
 // Snapshot returns a consistent view of the job.
@@ -138,7 +139,6 @@ func (j *Job) Snapshot() Snapshot {
 		Created:  j.Created,
 		Error:    j.errMsg,
 		Events:   j.seq,
-		Joined:   j.joined,
 	}
 	if !j.started.IsZero() {
 		t := j.started
@@ -168,6 +168,40 @@ func (j *Job) Result() (any, bool) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.result, j.state == StateSucceeded
+}
+
+// ReleaseSlot gives the job's admission slot back while it still runs, for
+// a run that stops needing it — one waiting on a solve another caller runs.
+// The manager releases a slot still held when the job ends; later calls are
+// no-ops.
+func (j *Job) ReleaseSlot() {
+	j.mu.Lock()
+	release := j.slot
+	j.slot = nil
+	j.mu.Unlock()
+	if release != nil {
+		release()
+	}
+}
+
+// HoldSlot takes an admission slot again, through the manager's Acquire,
+// for a run that gave its slot back and must solve after all. It returns at
+// once while the job still holds one.
+func (j *Job) HoldSlot(ctx context.Context) error {
+	j.mu.Lock()
+	held := j.slot != nil
+	j.mu.Unlock()
+	if held {
+		return nil
+	}
+	release, err := j.acquire(ctx)
+	if err != nil {
+		return err
+	}
+	j.mu.Lock()
+	j.slot = release
+	j.mu.Unlock()
+	return nil
 }
 
 // Done returns a channel closed when the job reaches a terminal state.

@@ -59,10 +59,6 @@ const eventBuffer = 256
 
 // Spec describes one job submission.
 type Spec struct {
-	// Key dedups submissions: while a job with the same Key is queued or
-	// running, Submit joins it instead of starting another solve. Empty
-	// disables dedup.
-	Key string
 	// Priority orders the queue; higher runs first.
 	Priority int
 	// Timeout bounds the job's total lifetime (queue wait included): a job
@@ -77,11 +73,11 @@ type Spec struct {
 type Stats struct {
 	// QueueCap is the queue bound.
 	QueueCap int
-	// Queued counts jobs waiting for a slot, Running jobs holding one.
+	// Queued counts jobs waiting for a slot, Running jobs started and not
+	// yet terminal.
 	Queued, Running int
-	// Submitted counts accepted submissions (dedup joins excluded);
-	// DedupJoined counts submissions answered by an existing job.
-	Submitted, DedupJoined uint64
+	// Submitted counts accepted submissions.
+	Submitted uint64
 	// Succeeded, Failed and Canceled count terminal outcomes.
 	Succeeded, Failed, Canceled uint64
 	// Retained is the number of jobs currently in the table (all states).
@@ -93,18 +89,16 @@ type Stats struct {
 type Manager struct {
 	cfg Config
 
-	mu          sync.Mutex
-	queue       jobQueue
-	jobs        map[string]*Job
-	byKey       map[string]*Job // queued or running jobs, by dedup key
-	submitSeq   uint64
-	running     int
-	down        bool
-	submitted   uint64
-	dedupJoined uint64
-	succeeded   uint64
-	failed      uint64
-	canceled    uint64
+	mu        sync.Mutex
+	queue     jobQueue
+	jobs      map[string]*Job
+	submitSeq uint64
+	running   int
+	down      bool
+	submitted uint64
+	succeeded uint64
+	failed    uint64
+	canceled  uint64
 
 	ready   chan struct{}   // holds a token while the queue may be non-empty
 	stopCtx context.Context // ends with Shutdown: stops dispatcher and janitor
@@ -118,7 +112,6 @@ func New(cfg Config) *Manager {
 	m := &Manager{
 		cfg:   cfg.withDefaults(),
 		jobs:  make(map[string]*Job),
-		byKey: make(map[string]*Job),
 		ready: make(chan struct{}, 1),
 	}
 	m.stopCtx, m.stop = context.WithCancel(context.Background())
@@ -131,34 +124,23 @@ func New(cfg Config) *Manager {
 // Config returns the manager's configuration with defaults applied.
 func (m *Manager) Config() Config { return m.cfg }
 
-// Submit enqueues a job for spec. When spec.Key matches a queued or running
-// job, that job is returned with joined == true and no new solve starts.
-func (m *Manager) Submit(spec Spec) (j *Job, joined bool, err error) {
+// Submit enqueues a job for spec.
+func (m *Manager) Submit(spec Spec) (*Job, error) {
 	if spec.Run == nil {
-		return nil, false, errors.New("jobs: Spec.Run is required")
+		return nil, errors.New("jobs: Spec.Run is required")
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.down {
-		return nil, false, ErrShuttingDown
-	}
-	if spec.Key != "" {
-		if prev := m.byKey[spec.Key]; prev != nil {
-			m.dedupJoined++
-			prev.mu.Lock()
-			prev.joined++
-			prev.mu.Unlock()
-			return prev, true, nil
-		}
+		return nil, ErrShuttingDown
 	}
 	if len(m.queue) >= m.cfg.QueueCap {
-		return nil, false, ErrQueueFull
+		return nil, ErrQueueFull
 	}
 	m.submitSeq++
 	now := time.Now().UTC()
-	j = &Job{
+	j := &Job{
 		ID:        newID(),
-		Key:       spec.Key,
 		Priority:  spec.Priority,
 		Created:   now,
 		run:       spec.Run,
@@ -176,14 +158,11 @@ func (m *Manager) Submit(spec Spec) (j *Job, joined bool, err error) {
 	j.setStateLocked(StateQueued, "")
 	j.mu.Unlock()
 	m.jobs[j.ID] = j
-	if spec.Key != "" {
-		m.byKey[spec.Key] = j
-	}
 	heap.Push(&m.queue, j)
 	m.submitted++
 	m.cfg.Logger.Info("job queued", "job", j.ID, "priority", j.Priority, "queue_depth", len(m.queue))
 	m.signalReady()
-	return j, false, nil
+	return j, nil
 }
 
 // Get returns the job by ID, or nil if unknown (never submitted, or swept
@@ -240,15 +219,14 @@ func (m *Manager) Stats() Stats {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return Stats{
-		QueueCap:    m.cfg.QueueCap,
-		Queued:      len(m.queue),
-		Running:     m.running,
-		Submitted:   m.submitted,
-		DedupJoined: m.dedupJoined,
-		Succeeded:   m.succeeded,
-		Failed:      m.failed,
-		Canceled:    m.canceled,
-		Retained:    len(m.jobs),
+		QueueCap:  m.cfg.QueueCap,
+		Queued:    len(m.queue),
+		Running:   m.running,
+		Submitted: m.submitted,
+		Succeeded: m.succeeded,
+		Failed:    m.failed,
+		Canceled:  m.canceled,
+		Retained:  len(m.jobs),
 	}
 }
 
@@ -289,14 +267,11 @@ func (m *Manager) Shutdown(ctx context.Context) error {
 	return ctx.Err()
 }
 
-// finishLocked records a job's terminal state: counters, dedup index and the
-// job's own transition. Callers hold m.mu but not j.mu.
+// finishLocked records a job's terminal state: counters and the job's own
+// transition. Callers hold m.mu but not j.mu.
 func (m *Manager) finishLocked(j *Job, s State, errMsg string, result any) {
 	if j.expiry != nil {
 		j.expiry.Stop()
-	}
-	if m.byKey[j.Key] == j {
-		delete(m.byKey, j.Key)
 	}
 	switch s {
 	case StateSucceeded:
@@ -343,8 +318,8 @@ func (m *Manager) dispatch() {
 }
 
 // start runs the queue's top job on its own goroutine, which holds the slot
-// until the job is terminal. It reports false, leaving the slot to the
-// caller, when the queue is empty.
+// until the job is terminal or gives it back early (Job.ReleaseSlot). It
+// reports false, leaving the slot to the caller, when the queue is empty.
 func (m *Manager) start(release func()) bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -364,6 +339,7 @@ func (m *Manager) start(release func()) bool {
 	}
 	j.mu.Lock()
 	j.cancel = cancel
+	j.slot, j.acquire = release, m.cfg.Acquire
 	j.started = time.Now().UTC()
 	j.setStateLocked(StateRunning, "")
 	j.mu.Unlock()
@@ -378,7 +354,7 @@ func (m *Manager) start(release func()) bool {
 		m.running--
 		m.finishLocked(j, s, msg, result)
 		m.mu.Unlock()
-		release()
+		j.ReleaseSlot()
 	}()
 	return true
 }

@@ -68,11 +68,11 @@ func shutdownNow(t *testing.T, m *Manager) {
 func TestJobSucceeds(t *testing.T) {
 	m := New(Config{})
 	defer shutdownNow(t, m)
-	j, joined, err := m.Submit(Spec{Run: func(ctx context.Context, j *Job) (any, error) {
+	j, err := m.Submit(Spec{Run: func(ctx context.Context, j *Job) (any, error) {
 		return "answer", nil
 	}})
-	if err != nil || joined {
-		t.Fatalf("Submit: joined=%v err=%v", joined, err)
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
 	}
 	<-j.Done()
 	if got := j.State(); got != StateSucceeded {
@@ -114,7 +114,7 @@ func TestCancelRunning(t *testing.T) {
 	before := runtime.NumGoroutine()
 	m := New(Config{Acquire: oneSlot()})
 	started := make(chan struct{})
-	j, _, err := m.Submit(Spec{Run: func(ctx context.Context, j *Job) (any, error) {
+	j, err := m.Submit(Spec{Run: func(ctx context.Context, j *Job) (any, error) {
 		close(started)
 		<-ctx.Done()
 		return nil, ctx.Err()
@@ -141,7 +141,7 @@ func TestCancelQueued(t *testing.T) {
 	m := New(Config{Acquire: oneSlot()})
 	defer shutdownNow(t, m)
 	gate := make(chan struct{})
-	blocker, _, err := m.Submit(Spec{Run: func(ctx context.Context, j *Job) (any, error) {
+	blocker, err := m.Submit(Spec{Run: func(ctx context.Context, j *Job) (any, error) {
 		<-gate
 		return nil, nil
 	}})
@@ -150,7 +150,7 @@ func TestCancelQueued(t *testing.T) {
 	}
 	waitState(t, blocker, StateRunning)
 	ran := false
-	queued, _, err := m.Submit(Spec{Run: func(ctx context.Context, j *Job) (any, error) {
+	queued, err := m.Submit(Spec{Run: func(ctx context.Context, j *Job) (any, error) {
 		ran = true
 		return nil, nil
 	}})
@@ -178,7 +178,7 @@ func TestCancelQueued(t *testing.T) {
 func TestDeadlineExpiry(t *testing.T) {
 	m := New(Config{Acquire: oneSlot()})
 	defer shutdownNow(t, m)
-	j, _, err := m.Submit(Spec{Timeout: 20 * time.Millisecond, Run: func(ctx context.Context, j *Job) (any, error) {
+	j, err := m.Submit(Spec{Timeout: 20 * time.Millisecond, Run: func(ctx context.Context, j *Job) (any, error) {
 		<-ctx.Done()
 		return nil, ctx.Err()
 	}})
@@ -198,7 +198,7 @@ func TestDeadlineWhileQueued(t *testing.T) {
 	defer shutdownNow(t, m)
 	gate := make(chan struct{})
 	defer close(gate)
-	blocker, _, err := m.Submit(Spec{Run: func(ctx context.Context, j *Job) (any, error) {
+	blocker, err := m.Submit(Spec{Run: func(ctx context.Context, j *Job) (any, error) {
 		<-gate
 		return nil, nil
 	}})
@@ -206,7 +206,7 @@ func TestDeadlineWhileQueued(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitState(t, blocker, StateRunning)
-	j, _, err := m.Submit(Spec{Timeout: 20 * time.Millisecond, Run: func(ctx context.Context, j *Job) (any, error) {
+	j, err := m.Submit(Spec{Timeout: 20 * time.Millisecond, Run: func(ctx context.Context, j *Job) (any, error) {
 		t.Error("expired job ran")
 		return nil, nil
 	}})
@@ -222,91 +222,13 @@ func TestDeadlineWhileQueued(t *testing.T) {
 	}
 }
 
-// TestDedupJoin submits the same key concurrently and checks exactly one
-// solve runs, with every submission landing on the same job.
-func TestDedupJoin(t *testing.T) {
-	m := New(Config{})
-	defer shutdownNow(t, m)
-	var solves int32
-	var mu sync.Mutex
-	gate := make(chan struct{})
-	run := func(ctx context.Context, j *Job) (any, error) {
-		mu.Lock()
-		solves++
-		mu.Unlock()
-		<-gate
-		return "shared", nil
-	}
-	const n = 8
-	jobsCh := make(chan *Job, n)
-	joinedCh := make(chan bool, n)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			j, joined, err := m.Submit(Spec{Key: "same", Run: run})
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			jobsCh <- j
-			joinedCh <- joined
-		}()
-	}
-	wg.Wait()
-	close(jobsCh)
-	close(joinedCh)
-	ids := map[string]bool{}
-	for j := range jobsCh {
-		ids[j.ID] = true
-	}
-	joins := 0
-	for joined := range joinedCh {
-		if joined {
-			joins++
-		}
-	}
-	if len(ids) != 1 {
-		t.Fatalf("got %d distinct jobs, want 1", len(ids))
-	}
-	if joins != n-1 {
-		t.Errorf("joined = %d, want %d", joins, n-1)
-	}
-	close(gate)
-	j := m.Get(firstKey(ids))
-	<-j.Done()
-	mu.Lock()
-	defer mu.Unlock()
-	if solves != 1 {
-		t.Errorf("solves = %d, want 1", solves)
-	}
-	if st := m.Stats(); st.DedupJoined != n-1 || st.Submitted != 1 {
-		t.Errorf("stats = %+v", st)
-	}
-
-	// Terminal jobs no longer dedup: a resubmission starts a fresh solve.
-	j2, joined, err := m.Submit(Spec{Key: "same", Run: func(ctx context.Context, j *Job) (any, error) { return nil, nil }})
-	if err != nil || joined {
-		t.Fatalf("resubmit after terminal: joined=%v err=%v", joined, err)
-	}
-	<-j2.Done()
-}
-
-func firstKey(m map[string]bool) string {
-	for k := range m {
-		return k
-	}
-	return ""
-}
-
 // TestPriorityAndDeadlineOrder floods a one-slot gate and checks the
 // execution order: priority first, then earlier deadline, then submission.
 func TestPriorityAndDeadlineOrder(t *testing.T) {
 	m := New(Config{Acquire: oneSlot()})
 	defer shutdownNow(t, m)
 	gate := make(chan struct{})
-	blocker, _, err := m.Submit(Spec{Run: func(ctx context.Context, j *Job) (any, error) {
+	blocker, err := m.Submit(Spec{Run: func(ctx context.Context, j *Job) (any, error) {
 		<-gate
 		return nil, nil
 	}})
@@ -339,7 +261,7 @@ func TestPriorityAndDeadlineOrder(t *testing.T) {
 		{"high", 5, 0},
 		{"low-soon", 0, time.Minute},
 	} {
-		j, _, err := m.Submit(Spec{Priority: s.priority, Timeout: s.timeout, Run: mk(s.name)})
+		j, err := m.Submit(Spec{Priority: s.priority, Timeout: s.timeout, Run: mk(s.name)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -371,7 +293,7 @@ func TestQueueFull(t *testing.T) {
 	m := New(Config{Acquire: oneSlot(), QueueCap: 2})
 	defer shutdownNow(t, m)
 	gate := make(chan struct{})
-	blocker, _, err := m.Submit(Spec{Run: func(ctx context.Context, j *Job) (any, error) {
+	blocker, err := m.Submit(Spec{Run: func(ctx context.Context, j *Job) (any, error) {
 		<-gate
 		return nil, nil
 	}})
@@ -381,11 +303,11 @@ func TestQueueFull(t *testing.T) {
 	waitState(t, blocker, StateRunning)
 	quick := func(ctx context.Context, j *Job) (any, error) { return nil, nil }
 	for i := 0; i < 2; i++ {
-		if _, _, err := m.Submit(Spec{Run: quick}); err != nil {
+		if _, err := m.Submit(Spec{Run: quick}); err != nil {
 			t.Fatalf("fill %d: %v", i, err)
 		}
 	}
-	if _, _, err := m.Submit(Spec{Run: quick}); !errors.Is(err, ErrQueueFull) {
+	if _, err := m.Submit(Spec{Run: quick}); !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("overflow err = %v, want ErrQueueFull", err)
 	}
 	close(gate)
@@ -398,7 +320,7 @@ func TestShutdownCancelsQueuedAndRefusesNew(t *testing.T) {
 	before := runtime.NumGoroutine()
 	m := New(Config{Acquire: oneSlot()})
 	gate := make(chan struct{})
-	running, _, err := m.Submit(Spec{Run: func(ctx context.Context, j *Job) (any, error) {
+	running, err := m.Submit(Spec{Run: func(ctx context.Context, j *Job) (any, error) {
 		<-gate
 		return "done", nil
 	}})
@@ -406,7 +328,7 @@ func TestShutdownCancelsQueuedAndRefusesNew(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitState(t, running, StateRunning)
-	queued, _, err := m.Submit(Spec{Run: func(ctx context.Context, j *Job) (any, error) { return nil, nil }})
+	queued, err := m.Submit(Spec{Run: func(ctx context.Context, j *Job) (any, error) { return nil, nil }})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -418,7 +340,7 @@ func TestShutdownCancelsQueuedAndRefusesNew(t *testing.T) {
 		done <- m.Shutdown(ctx)
 	}()
 	waitState(t, queued, StateCanceled)
-	if _, _, err := m.Submit(Spec{Run: func(ctx context.Context, j *Job) (any, error) { return nil, nil }}); !errors.Is(err, ErrShuttingDown) {
+	if _, err := m.Submit(Spec{Run: func(ctx context.Context, j *Job) (any, error) { return nil, nil }}); !errors.Is(err, ErrShuttingDown) {
 		t.Fatalf("Submit during drain err = %v, want ErrShuttingDown", err)
 	}
 	close(gate) // let the running job finish inside the drain window
@@ -436,7 +358,7 @@ func TestShutdownCancelsQueuedAndRefusesNew(t *testing.T) {
 func TestShutdownForceCancelsAfterDeadline(t *testing.T) {
 	before := runtime.NumGoroutine()
 	m := New(Config{Acquire: oneSlot()})
-	j, _, err := m.Submit(Spec{Run: func(ctx context.Context, j *Job) (any, error) {
+	j, err := m.Submit(Spec{Run: func(ctx context.Context, j *Job) (any, error) {
 		<-ctx.Done() // only stops when force-canceled
 		return nil, ctx.Err()
 	}})
@@ -460,7 +382,7 @@ func TestShutdownForceCancelsAfterDeadline(t *testing.T) {
 func TestRetentionSweep(t *testing.T) {
 	m := New(Config{Acquire: oneSlot()})
 	defer shutdownNow(t, m)
-	j, _, err := m.Submit(Spec{Run: func(ctx context.Context, j *Job) (any, error) { return nil, nil }})
+	j, err := m.Submit(Spec{Run: func(ctx context.Context, j *Job) (any, error) { return nil, nil }})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -483,7 +405,7 @@ func TestRetentionSweep(t *testing.T) {
 func TestEventsSinceResume(t *testing.T) {
 	m := New(Config{Acquire: oneSlot()})
 	defer shutdownNow(t, m)
-	j, _, err := m.Submit(Spec{Run: func(ctx context.Context, j *Job) (any, error) {
+	j, err := m.Submit(Spec{Run: func(ctx context.Context, j *Job) (any, error) {
 		j.publish("phase", phasePayload{Phase: "alpha"})
 		j.publish("phase", phasePayload{Phase: "alpha", End: true, DurationMS: 1.5})
 		return nil, nil
@@ -519,7 +441,7 @@ func TestEventsNotify(t *testing.T) {
 	m := New(Config{Acquire: oneSlot()})
 	defer shutdownNow(t, m)
 	release := make(chan struct{})
-	j, _, err := m.Submit(Spec{Run: func(ctx context.Context, j *Job) (any, error) {
+	j, err := m.Submit(Spec{Run: func(ctx context.Context, j *Job) (any, error) {
 		<-release
 		return nil, nil
 	}})
@@ -541,4 +463,79 @@ func TestEventsNotify(t *testing.T) {
 	if !terminal || len(more) != 1 {
 		t.Fatalf("after notify: terminal=%v n=%d", terminal, len(more))
 	}
+}
+
+// TestReleaseSlotAdmitsNext checks that a running job that gives its slot
+// back lets the next queued job start while it still runs, and that the
+// slot is not released twice when the first job ends.
+func TestReleaseSlotAdmitsNext(t *testing.T) {
+	m := New(Config{Acquire: oneSlot()})
+	defer shutdownNow(t, m)
+	gate := make(chan struct{})
+	first, err := m.Submit(Spec{Run: func(ctx context.Context, j *Job) (any, error) {
+		j.ReleaseSlot()
+		j.ReleaseSlot()
+		<-gate
+		return nil, nil
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := m.Submit(Spec{Run: func(ctx context.Context, j *Job) (any, error) { return nil, nil }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, second, StateSucceeded)
+	if st := first.State(); st != StateRunning {
+		t.Fatalf("first job = %s, want still running", st)
+	}
+	close(gate)
+	waitState(t, first, StateSucceeded)
+	// One slot, held by nobody: a third job runs.
+	third, err := m.Submit(Spec{Run: func(ctx context.Context, j *Job) (any, error) { return nil, nil }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, third, StateSucceeded)
+}
+
+// TestHoldSlotTakesSlotAgain checks that a job that gave its slot back waits
+// in HoldSlot until a slot is free, that a second HoldSlot is a no-op, and
+// that the manager releases the retaken slot when the job ends.
+func TestHoldSlotTakesSlotAgain(t *testing.T) {
+	m := New(Config{Acquire: oneSlot()})
+	defer shutdownNow(t, m)
+	secondRunning, gate := make(chan struct{}), make(chan struct{})
+	held := make(chan error, 1)
+	first, err := m.Submit(Spec{Run: func(ctx context.Context, j *Job) (any, error) {
+		j.ReleaseSlot()
+		<-secondRunning
+		held <- j.HoldSlot(ctx)
+		return nil, j.HoldSlot(ctx)
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Submit(Spec{Run: func(ctx context.Context, j *Job) (any, error) {
+		close(secondRunning)
+		<-gate
+		return nil, nil
+	}}); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-held:
+		t.Fatalf("HoldSlot returned (%v) while another job held the only slot", err)
+	case <-time.After(50 * time.Millisecond):
+	}
+	close(gate)
+	if err := <-held; err != nil {
+		t.Fatalf("HoldSlot: %v", err)
+	}
+	waitState(t, first, StateSucceeded)
+	third, err := m.Submit(Spec{Run: func(ctx context.Context, j *Job) (any, error) { return nil, nil }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, third, StateSucceeded)
 }

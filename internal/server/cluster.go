@@ -7,7 +7,6 @@ import (
 	"io"
 	"net/http"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/obs"
@@ -43,21 +42,22 @@ func (m *clusterMetrics) observeLookup(internal, hit bool) {
 }
 
 // forwardSolve encodes the parsed request as a PSV1 frame and asks the
-// owning peer to solve it, returning the owner's PRS1 frame. The hop runs
-// under a cluster-forward span whose identity travels in the trace header;
-// when the owner answers with its span tree in the response trailer, that
-// tree is grafted under the span — one request, one tree, cluster-wide.
+// owning peer to solve it within timeoutMs, returning the owner's PRS1
+// frame. The hop runs under a cluster-forward span whose identity travels
+// in the trace header; when the owner answers with its span tree in the
+// response trailer, that tree is grafted under the span — one request, one
+// tree, cluster-wide.
 // Reports ok=false on any failure, leaving the caller to solve locally; the
 // cluster transport has already recorded the outcome and marked the peer
 // dead when the failure was transport-level.
-func (s *Server) forwardSolve(ctx context.Context, tr *obs.Trace, p *parsedSolve, peer string) (resolved, bool) {
+func (s *Server) forwardSolve(ctx context.Context, tr *obs.Trace, p *parsedSolve, peer string, timeoutMs int64) (resolved, bool) {
 	// Trace and noCache are local concerns and do not cross the hop; the
 	// owner always answers the cacheable untraced binary form.
 	frame, err := AppendSolveRequest(nil, SolveParams{
 		Solver:        p.req.Solver,
 		K:             p.req.K,
 		MaxComponents: p.req.MaxComponents,
-		TimeoutMs:     p.req.TimeoutMs,
+		TimeoutMs:     timeoutMs,
 		Verify:        p.req.Verify,
 	}, p.g)
 	if err != nil {
@@ -65,7 +65,7 @@ func (s *Server) forwardSolve(ctx context.Context, tr *obs.Trace, p *parsedSolve
 	}
 	// The forward deadline covers the owner's worst case: its admission
 	// queue wait plus the solve deadline we asked for, with margin.
-	fwdCtx, cancel := context.WithTimeout(ctx, s.solveTimeoutOf(p.req.TimeoutMs)+s.cfg.QueueTimeout+2*time.Second)
+	fwdCtx, cancel := context.WithTimeout(ctx, s.syncBudget(timeoutMs))
 	defer cancel()
 	sp := obs.Phase(ctx, "cluster-forward")
 	sp.SetAttr("peer", peer)

@@ -18,6 +18,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/codec"
 	"repro/internal/graph"
+	"repro/internal/jobs"
 	"repro/internal/obs"
 )
 
@@ -493,6 +494,109 @@ func TestSolveSingleFlightLocal(t *testing.T) {
 	}
 	if !strings.Contains(metrics, `partitiond_cache_requests_total{tier="local",result="miss"}`) {
 		t.Error("metrics missing the local-tier cache series")
+	}
+}
+
+// TestFlightCanceledWhenAllLeave: a synchronous leader whose client
+// disconnects, with no other waiter, cancels its solve and frees its
+// admission slot at once, and the next identical request leads a fresh
+// flight rather than joining the abandoned one.
+func TestFlightCanceledWhenAllLeave(t *testing.T) {
+	s := newTestServer(t, Config{MaxConcurrent: 1})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	started, release := armGate(t)
+	defer release()
+	sreq := solveRequest{Solver: "test-gate", K: 42, Graph: pathGraphJSON(t, 16, 34)}
+	body, _ := json.Marshal(sreq)
+
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		req, _ := http.NewRequestWithContext(ctx, "POST", ts.URL+"/v1/solve", bytes.NewReader(body))
+		if resp, err := http.DefaultClient.Do(req); err == nil {
+			resp.Body.Close()
+		}
+	}()
+	<-started
+	cancel()
+	<-done
+	select {
+	case <-gateCancels():
+	case <-time.After(5 * time.Second):
+		t.Fatal("the abandoned solve never saw its context end")
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for s.LimiterStats().InFlight != 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("the abandoned solve still holds its admission slot")
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	release()
+	rec := doJSON(t, s.Handler(), "POST", "/v1/solve", sreq)
+	if rec.Code != http.StatusOK || rec.Header().Get("X-Cache") != "MISS" || rec.Header().Get("X-Singleflight") != "" {
+		t.Fatalf("next request: %d, X-Cache %q, X-Singleflight %q; want a 200 MISS that led its own flight",
+			rec.Code, rec.Header().Get("X-Cache"), rec.Header().Get("X-Singleflight"))
+	}
+	if got := len(started); got != 1 {
+		t.Errorf("solver started %d times for the next request, want 1", got)
+	}
+}
+
+// TestClusterJobSolvedOnOwner: a job submitted to a node that does not own
+// its graph forwards with its remaining budget and is solved once, on the
+// owner. A job whose budget exceeds MaxTimeout, which the owner would
+// clamp, solves where it was submitted.
+func TestClusterJobSolvedOnOwner(t *testing.T) {
+	nodes := newTestCluster(t, 3)
+	g, _ := graphOwnedBy(t, nodes, 2)
+	job := jobSubmitRequest{solveRequest: solveRequest{Solver: "bandwidth", K: 700, Graph: graphJSONOf(t, g), TimeoutMs: 30000}}
+
+	st := waitJobState(t, nodes[0].url, submitJob(t, nodes[0].url, job).ID, jobs.StateSucceeded)
+	for i, n := range nodes {
+		want := uint64(0)
+		if i == 2 {
+			want = 1
+		}
+		if got := n.solves(); got != want {
+			t.Errorf("node %d performed %d solves, want %d", i, got, want)
+		}
+	}
+	resp, body, err := postJSONSolve(nodes[2].url, job.solveRequest, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.Header.Get("X-Cache") != "HIT" || !bytes.Equal(bytes.TrimRight(body, "\n"), st.Result) {
+		t.Errorf("owner's answer (X-Cache %q) differs from the job's:\n%s\nvs\n%s", resp.Header.Get("X-Cache"), body, st.Result)
+	}
+
+	job.K, job.TimeoutMs = 800, 0 // the default budget: MaxJobTimeout
+	waitJobState(t, nodes[0].url, submitJob(t, nodes[0].url, job).ID, jobs.StateSucceeded)
+	if got := nodes[0].solves(); got != 1 {
+		t.Errorf("node 0 performed %d solves for the long job, want 1", got)
+	}
+
+	// A forwarding job gives its solve slot back: while the owner holds
+	// the solve, the submitting node has none in use.
+	started, release := armGate(t)
+	defer release()
+	job.Solver, job.K, job.TimeoutMs = "test-gate", 900, 30000
+	sub := submitJob(t, nodes[0].url, job)
+	select {
+	case <-started:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the forwarded job's solve never started")
+	}
+	if got := nodes[0].srv.LimiterStats().InFlight; got != 0 {
+		t.Errorf("submitting node holds %d solve slots while the owner solves, want 0", got)
+	}
+	release()
+	waitJobState(t, nodes[0].url, sub.ID, jobs.StateSucceeded)
+	if got := nodes[0].solves(); got != 1 {
+		t.Errorf("node 0 performed %d solves, want the forwarded job solved on its owner", got)
 	}
 }
 

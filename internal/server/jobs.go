@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"io"
 	"math"
 	"net/http"
@@ -23,10 +22,10 @@ import (
 // a Server-Sent Events stream of state transitions and live solve-phase
 // spans — or polls GET /v1/jobs/{id}. DELETE /v1/jobs/{id} cancels; the engine's context
 // plumbing aborts the solver mid-loop. Results are retained for
-// Config.JobRetention and resolve through the same cache of canonical frames
-// as /v1/solve (see resolve), and a submission identical to a queued or
-// running job (fingerprint, solver, K, options) joins it instead of solving
-// twice.
+// Config.JobRetention. Every submission is its own job; a job's solve
+// resolves like a synchronous miss (see resolve) — cache, single-flight,
+// cluster forwarding — so identical jobs and requests in flight at the same
+// time share one solve under distinct job IDs.
 
 // jobSubmitRequest is the JSON body of POST /v1/jobs: a solve request plus
 // queue placement. Binary (PSV1) bodies carry the same solve fields and take
@@ -40,9 +39,6 @@ type jobSubmitRequest struct {
 // jobSubmitResponse is the 202 body of POST /v1/jobs.
 type jobSubmitResponse struct {
 	jobs.Snapshot
-	// Joined is true when the submission deduplicated onto an existing
-	// queued or running job — Snapshot describes that job.
-	Joined bool `json:"joined,omitempty"`
 	// EventsURL is the job's SSE stream path.
 	EventsURL string `json:"eventsUrl"`
 }
@@ -65,18 +61,10 @@ type jobResult struct {
 	cached bool
 }
 
-// jobDedupKey identifies a solve for job deduplication: every parameter
-// that changes the answer or how it is obtained, NoCache included (job
-// results are always JSON, so the response format is left out).
-func jobDedupKey(p parsedSolve) string {
-	return fmt.Sprintf("%016x|%s|%016x|%d|%t|%t|%t",
-		p.fp, p.req.Solver, math.Float64bits(p.req.K), p.req.MaxComponents, p.req.Verify, p.req.Trace, p.req.NoCache)
-}
-
-// jobRun builds the closure a job runs once it holds a solve slot:
-// resolve it locally under a job trace whose live span events feed the
-// job's SSE stream, then render the JSON result. rid is the submitting
-// request's ID, carried into solver logs and engine events for correlation.
+// jobRun builds the closure a job runs once it holds a solve slot: resolve
+// it as the job's caller (see caller.job), then render the JSON result. rid
+// is the submitting request's ID, carried into solver logs and engine
+// events for correlation.
 func (s *Server) jobRun(p parsedSolve, rid string) jobs.RunFunc {
 	return func(ctx context.Context, j *jobs.Job) (any, error) {
 		ctx = engine.WithJobID(obs.WithRequestID(ctx, rid), j.ID)
@@ -122,8 +110,7 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 			timeout = s.cfg.MaxJobTimeout
 		}
 	}
-	j, joined, err := s.jobs.Submit(jobs.Spec{
-		Key:      jobDedupKey(p),
+	j, err := s.jobs.Submit(jobs.Spec{
 		Priority: priority,
 		Timeout:  timeout,
 		Run:      s.jobRun(p, obs.RequestIDFrom(r.Context())),
@@ -142,7 +129,6 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	body, _ := json.Marshal(jobSubmitResponse{
 		Snapshot:  j.Snapshot(),
-		Joined:    joined,
 		EventsURL: "/v1/jobs/" + j.ID + "/events",
 	})
 	writeJSON(w, http.StatusAccepted, body)
@@ -194,7 +180,9 @@ func (s *Server) handleJobList(w http.ResponseWriter, r *http.Request) {
 
 // handleJobCancel is DELETE /v1/jobs/{id}: request cancellation and answer
 // 202 with the job's snapshot. A queued job is terminal in the response; a
-// running one transitions once the solver notices its context.
+// running one transitions once it leaves its solve: at once when it waits on
+// another caller's, else when the solver notices its context — or, when
+// other callers share the solve it leads, when that solve ends.
 func (s *Server) handleJobCancel(w http.ResponseWriter, r *http.Request) {
 	j := s.jobOr404(w, r)
 	if j == nil {

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -16,14 +17,15 @@ import (
 	"repro/internal/jobs"
 )
 
-// submitJob posts a job submission and decodes the 202 response.
-func submitJob(t *testing.T, ts *httptest.Server, body any) jobSubmitResponse {
+// submitJob posts a job submission to the server at base and decodes the
+// 202 response.
+func submitJob(t *testing.T, base string, body any) jobSubmitResponse {
 	t.Helper()
 	b, err := json.Marshal(body)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", bytes.NewReader(b))
+	resp, err := http.Post(base+"/v1/jobs", "application/json", bytes.NewReader(b))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,10 +44,10 @@ func submitJob(t *testing.T, ts *httptest.Server, body any) jobSubmitResponse {
 	return out
 }
 
-// getJob fetches GET /v1/jobs/{id}.
-func getJob(t *testing.T, ts *httptest.Server, id string) jobStatusResponse {
+// getJob fetches GET /v1/jobs/{id} from the server at base.
+func getJob(t *testing.T, base, id string) jobStatusResponse {
 	t.Helper()
-	resp, err := http.Get(ts.URL + "/v1/jobs/" + id)
+	resp, err := http.Get(base + "/v1/jobs/" + id)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,12 +63,13 @@ func getJob(t *testing.T, ts *httptest.Server, id string) jobStatusResponse {
 	return out
 }
 
-// waitJobState polls GET /v1/jobs/{id} until the state matches.
-func waitJobState(t *testing.T, ts *httptest.Server, id string, want jobs.State) jobStatusResponse {
+// waitJobState polls GET /v1/jobs/{id} on the server at base until the
+// state matches.
+func waitJobState(t *testing.T, base, id string, want jobs.State) jobStatusResponse {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		st := getJob(t, ts, id)
+		st := getJob(t, base, id)
 		if st.State == want {
 			return st
 		}
@@ -158,7 +161,7 @@ func TestJobLifecycle(t *testing.T) {
 	defer ts.Close()
 	g := pathGraphJSON(t, 64, 3)
 
-	sub := submitJob(t, ts, jobSubmitRequest{solveRequest: solveRequest{Solver: "bandwidth", K: 500, Graph: g}})
+	sub := submitJob(t, ts.URL, jobSubmitRequest{solveRequest: solveRequest{Solver: "bandwidth", K: 500, Graph: g}})
 	if sub.State != jobs.StateQueued {
 		t.Errorf("submit state = %s, want queued", sub.State)
 	}
@@ -184,7 +187,7 @@ func TestJobLifecycle(t *testing.T) {
 		t.Error("no phase events in the stream")
 	}
 
-	st := getJob(t, ts, sub.ID)
+	st := getJob(t, ts.URL, sub.ID)
 	if st.State != jobs.StateSucceeded || st.Result == nil {
 		t.Fatalf("final status = %+v", st)
 	}
@@ -207,7 +210,7 @@ func TestJobSSEDisconnectResume(t *testing.T) {
 	started, release := armGate(t)
 	g := pathGraphJSON(t, 32, 4)
 
-	sub := submitJob(t, ts, jobSubmitRequest{solveRequest: solveRequest{Solver: "test-gate", K: 100, Graph: g}})
+	sub := submitJob(t, ts.URL, jobSubmitRequest{solveRequest: solveRequest{Solver: "test-gate", K: 100, Graph: g}})
 	<-started
 
 	// Connection A: read two frames (queued, running), then drop.
@@ -220,7 +223,7 @@ func TestJobSSEDisconnectResume(t *testing.T) {
 	}
 
 	release()
-	waitJobState(t, ts, sub.ID, jobs.StateSucceeded)
+	waitJobState(t, ts.URL, sub.ID, jobs.StateSucceeded)
 
 	// Connection B resumes from the dropped cursor; connection C replays the
 	// whole stream. B's bytes must equal C's minus the frames B skipped.
@@ -263,7 +266,7 @@ func TestJobCancelRunning(t *testing.T) {
 	defer release()
 	g := pathGraphJSON(t, 32, 5)
 
-	sub := submitJob(t, ts, jobSubmitRequest{solveRequest: solveRequest{Solver: "test-gate", K: 100, Graph: g}})
+	sub := submitJob(t, ts.URL, jobSubmitRequest{solveRequest: solveRequest{Solver: "test-gate", K: 100, Graph: g}})
 	<-started
 	resp := openSSE(t, ts, sub.ID, "")
 
@@ -284,7 +287,7 @@ func TestJobCancelRunning(t *testing.T) {
 	if !strings.Contains(last.data, `"state":"canceled"`) {
 		t.Fatalf("terminal frame after cancel = %+v", last)
 	}
-	if st := getJob(t, ts, sub.ID); st.State != jobs.StateCanceled {
+	if st := getJob(t, ts.URL, sub.ID); st.State != jobs.StateCanceled {
 		t.Errorf("job state = %s, want canceled", st.State)
 	}
 
@@ -305,48 +308,267 @@ func TestJobCancelRunning(t *testing.T) {
 	t.Fatalf("goroutines: %d before, %d after:\n%s", before, runtime.NumGoroutine(), buf[:runtime.Stack(buf, true)])
 }
 
-// TestJobDedup is the single-flight acceptance test: two submissions of the
-// identical request while the first is in flight perform exactly one solve.
+// TestJobDedup checks that identical jobs in flight together share one
+// solve through the single-flight group: each keeps its own ID, the solver
+// starts once, both results are byte-equal, and the join is counted once,
+// as a shared flight. A different K and a noCache submission of the same
+// request each solve on their own.
 func TestJobDedup(t *testing.T) {
-	s := newTestServer(t, Config{})
+	s := newTestServer(t, Config{MaxConcurrent: 4})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	started, release := armGate(t)
+	defer release()
+	sharedBefore := singleflightShared(t, s)
 	g := pathGraphJSON(t, 32, 6)
 
 	req := jobSubmitRequest{solveRequest: solveRequest{Solver: "test-gate", K: 100, Graph: g}}
-	first := submitJob(t, ts, req)
+	first := submitJob(t, ts.URL, req)
 	<-started
-	second := submitJob(t, ts, req)
-	if !second.Joined || second.ID != first.ID {
-		t.Fatalf("second submission: joined=%v id=%s, want join of %s", second.Joined, second.ID, first.ID)
+	second := submitJob(t, ts.URL, req)
+	if second.ID == first.ID {
+		t.Fatalf("identical submissions share job ID %s", first.ID)
 	}
-	// A different K is a different job.
-	other := submitJob(t, ts, jobSubmitRequest{solveRequest: solveRequest{Solver: "test-gate", K: 200, Graph: g}})
-	if other.Joined || other.ID == first.ID {
-		t.Fatalf("different-K submission joined: %+v", other)
-	}
-	// So is the same request with noCache: it must neither answer from the
-	// cache nor lend its uncached answer to a cached submission.
+	awaitFlightJoin(t, s, ts.URL, second.ID, 1)
+	// A different K is a different solve. So is the same request with
+	// noCache: it must neither join the flight nor lend its uncached
+	// answer to one.
+	other := submitJob(t, ts.URL, jobSubmitRequest{solveRequest: solveRequest{Solver: "test-gate", K: 200, Graph: g}})
 	noCache := req
 	noCache.NoCache = true
-	bypass := submitJob(t, ts, noCache)
-	if bypass.Joined || bypass.ID == first.ID {
-		t.Fatalf("noCache submission joined: %+v", bypass)
+	bypass := submitJob(t, ts.URL, noCache)
+	for range 2 {
+		select {
+		case <-started:
+		case <-time.After(5 * time.Second):
+			t.Fatal("the different-K and noCache jobs did not both start a solve of their own")
+		}
 	}
 
 	release()
-	waitJobState(t, ts, first.ID, jobs.StateSucceeded)
-	waitJobState(t, ts, other.ID, jobs.StateSucceeded)
-	waitJobState(t, ts, bypass.ID, jobs.StateSucceeded)
-	// The gate solver signals once per solve; first's signal was consumed
-	// above, so exactly other's and bypass's should remain — the join added
-	// none.
-	if got := len(started); got != 2 {
-		t.Errorf("%d gate starts pending, want 2 (one solve per distinct job)", got)
+	a := waitJobState(t, ts.URL, first.ID, jobs.StateSucceeded)
+	b := waitJobState(t, ts.URL, second.ID, jobs.StateSucceeded)
+	waitJobState(t, ts.URL, other.ID, jobs.StateSucceeded)
+	waitJobState(t, ts.URL, bypass.ID, jobs.StateSucceeded)
+	if !bytes.Equal(a.Result, b.Result) {
+		t.Errorf("job results differ:\n%s\n%s", a.Result, b.Result)
 	}
-	if st := s.JobStats(); st.DedupJoined != 1 || st.Submitted != 3 {
-		t.Errorf("job stats = %+v", st)
+	if got := len(started); got != 0 {
+		t.Errorf("solver started %d more times, want three solves for the four jobs", got)
+	}
+	if got := singleflightShared(t, s); got != sharedBefore+1 {
+		t.Errorf("shared flights = %d, want %d: only the identical job joins", got, sharedBefore+1)
+	}
+}
+
+// singleflightShared reads partitiond_singleflight_total{result="shared"}
+// from /metrics.
+func singleflightShared(t *testing.T, s *Server) uint64 {
+	t.Helper()
+	const series = `partitiond_singleflight_total{result="shared"} `
+	text := doJSON(t, s.Handler(), "GET", "/metrics", nil).Body.String()
+	for _, line := range strings.Split(text, "\n") {
+		if v, ok := strings.CutPrefix(line, series); ok {
+			n, err := strconv.ParseUint(v, 10, 64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return n
+		}
+	}
+	t.Fatalf("metrics missing %s", series)
+	return 0
+}
+
+// awaitFlightJoin waits until job id runs and has given its admission slot
+// back, leaving inFlight slots held: the job joined a flight another caller
+// leads.
+func awaitFlightJoin(t *testing.T, s *Server, base, id string, inFlight int) {
+	t.Helper()
+	waitJobState(t, base, id, jobs.StateRunning)
+	deadline := time.Now().Add(5 * time.Second)
+	for s.LimiterStats().InFlight != inFlight {
+		if time.Now().After(deadline) {
+			t.Fatalf("job %s still holds its admission slot: it did not join the running flight", id)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestJobDeleteWhileSharingFlight: a job DELETEd while it shares a
+// synchronous request's flight ends canceled, and the request still gets
+// its 200 from the one solve, which fills the cache.
+func TestJobDeleteWhileSharingFlight(t *testing.T) {
+	s := newTestServer(t, Config{MaxConcurrent: 2})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	started, release := armGate(t)
+	defer release()
+	sreq := solveRequest{Solver: "test-gate", K: 42, Graph: pathGraphJSON(t, 16, 31)}
+	syncDone := make(chan *httptest.ResponseRecorder, 1)
+	go func() { syncDone <- doJSONRaw(s.Handler(), "POST", "/v1/solve", sreq) }()
+	<-started
+
+	sub := submitJob(t, ts.URL, jobSubmitRequest{solveRequest: sreq})
+	awaitFlightJoin(t, s, ts.URL, sub.ID, 1)
+	req, _ := http.NewRequest("DELETE", ts.URL+"/v1/jobs/"+sub.ID, nil)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	waitJobState(t, ts.URL, sub.ID, jobs.StateCanceled)
+
+	release()
+	rec := <-syncDone
+	if rec.Code != http.StatusOK {
+		t.Fatalf("sync solve = %d: %s", rec.Code, rec.Body)
+	}
+	if n := len(gateCancels()); n != 0 {
+		t.Errorf("the shared solve saw %d cancellations, want 0", n)
+	}
+	again := doJSON(t, s.Handler(), "POST", "/v1/solve", sreq)
+	if again.Header().Get("X-Cache") != "HIT" || !bytes.Equal(again.Body.Bytes(), rec.Body.Bytes()) {
+		t.Errorf("repeat solve: X-Cache %q, body %s; want a HIT with the same bytes %s",
+			again.Header().Get("X-Cache"), again.Body, rec.Body)
+	}
+	if got := len(started); got != 0 {
+		t.Errorf("solver started %d more times, want 0", got)
+	}
+}
+
+// TestJobOutlivesSyncDeadline: jobs that share a flight ending on the
+// synchronous request's deadline resolve again under their own deadline,
+// sharing one fresh solve, and succeed, while the request gets its 504.
+func TestJobOutlivesSyncDeadline(t *testing.T) {
+	s := newTestServer(t, Config{MaxConcurrent: 2})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	started, release := armGate(t)
+	defer release()
+	g := pathGraphJSON(t, 16, 32)
+	syncDone := make(chan *httptest.ResponseRecorder, 1)
+	go func() {
+		syncDone <- doJSONRaw(s.Handler(), "POST", "/v1/solve",
+			solveRequest{Solver: "test-gate", K: 42, Graph: g, TimeoutMs: 1000})
+	}()
+	<-started
+
+	var subs []jobSubmitResponse
+	for range 2 {
+		sub := submitJob(t, ts.URL, jobSubmitRequest{solveRequest: solveRequest{Solver: "test-gate", K: 42, Graph: g}})
+		awaitFlightJoin(t, s, ts.URL, sub.ID, 1)
+		subs = append(subs, sub)
+	}
+	if n := len(started); n != 0 {
+		t.Fatalf("the jobs started %d solves of their own while the flight ran, want them to join", n)
+	}
+	if rec := <-syncDone; rec.Code != http.StatusGatewayTimeout {
+		t.Fatalf("sync solve = %d, want 504: %s", rec.Code, rec.Body)
+	}
+	select {
+	case <-started:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the jobs did not solve again after the shared flight's deadline")
+	}
+	release()
+	for _, sub := range subs {
+		st := waitJobState(t, ts.URL, sub.ID, jobs.StateSucceeded)
+		var res solveResponse
+		if err := json.Unmarshal(st.Result, &res); err != nil || res.K != 42 {
+			t.Errorf("job result = %s (%v)", st.Result, err)
+		}
+	}
+	if n := len(started); n != 0 {
+		t.Errorf("solver started %d more times, want one fresh solve for both jobs", n)
+	}
+}
+
+// TestJobSyncJoinerLeavesAtItsBudget: a synchronous request that joins a job's
+// flight waits no longer than its own budget (timeoutMs plus the queue wait
+// and forwarding margin) and gets a 504, while the job's solve runs on and
+// succeeds.
+func TestJobSyncJoinerLeavesAtItsBudget(t *testing.T) {
+	s := newTestServer(t, Config{QueueTimeout: 50 * time.Millisecond})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	started, release := armGate(t)
+	defer release()
+	sreq := solveRequest{Solver: "test-gate", K: 42, Graph: pathGraphJSON(t, 16, 34)}
+	sub := submitJob(t, ts.URL, jobSubmitRequest{solveRequest: sreq})
+	<-started
+
+	sreq.TimeoutMs = 100
+	syncDone := make(chan *httptest.ResponseRecorder, 1)
+	go func() { syncDone <- doJSONRaw(s.Handler(), "POST", "/v1/solve", sreq) }()
+	select {
+	case rec := <-syncDone:
+		if rec.Code != http.StatusGatewayTimeout {
+			t.Fatalf("sync solve = %d, want 504: %s", rec.Code, rec.Body)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("the synchronous joiner waited past its budget for the job's solve")
+	}
+	release()
+	waitJobState(t, ts.URL, sub.ID, jobs.StateSucceeded)
+	if n := len(started); n != 0 {
+		t.Errorf("solver started %d more times, want the request to have joined the job's solve", n)
+	}
+	if n := len(gateCancels()); n != 0 {
+		t.Errorf("the job's solve saw %d cancellations, want 0", n)
+	}
+}
+
+// TestJobJoinerReleasesSlot: with one solve slot, held by a job, a
+// synchronous leader queues for that slot; when the job joins the leader's
+// flight it gives the slot back, so the leader solves instead of shedding
+// a 503 for both.
+func TestJobJoinerReleasesSlot(t *testing.T) {
+	s := newTestServer(t, Config{MaxConcurrent: 1, QueueTimeout: 10 * time.Second})
+	started, release := armGate(t)
+	defer release()
+	sreq := solveRequest{Solver: "test-gate", K: 42, Graph: pathGraphJSON(t, 16, 33)}
+	body, _ := json.Marshal(sreq)
+	p, _, err := s.decodeSolve(httptest.NewRequest("POST", "/v1/jobs", bytes.NewReader(body)), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The job takes the slot at once, then waits to resolve until the
+	// synchronous leader is queued behind it.
+	syncQueued := make(chan struct{})
+	run := s.jobRun(p, "")
+	j, err := s.jobs.Submit(jobs.Spec{Timeout: time.Minute, Run: func(ctx context.Context, j *jobs.Job) (any, error) {
+		<-syncQueued
+		return run(ctx, j)
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for j.State() != jobs.StateRunning {
+		time.Sleep(time.Millisecond)
+	}
+	syncDone := make(chan *httptest.ResponseRecorder, 1)
+	go func() { syncDone <- doJSONRaw(s.Handler(), "POST", "/v1/solve", sreq) }()
+	for s.LimiterStats().Queued != 1 {
+		time.Sleep(time.Millisecond)
+	}
+	close(syncQueued)
+
+	select {
+	case <-started:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the queued leader never got the slot the joining job held")
+	}
+	release()
+	if rec := <-syncDone; rec.Code != http.StatusOK {
+		t.Fatalf("sync solve = %d: %s", rec.Code, rec.Body)
+	}
+	<-j.Done()
+	if st := j.State(); st != jobs.StateSucceeded {
+		t.Fatalf("job state = %s (%s)", st, j.Snapshot().Error)
+	}
+	if got := len(started); got != 0 {
+		t.Errorf("solver started %d more times, want one solve for both", got)
 	}
 }
 
@@ -360,10 +582,10 @@ func TestJobDeadline(t *testing.T) {
 	defer release()
 	g := pathGraphJSON(t, 32, 7)
 
-	sub := submitJob(t, ts, jobSubmitRequest{solveRequest: solveRequest{
+	sub := submitJob(t, ts.URL, jobSubmitRequest{solveRequest: solveRequest{
 		Solver: "test-gate", K: 100, Graph: g, TimeoutMs: 30}})
 	<-started
-	st := waitJobState(t, ts, sub.ID, jobs.StateFailed)
+	st := waitJobState(t, ts.URL, sub.ID, jobs.StateFailed)
 	if !strings.Contains(st.Error, "deadline") {
 		t.Errorf("error = %q, want deadline message", st.Error)
 	}
@@ -396,7 +618,7 @@ func TestJobBinarySubmit(t *testing.T) {
 	if sub.Priority != 3 {
 		t.Errorf("priority = %d, want 3", sub.Priority)
 	}
-	st := waitJobState(t, ts, sub.ID, jobs.StateSucceeded)
+	st := waitJobState(t, ts.URL, sub.ID, jobs.StateSucceeded)
 	var res solveResponse
 	if err := json.Unmarshal(st.Result, &res); err != nil {
 		t.Fatal(err)
@@ -450,8 +672,8 @@ func TestJobErrors(t *testing.T) {
 
 	// Bad resume cursor on a real job.
 	g := pathGraphJSON(t, 16, 8)
-	sub := submitJob(t, ts, jobSubmitRequest{solveRequest: solveRequest{Solver: "bandwidth", K: 500, Graph: g}})
-	waitJobState(t, ts, sub.ID, jobs.StateSucceeded)
+	sub := submitJob(t, ts.URL, jobSubmitRequest{solveRequest: solveRequest{Solver: "bandwidth", K: 500, Graph: g}})
+	waitJobState(t, ts.URL, sub.ID, jobs.StateSucceeded)
 	req, _ := http.NewRequest("GET", ts.URL+"/v1/jobs/"+sub.ID+"/events", nil)
 	req.Header.Set("Last-Event-ID", "not-a-number")
 	bresp, err := http.DefaultClient.Do(req)
@@ -475,9 +697,9 @@ func TestJobQueueFullShed(t *testing.T) {
 	defer release()
 	g := pathGraphJSON(t, 16, 9)
 
-	submitJob(t, ts, jobSubmitRequest{solveRequest: solveRequest{Solver: "test-gate", K: 100, Graph: g}})
+	submitJob(t, ts.URL, jobSubmitRequest{solveRequest: solveRequest{Solver: "test-gate", K: 100, Graph: g}})
 	<-started
-	submitJob(t, ts, jobSubmitRequest{solveRequest: solveRequest{Solver: "test-gate", K: 101, Graph: g}})
+	submitJob(t, ts.URL, jobSubmitRequest{solveRequest: solveRequest{Solver: "test-gate", K: 101, Graph: g}})
 	b, _ := json.Marshal(jobSubmitRequest{solveRequest: solveRequest{Solver: "test-gate", K: 102, Graph: g}})
 	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", bytes.NewReader(b))
 	if err != nil {
@@ -505,9 +727,9 @@ func TestJobDrain(t *testing.T) {
 	defer release()
 	g := pathGraphJSON(t, 16, 10)
 
-	running := submitJob(t, ts, jobSubmitRequest{solveRequest: solveRequest{Solver: "test-gate", K: 100, Graph: g}})
+	running := submitJob(t, ts.URL, jobSubmitRequest{solveRequest: solveRequest{Solver: "test-gate", K: 100, Graph: g}})
 	<-started
-	queued := submitJob(t, ts, jobSubmitRequest{solveRequest: solveRequest{Solver: "test-gate", K: 101, Graph: g}})
+	queued := submitJob(t, ts.URL, jobSubmitRequest{solveRequest: solveRequest{Solver: "test-gate", K: 101, Graph: g}})
 	stream := openSSE(t, ts, running.ID, "")
 
 	drainDone := make(chan error, 1)
@@ -520,7 +742,7 @@ func TestJobDrain(t *testing.T) {
 	// The queued job cancels immediately; submissions shed while draining.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		if st := getJob(t, ts, queued.ID); st.State == jobs.StateCanceled {
+		if st := getJob(t, ts.URL, queued.ID); st.State == jobs.StateCanceled {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -548,7 +770,7 @@ func TestJobDrain(t *testing.T) {
 	if err := <-drainDone; err != context.DeadlineExceeded {
 		t.Errorf("Shutdown err = %v, want DeadlineExceeded", err)
 	}
-	if st := getJob(t, ts, running.ID); st.State != jobs.StateCanceled {
+	if st := getJob(t, ts.URL, running.ID); st.State != jobs.StateCanceled {
 		t.Errorf("running job after forced drain = %s, want canceled", st.State)
 	}
 }
@@ -566,8 +788,8 @@ func TestJobResultCached(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("prime solve = %d", rec.Code)
 	}
-	sub := submitJob(t, ts, jobSubmitRequest{solveRequest: solveRequest{Solver: "bandwidth", K: 500, Graph: g}})
-	st := waitJobState(t, ts, sub.ID, jobs.StateSucceeded)
+	sub := submitJob(t, ts.URL, jobSubmitRequest{solveRequest: solveRequest{Solver: "bandwidth", K: 500, Graph: g}})
+	st := waitJobState(t, ts.URL, sub.ID, jobs.StateSucceeded)
 	if !st.Cached {
 		t.Error("job result not marked cached")
 	}
@@ -602,17 +824,17 @@ func TestJobPriorityAtAdmission(t *testing.T) {
 	defer release()
 	holdSlot(t, ts, started)
 
-	low := submitJob(t, ts, jobSubmitRequest{solveRequest: solveRequest{Solver: "bandwidth", K: 500, Graph: pathGraphJSON(t, 64, 21)}})
-	high := submitJob(t, ts, jobSubmitRequest{solveRequest: solveRequest{Solver: "bandwidth", K: 500, Graph: pathGraphJSON(t, 64, 22)}, Priority: 5})
+	low := submitJob(t, ts.URL, jobSubmitRequest{solveRequest: solveRequest{Solver: "bandwidth", K: 500, Graph: pathGraphJSON(t, 64, 21)}})
+	high := submitJob(t, ts.URL, jobSubmitRequest{solveRequest: solveRequest{Solver: "bandwidth", K: 500, Graph: pathGraphJSON(t, 64, 22)}, Priority: 5})
 	for _, id := range []string{low.ID, high.ID} {
-		if st := getJob(t, ts, id); st.State != jobs.StateQueued || st.Started != nil {
+		if st := getJob(t, ts.URL, id); st.State != jobs.StateQueued || st.Started != nil {
 			t.Errorf("job %s waiting for the slot: state %s, started %v; want queued, not started", id, st.State, st.Started)
 		}
 	}
 
 	release()
-	lowSt := waitJobState(t, ts, low.ID, jobs.StateSucceeded)
-	highSt := waitJobState(t, ts, high.ID, jobs.StateSucceeded)
+	lowSt := waitJobState(t, ts.URL, low.ID, jobs.StateSucceeded)
+	highSt := waitJobState(t, ts.URL, high.ID, jobs.StateSucceeded)
 	if lowSt.Started.Before(*highSt.Finished) {
 		t.Errorf("low-priority job started at %v, before the high-priority job finished at %v",
 			lowSt.Started, highSt.Finished)
@@ -629,7 +851,7 @@ func TestJobCancelWhileWaiting(t *testing.T) {
 	defer release()
 	holdSlot(t, ts, started)
 
-	sub := submitJob(t, ts, jobSubmitRequest{solveRequest: solveRequest{Solver: "test-gate", K: 101, Graph: pathGraphJSON(t, 16, 23)}})
+	sub := submitJob(t, ts.URL, jobSubmitRequest{solveRequest: solveRequest{Solver: "test-gate", K: 101, Graph: pathGraphJSON(t, 16, 23)}})
 	req, _ := http.NewRequest("DELETE", ts.URL+"/v1/jobs/"+sub.ID, nil)
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
@@ -647,12 +869,12 @@ func TestJobCancelWhileWaiting(t *testing.T) {
 	// Free the slot and push another job through it: the canceled job
 	// never reaches the solver.
 	release()
-	flush := submitJob(t, ts, jobSubmitRequest{solveRequest: solveRequest{Solver: "bandwidth", K: 500, Graph: pathGraphJSON(t, 16, 24)}})
-	waitJobState(t, ts, flush.ID, jobs.StateSucceeded)
+	flush := submitJob(t, ts.URL, jobSubmitRequest{solveRequest: solveRequest{Solver: "bandwidth", K: 500, Graph: pathGraphJSON(t, 16, 24)}})
+	waitJobState(t, ts.URL, flush.ID, jobs.StateSucceeded)
 	if got := len(started); got != 0 {
 		t.Errorf("%d gate solves started after the cancel, want 0", got)
 	}
-	if st := getJob(t, ts, sub.ID); st.State != jobs.StateCanceled {
+	if st := getJob(t, ts.URL, sub.ID); st.State != jobs.StateCanceled {
 		t.Errorf("canceled job state = %s", st.State)
 	}
 }

@@ -273,11 +273,8 @@ func writeJobsMetrics(w io.Writer, st jobs.Stats) {
 		fmt.Fprintf(w, "partitiond_jobs_total{state=\"failed\"} %d\n", st.Failed)
 		fmt.Fprintf(w, "partitiond_jobs_total{state=\"canceled\"} %d\n", st.Canceled)
 	})
-	series("partitiond_jobs_submitted_total", "counter", "Accepted job submissions (dedup joins excluded).", func() {
+	series("partitiond_jobs_submitted_total", "counter", "Accepted job submissions.", func() {
 		fmt.Fprintf(w, "partitiond_jobs_submitted_total %d\n", st.Submitted)
-	})
-	series("partitiond_jobs_dedup_joined_total", "counter", "Job submissions answered by an existing identical job.", func() {
-		fmt.Fprintf(w, "partitiond_jobs_dedup_joined_total %d\n", st.DedupJoined)
 	})
 	series("partitiond_jobs_queue_capacity", "gauge", "Job queue capacity.", func() {
 		fmt.Fprintf(w, "partitiond_jobs_queue_capacity %d\n", st.QueueCap)

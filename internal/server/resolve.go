@@ -24,9 +24,13 @@ import (
 //
 // A miss resolves under a single-flight group keyed like the cache, so N
 // identical concurrent misses perform one solve however the callers mix
-// routes and encodings. With a cluster configured, a miss on a graph this
-// node does not own is forwarded to its owner, which answers from its own
-// cache and flight group; that makes the dedup cluster-wide.
+// routes, encodings and jobs; the flight is the server's only dedup. It is
+// reference-counted: a caller that leaves — a disconnected client, the end
+// of a request's budget, a job DELETE or deadline — drops its reference, and
+// a solve every caller left is canceled and fills no cache. With a cluster
+// configured, a miss on a graph this node does not own is forwarded to its
+// owner, which answers from its own cache and flight group; that makes the
+// dedup cluster-wide.
 
 // resolved is one solve's answer: the canonical frame plus how it was
 // obtained. It is also the single-flight value every waiter shares.
@@ -44,11 +48,16 @@ type caller struct {
 	// peer marks a request forwarded by another node: its lookup counts on
 	// the peer tier, and its miss is solved here, never forwarded again.
 	peer bool
-	// job is set for an async job's solve. A job solves locally and outside
-	// the flight group (it must stay cancelable by DELETE), already holds an
-	// admission slot from the job dispatcher, runs under the job's own
-	// deadline rather than the synchronous one, and streams its spans to the
-	// job.
+	// job is set for an async job's solve, which resolves like a
+	// synchronous miss under the job's own deadline: a forward asks the
+	// owner for what is left of it, and a job with more left than
+	// MaxTimeout (which the owner would clamp) solves here. The job holds
+	// its dispatcher slot only while it solves here: it gives the slot back
+	// before it joins another caller's flight or forwards, and takes one
+	// again (jobs.Job.HoldSlot) when it must solve after all. A job that
+	// joins gets no phase events. If the flight it joined ends on its
+	// leader's budget (the synchronous deadline or a shed), the job
+	// resolves again: it hits the cache, or leads or joins a fresh flight.
 	job *jobs.Job
 }
 
@@ -62,10 +71,12 @@ type httpError struct {
 func (e *httpError) Error() string { return e.msg }
 
 // resolve answers one parsed solve with its canonical frame: cache lookup,
-// then the single-flight group, then resolveMiss, then the cache fill.
-// NoCache requests skip the cache and the flight. Traced requests skip the
-// lookup and the flight, because a span tree describes one solve and cannot
-// be replayed for another request, but still fill the cache.
+// then the single-flight group, then resolveMiss, whose success fills the
+// cache unless every caller has left. NoCache requests skip the cache and
+// the flight. Traced requests skip the lookup and the flight, because a
+// span tree describes one solve and cannot be replayed for another request,
+// but still fill the cache. A synchronous caller waits at most syncBudget,
+// also when it joins a job's flight.
 func (s *Server) resolve(ctx context.Context, p *parsedSolve, c caller) (resolved, error) {
 	key := newCacheKey(p.fp, p.req.Solver, p.req.K, p.req.MaxComponents, p.req.Verify)
 	lookup := !p.req.NoCache && !p.req.Trace
@@ -76,27 +87,37 @@ func (s *Server) resolve(ctx context.Context, p *parsedSolve, c caller) (resolve
 		}
 		s.clusterm.observeLookup(c.peer, false)
 	}
-	var (
-		res    resolved
-		shared bool
-		err    error
-	)
-	if lookup && c.job == nil {
-		res, shared, err = s.flight.Do(key, func() (resolved, error) {
-			// The solve is detached from this request's cancellation: every
-			// waiter that joined depends on it, and the engine deadline
-			// bounds it regardless. Context values (request ID, remote trace
-			// context) survive.
-			return s.resolveMiss(context.WithoutCancel(ctx), p, c)
-		})
-		res.shared = shared
+	var onJoin func()
+	if c.job != nil {
+		onJoin = c.job.ReleaseSlot
 	} else {
-		res, err = s.resolveMiss(ctx, p, c)
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, s.syncBudget(p.req.TimeoutMs))
+		defer cancel()
 	}
-	if err == nil && !p.req.NoCache {
-		s.cache.Put(key, res.frame)
+	miss := func(ctx context.Context) (resolved, error) {
+		res, err := s.resolveMiss(ctx, p, c)
+		if err == nil && ctx.Err() == nil && !p.req.NoCache {
+			s.cache.Put(key, res.frame)
+		}
+		return res, err
 	}
+	if !lookup {
+		return miss(ctx)
+	}
+	res, shared, err := s.flight.DoContext(ctx, key, miss, onJoin)
+	if c.job != nil && shared && leaderBound(err) && ctx.Err() == nil {
+		return s.resolve(ctx, p, c) // the job outlives that flight's budget
+	}
+	res.shared = shared
 	return res, err
+}
+
+// leaderBound reports whether a shared flight failed on its leader's budget
+// — the solve deadline or an admission shed — rather than on the request.
+func leaderBound(err error) bool {
+	var he *httpError
+	return errors.Is(err, context.DeadlineExceeded) || errors.As(err, &he)
 }
 
 // resolveMiss computes the frame for a cache miss: forwarded to the owning
@@ -136,9 +157,14 @@ func (s *Server) resolveMiss(ctx context.Context, p *parsedSolve, c caller) (res
 	var res resolved
 	var err error
 	forwarded := false
-	if s.cluster != nil && !c.peer && c.job == nil && !p.req.NoCache {
+	if s.cluster != nil && !c.peer && !p.req.NoCache {
 		if peer, local := s.cluster.Route(p.fp); !local {
-			res, forwarded = s.forwardSolve(tctx, tr, p, peer)
+			if ms, ok := s.forwardTimeoutMs(ctx, p, c); ok {
+				if c.job != nil {
+					c.job.ReleaseSlot() // the owner solves in a slot of its own
+				}
+				res, forwarded = s.forwardSolve(tctx, tr, p, peer, ms)
+			}
 		}
 	}
 	if !forwarded {
@@ -178,7 +204,11 @@ func (s *Server) solveLocal(ctx context.Context, p *parsedSolve, c caller) (reso
 	case *graph.Tree:
 		req.Tree = g
 	}
-	if c.job == nil {
+	if c.job != nil {
+		if err := c.job.HoldSlot(ctx); err != nil {
+			return resolved{}, err
+		}
+	} else {
 		release, err := s.admit(ctx)
 		if err != nil {
 			return resolved{}, err
@@ -225,6 +255,21 @@ func (s *Server) admit(ctx context.Context) (release func(), err error) {
 	return release, nil
 }
 
+// forwardTimeoutMs is the timeoutMs a forwarded miss asks the owner for:
+// the request's own, or a job's remaining budget. ok is false for a job
+// whose budget exceeds MaxTimeout, which the owner would clamp.
+func (s *Server) forwardTimeoutMs(ctx context.Context, p *parsedSolve, c caller) (ms int64, ok bool) {
+	if c.job == nil {
+		return p.req.TimeoutMs, true
+	}
+	dl, ok := ctx.Deadline()
+	left := time.Until(dl)
+	if !ok || left > s.cfg.MaxTimeout {
+		return 0, false
+	}
+	return max(left.Milliseconds(), 1), true
+}
+
 // solveTimeoutOf resolves the effective engine deadline for a requested
 // timeoutMs: the server default when unset, clamped to the server maximum.
 func (s *Server) solveTimeoutOf(ms int64) time.Duration {
@@ -236,6 +281,13 @@ func (s *Server) solveTimeoutOf(ms int64) time.Duration {
 		timeout = s.cfg.MaxTimeout
 	}
 	return timeout
+}
+
+// syncBudget bounds a synchronous solve for a requested timeoutMs: the
+// admission queue wait plus the solve deadline, with margin for a hop to
+// the owning peer, which may queue and solve as long.
+func (s *Server) syncBudget(ms int64) time.Duration {
+	return s.solveTimeoutOf(ms) + s.cfg.QueueTimeout + 2*time.Second
 }
 
 // renderJSONResult renders the JSON solve response from a resolved frame.

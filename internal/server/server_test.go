@@ -96,10 +96,11 @@ func doJSONRaw(h http.Handler, method, path string, body any) *httptest.Response
 // flight deterministically. One gate is active at a time (tests in this
 // package don't run in parallel).
 var (
-	gateMu      sync.Mutex
-	gateStarted chan struct{}
-	gateRelease chan struct{}
-	gateOnce    sync.Once
+	gateMu       sync.Mutex
+	gateStarted  chan struct{}
+	gateRelease  chan struct{}
+	gateCanceled chan struct{}
+	gateOnce     sync.Once
 )
 
 // armGate resets the gate channels and registers the solver on first use.
@@ -112,9 +113,18 @@ func armGate(t *testing.T) (started <-chan struct{}, release func()) {
 	defer gateMu.Unlock()
 	gateStarted = make(chan struct{}, 64)
 	gateRelease = make(chan struct{})
+	gateCanceled = make(chan struct{}, 64)
 	rel := gateRelease
 	var once sync.Once
 	return gateStarted, func() { once.Do(func() { close(rel) }) }
+}
+
+// gateCancels signals once for every gate solve that ended because its
+// context did.
+func gateCancels() <-chan struct{} {
+	gateMu.Lock()
+	defer gateMu.Unlock()
+	return gateCanceled
 }
 
 type gateSolver struct{}
@@ -123,13 +133,19 @@ func (gateSolver) Name() string      { return "test-gate" }
 func (gateSolver) Kind() engine.Kind { return engine.KindPath }
 func (gateSolver) Solve(ctx context.Context, req engine.Request) (engine.Result, error) {
 	gateMu.Lock()
-	st, rel := gateStarted, gateRelease
+	st, rel, canceled := gateStarted, gateRelease, gateCanceled
 	gateMu.Unlock()
+	if req.Options.Timeout > 0 { // as the registered solvers do
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, req.Options.Timeout)
+		defer cancel()
+	}
 	st <- struct{}{}
 	select {
 	case <-rel:
 		return engine.Result{Solver: "test-gate", K: req.K, ComponentWeights: []float64{req.K}}, nil
 	case <-ctx.Done():
+		canceled <- struct{}{}
 		return engine.Result{}, ctx.Err()
 	}
 }
@@ -592,7 +608,7 @@ func TestMetricsOneSeriesPerFact(t *testing.T) {
 	for p, want := range map[string][]string{
 		"partitiond_solver_": {"errors_total", "in_flight", "iterations_total", "latency_seconds_max"},
 		"partitiond_cache_":  {"capacity", "entries", "evictions_total", "requests_total"},
-		"partitiond_jobs_":   {"dedup_joined_total", "queue_capacity", "retained", "submitted_total", "total"},
+		"partitiond_jobs_":   {"queue_capacity", "retained", "submitted_total", "total"},
 	} {
 		got := byPrefix[p]
 		sort.Strings(got)

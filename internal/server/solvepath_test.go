@@ -257,7 +257,7 @@ func TestJobsShareSolveCache(t *testing.T) {
 			return rec
 		}
 		runJob := func() jobStatusResponse {
-			return waitJobState(t, ts, submitJob(t, ts, job).ID, jobs.StateSucceeded)
+			return waitJobState(t, ts.URL, submitJob(t, ts.URL, job).ID, jobs.StateSucceeded)
 		}
 		if solveFirst {
 			solve()

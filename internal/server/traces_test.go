@@ -226,7 +226,7 @@ func TestJobSSETraceCorrelation(t *testing.T) {
 	events := openSSE(t, ts, sub.ID, "")
 	defer events.Body.Close()
 	frames := readFrames(t, bufio.NewReader(events.Body), isTerminalFrame)
-	waitJobState(t, ts, sub.ID, jobs.StateSucceeded)
+	waitJobState(t, ts.URL, sub.ID, jobs.StateSucceeded)
 
 	var traceID string
 	for _, f := range frames {
