@@ -47,10 +47,10 @@ func (e *StatusError) Error() string {
 const maxSpansTrailer = 1 << 20
 
 // ForwardSolve posts a PSV1 solve frame to the owning peer's /v1/solve and
-// returns the raw PRS1 response bytes plus whether the owner answered from
-// its cache. The request is tagged with InternalHeader so the owner never
-// re-forwards, and with the caller's request ID so log lines and traces
-// join across the hop. A non-empty traceHeader (see TraceHeader) propagates
+// returns the raw PRS1 response bytes; whether the owner answered from its
+// cache counts in Status().Forwards. The request is tagged with
+// InternalHeader so the owner never re-forwards, and with the caller's
+// request ID so log lines and traces join across the hop. A non-empty traceHeader (see TraceHeader) propagates
 // the caller's trace context; when the owner traced its side, the returned
 // spans hold its span tree JSON (decoded from the SpansTrailer trailer),
 // ready to graft under the caller's cluster-forward span. A malformed
@@ -62,11 +62,11 @@ const maxSpansTrailer = 1 << 20
 // about the peer. HTTP-level failures come back as *StatusError and leave
 // membership alone. Either way the caller is expected to fall back to a
 // local solve.
-func (c *Cluster) ForwardSolve(ctx context.Context, peerURL string, frame []byte, requestID, traceHeader string) (body []byte, cacheHit bool, spans []byte, err error) {
+func (c *Cluster) ForwardSolve(ctx context.Context, peerURL string, frame []byte, requestID, traceHeader string) (body, spans []byte, err error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, peerURL+"/v1/solve", bytes.NewReader(frame))
 	if err != nil {
 		c.fwdErr.Add(1)
-		return nil, false, nil, err
+		return nil, nil, err
 	}
 	req.Header.Set("Content-Type", codec.ContentType)
 	req.Header.Set("Accept", codec.ContentType)
@@ -83,13 +83,13 @@ func (c *Cluster) ForwardSolve(ctx context.Context, peerURL string, frame []byte
 		if ctx.Err() == nil {
 			c.ReportFailure(peerURL)
 		}
-		return nil, false, nil, err
+		return nil, nil, err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
 		c.fwdErr.Add(1)
-		return nil, false, nil, &StatusError{Code: resp.StatusCode, Body: strings.TrimSpace(string(msg))}
+		return nil, nil, &StatusError{Code: resp.StatusCode, Body: strings.TrimSpace(string(msg))}
 	}
 	body, err = io.ReadAll(resp.Body)
 	if err != nil {
@@ -97,10 +97,9 @@ func (c *Cluster) ForwardSolve(ctx context.Context, peerURL string, frame []byte
 		if ctx.Err() == nil {
 			c.ReportFailure(peerURL)
 		}
-		return nil, false, nil, err
+		return nil, nil, err
 	}
-	cacheHit = resp.Header.Get("X-Cache") == "HIT"
-	if cacheHit {
+	if resp.Header.Get("X-Cache") == "HIT" {
 		c.fwdHit.Add(1)
 	} else {
 		c.fwdMiss.Add(1)
@@ -111,7 +110,7 @@ func (c *Cluster) ForwardSolve(ctx context.Context, peerURL string, frame []byte
 			spans = dec
 		}
 	}
-	return body, cacheHit, spans, nil
+	return body, spans, nil
 }
 
 // checkPeer probes one peer's /healthz under the health timeout. Only a

@@ -171,15 +171,12 @@ type Options struct {
 	// MaxNodes rejects graphs declaring more vertices (ErrTooLarge) before
 	// any allocation happens; 0 means unlimited.
 	MaxNodes int
-	// Pool, when non-nil, supplies the weight and edge arrays the graph is
-	// decoded into. Pass the finished graph to Pool.Release to recycle them.
-	Pool *Pool
 }
 
 // Decode decodes one graph from the front of data, returning the graph, its
 // stable fingerprint (identical to graph.Fingerprint, computed during the
 // same pass), and the bytes remaining after the graph. The returned graph is
-// validated.
+// validated and owns its arrays: it never aliases data.
 func Decode(data []byte, opt Options) (g any, fp uint64, rest []byte, err error) {
 	if len(data) < headerLen {
 		if !Sniff(data) && len(data) >= 4 {
@@ -240,34 +237,28 @@ func Decode(data []byte, opt Options) (g any, fp uint64, rest []byte, err error)
 	switch kind {
 	case KindPath:
 		h := graph.NewPathHasher()
-		nodeW := decodeFloats(opt.Pool.getFloats(n), b, &h)
-		edgeW := decodeFloats(opt.Pool.getFloats(m), b[8*n:], &h)
+		nodeW := decodeFloats(make([]float64, n), b, &h)
+		edgeW := decodeFloats(make([]float64, m), b[8*n:], &h)
 		p, err := graph.NewPathOwned(nodeW, edgeW)
 		if err != nil {
-			opt.Pool.putFloats(nodeW)
-			opt.Pool.putFloats(edgeW)
 			return nil, 0, data, err
 		}
 		return p, h.Sum(), rest, nil
 	case KindTree:
 		h := graph.NewTreeHasher()
-		nodeW := decodeFloats(opt.Pool.getFloats(n), b, &h)
-		edges := decodeEdges(opt.Pool.getEdges(m), b[8*n:], &h)
+		nodeW := decodeFloats(make([]float64, n), b, &h)
+		edges := decodeEdges(make([]graph.Edge, m), b[8*n:], &h)
 		t, err := graph.NewTreeOwned(nodeW, edges)
 		if err != nil {
-			opt.Pool.putFloats(nodeW)
-			opt.Pool.putEdges(edges)
 			return nil, 0, data, err
 		}
 		return t, h.Sum(), rest, nil
 	default: // KindGraph
 		h := graph.NewGraphHasher()
-		nodeW := decodeFloats(opt.Pool.getFloats(n), b, &h)
-		edges := decodeEdges(opt.Pool.getEdges(m), b[8*n:], &h)
+		nodeW := decodeFloats(make([]float64, n), b, &h)
+		edges := decodeEdges(make([]graph.Edge, m), b[8*n:], &h)
 		g, err := graph.NewGraphOwned(nodeW, edges)
 		if err != nil {
-			opt.Pool.putFloats(nodeW)
-			opt.Pool.putEdges(edges)
 			return nil, 0, data, err
 		}
 		return g, h.Sum(), rest, nil

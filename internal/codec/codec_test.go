@@ -297,66 +297,23 @@ func mustPath(t testing.TB, n int) *graph.Path {
 	return p
 }
 
-func TestPoolRoundTrip(t *testing.T) {
-	pool := &Pool{}
-	enc, err := Append(nil, mustPath(t, 100))
-	if err != nil {
-		t.Fatal(err)
-	}
-	g1, fp1, _, err := Decode(enc, Options{Pool: pool})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := append([]float64(nil), g1.(*graph.Path).NodeW...)
-	pool.Release(g1)
-	g2, fp2, _, err := Decode(enc, Options{Pool: pool})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fp1 != fp2 {
-		t.Fatalf("fingerprints differ across pooled decodes: %016x vs %016x", fp1, fp2)
-	}
-	for i, w := range g2.(*graph.Path).NodeW {
-		if w != want[i] {
-			t.Fatalf("pooled decode corrupted NodeW[%d]: %v != %v", i, w, want[i])
-		}
-	}
-	pool.Release(g2)
-	// A nil pool is the no-op pool.
-	var nilPool *Pool
-	g3, _, _, err := Decode(enc, Options{Pool: nilPool})
-	if err != nil {
-		t.Fatal(err)
-	}
-	nilPool.Release(g3)
-}
-
-// TestBinaryDecodeAllocBudget pins the allocation budget of the pooled
-// binary decode path: after warm-up, decoding a 4096-node path must stay
-// within a handful of allocations total — the "near-zero per-element
-// allocation" claim, enforced. CI runs this as the wire-format smoke.
+// TestBinaryDecodeAllocBudget pins the allocation budget of the binary
+// decode path: decoding a 4096-node path must stay within a handful of
+// allocations total — the graph header and its arrays, none per element.
+// CI runs this as the wire-format smoke.
 func TestBinaryDecodeAllocBudget(t *testing.T) {
-	pool := &Pool{}
 	enc, err := Append(nil, mustPath(t, 4096))
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Warm the pool's size classes.
-	g, _, _, err := Decode(enc, Options{Pool: pool})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pool.Release(g)
 	const budget = 8
 	avg := testing.AllocsPerRun(100, func() {
-		g, _, _, err := Decode(enc, Options{Pool: pool})
-		if err != nil {
+		if _, _, _, err := Decode(enc, Options{}); err != nil {
 			t.Fatal(err)
 		}
-		pool.Release(g)
 	})
 	if avg > budget {
-		t.Fatalf("pooled binary decode of a 4096-node path allocates %.1f/op, budget %d", avg, budget)
+		t.Fatalf("binary decode of a 4096-node path allocates %.1f/op, budget %d", avg, budget)
 	}
 }
 

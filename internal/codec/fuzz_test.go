@@ -30,9 +30,8 @@ func FuzzCodec(f *testing.F) {
 	f.Add([]byte("PGB1\x01\x02\xff\xff\xff\xff\x0f\x00"))
 	f.Add([]byte("not the format at all"))
 
-	pool := &Pool{}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		g, fp, rest, err := Decode(data, Options{MaxNodes: 1 << 16, Pool: pool})
+		g, fp, rest, err := Decode(data, Options{MaxNodes: 1 << 16})
 		if err != nil {
 			return
 		}
@@ -72,6 +71,5 @@ func FuzzCodec(f *testing.F) {
 			// Canonical input: fine, common case.
 			_ = consumed
 		}
-		pool.Release(g)
 	})
 }

@@ -239,3 +239,36 @@ func BenchmarkBatch(b *testing.B) {
 		})
 	}
 }
+
+var panicSolverOnce sync.Once
+
+// TestBatchSolverPanic: a solver panic fails its own batch item with a
+// *PanicError carrying the stack, and leaves the other items solved.
+func TestBatchSolverPanic(t *testing.T) {
+	panicSolverOnce.Do(func() {
+		Register(&funcSolver{name: "test-panic", kind: KindPath, fn: func(context.Context, Request) (Result, error) {
+			panic("boom")
+		}})
+	})
+	p := testPath(t, 200)
+	k := 4 * p.MaxNodeWeight()
+	b := &Batch{Workers: 2}
+	got, err := b.Run(context.Background(), []Request{
+		{Solver: "bandwidth", Path: p, K: k},
+		{Solver: "test-panic", Path: p, K: k},
+		{Solver: "bandwidth-deque", Path: p, K: k},
+	})
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if got.Stats.Solved != 2 || got.Stats.Failed != 1 {
+		t.Errorf("stats = %+v, want 2 solved / 1 failed", got.Stats)
+	}
+	var pe *PanicError
+	if err := got.Items[1].Err; !errors.Is(err, ErrSolverPanic) || !errors.As(err, &pe) {
+		t.Fatalf("item 1 err = %v, want a *PanicError wrapping ErrSolverPanic", err)
+	}
+	if pe.Solver != "test-panic" || pe.Value != "boom" || len(pe.Stack) == 0 {
+		t.Errorf("panic error = {%q %v %d-byte stack}, want test-panic, boom and a stack", pe.Solver, pe.Value, len(pe.Stack))
+	}
+}

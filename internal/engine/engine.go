@@ -24,6 +24,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"runtime/debug"
 	"time"
 
 	"repro/internal/core"
@@ -39,7 +40,24 @@ var (
 	// ErrBadRequest is returned when a request is structurally invalid for
 	// its solver (missing graph, wrong graph kind).
 	ErrBadRequest = errors.New("engine: bad request")
+	// ErrSolverPanic is wrapped by the *PanicError Solve returns when a
+	// solver panics.
+	ErrSolverPanic = errors.New("engine: solver panicked")
 )
+
+// PanicError is a solver panic recovered by Solve: the panic value and the
+// stack of the goroutine that panicked. It wraps ErrSolverPanic.
+type PanicError struct {
+	Solver string
+	Value  any
+	Stack  []byte
+}
+
+func (e *PanicError) Error() string {
+	return fmt.Sprintf("engine: solver %q panicked: %v", e.Solver, e.Value)
+}
+
+func (e *PanicError) Unwrap() error { return ErrSolverPanic }
 
 // Kind says which task-graph shape a solver consumes.
 type Kind int
@@ -146,12 +164,18 @@ type Solver interface {
 }
 
 // Solve looks up req.Solver in the registry and runs it. It is the
-// single entry point the facade, the tools and Batch all share.
-func Solve(ctx context.Context, req Request) (Result, error) {
+// single entry point the facade, the tools and Batch all share. A solver
+// panic does not escape: Solve returns it as a *PanicError.
+func Solve(ctx context.Context, req Request) (res Result, err error) {
 	s, err := Get(req.Solver)
 	if err != nil {
 		return Result{}, err
 	}
+	defer func() {
+		if v := recover(); v != nil {
+			res, err = Result{Solver: req.Solver}, &PanicError{Solver: req.Solver, Value: v, Stack: debug.Stack()}
+		}
+	}()
 	return s.Solve(ctx, req)
 }
 

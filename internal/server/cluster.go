@@ -43,10 +43,11 @@ func (m *clusterMetrics) observeLookup(internal, hit bool) {
 
 // forwardSolve encodes the parsed request as a PSV1 frame and asks the
 // owning peer to solve it within timeoutMs, returning the owner's PRS1
-// frame. The hop runs under a cluster-forward span whose identity travels
-// in the trace header; when the owner answers with its span tree in the
-// response trailer, that tree is grafted under the span — one request, one
-// tree, cluster-wide.
+// frame. The hop ends with ctx: the synchronous budget resolve set, or the
+// job's own deadline. It runs under a cluster-forward span whose identity
+// travels in the trace header; when the owner answers with its span tree in
+// the response trailer, that tree is grafted under the span — one request,
+// one tree, cluster-wide.
 // Reports ok=false on any failure, leaving the caller to solve locally; the
 // cluster transport has already recorded the outcome and marked the peer
 // dead when the failure was transport-level.
@@ -63,14 +64,10 @@ func (s *Server) forwardSolve(ctx context.Context, tr *obs.Trace, p *parsedSolve
 	if err != nil {
 		return resolved{}, false
 	}
-	// The forward deadline covers the owner's worst case: its admission
-	// queue wait plus the solve deadline we asked for, with margin.
-	fwdCtx, cancel := context.WithTimeout(ctx, s.syncBudget(timeoutMs))
-	defer cancel()
 	sp := obs.Phase(ctx, "cluster-forward")
 	sp.SetAttr("peer", peer)
 	hdr := obs.FormatTraceHeader(obs.Remote{Trace: tr.ID, Span: sp.ID, Flags: obs.FlagSampled})
-	body, _, spans, err := s.cluster.ForwardSolve(fwdCtx, peer, frame, obs.RequestIDFrom(ctx), hdr)
+	body, spans, err := s.cluster.ForwardSolve(ctx, peer, frame, obs.RequestIDFrom(ctx), hdr)
 	defer sp.End()
 	if err != nil {
 		s.cfg.Logger.Warn("cluster forward failed, solving locally",

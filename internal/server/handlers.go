@@ -126,13 +126,10 @@ type batchResponse struct {
 }
 
 // parsedSolve is a decoded, validated solve item ready for the engine.
-// pooled marks a graph decoded into the server's codec pool, to be returned
-// via releaseParsed after the response is built.
 type parsedSolve struct {
-	req    solveRequest
-	g      any    // *graph.Path or *graph.Tree
-	fp     uint64 // graph fingerprint
-	pooled bool
+	req solveRequest
+	g   any    // *graph.Path or *graph.Tree
+	fp  uint64 // graph fingerprint
 }
 
 // errNodeLimit marks a graph whose node count exceeds Config.MaxNodes; it
@@ -258,12 +255,11 @@ func solveStatus(err error) int {
 }
 
 // decodeSolve decodes the body of /v1/solve and /v1/jobs: a PSV1 frame when
-// the Content-Type names the binary type, JSON otherwise. Binary graphs
-// decode into pool (nil = plain arrays, for jobs that outlive the request).
-// A JSON body may also carry a job priority, returned alongside; binary
-// bodies carry none. Bytes after the request, bar whitespace after JSON,
-// are a client error. Errors map to a status via requestErrStatus.
-func (s *Server) decodeSolve(r *http.Request, pool *codec.Pool) (p parsedSolve, priority int, err error) {
+// the Content-Type names the binary type, JSON otherwise. A JSON body may
+// also carry a job priority, returned alongside; binary bodies carry none.
+// Bytes after the request, bar whitespace after JSON, are a client error.
+// Errors map to a status via requestErrStatus.
+func (s *Server) decodeSolve(r *http.Request) (p parsedSolve, priority int, err error) {
 	buf, err := s.readBody(r)
 	if err != nil {
 		return p, 0, fmt.Errorf("bad request body: %w", err)
@@ -272,9 +268,8 @@ func (s *Server) decodeSolve(r *http.Request, pool *codec.Pool) (p parsedSolve, 
 	if !isBinaryMedia(r.Header.Get("Content-Type")) {
 		return s.parseSolveJSON(buf.Bytes())
 	}
-	p, rest, err := s.parseBinarySolveInto(buf.Bytes(), pool)
+	p, rest, err := s.parseBinarySolve(buf.Bytes())
 	if err == nil && len(rest) != 0 {
-		s.releaseParsed(&p)
 		err = fmt.Errorf("%d trailing bytes after the solve frame", len(rest))
 	}
 	return p, 0, err
@@ -289,12 +284,11 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusServiceUnavailable, "server is draining")
 		return
 	}
-	p, _, err := s.decodeSolve(r, s.graphPool)
+	p, _, err := s.decodeSolve(r)
 	if err != nil {
 		s.writeError(w, requestErrStatus(err), err.Error())
 		return
 	}
-	defer s.releaseParsed(&p)
 	internal := r.Header.Get(cluster.InternalHeader) != ""
 	ctx := r.Context()
 	var hasRemote bool
@@ -416,11 +410,6 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, requestErrStatus(err), err.Error())
 		return
 	}
-	defer func() {
-		for i := range parsed {
-			s.releaseParsed(&parsed[i])
-		}
-	}()
 
 	n := len(parsed)
 	outcomes := make([]batchOutcome, n)

@@ -90,9 +90,7 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusServiceUnavailable, "server is draining")
 		return
 	}
-	// Jobs outlive the request, so a binary graph decodes into plain arrays:
-	// the codec pool's recycling discipline is tied to request lifetime.
-	p, priority, err := s.decodeSolve(r, nil)
+	p, priority, err := s.decodeSolve(r)
 	if err != nil {
 		s.writeError(w, requestErrStatus(err), err.Error())
 		return

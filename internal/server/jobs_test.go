@@ -529,7 +529,7 @@ func TestJobJoinerReleasesSlot(t *testing.T) {
 	defer release()
 	sreq := solveRequest{Solver: "test-gate", K: 42, Graph: pathGraphJSON(t, 16, 33)}
 	body, _ := json.Marshal(sreq)
-	p, _, err := s.decodeSolve(httptest.NewRequest("POST", "/v1/jobs", bytes.NewReader(body)), nil)
+	p, _, err := s.decodeSolve(httptest.NewRequest("POST", "/v1/jobs", bytes.NewReader(body)))
 	if err != nil {
 		t.Fatal(err)
 	}

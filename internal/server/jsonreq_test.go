@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/codec"
 	"repro/internal/graph"
 	"repro/internal/workload"
 )
@@ -55,18 +56,20 @@ func decodeBench5k(tb testing.TB) (path, tree []byte) {
 }
 
 // decodeLoop returns a function that decodes body through decodeSolve, as
-// /v1/solve does, reusing one request.
+// /v1/solve does, reusing one request. A PSV1 body is posted under the
+// binary media type.
 func decodeLoop(tb testing.TB, s *Server, body []byte) func() {
 	rb := &rewindBody{}
 	req := httptest.NewRequest("POST", "/v1/solve", nil)
 	req.Body = rb
+	if bytes.HasPrefix(body, solveReqMagic) {
+		req.Header.Set("Content-Type", codec.ContentType)
+	}
 	return func() {
 		rb.Reset(body)
-		p, _, err := s.decodeSolve(req, s.graphPool)
-		if err != nil {
+		if _, _, err := s.decodeSolve(req); err != nil {
 			tb.Fatal(err)
 		}
-		s.releaseParsed(&p)
 	}
 }
 

@@ -218,9 +218,6 @@ func (s *Server) writeObsMetrics(w io.Writer) {
 	})
 
 	series("partitiond_pool_requests_total", "counter", "Object-pool checkouts by pool and result (hit = recycled, new = allocated).", func() {
-		ps := s.graphPool.Stats()
-		fmt.Fprintf(w, "partitiond_pool_requests_total{pool=\"codec-graph\",result=\"hit\"} %d\n", ps.Hits)
-		fmt.Fprintf(w, "partitiond_pool_requests_total{pool=\"codec-graph\",result=\"new\"} %d\n", ps.News)
 		gets, news := core.ScratchPoolStats()
 		fmt.Fprintf(w, "partitiond_pool_requests_total{pool=\"solver-scratch\",result=\"hit\"} %d\n", gets-news)
 		fmt.Fprintf(w, "partitiond_pool_requests_total{pool=\"solver-scratch\",result=\"new\"} %d\n", news)

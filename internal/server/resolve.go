@@ -225,6 +225,10 @@ func (s *Server) solveLocal(ctx context.Context, p *parsedSolve, c caller) (reso
 	}
 	res, err := engine.Solve(ctx, req)
 	if err != nil {
+		var pe *engine.PanicError
+		if errors.As(err, &pe) {
+			s.cfg.Logger.Error("solver panicked", "solver", pe.Solver, "panic", fmt.Sprint(pe.Value), "stack", string(pe.Stack))
+		}
 		return resolved{}, err
 	}
 	var cert *verifyInfo

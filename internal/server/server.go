@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/codec"
 	"repro/internal/engine"
 	"repro/internal/jobs"
 	"repro/internal/obs"
@@ -178,11 +177,8 @@ type Server struct {
 	flight   cluster.Group[cacheKey, resolved]
 	clusterm clusterMetrics
 
-	// graphPool recycles the arrays binary-decoded graphs live in; bufPool
-	// recycles request-body read buffers. Both keep the binary fast path
-	// allocation-free per request at steady state.
-	graphPool *codec.Pool
-	bufPool   sync.Pool
+	// bufPool recycles request-body read buffers.
+	bufPool sync.Pool
 	// solverNames snapshots the registry at construction so binary request
 	// parsing can intern solver names without re-sorting the registry.
 	solverNames []string
@@ -201,7 +197,6 @@ func New(cfg Config) *Server {
 		solvem:      newSolveMetrics(),
 		httpm:       newHTTPMetrics(),
 		started:     time.Now(),
-		graphPool:   new(codec.Pool),
 		bufPool:     sync.Pool{New: func() any { return new(bytes.Buffer) }},
 		solverNames: engine.Names(),
 		cluster:     cfg.Cluster,

@@ -174,7 +174,6 @@ func TestObsMetricsFamilies(t *testing.T) {
 		"partitiond_go_goroutines ",
 		"partitiond_go_heap_alloc_bytes ",
 		"partitiond_go_gc_cycles_total ",
-		`partitiond_pool_requests_total{pool="codec-graph",result="hit"}`,
 		`partitiond_pool_requests_total{pool="solver-scratch",result="new"}`,
 		"partitiond_traces_offered_total 1",
 		`partitiond_traces_retained_total{reason="sampled"} 1`,

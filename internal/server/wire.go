@@ -248,23 +248,15 @@ func AppendBatchRequest(dst []byte, timeoutMs int64, items []SolveParams, graphs
 }
 
 // parseBinarySolve decodes one PSV1 frame from the front of b into a parsed
-// solve, returning the remaining bytes. The graph decodes into the server's
-// pooled arrays; the caller must release it via releaseParsed once the solve
-// is finished (the cache key is the caller's job — it depends on the
-// response format). Size-limit violations surface as codec.ErrTooLarge.
+// solve, returning the remaining bytes. The graph owns its arrays, so the
+// solve may outlive the request (a job, or a flight other callers joined).
+// Size-limit violations surface as codec.ErrTooLarge.
 //
 // On error, the returned rest distinguishes two cases: rest shorter than b
 // means the frame itself was structurally sound and decoding can continue at
 // the next frame (a per-item error in a batch); rest == b means the framing
 // is broken and the item boundary is lost.
 func (s *Server) parseBinarySolve(b []byte) (parsedSolve, []byte, error) {
-	return s.parseBinarySolveInto(b, s.graphPool)
-}
-
-// parseBinarySolveInto is parseBinarySolve with an explicit destination
-// pool. The jobs path passes nil: a job outlives its submitting request, so
-// its graph must live in plain arrays rather than the request-scoped pool.
-func (s *Server) parseBinarySolveInto(b []byte, pool *codec.Pool) (parsedSolve, []byte, error) {
 	rd := wireReader{b: b}
 	rd.magic(solveReqMagic)
 	flags := rd.u8()
@@ -278,7 +270,7 @@ func (s *Server) parseBinarySolveInto(b []byte, pool *codec.Pool) (parsedSolve, 
 	if maxComp > math.MaxInt32 || timeoutMs > math.MaxInt32 {
 		return parsedSolve{}, b, errBadFrame
 	}
-	g, fp, rest, err := codec.Decode(rd.b, codec.Options{MaxNodes: s.cfg.MaxNodes, Pool: pool})
+	g, fp, rest, err := codec.Decode(rd.b, codec.Options{MaxNodes: s.cfg.MaxNodes})
 	if err != nil {
 		return parsedSolve{}, b, fmt.Errorf("bad graph: %w", err)
 	}
@@ -292,23 +284,21 @@ func (s *Server) parseBinarySolveInto(b []byte, pool *codec.Pool) (parsedSolve, 
 		Trace:         flags&wireFlagTrace != 0,
 	}
 	if err := checkSolveParams(req); err != nil {
-		pool.Release(g)
 		return parsedSolve{}, rest, err
 	}
 	switch g.(type) {
 	case *graph.Path, *graph.Tree:
 	default:
-		pool.Release(g)
 		return parsedSolve{}, rest, fmt.Errorf(`graph kind %T is not solvable; send "path" or "tree"`, g)
 	}
-	return parsedSolve{req: req, g: g, fp: fp, pooled: pool != nil}, rest, nil
+	return parsedSolve{req: req, g: g, fp: fp}, rest, nil
 }
 
 // parseBinaryBatch decodes a PBT1 frame into per-item parsed solves. The
 // returned slices are parallel: errMsgs[i] non-empty means item i failed to
 // parse (and parsed[i] is zero). A framing-level failure — broken magic,
 // corrupt graph frame, trailing bytes — aborts the whole batch with an
-// error, releasing any graphs already decoded.
+// error.
 func (s *Server) parseBinaryBatch(b []byte) (parsed []parsedSolve, errMsgs []string, timeoutMs int64, err error) {
 	rd := wireReader{b: b}
 	rd.magic(batchReqMagic)
@@ -328,17 +318,11 @@ func (s *Server) parseBinaryBatch(b []byte) (parsed []parsedSolve, errMsgs []str
 	}
 	parsed = make([]parsedSolve, count)
 	errMsgs = make([]string, count)
-	release := func() {
-		for i := range parsed {
-			s.releaseParsed(&parsed[i])
-		}
-	}
 	rest := rd.b
 	for i := range parsed {
 		p, next, perr := s.parseBinarySolve(rest)
 		if perr != nil {
 			if len(next) == len(rest) {
-				release()
 				return nil, nil, 0, fmt.Errorf("request %d: %w", i, perr)
 			}
 			errMsgs[i] = perr.Error()
@@ -348,19 +332,9 @@ func (s *Server) parseBinaryBatch(b []byte) (parsed []parsedSolve, errMsgs []str
 		rest = next
 	}
 	if len(rest) != 0 {
-		release()
 		return nil, nil, 0, fmt.Errorf("%d trailing bytes after %d request frames", len(rest), count)
 	}
 	return parsed, errMsgs, int64(tms), nil
-}
-
-// releaseParsed returns a pooled graph's arrays to the server's codec pool.
-// Safe to call on zero-value or JSON-decoded items (no-op).
-func (s *Server) releaseParsed(p *parsedSolve) {
-	if p.pooled {
-		s.graphPool.Release(p.g)
-		p.g, p.pooled = nil, false
-	}
 }
 
 // appendSolveResult renders the canonical PRS1 frame for one solve result —

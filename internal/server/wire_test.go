@@ -370,3 +370,82 @@ func TestWireReaderOverflowGuards(t *testing.T) {
 		t.Fatalf("overflowing maxComponents = %d, want 400 (%s)", rec.Code, rec.Body)
 	}
 }
+
+// raceEnabled is set by race_test.go in builds with the race detector.
+var raceEnabled bool
+
+// TestBinarySolveDecodeAllocBudget gates the allocations of decoding the
+// 5k-node path of the JSON decode gate as a PSV1 body: the path header and
+// its two arrays, none per element.
+func TestBinarySolveDecodeAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector defeats the pooled body buffer")
+	}
+	path, _ := decodeBench5k(t)
+	s := newTestServer(t, Config{})
+	p, _, err := s.parseSolveJSON(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	decode := decodeLoop(t, s, mustSolveFrame(t, SolveParams{Solver: p.req.Solver, K: p.req.K}, p.g))
+	decode() // warm the body buffer
+	const budget = 4
+	if avg := testing.AllocsPerRun(50, decode); avg > budget {
+		t.Fatalf("binary decode of a 5k-node path allocates %.1f/op, budget %d", avg, budget)
+	}
+}
+
+// FuzzDecodeSolveBinary drives the binary request decoders with arbitrary
+// bytes: a PSV1 body through decodeSolve, and the same bytes as the single
+// item of a PBT1 batch frame through parseBinaryBatch. Nothing may panic,
+// both must accept the same frames with bit-identical values, and an
+// accepted frame must re-encode with AppendSolveRequest into a frame that
+// decodes to the same request and fingerprint.
+func FuzzDecodeSolveBinary(f *testing.F) {
+	p, tr := goldenGraphs(f)
+	for _, c := range goldenCases(p, tr) {
+		body, err := AppendSolveRequest(nil, c.params(), c.graph(p, tr))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(body)
+	}
+	f.Add([]byte("PSV1"))
+	f.Add([]byte("PGB1\x01\x01\x01\x00"))
+	s := newTestServer(f, Config{})
+	f.Fuzz(func(t *testing.T, body []byte) {
+		req := httptest.NewRequest("POST", "/v1/solve", bytes.NewReader(body))
+		req.Header.Set("Content-Type", codec.ContentType)
+		got, _, err := s.decodeSolve(req)
+
+		frame := binary.AppendUvarint(append([]byte{}, batchReqMagic...), 7)
+		frame = append(binary.AppendUvarint(frame, 1), body...)
+		items, errMsgs, tms, berr := s.parseBinaryBatch(frame)
+		batchOK := berr == nil && errMsgs[0] == ""
+		if (err == nil) != batchOK {
+			t.Fatalf("decodeSolve error %v, batch error %v / item error %q", err, berr, errMsgs)
+		}
+		if err != nil {
+			return
+		}
+		if tms != 7 {
+			t.Fatalf("batch timeoutMs = %d, want 7", tms)
+		}
+		if d := sameParsed(got, items[0]); d != "" {
+			t.Fatalf("decodeSolve and batch item differ: %s", d)
+		}
+		r := got.req
+		again, err := AppendSolveRequest(nil, SolveParams{Solver: r.Solver, K: r.K, MaxComponents: r.MaxComponents,
+			TimeoutMs: r.TimeoutMs, NoCache: r.NoCache, Verify: r.Verify, Trace: r.Trace}, got.g)
+		if err != nil {
+			t.Fatalf("re-encode: %v", err)
+		}
+		back, rest, err := s.parseBinarySolve(again)
+		if err != nil || len(rest) != 0 {
+			t.Fatalf("re-encoded frame: error %v, %d trailing bytes", err, len(rest))
+		}
+		if d := sameParsed(got, back); d != "" {
+			t.Fatalf("round trip changed the request: %s", d)
+		}
+	})
+}
