@@ -32,8 +32,7 @@ type ring struct {
 	points []ringPoint
 }
 
-// fnv64 is FNV-1a over s — the same family the graph fingerprints use, kept
-// dependency-free.
+// fnv64 is FNV-1a over s, kept dependency-free.
 func fnv64(s string) uint64 {
 	h := uint64(14695981039346656037)
 	for i := 0; i < len(s); i++ {
@@ -45,8 +44,7 @@ func fnv64(s string) uint64 {
 
 // mix64 is the splitmix64 finalizer: a cheap bijective scrambler. Keys pass
 // through it so ring placement is independent of any structure in the
-// fingerprint (which is itself an FNV hash, a family with weak low bits),
-// and vnode indices pass through it so one peer's points spread uniformly.
+// fingerprint, and vnode indices pass through it so one peer's points spread uniformly.
 func mix64(x uint64) uint64 {
 	x ^= x >> 30
 	x *= 0xbf58476d1ce4e5b9

@@ -3,7 +3,7 @@
 // via Content-Type (see internal/server). The JSON decode of a large path
 // dominates the whole uncached solve; this format decodes with a handful of
 // allocations (zero per element) and computes the graph's stable fingerprint
-// in the same pass over the wire bytes.
+// as it goes, hashing each array right after filling it.
 //
 // Layout (all integers little-endian):
 //
@@ -175,7 +175,7 @@ type Options struct {
 
 // Decode decodes one graph from the front of data, returning the graph, its
 // stable fingerprint (identical to graph.Fingerprint, computed during the
-// same pass), and the bytes remaining after the graph. The returned graph is
+// decode), and the bytes remaining after the graph. The returned graph is
 // validated and owns its arrays: it never aliases data.
 func Decode(data []byte, opt Options) (g any, fp uint64, rest []byte, err error) {
 	if len(data) < headerLen {
@@ -265,29 +265,27 @@ func Decode(data []byte, opt Options) (g any, fp uint64, rest []byte, err error)
 	}
 }
 
-// decodeFloats fills out (len already set) from the front of b, folding the
-// preceding count and each weight into the hasher.
+// decodeFloats fills out (len already set) from the front of b, then folds
+// the preceding count and the weights into the hasher.
 func decodeFloats(out []float64, b []byte, h *graph.Hasher) []float64 {
-	h.Word(uint64(len(out)))
 	for i := range out {
 		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
-		h.Weight(out[i])
 	}
+	h.Word(uint64(len(out)))
+	h.Weights(out)
 	return out
 }
 
-// decodeEdges fills out from the front of b, folding the count and each
-// (u, v, w) triple into the hasher.
+// decodeEdges fills out from the front of b, then folds the count and the
+// (u, v, w) triples into the hasher.
 func decodeEdges(out []graph.Edge, b []byte, h *graph.Hasher) []graph.Edge {
-	h.Word(uint64(len(out)))
 	for i := range out {
 		u := binary.LittleEndian.Uint32(b[16*i:])
 		v := binary.LittleEndian.Uint32(b[16*i+4:])
 		w := math.Float64frombits(binary.LittleEndian.Uint64(b[16*i+8:]))
 		out[i] = graph.Edge{U: int(u), V: int(v), W: w}
-		h.Word(uint64(u))
-		h.Word(uint64(v))
-		h.Weight(w)
 	}
+	h.Word(uint64(len(out)))
+	h.Edges(out)
 	return out
 }

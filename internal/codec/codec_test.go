@@ -326,3 +326,19 @@ func TestEncodeRejectsOverflowingEndpoints(t *testing.T) {
 		t.Fatal("Append accepted an unsupported type")
 	}
 }
+
+// BenchmarkDecodePath20k decodes and fingerprints a 20k-node PGB1 path.
+func BenchmarkDecodePath20k(b *testing.B) {
+	enc, err := Append(nil, mustPath(b, 20000))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(len(enc)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, _, err := Decode(enc, Options{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

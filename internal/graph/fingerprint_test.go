@@ -1,7 +1,9 @@
 package graph
 
 import (
+	"encoding/binary"
 	"math"
+	"math/bits"
 	"testing"
 )
 
@@ -229,5 +231,274 @@ func TestFingerprintRepresentationSensitivity(t *testing.T) {
 	}
 	if FingerprintTree(tr) == FingerprintTree(swapped) {
 		t.Error("endpoint-swapped edge hashes equal; declaration order is part of the key")
+	}
+}
+
+// fpTestPath is an n-node path with distinct, nonzero, non-round weights
+// (deterministic; no zero, so no sign flip can land on the -0.0 rule).
+func fpTestPath(n int) *Path {
+	p := &Path{NodeW: make([]float64, n), EdgeW: make([]float64, n-1)}
+	x := uint64(0x2545F4914F6CDD1D)
+	next := func() float64 {
+		x ^= x << 13
+		x ^= x >> 7
+		x ^= x << 17
+		return 1 + float64(x>>11)/(1<<53)*99
+	}
+	for i := range p.NodeW {
+		p.NodeW[i] = next()
+	}
+	for i := range p.EdgeW {
+		p.EdgeW[i] = next()
+	}
+	return p
+}
+
+// fpTestTree is an n-node caterpillar over fpTestPath's weights.
+func fpTestTree(n int) *Tree {
+	p := fpTestPath(n)
+	t := &Tree{NodeW: p.NodeW, Edges: make([]Edge, n-1)}
+	for i := range t.Edges {
+		t.Edges[i] = Edge{U: i / 2, V: i + 1, W: p.EdgeW[i]}
+	}
+	return t
+}
+
+// TestFingerprintBitFlips flips every bit of every weight of a 12-node path
+// — a 26-word stream whose weights fill all four lanes, through the
+// single-word and the whole-stripe paths, and a 2-word tail — and every
+// bit of every edge weight and the low endpoint bits of a tree. Each flip
+// must change the fingerprint.
+func TestFingerprintBitFlips(t *testing.T) {
+	p := fpTestPath(12)
+	base := FingerprintPath(p)
+	for _, ws := range [][]float64{p.NodeW, p.EdgeW} {
+		for i := range ws {
+			orig := ws[i]
+			for bit := 0; bit < 64; bit++ {
+				ws[i] = math.Float64frombits(math.Float64bits(orig) ^ 1<<bit)
+				if FingerprintPath(p) == base {
+					t.Errorf("path: flipping bit %d of weight %d (len %d) left the fingerprint unchanged", bit, i, len(ws))
+				}
+			}
+			ws[i] = orig
+		}
+	}
+	if FingerprintPath(p) != base {
+		t.Fatal("restoring every weight did not restore the fingerprint")
+	}
+
+	tr := fpTestTree(11) // 2 + 11 + 1 + 3·10 = 44 words: stripes plus a misaligned edge start
+	tbase := FingerprintTree(tr)
+	for i := range tr.Edges {
+		e := &tr.Edges[i]
+		orig := *e
+		for bit := 0; bit < 64; bit++ {
+			e.W = math.Float64frombits(math.Float64bits(orig.W) ^ 1<<bit)
+			if FingerprintTree(tr) == tbase {
+				t.Errorf("tree: flipping bit %d of edge %d's weight left the fingerprint unchanged", bit, i)
+			}
+		}
+		e.W = orig.W
+		for bit := 0; bit < 4; bit++ {
+			e.U, e.V = orig.U^1<<bit, orig.V
+			if FingerprintTree(tr) == tbase {
+				t.Errorf("tree: flipping bit %d of edge %d's U left the fingerprint unchanged", bit, i)
+			}
+			e.U, e.V = orig.U, orig.V^1<<bit
+			if FingerprintTree(tr) == tbase {
+				t.Errorf("tree: flipping bit %d of edge %d's V left the fingerprint unchanged", bit, i)
+			}
+		}
+		*e = orig
+	}
+}
+
+// TestFingerprintSwaps: exchanging two weights changes the fingerprint,
+// whether the two sit in different lanes or, four words apart, in the same
+// lane.
+func TestFingerprintSwaps(t *testing.T) {
+	p := fpTestPath(12)
+	base := FingerprintPath(p)
+	// Node weight i is stream word i+2, in lane (i+2) mod 4.
+	for _, c := range []struct {
+		name string
+		i, j int
+	}{{"different lanes", 2, 3}, {"different lanes, far apart", 1, 10}, {"same lane", 2, 6}, {"same lane, two stripes apart", 3, 11}} {
+		p.NodeW[c.i], p.NodeW[c.j] = p.NodeW[c.j], p.NodeW[c.i]
+		if FingerprintPath(p) == base {
+			t.Errorf("%s: swapping node weights %d and %d left the fingerprint unchanged", c.name, c.i, c.j)
+		}
+		p.NodeW[c.i], p.NodeW[c.j] = p.NodeW[c.j], p.NodeW[c.i]
+	}
+}
+
+// TestHasherSplitsMatchBatch feeds a Hasher the canonical stream split at
+// every offset 0–7, mixing Word, Weight, Weights and Edges calls: every
+// split must equal the batch fingerprint.
+func TestHasherSplitsMatchBatch(t *testing.T) {
+	p := fpTestPath(23)
+	tr := fpTestTree(23)
+	g := &Graph{NodeW: tr.NodeW, Edges: tr.Edges}
+	for off := 0; off <= 7; off++ {
+		h := NewPathHasher()
+		h.Word(uint64(len(p.NodeW)))
+		h.Weights(p.NodeW[:off])
+		h.Weight(p.NodeW[off])
+		h.Weights(p.NodeW[off+1:])
+		h.Word(uint64(len(p.EdgeW)))
+		for lo := 0; lo < len(p.EdgeW); lo += off + 1 {
+			h.Weights(p.EdgeW[lo:min(lo+off+1, len(p.EdgeW))])
+		}
+		if got, want := h.Sum(), FingerprintPath(p); got != want {
+			t.Errorf("path split at %d: hasher %016x != FingerprintPath %016x", off, got, want)
+		}
+
+		for _, c := range []struct {
+			name  string
+			h     Hasher
+			nodeW []float64
+			edges []Edge
+			want  uint64
+		}{
+			{"tree", NewTreeHasher(), tr.NodeW, tr.Edges, FingerprintTree(tr)},
+			{"graph", NewGraphHasher(), g.NodeW, g.Edges, FingerprintGraph(g)},
+		} {
+			h := c.h
+			h.Word(uint64(len(c.nodeW)))
+			for _, w := range c.nodeW[:off] {
+				h.Weight(w)
+			}
+			h.Weights(c.nodeW[off:])
+			h.Word(uint64(len(c.edges)))
+			h.Edges(c.edges[:off])
+			e := c.edges[off]
+			h.Word(uint64(e.U))
+			h.Word(uint64(e.V))
+			h.Weight(e.W)
+			h.Edges(c.edges[off+1:])
+			if got := h.Sum(); got != c.want {
+				t.Errorf("%s split at %d: hasher %016x != batch %016x", c.name, off, got, c.want)
+			}
+		}
+	}
+}
+
+// xxh64Reference is XXH64 with seed 0 written from the specification over
+// a byte slice whose length is a multiple of 8: the yardstick the streaming
+// Hasher is checked against.
+func xxh64Reference(b []byte) uint64 {
+	p1, p2 := xxPrime1, xxPrime2
+	total := uint64(len(b))
+	h := xxPrime5
+	if len(b) >= 32 {
+		v := [4]uint64{p1 + p2, p2, 0, -p1}
+		for ; len(b) >= 32; b = b[32:] {
+			for i := range v {
+				v[i] = xxRound(v[i], binary.LittleEndian.Uint64(b[8*i:]))
+			}
+		}
+		h = bits.RotateLeft64(v[0], 1) + bits.RotateLeft64(v[1], 7) +
+			bits.RotateLeft64(v[2], 12) + bits.RotateLeft64(v[3], 18)
+		for _, lane := range v {
+			h = (h^xxRound(0, lane))*xxPrime1 + xxPrime4
+		}
+	}
+	h += total
+	for ; len(b) >= 8; b = b[8:] {
+		h ^= xxRound(0, binary.LittleEndian.Uint64(b))
+		h = bits.RotateLeft64(h, 27)*xxPrime1 + xxPrime4
+	}
+	h ^= h >> 33
+	h *= xxPrime2
+	h ^= h >> 29
+	h *= xxPrime3
+	h ^= h >> 32
+	return h
+}
+
+// TestFingerprintIsXXH64: the empty stream hashes to XXH64's published
+// empty-input value, and every path length 1–40 equals the reference
+// implementation over the little-endian bytes of the canonical stream.
+func TestFingerprintIsXXH64(t *testing.T) {
+	empty := Hasher{v: xxSeed0}
+	if got := empty.Sum(); got != 0xef46db3751d8e999 {
+		t.Fatalf("empty stream = %016x, want XXH64(\"\") = ef46db3751d8e999", got)
+	}
+	if xxh64Reference(nil) != 0xef46db3751d8e999 {
+		t.Fatal("reference disagrees with XXH64 on the empty input")
+	}
+	for n := 1; n <= 40; n++ {
+		p := fpTestPath(n)
+		var b []byte
+		for _, w := range []uint64{fpTagPath, uint64(n)} {
+			b = binary.LittleEndian.AppendUint64(b, w)
+		}
+		for _, w := range p.NodeW {
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(w))
+		}
+		b = binary.LittleEndian.AppendUint64(b, uint64(n-1))
+		for _, w := range p.EdgeW {
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(w))
+		}
+		if got, want := FingerprintPath(p), xxh64Reference(b); got != want {
+			t.Errorf("%d-node path: fingerprint %016x, reference XXH64 %016x", n, got, want)
+		}
+	}
+}
+
+// TestFingerprintPinned pins the values of one small path, tree and graph,
+// so an accidental change of the hash or the canonical stream fails here
+// and not only in the server goldens. Changing these values changes every
+// cache key and cluster owner.
+func TestFingerprintPinned(t *testing.T) {
+	p := &Path{NodeW: []float64{1, 2.5, 3, 4, 0.125}, EdgeW: []float64{10, 20, 30, 40}}
+	tr := &Tree{NodeW: []float64{5, 1, 1, 2}, Edges: []Edge{{U: 0, V: 1, W: 2}, {U: 0, V: 2, W: 3}, {U: 2, V: 3, W: 0.5}}}
+	g := &Graph{NodeW: []float64{1, 2, 3}, Edges: []Edge{{U: 0, V: 1, W: 4}, {U: 1, V: 2, W: 5}, {U: 2, V: 0, W: 6}}}
+	for _, c := range []struct {
+		name      string
+		got, want uint64
+	}{
+		{"path", FingerprintPath(p), 0x7ebd301306df87e7},
+		{"tree", FingerprintTree(tr), 0x3a5a86e9666e9438},
+		{"graph", FingerprintGraph(g), 0x5e455d46804e6f76},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s fingerprint = %016x, pinned %016x", c.name, c.got, c.want)
+		}
+	}
+}
+
+// TestFingerprintAllocs: fingerprinting allocates nothing.
+func TestFingerprintAllocs(t *testing.T) {
+	p, tr := fpTestPath(20000), fpTestTree(5000)
+	if avg := testing.AllocsPerRun(20, func() { FingerprintPath(p) }); avg != 0 {
+		t.Errorf("FingerprintPath allocates %.1f/op, want 0", avg)
+	}
+	if avg := testing.AllocsPerRun(20, func() { FingerprintTree(tr) }); avg != 0 {
+		t.Errorf("FingerprintTree allocates %.1f/op, want 0", avg)
+	}
+}
+
+// fpSink keeps the benchmarked fingerprints live.
+var fpSink uint64
+
+func BenchmarkFingerprintPath20k(b *testing.B) {
+	p := fpTestPath(20000)
+	b.SetBytes(8 * int64(len(p.NodeW)+len(p.EdgeW)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		fpSink = FingerprintPath(p)
+	}
+}
+
+func BenchmarkFingerprintTree5k(b *testing.B) {
+	tr := fpTestTree(5000)
+	b.SetBytes(8*int64(len(tr.NodeW)) + 24*int64(len(tr.Edges)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		fpSink = FingerprintTree(tr)
 	}
 }

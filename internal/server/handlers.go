@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/base64"
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -459,13 +458,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 
 	if wantBin {
-		out := append([]byte(nil), batchRespMagic...)
-		out = binary.AppendUvarint(out, uint64(n))
-		out = binary.AppendUvarint(out, uint64(solved))
-		out = binary.AppendUvarint(out, uint64(failed))
-		out = binary.AppendUvarint(out, uint64(hits))
-		out = appendF64(out, wallMs)
-		out = binary.AppendUvarint(out, uint64(n))
+		out := appendBatchHeader(nil, n, solved, failed, hits, wallMs, n)
 		for i := range outcomes {
 			o := &outcomes[i]
 			tag := byte(wireItemResult)
@@ -476,9 +469,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			case o.cached:
 				tag = wireItemCached
 			}
-			out = append(out, tag)
-			out = binary.AppendUvarint(out, uint64(len(body)))
-			out = append(out, body...)
+			out = appendBatchItem(out, tag, body)
 		}
 		writeBody(w, http.StatusOK, out, true)
 		return

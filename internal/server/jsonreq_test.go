@@ -99,6 +99,9 @@ func BenchmarkDecodeSolveJSON(b *testing.B) {
 // TestJSONSolveDecodeAllocBudget gates the allocations of decoding the
 // 5k-node path body: the graph's arrays and headers, not one per number.
 func TestJSONSolveDecodeAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector defeats the pooled body buffer and decode scratch")
+	}
 	path, _ := decodeBench5k(t)
 	s := newTestServer(t, Config{})
 	decode := decodeLoop(t, s, path)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -88,5 +89,47 @@ func TestSolverPanicContained(t *testing.T) {
 
 	if code, raw := post("/v1/solve", solveRequest{Solver: "bandwidth", K: 500, Graph: pathGraphJSON(t, 50, 72)}); code != http.StatusOK {
 		t.Fatalf("solve after the panics = %d %s, want 200", code, raw)
+	}
+}
+
+// TestForwardedSolvePanicOnOwner: on a two-node cluster, a solve forwarded
+// to an owner whose solver panics gets the owner's 500, counts one forward
+// error, falls back to a local solve — which panics too, the solver being
+// the same — and answers 500 with a JSON error. Both nodes keep serving.
+func TestForwardedSolvePanicOnOwner(t *testing.T) {
+	panicSolverOnce.Do(func() { engine.Register(panicSolver{}) })
+	nodes := newTestCluster(t, 2)
+	g, _ := graphOwnedBy(t, nodes, 0)
+	forwarder := nodes[1]
+	errorsBefore := forwarder.clu.Status().Forwards.Errors
+
+	resp, body, err := postJSONSolve(forwarder.url, solveRequest{Solver: "test-panic", K: 500, Graph: graphJSONOf(t, g)}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var errBody errorResponse
+	if resp.StatusCode != http.StatusInternalServerError || json.Unmarshal(body, &errBody) != nil || !strings.Contains(errBody.Error, "panicked: boom") {
+		t.Fatalf("forwarded panicking solve = %d %s, want 500 with the panic in a JSON error", resp.StatusCode, body)
+	}
+	if got := resp.Header.Get("X-Cluster"); strings.HasPrefix(got, "forwarded") {
+		t.Errorf("X-Cluster = %q, want the local fallback", got)
+	}
+	st := forwarder.clu.Status()
+	if got := st.Forwards.Errors - errorsBefore; got != 1 {
+		t.Errorf("forward errors went up by %d, want 1", got)
+	}
+	if st.Alive != 2 {
+		t.Errorf("alive = %d after the owner's 500, want 2: a solver fault is not a dead peer", st.Alive)
+	}
+	if m := getText(t, forwarder.url+"/metrics"); !strings.Contains(m, fmt.Sprintf("partitiond_cluster_forwards_total{outcome=\"error\"} %d", errorsBefore+1)) {
+		t.Error("partitiond_cluster_forwards_total{outcome=\"error\"} did not go up by 1")
+	}
+
+	resp, body, err = postJSONSolve(forwarder.url, solveRequest{Solver: "bandwidth", K: 500, Graph: graphJSONOf(t, g)}, nil)
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("next solve = %v %s, want 200", err, body)
+	}
+	if got := resp.Header.Get("X-Cluster"); got != "forwarded "+nodes[0].url {
+		t.Errorf("next solve X-Cluster = %q, want forwarded to the owner", got)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"time"
 
@@ -87,12 +88,16 @@ func acceptsBinary(accept string) bool {
 	return strings.Contains(accept, codec.ContentType)
 }
 
-// wireReader is a bounds-checked cursor over a request frame. After any
-// failure err is set and every subsequent read returns zero values, so call
-// sites check err once at the end of a frame.
+// wireReader is a bounds-checked cursor over a frame. After any failure err
+// is set and every subsequent read returns zero values, so call sites check
+// err once at the end of a frame.
 type wireReader struct {
 	b   []byte
 	err error
+	// canonical rejects uvarints with redundant trailing zero groups, so
+	// that each value has one encoding. Response decoders set it: a frame
+	// they accept re-encodes to the same bytes.
+	canonical bool
 }
 
 func (r *wireReader) fail() {
@@ -127,7 +132,7 @@ func (r *wireReader) uvarint() uint64 {
 		return 0
 	}
 	v, n := binary.Uvarint(r.b)
-	if n <= 0 {
+	if n <= 0 || r.canonical && n > 1 && r.b[n-1] == 0 {
 		r.fail()
 		return 0
 	}
@@ -194,9 +199,11 @@ func appendF64(dst []byte, v float64) []byte {
 }
 
 // AppendSolveRequest encodes a PSV1 solve-request frame for the given
-// parameters and graph. Exported for clients (cmd/partition, benchmarks,
-// load generators); the server only decodes these.
+// parameters and graph, growing dst at most once. Exported for clients
+// (cmd/partition, benchmarks, load generators); the server encodes these
+// only to forward a solve to its owner.
 func AppendSolveRequest(dst []byte, req SolveParams, g any) ([]byte, error) {
+	dst = slices.Grow(dst, len(solveReqMagic)+1+8+3*binary.MaxVarintLen64+len(req.Solver)+codec.EncodedSize(g))
 	dst = append(dst, solveReqMagic...)
 	var flags byte
 	if req.NoCache {
@@ -341,47 +348,64 @@ func (s *Server) parseBinaryBatch(b []byte) (parsed []parsedSolve, errMsgs []str
 // the artifact the cache stores and every response format renders from.
 // cert is nil unless the request asked for verification.
 func appendSolveResult(dst []byte, fp uint64, res engine.Result, cert *verifyInfo) []byte {
+	return appendSolveFrame(dst, &SolveResult{
+		Solver:           res.Solver,
+		K:                res.K,
+		Fingerprint:      fp,
+		CutWeight:        res.CutWeight,
+		Bottleneck:       res.Bottleneck,
+		DurationMs:       float64(res.Stats.Duration) / float64(time.Millisecond),
+		Iterations:       res.Stats.Iterations,
+		Cut:              res.Cut,
+		ComponentWeights: res.ComponentWeights,
+		Verify:           cert,
+	})
+}
+
+// appendSolveFrame encodes r as a PRS1 frame; DecodeSolveResult is its
+// exact inverse.
+func appendSolveFrame(dst []byte, r *SolveResult) []byte {
 	if dst == nil {
 		// One allocation for the whole frame: fixed fields plus worst-case
 		// varints (10 bytes each) and the weight arrays.
-		est := len(solveRespMagic) + 1 + 10 + len(res.Solver) + 8*5 + 10*2 +
-			10*len(res.Cut) + 10 + 8*len(res.ComponentWeights)
-		if cert != nil {
-			est += 10 + len(cert.Criterion) + 1 + 16 + 10 + len(cert.Detail)
+		est := len(solveRespMagic) + 1 + 10 + len(r.Solver) + 8*5 + 10*2 +
+			10*len(r.Cut) + 10 + 8*len(r.ComponentWeights)
+		if r.Verify != nil {
+			est += 10 + len(r.Verify.Criterion) + 1 + 16 + 10 + len(r.Verify.Detail)
 		}
 		dst = make([]byte, 0, est)
 	}
 	dst = append(dst, solveRespMagic...)
 	var flags byte
-	if cert != nil {
+	if r.Verify != nil {
 		flags |= wireFlagHasVerify
 	}
 	dst = append(dst, flags)
-	dst = appendString(dst, res.Solver)
-	dst = appendF64(dst, res.K)
-	dst = binary.LittleEndian.AppendUint64(dst, fp)
-	dst = appendF64(dst, res.CutWeight)
-	dst = appendF64(dst, res.Bottleneck)
-	dst = appendF64(dst, float64(res.Stats.Duration)/float64(time.Millisecond))
-	dst = binary.AppendUvarint(dst, uint64(res.Stats.Iterations))
-	dst = binary.AppendUvarint(dst, uint64(len(res.Cut)))
-	for _, e := range res.Cut {
+	dst = appendString(dst, r.Solver)
+	dst = appendF64(dst, r.K)
+	dst = binary.LittleEndian.AppendUint64(dst, r.Fingerprint)
+	dst = appendF64(dst, r.CutWeight)
+	dst = appendF64(dst, r.Bottleneck)
+	dst = appendF64(dst, r.DurationMs)
+	dst = binary.AppendUvarint(dst, uint64(r.Iterations))
+	dst = binary.AppendUvarint(dst, uint64(len(r.Cut)))
+	for _, e := range r.Cut {
 		dst = binary.AppendUvarint(dst, uint64(e))
 	}
-	dst = binary.AppendUvarint(dst, uint64(len(res.ComponentWeights)))
-	for _, w := range res.ComponentWeights {
+	dst = binary.AppendUvarint(dst, uint64(len(r.ComponentWeights)))
+	for _, w := range r.ComponentWeights {
 		dst = appendF64(dst, w)
 	}
-	if cert != nil {
-		dst = appendString(dst, cert.Criterion)
+	if v := r.Verify; v != nil {
+		dst = appendString(dst, v.Criterion)
 		var ok byte
-		if cert.Certified {
+		if v.Certified {
 			ok = 1
 		}
 		dst = append(dst, ok)
-		dst = appendF64(dst, cert.Objective)
-		dst = appendF64(dst, cert.Bound)
-		dst = appendString(dst, cert.Detail)
+		dst = appendF64(dst, v.Objective)
+		dst = appendF64(dst, v.Bound)
+		dst = appendString(dst, v.Detail)
 	}
 	return dst
 }
@@ -402,11 +426,15 @@ type SolveResult struct {
 }
 
 // DecodeSolveResult decodes one PRS1 frame from the front of b, returning
-// the remaining bytes.
+// the remaining bytes. It accepts only the frame appendSolveFrame writes for
+// the result, so the accepted bytes are exactly the result's encoding.
 func DecodeSolveResult(b []byte) (*SolveResult, []byte, error) {
-	rd := wireReader{b: b}
+	rd := wireReader{b: b, canonical: true}
 	rd.magic(solveRespMagic)
 	flags := rd.u8()
+	if flags&^wireFlagHasVerify != 0 {
+		rd.fail()
+	}
 	out := &SolveResult{}
 	out.Solver = rd.str()
 	out.K = rd.f64()
@@ -441,7 +469,11 @@ func DecodeSolveResult(b []byte) (*SolveResult, []byte, error) {
 	if flags&wireFlagHasVerify != 0 {
 		v := &verifyInfo{}
 		v.Criterion = rd.str()
-		v.Certified = rd.u8() != 0
+		certified := rd.u8()
+		if certified > 1 {
+			rd.fail()
+		}
+		v.Certified = certified == 1
 		v.Objective = rd.f64()
 		v.Bound = rd.f64()
 		v.Detail = rd.str()
@@ -467,9 +499,10 @@ type BatchResultItem struct {
 	Cached bool
 }
 
-// DecodeBatchResult decodes a PBR1 frame.
+// DecodeBatchResult decodes a PBR1 frame that fills b. Like
+// DecodeSolveResult, it accepts only the canonical encoding.
 func DecodeBatchResult(b []byte) (*BatchResult, error) {
-	rd := wireReader{b: b}
+	rd := wireReader{b: b, canonical: true}
 	rd.magic(batchRespMagic)
 	out := &BatchResult{}
 	out.Requests = int(rd.uvarint())
@@ -496,14 +529,39 @@ func DecodeBatchResult(b []byte) (*BatchResult, error) {
 		case wireItemError:
 			out.Items = append(out.Items, BatchResultItem{Error: string(body)})
 		case wireItemResult, wireItemCached:
-			res, _, err := DecodeSolveResult(body)
+			res, rest, err := DecodeSolveResult(body)
 			if err != nil {
 				return nil, err
+			}
+			if len(rest) != 0 {
+				return nil, errBadFrame
 			}
 			out.Items = append(out.Items, BatchResultItem{Result: res, Cached: tag == wireItemCached})
 		default:
 			return nil, errBadFrame
 		}
 	}
+	if len(rd.b) != 0 {
+		return nil, errBadFrame
+	}
 	return out, nil
+}
+
+// appendBatchHeader starts a PBR1 frame; count items follow, each written
+// by appendBatchItem.
+func appendBatchHeader(dst []byte, requests, solved, failed, hits int, wallMs float64, count int) []byte {
+	dst = append(dst, batchRespMagic...)
+	for _, v := range []int{requests, solved, failed, hits} {
+		dst = binary.AppendUvarint(dst, uint64(v))
+	}
+	dst = appendF64(dst, wallMs)
+	return binary.AppendUvarint(dst, uint64(count))
+}
+
+// appendBatchItem appends one PBR1 item: its tag and its body (an error
+// message or a PRS1 frame).
+func appendBatchItem(dst []byte, tag byte, body []byte) []byte {
+	dst = append(dst, tag)
+	dst = binary.AppendUvarint(dst, uint64(len(body)))
+	return append(dst, body...)
 }

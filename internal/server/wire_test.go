@@ -395,6 +395,30 @@ func TestBinarySolveDecodeAllocBudget(t *testing.T) {
 	}
 }
 
+// TestSolveRequestFrameAllocBudget: encoding a forward's PSV1 frame for a
+// 20k-node path from nil allocates the frame once, and a 5k-node tree's
+// frame does the same.
+func TestSolveRequestFrameAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector adds allocations to the tree encode")
+	}
+	r := workload.NewRNG(3)
+	tr := workload.RandomTree(r, 5000, workload.UniformWeights(1, 100), workload.UniformWeights(1, 100))
+	params := SolveParams{Solver: "bandwidth", K: 500, MaxComponents: 7, TimeoutMs: 250, Verify: true}
+	for _, g := range []any{testPath(t, 20000, 9), tr} {
+		var frame []byte
+		avg := testing.AllocsPerRun(20, func() {
+			var err error
+			if frame, err = AppendSolveRequest(nil, params, g); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if avg > 1 {
+			t.Errorf("%T frame of %d bytes allocates %.1f/op, budget 1", g, len(frame), avg)
+		}
+	}
+}
+
 // FuzzDecodeSolveBinary drives the binary request decoders with arbitrary
 // bytes: a PSV1 body through decodeSolve, and the same bytes as the single
 // item of a PBT1 batch frame through parseBinaryBatch. Nothing may panic,
@@ -446,6 +470,59 @@ func FuzzDecodeSolveBinary(f *testing.F) {
 		}
 		if d := sameParsed(got, back); d != "" {
 			t.Fatalf("round trip changed the request: %s", d)
+		}
+	})
+}
+
+// FuzzDecodeSolveResult drives the PRS1 and PBR1 response decoders, which
+// forwardSolve trusts with every peer answer, with arbitrary bytes, seeded
+// from the golden cases' frames. Nothing may panic, and a frame that
+// decodes must re-encode to exactly the bytes it was decoded from.
+func FuzzDecodeSolveResult(f *testing.F) {
+	p, tr := goldenGraphs(f)
+	s := newTestServer(f, Config{})
+	var params []SolveParams
+	var graphs []any
+	for _, c := range goldenCases(p, tr) {
+		frame, err := AppendSolveRequest(nil, c.params(), c.graph(p, tr))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(doBin(s.Handler(), "/v1/solve", frame, codec.ContentType).Body.Bytes())
+		params, graphs = append(params, c.params()), append(graphs, c.graph(p, tr))
+	}
+	params, graphs = append(params, SolveParams{Solver: "no-such-solver", K: 1}), append(graphs, p)
+	batch, err := AppendBatchRequest(nil, 0, params, graphs)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(doBin(s.Handler(), "/v1/batch", batch, codec.ContentType).Body.Bytes()) // cached items
+	f.Add(doBin(newTestServer(f, Config{}).Handler(), "/v1/batch", batch, codec.ContentType).Body.Bytes())
+	f.Add([]byte("PRS1"))
+	f.Add([]byte("PBR1\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00"))
+	f.Fuzz(func(t *testing.T, b []byte) {
+		if r, rest, err := DecodeSolveResult(b); err == nil {
+			if got, want := appendSolveFrame(nil, r), b[:len(b)-len(rest)]; !bytes.Equal(got, want) {
+				t.Fatalf("PRS1 frame re-encodes to\n%x\ndecoded from\n%x", got, want)
+			}
+		}
+		r, err := DecodeBatchResult(b)
+		if err != nil {
+			return
+		}
+		got := appendBatchHeader(nil, r.Requests, r.Solved, r.Failed, r.CacheHits, r.WallMs, len(r.Items))
+		for _, it := range r.Items {
+			switch {
+			case it.Result == nil:
+				got = appendBatchItem(got, wireItemError, []byte(it.Error))
+			case it.Cached:
+				got = appendBatchItem(got, wireItemCached, appendSolveFrame(nil, it.Result))
+			default:
+				got = appendBatchItem(got, wireItemResult, appendSolveFrame(nil, it.Result))
+			}
+		}
+		if !bytes.Equal(got, b) {
+			t.Fatalf("PBR1 frame re-encodes to\n%x\ndecoded from\n%x", got, b)
 		}
 	})
 }
