@@ -90,16 +90,31 @@ func (tr *tokenReader) nextFloat() (float64, error) {
 	return v, nil
 }
 
+// maxPrealloc caps the elements a reader allocates ahead of the tokens that
+// fill them, so a header's count cannot make it allocate more than the input
+// holds.
+const maxPrealloc = 1 << 12
+
+// floats reads n weights.
 func (tr *tokenReader) floats(n int) ([]float64, error) {
-	out := make([]float64, n)
-	for i := range out {
+	out := make([]float64, 0, min(n, maxPrealloc))
+	for len(out) < n {
 		v, err := tr.nextFloat()
 		if err != nil {
-			return nil, err
+			return nil, truncated(err, "weights", len(out), n)
 		}
-		out[i] = v
+		out = append(out, v)
 	}
 	return out, nil
+}
+
+// truncated marks an input that ended after got of want items as
+// ErrBadFormat, keeping io.EOF in the chain; other errors pass unchanged.
+func truncated(err error, what string, got, want int) error {
+	if !errors.Is(err, io.EOF) {
+		return err
+	}
+	return fmt.Errorf("input ends after %d of %d %s: %w (%w)", got, want, what, ErrBadFormat, err)
 }
 
 // ReadAny parses the next graph from r, returning exactly one of a *Path,
@@ -209,22 +224,23 @@ func readGraph(tr *tokenReader) (*Graph, error) {
 	return NewGraph(nodeW, edges)
 }
 
+// readEdges reads m "u v w" edge lines.
 func readEdges(tr *tokenReader, m int) ([]Edge, error) {
-	edges := make([]Edge, m)
-	for i := range edges {
+	edges := make([]Edge, 0, min(m, maxPrealloc))
+	for len(edges) < m {
 		u, err := tr.nextInt()
 		if err != nil {
-			return nil, err
+			return nil, truncated(err, "edges", len(edges), m)
 		}
 		v, err := tr.nextInt()
 		if err != nil {
-			return nil, err
+			return nil, truncated(err, "edges", len(edges), m)
 		}
 		w, err := tr.nextFloat()
 		if err != nil {
-			return nil, err
+			return nil, truncated(err, "edges", len(edges), m)
 		}
-		edges[i] = Edge{U: u, V: v, W: w}
+		edges = append(edges, Edge{U: u, V: v, W: w})
 	}
 	return edges, nil
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"io"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -235,4 +236,65 @@ func TestReadTreeAndGraphBadCounts(t *testing.T) {
 	if _, err := ReadAny(strings.NewReader("graph 2 1\n1 1\n0 1 x\n")); !errors.Is(err, ErrBadFormat) {
 		t.Errorf("graph bad edge weight: %v", err)
 	}
+}
+
+// TestReadHugeCount reads headers whose counts the input cannot back: the
+// reader fails with ErrBadFormat without allocating for the count.
+func TestReadHugeCount(t *testing.T) {
+	for _, in := range []string{
+		"path 99999999999999\n", "path 4000000000\n1 2 3\n", "tree 4000000000\n1\n",
+		"graph 2 4000000000\n1 1\n0 1 1\n", "tree 3\n1 1 1\n0 1\n",
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := ReadAny(strings.NewReader(in))
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, ErrBadFormat) {
+			t.Errorf("%q: error %v, want ErrBadFormat", in, err)
+		}
+		if n := after.TotalAlloc - before.TotalAlloc; n > 1<<20 {
+			t.Errorf("%q: allocated %d bytes", in, n)
+		}
+	}
+}
+
+// FuzzReadText never panics on arbitrary input, and a graph it accepts
+// writes back and re-reads to the same fingerprint.
+func FuzzReadText(f *testing.F) {
+	for _, s := range []string{
+		"path 3\n1 2 3\n4 5\n", "tree 3\n1 1 1\n0 1 1\n1 2 1\n", "graph 2 1\n1 1\n0 1 1\n",
+		"# comment\npath 1\n2.5 # weight\n", "path 99999999999999\n", "tree 2\n1 1\n0 5 1\n",
+		"path 2\n1 NaN\n3\n", "path 2\n-0 1e-320\n1e308\n", "graph 1 0\n1\n", "blob 3\n",
+	} {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		g, err := ReadAny(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		switch v := g.(type) {
+		case *Path:
+			err = WritePath(&buf, v)
+		case *Tree:
+			err = WriteTree(&buf, v)
+		case *Graph:
+			err = WriteGraph(&buf, v)
+		}
+		if err != nil {
+			t.Fatalf("writing %T: %v", g, err)
+		}
+		back, err := ReadAny(&buf)
+		if err != nil {
+			t.Fatalf("re-reading %q: %v", buf.Bytes(), err)
+		}
+		want, err := Fingerprint(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := Fingerprint(back); err != nil || got != want {
+			t.Fatalf("fingerprint %#x after a round trip, want %#x (%v)", got, want, err)
+		}
+	})
 }
