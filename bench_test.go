@@ -250,6 +250,33 @@ func TestTreeSolverAllocBudget(t *testing.T) {
 	}
 }
 
+// TestPathSolverAllocBudget gates the allocations of the paper's bandwidth
+// solver on the n=10⁴ path BenchmarkBandwidthTempS uses. Prime extraction
+// runs in pooled scratch sized once per high-water mark, so a warm
+// prime.Scratch.Analyze allocates nothing.
+func TestPathSolverAllocBudget(t *testing.T) {
+	const n, budget = 10000, 12
+	p := benchPath(2, n)
+	k := 4 * p.MaxNodeWeight()
+	avg := testing.AllocsPerRun(20, func() {
+		if _, err := core.Bandwidth(p, k); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("bandwidth: %.1f allocs/op, budget %d", avg, budget)
+	if avg > budget {
+		t.Errorf("Bandwidth on a %d-node path allocates %.1f/op, budget %d", n, avg, budget)
+	}
+	var sc prime.Scratch
+	if avg := testing.AllocsPerRun(20, func() {
+		if _, _, err := sc.Analyze(p.NodeW, p.EdgeW, k); err != nil {
+			t.Fatal(err)
+		}
+	}); avg != 0 {
+		t.Errorf("warm prime.Scratch.Analyze allocates %.1f/op, want 0", avg)
+	}
+}
+
 func benchChain(seed uint64, n int) []int64 {
 	r := workload.NewRNG(seed)
 	w := make([]int64, n)

@@ -210,7 +210,7 @@ func BandwidthDequeCtx(ctx context.Context, p *graph.Path, k float64) (*PathPart
 	}
 	// Candidates appear in increasing j and increasing f, so both the window
 	// eviction (front) and the dominance eviction (back) are valid.
-	sc.deque = growI(sc.deque, n)
+	sc.deque = grow(sc.deque, n)
 	deque := sc.deque[:0]
 	deque = append(deque, -1)
 	sweep := obs.Phase(ctx, "dp-sweep")

@@ -30,8 +30,8 @@ import (
 // positions on which every key agrees are skipped.
 func sortedEdgeOrder(t *graph.Tree, sc *scratch) []int {
 	m := len(t.Edges)
-	order, tmp := growI(sc.order, m), growI(sc.orderTmp, m)
-	keys, keysTmp := growU64(sc.keys, m), growU64(sc.keysTmp, m)
+	order, tmp := grow(sc.order, m), grow(sc.orderTmp, m)
+	keys, keysTmp := grow(sc.keys, m), grow(sc.keysTmp, m)
 	count := &sc.radixCount
 	*count = [8][256]int32{}
 	for i, e := range t.Edges {
@@ -71,7 +71,7 @@ func sortedEdgeOrder(t *graph.Tree, sc *scratch) []int {
 // union-find arrays. The ticker counts the union sweep and surfaces
 // cancellation.
 func prefixFeasible(t *graph.Tree, order []int, cnt int, k float64, tk *ticker, sc *scratch) (bool, error) {
-	sc.inCut = growB(sc.inCut, len(t.Edges))
+	sc.inCut = grow(sc.inCut, len(t.Edges))
 	inCut := sc.inCut
 	for i := range inCut {
 		inCut[i] = false
@@ -110,8 +110,8 @@ func prefixFeasible(t *graph.Tree, order []int, cnt int, k float64, tk *ticker, 
 // for a root (−1 where the caller does not track sizes); weight[r] is the
 // load of the component rooted at r.
 func (sc *scratch) resetForest(t *graph.Tree) (parent []int, weight []float64) {
-	sc.parentV = growI(sc.parentV, t.Len())
-	sc.weight = growF(sc.weight, t.Len())
+	sc.parentV = grow(sc.parentV, t.Len())
+	sc.weight = grow(sc.weight, t.Len())
 	for v := range sc.parentV {
 		sc.parentV[v] = -1
 	}
@@ -167,7 +167,7 @@ func prefixCut(order []int, cnt int, sc *scratch) []int {
 	if cnt == 0 {
 		return nil
 	}
-	inCut := growB(sc.inCut, len(order))
+	inCut := grow(sc.inCut, len(order))
 	sc.inCut = inCut
 	clear(inCut)
 	for _, e := range order[:cnt] {

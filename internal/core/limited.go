@@ -65,8 +65,8 @@ func BandwidthLimitedCtx(ctx context.Context, p *graph.Path, k float64, m int) (
 	// using exactly j cuts so far (j ≥ 1); parent for reconstruction.
 	// Level j consumes level j−1 via a sliding-window minimum.
 	const inf = math.MaxFloat64
-	sc.f64a = growF(sc.f64a, n-1)
-	sc.f64b = growF(sc.f64b, n-1)
+	sc.f64a = grow(sc.f64a, n-1)
+	sc.f64b = grow(sc.f64b, n-1)
 	fPrev, fCur := sc.f64a, sc.f64b
 	parent := make([][]int32, m) // parent[j][i], j ≥ 2
 	// One span for the whole level-wise DP; per-level spans would cost O(m)
@@ -100,7 +100,7 @@ func BandwidthLimitedCtx(ctx context.Context, p *graph.Path, k float64, m int) (
 	scanFinal(1, fPrev)
 	// Monotone deque over predecessors from the previous level, reused (and
 	// re-sliced empty) across levels.
-	sc.deque32 = growI32(sc.deque32, n)
+	sc.deque32 = grow(sc.deque32, n)
 	for j := 2; j <= m-1; j++ {
 		parent[j] = make([]int32, n-1)
 		deque := sc.deque32[:0]

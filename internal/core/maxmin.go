@@ -196,9 +196,9 @@ func MaxMinTreeCtx(ctx context.Context, t *graph.Tree, parts int) (*TreePartitio
 	sp := obs.Phase(ctx, "postorder-build")
 	var csr graph.CSR
 	csr, sc.csrBuf = t.BuildCSR(sc.csrBuf)
-	sc.order = growI(sc.order, n)
-	sc.parentV = growI(sc.parentV, n)
-	sc.parentEdge = growI(sc.parentEdge, n)
+	sc.order = grow(sc.order, n)
+	sc.parentV = grow(sc.parentV, n)
+	sc.parentEdge = grow(sc.parentEdge, n)
 	order, parent, parentEdge := sc.order[:0], sc.parentV, sc.parentEdge
 	for v := range parent {
 		parent[v] = -1
@@ -219,7 +219,7 @@ func MaxMinTreeCtx(ctx context.Context, t *graph.Tree, parts int) (*TreePartitio
 	sp.SetAttr("nodes", n)
 	sp.End()
 
-	sc.res = growF(sc.res, n)
+	sc.res = grow(sc.res, n)
 	res := sc.res
 	cutBuf := make([]int, 0, parts-1)
 	bestCut := make([]int, 0, parts-1)

@@ -57,9 +57,9 @@ func MinProcessorsCtx(ctx context.Context, t *graph.Tree, k float64) (*TreeParti
 	csr, sc.csrBuf = t.BuildCSR(sc.csrBuf)
 	// Iterative BFS from the root; reverse BFS order is a post-order for
 	// trees (children precede parents).
-	sc.order = growI(sc.order, n)
-	sc.parentV = growI(sc.parentV, n)
-	sc.parentEdge = growI(sc.parentEdge, n)
+	sc.order = grow(sc.order, n)
+	sc.parentV = grow(sc.parentV, n)
+	sc.parentEdge = grow(sc.parentEdge, n)
 	order, parent, parentEdge := sc.order[:0], sc.parentV, sc.parentEdge
 	for v := range parent {
 		parent[v] = -1
@@ -81,7 +81,7 @@ func MinProcessorsCtx(ctx context.Context, t *graph.Tree, k float64) (*TreeParti
 	sp.End()
 	// res[v] is the weight of the super-node that v has been merged into so
 	// far: v plus all absorbed descendant subtrees.
-	sc.res = growF(sc.res, n)
+	sc.res = grow(sc.res, n)
 	res := sc.res
 	copy(res, t.NodeW)
 	var cut []int

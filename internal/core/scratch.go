@@ -88,43 +88,11 @@ func ScratchPoolStats() (gets, news uint64) {
 	return scratchGets.Load(), scratchNews.Load()
 }
 
-// growF returns a []float64 of length n reusing s's capacity.
-func growF(s []float64, n int) []float64 {
-	if cap(s) < n {
-		return make([]float64, n)
-	}
-	return s[:n]
-}
-
-// growI returns an []int of length n reusing s's capacity.
-func growI(s []int, n int) []int {
-	if cap(s) < n {
-		return make([]int, n)
-	}
-	return s[:n]
-}
-
-// growI32 returns an []int32 of length n reusing s's capacity.
-func growI32(s []int32, n int) []int32 {
-	if cap(s) < n {
-		return make([]int32, n)
-	}
-	return s[:n]
-}
-
-// growU64 returns a []uint64 of length n reusing s's capacity.
-func growU64(s []uint64, n int) []uint64 {
-	if cap(s) < n {
-		return make([]uint64, n)
-	}
-	return s[:n]
-}
-
-// growB returns a []bool of length n reusing s's capacity; entries are NOT
+// grow returns a slice of length n reusing s's capacity; entries are NOT
 // cleared.
-func growB(s []bool, n int) []bool {
+func grow[T any](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]bool, n)
+		return make([]T, n)
 	}
 	return s[:n]
 }
@@ -137,8 +105,8 @@ func (sc *scratch) prepDP(p *graph.Path, k float64) (*PathPartition, *dpState, e
 		return done, nil, err
 	}
 	n := p.Len()
-	sc.dp.f = growF(sc.dp.f, n-1)
-	sc.dp.parent = growI(sc.dp.parent, n-1)
+	sc.dp.f = grow(sc.dp.f, n-1)
+	sc.dp.parent = grow(sc.dp.parent, n-1)
 	sc.dp.prefix = p.PrefixNodeWeightsInto(sc.dp.prefix)
 	return nil, &sc.dp, nil
 }

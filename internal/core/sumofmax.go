@@ -105,8 +105,8 @@ func SumOfMaxTreeCtx(ctx context.Context, t *graph.Tree, parts int) (*TreePartit
 	sp := obs.Phase(ctx, "postorder-build")
 	var csr graph.CSR
 	csr, sc.csrBuf = t.BuildCSR(sc.csrBuf)
-	sc.order = growI(sc.order, n)
-	sc.parentV = growI(sc.parentV, n)
+	sc.order = grow(sc.order, n)
+	sc.parentV = grow(sc.parentV, n)
 	order, parent := sc.order[:0], sc.parentV
 	for v := range parent {
 		parent[v] = -1

@@ -11,11 +11,19 @@
 // for weight, so only the lightest of each such run — the non-redundant
 // edges — can ever appear in an optimal cut (§2.3: "a list of non-redundant
 // edges may be prepared in O(n) time", with at most 2p−1 of them).
+//
+// Both halves are single linear passes. Find sweeps the right end r of a
+// window kept at weight ≤ K; each time the left end has to move, the window
+// one vertex wider on the left is the prime subpath ending at r, final when
+// appended. Compress walks the runs between consecutive subpath endpoints
+// (coverage changes only there) and keeps each run's lightest edge.
 package prime
 
 import (
 	"errors"
 	"fmt"
+	"math"
+	"slices"
 )
 
 // ErrVertexTooHeavy is returned when a single task exceeds the bound K, in
@@ -23,100 +31,53 @@ import (
 // K > max α_i).
 var ErrVertexTooHeavy = errors.New("prime: single vertex weight exceeds K")
 
-// Interval is a prime critical subpath expressed both in vertex and edge
-// terms. For a subpath spanning vertices [FirstVertex, LastVertex], the edge
-// set is the contiguous edge range [A, B] with A = FirstVertex and
-// B = LastVertex−1.
+// Interval is a prime critical subpath as the inclusive edge range [A, B]:
+// it spans vertices A..B+1.
 type Interval struct {
-	A, B                    int // inclusive edge index range
-	FirstVertex, LastVertex int // inclusive vertex range
+	A, B int
 }
 
 // Find returns the prime critical subpaths of the path with the given vertex
-// weights and bound K, in increasing order of both endpoints. It runs in
-// O(n) time (two pointers). It returns ErrVertexTooHeavy if some single
-// vertex already exceeds K.
+// weights and bound K, in increasing order of both endpoints, or nil when
+// there are none. It runs in O(n) time: one sweep over the right end r keeps
+// the window lo..r at weight ≤ K; the shortest critical subpath ending at r
+// is lo−1..r, and it is prime exactly when lo had to move for r. It returns
+// ErrVertexTooHeavy if some single vertex already exceeds K.
 func Find(nodeW []float64, k float64) ([]Interval, error) {
-	return findInto(nil, nodeW, k)
-}
-
-// findInto is Find appending into dst[:0], reusing its capacity.
-func findInto(dst []Interval, nodeW []float64, k float64) ([]Interval, error) {
-	// First pass: count the prime subpaths so the result is allocated
-	// exactly once (the count is the number of distinct minimal right ends).
-	count, err := countPrime(nodeW, k)
-	if err != nil {
+	ivs, err := findInto(nil, nodeW, k)
+	if len(ivs) == 0 {
 		return nil, err
 	}
-	if count == 0 {
-		return dst[:0], nil
-	}
-	out := dst[:0]
-	if cap(out) < count {
-		out = make([]Interval, 0, count)
-	}
-	n := len(nodeW)
-	// Two pointers: for each left vertex l, rv is the minimal exclusive right
-	// bound with weight(l .. rv-1) > K.
-	rv := 0
-	var sum float64
-	for l := 0; l < n; l++ {
-		if rv < l {
-			rv, sum = l, 0
-		}
-		for rv < n && sum <= k {
-			sum += nodeW[rv]
-			rv++
-		}
-		if sum <= k {
-			// The whole suffix from l fits; later suffixes are subsets.
-			break
-		}
-		// Window l .. rv-1 is critical and minimal in its right end.
-		iv := Interval{A: l, B: rv - 2, FirstVertex: l, LastVertex: rv - 1}
-		// Keep only prime (minimal) subpaths: if the previously recorded
-		// subpath has the same right end, it strictly contains this one and
-		// is dominated.
-		if len(out) > 0 && out[len(out)-1].LastVertex == iv.LastVertex {
-			out[len(out)-1] = iv
-		} else {
-			out = append(out, iv)
-		}
-		sum -= nodeW[l]
-	}
-	return out, nil
+	return ivs, nil
 }
 
-// countPrime runs the Find sweep without materializing intervals, returning
-// the number of prime subpaths (distinct minimal right ends) or
-// ErrVertexTooHeavy.
-func countPrime(nodeW []float64, k float64) (int, error) {
-	n := len(nodeW)
-	rv := 0
-	var sum float64
-	count := 0
-	lastEnd := -1
-	for l := 0; l < n; l++ {
-		if rv < l {
-			rv, sum = l, 0
-		}
-		for rv < n && sum <= k {
-			sum += nodeW[rv]
-			rv++
-		}
-		if sum <= k {
-			break
-		}
-		if rv-1 == l {
-			return 0, fmt.Errorf("vertex %d weight %v > K=%v: %w", l, nodeW[l], k, ErrVertexTooHeavy)
-		}
-		if rv-1 != lastEnd {
-			count++
-			lastEnd = rv - 1
-		}
-		sum -= nodeW[l]
+// findInto is Find appending into dst[:0], reusing its capacity. There are
+// at most n−1 prime subpaths (one per right end r ≥ 1), so the result is
+// sized once up front.
+func findInto(dst []Interval, nodeW []float64, k float64) ([]Interval, error) {
+	if math.IsNaN(k) {
+		return nil, fmt.Errorf("prime: K=%v is not a number", k)
 	}
-	return count, nil
+	out := slices.Grow(dst[:0], max(len(nodeW)-1, 0))
+	lo := 0
+	var sum float64
+	for r, w := range nodeW {
+		sum += w
+		if sum <= k {
+			continue
+		}
+		for sum > k {
+			if lo == r {
+				return nil, fmt.Errorf("vertex %d weight %v > K=%v: %w", r, w, k, ErrVertexTooHeavy)
+			}
+			sum -= nodeW[lo]
+			lo++
+		}
+		// lo moved, so lo−1..r is critical while lo..r and lo−1..r−1 (inside
+		// the window kept for r−1) are not: it is prime, and final.
+		out = append(out, Interval{A: lo - 1, B: r - 1})
+	}
+	return out, nil
 }
 
 // Instance is the compressed bandwidth-minimization instance: the
@@ -174,71 +135,46 @@ func Compress(edgeW []float64, ivs []Interval) *Instance {
 }
 
 // compressInto is Compress writing into inst, reusing its arrays' capacity.
+// Subpaths [closed, open) cover the run starting at edge e, which ends at the
+// next A_j (j opens) or B_j+1 (j closes); A[j] and B[j] are those runs.
 func compressInto(inst *Instance, edgeW []float64, ivs []Interval) *Instance {
 	p := len(ivs)
-	inst.A = growInts(inst.A, p)
-	inst.B = growInts(inst.B, p)
-	if p == 0 {
-		inst.Beta, inst.Orig = inst.Beta[:0], inst.Orig[:0]
-		inst.First, inst.Last = inst.First[:0], inst.Last[:0]
-		return inst
-	}
-	// At most min(n-1, 2p-1) non-redundant edges survive (§2.3); allocate
-	// once.
-	capHint := 2*p - 1
-	if m := len(edgeW); capHint > m {
-		capHint = m
-	}
-	inst.Beta = growFloats(inst.Beta, capHint)[:0]
-	inst.Orig = growInts(inst.Orig, capHint)[:0]
-	inst.First = growInts(inst.First, capHint)[:0]
-	inst.Last = growInts(inst.Last, capHint)[:0]
-	// For each original edge e, membership is the contiguous interval range
-	// [c(e), d(e)] with c = min{j : ivs[j].B >= e} and d = max{j : ivs[j].A <= e}.
-	cPtr, dPtr := 0, -1
-	prevC, prevD := -1, -1
-	for e := 0; e <= ivs[p-1].B; e++ {
-		for cPtr < p && ivs[cPtr].B < e {
-			cPtr++
+	inst.A = slices.Grow(inst.A[:0], p)[:p]
+	inst.B = slices.Grow(inst.B[:0], p)[:p]
+	// At most min(n-1, 2p-1) non-redundant edges survive (§2.3).
+	r := max(min(2*p-1, len(edgeW)), 0)
+	inst.Beta = slices.Grow(inst.Beta[:0], r)
+	inst.Orig = slices.Grow(inst.Orig[:0], r)
+	inst.First = slices.Grow(inst.First[:0], r)
+	inst.Last = slices.Grow(inst.Last[:0], r)
+	e, open, closed := 0, 0, 0
+	for closed < p {
+		if closed == open {
+			e = ivs[open].A // skip the uncovered gap
 		}
-		for dPtr+1 < p && ivs[dPtr+1].A <= e {
-			dPtr++
+		for open < p && ivs[open].A <= e {
+			inst.A[open] = len(inst.Beta)
+			open++
 		}
-		c, d := cPtr, dPtr
-		if c > d {
-			continue // edge covered by no prime subpath
+		end := ivs[closed].B + 1
+		if open < p && ivs[open].A < end {
+			end = ivs[open].A
 		}
-		if c == prevC && d == prevD {
-			// Same membership run: keep the lighter edge.
-			last := len(inst.Beta) - 1
-			if edgeW[e] < inst.Beta[last] {
-				inst.Beta[last] = edgeW[e]
-				inst.Orig[last] = e
+		best := e // the run's lightest edge, the first on ties
+		for i := e + 1; i < end; i++ {
+			if edgeW[i] < edgeW[best] {
+				best = i
 			}
-			continue
 		}
-		prevC, prevD = c, d
-		inst.Beta = append(inst.Beta, edgeW[e])
-		inst.Orig = append(inst.Orig, e)
-		inst.First = append(inst.First, c)
-		inst.Last = append(inst.Last, d)
-	}
-	// Re-index interval endpoints over compressed edges. First/Last are
-	// monotone non-decreasing across groups, so two linear sweeps suffice.
-	r := len(inst.Beta)
-	g := 0
-	for j := 0; j < p; j++ {
-		for g < r && inst.Last[g] < j {
-			g++
+		inst.Beta = append(inst.Beta, edgeW[best])
+		inst.Orig = append(inst.Orig, best)
+		inst.First = append(inst.First, closed)
+		inst.Last = append(inst.Last, open-1)
+		for closed < open && ivs[closed].B < end {
+			inst.B[closed] = len(inst.Beta) - 1
+			closed++
 		}
-		inst.A[j] = g
-	}
-	g = r - 1
-	for j := p - 1; j >= 0; j-- {
-		for g >= 0 && inst.First[g] > j {
-			g--
-		}
-		inst.B[j] = g
+		e = end
 	}
 	return inst
 }
@@ -248,22 +184,6 @@ func compressInto(inst *Instance, edgeW []float64, ivs []Interval) *Instance {
 func Analyze(nodeW, edgeW []float64, k float64) (*Instance, []Interval, error) {
 	var s Scratch
 	return s.Analyze(nodeW, edgeW, k)
-}
-
-// growInts returns an []int of length n, reusing s's capacity when possible.
-func growInts(s []int, n int) []int {
-	if cap(s) < n {
-		return make([]int, n)
-	}
-	return s[:n]
-}
-
-// growFloats returns a []float64 of length n, reusing s's capacity.
-func growFloats(s []float64, n int) []float64 {
-	if cap(s) < n {
-		return make([]float64, n)
-	}
-	return s[:n]
 }
 
 // Scratch holds the working arrays of Analyze so repeated solves reuse them

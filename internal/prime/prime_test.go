@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -33,11 +34,52 @@ func bruteIntervals(nodeW []float64, k float64) []Interval {
 				minimal = true
 			}
 			if minimal {
-				out = append(out, Interval{A: a, B: b - 1, FirstVertex: a, LastVertex: b})
+				out = append(out, Interval{A: a, B: b - 1})
 			}
 		}
 	}
 	return out
+}
+
+// bruteCompress computes the compressed instance by definition: each edge's
+// covering set of subpaths, runs of consecutive edges with the same non-empty
+// covering set, and the lightest edge of each run (the first one on ties).
+func bruteCompress(edgeW []float64, ivs []Interval) *Instance {
+	inst := &Instance{A: make([]int, len(ivs)), B: make([]int, len(ivs))}
+	var prev []int
+	for e := range edgeW {
+		var cover []int
+		for j, iv := range ivs {
+			if iv.A <= e && e <= iv.B {
+				cover = append(cover, j)
+			}
+		}
+		switch {
+		case len(cover) == 0:
+		case slices.Equal(cover, prev):
+			if last := len(inst.Beta) - 1; edgeW[e] < inst.Beta[last] {
+				inst.Beta[last], inst.Orig[last] = edgeW[e], e
+			}
+		default:
+			inst.Beta = append(inst.Beta, edgeW[e])
+			inst.Orig = append(inst.Orig, e)
+			inst.First = append(inst.First, cover[0])
+			inst.Last = append(inst.Last, cover[len(cover)-1])
+		}
+		prev = cover
+	}
+	for j := range ivs {
+		inst.A[j], inst.B[j] = -1, -1
+		for g := range inst.Beta {
+			if inst.First[g] <= j && j <= inst.Last[g] {
+				if inst.A[j] < 0 {
+					inst.A[j] = g
+				}
+				inst.B[j] = g
+			}
+		}
+	}
+	return inst
 }
 
 func TestFindBasic(t *testing.T) {
@@ -58,15 +100,15 @@ func TestFindBasic(t *testing.T) {
 			nodeW: []float64{3, 3, 3},
 			k:     8,
 			// whole path weighs 9 > 8; any 2 vertices weigh 6 <= 8
-			want: []Interval{{A: 0, B: 1, FirstVertex: 0, LastVertex: 2}},
+			want: []Interval{{A: 0, B: 1}},
 		},
 		{
 			name:  "each pair critical",
 			nodeW: []float64{3, 3, 3},
 			k:     5,
 			want: []Interval{
-				{A: 0, B: 0, FirstVertex: 0, LastVertex: 1},
-				{A: 1, B: 1, FirstVertex: 1, LastVertex: 2},
+				{A: 0, B: 0},
+				{A: 1, B: 1},
 			},
 		},
 		{
@@ -75,7 +117,7 @@ func TestFindBasic(t *testing.T) {
 			k:     9,
 			// windows of weight >9: {0..2}=11 (contains {1..2}=10), {1..2}=10,
 			// {1..3}=11 (contains {1..2}), {0..3}=12 ... prime is only {1,2}.
-			want: []Interval{{A: 1, B: 1, FirstVertex: 1, LastVertex: 2}},
+			want: []Interval{{A: 1, B: 1}},
 		},
 		{
 			name:  "exact K boundary is feasible",
@@ -115,6 +157,33 @@ func TestFindVertexTooHeavy(t *testing.T) {
 	// Weight exactly K is fine.
 	if _, err := Find([]float64{10, 1}, 10); err != nil {
 		t.Errorf("weight == K should be feasible, got %v", err)
+	}
+}
+
+func TestFindBadBound(t *testing.T) {
+	for _, tt := range []struct {
+		name  string
+		nodeW []float64
+		k     float64
+		want  string // error text
+	}{
+		{"negative K", []float64{1, 2, 3}, -1, "vertex 0 weight 1 > K=-1: " + ErrVertexTooHeavy.Error()},
+		{"-Inf K", []float64{1, 2, 3}, math.Inf(-1), "vertex 0 weight 1 > K=-Inf: " + ErrVertexTooHeavy.Error()},
+		{"zero weight, negative K", []float64{0, 0}, -0.5, "vertex 0 weight 0 > K=-0.5: " + ErrVertexTooHeavy.Error()},
+		{"NaN K", []float64{1, 2, 3}, math.NaN(), "prime: K=NaN is not a number"},
+		{"NaN K, empty path", nil, math.NaN(), "prime: K=NaN is not a number"},
+	} {
+		t.Run(tt.name, func(t *testing.T) {
+			ivs, err := Find(tt.nodeW, tt.k)
+			if err == nil || err.Error() != tt.want || ivs != nil {
+				t.Errorf("Find = %v, %v; want nil, %q", ivs, err, tt.want)
+			}
+			edgeW := make([]float64, max(len(tt.nodeW)-1, 0))
+			inst, ivs, err := Analyze(tt.nodeW, edgeW, tt.k)
+			if err == nil || err.Error() != tt.want || inst != nil || ivs != nil {
+				t.Errorf("Analyze = %+v, %v, %v; want nil, nil, %q", inst, ivs, err, tt.want)
+			}
+		})
 	}
 }
 
@@ -180,7 +249,7 @@ func TestCompressEmpty(t *testing.T) {
 func TestCompressSingleInterval(t *testing.T) {
 	// One interval covering edges 1..3; all have identical membership, so a
 	// single lightest edge survives.
-	ivs := []Interval{{A: 1, B: 3, FirstVertex: 1, LastVertex: 4}}
+	ivs := []Interval{{A: 1, B: 3}}
 	inst := Compress([]float64{9, 5, 2, 7, 9}, ivs)
 	if inst.NumEdges() != 1 {
 		t.Fatalf("NumEdges = %d, want 1: %+v", inst.NumEdges(), inst)
@@ -197,8 +266,8 @@ func TestCompressOverlapping(t *testing.T) {
 	// Two intervals: edges 0..2 and 2..4. Membership runs: {0,1}->interval 0
 	// only; {2}->both; {3,4}->interval 1 only.
 	ivs := []Interval{
-		{A: 0, B: 2, FirstVertex: 0, LastVertex: 3},
-		{A: 2, B: 4, FirstVertex: 2, LastVertex: 5},
+		{A: 0, B: 2},
+		{A: 2, B: 4},
 	}
 	edgeW := []float64{4, 3, 10, 6, 5}
 	inst := Compress(edgeW, ivs)
@@ -228,7 +297,7 @@ func TestCompressOverlapping(t *testing.T) {
 func TestCompressDropsUncoveredEdges(t *testing.T) {
 	// Interval covers only edges 2..3 of a 6-edge path; edges 0,1,4,5 are
 	// uncovered and must be dropped.
-	ivs := []Interval{{A: 2, B: 3, FirstVertex: 2, LastVertex: 4}}
+	ivs := []Interval{{A: 2, B: 3}}
 	inst := Compress([]float64{1, 1, 8, 9, 1, 1}, ivs)
 	if inst.NumEdges() != 1 {
 		t.Fatalf("NumEdges = %d, want 1", inst.NumEdges())
@@ -298,10 +367,63 @@ func TestCompressInvariantsProperty(t *testing.T) {
 }
 
 func TestSummarize(t *testing.T) {
-	ivs := []Interval{{A: 0, B: 1, FirstVertex: 0, LastVertex: 2}}
+	ivs := []Interval{{A: 0, B: 1}}
 	inst := Compress([]float64{2, 3}, ivs)
 	s := Summarize(3, inst)
 	if s.N != 3 || s.P != 1 || s.R != 1 || s.Q != 1 || s.QMax != 1 {
 		t.Errorf("Summarize = %+v", s)
 	}
+}
+
+// FuzzAnalyze checks Analyze, fresh and on a reused Scratch, against the
+// definitional oracles. Weights and K are small integers, exact in float64,
+// so the oracles' sums are exact; zero weights, edge-weight ties, heavy
+// vertices and negative K all occur.
+func FuzzAnalyze(f *testing.F) {
+	f.Add([]byte{3, 3, 3, 3, 3}, int8(5))
+	f.Add([]byte{0x11, 0x05, 0x15, 0x01}, int8(9))
+	f.Add([]byte{0, 0, 0, 0x20, 0x30, 0}, int8(0))
+	f.Add([]byte{0x0f, 1, 2}, int8(-3))
+	f.Add([]byte{0x47, 0x18, 0x29, 0x3a, 0x1b, 0x0c, 0x2d, 0x1e, 0x09, 0x38}, int8(20))
+	f.Fuzz(func(t *testing.T, raw []byte, kRaw int8) {
+		if len(raw) == 0 || len(raw) > 64 {
+			t.Skip()
+		}
+		// Low nibble: vertex weight 0..15; high nibble: edge weight 0..3.
+		nodeW := make([]float64, len(raw))
+		edgeW := make([]float64, len(raw)-1)
+		for i, b := range raw {
+			nodeW[i] = float64(b & 0xf)
+			if i < len(edgeW) {
+				edgeW[i] = float64(b >> 4 & 3)
+			}
+		}
+		k := float64(kRaw)
+		// s is left holding another instance's arrays, so the reused
+		// capacity starts with stale entries.
+		var s Scratch
+		s.Analyze([]float64{1, 1, 1, 1, 1, 1, 1, 1}, []float64{3, 1, 2, 1, 3, 2, 1}, 2)
+		for _, analyze := range []func([]float64, []float64, float64) (*Instance, []Interval, error){Analyze, s.Analyze} {
+			inst, ivs, err := analyze(nodeW, edgeW, k)
+			if slices.Max(nodeW) > k {
+				if !errors.Is(err, ErrVertexTooHeavy) {
+					t.Fatalf("nodeW=%v k=%v: err = %v, want ErrVertexTooHeavy", nodeW, k, err)
+				}
+				continue
+			}
+			if err != nil {
+				t.Fatalf("nodeW=%v k=%v: %v", nodeW, k, err)
+			}
+			want := bruteIntervals(nodeW, k)
+			if !slices.Equal(ivs, want) {
+				t.Fatalf("nodeW=%v k=%v:\nAnalyze = %+v\nbrute   = %+v", nodeW, k, ivs, want)
+			}
+			w := bruteCompress(edgeW, want)
+			if !slices.Equal(inst.Beta, w.Beta) || !slices.Equal(inst.Orig, w.Orig) ||
+				!slices.Equal(inst.A, w.A) || !slices.Equal(inst.B, w.B) ||
+				!slices.Equal(inst.First, w.First) || !slices.Equal(inst.Last, w.Last) {
+				t.Fatalf("nodeW=%v edgeW=%v k=%v:\nAnalyze = %+v\nbrute   = %+v", nodeW, edgeW, k, inst, w)
+			}
+		}
+	})
 }
