@@ -67,10 +67,6 @@ type Config struct {
 	HealthInterval time.Duration
 	// HealthTimeout bounds one peer health probe (default 1s).
 	HealthTimeout time.Duration
-	// VirtualNodes is the points-per-peer on the hash ring (default 128).
-	VirtualNodes int
-	// Client issues forwards and health checks; nil gets a pooled default.
-	Client *http.Client
 	// Logger receives membership transitions; nil means slog.Default().
 	Logger *slog.Logger
 }
@@ -106,7 +102,6 @@ type Status struct {
 type Cluster struct {
 	peers    []string // canonical URLs, sorted — identical on every node
 	self     int      // index of this node in peers
-	vnodes   int
 	interval time.Duration
 	htimeout time.Duration
 	client   *http.Client
@@ -189,22 +184,15 @@ func New(cfg Config) (*Cluster, error) {
 	if cfg.HealthTimeout <= 0 {
 		cfg.HealthTimeout = time.Second
 	}
-	if cfg.VirtualNodes <= 0 {
-		cfg.VirtualNodes = 128
-	}
-	if cfg.Client == nil {
-		cfg.Client = defaultClient()
-	}
 	if cfg.Logger == nil {
 		cfg.Logger = slog.Default()
 	}
 	c := &Cluster{
 		peers:    peers,
 		self:     selfIdx,
-		vnodes:   cfg.VirtualNodes,
 		interval: cfg.HealthInterval,
 		htimeout: cfg.HealthTimeout,
-		client:   cfg.Client,
+		client:   defaultClient(),
 		logger:   cfg.Logger,
 		alive:    make([]bool, len(peers)),
 		done:     make(chan struct{}),
@@ -225,7 +213,7 @@ func (c *Cluster) rebuildLocked() {
 			members = append(members, i)
 		}
 	}
-	c.ring = buildRing(c.peers, members, c.vnodes)
+	c.ring = buildRing(c.peers, members, virtualNodes)
 }
 
 // Self returns this node's canonical address.
@@ -332,7 +320,7 @@ func (c *Cluster) Close() {
 func (c *Cluster) Status() Status {
 	st := Status{
 		Self:         c.peers[c.self],
-		VirtualNodes: c.vnodes,
+		VirtualNodes: virtualNodes,
 		Forwards: ForwardStats{
 			Hit:    c.fwdHit.Load(),
 			Miss:   c.fwdMiss.Load(),

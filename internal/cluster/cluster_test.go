@@ -216,8 +216,8 @@ func TestForwardSolve(t *testing.T) {
 	if !sawTrace.Load() {
 		t.Error("forward did not carry the trace header")
 	}
-	if string(spans) != spanTree {
-		t.Errorf("trailer spans = %q, want %q", spans, spanTree)
+	if want := base64.StdEncoding.EncodeToString([]byte(spanTree)); spans != want {
+		t.Errorf("trailer spans = %q, want %q", spans, want)
 	}
 	st := c.Status()
 	if st.Forwards.Hit != 1 || st.Forwards.Miss != 0 || st.Forwards.Errors != 0 {

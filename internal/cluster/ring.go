@@ -2,8 +2,12 @@ package cluster
 
 import "sort"
 
+// virtualNodes is the points-per-peer on the hash ring. Every node must use
+// the same count for ownership to agree, so it is a constant, not an option.
+const virtualNodes = 128
+
 // The consistent-hash ring assigns every graph fingerprint an owning peer.
-// Each member peer contributes VirtualNodes points, hashed from its
+// Each member peer contributes virtualNodes points, hashed from its
 // canonical URL, and a key is owned by the peer of the first point at or
 // after the key's (remixed) hash, wrapping around. Two properties carry the
 // cluster design:

@@ -3,7 +3,6 @@ package cluster
 import (
 	"bytes"
 	"context"
-	"encoding/base64"
 	"fmt"
 	"io"
 	"net"
@@ -41,32 +40,26 @@ func (e *StatusError) Error() string {
 	return fmt.Sprintf("peer returned HTTP %d: %s", e.Code, e.Body)
 }
 
-// maxSpansTrailer bounds the decoded size of a peer's span-tree trailer.
-// A span tree for one request is a few KiB; anything near this limit is a
-// misbehaving peer and the trailer is dropped, never the response.
-const maxSpansTrailer = 1 << 20
-
 // ForwardSolve posts a PSV1 solve frame to the owning peer's /v1/solve and
 // returns the raw PRS1 response bytes; whether the owner answered from its
 // cache counts in Status().Forwards. The request is tagged with
 // InternalHeader so the owner never re-forwards, and with the caller's
-// request ID so log lines and traces join across the hop. A non-empty traceHeader (see TraceHeader) propagates
-// the caller's trace context; when the owner traced its side, the returned
-// spans hold its span tree JSON (decoded from the SpansTrailer trailer),
-// ready to graft under the caller's cluster-forward span. A malformed
-// trailer yields nil spans, never an error — tracing is best-effort,
-// results are not.
+// request ID so log lines and traces join across the hop. A non-empty
+// traceHeader (see TraceHeader) propagates the caller's trace context; when
+// the owner traced its side, spans is its SpansTrailer value, for the caller
+// to decode and graft under its cluster-forward span. The trailer is never
+// an error — tracing is best-effort, results are not.
 //
 // Transport-level failures (dial, write, read) mark the peer dead via
 // ReportFailure — unless the caller's own context ended, which says nothing
 // about the peer. HTTP-level failures come back as *StatusError and leave
 // membership alone. Either way the caller is expected to fall back to a
 // local solve.
-func (c *Cluster) ForwardSolve(ctx context.Context, peerURL string, frame []byte, requestID, traceHeader string) (body, spans []byte, err error) {
+func (c *Cluster) ForwardSolve(ctx context.Context, peerURL string, frame []byte, requestID, traceHeader string) (body []byte, spans string, err error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, peerURL+"/v1/solve", bytes.NewReader(frame))
 	if err != nil {
 		c.fwdErr.Add(1)
-		return nil, nil, err
+		return nil, "", err
 	}
 	req.Header.Set("Content-Type", codec.ContentType)
 	req.Header.Set("Accept", codec.ContentType)
@@ -83,13 +76,13 @@ func (c *Cluster) ForwardSolve(ctx context.Context, peerURL string, frame []byte
 		if ctx.Err() == nil {
 			c.ReportFailure(peerURL)
 		}
-		return nil, nil, err
+		return nil, "", err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
 		c.fwdErr.Add(1)
-		return nil, nil, &StatusError{Code: resp.StatusCode, Body: strings.TrimSpace(string(msg))}
+		return nil, "", &StatusError{Code: resp.StatusCode, Body: strings.TrimSpace(string(msg))}
 	}
 	body, err = io.ReadAll(resp.Body)
 	if err != nil {
@@ -97,7 +90,7 @@ func (c *Cluster) ForwardSolve(ctx context.Context, peerURL string, frame []byte
 		if ctx.Err() == nil {
 			c.ReportFailure(peerURL)
 		}
-		return nil, nil, err
+		return nil, "", err
 	}
 	if resp.Header.Get("X-Cache") == "HIT" {
 		c.fwdHit.Add(1)
@@ -105,12 +98,7 @@ func (c *Cluster) ForwardSolve(ctx context.Context, peerURL string, frame []byte
 		c.fwdMiss.Add(1)
 	}
 	// Trailers are only populated after the body has been fully read.
-	if enc := resp.Trailer.Get(SpansTrailer); enc != "" && base64.StdEncoding.DecodedLen(len(enc)) <= maxSpansTrailer {
-		if dec, derr := base64.StdEncoding.DecodeString(enc); derr == nil {
-			spans = dec
-		}
-	}
-	return body, spans, nil
+	return body, resp.Trailer.Get(SpansTrailer), nil
 }
 
 // checkPeer probes one peer's /healthz under the health timeout. Only a

@@ -23,22 +23,6 @@ func batchIndexFrom(ctx context.Context) int {
 	return -1
 }
 
-// jobIDKey carries the async job ID a solve runs under, so the engine can
-// attribute the solve's Event to the owning job.
-type jobIDKey struct{}
-
-// WithJobID returns ctx carrying the job ID; solves run under the returned
-// context report it in their Event.JobID.
-func WithJobID(ctx context.Context, id string) context.Context {
-	return context.WithValue(ctx, jobIDKey{}, id)
-}
-
-// JobIDFrom returns the job ID carried by ctx, or "" for a direct solve.
-func JobIDFrom(ctx context.Context) string {
-	id, _ := ctx.Value(jobIDKey{}).(string)
-	return id
-}
-
 // Batch runs many solve requests concurrently on a bounded worker pool.
 // The zero value is ready to use: GOMAXPROCS workers, no default deadline.
 type Batch struct {

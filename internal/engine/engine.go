@@ -221,7 +221,6 @@ func instrumented(ctx context.Context, name string, opt Options, body func(conte
 			Stats:      res.Stats,
 			Err:        err,
 			RequestID:  obs.RequestIDFrom(ctx),
-			JobID:      JobIDFrom(ctx),
 			BatchIndex: batchIndexFrom(ctx),
 			Trace:      obs.FromContext(ctx),
 			Phases:     span.PhaseTotals(),

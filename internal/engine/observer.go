@@ -22,10 +22,6 @@ type Event struct {
 	// context's ID suffixed with "#<index>" so their events are
 	// distinguishable.
 	RequestID string
-	// JobID is the async job the solve runs under (engine.WithJobID), ""
-	// for a direct solve. The jobs subsystem stamps it so observers can
-	// attribute metrics and log lines to the owning job.
-	JobID string
 	// BatchIndex is the request's index within its Batch.Run call, or -1
 	// for a standalone solve.
 	BatchIndex int

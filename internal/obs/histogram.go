@@ -2,10 +2,8 @@ package obs
 
 import (
 	"fmt"
-	"io"
 	"math"
 	"sort"
-	"strconv"
 	"sync/atomic"
 	"time"
 )
@@ -131,51 +129,4 @@ type Exemplar struct {
 	TraceID string
 	Value   float64
 	Time    time.Time
-}
-
-// WritePrometheus renders the snapshot as Prometheus text-format series:
-// name_bucket lines with cumulative counts and an le label, then name_sum
-// and name_count. Labels are rendered sorted by key; the caller owns the
-// # HELP / # TYPE header (several label sets usually share one family).
-func (s HistogramSnapshot) WritePrometheus(w io.Writer, name string, labels map[string]string) {
-	s.WritePrometheusExemplars(w, name, labels, nil)
-}
-
-// WritePrometheusExemplars is WritePrometheus with per-bucket exemplars:
-// exemplars[i] annotates bucket i (the entry past the last bound annotates
-// the +Inf bucket); entries with an empty TraceID — and a nil or short slice
-// — render nothing extra, so the plain text format is unchanged when no
-// exemplars exist.
-func (s HistogramSnapshot) WritePrometheusExemplars(w io.Writer, name string, labels map[string]string, exemplars []Exemplar) {
-	keys := make([]string, 0, len(labels))
-	for k := range labels {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	base := ""
-	for _, k := range keys {
-		base += fmt.Sprintf("%s=%q,", k, labels[k])
-	}
-	ex := func(i int) string {
-		if i >= len(exemplars) || exemplars[i].TraceID == "" {
-			return ""
-		}
-		e := exemplars[i]
-		return fmt.Sprintf(" # {trace_id=%q} %s %.3f",
-			e.TraceID, strconv.FormatFloat(e.Value, 'g', -1, 64),
-			float64(e.Time.UnixMilli())/1e3)
-	}
-	var cum uint64
-	for i, b := range s.Bounds {
-		cum += s.Counts[i]
-		fmt.Fprintf(w, "%s_bucket{%sle=%q} %d%s\n", name, base, strconv.FormatFloat(b, 'g', -1, 64), cum, ex(i))
-	}
-	cum += s.Counts[len(s.Bounds)]
-	fmt.Fprintf(w, "%s_bucket{%sle=\"+Inf\"} %d%s\n", name, base, cum, ex(len(s.Bounds)))
-	trail := ""
-	if len(keys) > 0 {
-		trail = "{" + base[:len(base)-1] + "}"
-	}
-	fmt.Fprintf(w, "%s_sum%s %g\n", name, trail, s.Sum)
-	fmt.Fprintf(w, "%s_count%s %d\n", name, trail, s.Count)
 }

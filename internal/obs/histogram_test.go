@@ -2,7 +2,6 @@ package obs
 
 import (
 	"math"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -82,45 +81,6 @@ func TestHistogramConcurrentObserve(t *testing.T) {
 	}
 	if math.Abs(s.Sum-wantSum) > 1e-6 {
 		t.Fatalf("sum = %v, want %v", s.Sum, wantSum)
-	}
-}
-
-func TestHistogramWritePrometheus(t *testing.T) {
-	h := NewHistogram([]float64{0.001, 0.01})
-	h.Observe(0.0005)
-	h.Observe(0.005)
-	h.Observe(3)
-	var sb strings.Builder
-	h.Snapshot().WritePrometheus(&sb, "x_seconds", map[string]string{"solver": "bandwidth"})
-	got := sb.String()
-	for _, want := range []string{
-		`x_seconds_bucket{solver="bandwidth",le="0.001"} 1`,
-		`x_seconds_bucket{solver="bandwidth",le="0.01"} 2`, // cumulative
-		`x_seconds_bucket{solver="bandwidth",le="+Inf"} 3`,
-		`x_seconds_sum{solver="bandwidth"} 3.0055`,
-		`x_seconds_count{solver="bandwidth"} 3`,
-	} {
-		if !strings.Contains(got, want) {
-			t.Errorf("rendering missing %q in:\n%s", want, got)
-		}
-	}
-}
-
-func TestHistogramWritePrometheusNoLabels(t *testing.T) {
-	h := NewHistogram([]float64{1})
-	h.Observe(0.5)
-	var sb strings.Builder
-	h.Snapshot().WritePrometheus(&sb, "y_seconds", nil)
-	got := sb.String()
-	for _, want := range []string{
-		`y_seconds_bucket{le="1"} 1`,
-		`y_seconds_bucket{le="+Inf"} 1`,
-		"y_seconds_sum 0.5",
-		"y_seconds_count 1",
-	} {
-		if !strings.Contains(got, want) {
-			t.Errorf("rendering missing %q in:\n%s", want, got)
-		}
 	}
 }
 

@@ -2,9 +2,8 @@ package server
 
 import (
 	"context"
+	"encoding/base64"
 	"encoding/json"
-	"fmt"
-	"io"
 	"net/http"
 	"sync/atomic"
 
@@ -82,18 +81,37 @@ func (s *Server) forwardSolve(ctx context.Context, tr *obs.Trace, p *parsedSolve
 			"peer", peer, "err", err)
 		return resolved{}, false
 	}
-	if len(spans) > 0 {
-		var node obs.SpanNode
-		if jerr := json.Unmarshal(spans, &node); jerr == nil && node.Name != "" {
-			if node.Attrs == nil {
-				node.Attrs = make(map[string]any, 2)
-			}
-			node.Attrs["remote"] = true
-			node.Attrs["peer"] = peer
-			sp.Graft(&node)
-		}
-	}
+	graftSpans(sp, spans, peer)
 	return resolved{frame: body, via: peer}, true
+}
+
+// maxSpansTrailer bounds the decoded size of a peer's span-tree trailer. A
+// span tree for one request is a few KiB; anything near this limit is a
+// misbehaving peer and the trailer is dropped, never the response.
+const maxSpansTrailer = 1 << 20
+
+// graftSpans decodes the owner's span tree from the cluster.SpansTrailer
+// value (base64 of the tree's JSON) and grafts it under sp, marked remote
+// and attributed to peer. Tracing is best-effort: an empty, oversized or
+// malformed trailer grafts nothing.
+func graftSpans(sp *obs.Span, trailer, peer string) {
+	if trailer == "" || base64.StdEncoding.DecodedLen(len(trailer)) > maxSpansTrailer {
+		return
+	}
+	spans, err := base64.StdEncoding.DecodeString(trailer)
+	if err != nil {
+		return
+	}
+	var node obs.SpanNode
+	if err := json.Unmarshal(spans, &node); err != nil || node.Name == "" {
+		return
+	}
+	if node.Attrs == nil {
+		node.Attrs = make(map[string]any, 2)
+	}
+	node.Attrs["remote"] = true
+	node.Attrs["peer"] = peer
+	sp.Graft(&node)
 }
 
 // clusterEnvelope is the cluster summary inside the /v1/solvers envelope.
@@ -143,32 +161,28 @@ func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request) {
 // writeClusterMetrics renders the cache-tier, single-flight, and cluster
 // series. The first two exist on every node; the cluster families only when
 // clustering is configured.
-func (s *Server) writeClusterMetrics(w io.Writer) {
+func (s *Server) writeClusterMetrics(p *obs.PromWriter) {
 	m := &s.clusterm
-	fmt.Fprintf(w, "# HELP partitiond_cache_requests_total Result cache lookups by requester tier (local clients vs forwarded peer requests) and outcome.\n")
-	fmt.Fprintf(w, "# TYPE partitiond_cache_requests_total counter\n")
-	fmt.Fprintf(w, "partitiond_cache_requests_total{tier=\"local\",result=\"hit\"} %d\n", m.localHits.Load())
-	fmt.Fprintf(w, "partitiond_cache_requests_total{tier=\"local\",result=\"miss\"} %d\n", m.localMisses.Load())
-	fmt.Fprintf(w, "partitiond_cache_requests_total{tier=\"peer\",result=\"hit\"} %d\n", m.peerHits.Load())
-	fmt.Fprintf(w, "partitiond_cache_requests_total{tier=\"peer\",result=\"miss\"} %d\n", m.peerMisses.Load())
+	p.Family("partitiond_cache_requests_total", "counter", "Result cache lookups by requester tier (local clients vs forwarded peer requests) and outcome.")
+	p.Sample("partitiond_cache_requests_total", m.localHits.Load(), "tier", "local", "result", "hit")
+	p.Sample("partitiond_cache_requests_total", m.localMisses.Load(), "tier", "local", "result", "miss")
+	p.Sample("partitiond_cache_requests_total", m.peerHits.Load(), "tier", "peer", "result", "hit")
+	p.Sample("partitiond_cache_requests_total", m.peerMisses.Load(), "tier", "peer", "result", "miss")
 
 	leads, shared := s.flight.Stats()
-	fmt.Fprintf(w, "# HELP partitiond_singleflight_total Solve-miss single-flight outcomes: led executions vs results shared from a concurrent identical miss.\n")
-	fmt.Fprintf(w, "# TYPE partitiond_singleflight_total counter\n")
-	fmt.Fprintf(w, "partitiond_singleflight_total{result=\"lead\"} %d\n", leads)
-	fmt.Fprintf(w, "partitiond_singleflight_total{result=\"shared\"} %d\n", shared)
+	p.Family("partitiond_singleflight_total", "counter", "Solve-miss single-flight outcomes: led executions vs results shared from a concurrent identical miss.")
+	p.Sample("partitiond_singleflight_total", leads, "result", "lead")
+	p.Sample("partitiond_singleflight_total", shared, "result", "shared")
 
 	if s.cluster == nil {
 		return
 	}
 	st := s.cluster.Status()
-	fmt.Fprintf(w, "# HELP partitiond_cluster_forwards_total Solves forwarded to owning peers by outcome (hit/miss = owner's cache answer; error = failed forward, solved locally).\n")
-	fmt.Fprintf(w, "# TYPE partitiond_cluster_forwards_total counter\n")
-	fmt.Fprintf(w, "partitiond_cluster_forwards_total{outcome=\"hit\"} %d\n", st.Forwards.Hit)
-	fmt.Fprintf(w, "partitiond_cluster_forwards_total{outcome=\"miss\"} %d\n", st.Forwards.Miss)
-	fmt.Fprintf(w, "partitiond_cluster_forwards_total{outcome=\"error\"} %d\n", st.Forwards.Errors)
-	fmt.Fprintf(w, "# HELP partitiond_cluster_peers Cluster peers by health state, from this node's view (self counts as alive).\n")
-	fmt.Fprintf(w, "# TYPE partitiond_cluster_peers gauge\n")
-	fmt.Fprintf(w, "partitiond_cluster_peers{state=\"alive\"} %d\n", st.Alive)
-	fmt.Fprintf(w, "partitiond_cluster_peers{state=\"dead\"} %d\n", len(st.Peers)-st.Alive)
+	p.Family("partitiond_cluster_forwards_total", "counter", "Solves forwarded to owning peers by outcome (hit/miss = owner's cache answer; error = failed forward, solved locally).")
+	p.Sample("partitiond_cluster_forwards_total", st.Forwards.Hit, "outcome", "hit")
+	p.Sample("partitiond_cluster_forwards_total", st.Forwards.Miss, "outcome", "miss")
+	p.Sample("partitiond_cluster_forwards_total", st.Forwards.Errors, "outcome", "error")
+	p.Family("partitiond_cluster_peers", "gauge", "Cluster peers by health state, from this node's view (self counts as alive).")
+	p.Sample("partitiond_cluster_peers", st.Alive, "state", "alive")
+	p.Sample("partitiond_cluster_peers", len(st.Peers)-st.Alive, "state", "dead")
 }

@@ -775,3 +775,38 @@ func TestClusterTraceHeaderSanitization(t *testing.T) {
 		t.Errorf("externally injected trace ID was retained: status %d", gr.StatusCode)
 	}
 }
+
+// FuzzSpansTrailer feeds the span-tree trailer graft arbitrary bytes, raw
+// and base64-encoded: it never panics, and grafts at most one node, marked
+// remote and attributed to the peer.
+func FuzzSpansTrailer(f *testing.F) {
+	for _, seed := range []string{
+		`{"name":"solve bandwidth","startUs":3,"durationUs":40,"children":[{"name":"temps-dp"}]}`,
+		`{"name":"x","attrs":{"remote":false,"peer":7}}`,
+		`{"name":""}`, `null`, `[]`, `{"name":`, "",
+	} {
+		f.Add([]byte(seed), true)
+		f.Add([]byte(seed), false)
+	}
+	const peer = "http://10.0.0.2:8080"
+	f.Fuzz(func(t *testing.T, b []byte, encode bool) {
+		trailer := string(b)
+		if encode {
+			trailer = base64.StdEncoding.EncodeToString(b)
+		}
+		tr := obs.New("root")
+		_, sp := obs.StartSpan(obs.NewContext(context.Background(), tr), "cluster-forward")
+		graftSpans(sp, trailer, peer)
+		sp.End()
+		tr.Finish()
+		fwd := tr.Tree().Children[0]
+		if len(fwd.Children) > 1 {
+			t.Fatalf("grafted %d nodes, want at most 1", len(fwd.Children))
+		}
+		if len(fwd.Children) == 1 {
+			if a := fwd.Children[0].Attrs; a["remote"] != true || a["peer"] != peer {
+				t.Fatalf("grafted node attrs = %v, want remote and peer set", a)
+			}
+		}
+	})
+}

@@ -150,7 +150,10 @@ func checkSolveParams(req solveRequest) error {
 	if req.TimeoutMs < 0 {
 		return fmt.Errorf(`"timeoutMs" must be non-negative (got %d)`, req.TimeoutMs)
 	}
-	return nil
+	// An unknown name fails here, with the registry's own error, before
+	// admission: it never takes a solve slot or creates metric series.
+	_, err := engine.Get(req.Solver)
+	return err
 }
 
 // readBody drains a request body into a pooled buffer. The caller returns
@@ -375,8 +378,8 @@ func (s *Server) decodeBatch(r *http.Request) (parsed []parsedSolve, errMsgs []s
 	switch n := len(items); {
 	case n == 0:
 		return nil, nil, 0, errors.New(`"requests" must be non-empty`)
-	case n > s.cfg.MaxBatchRequests:
-		return nil, nil, 0, fmt.Errorf("batch of %d exceeds the %d-request limit", n, s.cfg.MaxBatchRequests)
+	case n > maxBatchRequests:
+		return nil, nil, 0, fmt.Errorf("batch of %d exceeds the %d-request limit", n, maxBatchRequests)
 	case timeoutMs < 0:
 		return nil, nil, 0, fmt.Errorf(`"timeoutMs" must be non-negative (got %d)`, timeoutMs)
 	}
@@ -558,7 +561,7 @@ func (s *Server) handleSolvers(w http.ResponseWriter, r *http.Request) {
 		Limits: limitsInfo{
 			MaxNodes:         s.cfg.MaxNodes,
 			MaxBodyBytes:     s.cfg.MaxBodyBytes,
-			MaxBatchRequests: s.cfg.MaxBatchRequests,
+			MaxBatchRequests: maxBatchRequests,
 			MaxConcurrent:    s.cfg.MaxConcurrent,
 			MaxQueue:         s.cfg.MaxQueue,
 			DefaultTimeoutMs: s.cfg.DefaultTimeout.Milliseconds(),
@@ -585,23 +588,4 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	}
 	body, _ := json.Marshal(h)
 	writeJSON(w, status, body)
-}
-
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	httpSnap, httpDur, inFlight := s.httpm.snapshot()
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	writeMetrics(w, metricsSnapshot{
-		cache:             s.cache.Stats(),
-		limiter:           s.limiter.Stats(),
-		http:              httpSnap,
-		httpDurations:     httpDur,
-		httpInFlight:      inFlight,
-		verifyCertified:   s.verifyCertified.Load(),
-		verifyUncertified: s.verifyUncertified.Load(),
-		uptime:            time.Since(s.started),
-	})
-	writeJobsMetrics(w, s.jobs.Stats())
-	s.solvem.writeTo(w)
-	s.writeClusterMetrics(w)
-	s.writeObsMetrics(w)
 }

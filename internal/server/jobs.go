@@ -5,12 +5,10 @@ import (
 	"encoding/json"
 	"errors"
 	"io"
-	"math"
 	"net/http"
 	"strconv"
 	"time"
 
-	"repro/internal/engine"
 	"repro/internal/jobs"
 	"repro/internal/obs"
 )
@@ -67,7 +65,7 @@ type jobResult struct {
 // events for correlation.
 func (s *Server) jobRun(p parsedSolve, rid string) jobs.RunFunc {
 	return func(ctx context.Context, j *jobs.Job) (any, error) {
-		ctx = engine.WithJobID(obs.WithRequestID(ctx, rid), j.ID)
+		ctx = obs.WithRequestID(ctx, rid)
 		res, err := s.resolve(ctx, &p, caller{job: j})
 		if err != nil {
 			return nil, err
@@ -116,7 +114,6 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		switch {
 		case errors.Is(err, jobs.ErrQueueFull):
-			w.Header().Set("Retry-After", strconv.Itoa(int(math.Ceil(s.cfg.RetryAfter.Seconds()))))
 			s.writeError(w, http.StatusTooManyRequests, "job queue full")
 		case errors.Is(err, jobs.ErrShuttingDown):
 			s.writeError(w, http.StatusServiceUnavailable, "server is draining")
@@ -195,6 +192,19 @@ func (s *Server) handleJobCancel(w http.ResponseWriter, r *http.Request) {
 // tripping proxy and LB idle timeouts between solve phases.
 const jobsKeepAlive = 15 * time.Second
 
+// eventCursor is the sequence number an SSE stream resumes after: the
+// Last-Event-ID header, else the "after" query parameter, else 0.
+func eventCursor(r *http.Request) (uint64, error) {
+	cursor := r.Header.Get("Last-Event-ID")
+	if cursor == "" {
+		cursor = r.URL.Query().Get("after")
+	}
+	if cursor == "" {
+		return 0, nil
+	}
+	return strconv.ParseUint(cursor, 10, 64)
+}
+
 // handleJobEvents is GET /v1/jobs/{id}/events: the job's progress as
 // Server-Sent Events. Replay is cursor-based — the stream starts after the
 // sequence number in Last-Event-ID (or the "after" query parameter), so a
@@ -206,18 +216,10 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 	if j == nil {
 		return
 	}
-	after := uint64(0)
-	cursor := r.Header.Get("Last-Event-ID")
-	if cursor == "" {
-		cursor = r.URL.Query().Get("after")
-	}
-	if cursor != "" {
-		v, err := strconv.ParseUint(cursor, 10, 64)
-		if err != nil {
-			s.writeError(w, http.StatusBadRequest, "bad event cursor: "+err.Error())
-			return
-		}
-		after = v
+	after, err := eventCursor(r)
+	if err != nil {
+		s.writeError(w, http.StatusBadRequest, "bad event cursor: "+err.Error())
+		return
 	}
 	rc := http.NewResponseController(w)
 	h := w.Header()

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"runtime"
 	"strconv"
 	"strings"
@@ -877,4 +878,47 @@ func TestJobCancelWhileWaiting(t *testing.T) {
 	if st := getJob(t, ts.URL, sub.ID); st.State != jobs.StateCanceled {
 		t.Errorf("canceled job state = %s", st.State)
 	}
+}
+
+// FuzzEventCursor: the SSE resume cursor, from Last-Event-ID or the "after"
+// query parameter, accepts exactly what strconv.ParseUint(s, 10, 64) does
+// and answers 400 for anything else.
+func FuzzEventCursor(f *testing.F) {
+	s := newTestServer(f, Config{})
+	j, err := s.jobs.Submit(jobs.Spec{
+		Timeout: time.Minute,
+		Run:     func(context.Context, *jobs.Job) (any, error) { return nil, nil },
+	})
+	if err != nil {
+		f.Fatal(err)
+	}
+	for !j.Snapshot().State.Terminal() {
+		time.Sleep(time.Millisecond)
+	}
+	for _, seed := range []string{"", "0", "3", "007", "18446744073709551615", "18446744073709551616",
+		"-1", "+1", " 1", "1 ", "1e3", "0x10", "1_000", "٣"} {
+		f.Add(seed, false)
+		f.Add(seed, true)
+	}
+	h := s.Handler()
+	path := "/v1/jobs/" + j.ID + "/events"
+	f.Fuzz(func(t *testing.T, cursor string, query bool) {
+		target := path
+		if query {
+			target += "?after=" + url.QueryEscape(cursor)
+		}
+		req := httptest.NewRequest("GET", target, nil)
+		if !query && cursor != "" {
+			req.Header.Set("Last-Event-ID", cursor)
+		}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		want := http.StatusOK
+		if _, err := strconv.ParseUint(cursor, 10, 64); err != nil && cursor != "" {
+			want = http.StatusBadRequest
+		}
+		if rec.Code != want {
+			t.Fatalf("cursor %q (query=%t) = %d, want %d", cursor, query, rec.Code, want)
+		}
+	})
 }

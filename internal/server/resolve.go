@@ -41,6 +41,7 @@ type resolved struct {
 	via     string        // forwarding peer URL; empty for a local solve or a hit
 	tree    *obs.SpanNode // non-nil for traced requests and remote-parented solves
 	traceID string        // set alongside tree; rendered as the JSON traceId field
+	solved  time.Duration // the local engine solve's own duration; 0 when none ran
 }
 
 // caller says who asked for a solve, which decides how its miss resolves.
@@ -184,7 +185,7 @@ func (s *Server) resolveMiss(ctx context.Context, p *parsedSolve, c caller) (res
 		Forwarded: forwarded,
 		Remote:    hasRemote,
 		Peer:      res.via,
-	})
+	}, res.solved)
 	return res, err
 }
 
@@ -229,13 +230,13 @@ func (s *Server) solveLocal(ctx context.Context, p *parsedSolve, c caller) (reso
 		if errors.As(err, &pe) {
 			s.cfg.Logger.Error("solver panicked", "solver", pe.Solver, "panic", fmt.Sprint(pe.Value), "stack", string(pe.Stack))
 		}
-		return resolved{}, err
+		return resolved{solved: res.Stats.Duration}, err
 	}
 	var cert *verifyInfo
 	if p.req.Verify {
 		cert = s.certifyResult(req, res)
 	}
-	return resolved{frame: appendSolveResult(nil, p.fp, res, cert)}, nil
+	return resolved{frame: appendSolveResult(nil, p.fp, res, cert), solved: res.Stats.Duration}, nil
 }
 
 // admit takes one solve slot from the limiter: a free slot at once, else a

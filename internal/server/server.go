@@ -7,6 +7,7 @@ import (
 	"net"
 	"net/http"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -49,9 +50,6 @@ type Config struct {
 	// graphs are rejected before any array is allocated; JSON graphs are
 	// checked right after decode. Negative disables the limit.
 	MaxNodes int
-	// MaxBatchRequests bounds the request count of one batch call
-	// (default 1024).
-	MaxBatchRequests int
 	// JobQueue bounds async jobs waiting for a solve slot; beyond it
 	// submissions are shed with 429 (default 64). Jobs take slots from the
 	// same admission limiter as the synchronous routes, only when no
@@ -82,11 +80,10 @@ type Config struct {
 	TraceSample float64
 	// TraceStore caps retained traces by count; 0 picks the default (512)
 	// and a negative value disables the flight recorder entirely —
-	// /v1/traces then answers enabled:false.
+	// /v1/traces then answers enabled:false. The store is also capped at
+	// 8 MiB of serialized traces; oldest traces are evicted first on either
+	// cap.
 	TraceStore int
-	// TraceStoreBytes caps retained traces by serialized size (default
-	// 8 MiB). Oldest traces are evicted first on either cap.
-	TraceStoreBytes int64
 	// SlowTrace is the absolute duration floor beyond which any solve is
 	// retained regardless of sampling (default 500ms). The recorder also
 	// keeps solves beyond the per-solver adaptive p99 threshold.
@@ -131,20 +128,8 @@ func (cfg Config) withDefaults() Config {
 	if cfg.MaxNodes < 0 {
 		cfg.MaxNodes = 0 // 0 = unlimited downstream
 	}
-	if cfg.MaxBatchRequests <= 0 {
-		cfg.MaxBatchRequests = 1024
-	}
 	if cfg.MaxJobTimeout <= 0 {
 		cfg.MaxJobTimeout = 15 * time.Minute
-	}
-	if cfg.TraceStore == 0 {
-		cfg.TraceStore = 512
-	}
-	if cfg.TraceStoreBytes <= 0 {
-		cfg.TraceStoreBytes = 8 << 20
-	}
-	if cfg.SlowTrace <= 0 {
-		cfg.SlowTrace = 500 * time.Millisecond
 	}
 	if cfg.Logger == nil {
 		cfg.Logger = slog.Default()
@@ -163,7 +148,6 @@ type Server struct {
 	solvem   *solveMetrics    // the engine observer of every solve: all solver metrics
 	jobs     *jobs.Manager    // async job queue and its dispatcher
 	recorder *flight.Recorder // always-on trace store; nil when disabled
-	httpm    *httpMetrics
 	handler  http.Handler
 	hs       *http.Server
 	draining atomic.Bool
@@ -183,10 +167,18 @@ type Server struct {
 	// parsing can intern solver names without re-sorting the registry.
 	solverNames []string
 
+	// httpm holds each route label's HTTP series; routes() fills it and it
+	// is read-only afterwards. httpInFlight counts requests being served.
+	httpm        map[string]*routeMetrics
+	httpInFlight atomic.Int64
+
 	// Outcomes of requested certificates, for /metrics.
 	verifyCertified   atomic.Uint64
 	verifyUncertified atomic.Uint64
 }
+
+// maxBatchRequests bounds the request count of one batch call.
+const maxBatchRequests = 1024
 
 // New builds a Server from cfg (zero-value fields take defaults).
 func New(cfg Config) *Server {
@@ -195,7 +187,6 @@ func New(cfg Config) *Server {
 		cfg:         cfg,
 		limiter:     NewLimiter(cfg.MaxConcurrent, cfg.MaxQueue),
 		solvem:      newSolveMetrics(),
-		httpm:       newHTTPMetrics(),
 		started:     time.Now(),
 		bufPool:     sync.Pool{New: func() any { return new(bytes.Buffer) }},
 		solverNames: engine.Names(),
@@ -204,11 +195,10 @@ func New(cfg Config) *Server {
 	if cfg.CacheSize > 0 {
 		s.cache = NewCache(cfg.CacheSize, 16)
 	}
-	if cfg.TraceStore > 0 {
+	if cfg.TraceStore >= 0 {
 		s.recorder = flight.New(flight.Config{
 			SampleRate:    cfg.TraceSample,
 			MaxTraces:     cfg.TraceStore,
-			MaxBytes:      cfg.TraceStoreBytes,
 			SlowFloor:     cfg.SlowTrace,
 			SlowThreshold: s.solvem.slowFor,
 		})
@@ -232,22 +222,34 @@ func New(cfg Config) *Server {
 // the API under another mux or driving it in tests without a listener.
 func (s *Server) Handler() http.Handler { return s.handler }
 
-// routes builds the mux. Method-qualified patterns give 405s for free.
+// routes builds the mux. Method-qualified patterns give 405s for free. A
+// pattern's route label is its path, so patterns that differ only in method
+// share one label and one routeMetrics.
 func (s *Server) routes() http.Handler {
 	mux := http.NewServeMux()
-	mux.Handle("POST /v1/solve", s.instrument("/v1/solve", s.handleSolve))
-	mux.Handle("POST /v1/batch", s.instrument("/v1/batch", s.handleBatch))
-	mux.Handle("GET /v1/solvers", s.instrument("/v1/solvers", s.handleSolvers))
-	mux.Handle("POST /v1/jobs", s.instrument("/v1/jobs", s.handleJobSubmit))
-	mux.Handle("GET /v1/jobs", s.instrument("/v1/jobs", s.handleJobList))
-	mux.Handle("GET /v1/jobs/{id}", s.instrument("/v1/jobs/{id}", s.handleJobGet))
-	mux.Handle("DELETE /v1/jobs/{id}", s.instrument("/v1/jobs/{id}", s.handleJobCancel))
-	mux.Handle("GET /v1/jobs/{id}/events", s.instrument("/v1/jobs/{id}/events", s.handleJobEvents))
-	mux.Handle("GET /v1/cluster", s.instrument("/v1/cluster", s.handleCluster))
-	mux.Handle("GET /v1/traces", s.instrument("/v1/traces", s.handleTraceList))
-	mux.Handle("GET /v1/traces/{id}", s.instrument("/v1/traces/{id}", s.handleTraceGet))
-	mux.Handle("GET /healthz", s.instrument("/healthz", s.handleHealthz))
-	mux.Handle("GET /metrics", s.instrument("/metrics", s.handleMetrics))
+	s.httpm = make(map[string]*routeMetrics)
+	handle := func(pattern string, h http.HandlerFunc) {
+		_, route, _ := strings.Cut(pattern, " ")
+		rm := s.httpm[route]
+		if rm == nil {
+			rm = &routeMetrics{hist: obs.NewHistogram(obs.LatencyBuckets())}
+			s.httpm[route] = rm
+		}
+		mux.Handle(pattern, s.instrument(route, rm, h))
+	}
+	handle("POST /v1/solve", s.handleSolve)
+	handle("POST /v1/batch", s.handleBatch)
+	handle("GET /v1/solvers", s.handleSolvers)
+	handle("POST /v1/jobs", s.handleJobSubmit)
+	handle("GET /v1/jobs", s.handleJobList)
+	handle("GET /v1/jobs/{id}", s.handleJobGet)
+	handle("DELETE /v1/jobs/{id}", s.handleJobCancel)
+	handle("GET /v1/jobs/{id}/events", s.handleJobEvents)
+	handle("GET /v1/cluster", s.handleCluster)
+	handle("GET /v1/traces", s.handleTraceList)
+	handle("GET /v1/traces/{id}", s.handleTraceGet)
+	handle("GET /healthz", s.handleHealthz)
+	handle("GET /metrics", s.handleMetrics)
 	return mux
 }
 
@@ -298,7 +300,7 @@ func sanitizeRequestID(id string) string {
 // request ID comes from the client's X-Request-ID header when valid, is
 // generated otherwise, and is echoed back on the response; downstream it
 // rides the context into slog lines, engine events, and trace roots.
-func (s *Server) instrument(route string, h http.HandlerFunc) http.Handler {
+func (s *Server) instrument(route string, rm *routeMetrics, h http.HandlerFunc) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		rid := sanitizeRequestID(r.Header.Get("X-Request-Id"))
@@ -309,14 +311,14 @@ func (s *Server) instrument(route string, h http.HandlerFunc) http.Handler {
 		sw := &statusWriter{ResponseWriter: w}
 		sw.Header().Set("X-Request-Id", rid)
 		r.Body = http.MaxBytesReader(sw, r.Body, s.cfg.MaxBodyBytes)
-		s.httpm.addInFlight(1)
+		s.httpInFlight.Add(1)
 		h(sw, r)
-		s.httpm.addInFlight(-1)
+		s.httpInFlight.Add(-1)
 		if sw.code == 0 {
 			sw.code = http.StatusOK
 		}
 		elapsed := time.Since(start)
-		s.httpm.observe(route, sw.code, elapsed)
+		rm.observe(sw.code, elapsed)
 		// LogAttrs with typed attrs: slog.Value keeps ints and durations
 		// inline, so the log line costs no boxing allocations per request.
 		// Exactly five attrs — slog.Record holds that many without growing.

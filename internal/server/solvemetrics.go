@@ -1,10 +1,9 @@
 package server
 
 import (
-	"fmt"
-	"io"
+	"maps"
 	"math"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -148,80 +147,54 @@ func (m *solveMetrics) setExemplar(solver string, d time.Duration, traceID strin
 }
 
 // writeTo renders the solve histogram (with exemplars), the per-solver
-// counters, and the in-flight and phase series in Prometheus text format,
-// sorted for deterministic output.
-func (m *solveMetrics) writeTo(w io.Writer) {
-	m.mu.Lock()
-	solvers := make([]string, 0, len(m.series))
-	for name := range m.series {
-		solvers = append(solvers, name)
+// counters, and the in-flight and phase series, sorted for deterministic
+// output. Exemplars and phase totals are copied under the lock; histograms
+// and counters read lock-free.
+func (m *solveMetrics) writeTo(p *obs.PromWriter) {
+	type row struct {
+		name      string
+		ser       *solveSeries
+		exemplars []obs.Exemplar
+		phases    map[string]obs.PhaseStat
 	}
-	sort.Strings(solvers)
-	// Copy the exemplar slices under the lock; histograms snapshot lock-free.
-	exemplars := make(map[string][]obs.Exemplar, len(solvers))
-	for name, ser := range m.series {
-		if len(ser.exemplars) > 0 {
-			exemplars[name] = append([]obs.Exemplar(nil), ser.exemplars...)
-		}
+	m.mu.Lock()
+	rows := make([]row, 0, len(m.series))
+	for _, name := range sortedKeys(m.series) {
+		ser := m.series[name]
+		rows = append(rows, row{name, ser, slices.Clone(ser.exemplars), maps.Clone(ser.phases)})
 	}
 	m.mu.Unlock()
 
-	fmt.Fprint(w, "# HELP partitiond_solve_duration_seconds Solve wall time by solver.\n# TYPE partitiond_solve_duration_seconds histogram\n")
-	for _, name := range solvers {
-		m.seriesFor(name).hist.Snapshot().WritePrometheusExemplars(
-			w, "partitiond_solve_duration_seconds", map[string]string{"solver": name}, exemplars[name])
+	p.Family("partitiond_solve_duration_seconds", "histogram", "Solve wall time by solver.")
+	for _, r := range rows {
+		p.Histogram("partitiond_solve_duration_seconds", r.ser.hist.Snapshot(), r.exemplars, "solver", r.name)
 	}
-
-	fmt.Fprint(w, "# HELP partitiond_solver_errors_total Solves that returned an error, by solver.\n# TYPE partitiond_solver_errors_total counter\n")
-	for _, name := range solvers {
-		fmt.Fprintf(w, "partitiond_solver_errors_total{solver=%q} %d\n", name, m.seriesFor(name).errors.Load())
+	p.Family("partitiond_solver_errors_total", "counter", "Solves that returned an error, by solver.")
+	for _, r := range rows {
+		p.Sample("partitiond_solver_errors_total", r.ser.errors.Load(), "solver", r.name)
 	}
-	fmt.Fprint(w, "# HELP partitiond_solver_latency_seconds_max Slowest single solve by solver.\n# TYPE partitiond_solver_latency_seconds_max gauge\n")
-	for _, name := range solvers {
-		fmt.Fprintf(w, "partitiond_solver_latency_seconds_max{solver=%q} %g\n", name, time.Duration(m.seriesFor(name).maxNanos.Load()).Seconds())
+	p.Family("partitiond_solver_latency_seconds_max", "gauge", "Slowest single solve by solver.")
+	for _, r := range rows {
+		p.Sample("partitiond_solver_latency_seconds_max", time.Duration(r.ser.maxNanos.Load()).Seconds(), "solver", r.name)
 	}
-	fmt.Fprint(w, "# HELP partitiond_solver_iterations_total Solver main-loop iterations by solver.\n# TYPE partitiond_solver_iterations_total counter\n")
-	for _, name := range solvers {
-		fmt.Fprintf(w, "partitiond_solver_iterations_total{solver=%q} %d\n", name, m.seriesFor(name).iterations.Load())
+	p.Family("partitiond_solver_iterations_total", "counter", "Solver main-loop iterations by solver.")
+	for _, r := range rows {
+		p.Sample("partitiond_solver_iterations_total", r.ser.iterations.Load(), "solver", r.name)
 	}
-
-	fmt.Fprint(w, "# HELP partitiond_solver_in_flight Engine solves currently running, by solver.\n# TYPE partitiond_solver_in_flight gauge\n")
-	for _, name := range solvers {
-		fmt.Fprintf(w, "partitiond_solver_in_flight{solver=%q} %d\n", name, m.seriesFor(name).inFlight.Load())
+	p.Family("partitiond_solver_in_flight", "gauge", "Engine solves currently running, by solver.")
+	for _, r := range rows {
+		p.Sample("partitiond_solver_in_flight", r.ser.inFlight.Load(), "solver", r.name)
 	}
-
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	phased := make([]string, 0, len(m.series))
-	for name, ser := range m.series {
-		if len(ser.phases) > 0 {
-			phased = append(phased, name)
+	p.Family("partitiond_solve_phase_seconds_total", "counter", "Time spent inside each solver phase span.")
+	for _, r := range rows {
+		for _, phase := range sortedKeys(r.phases) {
+			p.Sample("partitiond_solve_phase_seconds_total", r.phases[phase].Total.Seconds(), "solver", r.name, "phase", phase)
 		}
 	}
-	sort.Strings(phased)
-	fmt.Fprint(w, "# HELP partitiond_solve_phase_seconds_total Time spent inside each solver phase span.\n# TYPE partitiond_solve_phase_seconds_total counter\n")
-	for _, name := range phased {
-		per := m.series[name].phases
-		for _, phase := range sortedPhases(per) {
-			fmt.Fprintf(w, "partitiond_solve_phase_seconds_total{solver=%q,phase=%q} %g\n",
-				name, phase, per[phase].Total.Seconds())
+	p.Family("partitiond_solve_phase_count_total", "counter", "Phase spans recorded, by solver and phase.")
+	for _, r := range rows {
+		for _, phase := range sortedKeys(r.phases) {
+			p.Sample("partitiond_solve_phase_count_total", r.phases[phase].Count, "solver", r.name, "phase", phase)
 		}
 	}
-	fmt.Fprint(w, "# HELP partitiond_solve_phase_count_total Phase spans recorded, by solver and phase.\n# TYPE partitiond_solve_phase_count_total counter\n")
-	for _, name := range phased {
-		per := m.series[name].phases
-		for _, phase := range sortedPhases(per) {
-			fmt.Fprintf(w, "partitiond_solve_phase_count_total{solver=%q,phase=%q} %d\n",
-				name, phase, per[phase].Count)
-		}
-	}
-}
-
-func sortedPhases(per map[string]obs.PhaseStat) []string {
-	out := make([]string, 0, len(per))
-	for phase := range per {
-		out = append(out, phase)
-	}
-	sort.Strings(out)
-	return out
 }

@@ -18,14 +18,14 @@ import (
 // retained on both sides under the same trace ID.
 
 // offerTrace hands a finished request trace to the flight recorder and, when
-// it was retained, links the solver's latency-histogram bucket to it as an
-// exemplar. Forwarded traces are skipped for exemplars — the duration was the
-// hop, not this node's solver — as are shed requests, which never reached the
-// engine. Nil-safe when the recorder is disabled.
-func (s *Server) offerTrace(info flight.Info) {
-	rec, reason := s.recorder.Offer(info)
-	if rec != nil && !info.Forwarded && reason != flight.ReasonShed {
-		s.solvem.setExemplar(info.Solver, rec.Duration, rec.TraceID)
+// it was retained, links it as an exemplar to the solver's latency bucket for
+// solved — the engine solve's own duration, which the histogram observed.
+// The trace's duration would not do: it also spans the admission wait,
+// certification and framing. Forwarded and shed requests ran no local solve
+// (solved is 0) and get no exemplar. Nil-safe when the recorder is disabled.
+func (s *Server) offerTrace(info flight.Info, solved time.Duration) {
+	if rec, _ := s.recorder.Offer(info); rec != nil && solved > 0 {
+		s.solvem.setExemplar(info.Solver, solved, rec.TraceID)
 	}
 }
 

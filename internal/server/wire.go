@@ -320,8 +320,8 @@ func (s *Server) parseBinaryBatch(b []byte) (parsed []parsedSolve, errMsgs []str
 	if count == 0 {
 		return nil, nil, 0, errors.New("batch must contain at least one request")
 	}
-	if count > uint64(s.cfg.MaxBatchRequests) {
-		return nil, nil, 0, fmt.Errorf("batch of %d exceeds the %d-request limit", count, s.cfg.MaxBatchRequests)
+	if count > maxBatchRequests {
+		return nil, nil, 0, fmt.Errorf("batch of %d exceeds the %d-request limit", count, maxBatchRequests)
 	}
 	parsed = make([]parsedSolve, count)
 	errMsgs = make([]string, count)
