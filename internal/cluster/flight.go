@@ -24,7 +24,7 @@ type flightCall[V any] struct {
 }
 
 // Group is a duplicate-call suppressor (a "single-flight" group): concurrent
-// Do calls with the same key execute fn exactly once and share the one
+// DoContext calls with the same key execute fn exactly once and share the one
 // result. It is the dedup layer in front of the solve engine — N identical
 // cache misses perform one solve — and, because forwarded cluster requests
 // land on the owner with the same key as its local misses, the same group
@@ -37,20 +37,15 @@ type flightCall[V any] struct {
 // next caller leads a fresh flight instead of joining an abandoned one.
 //
 // Unlike a cache, a Group holds no completed results: as soon as the leader
-// finishes, the key is forgotten and the next Do runs fn again (by then the
-// result cache answers). Errors are shared with every waiter of that flight
-// and never retained. The zero value is ready to use.
+// finishes, the key is forgotten and the next DoContext runs fn again (by
+// then the result cache answers). Errors are shared with every waiter of
+// that flight and never retained. The zero value is ready to use.
 type Group[K comparable, V any] struct {
 	mu    sync.Mutex
 	calls map[K]*flightCall[V]
 
 	leads  atomic.Uint64 // executions of fn
 	shared atomic.Uint64 // results served from another caller's execution
-}
-
-// Do is DoContext for a caller with no context to leave by.
-func (g *Group[K, V]) Do(key K, fn func() (V, error)) (v V, shared bool, err error) {
-	return g.DoContext(context.Background(), key, func(context.Context) (V, error) { return fn() }, nil)
 }
 
 // DoContext executes fn once per concurrent set of callers with the same

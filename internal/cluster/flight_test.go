@@ -9,18 +9,18 @@ import (
 	"time"
 )
 
-// launchFlight starts n concurrent Do("k", fn) callers where fn blocks until
-// release is closed. It returns once every caller goroutine has signalled it
-// is about to enter Do and the leader is inside fn; the short settle sleep
+// launchFlight starts n concurrent DoContext("k", fn) callers where fn blocks
+// until release is closed. It returns once every caller goroutine has
+// signalled it is about to enter DoContext and the leader is inside fn; the short settle sleep
 // then makes "every other caller has joined the leader's flight" reliable
 // (the same handshake golang.org/x/sync's singleflight tests use — sharing is
-// guaranteed by Do's map check once a caller is inside, the sleep only covers
+// guaranteed by DoContext's map check once a caller is inside, the sleep only covers
 // the last few instructions before it).
 func launchFlight[V any](t *testing.T, g *Group[string, V], n int, fn func() (V, error), release chan struct{}) (wait func() []flightResult[V]) {
 	t.Helper()
 	entered := make(chan struct{})
 	var once sync.Once
-	wrapped := func() (V, error) {
+	wrapped := func(context.Context) (V, error) {
 		once.Do(func() { close(entered) })
 		<-release
 		return fn()
@@ -33,7 +33,7 @@ func launchFlight[V any](t *testing.T, g *Group[string, V], n int, fn func() (V,
 		go func(i int) {
 			defer done.Done()
 			ready.Done()
-			v, shared, err := g.Do("k", wrapped)
+			v, shared, err := g.DoContext(context.Background(), "k", wrapped, nil)
 			results[i] = flightResult[V]{v: v, shared: shared, err: err}
 		}(i)
 	}
@@ -106,9 +106,9 @@ func TestFlightErrorShared(t *testing.T) {
 func TestFlightKeyForgottenAfterCompletion(t *testing.T) {
 	var g Group[string, int]
 	var calls atomic.Int32
-	fn := func() (int, error) { calls.Add(1); return int(calls.Load()), nil }
-	v1, shared1, _ := g.Do("k", fn)
-	v2, shared2, _ := g.Do("k", fn)
+	fn := func(context.Context) (int, error) { calls.Add(1); return int(calls.Load()), nil }
+	v1, shared1, _ := g.DoContext(context.Background(), "k", fn, nil)
+	v2, shared2, _ := g.DoContext(context.Background(), "k", fn, nil)
 	if shared1 || shared2 {
 		t.Fatal("sequential calls must not share")
 	}
@@ -124,7 +124,7 @@ func TestFlightDistinctKeysConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			v, _, err := g.Do(i%5, func() (int, error) { return i % 5, nil })
+			v, _, err := g.DoContext(context.Background(), i%5, func(context.Context) (int, error) { return i % 5, nil }, nil)
 			if err != nil {
 				t.Errorf("key %d: %v", i%5, err)
 			}
@@ -150,15 +150,15 @@ func TestFlightLeaderPanic(t *testing.T) {
 				t.Error("panic did not propagate to the leader")
 			}
 		}()
-		g.Do("k", func() (int, error) {
+		g.DoContext(context.Background(), "k", func(context.Context) (int, error) {
 			close(entered)
 			<-release
 			panic("leader exploded")
-		})
+		}, nil)
 	}()
 	<-entered
 	go func() {
-		_, _, err := g.Do("k", func() (int, error) { return 7, nil })
+		_, _, err := g.DoContext(context.Background(), "k", func(context.Context) (int, error) { return 7, nil }, nil)
 		joined <- err
 	}()
 	time.Sleep(100 * time.Millisecond)
@@ -173,9 +173,9 @@ func TestFlightLeaderPanic(t *testing.T) {
 		t.Fatalf("joiner error = %v, want nil or errFlightPanic", err)
 	}
 	// The key must be usable again afterwards.
-	v, shared, err := g.Do("k", func() (int, error) { return 9, nil })
+	v, shared, err := g.DoContext(context.Background(), "k", func(context.Context) (int, error) { return 9, nil }, nil)
 	if v != 9 || shared || err != nil {
-		t.Fatalf("post-panic Do = (%d, %v, %v), want (9, false, nil)", v, shared, err)
+		t.Fatalf("post-panic DoContext = (%d, %v, %v), want (9, false, nil)", v, shared, err)
 	}
 }
 

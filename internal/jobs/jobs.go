@@ -66,8 +66,8 @@ type Event struct {
 	Data json.RawMessage `json:"data,omitempty"`
 }
 
-// statePayload is the Data of "state" events.
-type statePayload struct {
+// StatePayload is the Data of "state" events.
+type StatePayload struct {
 	State State  `json:"state"`
 	Error string `json:"error,omitempty"`
 }
@@ -225,7 +225,7 @@ func (j *Job) EventsSince(after uint64) ([]Event, <-chan struct{}, bool) {
 func (j *Job) publish(typ string, payload any) {
 	data, err := json.Marshal(payload)
 	if err != nil {
-		return // payloads are package-local structs; cannot happen
+		return // payloads are this package's own structs; cannot happen
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -247,7 +247,7 @@ func (j *Job) publishLocked(typ string, data json.RawMessage) {
 func (j *Job) setStateLocked(s State, errMsg string) {
 	j.state = s
 	j.errMsg = errMsg
-	data, _ := json.Marshal(statePayload{State: s, Error: errMsg})
+	data, _ := json.Marshal(StatePayload{State: s, Error: errMsg})
 	j.publishLocked("state", data)
 	if s.Terminal() {
 		j.finished = time.Now().UTC()

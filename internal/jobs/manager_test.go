@@ -406,8 +406,8 @@ func TestEventsSinceResume(t *testing.T) {
 	m := New(Config{Acquire: oneSlot()})
 	defer shutdownNow(t, m)
 	j, err := m.Submit(Spec{Run: func(ctx context.Context, j *Job) (any, error) {
-		j.publish("phase", phasePayload{Phase: "alpha"})
-		j.publish("phase", phasePayload{Phase: "alpha", End: true, DurationMS: 1.5})
+		j.publish("phase", PhasePayload{Phase: "alpha"})
+		j.publish("phase", PhasePayload{Phase: "alpha", End: true, DurationMS: 1.5})
 		return nil, nil
 	}})
 	if err != nil {

@@ -1,19 +1,22 @@
 package jobs
 
 import (
+	"bufio"
 	"bytes"
+	"fmt"
 	"io"
 	"strconv"
+	"strings"
 
 	"repro/internal/obs"
 )
 
-// phasePayload is the Data of "phase" events: one solve-phase span opening
+// PhasePayload is the Data of "phase" events: one solve-phase span opening
 // (End false) or closing (End true, with its duration). TraceID and SpanID
 // carry the span's distributed-trace identity so SSE consumers can correlate
 // phase events with the trace retained in the flight recorder (and with the
 // X-Request-Id the job was submitted under).
-type phasePayload struct {
+type PhasePayload struct {
 	Phase      string  `json:"phase"`
 	End        bool    `json:"end,omitempty"`
 	Root       bool    `json:"root,omitempty"`
@@ -31,7 +34,7 @@ type phasePayload struct {
 //
 // It is safe for concurrent use, as OnSpan requires.
 func (j *Job) PublishSpan(ev obs.SpanEvent) {
-	p := phasePayload{Phase: ev.Name, End: ev.End, Root: ev.Root}
+	p := PhasePayload{Phase: ev.Name, End: ev.End, Root: ev.Root}
 	if ev.End {
 		p.DurationMS = float64(ev.Duration.Microseconds()) / 1e3
 	}
@@ -72,4 +75,51 @@ func WriteEvent(w io.Writer, ev Event) error {
 	b.WriteByte('\n')
 	_, err := w.Write(b.Bytes())
 	return err
+}
+
+// ReadEvent reads the next Server-Sent Events frame from r: the inverse of
+// WriteEvent. Comment lines (leading ':', the server's keepalives) are
+// skipped, repeated data fields join with '\n', and unknown fields are
+// ignored. Only '\n' ends a line, so a frame WriteEvent wrote comes back
+// with the same Seq, Type and Data; Time is not on the wire. At the end of
+// the stream ReadEvent returns io.EOF, or io.ErrUnexpectedEOF when it ends
+// inside a frame.
+func ReadEvent(r *bufio.Reader) (Event, error) {
+	var ev Event
+	seen, hasData := false, false
+	for {
+		line, err := r.ReadString('\n')
+		if err != nil {
+			if err == io.EOF && (seen || line != "") {
+				err = io.ErrUnexpectedEOF
+			}
+			return Event{}, err
+		}
+		line = line[:len(line)-1]
+		if line == "" {
+			if seen {
+				return ev, nil
+			}
+			continue
+		}
+		if line[0] == ':' {
+			continue
+		}
+		field, value, _ := strings.Cut(line, ":")
+		value = strings.TrimPrefix(value, " ")
+		seen = true
+		switch field {
+		case "id":
+			if ev.Seq, err = strconv.ParseUint(value, 10, 64); err != nil {
+				return Event{}, fmt.Errorf("jobs: bad event id %q", value)
+			}
+		case "event":
+			ev.Type = value
+		case "data":
+			if hasData {
+				ev.Data = append(ev.Data, '\n')
+			}
+			ev.Data, hasData = append(ev.Data, value...), true
+		}
+	}
 }

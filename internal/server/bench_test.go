@@ -292,7 +292,7 @@ func BenchmarkJobSubmitToResult(b *testing.B) {
 		if rec.Code != http.StatusAccepted {
 			b.Fatalf("submit status %d: %s", rec.Code, rec.Body.String())
 		}
-		var sub jobSubmitResponse
+		var sub JobSubmitResponse
 		if err := json.Unmarshal(rec.Body.Bytes(), &sub); err != nil {
 			b.Fatal(err)
 		}
@@ -308,7 +308,7 @@ func BenchmarkJobSubmitToResult(b *testing.B) {
 		if grec.Code != http.StatusOK {
 			b.Fatalf("get status %d", grec.Code)
 		}
-		var st jobStatusResponse
+		var st JobStatusResponse
 		if err := json.Unmarshal(grec.Body.Bytes(), &st); err != nil {
 			b.Fatal(err)
 		}

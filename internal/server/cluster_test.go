@@ -528,7 +528,7 @@ func TestFlightCanceledWhenAllLeave(t *testing.T) {
 		t.Fatal("the abandoned solve never saw its context end")
 	}
 	deadline := time.Now().Add(5 * time.Second)
-	for s.LimiterStats().InFlight != 0 {
+	for s.limiter.Stats().InFlight != 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("the abandoned solve still holds its admission slot")
 		}
@@ -590,7 +590,7 @@ func TestClusterJobSolvedOnOwner(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("the forwarded job's solve never started")
 	}
-	if got := nodes[0].srv.LimiterStats().InFlight; got != 0 {
+	if got := nodes[0].srv.limiter.Stats().InFlight; got != 0 {
 		t.Errorf("submitting node holds %d solve slots while the owner solves, want 0", got)
 	}
 	release()
@@ -638,7 +638,7 @@ func TestClusterTracePropagation(t *testing.T) {
 	if got := resp.Header.Get("X-Cluster"); got != "forwarded "+owner.url {
 		t.Fatalf("X-Cluster = %q, want forwarded to the owner", got)
 	}
-	var sres solveResponse
+	var sres SolveResponse
 	if err := json.Unmarshal(body, &sres); err != nil {
 		t.Fatal(err)
 	}

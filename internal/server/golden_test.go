@@ -289,7 +289,7 @@ func TestGoldenJob(t *testing.T) {
 			} else {
 				sub = postGolden(t, h, "/v1/jobs", jobSubmitRequest{solveRequest: c.jsonRequest(t, p, tr)}, false, "")
 			}
-			var js jobSubmitResponse
+			var js JobSubmitResponse
 			if err := json.Unmarshal(sub, &js); err != nil {
 				t.Fatal(err)
 			}
@@ -301,12 +301,12 @@ func TestGoldenJob(t *testing.T) {
 }
 
 // waitGoldenJob polls a job through the handler until it succeeds.
-func waitGoldenJob(t *testing.T, h http.Handler, id string) jobStatusResponse {
+func waitGoldenJob(t *testing.T, h http.Handler, id string) JobStatusResponse {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		rec := doJSON(t, h, "GET", "/v1/jobs/"+id, nil)
-		var st jobStatusResponse
+		var st JobStatusResponse
 		if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil {
 			t.Fatal(err)
 		}

@@ -63,11 +63,11 @@ type verifyInfo struct {
 	Detail    string  `json:"detail,omitempty"`
 }
 
-// solveResponse is the body of a successful solve, rendered from the cached
+// SolveResponse is the body of a successful solve, rendered from the cached
 // PRS1 frame. Hits render the same bytes as the original answer, so Stats
 // describe the solve that produced the result; the X-Cache header says which
 // case the caller got.
-type solveResponse struct {
+type SolveResponse struct {
 	Solver           string    `json:"solver"`
 	K                float64   `json:"k"`
 	Cut              []int     `json:"cut"`
@@ -305,7 +305,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	}
 	res, err := s.resolve(ctx, &p, caller{peer: internal})
 	if err != nil {
-		s.writeSolveError(w, err)
+		s.writeError(w, errStatus(err), err.Error())
 		return
 	}
 	wantBin := acceptsBinary(r.Header.Get("Accept")) && !p.req.Trace

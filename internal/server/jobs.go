@@ -34,16 +34,16 @@ type jobSubmitRequest struct {
 	Priority int `json:"priority,omitempty"`
 }
 
-// jobSubmitResponse is the 202 body of POST /v1/jobs.
-type jobSubmitResponse struct {
+// JobSubmitResponse is the 202 body of POST /v1/jobs.
+type JobSubmitResponse struct {
 	jobs.Snapshot
 	// EventsURL is the job's SSE stream path.
 	EventsURL string `json:"eventsUrl"`
 }
 
-// jobStatusResponse is the body of GET /v1/jobs/{id}: the snapshot, plus the
+// JobStatusResponse is the body of GET /v1/jobs/{id}: the snapshot, plus the
 // solve result once the job succeeded.
-type jobStatusResponse struct {
+type JobStatusResponse struct {
 	jobs.Snapshot
 	// Result is the same JSON object a synchronous /v1/solve would have
 	// returned, present only in state "succeeded".
@@ -122,7 +122,7 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
-	body, _ := json.Marshal(jobSubmitResponse{
+	body, _ := json.Marshal(JobSubmitResponse{
 		Snapshot:  j.Snapshot(),
 		EventsURL: "/v1/jobs/" + j.ID + "/events",
 	})
@@ -145,7 +145,7 @@ func (s *Server) handleJobGet(w http.ResponseWriter, r *http.Request) {
 	if j == nil {
 		return
 	}
-	resp := jobStatusResponse{Snapshot: j.Snapshot()}
+	resp := JobStatusResponse{Snapshot: j.Snapshot()}
 	if res, ok := j.Result(); ok {
 		if jr, ok := res.(jobResult); ok {
 			resp.Result = jr.body
@@ -184,7 +184,7 @@ func (s *Server) handleJobCancel(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.jobs.Cancel(j.ID)
-	body, _ := json.Marshal(jobStatusResponse{Snapshot: j.Snapshot()})
+	body, _ := json.Marshal(JobStatusResponse{Snapshot: j.Snapshot()})
 	writeJSON(w, http.StatusAccepted, body)
 }
 

@@ -20,7 +20,7 @@ import (
 
 // submitJob posts a job submission to the server at base and decodes the
 // 202 response.
-func submitJob(t *testing.T, base string, body any) jobSubmitResponse {
+func submitJob(t *testing.T, base string, body any) JobSubmitResponse {
 	t.Helper()
 	b, err := json.Marshal(body)
 	if err != nil {
@@ -35,7 +35,7 @@ func submitJob(t *testing.T, base string, body any) jobSubmitResponse {
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("submit status = %d, body = %s", resp.StatusCode, raw)
 	}
-	var out jobSubmitResponse
+	var out JobSubmitResponse
 	if err := json.Unmarshal(raw, &out); err != nil {
 		t.Fatalf("bad submit response: %v (%s)", err, raw)
 	}
@@ -46,7 +46,7 @@ func submitJob(t *testing.T, base string, body any) jobSubmitResponse {
 }
 
 // getJob fetches GET /v1/jobs/{id} from the server at base.
-func getJob(t *testing.T, base, id string) jobStatusResponse {
+func getJob(t *testing.T, base, id string) JobStatusResponse {
 	t.Helper()
 	resp, err := http.Get(base + "/v1/jobs/" + id)
 	if err != nil {
@@ -57,7 +57,7 @@ func getJob(t *testing.T, base, id string) jobStatusResponse {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("get job status = %d, body = %s", resp.StatusCode, raw)
 	}
-	var out jobStatusResponse
+	var out JobStatusResponse
 	if err := json.Unmarshal(raw, &out); err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func getJob(t *testing.T, base, id string) jobStatusResponse {
 
 // waitJobState polls GET /v1/jobs/{id} on the server at base until the
 // state matches.
-func waitJobState(t *testing.T, base, id string, want jobs.State) jobStatusResponse {
+func waitJobState(t *testing.T, base, id string, want jobs.State) JobStatusResponse {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for {
@@ -192,7 +192,7 @@ func TestJobLifecycle(t *testing.T) {
 	if st.State != jobs.StateSucceeded || st.Result == nil {
 		t.Fatalf("final status = %+v", st)
 	}
-	var res solveResponse
+	var res SolveResponse
 	if err := json.Unmarshal(st.Result, &res); err != nil {
 		t.Fatal(err)
 	}
@@ -388,7 +388,7 @@ func awaitFlightJoin(t *testing.T, s *Server, base, id string, inFlight int) {
 	t.Helper()
 	waitJobState(t, base, id, jobs.StateRunning)
 	deadline := time.Now().Add(5 * time.Second)
-	for s.LimiterStats().InFlight != inFlight {
+	for s.limiter.Stats().InFlight != inFlight {
 		if time.Now().After(deadline) {
 			t.Fatalf("job %s still holds its admission slot: it did not join the running flight", id)
 		}
@@ -455,7 +455,7 @@ func TestJobOutlivesSyncDeadline(t *testing.T) {
 	}()
 	<-started
 
-	var subs []jobSubmitResponse
+	var subs []JobSubmitResponse
 	for range 2 {
 		sub := submitJob(t, ts.URL, jobSubmitRequest{solveRequest: solveRequest{Solver: "test-gate", K: 42, Graph: g}})
 		awaitFlightJoin(t, s, ts.URL, sub.ID, 1)
@@ -475,7 +475,7 @@ func TestJobOutlivesSyncDeadline(t *testing.T) {
 	release()
 	for _, sub := range subs {
 		st := waitJobState(t, ts.URL, sub.ID, jobs.StateSucceeded)
-		var res solveResponse
+		var res SolveResponse
 		if err := json.Unmarshal(st.Result, &res); err != nil || res.K != 42 {
 			t.Errorf("job result = %s (%v)", st.Result, err)
 		}
@@ -550,7 +550,7 @@ func TestJobJoinerReleasesSlot(t *testing.T) {
 	}
 	syncDone := make(chan *httptest.ResponseRecorder, 1)
 	go func() { syncDone <- doJSONRaw(s.Handler(), "POST", "/v1/solve", sreq) }()
-	for s.LimiterStats().Queued != 1 {
+	for s.limiter.Stats().Queued != 1 {
 		time.Sleep(time.Millisecond)
 	}
 	close(syncQueued)
@@ -612,7 +612,7 @@ func TestJobBinarySubmit(t *testing.T) {
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("binary submit = %d, body = %s", resp.StatusCode, raw)
 	}
-	var sub jobSubmitResponse
+	var sub JobSubmitResponse
 	if err := json.Unmarshal(raw, &sub); err != nil {
 		t.Fatal(err)
 	}
@@ -620,7 +620,7 @@ func TestJobBinarySubmit(t *testing.T) {
 		t.Errorf("priority = %d, want 3", sub.Priority)
 	}
 	st := waitJobState(t, ts.URL, sub.ID, jobs.StateSucceeded)
-	var res solveResponse
+	var res SolveResponse
 	if err := json.Unmarshal(st.Result, &res); err != nil {
 		t.Fatal(err)
 	}
@@ -667,7 +667,7 @@ func TestJobErrors(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("missing solver = %d, want 400", resp.StatusCode)
 	}
-	if st := s.JobStats(); st.Submitted != 0 {
+	if st := s.jobs.Stats(); st.Submitted != 0 {
 		t.Errorf("bad submission created a job: %+v", st)
 	}
 

@@ -79,7 +79,7 @@ func TestGoldenMetrics(t *testing.T) {
 		pt.jsonRequest(t, p, tr), mm.jsonRequest(t, p, tr),
 	}}, http.StatusOK)
 	sm := goldenCase{solver: "summax-tree", k: 5, tree: true}
-	var js jobSubmitResponse
+	var js JobSubmitResponse
 	if err := json.Unmarshal(call("POST", "/v1/jobs", jobSubmitRequest{solveRequest: sm.jsonRequest(t, p, tr)}, http.StatusAccepted), &js); err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +205,7 @@ func TestUnknownSolverRejectedAtDecode(t *testing.T) {
 	if st := s.recorder.Stats(); st.Offered != 0 || st.Traces != 0 {
 		t.Errorf("recorder offered %d, retained %d traces for unknown solvers", st.Offered, st.Traces)
 	}
-	if st := s.JobStats(); st.Submitted != 0 {
+	if st := s.jobs.Stats(); st.Submitted != 0 {
 		t.Errorf("%d jobs submitted for unknown solvers", st.Submitted)
 	}
 }

@@ -306,7 +306,7 @@ func renderJSONResult(res *resolved, traced bool) ([]byte, error) {
 	if len(rest) != 0 {
 		return nil, errBadFrame
 	}
-	var body solveResponse
+	var body SolveResponse
 	body.Solver = sr.Solver
 	body.K = sr.K
 	body.Cut = sr.Cut
@@ -324,13 +324,9 @@ func renderJSONResult(res *resolved, traced bool) ([]byte, error) {
 	return json.Marshal(&body)
 }
 
-// writeSolveError maps a resolve error to its response: explicit HTTP
-// statuses pass through, engine/solve errors map via solveStatus.
-func (s *Server) writeSolveError(w http.ResponseWriter, err error) {
-	s.writeError(w, errStatus(err), err.Error())
-}
-
-// errStatus maps a resolve error to the HTTP status it is written as.
+// errStatus maps a resolve error to the HTTP status it is written as:
+// explicit HTTP statuses pass through, engine/solve errors map via
+// solveStatus.
 func errStatus(err error) int {
 	if err == nil {
 		return http.StatusOK

@@ -377,9 +377,3 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	s.cfg.Logger.Info("drained", "err", err)
 	return err
 }
-
-// LimiterStats snapshots the admission counters.
-func (s *Server) LimiterStats() LimiterStats { return s.limiter.Stats() }
-
-// JobStats snapshots the async job subsystem's counters and occupancy.
-func (s *Server) JobStats() jobs.Stats { return s.jobs.Stats() }

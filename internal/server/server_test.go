@@ -160,7 +160,7 @@ func TestSolveEndpoint(t *testing.T) {
 	if got := rec.Header().Get("X-Cache"); got != "MISS" {
 		t.Errorf("X-Cache = %q, want MISS", got)
 	}
-	var resp solveResponse
+	var resp SolveResponse
 	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
 		t.Fatalf("bad response JSON: %v", err)
 	}
@@ -331,7 +331,7 @@ func TestLimiterSheds429(t *testing.T) {
 	if first.Code != http.StatusOK {
 		t.Fatalf("admitted solve status = %d (body %s)", first.Code, first.Body.String())
 	}
-	if st := s.LimiterStats(); st.ShedQueueFull != 1 || st.Admitted != 1 {
+	if st := s.limiter.Stats(); st.ShedQueueFull != 1 || st.Admitted != 1 {
 		t.Errorf("limiter stats = %+v, want 1 shed / 1 admitted", st)
 	}
 }
@@ -358,7 +358,7 @@ func TestQueueTimeout503(t *testing.T) {
 	if queued.Code != http.StatusServiceUnavailable {
 		t.Fatalf("queued status = %d, want 503 (body %s)", queued.Code, queued.Body.String())
 	}
-	if st := s.LimiterStats(); st.ShedDeadline != 1 {
+	if st := s.limiter.Stats(); st.ShedDeadline != 1 {
 		t.Errorf("shedDeadline = %d, want 1", st.ShedDeadline)
 	}
 }
@@ -436,7 +436,7 @@ func TestGracefulShutdownDrains(t *testing.T) {
 	if got.code != http.StatusOK {
 		t.Fatalf("in-flight request status = %d (body %s)", got.code, got.body)
 	}
-	var resp solveResponse
+	var resp SolveResponse
 	if err := json.Unmarshal(got.body, &resp); err != nil || resp.Solver != "test-gate" {
 		t.Errorf("in-flight response corrupted by drain: %s", got.body)
 	}
@@ -720,7 +720,7 @@ func TestConcurrentSolvesUnderLimit(t *testing.T) {
 	if got := ok.Load() + shed.Load(); got != 32 {
 		t.Errorf("accounted responses = %d, want 32", got)
 	}
-	st := s.LimiterStats()
+	st := s.limiter.Stats()
 	if st.InFlight != 0 || st.Queued != 0 {
 		t.Errorf("limiter not drained after test: %+v", st)
 	}
@@ -739,7 +739,7 @@ func TestSolveVerify(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status = %d, body = %s", rec.Code, rec.Body.String())
 	}
-	var resp solveResponse
+	var resp SolveResponse
 	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
 		t.Fatal(err)
 	}
@@ -760,7 +760,7 @@ func TestSolveVerify(t *testing.T) {
 	if got := plain.Header().Get("X-Cache"); got != "MISS" {
 		t.Errorf("unverified request X-Cache = %q, want MISS (distinct cache key)", got)
 	}
-	var plainResp solveResponse
+	var plainResp SolveResponse
 	if err := json.Unmarshal(plain.Body.Bytes(), &plainResp); err != nil {
 		t.Fatal(err)
 	}
@@ -789,7 +789,7 @@ func TestSolveVerify(t *testing.T) {
 	if err := json.Unmarshal(brec.Body.Bytes(), &bresp); err != nil {
 		t.Fatal(err)
 	}
-	var item0, item1 solveResponse
+	var item0, item1 SolveResponse
 	if err := json.Unmarshal(bresp.Items[0].Result, &item0); err != nil {
 		t.Fatal(err)
 	}

@@ -256,7 +256,7 @@ func TestJobsShareSolveCache(t *testing.T) {
 			}
 			return rec
 		}
-		runJob := func() jobStatusResponse {
+		runJob := func() JobStatusResponse {
 			return waitJobState(t, ts.URL, submitJob(t, ts.URL, job).ID, jobs.StateSucceeded)
 		}
 		if solveFirst {

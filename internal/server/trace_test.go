@@ -87,7 +87,7 @@ func TestSolveTraceResponse(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status = %d, body %s", rec.Code, rec.Body.String())
 	}
-	var resp solveResponse
+	var resp SolveResponse
 	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +163,7 @@ func TestTraceCacheSeparation(t *testing.T) {
 	if c := replayTraced.Header().Get("X-Cache"); c != "MISS" {
 		t.Errorf("traced replay X-Cache = %q, want MISS (a fresh solve)", c)
 	}
-	var orig, again solveResponse
+	var orig, again SolveResponse
 	if err := json.Unmarshal(traced.Body.Bytes(), &orig); err != nil {
 		t.Fatal(err)
 	}

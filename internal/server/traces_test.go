@@ -215,7 +215,7 @@ func TestJobSSETraceCorrelation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var sub jobSubmitResponse
+	var sub JobSubmitResponse
 	err = json.NewDecoder(resp.Body).Decode(&sub)
 	resp.Body.Close()
 	if err != nil || resp.StatusCode != http.StatusAccepted {

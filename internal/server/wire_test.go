@@ -54,7 +54,7 @@ func TestBinarySolveRoundTrip(t *testing.T) {
 	if jrec.Code != http.StatusOK {
 		t.Fatalf("JSON solve = %d: %s", jrec.Code, jrec.Body)
 	}
-	var jresp solveResponse
+	var jresp SolveResponse
 	if err := json.Unmarshal(jrec.Body.Bytes(), &jresp); err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +144,7 @@ func TestWireNegotiation(t *testing.T) {
 	if rec.Code != http.StatusOK || !strings.HasPrefix(rec.Header().Get("Content-Type"), "application/json") {
 		t.Fatalf("bin-in/JSON-out: code %d, Content-Type %q", rec.Code, rec.Header().Get("Content-Type"))
 	}
-	var jresp solveResponse
+	var jresp SolveResponse
 	if err := json.Unmarshal(rec.Body.Bytes(), &jresp); err != nil {
 		t.Fatalf("response is not JSON: %v", err)
 	}
@@ -184,7 +184,7 @@ func TestWireCacheSeparation(t *testing.T) {
 	if bytes.Equal(recJSON.Body.Bytes(), recBin.Body.Bytes()) {
 		t.Error("JSON render returned the raw binary frame")
 	}
-	var resp solveResponse
+	var resp SolveResponse
 	if err := json.Unmarshal(recJSON.Body.Bytes(), &resp); err != nil {
 		t.Fatalf("JSON render is not valid JSON: %v", err)
 	}
