@@ -2,8 +2,9 @@
 // the zero-copy alternative to the JSON envelope that partitiond negotiates
 // via Content-Type (see internal/server). The JSON decode of a large path
 // dominates the whole uncached solve; this format decodes with a handful of
-// allocations (zero per element) and computes the graph's stable fingerprint
-// as it goes, hashing each array right after filling it.
+// allocations (zero per element). graph.FillPath, FillTree and FillGraph
+// copy, validate and fingerprint each weight array in one pass over its
+// bytes; tree and graph edges are decoded first, then checked and hashed.
 //
 // Layout (all integers little-endian):
 //
@@ -234,58 +235,28 @@ func Decode(data []byte, opt Options) (g any, fp uint64, rest []byte, err error)
 		return nil, 0, data, fmt.Errorf("declared %d payload bytes, have %d: %w", need, len(b), ErrTruncated)
 	}
 	rest = b[need:]
+	nodeW := b[:8*n]
 	switch kind {
 	case KindPath:
-		h := graph.NewPathHasher()
-		nodeW := decodeFloats(make([]float64, n), b, &h)
-		edgeW := decodeFloats(make([]float64, m), b[8*n:], &h)
-		p, err := graph.NewPathOwned(nodeW, edgeW)
-		if err != nil {
-			return nil, 0, data, err
-		}
-		return p, h.Sum(), rest, nil
+		g, fp, err = graph.FillPath(nodeW, b[8*n:need])
 	case KindTree:
-		h := graph.NewTreeHasher()
-		nodeW := decodeFloats(make([]float64, n), b, &h)
-		edges := decodeEdges(make([]graph.Edge, m), b[8*n:], &h)
-		t, err := graph.NewTreeOwned(nodeW, edges)
-		if err != nil {
-			return nil, 0, data, err
-		}
-		return t, h.Sum(), rest, nil
+		g, fp, err = graph.FillTree(nodeW, decodeEdges(make([]graph.Edge, m), b[8*n:]))
 	default: // KindGraph
-		h := graph.NewGraphHasher()
-		nodeW := decodeFloats(make([]float64, n), b, &h)
-		edges := decodeEdges(make([]graph.Edge, m), b[8*n:], &h)
-		g, err := graph.NewGraphOwned(nodeW, edges)
-		if err != nil {
-			return nil, 0, data, err
-		}
-		return g, h.Sum(), rest, nil
+		g, fp, err = graph.FillGraph(nodeW, decodeEdges(make([]graph.Edge, m), b[8*n:]))
 	}
+	if err != nil {
+		return nil, 0, data, err
+	}
+	return g, fp, rest, nil
 }
 
-// decodeFloats fills out (len already set) from the front of b, then folds
-// the preceding count and the weights into the hasher.
-func decodeFloats(out []float64, b []byte, h *graph.Hasher) []float64 {
-	for i := range out {
-		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
-	}
-	h.Word(uint64(len(out)))
-	h.Weights(out)
-	return out
-}
-
-// decodeEdges fills out from the front of b, then folds the count and the
-// (u, v, w) triples into the hasher.
-func decodeEdges(out []graph.Edge, b []byte, h *graph.Hasher) []graph.Edge {
+// decodeEdges fills out from the front of b.
+func decodeEdges(out []graph.Edge, b []byte) []graph.Edge {
 	for i := range out {
 		u := binary.LittleEndian.Uint32(b[16*i:])
 		v := binary.LittleEndian.Uint32(b[16*i+4:])
 		w := math.Float64frombits(binary.LittleEndian.Uint64(b[16*i+8:]))
 		out[i] = graph.Edge{U: int(u), V: int(v), W: w}
 	}
-	h.Word(uint64(len(out)))
-	h.Edges(out)
 	return out
 }

@@ -297,6 +297,23 @@ func mustPath(t testing.TB, n int) *graph.Path {
 	return p
 }
 
+func mustTree(t testing.TB, n int) *graph.Tree {
+	t.Helper()
+	nodeW := make([]float64, n)
+	edges := make([]graph.Edge, n-1)
+	for i := range nodeW {
+		nodeW[i] = float64(i%97 + 1)
+	}
+	for i := range edges {
+		edges[i] = graph.Edge{U: i / 3, V: i + 1, W: float64(i%31 + 1)}
+	}
+	tr, err := graph.NewTree(nodeW, edges)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tr
+}
+
 // TestBinaryDecodeAllocBudget pins the allocation budget of the binary
 // decode path: decoding a 4096-node path must stay within a handful of
 // allocations total — the graph header and its arrays, none per element.
@@ -314,6 +331,24 @@ func TestBinaryDecodeAllocBudget(t *testing.T) {
 	})
 	if avg > budget {
 		t.Fatalf("binary decode of a 4096-node path allocates %.1f/op, budget %d", avg, budget)
+	}
+}
+
+// TestBinaryTreeDecodeAllocBudget is TestBinaryDecodeAllocBudget for a
+// 4096-node tree: its node weights, its edges and the header.
+func TestBinaryTreeDecodeAllocBudget(t *testing.T) {
+	enc, err := Append(nil, mustTree(t, 4096))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const budget = 8
+	avg := testing.AllocsPerRun(100, func() {
+		if _, _, _, err := Decode(enc, Options{}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if avg > budget {
+		t.Fatalf("binary decode of a 4096-node tree allocates %.1f/op, budget %d", avg, budget)
 	}
 }
 
@@ -341,4 +376,44 @@ func BenchmarkDecodePath20k(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkDecodeTree5k decodes and fingerprints a 5k-node PGB1 tree.
+func BenchmarkDecodeTree5k(b *testing.B) {
+	enc, err := Append(nil, mustTree(b, 5000))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(len(enc)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, _, err := Decode(enc, Options{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkAppendPath20k prices re-encoding a forwarded 20k-node path
+// (encode) against copying its PGB1 bytes as they arrived (copy), the
+// most a forward that passed the request's bytes through could save.
+func BenchmarkAppendPath20k(b *testing.B) {
+	p := mustPath(b, 20000)
+	enc, err := Append(nil, p)
+	if err != nil {
+		b.Fatal(err)
+	}
+	dst := make([]byte, 0, len(enc))
+	b.Run("encode", func(b *testing.B) {
+		b.SetBytes(int64(len(enc)))
+		for i := 0; i < b.N; i++ {
+			dst, _ = Append(dst[:0], p)
+		}
+	})
+	b.Run("copy", func(b *testing.B) {
+		b.SetBytes(int64(len(enc)))
+		for i := 0; i < b.N; i++ {
+			dst = append(dst[:0], enc...)
+		}
+	})
 }

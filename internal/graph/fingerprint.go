@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/bits"
@@ -66,8 +67,8 @@ func canonWord(b uint64) uint64 {
 }
 
 // Hasher computes a fingerprint incrementally over the canonical word
-// stream, so a decoder can fold each array in right after filling it, while
-// it is still in cache, instead of walking the built graph again.
+// stream, so a decoder can fold each weight array in as it fills it
+// (FillWeights) instead of walking the built graph again.
 // The batch functions FingerprintPath/Tree/Graph are built on it, so any
 // split of the same stream across Word, Weight, Weights and Edges calls
 // yields the identical value.
@@ -177,6 +178,61 @@ func (fh *Hasher) Edges(es []Edge) {
 	for _, e := range es {
 		fh.edge(e)
 	}
+}
+
+// weightLimit is +Inf's bits. Every valid weight (finite and non-negative)
+// has its canonical bits below it; every other weight has the sign bit or
+// an all-ones exponent.
+const weightLimit uint64 = 0x7FF0000000000000
+
+// FillWeights is the one pass a decoder makes over a weight array: it
+// copies len(dst) little-endian float64 words from the front of src
+// (len(src) ≥ 8·len(dst)) into dst, checks that each is a valid weight,
+// and folds them into the hash as Weights(dst) would. dst keeps each
+// word's bits as sent, -0.0 included. It returns the index of the first
+// invalid weight, which dst[bad] holds, or -1; after an invalid weight the
+// hash is unspecified.
+func (fh *Hasher) FillWeights(dst []float64, src []byte) (bad int) {
+	src = src[:8*len(dst)]
+	u := unsafe.Slice((*uint64)(unsafe.Pointer(unsafe.SliceData(dst))), len(dst))
+	for i := 0; i < len(u); {
+		if fh.n != 0 || len(u)-i < 4 { // a word at a time until a stripe starts, and the tail
+			u[i] = binary.LittleEndian.Uint64(src[8*i:])
+			c := canonWord(u[i])
+			if c >= weightLimit {
+				return i
+			}
+			fh.Word(c)
+			i++
+			continue
+		}
+		start := i
+		v0, v1, v2, v3 := fh.v[0], fh.v[1], fh.v[2], fh.v[3]
+		for ; len(u)-i >= 4; i += 4 {
+			s := src[8*i : 8*i+32 : 8*i+32]
+			w0 := binary.LittleEndian.Uint64(s[0:])
+			w1 := binary.LittleEndian.Uint64(s[8:])
+			w2 := binary.LittleEndian.Uint64(s[16:])
+			w3 := binary.LittleEndian.Uint64(s[24:])
+			q := u[i : i+4 : i+4]
+			q[0], q[1], q[2], q[3] = w0, w1, w2, w3
+			c0, c1, c2, c3 := canonWord(w0), canonWord(w1), canonWord(w2), canonWord(w3)
+			if max(c0, c1, c2, c3) >= weightLimit {
+				for j, c := range [4]uint64{c0, c1, c2, c3} {
+					if c >= weightLimit {
+						return i + j
+					}
+				}
+			}
+			v0 = xxRound(v0, c0)
+			v1 = xxRound(v1, c1)
+			v2 = xxRound(v2, c2)
+			v3 = xxRound(v3, c3)
+		}
+		fh.v = [4]uint64{v0, v1, v2, v3}
+		fh.total += uint64(i - start)
+	}
+	return -1
 }
 
 func (fh *Hasher) edge(e Edge) {

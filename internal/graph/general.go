@@ -25,9 +25,8 @@ func NewGraph(nodeW []float64, edges []Edge) (*Graph, error) {
 }
 
 // NewGraphOwned constructs and validates a general task graph that takes
-// ownership of the argument slices without copying — the zero-copy
-// constructor the binary codec decodes into. The caller must not reuse the
-// slices afterwards.
+// ownership of the argument slices without copying. The caller must not
+// reuse the slices afterwards.
 func NewGraphOwned(nodeW []float64, edges []Edge) (*Graph, error) {
 	g := &Graph{NodeW: nodeW, Edges: edges}
 	if err := g.Validate(); err != nil {
@@ -36,16 +35,31 @@ func NewGraphOwned(nodeW []float64, edges []Edge) (*Graph, error) {
 	return g, nil
 }
 
+// FillGraph is FillTree for general graphs.
+func FillGraph(nodeW []byte, edges []Edge) (*Graph, uint64, error) {
+	g := &Graph{NodeW: make([]float64, len(nodeW)/8), Edges: edges}
+	h := NewGraphHasher()
+	if err := g.validate(&h, nodeW); err != nil {
+		return nil, 0, err
+	}
+	h.Word(uint64(len(edges)))
+	h.Edges(edges)
+	return g, h.Sum(), nil
+}
+
 // Len returns the number of vertices.
 func (g *Graph) Len() int { return len(g.NodeW) }
 
 // Validate checks endpoints and weights.
-func (g *Graph) Validate() error {
+func (g *Graph) Validate() error { return g.validate(nil, nil) }
+
+// validate is Validate, or FillGraph's checks when h is not nil.
+func (g *Graph) validate(h *Hasher, nodeW []byte) error {
 	n := len(g.NodeW)
 	if n == 0 {
 		return ErrEmptyGraph
 	}
-	if err := checkWeights("NodeW", g.NodeW); err != nil {
+	if err := checkWeights(h, "NodeW", g.NodeW, nodeW); err != nil {
 		return err
 	}
 	for i, e := range g.Edges {

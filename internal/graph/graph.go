@@ -46,11 +46,19 @@ func validWeight(w float64) bool {
 }
 
 // checkWeights validates every weight in ws, naming the slice in errors.
-func checkWeights(name string, ws []float64) error {
-	for i, w := range ws {
-		if !validWeight(w) {
-			return fmt.Errorf("%s[%d] = %v: %w", name, i, w, ErrBadWeight)
-		}
+// A decoder passes a Hasher and the weights' little-endian bytes: ws is
+// then filled from src, checked and folded into h, count first, in one
+// pass (Hasher.FillWeights).
+func checkWeights(h *Hasher, name string, ws []float64, src []byte) error {
+	var bad int
+	if h != nil {
+		h.Word(uint64(len(ws)))
+		bad = h.FillWeights(ws, src)
+	} else {
+		bad = slices.IndexFunc(ws, func(w float64) bool { return !validWeight(w) })
+	}
+	if bad >= 0 {
+		return fmt.Errorf("%s[%d] = %v: %w", name, bad, ws[bad], ErrBadWeight)
 	}
 	return nil
 }

@@ -1,12 +1,15 @@
 package graph
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"slices"
 	"sync"
+	"unsafe"
 
 	"repro/internal/jsonscan"
 )
@@ -81,7 +84,7 @@ func ReadJSON(r io.Reader) (any, error) {
 // alias data.
 func DecodeJSON(data []byte) (any, error) {
 	sc := jsonscan.NewScanner(data)
-	g, err := ScanJSON(sc, 0)
+	g, _, err := ScanJSON(sc, 0)
 	if serr := sc.End(); serr != nil {
 		return nil, fmt.Errorf("decoding graph JSON: %w", serr)
 	}
@@ -134,9 +137,10 @@ var (
 	edgeFields  = jsonscan.Fields{"u", "v", "w"}
 )
 
-// jsonScratch holds an envelope's arrays while it is decoded; the validated
-// graph gets exact-size copies. Each slice's length counts the elements
-// earlier occurrences of its key left behind (see scanArray).
+// jsonScratch holds an envelope's arrays while it is decoded; the Fill
+// constructors copy them into the graph's exact-size arrays. Each slice's
+// length counts the elements earlier occurrences of its key left behind
+// (see scanArray).
 type jsonScratch struct {
 	nodeW, edgeW []float64
 	edges        []Edge
@@ -149,19 +153,19 @@ const maxPooledScratch = 1 << 21
 var scratchPool = sync.Pool{New: func() any { return new(jsonScratch) }}
 
 // ScanJSON decodes the graph envelope at the scanner's position and leaves
-// the scanner after it. A null yields a nil graph and no error; what an
-// absent graph means is the caller's call. With maxNodes > 0, a node-weight
-// array longer than maxNodes stops decoding with ErrTooManyNodes, before
-// the rest of the graph is read. Any other error leaves the scanner after
-// the envelope (or in its syntax-error state), so an enclosing document can
-// go on.
-func ScanJSON(sc *jsonscan.Scanner, maxNodes int) (any, error) {
+// the scanner after it, returning the graph with its fingerprint. A null
+// yields a nil graph and no error; what an absent graph means is the
+// caller's call. With maxNodes > 0, a node-weight array longer than
+// maxNodes stops decoding with ErrTooManyNodes, before the rest of the
+// graph is read. Any other error leaves the scanner after the envelope (or
+// in its syntax-error state), so an enclosing document can go on.
+func ScanJSON(sc *jsonscan.Scanner, maxNodes int) (any, uint64, error) {
 	ok, err := sc.Object()
 	if !ok {
 		if err != nil {
-			return nil, fmt.Errorf("decoding graph JSON: %w", err)
+			return nil, 0, fmt.Errorf("decoding graph JSON: %w", err)
 		}
-		return nil, nil
+		return nil, 0, nil
 	}
 	st := scratchPool.Get().(*jsonScratch)
 	defer st.release()
@@ -178,7 +182,7 @@ func ScanJSON(sc *jsonscan.Scanner, maxNodes int) (any, error) {
 		case fieldNodeWeights:
 			nNodes, err = scanArray(sc, &st.nodeW, maxNodes, (*jsonscan.Scanner).Float64)
 			if errors.Is(err, ErrTooManyNodes) {
-				return nil, err
+				return nil, 0, err
 			}
 		case fieldEdgeWeights:
 			nEdgeW, err = scanArray(sc, &st.edgeW, 0, (*jsonscan.Scanner).Float64)
@@ -195,18 +199,33 @@ func ScanJSON(sc *jsonscan.Scanner, maxNodes int) (any, error) {
 		first = sc.Err()
 	}
 	if first != nil {
-		return nil, fmt.Errorf("decoding graph JSON: %w", first)
+		return nil, 0, fmt.Errorf("decoding graph JSON: %w", first)
 	}
+	nodeW := weightBytes(st.nodeW[:nNodes])
 	switch kind {
 	case "path":
-		return NewPath(st.nodeW[:nNodes], st.edgeW[:nEdgeW])
+		return FillPath(nodeW, weightBytes(st.edgeW[:nEdgeW]))
 	case "tree":
-		return NewTree(st.nodeW[:nNodes], st.edges[:nEdge])
+		return FillTree(nodeW, append([]Edge(nil), st.edges[:nEdge]...))
 	case "graph":
-		return NewGraph(st.nodeW[:nNodes], st.edges[:nEdge])
+		return FillGraph(nodeW, append([]Edge(nil), st.edges[:nEdge]...))
 	default:
-		return nil, fmt.Errorf("unknown graph kind %q: %w", kind, ErrBadFormat)
+		return nil, 0, fmt.Errorf("unknown graph kind %q: %w", kind, ErrBadFormat)
 	}
+}
+
+// weightBytes returns ws as the little-endian float64 bytes the Fill
+// constructors read: a view of ws on a little-endian host, a copy elsewhere.
+func weightBytes(ws []float64) []byte {
+	b := unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(ws))), 8*len(ws))
+	if binary.NativeEndian.Uint16([]byte{1, 0}) == 1 {
+		return b
+	}
+	out := make([]byte, 0, len(b))
+	for _, w := range ws {
+		out = binary.LittleEndian.AppendUint64(out, math.Float64bits(w))
+	}
+	return out
 }
 
 // release empties the scratch and returns it to the pool.

@@ -29,15 +29,28 @@ func NewPath(nodeW, edgeW []float64) (*Path, error) {
 }
 
 // NewPathOwned constructs and validates a linear task graph that takes
-// ownership of the argument slices without copying — the zero-copy
-// constructor the binary codec decodes into. The caller must not reuse the
-// slices afterwards.
+// ownership of the argument slices without copying. The caller must not
+// reuse the slices afterwards.
 func NewPathOwned(nodeW, edgeW []float64) (*Path, error) {
 	p := &Path{NodeW: nodeW, EdgeW: edgeW}
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
 	return p, nil
+}
+
+// FillPath is the decoders' NewPath. It takes the weights as little-endian
+// float64 bytes and copies, validates and fingerprints them in one pass
+// (Hasher.FillWeights). It fails as NewPath would.
+func FillPath(nodeW, edgeW []byte) (*Path, uint64, error) {
+	n := len(nodeW) / 8
+	slab := make([]float64, n+len(edgeW)/8)
+	p := &Path{NodeW: slab[:n:n], EdgeW: slab[n:]}
+	h := NewPathHasher()
+	if err := p.validate(&h, nodeW, edgeW); err != nil {
+		return nil, 0, err
+	}
+	return p, h.Sum(), nil
 }
 
 // Len returns the number of tasks (vertices).
@@ -52,7 +65,10 @@ func (p *Path) NumEdges() int {
 }
 
 // Validate checks shape and weight invariants.
-func (p *Path) Validate() error {
+func (p *Path) Validate() error { return p.validate(nil, nil, nil) }
+
+// validate is Validate, or FillPath's checks when h is not nil.
+func (p *Path) validate(h *Hasher, nodeW, edgeW []byte) error {
 	if len(p.NodeW) == 0 {
 		return ErrEmptyGraph
 	}
@@ -60,10 +76,10 @@ func (p *Path) Validate() error {
 		return fmt.Errorf("path with %d nodes has %d edges, want %d: %w",
 			len(p.NodeW), len(p.EdgeW), len(p.NodeW)-1, ErrBadShape)
 	}
-	if err := checkWeights("NodeW", p.NodeW); err != nil {
+	if err := checkWeights(h, "NodeW", p.NodeW, nodeW); err != nil {
 		return err
 	}
-	return checkWeights("EdgeW", p.EdgeW)
+	return checkWeights(h, "EdgeW", p.EdgeW, edgeW)
 }
 
 // Clone returns a deep copy of the path, backed by one fresh allocation.

@@ -33,15 +33,27 @@ func NewTree(nodeW []float64, edges []Edge) (*Tree, error) {
 }
 
 // NewTreeOwned constructs and validates a tree task graph that takes
-// ownership of the argument slices without copying — the zero-copy
-// constructor the binary codec decodes into. The caller must not reuse the
-// slices afterwards.
+// ownership of the argument slices without copying. The caller must not
+// reuse the slices afterwards.
 func NewTreeOwned(nodeW []float64, edges []Edge) (*Tree, error) {
 	t := &Tree{NodeW: nodeW, Edges: edges}
 	if err := t.Validate(); err != nil {
 		return nil, err
 	}
 	return t, nil
+}
+
+// FillTree is FillPath for trees. The tree takes ownership of edges, which
+// are checked as NewTree checks them.
+func FillTree(nodeW []byte, edges []Edge) (*Tree, uint64, error) {
+	t := &Tree{NodeW: make([]float64, len(nodeW)/8), Edges: edges}
+	h := NewTreeHasher()
+	if err := t.validate(&h, nodeW); err != nil {
+		return nil, 0, err
+	}
+	h.Word(uint64(len(edges)))
+	h.Edges(edges)
+	return t, h.Sum(), nil
 }
 
 // Len returns the number of tasks (vertices).
@@ -52,7 +64,10 @@ func (t *Tree) NumEdges() int { return len(t.Edges) }
 
 // Validate checks that the edge list forms a spanning tree over the vertices
 // and that all weights are valid.
-func (t *Tree) Validate() error {
+func (t *Tree) Validate() error { return t.validate(nil, nil) }
+
+// validate is Validate, or FillTree's checks when h is not nil.
+func (t *Tree) validate(h *Hasher, nodeW []byte) error {
 	n := len(t.NodeW)
 	if n == 0 {
 		return ErrEmptyGraph
@@ -61,7 +76,7 @@ func (t *Tree) Validate() error {
 		return fmt.Errorf("tree with %d nodes has %d edges, want %d: %w",
 			n, len(t.Edges), n-1, ErrBadShape)
 	}
-	if err := checkWeights("NodeW", t.NodeW); err != nil {
+	if err := checkWeights(h, "NodeW", t.NodeW, nodeW); err != nil {
 		return err
 	}
 	uf := newUnionFind(n)

@@ -26,6 +26,7 @@ type jsonItem struct {
 	req      solveRequest
 	priority int
 	g        any
+	fp       uint64
 	gerr     error
 	hasGraph bool
 }
@@ -150,7 +151,7 @@ func (s *Server) scanItem(sc *jsonscan.Scanner, it *jsonItem, withPriority bool)
 		case fieldK:
 			err = sc.Float64(&it.req.K)
 		case fieldGraph:
-			it.g, it.gerr = graph.ScanJSON(sc, s.cfg.MaxNodes)
+			it.g, it.fp, it.gerr = graph.ScanJSON(sc, s.cfg.MaxNodes)
 			if errors.Is(it.gerr, graph.ErrTooManyNodes) {
 				return fmt.Errorf("graph has more than %d nodes: %w", s.cfg.MaxNodes, errNodeLimit)
 			}
@@ -181,8 +182,8 @@ func (s *Server) scanItem(sc *jsonscan.Scanner, it *jsonItem, withPriority bool)
 	return sc.Err()
 }
 
-// validateItem checks a decoded item and fingerprints its graph. Errors are
-// client errors (400).
+// validateItem checks a decoded item, whose graph the decoder has already
+// fingerprinted. Errors are client errors (400).
 func validateItem(it *jsonItem) (parsedSolve, error) {
 	if err := checkSolveParams(it.req); err != nil {
 		return parsedSolve{}, err
@@ -198,9 +199,5 @@ func validateItem(it *jsonItem) (parsedSolve, error) {
 	default:
 		return parsedSolve{}, fmt.Errorf(`graph kind %T is not solvable; send "path" or "tree"`, it.g)
 	}
-	fp, err := graph.Fingerprint(it.g)
-	if err != nil {
-		return parsedSolve{}, err
-	}
-	return parsedSolve{req: it.req, g: it.g, fp: fp}, nil
+	return parsedSolve{req: it.req, g: it.g, fp: it.fp}, nil
 }
