@@ -21,6 +21,7 @@
 package repro_test
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -62,14 +63,14 @@ func BenchmarkFig2PrimeSubpaths(b *testing.B) {
 }
 
 // bandwidthLadder benches one solver across sizes and K ratios.
-func bandwidthLadder(b *testing.B, f func(*graph.Path, float64) (*core.PathPartition, error), sizes []int) {
+func bandwidthLadder(b *testing.B, f func(context.Context, *graph.Path, float64) (*core.PathPartition, int64, error), sizes []int) {
 	for _, n := range sizes {
 		for _, ratio := range []float64{1.2, 4, 20} {
 			p := benchPath(2, n)
 			k := ratio * p.MaxNodeWeight()
 			b.Run(fmt.Sprintf("n=%d/K=%.1fxWmax", n, ratio), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					if _, err := f(p, k); err != nil {
+					if _, _, err := f(context.Background(), p, k); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -171,7 +172,7 @@ func BenchmarkBottleneck(b *testing.B) {
 		k := 4 * tr.MaxNodeWeight()
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := core.Bottleneck(tr, k); err != nil {
+				if _, _, err := core.Bottleneck(context.Background(), tr, k); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -185,7 +186,7 @@ func BenchmarkBottleneckPaperGreedy(b *testing.B) {
 		k := 4 * tr.MaxNodeWeight()
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := core.BottleneckGreedy(tr, k); err != nil {
+				if _, _, err := core.BottleneckGreedy(context.Background(), tr, k); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -199,7 +200,7 @@ func BenchmarkMinProcessors(b *testing.B) {
 		k := 4 * tr.MaxNodeWeight()
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := core.MinProcessors(tr, k); err != nil {
+				if _, _, err := core.MinProcessors(context.Background(), tr, k); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -213,7 +214,7 @@ func BenchmarkPartitionTreePipeline(b *testing.B) {
 		k := 4 * tr.MaxNodeWeight()
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := core.PartitionTree(tr, k); err != nil {
+				if _, _, err := core.PartitionTree(context.Background(), tr, k); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -230,7 +231,7 @@ func TestTreeSolverAllocBudget(t *testing.T) {
 		name   string
 		seed   uint64
 		budget float64
-		solve  func(*graph.Tree, float64) (*core.TreePartition, error)
+		solve  func(context.Context, *graph.Tree, float64) (*core.TreePartition, int64, error)
 	}{
 		{"bottleneck", 4, 16, core.Bottleneck},
 		{"minproc", 5, 32, core.MinProcessors},
@@ -239,7 +240,7 @@ func TestTreeSolverAllocBudget(t *testing.T) {
 		tr := benchTree(c.seed, n)
 		k := 4 * tr.MaxNodeWeight()
 		avg := testing.AllocsPerRun(20, func() {
-			if _, err := c.solve(tr, k); err != nil {
+			if _, _, err := c.solve(context.Background(), tr, k); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -259,7 +260,7 @@ func TestPathSolverAllocBudget(t *testing.T) {
 	p := benchPath(2, n)
 	k := 4 * p.MaxNodeWeight()
 	avg := testing.AllocsPerRun(20, func() {
-		if _, err := core.Bandwidth(p, k); err != nil {
+		if _, _, err := core.Bandwidth(context.Background(), p, k); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -332,7 +333,7 @@ func BenchmarkTreeBandwidthExact(b *testing.B) {
 		}
 		b.Run(fmt.Sprintf("n=%d/K=40", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := treecut.TreeBandwidthExact(tr, 40); err != nil {
+				if _, _, err := treecut.TreeBandwidthExact(context.Background(), tr, 40); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -54,11 +55,11 @@ func main() {
 
 	// Independent verification with the generic exact tree solvers — the
 	// pseudo-polynomial DP and branch & bound know nothing about knapsack.
-	dp, err := treecut.TreeBandwidthExact(star, capacity)
+	dp, _, err := treecut.TreeBandwidthExact(context.Background(), star, capacity)
 	if err != nil {
 		log.Fatal(err)
 	}
-	bb, err := treecut.TreeBandwidthBB(star, capacity)
+	bb, _, err := treecut.TreeBandwidthBB(context.Background(), star, capacity)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -32,35 +32,36 @@ import (
 // Exhaustive reference solvers live in internal/verify/oracle; tests compare
 // against those rather than a package-local brute force.
 
-// Bandwidth solves bandwidth minimization with the paper's algorithm.
-func Bandwidth(p *graph.Path, k float64) (*PathPartition, error) {
-	pp, _, _, err := bandwidthTempS(context.Background(), p, k, false)
-	return pp, err
-}
-
-// BandwidthCtx is Bandwidth with cancellation and iteration accounting.
-func BandwidthCtx(ctx context.Context, p *graph.Path, k float64) (*PathPartition, int64, error) {
-	pp, _, iters, err := bandwidthTempS(ctx, p, k, false)
-	return pp, iters, err
+// Bandwidth solves bandwidth minimization with the paper's algorithm. The
+// TEMP_S sweep polls ctx and its point count is the iteration count; the
+// prime-extract, temps-dp and build-partition phases each open a span.
+func Bandwidth(ctx context.Context, p *graph.Path, k float64) (*PathPartition, int64, error) {
+	return bandwidthTempS(ctx, p, k, nil)
 }
 
 // BandwidthInstrumented is Bandwidth with the TEMP_S queue instrumentation
 // used by the Figure 2(d) / Appendix B study.
 func BandwidthInstrumented(p *graph.Path, k float64) (*PathPartition, *hitting.Trace, error) {
-	pp, trace, _, err := bandwidthTempS(context.Background(), p, k, true)
-	return pp, trace, err
+	tr := &hitting.Trace{}
+	pp, _, err := bandwidthTempS(context.Background(), p, k, tr)
+	if err != nil {
+		return nil, nil, err
+	}
+	return pp, tr, nil
 }
 
-func bandwidthTempS(ctx context.Context, p *graph.Path, k float64, instrument bool) (*PathPartition, *hitting.Trace, int64, error) {
+// bandwidthTempS is Bandwidth recording the TEMP_S queue behaviour into tr
+// when tr is non-nil.
+func bandwidthTempS(ctx context.Context, p *graph.Path, k float64, tr *hitting.Trace) (*PathPartition, int64, error) {
 	ctx, err := enter(ctx)
 	if err != nil {
-		return nil, nil, 0, err
+		return nil, 0, err
 	}
 	if err := checkBound(k); err != nil {
-		return nil, nil, 0, err
+		return nil, 0, err
 	}
 	if err := p.Validate(); err != nil {
-		return nil, nil, 0, err
+		return nil, 0, err
 	}
 	// Phase 1 (§2.3.1): prime critical subpaths + non-redundant edge
 	// compression — the O(n) part of the O(n + p log q) bound. The analysis
@@ -73,9 +74,9 @@ func bandwidthTempS(ctx context.Context, p *graph.Path, k float64, instrument bo
 	if err != nil {
 		sp.End()
 		if errors.Is(err, prime.ErrVertexTooHeavy) {
-			return nil, nil, 0, fmt.Errorf("%v: %w", err, ErrInfeasible)
+			return nil, 0, fmt.Errorf("%v: %w", err, ErrInfeasible)
 		}
-		return nil, nil, 0, err
+		return nil, 0, err
 	}
 	sp.SetAttr("primeSubpaths", len(ivs))
 	sp.SetAttr("nonRedundantEdges", len(inst.Beta))
@@ -87,19 +88,13 @@ func bandwidthTempS(ctx context.Context, p *graph.Path, k float64, instrument bo
 	hin := &sc.hin
 	// Phase 2 (§2.3.1 Algorithm 4.1): the TEMP_S monotone-queue DP sweep —
 	// the O(p log q) part.
+	// Analyze builds a valid instance, so the sweep does not re-check it.
 	dctx, sp := obs.StartSpan(ctx, "temps-dp")
-	var sol *hitting.Solution
-	var trace *hitting.Trace
-	var iters int64
-	if instrument {
-		sol, trace, iters, err = hitting.SolveTempSInstrumentedCtx(dctx, hin)
-	} else {
-		sol, iters, err = hitting.SolveTempSCtx(dctx, hin)
-	}
+	sol, iters, err := hitting.SolveTempSCtx(dctx, hin, tr)
 	sp.SetAttr("iterations", iters)
 	sp.End()
 	if err != nil {
-		return nil, nil, iters, err
+		return nil, iters, err
 	}
 	sp = obs.Phase(ctx, "build-partition")
 	cut := make([]int, len(sol.Points))
@@ -108,10 +103,7 @@ func bandwidthTempS(ctx context.Context, p *graph.Path, k float64, instrument bo
 	}
 	pp, err := newPathPartition(p, cut, k)
 	sp.End()
-	if err != nil {
-		return nil, nil, iters, err
-	}
-	return pp, trace, iters, nil
+	return pp, iters, err
 }
 
 // dpState holds the shared pieces of the window-constrained prefix DP. For
@@ -180,14 +172,7 @@ func (s *dpState) finish(p *graph.Path, k float64) (*PathPartition, error) {
 
 // BandwidthDeque solves bandwidth minimization with the prefix DP and a
 // monotone deque for the sliding-window minimum: O(n) time.
-func BandwidthDeque(p *graph.Path, k float64) (*PathPartition, error) {
-	pp, _, err := BandwidthDequeCtx(context.Background(), p, k)
-	return pp, err
-}
-
-// BandwidthDequeCtx is BandwidthDeque with cancellation and iteration
-// accounting.
-func BandwidthDequeCtx(ctx context.Context, p *graph.Path, k float64) (*PathPartition, int64, error) {
+func BandwidthDeque(ctx context.Context, p *graph.Path, k float64) (*PathPartition, int64, error) {
 	ctx, err := enter(ctx)
 	if err != nil {
 		return nil, 0, err
@@ -267,14 +252,7 @@ func (h *minHeap) pushItem(x heapItem) { heap.Push(h, x) }
 // min-heap with lazy deletion: O(n log n), the asymptotic shape of the best
 // previously known algorithm (Nicol & O'Hallaron 1991) that the paper
 // compares against.
-func BandwidthHeap(p *graph.Path, k float64) (*PathPartition, error) {
-	pp, _, err := BandwidthHeapCtx(context.Background(), p, k)
-	return pp, err
-}
-
-// BandwidthHeapCtx is BandwidthHeap with cancellation and iteration
-// accounting.
-func BandwidthHeapCtx(ctx context.Context, p *graph.Path, k float64) (*PathPartition, int64, error) {
+func BandwidthHeap(ctx context.Context, p *graph.Path, k float64) (*PathPartition, int64, error) {
 	ctx, err := enter(ctx)
 	if err != nil {
 		return nil, 0, err
@@ -332,15 +310,10 @@ func BandwidthHeapCtx(ctx context.Context, p *graph.Path, k float64) (*PathParti
 // every in-window predecessor for each edge: O(n · window) time, up to
 // O(n²). This matches the cost profile the paper ascribes to the naive
 // recurrence evaluation.
-func BandwidthNaive(p *graph.Path, k float64) (*PathPartition, error) {
-	pp, _, err := BandwidthNaiveCtx(context.Background(), p, k)
-	return pp, err
-}
-
-// BandwidthNaiveCtx is BandwidthNaive with cancellation and iteration
-// accounting. The poll sits in the inner window scan, so even a single
-// quadratic-width window observes cancellation promptly.
-func BandwidthNaiveCtx(ctx context.Context, p *graph.Path, k float64) (*PathPartition, int64, error) {
+//
+// The poll sits in the inner window scan, so even a single quadratic-width
+// window observes cancellation promptly.
+func BandwidthNaive(ctx context.Context, p *graph.Path, k float64) (*PathPartition, int64, error) {
 	ctx, err := enter(ctx)
 	if err != nil {
 		return nil, 0, err

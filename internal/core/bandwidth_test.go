@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"math"
 	"testing"
@@ -13,11 +14,11 @@ import (
 
 func bandwidthSolvers() []struct {
 	name string
-	f    func(*graph.Path, float64) (*PathPartition, error)
+	f    func(context.Context, *graph.Path, float64) (*PathPartition, int64, error)
 } {
 	return []struct {
 		name string
-		f    func(*graph.Path, float64) (*PathPartition, error)
+		f    func(context.Context, *graph.Path, float64) (*PathPartition, int64, error)
 	}{
 		{"TempS", Bandwidth},
 		{"Deque", BandwidthDeque},
@@ -93,7 +94,7 @@ func TestBandwidthHandCases(t *testing.T) {
 		}
 		for _, s := range bandwidthSolvers() {
 			t.Run(tt.name+"/"+s.name, func(t *testing.T) {
-				got, err := s.f(p, tt.k)
+				got, _, err := s.f(ctx, p, tt.k)
 				if err != nil {
 					t.Fatalf("%v", err)
 				}
@@ -114,7 +115,7 @@ func TestBandwidthHandCases(t *testing.T) {
 func TestBandwidthInfeasible(t *testing.T) {
 	p, _ := graph.NewPath([]float64{5, 50, 5}, []float64{1, 1})
 	for _, s := range bandwidthSolvers() {
-		if _, err := s.f(p, 10); !errors.Is(err, ErrInfeasible) {
+		if _, _, err := s.f(ctx, p, 10); !errors.Is(err, ErrInfeasible) {
 			t.Errorf("%s: error = %v, want ErrInfeasible", s.name, err)
 		}
 	}
@@ -128,7 +129,7 @@ func TestBandwidthBadBound(t *testing.T) {
 	p, _ := graph.NewPath([]float64{1, 2}, []float64{1})
 	for _, k := range []float64{0, -5, math.NaN(), math.Inf(1)} {
 		for _, s := range bandwidthSolvers() {
-			if _, err := s.f(p, k); !errors.Is(err, ErrBadBound) {
+			if _, _, err := s.f(ctx, p, k); !errors.Is(err, ErrBadBound) {
 				t.Errorf("%s(K=%v): error = %v, want ErrBadBound", s.name, k, err)
 			}
 		}
@@ -138,7 +139,7 @@ func TestBandwidthBadBound(t *testing.T) {
 func TestBandwidthBadGraph(t *testing.T) {
 	bad := &graph.Path{NodeW: []float64{1, 2}, EdgeW: []float64{1, 2, 3}}
 	for _, s := range bandwidthSolvers() {
-		if _, err := s.f(bad, 10); !errors.Is(err, graph.ErrBadShape) {
+		if _, _, err := s.f(ctx, bad, 10); !errors.Is(err, graph.ErrBadShape) {
 			t.Errorf("%s: error = %v, want ErrBadShape", s.name, err)
 		}
 	}
@@ -156,7 +157,7 @@ func TestBandwidthAllSolversMatchBrute(t *testing.T) {
 			continue
 		}
 		for _, s := range bandwidthSolvers() {
-			got, err := s.f(p, k)
+			got, _, err := s.f(ctx, p, k)
 			if err != nil {
 				t.Fatalf("seed %d trial %d: %s: %v (path %+v k=%v)", r.Seed(), trial, s.name, err, p, k)
 			}
@@ -180,7 +181,7 @@ func TestBandwidthLargeAgreement(t *testing.T) {
 		k := r.Uniform(120, 2000)
 		var ref *PathPartition
 		for _, s := range bandwidthSolvers() {
-			got, err := s.f(p, k)
+			got, _, err := s.f(ctx, p, k)
 			if err != nil {
 				t.Fatalf("%s: %v", s.name, err)
 			}
@@ -205,7 +206,7 @@ func TestBandwidthInstrumented(t *testing.T) {
 	if err != nil {
 		t.Fatalf("BandwidthInstrumented: %v", err)
 	}
-	plain, err := Bandwidth(p, 400)
+	plain, _, err := Bandwidth(ctx, p, 400)
 	if err != nil {
 		t.Fatalf("Bandwidth: %v", err)
 	}
@@ -224,7 +225,7 @@ func TestBandwidthCutIsSortedAndDeduped(t *testing.T) {
 	r := workload.NewRNG(55)
 	for trial := 0; trial < 50; trial++ {
 		p, k := randomPathForTest(r, 200)
-		pp, err := Bandwidth(p, k)
+		pp, _, err := Bandwidth(ctx, p, k)
 		if errors.Is(err, ErrInfeasible) {
 			continue
 		}
@@ -247,8 +248,8 @@ func TestBandwidthProperty(t *testing.T) {
 		n := 2 + r.Intn(400)
 		p := workload.RandomPath(r, n, workload.UniformWeights(1, 10), workload.UniformWeights(0, 100))
 		k := r.Uniform(10, 200)
-		a, err1 := Bandwidth(p, k)
-		b, err2 := BandwidthDeque(p, k)
+		a, _, err1 := Bandwidth(ctx, p, k)
+		b, _, err2 := BandwidthDeque(ctx, p, k)
 		if err1 != nil || err2 != nil {
 			// Both must fail together (same feasibility condition).
 			return errors.Is(err1, ErrInfeasible) == errors.Is(err2, ErrInfeasible)
@@ -262,7 +263,7 @@ func TestBandwidthProperty(t *testing.T) {
 
 func TestPathPartitionFields(t *testing.T) {
 	p, _ := graph.NewPath([]float64{5, 5, 5}, []float64{2, 7})
-	pp, err := Bandwidth(p, 10)
+	pp, _, err := Bandwidth(ctx, p, 10)
 	if err != nil {
 		t.Fatalf("Bandwidth: %v", err)
 	}

@@ -186,27 +186,14 @@ func prefixCut(order []int, cnt int, sc *scratch) []int {
 // sweep over the radix-sorted edges: O(n α(n)). The returned cut is the
 // paper's output — the shortest feasible prefix of the weight-sorted edge
 // list.
-func Bottleneck(t *graph.Tree, k float64) (*TreePartition, error) {
-	tp, _, err := bottleneck(context.Background(), t, k, true)
-	return tp, err
-}
-
-// BottleneckCtx is Bottleneck with cancellation and iteration accounting.
-func BottleneckCtx(ctx context.Context, t *graph.Tree, k float64) (*TreePartition, int64, error) {
+func Bottleneck(ctx context.Context, t *graph.Tree, k float64) (*TreePartition, int64, error) {
 	return bottleneck(ctx, t, k, true)
 }
 
 // BottleneckGreedy is the paper-faithful Algorithm 2.1: grow the cut one
 // lightest edge at a time and re-check feasibility after each addition,
 // O(n²). It returns exactly the same cut as Bottleneck.
-func BottleneckGreedy(t *graph.Tree, k float64) (*TreePartition, error) {
-	tp, _, err := bottleneck(context.Background(), t, k, false)
-	return tp, err
-}
-
-// BottleneckGreedyCtx is BottleneckGreedy with cancellation and iteration
-// accounting.
-func BottleneckGreedyCtx(ctx context.Context, t *graph.Tree, k float64) (*TreePartition, int64, error) {
+func BottleneckGreedy(ctx context.Context, t *graph.Tree, k float64) (*TreePartition, int64, error) {
 	return bottleneck(ctx, t, k, false)
 }
 
@@ -272,15 +259,4 @@ func bottleneckCut(ctx context.Context, t *graph.Tree, k float64, sweep bool) ([
 	ss.SetAttr("prefix", cnt)
 	ss.End()
 	return prefixCut(order, cnt, sc), tk.n, nil
-}
-
-// BottleneckValue returns only the optimal bottleneck (the weight of the
-// heaviest edge that must be cut), without building the partition: 0 when no
-// cut is needed.
-func BottleneckValue(t *graph.Tree, k float64) (float64, error) {
-	tp, err := Bottleneck(t, k)
-	if err != nil {
-		return 0, err
-	}
-	return tp.Bottleneck, nil
 }

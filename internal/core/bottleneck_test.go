@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"math"
 	"reflect"
@@ -65,10 +66,10 @@ func TestBottleneckHandCases(t *testing.T) {
 		}
 		for _, impl := range []struct {
 			name string
-			f    func(*graph.Tree, float64) (*TreePartition, error)
+			f    func(context.Context, *graph.Tree, float64) (*TreePartition, int64, error)
 		}{{"binary", Bottleneck}, {"greedy", BottleneckGreedy}} {
 			t.Run(tt.name+"/"+impl.name, func(t *testing.T) {
-				got, err := impl.f(tr, tt.k)
+				got, _, err := impl.f(ctx, tr, tt.k)
 				if err != nil {
 					t.Fatalf("%v", err)
 				}
@@ -87,8 +88,8 @@ func TestBottleneckBinaryEqualsGreedy(t *testing.T) {
 	r := workload.NewRNG(42)
 	for trial := 0; trial < 200; trial++ {
 		tr, k := randomTreeForTest(r, 40)
-		a, err1 := Bottleneck(tr, k)
-		b, err2 := BottleneckGreedy(tr, k)
+		a, _, err1 := Bottleneck(ctx, tr, k)
+		b, _, err2 := BottleneckGreedy(ctx, tr, k)
 		if (err1 == nil) != (err2 == nil) {
 			t.Fatalf("error mismatch: %v vs %v", err1, err2)
 		}
@@ -106,7 +107,7 @@ func TestBottleneckOptimalVsBrute(t *testing.T) {
 	for trial := 0; trial < 200; trial++ {
 		tr, k := randomTreeForTest(r, 11)
 		want := treeBrute(t, tr, k)
-		got, err := Bottleneck(tr, k)
+		got, _, err := Bottleneck(ctx, tr, k)
 		if !want.Feasible {
 			if !errors.Is(err, ErrInfeasible) {
 				t.Fatalf("seed %d trial %d: want infeasible, got %v / err %v", r.Seed(), trial, got, err)
@@ -125,14 +126,14 @@ func TestBottleneckOptimalVsBrute(t *testing.T) {
 
 func TestBottleneckInfeasibleAndBadInput(t *testing.T) {
 	tr, _ := graph.NewTree([]float64{5, 50}, []graph.Edge{{U: 0, V: 1, W: 1}})
-	if _, err := Bottleneck(tr, 10); !errors.Is(err, ErrInfeasible) {
+	if _, _, err := Bottleneck(ctx, tr, 10); !errors.Is(err, ErrInfeasible) {
 		t.Errorf("error = %v, want ErrInfeasible", err)
 	}
-	if _, err := Bottleneck(tr, -1); !errors.Is(err, ErrBadBound) {
+	if _, _, err := Bottleneck(ctx, tr, -1); !errors.Is(err, ErrBadBound) {
 		t.Errorf("error = %v, want ErrBadBound", err)
 	}
 	bad := &graph.Tree{NodeW: []float64{1, 2}, Edges: nil}
-	if _, err := Bottleneck(bad, 10); !errors.Is(err, graph.ErrBadShape) {
+	if _, _, err := Bottleneck(ctx, bad, 10); !errors.Is(err, graph.ErrBadShape) {
 		t.Errorf("error = %v, want ErrBadShape", err)
 	}
 }
@@ -140,12 +141,12 @@ func TestBottleneckInfeasibleAndBadInput(t *testing.T) {
 func TestBottleneckValue(t *testing.T) {
 	tr, _ := graph.NewTree([]float64{6, 6, 6},
 		[]graph.Edge{{U: 0, V: 1, W: 5}, {U: 1, V: 2, W: 9}})
-	v, err := BottleneckValue(tr, 7)
+	tp, _, err := Bottleneck(ctx, tr, 7)
 	if err != nil {
-		t.Fatalf("BottleneckValue: %v", err)
+		t.Fatalf("Bottleneck: %v", err)
 	}
-	if v != 9 {
-		t.Errorf("BottleneckValue = %v, want 9", v)
+	if v := tp.Bottleneck; v != 9 {
+		t.Errorf("Bottleneck = %v, want 9", v)
 	}
 }
 
@@ -155,7 +156,7 @@ func TestBottleneckCutIsSortedPrefixOfWeights(t *testing.T) {
 	r := workload.NewRNG(2718)
 	for trial := 0; trial < 100; trial++ {
 		tr, k := randomTreeForTest(r, 30)
-		got, err := Bottleneck(tr, k)
+		got, _, err := Bottleneck(ctx, tr, k)
 		if errors.Is(err, ErrInfeasible) {
 			continue
 		}

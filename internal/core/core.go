@@ -11,6 +11,10 @@
 // PartitionTree composes them the way §2.2 prescribes: bottleneck
 // minimization first, then contraction into super-nodes, then processor
 // minimization over the contracted tree.
+//
+// Each algorithm has one context-aware entry point (ctx.go), the one the
+// solver engine registers. It validates its graph once; nothing below it
+// re-checks.
 package core
 
 import (

@@ -2,11 +2,12 @@ package core
 
 import "context"
 
-// Context-aware solver entry points. Every partitioner in this package has a
-// *Ctx variant that polls ctx for cancellation inside its main loop and
-// reports the number of loop iterations it performed, so callers (the solver
-// engine) can abort long solves and account per-solve work. The historical
-// fixed signatures remain as thin wrappers over these.
+// Context-aware solver entry points. Every partitioner in this package has
+// exactly one entry point, X(ctx, graph, bound) (partition, iterations,
+// error). It validates its graph once, polls ctx for cancellation inside its
+// main loop, and reports the number of loop iterations it performed, so
+// callers (the solver engine) can abort long solves and account per-solve
+// work. Nothing below an entry point re-checks the graph it was given.
 
 // tickMask controls how often loops poll ctx: every tickMask+1 iterations.
 // 256 keeps the polling branch far off the hot path while bounding the

@@ -40,9 +40,9 @@ func FuzzBandwidthAgreement(f *testing.F) {
 			t.Fatalf("generator produced invalid path: %v", err)
 		}
 		k := float64(kRaw) + 1
-		a, errA := Bandwidth(p, k)
-		b, errB := BandwidthDeque(p, k)
-		c, errC := BandwidthHeap(p, k)
+		a, _, errA := Bandwidth(ctx, p, k)
+		b, _, errB := BandwidthDeque(ctx, p, k)
+		c, _, errC := BandwidthHeap(ctx, p, k)
 		if (errA == nil) != (errB == nil) || (errB == nil) != (errC == nil) {
 			t.Fatalf("error disagreement: %v / %v / %v", errA, errB, errC)
 		}
@@ -102,9 +102,9 @@ func FuzzTreeAlgorithms(f *testing.F) {
 			t.Fatalf("generator produced invalid tree: %v", err)
 		}
 		k := float64(kRaw) + 1
-		bt, errB := Bottleneck(tr, k)
-		mp, errM := MinProcessors(tr, k)
-		pt, errP := PartitionTree(tr, k)
+		bt, _, errB := Bottleneck(ctx, tr, k)
+		mp, _, errM := MinProcessors(ctx, tr, k)
+		pt, _, errP := PartitionTree(ctx, tr, k)
 		if (errB == nil) != (errM == nil) || (errM == nil) != (errP == nil) {
 			t.Fatalf("feasibility disagreement: %v / %v / %v", errB, errM, errP)
 		}
@@ -183,8 +183,8 @@ func FuzzBottleneckAgreement(f *testing.F) {
 			sub[edges[v-1].U] += sub[v]
 		}
 		k := math.Max(sub[int(kRaw)%n], tr.MaxNodeWeight())
-		a, errA := Bottleneck(tr, k)
-		b, errB := BottleneckGreedy(tr, k)
+		a, _, errA := Bottleneck(ctx, tr, k)
+		b, _, errB := BottleneckGreedy(ctx, tr, k)
 		if (errA == nil) != (errB == nil) {
 			t.Fatalf("error mismatch: sweep %v, greedy %v", errA, errB)
 		}

@@ -1,12 +1,16 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/graph"
 	"repro/internal/verify/oracle"
 	"repro/internal/workload"
 )
+
+// ctx is the context the solver calls in this package's tests run under.
+var ctx = context.Background()
 
 // treeBrute is a thin shim over the shared exhaustive oracle
 // (internal/verify/oracle.TreeBrute), kept so in-package tests fail fast on

@@ -20,14 +20,7 @@ import (
 // Bandwidth is the m = ∞ case; this variant covers machines with fewer
 // processors than the unconstrained optimum would use. Level-wise prefix DP
 // with a monotone deque per level: O(n·m) time.
-func BandwidthLimited(p *graph.Path, k float64, m int) (*PathPartition, error) {
-	pp, _, err := BandwidthLimitedCtx(context.Background(), p, k, m)
-	return pp, err
-}
-
-// BandwidthLimitedCtx is BandwidthLimited with cancellation and iteration
-// accounting.
-func BandwidthLimitedCtx(ctx context.Context, p *graph.Path, k float64, m int) (*PathPartition, int64, error) {
+func BandwidthLimited(ctx context.Context, p *graph.Path, k float64, m int) (*PathPartition, int64, error) {
 	ctx, err := enter(ctx)
 	if err != nil {
 		return nil, 0, err
@@ -176,7 +169,7 @@ func TradeoffCurve(p *graph.Path, ks []float64) ([]TradeoffPoint, error) {
 	}
 	points := make([]TradeoffPoint, 0, len(ks))
 	for _, k := range ks {
-		pp, err := Bandwidth(p, k)
+		pp, _, err := Bandwidth(context.Background(), p, k)
 		if err != nil {
 			if errors.Is(err, ErrInfeasible) {
 				continue

@@ -53,7 +53,7 @@ func TestBandwidthLimitedHandCases(t *testing.T) {
 		[]float64{10, 1, 10, 1, 10},
 	)
 	// Unconstrained optimum uses 3 components (cut the two 1-weight edges).
-	un, err := Bandwidth(p, 12)
+	un, _, err := Bandwidth(ctx, p, 12)
 	if err != nil {
 		t.Fatalf("Bandwidth: %v", err)
 	}
@@ -63,7 +63,7 @@ func TestBandwidthLimitedHandCases(t *testing.T) {
 	// With m = 2, only one cut allowed: components 12 and 12; cheapest
 	// feasible single cut is edge 2 (weight 10) — edges 1 and 3 leave a
 	// side weighing 16.
-	lim, err := BandwidthLimited(p, 12, 2)
+	lim, _, err := BandwidthLimited(ctx, p, 12, 2)
 	if err != nil {
 		t.Fatalf("BandwidthLimited: %v", err)
 	}
@@ -72,7 +72,7 @@ func TestBandwidthLimitedHandCases(t *testing.T) {
 			lim.NumComponents(), lim.CutWeight, lim.Cut)
 	}
 	// m = 3 matches the unconstrained optimum.
-	lim3, err := BandwidthLimited(p, 12, 3)
+	lim3, _, err := BandwidthLimited(ctx, p, 12, 3)
 	if err != nil {
 		t.Fatalf("BandwidthLimited(3): %v", err)
 	}
@@ -80,12 +80,12 @@ func TestBandwidthLimitedHandCases(t *testing.T) {
 		t.Errorf("m=3 weight %v != unconstrained %v", lim3.CutWeight, un.CutWeight)
 	}
 	// m = 1 cannot hold 24 > 12.
-	if _, err := BandwidthLimited(p, 12, 1); !errors.Is(err, ErrInfeasible) {
+	if _, _, err := BandwidthLimited(ctx, p, 12, 1); !errors.Is(err, ErrInfeasible) {
 		t.Errorf("m=1: %v", err)
 	}
 	// Whole path fits: empty cut regardless of m.
 	small, _ := graph.NewPath([]float64{1, 1}, []float64{5})
-	got, err := BandwidthLimited(small, 10, 1)
+	got, _, err := BandwidthLimited(ctx, small, 10, 1)
 	if err != nil || len(got.Cut) != 0 {
 		t.Errorf("fit-in-one: %v / %v", got, err)
 	}
@@ -93,14 +93,14 @@ func TestBandwidthLimitedHandCases(t *testing.T) {
 
 func TestBandwidthLimitedErrors(t *testing.T) {
 	p, _ := graph.NewPath([]float64{1, 2}, []float64{1})
-	if _, err := BandwidthLimited(p, 5, 0); !errors.Is(err, ErrBadBound) {
+	if _, _, err := BandwidthLimited(ctx, p, 5, 0); !errors.Is(err, ErrBadBound) {
 		t.Errorf("m=0: %v", err)
 	}
-	if _, err := BandwidthLimited(p, -1, 2); !errors.Is(err, ErrBadBound) {
+	if _, _, err := BandwidthLimited(ctx, p, -1, 2); !errors.Is(err, ErrBadBound) {
 		t.Errorf("k<0: %v", err)
 	}
 	heavy, _ := graph.NewPath([]float64{50, 1}, []float64{1})
-	if _, err := BandwidthLimited(heavy, 10, 2); !errors.Is(err, ErrInfeasible) {
+	if _, _, err := BandwidthLimited(ctx, heavy, 10, 2); !errors.Is(err, ErrInfeasible) {
 		t.Errorf("heavy: %v", err)
 	}
 }
@@ -111,7 +111,7 @@ func TestBandwidthLimitedMatchesBrute(t *testing.T) {
 		p, k := randomPathForTest(r, 14)
 		m := 1 + r.Intn(6)
 		want, feasible := bruteLimited(t, p, k, m)
-		got, err := BandwidthLimited(p, k, m)
+		got, _, err := BandwidthLimited(ctx, p, k, m)
 		if !feasible {
 			if !errors.Is(err, ErrInfeasible) {
 				t.Fatalf("want infeasible, got %v / err %v", got, err)
@@ -142,13 +142,13 @@ func TestBandwidthLimitedMonotoneProperty(t *testing.T) {
 		n := 2 + r.Intn(60)
 		p := workload.RandomPath(r, n, workload.UniformWeights(1, 10), workload.UniformWeights(1, 50))
 		k := r.Uniform(10, 80)
-		un, err := Bandwidth(p, k)
+		un, _, err := Bandwidth(ctx, p, k)
 		if err != nil {
 			return errors.Is(err, ErrInfeasible)
 		}
 		prev := math.Inf(1)
 		for m := 1; m <= n; m *= 2 {
-			lim, err := BandwidthLimited(p, k, m)
+			lim, _, err := BandwidthLimited(ctx, p, k, m)
 			if err != nil {
 				if errors.Is(err, ErrInfeasible) {
 					continue
@@ -163,7 +163,7 @@ func TestBandwidthLimitedMonotoneProperty(t *testing.T) {
 				return false // limited can never beat unconstrained
 			}
 		}
-		full, err := BandwidthLimited(p, k, n)
+		full, _, err := BandwidthLimited(ctx, p, k, n)
 		if err != nil {
 			return false
 		}

@@ -51,13 +51,7 @@ func checkParts(parts, n int) error {
 
 // MaxMinPath partitions a linear task graph into exactly parts contiguous
 // components maximizing the minimum component weight.
-func MaxMinPath(p *graph.Path, parts int) (*PathPartition, error) {
-	pp, _, err := MaxMinPathCtx(context.Background(), p, parts)
-	return pp, err
-}
-
-// MaxMinPathCtx is MaxMinPath with cancellation and iteration accounting.
-func MaxMinPathCtx(ctx context.Context, p *graph.Path, parts int) (*PathPartition, int64, error) {
+func MaxMinPath(ctx context.Context, p *graph.Path, parts int) (*PathPartition, int64, error) {
 	ctx, err := enter(ctx)
 	if err != nil {
 		return nil, 0, err
@@ -166,13 +160,7 @@ func MaxMinPathCtx(ctx context.Context, p *graph.Path, parts int) (*PathPartitio
 
 // MaxMinTree partitions a tree task graph into exactly parts components
 // maximizing the minimum component weight.
-func MaxMinTree(t *graph.Tree, parts int) (*TreePartition, error) {
-	tp, _, err := MaxMinTreeCtx(context.Background(), t, parts)
-	return tp, err
-}
-
-// MaxMinTreeCtx is MaxMinTree with cancellation and iteration accounting.
-func MaxMinTreeCtx(ctx context.Context, t *graph.Tree, parts int) (*TreePartition, int64, error) {
+func MaxMinTree(ctx context.Context, t *graph.Tree, parts int) (*TreePartition, int64, error) {
 	ctx, err := enter(ctx)
 	if err != nil {
 		return nil, 0, err

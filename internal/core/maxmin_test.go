@@ -56,7 +56,7 @@ func TestMaxMinPathEdgeCases(t *testing.T) {
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
 			p := &graph.Path{NodeW: tt.nodeW, EdgeW: make([]float64, len(tt.nodeW)-1)}
-			got, err := MaxMinPath(p, tt.parts)
+			got, _, err := MaxMinPath(ctx, p, tt.parts)
 			if tt.wantErr != nil {
 				if !errors.Is(err, tt.wantErr) {
 					t.Fatalf("error = %v, want %v", err, tt.wantErr)
@@ -113,7 +113,7 @@ func TestMaxMinTreeEdgeCases(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			got, err := MaxMinTree(tt.tree, tt.parts)
+			got, _, err := MaxMinTree(ctx, tt.tree, tt.parts)
 			if tt.wantErr != nil {
 				if !errors.Is(err, tt.wantErr) {
 					t.Fatalf("error = %v, want %v", err, tt.wantErr)
@@ -143,7 +143,7 @@ func TestMaxMinPathVsBrute(t *testing.T) {
 		}
 		p := &graph.Path{NodeW: nodeW, EdgeW: make([]float64, n-1)}
 		parts := 1 + r.Intn(n)
-		got, err := MaxMinPath(p, parts)
+		got, _, err := MaxMinPath(ctx, p, parts)
 		if err != nil {
 			t.Fatalf("seed %d trial %d: MaxMinPath(parts=%d, nodeW=%v): %v", r.Seed(), trial, parts, nodeW, err)
 		}
@@ -164,7 +164,7 @@ func TestMaxMinTreeVsBrute(t *testing.T) {
 		n := 1 + r.Intn(12)
 		tr := workload.RandomTree(r, n, workload.UniformWeights(0, 20), workload.UniformWeights(1, 5))
 		parts := 1 + r.Intn(n)
-		got, err := MaxMinTree(tr, parts)
+		got, _, err := MaxMinTree(ctx, tr, parts)
 		if err != nil {
 			t.Fatalf("seed %d trial %d: MaxMinTree(parts=%d): %v\nnodeW=%v edges=%v",
 				r.Seed(), trial, parts, err, tr.NodeW, tr.Edges)
@@ -191,11 +191,11 @@ func TestMaxMinPathTreeAgree(t *testing.T) {
 		}
 		p := &graph.Path{NodeW: nodeW, EdgeW: make([]float64, n-1)}
 		parts := 1 + r.Intn(n)
-		pp, err := MaxMinPath(p, parts)
+		pp, _, err := MaxMinPath(ctx, p, parts)
 		if err != nil {
 			t.Fatalf("MaxMinPath: %v", err)
 		}
-		tp, err := MaxMinTree(p.AsTree(), parts)
+		tp, _, err := MaxMinTree(ctx, p.AsTree(), parts)
 		if err != nil {
 			t.Fatalf("MaxMinTree: %v", err)
 		}
@@ -211,11 +211,11 @@ func TestMaxMinCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	p := &graph.Path{NodeW: []float64{1, 2, 3}, EdgeW: []float64{1, 1}}
-	if _, _, err := MaxMinPathCtx(ctx, p, 2); !errors.Is(err, context.Canceled) {
-		t.Errorf("MaxMinPathCtx error = %v, want context.Canceled", err)
+	if _, _, err := MaxMinPath(ctx, p, 2); !errors.Is(err, context.Canceled) {
+		t.Errorf("MaxMinPath error = %v, want context.Canceled", err)
 	}
 	tr := p.AsTree()
-	if _, _, err := MaxMinTreeCtx(ctx, tr, 2); !errors.Is(err, context.Canceled) {
-		t.Errorf("MaxMinTreeCtx error = %v, want context.Canceled", err)
+	if _, _, err := MaxMinTree(ctx, tr, 2); !errors.Is(err, context.Canceled) {
+		t.Errorf("MaxMinTree error = %v, want context.Canceled", err)
 	}
 }

@@ -25,14 +25,7 @@ import (
 // the minimum number of parts. O(Σ d(v) log d(v)) = O(n log n).
 
 // MinProcessors solves processor minimization with Algorithm 2.2.
-func MinProcessors(t *graph.Tree, k float64) (*TreePartition, error) {
-	tp, _, err := MinProcessorsCtx(context.Background(), t, k)
-	return tp, err
-}
-
-// MinProcessorsCtx is MinProcessors with cancellation and iteration
-// accounting.
-func MinProcessorsCtx(ctx context.Context, t *graph.Tree, k float64) (*TreePartition, int64, error) {
+func MinProcessors(ctx context.Context, t *graph.Tree, k float64) (*TreePartition, int64, error) {
 	ctx, err := enter(ctx)
 	if err != nil {
 		return nil, 0, err
@@ -136,14 +129,7 @@ func MinProcessorsCtx(ctx context.Context, t *graph.Tree, k float64) (*TreeParti
 
 // MinProcessorsPath solves processor minimization on a linear task graph by
 // first-fit accumulation, which is optimal for paths: O(n).
-func MinProcessorsPath(p *graph.Path, k float64) (*PathPartition, error) {
-	pp, _, err := MinProcessorsPathCtx(context.Background(), p, k)
-	return pp, err
-}
-
-// MinProcessorsPathCtx is MinProcessorsPath with cancellation and iteration
-// accounting.
-func MinProcessorsPathCtx(ctx context.Context, p *graph.Path, k float64) (*PathPartition, int64, error) {
+func MinProcessorsPath(ctx context.Context, p *graph.Path, k float64) (*PathPartition, int64, error) {
 	ctx, err := enter(ctx)
 	if err != nil {
 		return nil, 0, err
@@ -184,15 +170,9 @@ func MinProcessorsPathCtx(ctx context.Context, p *graph.Path, k float64) (*PathP
 // the contracted tree to undo the over-fragmentation of the greedy
 // bottleneck cut. The final cut is a subset of the bottleneck cut, so its
 // bottleneck never exceeds the optimum, and among such cuts it uses the
-// minimum number of processors.
-func PartitionTree(t *graph.Tree, k float64) (*TreePartition, error) {
-	tp, _, err := PartitionTreeCtx(context.Background(), t, k)
-	return tp, err
-}
-
-// PartitionTreeCtx is PartitionTree with cancellation and iteration
-// accounting (summed over the pipeline's stages).
-func PartitionTreeCtx(ctx context.Context, t *graph.Tree, k float64) (*TreePartition, int64, error) {
+// minimum number of processors. The iteration count is summed over the
+// pipeline's stages.
+func PartitionTree(ctx context.Context, t *graph.Tree, k float64) (*TreePartition, int64, error) {
 	// Each pipeline stage runs inside its own span, so the stage's internal
 	// phase spans (edge-sort, feasibility-sweep, leaf-pruning) nest under it.
 	bctx, sp := obs.StartSpan(ctx, "stage:bottleneck")
@@ -208,7 +188,7 @@ func PartitionTreeCtx(ctx context.Context, t *graph.Tree, k float64) (*TreeParti
 		return nil, it1, err
 	}
 	mctx, sp := obs.StartSpan(ctx, "stage:minproc")
-	mp, it2, err := MinProcessorsCtx(mctx, contraction.Tree, k)
+	mp, it2, err := MinProcessors(mctx, contraction.Tree, k)
 	sp.End()
 	if err != nil {
 		return nil, it1 + it2, err

@@ -69,7 +69,7 @@ func TestMinProcessorsHandCases(t *testing.T) {
 			if err != nil {
 				t.Fatalf("NewTree: %v", err)
 			}
-			got, err := MinProcessors(tr, tt.k)
+			got, _, err := MinProcessors(ctx, tr, tt.k)
 			if err != nil {
 				t.Fatalf("MinProcessors: %v", err)
 			}
@@ -94,7 +94,7 @@ func TestMinProcessorsOptimalVsBrute(t *testing.T) {
 	for trial := 0; trial < 300; trial++ {
 		tr, k := randomTreeForTest(r, 12)
 		want := treeBrute(t, tr, k)
-		got, err := MinProcessors(tr, k)
+		got, _, err := MinProcessors(ctx, tr, k)
 		if !want.Feasible {
 			if !errors.Is(err, ErrInfeasible) {
 				t.Fatalf("seed %d trial %d: want infeasible, got err=%v", r.Seed(), trial, err)
@@ -125,7 +125,7 @@ func TestMinProcessorsStarMatchesPaperDescription(t *testing.T) {
 		[]float64{1, 1, 2, 4},
 		[]graph.Edge{{U: 0, V: 1, W: 1}, {U: 0, V: 2, W: 1}, {U: 0, V: 3, W: 1}},
 	)
-	got, err := MinProcessors(tr, 5)
+	got, _, err := MinProcessors(ctx, tr, 5)
 	if err != nil {
 		t.Fatalf("MinProcessors: %v", err)
 	}
@@ -149,7 +149,7 @@ func TestMinProcessorsDeepPathNoRecursionLimit(t *testing.T) {
 		edges[i] = graph.Edge{U: i, V: i + 1, W: 1}
 	}
 	tr := &graph.Tree{NodeW: nodeW, Edges: edges}
-	got, err := MinProcessors(tr, 1000)
+	got, _, err := MinProcessors(ctx, tr, 1000)
 	if err != nil {
 		t.Fatalf("MinProcessors: %v", err)
 	}
@@ -164,7 +164,7 @@ func TestMinProcessorsPathOptimal(t *testing.T) {
 		p, k := randomPathForTest(r, 14)
 		tr := p.AsTree()
 		want := treeBrute(t, tr, k)
-		got, err := MinProcessorsPath(p, k)
+		got, _, err := MinProcessorsPath(ctx, p, k)
 		if !want.Feasible {
 			if !errors.Is(err, ErrInfeasible) {
 				t.Fatalf("seed %d trial %d: want infeasible, got err=%v", r.Seed(), trial, err)
@@ -179,7 +179,7 @@ func TestMinProcessorsPathOptimal(t *testing.T) {
 				r.Seed(), trial, got.NumComponents(), want.Components, p.NodeW, k)
 		}
 		// The tree algorithm must agree with the specialized path one.
-		treeGot, err := MinProcessors(tr, k)
+		treeGot, _, err := MinProcessors(ctx, tr, k)
 		if err != nil {
 			t.Fatalf("MinProcessors on path-tree: %v", err)
 		}
@@ -192,14 +192,14 @@ func TestMinProcessorsPathOptimal(t *testing.T) {
 
 func TestMinProcessorsErrors(t *testing.T) {
 	tr, _ := graph.NewTree([]float64{5, 50}, []graph.Edge{{U: 0, V: 1, W: 1}})
-	if _, err := MinProcessors(tr, 10); !errors.Is(err, ErrInfeasible) {
+	if _, _, err := MinProcessors(ctx, tr, 10); !errors.Is(err, ErrInfeasible) {
 		t.Errorf("error = %v, want ErrInfeasible", err)
 	}
-	if _, err := MinProcessors(tr, 0); !errors.Is(err, ErrBadBound) {
+	if _, _, err := MinProcessors(ctx, tr, 0); !errors.Is(err, ErrBadBound) {
 		t.Errorf("error = %v, want ErrBadBound", err)
 	}
 	p, _ := graph.NewPath([]float64{5, 50}, []float64{1})
-	if _, err := MinProcessorsPath(p, 10); !errors.Is(err, ErrInfeasible) {
+	if _, _, err := MinProcessorsPath(ctx, p, 10); !errors.Is(err, ErrInfeasible) {
 		t.Errorf("path error = %v, want ErrInfeasible", err)
 	}
 }
@@ -208,7 +208,7 @@ func TestPartitionTreePipeline(t *testing.T) {
 	r := workload.NewRNG(5555)
 	for trial := 0; trial < 200; trial++ {
 		tr, k := randomTreeForTest(r, 12)
-		pt, err := PartitionTree(tr, k)
+		pt, _, err := PartitionTree(ctx, tr, k)
 		if errors.Is(err, ErrInfeasible) {
 			continue
 		}
@@ -233,7 +233,7 @@ func TestPartitionTreePipeline(t *testing.T) {
 				r.Seed(), trial, pt.NumComponents(), want.Components)
 		}
 		// And it must beat or match the raw bottleneck cut's fragmentation.
-		bt, err := Bottleneck(tr, k)
+		bt, _, err := Bottleneck(ctx, tr, k)
 		if err != nil {
 			t.Fatalf("Bottleneck: %v", err)
 		}
@@ -248,14 +248,14 @@ func TestPartitionTreeKeepsBottleneckCutSubset(t *testing.T) {
 	r := workload.NewRNG(808)
 	for trial := 0; trial < 100; trial++ {
 		tr, k := randomTreeForTest(r, 25)
-		pt, err := PartitionTree(tr, k)
+		pt, _, err := PartitionTree(ctx, tr, k)
 		if errors.Is(err, ErrInfeasible) {
 			continue
 		}
 		if err != nil {
 			t.Fatalf("PartitionTree: %v", err)
 		}
-		bt, err := Bottleneck(tr, k)
+		bt, _, err := Bottleneck(ctx, tr, k)
 		if err != nil {
 			t.Fatalf("Bottleneck: %v", err)
 		}
@@ -296,10 +296,10 @@ func TestCheckFeasibleHelpers(t *testing.T) {
 
 func TestErrorPaths(t *testing.T) {
 	heavy, _ := graph.NewTree([]float64{50, 1}, []graph.Edge{{U: 0, V: 1, W: 1}})
-	if _, err := BottleneckValue(heavy, 10); !errors.Is(err, ErrInfeasible) {
-		t.Errorf("BottleneckValue infeasible: %v", err)
+	if _, _, err := Bottleneck(ctx, heavy, 10); !errors.Is(err, ErrInfeasible) {
+		t.Errorf("Bottleneck infeasible: %v", err)
 	}
-	if _, err := PartitionTree(heavy, 10); !errors.Is(err, ErrInfeasible) {
+	if _, _, err := PartitionTree(ctx, heavy, 10); !errors.Is(err, ErrInfeasible) {
 		t.Errorf("PartitionTree infeasible: %v", err)
 	}
 	badPath := &graph.Path{NodeW: []float64{1}, EdgeW: []float64{1}}

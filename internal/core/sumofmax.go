@@ -76,13 +76,7 @@ func pruneStates(states []smState) []smState {
 
 // SumOfMaxTree partitions a tree task graph into exactly parts components
 // minimizing the sum over components of the maximum task weight.
-func SumOfMaxTree(t *graph.Tree, parts int) (*TreePartition, error) {
-	tp, _, err := SumOfMaxTreeCtx(context.Background(), t, parts)
-	return tp, err
-}
-
-// SumOfMaxTreeCtx is SumOfMaxTree with cancellation and iteration accounting.
-func SumOfMaxTreeCtx(ctx context.Context, t *graph.Tree, parts int) (*TreePartition, int64, error) {
+func SumOfMaxTree(ctx context.Context, t *graph.Tree, parts int) (*TreePartition, int64, error) {
 	ctx, err := enter(ctx)
 	if err != nil {
 		return nil, 0, err

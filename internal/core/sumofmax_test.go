@@ -60,7 +60,7 @@ func TestSumOfMaxTreeEdgeCases(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			got, err := SumOfMaxTree(tt.tree, tt.parts)
+			got, _, err := SumOfMaxTree(ctx, tt.tree, tt.parts)
 			if tt.wantErr != nil {
 				if !errors.Is(err, tt.wantErr) {
 					t.Fatalf("error = %v, want %v", err, tt.wantErr)
@@ -89,7 +89,7 @@ func TestSumOfMaxTreeVsBrute(t *testing.T) {
 		n := 1 + r.Intn(12)
 		tr := workload.RandomTree(r, n, workload.UniformWeights(0, 20), workload.UniformWeights(1, 5))
 		parts := 1 + r.Intn(n)
-		got, err := SumOfMaxTree(tr, parts)
+		got, _, err := SumOfMaxTree(ctx, tr, parts)
 		if err != nil {
 			t.Fatalf("seed %d trial %d: SumOfMaxTree(parts=%d): %v\nnodeW=%v edges=%v",
 				r.Seed(), trial, parts, err, tr.NodeW, tr.Edges)
@@ -121,7 +121,7 @@ func TestSumOfMaxTreeLargerAgainstOracleDP(t *testing.T) {
 		n := 20 + r.Intn(60)
 		tr := workload.RandomTree(r, n, workload.UniformWeights(1, 100), workload.UniformWeights(1, 5))
 		parts := 1 + r.Intn(8)
-		got, err := SumOfMaxTree(tr, parts)
+		got, _, err := SumOfMaxTree(ctx, tr, parts)
 		if err != nil {
 			t.Fatalf("seed %d trial %d: SumOfMaxTree(n=%d, parts=%d): %v", r.Seed(), trial, n, parts, err)
 		}
@@ -140,7 +140,7 @@ func TestSumOfMaxCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	tr := &graph.Tree{NodeW: []float64{1, 2, 3}, Edges: []graph.Edge{{U: 0, V: 1, W: 1}, {U: 1, V: 2, W: 1}}}
-	if _, _, err := SumOfMaxTreeCtx(ctx, tr, 2); !errors.Is(err, context.Canceled) {
-		t.Errorf("SumOfMaxTreeCtx error = %v, want context.Canceled", err)
+	if _, _, err := SumOfMaxTree(ctx, tr, 2); !errors.Is(err, context.Canceled) {
+		t.Errorf("SumOfMaxTree error = %v, want context.Canceled", err)
 	}
 }

@@ -209,7 +209,7 @@ func BenchmarkEngineOverhead(b *testing.B) {
 	})
 	b.Run("direct", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := core.Bandwidth(p, k); err != nil {
+			if _, _, err := core.Bandwidth(context.Background(), p, k); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -4,9 +4,9 @@
 //
 //   - Request names a registered solver, carries the task graph and the
 //     execution-time bound K, and sets per-solve options (deadline,
-//     component cap, allocation tracking, observer).
+//     component cap, observer).
 //   - Result carries the cut, the component loads, the partition metrics
-//     and per-solve Stats (wall time, main-loop iterations, allocations).
+//     and per-solve Stats (wall time, main-loop iterations).
 //   - Solver is the interface all partitioners are registered under; the
 //     registry maps stable names ("bandwidth", "bottleneck", ...) to
 //     implementations.
@@ -23,7 +23,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"runtime/debug"
 	"time"
 
@@ -90,11 +89,6 @@ type Options struct {
 	// Timeout bounds the solve's wall time; 0 means no deadline beyond the
 	// caller's context.
 	Timeout time.Duration
-	// TrackAllocs samples runtime allocation counters around the solve and
-	// reports the delta in Stats.Allocs. The sample is process-wide, so
-	// concurrent solves (Batch) inflate each other's numbers; use it for
-	// sequential profiling.
-	TrackAllocs bool
 	// Observer, when non-nil, receives this solve's Event.
 	Observer Observer
 }
@@ -121,9 +115,6 @@ type Stats struct {
 	// Iterations counts the solver's main-loop iterations — the
 	// size-independent progress measure used for cancellation polling.
 	Iterations int64
-	// Allocs is the heap-allocation delta over the solve, only when
-	// Options.TrackAllocs was set.
-	Allocs uint64
 }
 
 // Result is a completed solve: the cut, its metrics, and Stats. For path
@@ -180,13 +171,13 @@ func Solve(ctx context.Context, req Request) (res Result, err error) {
 }
 
 // instrumented wraps a solve body with the engine's common machinery:
-// deadline application, up-front cancellation check, timing, allocation
-// sampling, trace span management, and observer notification. When the
-// context carries an obs.Trace, the solve runs inside a span named after the
-// solver, so the phase spans the algorithms open nest under it; without a
-// trace the span machinery is a no-op (one context lookup, zero
-// allocations). Errors from the body are returned unwrapped so callers can
-// match the algorithm packages' sentinel errors.
+// deadline application, up-front cancellation check, timing, trace span
+// management, and observer notification. When the context carries an
+// obs.Trace, the solve runs inside a span named after the solver, so the
+// phase spans the algorithms open nest under it; without a trace the span
+// machinery is a no-op (one context lookup, zero allocations). Errors from
+// the body are returned unwrapped so callers can match the algorithm
+// packages' sentinel errors.
 func instrumented(ctx context.Context, name string, opt Options, body func(context.Context) (Result, int64, error)) (Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -196,21 +187,12 @@ func instrumented(ctx context.Context, name string, opt Options, body func(conte
 		ctx, cancel = context.WithTimeout(ctx, opt.Timeout)
 		defer cancel()
 	}
-	var before runtime.MemStats
-	if opt.TrackAllocs {
-		runtime.ReadMemStats(&before)
-	}
 	sctx, span := obs.StartSpan(ctx, name)
 	start := time.Now()
 	res, iters, err := body(sctx)
 	span.End()
 	res.Stats.Duration = time.Since(start)
 	res.Stats.Iterations = iters
-	if opt.TrackAllocs {
-		var after runtime.MemStats
-		runtime.ReadMemStats(&after)
-		res.Stats.Allocs = after.Mallocs - before.Mallocs
-	}
 	res.Solver = name
 	if err != nil {
 		span.SetAttr("error", err.Error())

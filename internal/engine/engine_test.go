@@ -91,70 +91,70 @@ func TestSolveMatchesDirectCalls(t *testing.T) {
 		direct func() ([]int, float64, error)
 	}{
 		{"bandwidth", Request{Path: p, K: kp}, func() ([]int, float64, error) {
-			pp, err := core.Bandwidth(p, kp)
+			pp, _, err := core.Bandwidth(context.Background(), p, kp)
 			if err != nil {
 				return nil, 0, err
 			}
 			return pp.Cut, pp.CutWeight, nil
 		}},
 		{"bandwidth-heap", Request{Path: p, K: kp}, func() ([]int, float64, error) {
-			pp, err := core.BandwidthHeap(p, kp)
+			pp, _, err := core.BandwidthHeap(context.Background(), p, kp)
 			if err != nil {
 				return nil, 0, err
 			}
 			return pp.Cut, pp.CutWeight, nil
 		}},
 		{"bandwidth-deque", Request{Path: p, K: kp}, func() ([]int, float64, error) {
-			pp, err := core.BandwidthDeque(p, kp)
+			pp, _, err := core.BandwidthDeque(context.Background(), p, kp)
 			if err != nil {
 				return nil, 0, err
 			}
 			return pp.Cut, pp.CutWeight, nil
 		}},
 		{"bandwidth-naive", Request{Path: p, K: kp}, func() ([]int, float64, error) {
-			pp, err := core.BandwidthNaive(p, kp)
+			pp, _, err := core.BandwidthNaive(context.Background(), p, kp)
 			if err != nil {
 				return nil, 0, err
 			}
 			return pp.Cut, pp.CutWeight, nil
 		}},
 		{"bandwidth-limited", Request{Path: p, K: kp, Options: Options{MaxComponents: 200}}, func() ([]int, float64, error) {
-			pp, err := core.BandwidthLimited(p, kp, 200)
+			pp, _, err := core.BandwidthLimited(context.Background(), p, kp, 200)
 			if err != nil {
 				return nil, 0, err
 			}
 			return pp.Cut, pp.CutWeight, nil
 		}},
 		{"minproc-path", Request{Path: p, K: kp}, func() ([]int, float64, error) {
-			pp, err := core.MinProcessorsPath(p, kp)
+			pp, _, err := core.MinProcessorsPath(context.Background(), p, kp)
 			if err != nil {
 				return nil, 0, err
 			}
 			return pp.Cut, pp.CutWeight, nil
 		}},
 		{"bottleneck", Request{Tree: tr, K: kt}, func() ([]int, float64, error) {
-			tp, err := core.Bottleneck(tr, kt)
+			tp, _, err := core.Bottleneck(context.Background(), tr, kt)
 			if err != nil {
 				return nil, 0, err
 			}
 			return tp.Cut, tp.CutWeight, nil
 		}},
 		{"bottleneck-greedy", Request{Tree: tr, K: kt}, func() ([]int, float64, error) {
-			tp, err := core.BottleneckGreedy(tr, kt)
+			tp, _, err := core.BottleneckGreedy(context.Background(), tr, kt)
 			if err != nil {
 				return nil, 0, err
 			}
 			return tp.Cut, tp.CutWeight, nil
 		}},
 		{"minproc", Request{Tree: tr, K: kt}, func() ([]int, float64, error) {
-			tp, err := core.MinProcessors(tr, kt)
+			tp, _, err := core.MinProcessors(context.Background(), tr, kt)
 			if err != nil {
 				return nil, 0, err
 			}
 			return tp.Cut, tp.CutWeight, nil
 		}},
 		{"partition-tree", Request{Tree: tr, K: kt}, func() ([]int, float64, error) {
-			tp, err := core.PartitionTree(tr, kt)
+			tp, _, err := core.PartitionTree(context.Background(), tr, kt)
 			if err != nil {
 				return nil, 0, err
 			}
@@ -287,16 +287,13 @@ func TestObserverAndStats(t *testing.T) {
 		Solver:  "bandwidth-deque",
 		Path:    p,
 		K:       k,
-		Options: Options{Observer: col, TrackAllocs: true},
+		Options: Options{Observer: col},
 	})
 	if err != nil {
 		t.Fatalf("Solve: %v", err)
 	}
 	if res.Stats.Iterations == 0 {
 		t.Error("Stats.Iterations = 0, want > 0")
-	}
-	if res.Stats.Allocs == 0 {
-		t.Error("Stats.Allocs = 0 with TrackAllocs, want > 0")
 	}
 	snap := col.Snapshot()
 	agg, ok := snap["bandwidth-deque"]

@@ -12,8 +12,7 @@ import (
 type Event struct {
 	// Solver is the registry name.
 	Solver string
-	// Stats is the solve's work accounting (Duration is always set; Allocs
-	// only under Options.TrackAllocs).
+	// Stats is the solve's work accounting.
 	Stats Stats
 	// Err is the solve's error, nil on success.
 	Err error

@@ -41,15 +41,6 @@ func Get(name string) (Solver, error) {
 	return s, nil
 }
 
-// MustGet is Get panicking on unknown names, for static call sites.
-func MustGet(name string) Solver {
-	s, err := Get(name)
-	if err != nil {
-		panic(err)
-	}
-	return s
-}
-
 // Names returns the registered solver names in sorted order.
 func Names() []string {
 	regMu.RLock()

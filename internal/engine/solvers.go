@@ -77,14 +77,19 @@ func (s *treeSolver) Kind() Kind           { return KindTree }
 func (s *treeSolver) Objective() Objective { return s.objective }
 
 func (s *treeSolver) Solve(ctx context.Context, req Request) (Result, error) {
-	t := req.Tree
-	if t == nil && req.Path != nil {
-		t = req.Path.AsTree()
-	}
-	if t == nil {
+	if req.Tree == nil && req.Path == nil {
 		return Result{Solver: s.name}, fmt.Errorf("solver %q needs a tree (or path) graph: %w", s.name, ErrBadRequest)
 	}
 	return instrumented(ctx, s.name, req.Options, func(ctx context.Context) (Result, int64, error) {
+		t := req.Tree
+		if t == nil {
+			// AsTree reads one edge weight per node pair, so a malformed path
+			// must be refused before it is viewed as a tree.
+			if err := req.Path.Validate(); err != nil {
+				return Result{}, 0, err
+			}
+			t = req.Path.AsTree()
+		}
 		tp, iters, err := s.solve(ctx, t, req.K)
 		if err != nil {
 			return Result{}, iters, err
@@ -134,33 +139,33 @@ func init() {
 	// when the request sets one — the common case for machine-sized solves.
 	Register(&pathSolver{name: "bandwidth", objective: ObjectiveBandwidth, solve: func(ctx context.Context, req Request) (*core.PathPartition, int64, error) {
 		if m := req.Options.MaxComponents; m > 0 {
-			return core.BandwidthLimitedCtx(ctx, req.Path, req.K, m)
+			return core.BandwidthLimited(ctx, req.Path, req.K, m)
 		}
-		return core.BandwidthCtx(ctx, req.Path, req.K)
+		return core.Bandwidth(ctx, req.Path, req.K)
 	}})
-	Register(&pathSolver{name: "bandwidth-heap", objective: ObjectiveBandwidth, solve: plainPath(core.BandwidthHeapCtx)})
-	Register(&pathSolver{name: "bandwidth-deque", objective: ObjectiveBandwidth, solve: plainPath(core.BandwidthDequeCtx)})
-	Register(&pathSolver{name: "bandwidth-naive", objective: ObjectiveBandwidth, solve: plainPath(core.BandwidthNaiveCtx)})
+	Register(&pathSolver{name: "bandwidth-heap", objective: ObjectiveBandwidth, solve: plainPath(core.BandwidthHeap)})
+	Register(&pathSolver{name: "bandwidth-deque", objective: ObjectiveBandwidth, solve: plainPath(core.BandwidthDeque)})
+	Register(&pathSolver{name: "bandwidth-naive", objective: ObjectiveBandwidth, solve: plainPath(core.BandwidthNaive)})
 	// "bandwidth-limited" passes MaxComponents through verbatim, so the
 	// core validation (m must be positive) applies.
 	Register(&pathSolver{name: "bandwidth-limited", objective: ObjectiveBandwidth, solve: func(ctx context.Context, req Request) (*core.PathPartition, int64, error) {
-		return core.BandwidthLimitedCtx(ctx, req.Path, req.K, req.Options.MaxComponents)
+		return core.BandwidthLimited(ctx, req.Path, req.K, req.Options.MaxComponents)
 	}})
-	Register(&pathSolver{name: "minproc-path", objective: ObjectiveMinProcs, solve: plainPath(core.MinProcessorsPathCtx)})
+	Register(&pathSolver{name: "minproc-path", objective: ObjectiveMinProcs, solve: plainPath(core.MinProcessorsPath)})
 	Register(&pathSolver{name: "maxmin-path", objective: ObjectiveMaxMin, solve: func(ctx context.Context, req Request) (*core.PathPartition, int64, error) {
 		parts, err := partsOf("maxmin-path", req.K)
 		if err != nil {
 			return nil, 0, err
 		}
-		return core.MaxMinPathCtx(ctx, req.Path, parts)
+		return core.MaxMinPath(ctx, req.Path, parts)
 	}})
 
-	Register(&treeSolver{name: "bottleneck", objective: ObjectiveBottleneck, solve: core.BottleneckCtx})
-	Register(&treeSolver{name: "bottleneck-greedy", objective: ObjectiveBottleneck, solve: core.BottleneckGreedyCtx})
-	Register(&treeSolver{name: "minproc", objective: ObjectiveMinProcs, solve: core.MinProcessorsCtx})
+	Register(&treeSolver{name: "bottleneck", objective: ObjectiveBottleneck, solve: core.Bottleneck})
+	Register(&treeSolver{name: "bottleneck-greedy", objective: ObjectiveBottleneck, solve: core.BottleneckGreedy})
+	Register(&treeSolver{name: "minproc", objective: ObjectiveMinProcs, solve: core.MinProcessors})
 	// partition-tree minimizes processors *subject to* the optimal
 	// bottleneck; its certified objective is the bottleneck value.
-	Register(&treeSolver{name: "partition-tree", objective: ObjectiveBottleneck, solve: core.PartitionTreeCtx})
-	Register(&treeSolver{name: "maxmin-tree", objective: ObjectiveMaxMin, solve: partsTree("maxmin-tree", core.MaxMinTreeCtx)})
-	Register(&treeSolver{name: "summax-tree", objective: ObjectiveSumOfMax, solve: partsTree("summax-tree", core.SumOfMaxTreeCtx)})
+	Register(&treeSolver{name: "partition-tree", objective: ObjectiveBottleneck, solve: core.PartitionTree})
+	Register(&treeSolver{name: "maxmin-tree", objective: ObjectiveMaxMin, solve: partsTree("maxmin-tree", core.MaxMinTree)})
+	Register(&treeSolver{name: "summax-tree", objective: ObjectiveSumOfMax, solve: partsTree("summax-tree", core.SumOfMaxTree)})
 }

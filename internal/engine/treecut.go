@@ -64,7 +64,7 @@ func treecutPartition(t *graph.Tree, cr *treecut.CutResult, k float64) (*core.Tr
 	}, nil
 }
 
-// liftTreecut adapts a treecut Ctx solver to the treeSolver solve signature.
+// liftTreecut adapts a treecut solver to the treeSolver solve signature.
 func liftTreecut(f func(context.Context, *graph.Tree, float64) (*treecut.CutResult, int64, error)) func(context.Context, *graph.Tree, float64) (*core.TreePartition, int64, error) {
 	return func(ctx context.Context, t *graph.Tree, k float64) (*core.TreePartition, int64, error) {
 		cr, iters, err := f(ctx, t, k)
@@ -82,8 +82,8 @@ func init() {
 			if k != math.Trunc(k) || k > math.MaxInt32 {
 				return nil, 0, fmt.Errorf("treecut-exact needs an integral K (got %v): %w", k, ErrBadRequest)
 			}
-			return treecut.TreeBandwidthExactCtx(ctx, t, int(k))
+			return treecut.TreeBandwidthExact(ctx, t, int(k))
 		})})
-	Register(&treeSolver{name: "treecut-bb", objective: ObjectiveNone, solve: liftTreecut(treecut.TreeBandwidthBBCtx)})
-	Register(&treeSolver{name: "treecut-greedy", objective: ObjectiveNone, solve: liftTreecut(treecut.TreeBandwidthGreedyCtx)})
+	Register(&treeSolver{name: "treecut-bb", objective: ObjectiveNone, solve: liftTreecut(treecut.TreeBandwidthBB)})
+	Register(&treeSolver{name: "treecut-greedy", objective: ObjectiveNone, solve: liftTreecut(treecut.TreeBandwidthGreedy)})
 }

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 
@@ -113,7 +114,7 @@ func RunDES(procs, cycles int) ([]DESRow, error) {
 		}
 		// Bound: spread total load over about procs components.
 		k := path.TotalNodeWeight()/float64(procs) + path.MaxNodeWeight()
-		opt, err := core.Bandwidth(path, k)
+		opt, _, err := core.Bandwidth(context.Background(), path, k)
 		if err != nil {
 			return nil, fmt.Errorf("%s: bandwidth: %w", b.name, err)
 		}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"time"
@@ -21,7 +22,7 @@ func pathFromSlices(nodeW, edgeW []float64) *graph.Path {
 // bandwidthForContrast returns the shared-memory optimal cut weight at bound
 // k for the same chain.
 func bandwidthForContrast(p *graph.Path, k float64) (float64, error) {
-	pp, err := core.Bandwidth(p, k)
+	pp, _, err := core.Bandwidth(context.Background(), p, k)
 	if err != nil {
 		return 0, err
 	}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"io"
 
 	"repro/internal/graph"
@@ -51,12 +52,12 @@ func RunTreeHeuristic(seed uint64, n, trials int) ([]TreeHeuristicRow, error) {
 		for trial := 0; trial < trials; trial++ {
 			inst := fam.gen()
 			k := 9 + rng.Intn(30)
-			exact, err := treecut.TreeBandwidthExact(inst, k)
+			exact, _, err := treecut.TreeBandwidthExact(context.Background(), inst, k)
 			if err != nil {
 				trial--
 				continue
 			}
-			greedy, err := treecut.TreeBandwidthGreedy(inst, float64(k))
+			greedy, _, err := treecut.TreeBandwidthGreedy(context.Background(), inst, float64(k))
 			if err != nil {
 				return nil, err
 			}

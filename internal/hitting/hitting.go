@@ -16,6 +16,11 @@
 // that maintains the TEMP_S queue of (interval range, current min W-value,
 // cut) rows. SolveNaiveDP is the paper's "naive" O(Σ|P_i|) evaluation, and
 // SolveBrute is an exponential reference for tests.
+//
+// Every solver validates the instance it is handed except SolveTempSCtx,
+// the one internal/core calls: its caller already holds a valid instance
+// (prime.Analyze builds one from a validated path), and nothing in the
+// sweep re-checks it.
 package hitting
 
 import (
@@ -148,33 +153,25 @@ func (t *Trace) MeanQueueLen() float64 {
 	return float64(t.QueueLenSum) / float64(t.Steps)
 }
 
-// SolveTempS runs the paper's Algorithm 4.1. It requires a valid instance
-// (Validate) and returns the minimum-weight hitting set. Empty instances
-// (no intervals) yield the empty solution.
+// SolveTempS runs the paper's Algorithm 4.1. It validates in and returns
+// the minimum-weight hitting set. Empty instances (no intervals) yield the
+// empty solution.
 func SolveTempS(in *Instance) (*Solution, error) {
-	sol, _, err := solveTempS(context.Background(), in, nil)
+	if err := in.Validate(); err != nil {
+		return nil, err
+	}
+	sol, _, err := SolveTempSCtx(context.Background(), in, nil)
 	return sol, err
-}
-
-// SolveTempSCtx is SolveTempS with cancellation: the sweep polls ctx
-// periodically and aborts with its error once it is cancelled. The second
-// return value is the number of points the sweep processed.
-func SolveTempSCtx(ctx context.Context, in *Instance) (*Solution, int64, error) {
-	return solveTempS(ctx, in, nil)
 }
 
 // SolveTempSInstrumented is SolveTempS with queue-behaviour instrumentation.
 func SolveTempSInstrumented(in *Instance) (*Solution, *Trace, error) {
-	sol, tr, _, err := SolveTempSInstrumentedCtx(context.Background(), in)
-	return sol, tr, err
-}
-
-// SolveTempSInstrumentedCtx is SolveTempSCtx with queue-behaviour
-// instrumentation.
-func SolveTempSInstrumentedCtx(ctx context.Context, in *Instance) (*Solution, *Trace, int64, error) {
+	if err := in.Validate(); err != nil {
+		return nil, nil, err
+	}
 	tr := &Trace{}
-	sol, iters, err := solveTempS(ctx, in, tr)
-	return sol, tr, iters, err
+	sol, _, err := SolveTempSCtx(context.Background(), in, tr)
+	return sol, tr, err
 }
 
 // row is one entry of the TEMP_S queue: intervals lo..hi currently share the
@@ -186,9 +183,9 @@ type row struct {
 }
 
 // tempSScratch holds the sweep's working arrays. Nothing in it escapes a
-// solve (Solution materializes fresh slices), so solveTempS checks one out of
-// a package pool per call and the steady-state sweep allocates nothing but
-// the Solution itself.
+// solve (Solution materializes fresh slices), so SolveTempSCtx checks one
+// out of a package pool per call and the steady-state sweep allocates
+// nothing but the Solution itself.
 type tempSScratch struct {
 	sw    []float64
 	scut  []*cutNode
@@ -218,14 +215,16 @@ func (s *tempSScratch) grab(p, r int) (sw []float64, scut []*cutNode, arena []cu
 	return s.sw[:p], s.scut[:p], s.arena[:0], s.rows[:p]
 }
 
-func solveTempS(ctx context.Context, in *Instance, tr *Trace) (*Solution, int64, error) {
+// SolveTempSCtx is SolveTempS for a caller that already holds a valid
+// instance, such as the one prime.Analyze builds: it does not re-check in.
+// The sweep polls ctx periodically and aborts with its error once it is
+// cancelled; the second return value is the number of points it processed.
+// A non-nil tr records the queue behaviour.
+func SolveTempSCtx(ctx context.Context, in *Instance, tr *Trace) (*Solution, int64, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, 0, err
-	}
-	if err := in.Validate(); err != nil {
 		return nil, 0, err
 	}
 	var iters int64

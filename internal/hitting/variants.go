@@ -86,7 +86,7 @@ func popSearch(rows []row, head, tail int, w float64) int {
 	return s
 }
 
-// solveTempSSearch is solveTempS with a pluggable collapse search. It
+// solveTempSSearch is SolveTempSCtx with a pluggable collapse search. It
 // duplicates the sweep rather than threading a function value through the
 // hot loop of the production solver.
 func solveTempSSearch(in *Instance, search searchFunc) (*Solution, error) {

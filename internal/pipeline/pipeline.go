@@ -7,6 +7,7 @@
 package pipeline
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -77,7 +78,7 @@ func Build(spec *Spec, m *arch.Machine) (*Plan, error) {
 		return nil, err
 	}
 	k := spec.Deadline * m.Speed
-	part, err := core.Bandwidth(spec.Tasks, k)
+	part, _, err := core.Bandwidth(context.Background(), spec.Tasks, k)
 	if err != nil {
 		if errors.Is(err, core.ErrInfeasible) {
 			return nil, fmt.Errorf("%v: %w", err, ErrDeadline)
@@ -126,7 +127,7 @@ func MinimalProcessors(spec *Spec, m *arch.Machine) (int, error) {
 		return 0, err
 	}
 	k := spec.Deadline * m.Speed
-	pp, err := core.MinProcessorsPath(spec.Tasks, k)
+	pp, _, err := core.MinProcessorsPath(context.Background(), spec.Tasks, k)
 	if err != nil {
 		if errors.Is(err, core.ErrInfeasible) {
 			return 0, fmt.Errorf("%v: %w", err, ErrDeadline)

@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"context"
 	"errors"
 	"math"
 	"testing"
@@ -108,7 +109,7 @@ func TestBuildUsesNoMoreTrafficThanMinimalSplit(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Build: %v", err)
 		}
-		ff, err := core.MinProcessorsPath(p, s.Deadline*m.Speed)
+		ff, _, err := core.MinProcessorsPath(context.Background(), p, s.Deadline*m.Speed)
 		if err != nil {
 			t.Fatalf("MinProcessorsPath: %v", err)
 		}

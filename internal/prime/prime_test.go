@@ -8,6 +8,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/hitting"
 	"repro/internal/workload"
 )
 
@@ -423,6 +424,12 @@ func FuzzAnalyze(f *testing.F) {
 				!slices.Equal(inst.A, w.A) || !slices.Equal(inst.B, w.B) ||
 				!slices.Equal(inst.First, w.First) || !slices.Equal(inst.Last, w.Last) {
 				t.Fatalf("nodeW=%v edgeW=%v k=%v:\nAnalyze = %+v\nbrute   = %+v", nodeW, edgeW, k, inst, w)
+			}
+			// core hands this instance to hitting.SolveTempSCtx, which
+			// takes a valid instance as its precondition and does not check.
+			hin := hitting.Instance{Beta: inst.Beta, A: inst.A, B: inst.B}
+			if err := hin.Validate(); err != nil {
+				t.Fatalf("nodeW=%v edgeW=%v k=%v: %v", nodeW, edgeW, k, err)
 			}
 		}
 	})

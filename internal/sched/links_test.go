@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"context"
 	"errors"
 	"math"
 	"testing"
@@ -65,7 +66,7 @@ func TestLinksMonotoneProperty(t *testing.T) {
 		r := workload.NewRNG(seed)
 		n := 4 + r.Intn(30)
 		p := workload.RandomPath(r, n, workload.UniformWeights(1, 10), workload.UniformWeights(1, 10))
-		pp, err := core.Bandwidth(p, r.Uniform(12, 50))
+		pp, _, err := core.Bandwidth(context.Background(), p, r.Uniform(12, 50))
 		if err != nil {
 			return true
 		}
@@ -94,7 +95,7 @@ func TestContentionFreeLowerBound(t *testing.T) {
 	// least compute and at most the bus-serialized makespan.
 	r := workload.NewRNG(17)
 	p := workload.RandomPath(r, 40, workload.UniformWeights(5, 15), workload.UniformWeights(5, 50))
-	pp, err := core.Bandwidth(p, 80)
+	pp, _, err := core.Bandwidth(context.Background(), p, 80)
 	if err != nil {
 		t.Fatalf("Bandwidth: %v", err)
 	}

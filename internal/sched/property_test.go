@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"context"
 	"testing"
 	"testing/quick"
 
@@ -18,7 +19,7 @@ func TestSimulateInvariantsProperty(t *testing.T) {
 		n := 2 + r.Intn(60)
 		p := workload.RandomPath(r, n, workload.UniformWeights(1, 10), workload.UniformWeights(0, 10))
 		k := r.Uniform(10, 60)
-		pp, err := core.Bandwidth(p, k)
+		pp, _, err := core.Bandwidth(context.Background(), p, k)
 		if err != nil {
 			return true // infeasible instance; nothing to simulate
 		}
@@ -63,7 +64,7 @@ func TestSimulateBusMonotoneProperty(t *testing.T) {
 		n := 4 + r.Intn(40)
 		p := workload.RandomPath(r, n, workload.UniformWeights(1, 10), workload.UniformWeights(1, 10))
 		k := r.Uniform(15, 60)
-		pp, err := core.Bandwidth(p, k)
+		pp, _, err := core.Bandwidth(context.Background(), p, k)
 		if err != nil {
 			return true
 		}

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"context"
 	"errors"
 	"math"
 	"testing"
@@ -98,7 +99,7 @@ func TestSimulateLowerBandwidthCutWins(t *testing.T) {
 	m := &arch.Machine{Processors: 32, Speed: 10, BusBandwidth: 2}
 	cfg := Config{Machine: m, Rounds: 5}
 
-	opt, err := core.Bandwidth(p, k)
+	opt, _, err := core.Bandwidth(context.Background(), p, k)
 	if err != nil {
 		t.Fatalf("Bandwidth: %v", err)
 	}
@@ -146,7 +147,7 @@ func equalBlocks(p *graph.Path, cuts int) []int {
 func TestSimulateTreePartition(t *testing.T) {
 	r := workload.NewRNG(21)
 	tr := workload.RandomTree(r, 40, workload.UniformWeights(5, 15), workload.UniformWeights(1, 50))
-	pt, err := core.PartitionTree(tr, 60)
+	pt, _, err := core.PartitionTree(context.Background(), tr, 60)
 	if err != nil {
 		t.Fatalf("PartitionTree: %v", err)
 	}
@@ -171,7 +172,7 @@ func TestSimulateMakespanLowerBound(t *testing.T) {
 	r := workload.NewRNG(33)
 	for trial := 0; trial < 20; trial++ {
 		p := workload.RandomPath(r, 30, workload.UniformWeights(1, 10), workload.UniformWeights(1, 10))
-		pp, err := core.Bandwidth(p, 25)
+		pp, _, err := core.Bandwidth(context.Background(), p, 25)
 		if err != nil {
 			continue
 		}

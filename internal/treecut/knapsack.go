@@ -7,6 +7,9 @@
 //     integer vertex weights,
 //   - an exact branch-and-bound for small trees with real weights, and
 //   - a greedy heuristic with a redundancy-elimination pass for large trees.
+//
+// Each tree solver has one context-aware entry point that validates its tree
+// once; nothing below it re-checks.
 package treecut
 
 import (

@@ -22,7 +22,7 @@ func TestTreeBandwidthExactProperty(t *testing.T) {
 			tr.Edges[i].W = float64(int(tr.Edges[i].W))
 		}
 		k := 9 + r.Intn(25)
-		exact, err := TreeBandwidthExact(tr, k)
+		exact, _, err := TreeBandwidthExact(ctx, tr, k)
 		if err != nil {
 			return true // infeasible instances are skipped
 		}
@@ -30,7 +30,7 @@ func TestTreeBandwidthExactProperty(t *testing.T) {
 		if err != nil || maxW > float64(k) {
 			return false
 		}
-		greedy, err := TreeBandwidthGreedy(tr, float64(k))
+		greedy, _, err := TreeBandwidthGreedy(ctx, tr, float64(k))
 		if err != nil {
 			return false
 		}

@@ -1,6 +1,7 @@
 package treecut
 
 import (
+	"context"
 	"errors"
 	"math"
 	"reflect"
@@ -9,6 +10,9 @@ import (
 	"repro/internal/graph"
 	"repro/internal/workload"
 )
+
+// ctx is the context the solver calls in this package's tests run under.
+var ctx = context.Background()
 
 func TestKnapsackDPHandCases(t *testing.T) {
 	tests := []struct {
@@ -185,7 +189,7 @@ func TestTheorem1ReductionForward(t *testing.T) {
 			t.Fatalf("star cut weight %v != Σp − OPT = %v (items %+v cap %d)",
 				cutA.Weight, wantCutWeight, items, capacity)
 		}
-		cutB, err := TreeBandwidthExact(star, k)
+		cutB, _, err := TreeBandwidthExact(ctx, star, k)
 		if err != nil {
 			t.Fatalf("TreeBandwidthExact: %v", err)
 		}
@@ -257,8 +261,8 @@ func TestTreeBandwidthExactMatchesBB(t *testing.T) {
 			tr.NodeW[v] = float64(1 + r.Intn(8))
 		}
 		k := 8 + r.Intn(20)
-		exact, err1 := TreeBandwidthExact(tr, k)
-		bb, err2 := TreeBandwidthBB(tr, float64(k))
+		exact, _, err1 := TreeBandwidthExact(ctx, tr, k)
+		bb, _, err2 := TreeBandwidthBB(ctx, tr, float64(k))
 		if (err1 == nil) != (err2 == nil) {
 			t.Fatalf("error mismatch: %v vs %v", err1, err2)
 		}
@@ -290,14 +294,14 @@ func TestTreeBandwidthGreedyFeasibleAndBounded(t *testing.T) {
 			tr.NodeW[v] = math.Trunc(tr.NodeW[v])
 		}
 		k := 8 + r.Intn(20)
-		exact, err := TreeBandwidthExact(tr, k)
+		exact, _, err := TreeBandwidthExact(ctx, tr, k)
 		if errors.Is(err, ErrInfeasible) {
 			continue
 		}
 		if err != nil {
 			t.Fatalf("exact: %v", err)
 		}
-		greedy, err := TreeBandwidthGreedy(tr, float64(k))
+		greedy, _, err := TreeBandwidthGreedy(ctx, tr, float64(k))
 		if err != nil {
 			t.Fatalf("greedy: %v", err)
 		}
@@ -337,12 +341,12 @@ func TestTreeBandwidthGreedyDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	first, err := TreeBandwidthGreedy(tr, 30)
+	first, _, err := TreeBandwidthGreedy(ctx, tr, 30)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for run := 1; run < 50; run++ {
-		got, err := TreeBandwidthGreedy(tr, 30)
+		got, _, err := TreeBandwidthGreedy(ctx, tr, 30)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -357,33 +361,33 @@ func TestTreeBandwidthGreedyDeterministic(t *testing.T) {
 
 func TestTreeBandwidthExactErrors(t *testing.T) {
 	tr, _ := graph.NewTree([]float64{1, 2}, []graph.Edge{{U: 0, V: 1, W: 1}})
-	if _, err := TreeBandwidthExact(tr, 0); !errors.Is(err, ErrBadInput) {
+	if _, _, err := TreeBandwidthExact(ctx, tr, 0); !errors.Is(err, ErrBadInput) {
 		t.Errorf("k=0: %v", err)
 	}
 	frac, _ := graph.NewTree([]float64{1.5, 2}, []graph.Edge{{U: 0, V: 1, W: 1}})
-	if _, err := TreeBandwidthExact(frac, 5); !errors.Is(err, ErrBadInput) {
+	if _, _, err := TreeBandwidthExact(ctx, frac, 5); !errors.Is(err, ErrBadInput) {
 		t.Errorf("fractional: %v", err)
 	}
 	heavy, _ := graph.NewTree([]float64{10, 2}, []graph.Edge{{U: 0, V: 1, W: 1}})
-	if _, err := TreeBandwidthExact(heavy, 5); !errors.Is(err, ErrInfeasible) {
+	if _, _, err := TreeBandwidthExact(ctx, heavy, 5); !errors.Is(err, ErrInfeasible) {
 		t.Errorf("heavy vertex: %v", err)
 	}
 	big, _ := graph.NewTree(make([]float64, 2), []graph.Edge{{U: 0, V: 1, W: 1}})
-	if _, err := TreeBandwidthExact(big, 100_000_000); !errors.Is(err, ErrTooLarge) {
+	if _, _, err := TreeBandwidthExact(ctx, big, 100_000_000); !errors.Is(err, ErrTooLarge) {
 		t.Errorf("too large: %v", err)
 	}
-	if _, err := TreeBandwidthBB(tr, math.NaN()); !errors.Is(err, ErrBadInput) {
+	if _, _, err := TreeBandwidthBB(ctx, tr, math.NaN()); !errors.Is(err, ErrBadInput) {
 		t.Errorf("BB nan: %v", err)
 	}
 	wide := workload.RandomTree(workload.NewRNG(1), 30, workload.UniformWeights(1, 2), workload.UniformWeights(1, 2))
-	if _, err := TreeBandwidthBB(wide, 100); !errors.Is(err, ErrTooLarge) {
+	if _, _, err := TreeBandwidthBB(ctx, wide, 100); !errors.Is(err, ErrTooLarge) {
 		t.Errorf("BB too large: %v", err)
 	}
 }
 
 func TestTreeBandwidthSingleVertex(t *testing.T) {
 	tr, _ := graph.NewTree([]float64{3}, nil)
-	got, err := TreeBandwidthExact(tr, 3)
+	got, _, err := TreeBandwidthExact(ctx, tr, 3)
 	if err != nil {
 		t.Fatalf("TreeBandwidthExact: %v", err)
 	}

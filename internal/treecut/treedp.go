@@ -23,11 +23,11 @@ import (
 //     redundancy-elimination pass; no optimality guarantee (Theorem 1 says
 //     none is cheap), evaluated against the exact DP in tests and benches.
 //
-// Each solver has a Ctx variant that polls the context inside its main loop
-// (so a cancelled context aborts a long solve promptly), reports main-loop
-// iterations, and opens obs phase spans — the shape the engine registry and
-// the async jobs subsystem consume. The plain functions remain as
-// context-free wrappers.
+// Each solver is one context-aware entry point: it validates its tree once,
+// polls the context inside its main loop (so a cancelled context aborts a
+// long solve promptly), reports main-loop iterations, and opens obs phase
+// spans — the shape the engine registry and the async jobs subsystem
+// consume. Nothing below the entry re-checks the tree.
 
 // pollEvery is the iteration stride between context checks; a power of two
 // so the check compiles to a mask.
@@ -61,16 +61,9 @@ func rootOrder(t *graph.Tree) (order, parent, parentEdge []int) {
 
 // TreeBandwidthExact computes a minimum-weight feasible cut for a tree with
 // integral vertex weights and integral bound k. It refuses instances whose
-// n·k product would be excessive.
-func TreeBandwidthExact(t *graph.Tree, k int) (*CutResult, error) {
-	res, _, err := TreeBandwidthExactCtx(context.Background(), t, k)
-	return res, err
-}
-
-// TreeBandwidthExactCtx is TreeBandwidthExact with context cancellation
-// polled inside the DP sweep, iteration accounting, and phase spans
-// ("exact-dp", "dp-reconstruct") when the context carries a trace.
-func TreeBandwidthExactCtx(ctx context.Context, t *graph.Tree, k int) (*CutResult, int64, error) {
+// n·k product would be excessive. ctx is polled inside the DP sweep, and the
+// "exact-dp" and "dp-reconstruct" phases open spans when it carries a trace.
+func TreeBandwidthExact(ctx context.Context, t *graph.Tree, k int) (*CutResult, int64, error) {
 	if err := t.Validate(); err != nil {
 		return nil, 0, err
 	}
@@ -214,22 +207,16 @@ func TreeBandwidthExactCtx(ctx context.Context, t *graph.Tree, k int) (*CutResul
 	return res, iters, nil
 }
 
-// TreeBandwidthBB computes a minimum-weight feasible cut for real-weighted
-// trees by branch and bound over edges in decreasing weight order, pruning
-// with the running best. Exact; exponential; refuses more than 24 edges.
-func TreeBandwidthBB(t *graph.Tree, k float64) (*CutResult, error) {
-	res, _, err := TreeBandwidthBBCtx(context.Background(), t, k)
-	return res, err
-}
-
 // errCancelled distinguishes a context abort from an exhausted search inside
 // the branch-and-bound recursion.
 var errCancelled = fmt.Errorf("treecut: cancelled")
 
-// TreeBandwidthBBCtx is TreeBandwidthBB with context cancellation polled at
-// every pollEvery-th search node, iteration accounting, and a
-// "branch-and-bound" phase span.
-func TreeBandwidthBBCtx(ctx context.Context, t *graph.Tree, k float64) (*CutResult, int64, error) {
+// TreeBandwidthBB computes a minimum-weight feasible cut for real-weighted
+// trees by branch and bound over edges in decreasing weight order, pruning
+// with the running best. Exact; exponential; refuses more than 24 edges. ctx
+// is polled at every pollEvery-th search node, inside a "branch-and-bound"
+// phase span.
+func TreeBandwidthBB(ctx context.Context, t *graph.Tree, k float64) (*CutResult, int64, error) {
 	if err := t.Validate(); err != nil {
 		return nil, 0, err
 	}
@@ -296,16 +283,9 @@ func TreeBandwidthBBCtx(ctx context.Context, t *graph.Tree, k float64) (*CutResu
 // sweep that, whenever the accumulated component around a vertex overflows
 // K, cuts absorbed child edges in decreasing weight-per-load order until it
 // fits; then a redundancy pass re-admits cut edges (heaviest first) whose
-// return keeps the partition feasible.
-func TreeBandwidthGreedy(t *graph.Tree, k float64) (*CutResult, error) {
-	res, _, err := TreeBandwidthGreedyCtx(context.Background(), t, k)
-	return res, err
-}
-
-// TreeBandwidthGreedyCtx is TreeBandwidthGreedy with context cancellation
-// polled per swept vertex, iteration accounting, and phase spans
-// ("greedy-sweep", "redundancy-pass").
-func TreeBandwidthGreedyCtx(ctx context.Context, t *graph.Tree, k float64) (*CutResult, int64, error) {
+// return keeps the partition feasible. ctx is polled per swept vertex, and
+// the "greedy-sweep" and "redundancy-pass" phases open spans.
+func TreeBandwidthGreedy(ctx context.Context, t *graph.Tree, k float64) (*CutResult, int64, error) {
 	if err := t.Validate(); err != nil {
 		return nil, 0, err
 	}

@@ -289,6 +289,15 @@ func CertifyResult(req engine.Request, res *engine.Result) (*Certificate, error)
 	if err != nil {
 		return nil, err
 	}
+	// The checkers index the graph's columns: refuse a malformed one first.
+	if req.Tree != nil {
+		err = req.Tree.Validate()
+	} else if req.Path != nil {
+		err = req.Path.Validate()
+	}
+	if err != nil {
+		return nil, err
+	}
 	asTree := func() (*graph.Tree, error) {
 		if req.Tree != nil {
 			return req.Tree, nil

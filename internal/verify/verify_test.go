@@ -180,6 +180,14 @@ func TestCertifyResultErrors(t *testing.T) {
 	if _, err := CertifyResult(engine.Request{Solver: "bandwidth", Path: p, K: 2}, nil); !errors.Is(err, ErrNotCertifiable) {
 		t.Errorf("nil result = %v, want ErrNotCertifiable", err)
 	}
+	// A path one edge weight short is refused before any checker indexes it.
+	short := &graph.Path{NodeW: []float64{1, 1, 1}, EdgeW: []float64{1}}
+	for _, solver := range []string{"bandwidth", "bottleneck", "minproc"} {
+		req := engine.Request{Solver: solver, Path: short, K: 2}
+		if _, err := CertifyResult(req, &engine.Result{Cut: []int{1}}); !errors.Is(err, graph.ErrBadShape) {
+			t.Errorf("%s on a short path = %v, want ErrBadShape", solver, err)
+		}
+	}
 }
 
 // A solver registered without an Objective declaration must be reported as

@@ -102,10 +102,9 @@ type (
 	// SolveResult is a completed solve: cut, metrics, and SolveStats.
 	SolveResult = engine.Result
 	// SolveOptions are the per-solve knobs (deadline, component cap,
-	// allocation tracking, observer).
+	// observer).
 	SolveOptions = engine.Options
-	// SolveStats is per-solve work accounting (duration, iterations,
-	// allocations).
+	// SolveStats is per-solve work accounting (duration, iterations).
 	SolveStats = engine.Stats
 	// SolveEvent is the observer notification for one completed solve.
 	SolveEvent = engine.Event
