@@ -9,6 +9,8 @@
 //	BenchmarkBottleneckPaperGreedy  — §2.1 paper greedy, O(n²)
 //	BenchmarkMinProcessors          — §2.2
 //	BenchmarkPartitionTreePipeline  — §2.2 full pipeline
+//	BenchmarkSumOfMaxTree           — sum-of-max Pareto DP (arXiv 2503.11526)
+//	BenchmarkMaxMinTree             — max–min parametric search (arXiv 1711.00599)
 //	BenchmarkCCP*                   — TAB-CMP prior-work chains-on-chains ladder
 //	BenchmarkSumBottleneck          — prior work: Bokhari's linear-array model
 //	BenchmarkHostSatellite          — prior work: host-satellite trees
@@ -222,31 +224,74 @@ func BenchmarkPartitionTreePipeline(b *testing.B) {
 	}
 }
 
-// TestTreeSolverAllocBudget gates the allocations of the three tree solvers
-// on the n=10⁴ trees their benchmarks use. A solve allocates only its result
-// and O(1) working arrays; the rest comes from the pooled scratch.
+func BenchmarkSumOfMaxTree(b *testing.B) {
+	for _, c := range []struct{ n, parts int }{{1000, 4}, {1000, 7}, {1000, 10}, {5000, 32}} {
+		tr := benchTree(7, c.n)
+		b.Run(fmt.Sprintf("n=%d/parts=%d", c.n, c.parts), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := core.SumOfMaxTree(context.Background(), tr, c.parts); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+func BenchmarkMaxMinTree(b *testing.B) {
+	const n = 5000
+	tr := benchTree(8, n)
+	for _, parts := range []int{2, 16, 64} {
+		b.Run(fmt.Sprintf("n=%d/parts=%d", n, parts), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := core.MaxMinTree(context.Background(), tr, parts); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// TestTreeSolverAllocBudget gates the allocations of the tree solvers on the
+// trees their benchmarks use: n=10⁴ for the bound solvers at K = 4 × max
+// task and for max–min at 16 parts, n=10³ for sum-of-max at 10 parts. A
+// solve allocates only its result and O(1) working arrays; the rest,
+// sum-of-max's DP tables included, comes from the pooled scratch.
 func TestTreeSolverAllocBudget(t *testing.T) {
-	const n = 10000
+	type solveFunc func(*graph.Tree) (*core.TreePartition, int64, error)
+	byBound := func(f func(context.Context, *graph.Tree, float64) (*core.TreePartition, int64, error)) solveFunc {
+		return func(tr *graph.Tree) (*core.TreePartition, int64, error) {
+			return f(context.Background(), tr, 4*tr.MaxNodeWeight())
+		}
+	}
+	byParts := func(f func(context.Context, *graph.Tree, int) (*core.TreePartition, int64, error), parts int) solveFunc {
+		return func(tr *graph.Tree) (*core.TreePartition, int64, error) {
+			return f(context.Background(), tr, parts)
+		}
+	}
 	for _, c := range []struct {
 		name   string
+		n      int
 		seed   uint64
 		budget float64
-		solve  func(context.Context, *graph.Tree, float64) (*core.TreePartition, int64, error)
+		solve  solveFunc
 	}{
-		{"bottleneck", 4, 16, core.Bottleneck},
-		{"minproc", 5, 32, core.MinProcessors},
-		{"partition-tree", 6, 96, core.PartitionTree},
+		{"bottleneck", 10000, 4, 16, byBound(core.Bottleneck)},
+		{"minproc", 10000, 5, 32, byBound(core.MinProcessors)},
+		{"partition-tree", 10000, 6, 96, byBound(core.PartitionTree)},
+		{"summax-tree", 1000, 7, 20, byParts(core.SumOfMaxTree, 10)},
+		{"maxmin-tree", 10000, 8, 24, byParts(core.MaxMinTree, 16)},
 	} {
-		tr := benchTree(c.seed, n)
-		k := 4 * tr.MaxNodeWeight()
+		tr := benchTree(c.seed, c.n)
 		avg := testing.AllocsPerRun(20, func() {
-			if _, _, err := c.solve(context.Background(), tr, k); err != nil {
+			if _, _, err := c.solve(tr); err != nil {
 				t.Fatal(err)
 			}
 		})
 		t.Logf("%s: %.1f allocs/op, budget %.0f", c.name, avg, c.budget)
 		if avg > c.budget {
-			t.Errorf("%s on a %d-node tree allocates %.1f/op, budget %.0f", c.name, n, avg, c.budget)
+			t.Errorf("%s on a %d-node tree allocates %.1f/op, budget %.0f", c.name, c.n, avg, c.budget)
 		}
 	}
 }

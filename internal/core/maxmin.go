@@ -31,8 +31,20 @@ import (
 //     *achieved* minimum component weight (a genuine partition value, not the
 //     probe midpoint). The loop ends when no float64 remains strictly between
 //     the best achieved value and the lightest refuted threshold, so the
-//     result is exact up to floating-point summation order: O(n) per probe,
-//     at most ~64 + mantissa probes in practice.
+//     result is exact up to floating-point summation order, in at most
+//     ~64 + mantissa probes in practice.
+//
+// The path probe walks all n tasks. The tree probe walks only the severable
+// top of the tree. W[v], v's subtree weight with nothing severed, never
+// decreases toward the root, and every probe after the first two has a
+// threshold above lo, the best value achieved so far. A vertex with
+// W[v] < lo is therefore never severed again and its residual is W[v]. Each
+// feasible probe that raises lo drops such vertices from the active list,
+// walking only the previous list and folding each dropped vertex's W into
+// its parent's base weight. A probe costs O(|active|), and the active list
+// shrinks toward the few heavy vertices near the root as lo approaches the
+// optimum. The fold adds a parent's children in a different order than a
+// full walk would, so only the float summation order changes.
 //
 // Unlike the rest of this package, K in the engine request carries `parts`
 // (the target component count) for these solvers, not a weight bound; the
@@ -207,27 +219,63 @@ func MaxMinTree(ctx context.Context, t *graph.Tree, parts int) (*TreePartition, 
 	sp.SetAttr("nodes", n)
 	sp.End()
 
+	// subW is W from the header, summed in the order a full probe sums
+	// residuals; base[v] is NodeW[v] plus the W of v's dropped children.
 	sc.res = grow(sc.res, n)
-	res := sc.res
+	sc.f64a = grow(sc.f64a, n)
+	sc.f64b = grow(sc.f64b, n)
+	sc.deque32 = grow(sc.deque32, n)
+	res, subW, base := sc.res, sc.f64a, sc.f64b
+	copy(subW, t.NodeW)
+	copy(base, t.NodeW)
+	active := sc.deque32[:0]
+	for i := n - 1; i >= 1; i-- {
+		v := order[i]
+		subW[parent[v]] += subW[v]
+		active = append(active, int32(v))
+	}
+	active = append(active, 0)
 	cutBuf := make([]int, 0, parts-1)
 	bestCut := make([]int, 0, parts-1)
 
-	// probe runs the Perl–Schach greedy at threshold b: walking the reverse
-	// BFS order (a post-order), sever a vertex from its parent as soon as its
-	// residual subtree weight reaches b. Severing the first parts−1 chunks
-	// and leaving the rest connected yields an exactly-parts partition whose
-	// minimum weight the probe returns when g(b) ≥ parts.
+	// shrink drops the vertices with W < lo from the active list (reverse
+	// BFS order) and folds each into its parent's base while the parent
+	// stays. The root stays last: lo never exceeds total/2 while W[root] is
+	// the total.
+	shrink := func(lo float64) {
+		kept := active[:0]
+		for _, v := range active {
+			if subW[v] >= lo {
+				kept = append(kept, v)
+			} else if p := parent[v]; subW[p] >= lo {
+				base[p] += subW[v]
+			}
+		}
+		active = kept
+	}
+
+	// probe runs the Perl–Schach greedy at threshold b: walking the active
+	// list (a post-order of the active vertices), sever a vertex from its
+	// parent as soon as its residual subtree weight reaches b. Severing the
+	// first parts−1 chunks and leaving the rest connected yields an
+	// exactly-parts partition whose minimum weight the probe returns when
+	// g(b) ≥ parts.
+	walked := 0
 	probe := func(b float64) (bool, float64, error) {
-		copy(res, t.NodeW)
+		for _, v := range active {
+			res[v] = base[v]
+		}
 		cutBuf = cutBuf[:0]
 		var sumSevered float64
 		minSevered := math.Inf(1)
 		cnt := 0
-		for i := n - 1; i >= 1; i-- {
+		top := active[:len(active)-1]
+		walked += len(top)
+		for _, v32 := range top {
 			if err := tk.tick(); err != nil {
 				return false, 0, err
 			}
-			v := order[i]
+			v := int(v32)
 			if res[v] >= b {
 				// Sever and reset even past the first parts−1 chunks — the
 				// count must match the full greedy — but only the recorded
@@ -270,6 +318,7 @@ func MaxMinTree(ctx context.Context, t *graph.Tree, parts int) (*TreePartition, 
 	}
 	if ok {
 		sweep.SetAttr("probes", probes)
+		sweep.SetAttr("walked", walked)
 		tp, err := newTreePartition(t, graph.NormalizeCut(append([]int(nil), cutBuf...)), float64(parts))
 		return tp, tk.n, err
 	}
@@ -281,6 +330,7 @@ func MaxMinTree(ctx context.Context, t *graph.Tree, parts int) (*TreePartition, 
 		return nil, tk.n, fmt.Errorf("parts %d > %d tasks: %w", parts, n, ErrInfeasible)
 	}
 	bestCut = append(bestCut[:0], cutBuf...)
+	shrink(lo)
 	for {
 		mid := lo + (hi-lo)/2
 		if !(mid > lo && mid < hi) {
@@ -296,11 +346,13 @@ func MaxMinTree(ctx context.Context, t *graph.Tree, parts int) (*TreePartition, 
 			// hair below mid, so take the max to guarantee progress.
 			lo = math.Max(v, mid)
 			bestCut = append(bestCut[:0], cutBuf...)
+			shrink(lo)
 		} else {
 			hi = mid
 		}
 	}
 	sweep.SetAttr("probes", probes)
+	sweep.SetAttr("walked", walked)
 	sweep.SetAttr("value", lo)
 	tp, err := newTreePartition(t, graph.NormalizeCut(append([]int(nil), bestCut...)), float64(parts))
 	return tp, tk.n, err

@@ -55,9 +55,12 @@ type scratch struct {
 	// sort-and-prune step, reused across vertices.
 	children []childSlot
 	// f64a / f64b are the level-DP rows of BandwidthLimited; deque32 is its
-	// per-level monotone deque.
+	// per-level monotone deque. MaxMinTree keeps its subtree weights, probe
+	// base weights and active vertex list in the same three.
 	f64a, f64b []float64
 	deque32    []int32
+	// sm is the sum-of-max DP's table slab and merge buffers.
+	sm smDP
 }
 
 // childSlot is one absorbed child in the procmin prune step.

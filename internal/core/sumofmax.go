@@ -1,11 +1,9 @@
 package core
 
 import (
-	"cmp"
 	"context"
 	"fmt"
 	"math"
-	"slices"
 
 	"repro/internal/graph"
 	"repro/internal/obs"
@@ -22,21 +20,36 @@ import (
 // at a vertex v is (j, m): j components fully closed inside v's subtree and
 // an open component containing v whose heaviest task so far weighs m; the
 // value is the minimum total cost (sum of maxes) of the closed components.
-// Merging a child c over edge e either cuts e — closing c's open component
-// and paying its max — or keeps e, joining the open components. Since a
-// state (j, m, cost) can only beat (j, m', cost') when m ≤ m' and
-// cost ≤ cost', each j-row is pruned to its Pareto frontier (m ascending,
-// cost strictly descending), which keeps tables near-linear in practice;
-// the worst case is O(n²·parts) states. The answer closes the root's open
-// component at j = parts−1.
+// A state (j, m, cost) can only beat (j, m', cost') when m ≤ m' and
+// cost ≤ cost', so each j-row is kept as its Pareto front: m ascending,
+// cost strictly descending.
+//
+// Merging a child table C into v's accumulated table P never forms the
+// |P|×|C| cross product. For each pair of rows (P_j₁, C_j₂):
+//
+//   - Keeping the edge joins the open components: row j₁+j₂ gains the
+//     (max, +) merge of the two fronts. The cheapest state with maximum x
+//     pairs the last state of each front with m ≤ x, so one two-pointer walk
+//     over m yields it in O(|P_j₁| + |C_j₂|).
+//   - Cutting the edge closes the child's open component: row j₁+j₂+1 gains
+//     P_j₁ shifted by the cheapest close of C_j₂, min over C_j₂ of cost + m,
+//     in O(|P_j₁|).
+//
+// Each result row is the linear Pareto union of its candidate fronts, so a
+// merge costs O(Σ over row pairs of |P_j₁| + |C_j₂| + |row|), and rows hold
+// at most one state per distinct task weight in the subtree. With rows
+// capped at parts, the classic tree-knapsack bound limits the row pairs to
+// O(n·parts) over the whole tree. Every table lives in one pooled slab, one
+// level per merge step, so backtracking can replay each merge. The answer
+// closes the root's open component at j = parts−1.
 //
 // As in maxmin.go, K in the engine request carries `parts` for this solver,
 // and the partition's K field echoes float64(parts).
 
 // smState is one DP state: j closed components costing cost, plus the open
 // component with running maximum m. prev/child/cut record how the state was
-// formed, for cut reconstruction: prev indexes the accumulated table before
-// this child merge, child indexes the child's final table, and cut says the
+// formed, for cut reconstruction: prev indexes the accumulated level before
+// this child merge, child indexes the child's final level, and cut says the
 // child edge was removed. The initial (pre-children) state has prev = −1.
 type smState struct {
 	j     int32
@@ -47,31 +60,181 @@ type smState struct {
 	child int32
 }
 
-// pruneStates sorts states by (j, m, cost) and keeps, per j, the Pareto
-// frontier: strictly increasing m with strictly decreasing cost.
-func pruneStates(states []smState) []smState {
-	slices.SortFunc(states, func(a, b smState) int {
-		if a.j != b.j {
-			return cmp.Compare(a.j, b.j)
+// pushFront appends s to a front under construction from states arriving in
+// non-decreasing m: s is dropped unless it is strictly cheaper than the last
+// kept state, and replaces that state when their m are equal.
+func pushFront(front []smState, s smState) []smState {
+	if k := len(front) - 1; k >= 0 {
+		if s.cost >= front[k].cost {
+			return front
 		}
-		if a.m != b.m {
-			return cmp.Compare(a.m, b.m)
-		}
-		return cmp.Compare(a.cost, b.cost)
-	})
-	out := states[:0]
-	lastJ := int32(-1)
-	bestCost := math.Inf(1)
-	for _, s := range states {
-		if s.j != lastJ {
-			lastJ, bestCost = s.j, math.Inf(1)
-		}
-		if s.cost < bestCost {
-			out = append(out, s)
-			bestCost = s.cost
+		if s.m == front[k].m {
+			front[k] = s
+			return front
 		}
 	}
-	return out
+	return append(front, s)
+}
+
+// uniteFronts appends to dst the Pareto front of the union of fronts a and
+// b; on equal (m, cost) the state from a is kept.
+func uniteFronts(dst, a, b []smState) []smState {
+	i, k := 0, 0
+	for i < len(a) || k < len(b) {
+		if k == len(b) || (i < len(a) && a[i].m <= b[k].m) {
+			dst = pushFront(dst, a[i])
+			i++
+		} else {
+			dst = pushFront(dst, b[k])
+			k++
+		}
+	}
+	return dst
+}
+
+// rowStarts fills starts[j] with the index of row j's first state in tab
+// (sorted by j) for j = 0..last+1, where last is tab's largest j, and returns
+// the filled prefix.
+func rowStarts(starts []int32, tab []smState) []int32 {
+	starts = starts[:0]
+	for i, s := range tab {
+		for int32(len(starts)) <= s.j {
+			starts = append(starts, int32(i))
+		}
+	}
+	return append(starts, int32(len(tab)))
+}
+
+// smDP is the sum-of-max DP's pooled memory. Level L of the slab is
+// tab[level[L]:level[L+1]]; a vertex's levels are consecutive, its init
+// state then one per child merge in arc order, ending at fin[v]. sel[v] is
+// the state of v's final level the optimum uses. rowP, rowC, closeC, cur,
+// tmp and f are one merge's buffers: the row bounds of P and C, C's
+// cheapest close per row, and the fronts of the row under construction.
+type smDP struct {
+	tab         []smState
+	level       []int32
+	fin, sel    []int32
+	rowP, rowC  []int32
+	closeC      []int32
+	cur, tmp, f []smState
+	maxJ        int32
+	frontMax    int // largest row built
+}
+
+// merge appends a level to the slab: the last level, v's accumulated table
+// P, merged with the child table C at level child.
+func (sm *smDP) merge(tk *ticker, child int32) error {
+	l := len(sm.level) - 2
+	p := sm.tab[sm.level[l]:sm.level[l+1]]
+	c := sm.tab[sm.level[child]:sm.level[child+1]]
+	sm.rowP = rowStarts(sm.rowP, p)
+	sm.rowC = rowStarts(sm.rowC, c)
+	jp, jc := int32(len(sm.rowP)-2), int32(len(sm.rowC)-2)
+	// closeC[j₂] is the state of C_j₂ whose open component is cheapest to
+	// close (first minimum of cost + m), or −1 when the row is empty.
+	sm.closeC = sm.closeC[:0]
+	for j2 := int32(0); j2 <= jc; j2++ {
+		best, bestVal := int32(-1), math.Inf(1)
+		for ci := sm.rowC[j2]; ci < sm.rowC[j2+1]; ci++ {
+			if v := c[ci].cost + c[ci].m; v < bestVal {
+				best, bestVal = ci, v
+			}
+		}
+		sm.closeC = append(sm.closeC, best)
+	}
+	// Appending to tab may move it; p and c keep reading the old array,
+	// whose states up to here never change.
+	for j := int32(0); j <= min(sm.maxJ, jp+jc+1); j++ {
+		sm.cur = sm.cur[:0]
+		for j1 := max(0, j-jc-1); j1 <= min(jp, j); j1++ {
+			pRow := p[sm.rowP[j1]:sm.rowP[j1+1]]
+			// Keep the edge: row j₁ of P with row j−j₁ of C.
+			if j2 := j - j1; j2 <= jc {
+				if err := sm.keep(tk, pRow, sm.rowP[j1], c, sm.rowC[j2], sm.rowC[j2+1]); err != nil {
+					return err
+				}
+			}
+			// Cut the edge: the child's open component closes and pays its
+			// maximum.
+			if j2 := j - j1 - 1; j2 >= 0 && j2 <= jc && sm.closeC[j2] >= 0 {
+				if err := sm.cut(tk, pRow, sm.rowP[j1], c, sm.closeC[j2]); err != nil {
+					return err
+				}
+			}
+		}
+		sm.frontMax = max(sm.frontMax, len(sm.cur))
+		for _, s := range sm.cur {
+			s.j = j
+			sm.tab = append(sm.tab, s)
+		}
+	}
+	sm.level = append(sm.level, int32(len(sm.tab)))
+	return nil
+}
+
+// keep unites into sm.cur the (max, +) merge of the front pRow (whose first
+// state sits at index pOff of P) with the front c[cLo:cHi]: for each m in
+// either front, the last state of each with m ≤ that value.
+func (sm *smDP) keep(tk *ticker, pRow []smState, pOff int32, c []smState, cLo, cHi int32) error {
+	f := sm.f[:0]
+	i, k := 0, cLo
+	for i < len(pRow) || k < cHi {
+		if err := tk.tick(); err != nil {
+			return err
+		}
+		var x float64
+		if k == cHi || (i < len(pRow) && pRow[i].m <= c[k].m) {
+			x = pRow[i].m
+		} else {
+			x = c[k].m
+		}
+		for i < len(pRow) && pRow[i].m <= x {
+			i++
+		}
+		for k < cHi && c[k].m <= x {
+			k++
+		}
+		if i > 0 && k > cLo {
+			ps, cs := &pRow[i-1], &c[k-1]
+			f = pushFront(f, smState{
+				m: x, cost: ps.cost + cs.cost,
+				prev: pOff + int32(i-1), child: k - 1,
+			})
+		}
+	}
+	sm.f = f
+	sm.unite()
+	return nil
+}
+
+// cut unites into sm.cur the front pRow shifted by closing C's state ci.
+func (sm *smDP) cut(tk *ticker, pRow []smState, pOff int32, c []smState, ci int32) error {
+	f := sm.f[:0]
+	cs := &c[ci]
+	for i := range pRow {
+		if err := tk.tick(); err != nil {
+			return err
+		}
+		ps := &pRow[i]
+		f = pushFront(f, smState{
+			cut: true, m: ps.m, cost: ps.cost + cs.cost + cs.m,
+			prev: pOff + int32(i), child: ci,
+		})
+	}
+	sm.f = f
+	sm.unite()
+	return nil
+}
+
+// unite replaces sm.cur with the Pareto union of sm.cur and sm.f.
+func (sm *smDP) unite() {
+	if len(sm.cur) == 0 {
+		sm.cur, sm.f = sm.f, sm.cur
+		return
+	}
+	sm.tmp = uniteFronts(sm.tmp[:0], sm.cur, sm.f)
+	sm.cur, sm.tmp = sm.tmp, sm.cur
 }
 
 // SumOfMaxTree partitions a tree task graph into exactly parts components
@@ -119,61 +282,39 @@ func SumOfMaxTree(ctx context.Context, t *graph.Tree, parts int) (*TreePartition
 	sp.SetAttr("nodes", n)
 	sp.End()
 
-	// acc[v] holds one table per merge step: acc[v][0] is the init state,
-	// acc[v][t] the frontier after merging the t-th child. Tables are kept
-	// whole (not just the final one) so backtracking can replay each merge.
-	acc := make([][][]smState, n)
-	maxJ := int32(parts - 1)
+	sm := &sc.sm
+	sm.tab, sm.level = sm.tab[:0], append(sm.level[:0], 0)
+	sm.fin, sm.sel = grow(sm.fin, n), grow(sm.sel, n)
+	sm.maxJ, sm.frontMax = int32(parts-1), 0
 
 	dp := obs.Phase(ctx, "summax-dp")
 	// Reverse BFS order is a post-order: children are final before parents.
 	for i := n - 1; i >= 0; i-- {
 		v := order[i]
-		tables := [][]smState{{{j: 0, m: t.NodeW[v], cost: 0, prev: -1, child: -1}}}
+		sm.tab = append(sm.tab, smState{j: 0, m: t.NodeW[v], cost: 0, prev: -1, child: -1})
+		sm.level = append(sm.level, int32(len(sm.tab)))
 		lo, hi := csr.Arcs(v)
 		for a := lo; a < hi; a++ {
-			c := int(csr.To[a])
-			if c == parent[v] {
-				continue
-			}
-			prevTab := tables[len(tables)-1]
-			childTab := acc[c][len(acc[c])-1]
-			next := make([]smState, 0, len(prevTab)+len(childTab))
-			for pi, ps := range prevTab {
-				for ci, cs := range childTab {
-					if err := tk.tick(); err != nil {
-						dp.End()
-						return nil, tk.n, err
-					}
-					// Keep the edge: the open components join.
-					if j := ps.j + cs.j; j <= maxJ {
-						next = append(next, smState{
-							j: j, m: math.Max(ps.m, cs.m), cost: ps.cost + cs.cost,
-							prev: int32(pi), child: int32(ci),
-						})
-					}
-					// Cut the edge: the child's open component closes and
-					// pays its maximum.
-					if j := ps.j + cs.j + 1; j <= maxJ {
-						next = append(next, smState{
-							j: j, cut: true, m: ps.m, cost: ps.cost + cs.cost + cs.m,
-							prev: int32(pi), child: int32(ci),
-						})
-					}
+			if c := int(csr.To[a]); c != parent[v] {
+				if err := sm.merge(tk, sm.fin[c]); err != nil {
+					dp.End()
+					return nil, tk.n, err
 				}
 			}
-			tables = append(tables, pruneStates(next))
 		}
-		acc[v] = tables
+		sm.fin[v] = int32(len(sm.level) - 2)
 	}
+	dp.SetAttr("states", len(sm.tab))
+	dp.SetAttr("front_max", sm.frontMax)
 	dp.End()
 
 	// Root answer: exactly parts−1 closed components plus the root's open
 	// one, which closes now and pays its maximum.
-	rootTab := acc[0][len(acc[0])-1]
+	tab, level, fin, sel := sm.tab, sm.level, sm.fin, sm.sel
+	rootTab := tab[level[fin[0]]:level[fin[0]+1]]
 	bestIdx, bestVal := -1, math.Inf(1)
 	for i, s := range rootTab {
-		if s.j == maxJ && s.cost+s.m < bestVal {
+		if s.j == sm.maxJ && s.cost+s.m < bestVal {
 			bestIdx, bestVal = i, s.cost+s.m
 		}
 	}
@@ -182,33 +323,25 @@ func SumOfMaxTree(ctx context.Context, t *graph.Tree, parts int) (*TreePartition
 		return nil, tk.n, fmt.Errorf("sum-of-max DP found no %d-component state: %w", parts, ErrInfeasible)
 	}
 
-	// Backtrack through the per-step tables with an explicit stack.
+	// Backtrack parents before children (BFS order): replaying v's merges
+	// from the last child to the first fixes each child's sel.
 	bp := obs.Phase(ctx, "build-partition")
 	cut := make([]int, 0, parts-1)
-	type frame struct {
-		v, state int
-	}
-	stack := []frame{{v: 0, state: bestIdx}}
-	for len(stack) > 0 {
-		f := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		v, si := f.v, f.state
-		// Rebuild v's child merge order to map table levels to (child, edge).
+	sel[0] = int32(bestIdx)
+	for _, v := range order {
+		l, si := fin[v], sel[v]
 		lo, hi := csr.Arcs(v)
-		kids := make([][2]int, 0, hi-lo)
-		for a := lo; a < hi; a++ {
-			if to := int(csr.To[a]); to != parent[v] {
-				kids = append(kids, [2]int{to, int(csr.EIdx[a])})
+		for a := hi - 1; a >= lo; a-- {
+			c := int(csr.To[a])
+			if c == parent[v] {
+				continue
 			}
-		}
-		for level := len(acc[v]) - 1; level > 0; level-- {
-			s := acc[v][level][si]
-			c, e := kids[level-1][0], kids[level-1][1]
+			s := tab[level[l]+si]
 			if s.cut {
-				cut = append(cut, e)
+				cut = append(cut, int(csr.EIdx[a]))
 			}
-			stack = append(stack, frame{v: c, state: int(s.child)})
-			si = int(s.prev)
+			sel[c] = s.child
+			si, l = s.prev, l-1
 		}
 	}
 	bp.SetAttr("components", parts)

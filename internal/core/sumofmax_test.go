@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/graph"
+	"repro/internal/obs"
 	"repro/internal/verify/oracle"
 	"repro/internal/workload"
 )
@@ -143,4 +144,51 @@ func TestSumOfMaxCancellation(t *testing.T) {
 	if _, _, err := SumOfMaxTree(ctx, tr, 2); !errors.Is(err, context.Canceled) {
 		t.Errorf("SumOfMaxTree error = %v, want context.Canceled", err)
 	}
+}
+
+// TestPartCountSpanAttrs checks the instance statistics the two part-count
+// tree solvers attach to their spans: the sum-of-max table size, and the
+// vertices the max–min probes walked, which fall below a full walk per probe
+// once the active list shrinks.
+func TestPartCountSpanAttrs(t *testing.T) {
+	const n = 2000
+	tr := workload.RandomTree(workload.NewRNG(27), n, workload.UniformWeights(1, 100), workload.UniformWeights(1, 100))
+	attrs := func(solve func(context.Context) error, phase string) map[string]any {
+		t.Helper()
+		trace := obs.New("solve")
+		if err := solve(obs.NewContext(context.Background(), trace)); err != nil {
+			t.Fatal(err)
+		}
+		trace.Finish()
+		for _, sp := range trace.Tree().Children {
+			if sp.Name == phase {
+				return sp.Attrs
+			}
+		}
+		t.Fatalf("no %s span", phase)
+		return nil
+	}
+
+	sm := attrs(func(ctx context.Context) error {
+		_, _, err := SumOfMaxTree(ctx, tr, 8)
+		return err
+	}, "summax-dp")
+	states, _ := sm["states"].(int)
+	frontMax, _ := sm["front_max"].(int)
+	if states < n || frontMax < 1 || frontMax > states {
+		t.Errorf("summax-dp states = %v, front_max = %v: want states ≥ %d and 1 ≤ front_max ≤ states", sm["states"], sm["front_max"], n)
+	}
+
+	mm := attrs(func(ctx context.Context) error {
+		_, _, err := MaxMinTree(ctx, tr, 16)
+		return err
+	}, "parametric-search")
+	probes, _ := mm["probes"].(int)
+	walked, _ := mm["walked"].(int)
+	// The first two probes walk every non-root vertex; the rest walk only
+	// the active list.
+	if probes < 3 || walked < 2*(n-1) || walked >= probes*(n-1) {
+		t.Errorf("parametric-search probes = %v, walked = %v: want ≥ 3 probes and 2·%d ≤ walked < probes·%d", mm["probes"], mm["walked"], n-1, n-1)
+	}
+	t.Logf("summax-dp: %d states, front_max %d; parametric-search: %d probes walked %d of %d vertices", states, frontMax, probes, walked, probes*(n-1))
 }

@@ -20,10 +20,12 @@
 package fm
 
 import (
+	"cmp"
 	"container/heap"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/graph"
 	"repro/internal/workload"
@@ -117,22 +119,34 @@ func bipartitionOnce(g *graph.Graph, caps [2]float64, seed uint64) (*Result, err
 	merged := g.MergeParallel()
 	adj := merged.Adjacency()
 
-	// Initial assignment: vertices in random order, first-fit into side 0
-	// until it would overflow, then side 1.
-	rng := workload.NewRNG(seed)
+	// Initial assignment: each vertex in turn goes to the side with more
+	// room left, or to the other side when it would overflow there. Vertices
+	// come in random order; if that overflows a side, they come again
+	// largest first, which with equal caps keeps the heavier side within
+	// max(heaviest vertex, 2/3 of the total).
 	side := make([]int, n)
 	var sw [2]float64
-	for _, v := range rng.Perm(n) {
-		// Place into the side with the larger remaining relative capacity.
-		s := 0
-		if caps[1]-sw[1] > caps[0]-sw[0] {
-			s = 1
+	assign := func(order []int) {
+		sw = [2]float64{}
+		for _, v := range order {
+			s := 0
+			if caps[1]-sw[1] > caps[0]-sw[0] {
+				s = 1
+			}
+			if sw[s]+merged.NodeW[v] > caps[s] {
+				s = 1 - s
+			}
+			side[v] = s
+			sw[s] += merged.NodeW[v]
 		}
-		if sw[s]+merged.NodeW[v] > caps[s] {
-			s = 1 - s
-		}
-		side[v] = s
-		sw[s] += merged.NodeW[v]
+	}
+	order := workload.NewRNG(seed).Perm(n)
+	assign(order)
+	if sw[0] > caps[0] || sw[1] > caps[1] {
+		slices.SortStableFunc(order, func(a, b int) int {
+			return cmp.Compare(merged.NodeW[b], merged.NodeW[a])
+		})
+		assign(order)
 	}
 	if sw[0] > caps[0] || sw[1] > caps[1] {
 		return nil, fmt.Errorf("first-fit could not balance (sides %v, %v vs caps %v): %w",
