@@ -5,12 +5,14 @@
 //	BenchmarkBandwidth*             — FIG2-C / TAB-CMP: the solver ladder
 //	BenchmarkTempSCompressionAblation — DESIGN §5 ablation: with/without
 //	                                  non-redundant edge compression
-//	BenchmarkBottleneck             — §2.1 reverse union-find sweep, O(n α(n))
+//	BenchmarkBottleneck             — §2.1 bucketed reverse union-find sweep,
+//	                                  expected O(n α(n)), one-bucket worst case
 //	BenchmarkBottleneckPaperGreedy  — §2.1 paper greedy, O(n²)
 //	BenchmarkMinProcessors          — §2.2
 //	BenchmarkPartitionTreePipeline  — §2.2 full pipeline
 //	BenchmarkSumOfMaxTree           — sum-of-max Pareto DP (arXiv 2503.11526)
 //	BenchmarkMaxMinTree             — max–min parametric search (arXiv 1711.00599)
+//	BenchmarkCertifyTree            — tree certificates on the served 5k tree
 //	BenchmarkCCP*                   — TAB-CMP prior-work chains-on-chains ladder
 //	BenchmarkSumBottleneck          — prior work: Bokhari's linear-array model
 //	BenchmarkHostSatellite          — prior work: host-satellite trees
@@ -25,6 +27,7 @@ package repro_test
 import (
 	"context"
 	"fmt"
+	"math"
 	"testing"
 
 	"repro"
@@ -39,6 +42,7 @@ import (
 	"repro/internal/sched"
 	"repro/internal/sumbottleneck"
 	"repro/internal/treecut"
+	"repro/internal/verify"
 	"repro/internal/workload"
 )
 
@@ -168,6 +172,36 @@ func benchTree(seed uint64, n int) *graph.Tree {
 	return workload.RandomTree(r, n, workload.UniformWeights(1, 100), workload.UniformWeights(1, 100))
 }
 
+// benchTreeAnswer is the served tree-routes instance: a 5k-node tree with
+// K at 3, 10 and 30 × max task, the ends and middle of the workload's range.
+func benchTreeAnswer(b *testing.B, solve func(context.Context, *graph.Tree, float64) (*core.TreePartition, int64, error)) {
+	tr := benchTree(7, 5000)
+	for _, f := range []float64{3, 10, 30} {
+		k := f * tr.MaxNodeWeight()
+		b.Run(fmt.Sprintf("n=5000/K=%vx", f), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := solve(context.Background(), tr, k); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// oneBucketTree gives every edge but one a distinct weight 1 + i·2⁻⁴⁰, in
+// shuffled order, and the last weight MaxFloat64: the outlier packs the rest
+// into one weight bucket, which the bottleneck sweep must sort whole.
+func oneBucketTree(seed uint64, n int) *graph.Tree {
+	tr := benchTree(seed, n)
+	r := workload.NewRNG(seed)
+	for i, j := range r.Perm(len(tr.Edges)) {
+		tr.Edges[j].W = 1 + float64(i)*0x1p-40
+	}
+	tr.Edges[r.Intn(len(tr.Edges))].W = math.MaxFloat64
+	return tr
+}
+
 func BenchmarkBottleneck(b *testing.B) {
 	for _, n := range []int{1000, 10000, 100000} {
 		tr := benchTree(4, n)
@@ -180,6 +214,16 @@ func BenchmarkBottleneck(b *testing.B) {
 			}
 		})
 	}
+	tr := oneBucketTree(4, 100000)
+	k := 4 * tr.MaxNodeWeight()
+	b.Run("n=100000/one-bucket", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, _, err := core.Bottleneck(context.Background(), tr, k); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	benchTreeAnswer(b, core.Bottleneck)
 }
 
 func BenchmarkBottleneckPaperGreedy(b *testing.B) {
@@ -222,6 +266,7 @@ func BenchmarkPartitionTreePipeline(b *testing.B) {
 			}
 		})
 	}
+	benchTreeAnswer(b, core.PartitionTree)
 }
 
 func BenchmarkSumOfMaxTree(b *testing.B) {
@@ -253,6 +298,44 @@ func BenchmarkMaxMinTree(b *testing.B) {
 	}
 }
 
+// BenchmarkCertifyTree times the tree certificates on the answers of the
+// solvers they check, on the served 5k-node tree: minprocs and bottleneck at
+// K = 3/10/30 × max task, max–min at 2/16/64 parts.
+func BenchmarkCertifyTree(b *testing.B) {
+	tr := benchTree(7, 5000)
+	ctx := context.Background()
+	run := func(name string, tp *core.TreePartition, err error, certify func([]int) (*verify.Certificate, error)) {
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if c, err := certify(tp.Cut); err != nil || !c.Certified {
+					b.Fatalf("certificate %+v, %v", c, err)
+				}
+			}
+		})
+	}
+	for _, f := range []float64{3, 10, 30} {
+		k := f * tr.MaxNodeWeight()
+		tp, _, err := core.MinProcessors(ctx, tr, k)
+		run(fmt.Sprintf("minprocs/n=5000/K=%vx", f), tp, err, func(cut []int) (*verify.Certificate, error) {
+			return verify.CertifyProcMin(tr, k, cut)
+		})
+		tp, _, err = core.Bottleneck(ctx, tr, k)
+		run(fmt.Sprintf("bottleneck/n=5000/K=%vx", f), tp, err, func(cut []int) (*verify.Certificate, error) {
+			return verify.CertifyBottleneck(tr, k, cut)
+		})
+	}
+	for _, parts := range []int{2, 16, 64} {
+		tp, _, err := core.MaxMinTree(ctx, tr, parts)
+		run(fmt.Sprintf("maxmin/n=5000/parts=%d", parts), tp, err, func(cut []int) (*verify.Certificate, error) {
+			return verify.CertifyMaxMin(tr, parts, cut)
+		})
+	}
+}
+
 // TestTreeSolverAllocBudget gates the allocations of the tree solvers on the
 // trees their benchmarks use: n=10⁴ for the bound solvers at K = 4 × max
 // task and for max–min at 16 parts, n=10³ for sum-of-max at 10 parts. A
@@ -277,9 +360,9 @@ func TestTreeSolverAllocBudget(t *testing.T) {
 		budget float64
 		solve  solveFunc
 	}{
-		{"bottleneck", 10000, 4, 16, byBound(core.Bottleneck)},
+		{"bottleneck", 10000, 4, 12, byBound(core.Bottleneck)},
 		{"minproc", 10000, 5, 32, byBound(core.MinProcessors)},
-		{"partition-tree", 10000, 6, 96, byBound(core.PartitionTree)},
+		{"partition-tree", 10000, 6, 48, byBound(core.PartitionTree)},
 		{"summax-tree", 1000, 7, 20, byParts(core.SumOfMaxTree, 10)},
 		{"maxmin-tree", 10000, 8, 24, byParts(core.MaxMinTree, 16)},
 	} {

@@ -179,7 +179,7 @@ func TestBottleneckCutIsSortedPrefixOfWeights(t *testing.T) {
 	}
 }
 
-// TestSortedEdgeOrderMatchesStable pins the radix edge order to a stable
+// TestSortedEdgeOrderMatchesStable pins the bucketed edge order to a stable
 // comparison sort by weight: ties, including −0 against +0, keep index order,
 // and subnormal and huge weights sort by value.
 func TestSortedEdgeOrderMatchesStable(t *testing.T) {
@@ -214,8 +214,60 @@ func TestSortedEdgeOrderMatchesStable(t *testing.T) {
 			sort.SliceStable(want, func(a, b int) bool { return ws[want[a]] < ws[want[b]] })
 			got := sortedEdgeOrder(tr, new(scratch))
 			if !slices.Equal(got, want) {
-				t.Fatalf("radix order %v, stable sort %v", got, want)
+				t.Fatalf("bucketed order %v, stable sort %v", got, want)
 			}
 		})
+	}
+}
+
+// oneBucketTree is the bucketed sweep's worst case: a random tree whose n−2
+// lighter edges carry distinct weights 1 + i·2⁻⁴⁰ in shuffled order, which a
+// single edge of weight MaxFloat64 packs into one weight bucket, so the
+// sweep must sort one bucket of every edge but one.
+func oneBucketTree(r *workload.RNG, n int) *graph.Tree {
+	tr := workload.RandomTree(r, n, workload.UniformWeights(1, 100), workload.UniformWeights(1, 100))
+	for i, j := range r.Perm(len(tr.Edges)) {
+		tr.Edges[j].W = 1 + float64(i)*0x1p-40
+	}
+	tr.Edges[r.Intn(len(tr.Edges))].W = math.MaxFloat64
+	return tr
+}
+
+// TestBottleneckBucketWorstCases runs the sweep where its buckets do not
+// spread the edges: distinct weights packed into one bucket by a far
+// outlier, and all-equal weights. The cut must equal the paper greedy's.
+func TestBottleneckBucketWorstCases(t *testing.T) {
+	r := workload.NewRNG(2026)
+	for trial := 0; trial < 20; trial++ {
+		n := 50 + r.Intn(400)
+		packed := oneBucketTree(r, n)
+		equal := workload.RandomTree(r, n, workload.UniformWeights(1, 100), workload.UniformWeights(1, 100))
+		for i := range equal.Edges {
+			equal.Edges[i].W = 7
+		}
+		for name, tr := range map[string]*graph.Tree{"one bucket": packed, "all equal": equal} {
+			bk := bucketEdges(tr, new(scratch))
+			widest := 0
+			for b := 0; b+1 < len(bk.start); b++ {
+				widest = max(widest, int(bk.start[b+1]-bk.start[b]))
+			}
+			if widest < tr.NumEdges()-1 {
+				t.Fatalf("%s: widest bucket holds %d of %d edges, want all but one at most", name, widest, tr.NumEdges())
+			}
+			for _, f := range []float64{1, 2, 5, 20} {
+				k := f * tr.MaxNodeWeight()
+				a, _, err := Bottleneck(ctx, tr, k)
+				if err != nil {
+					t.Fatalf("%s n=%d K=%v: Bottleneck: %v", name, n, k, err)
+				}
+				b, _, err := BottleneckGreedy(ctx, tr, k)
+				if err != nil {
+					t.Fatalf("%s n=%d K=%v: BottleneckGreedy: %v", name, n, k, err)
+				}
+				if !slices.Equal(a.Cut, b.Cut) {
+					t.Fatalf("%s n=%d K=%v: sweep cut %v, greedy cut %v", name, n, k, a.Cut, b.Cut)
+				}
+			}
+		}
 	}
 }

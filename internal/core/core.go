@@ -102,15 +102,21 @@ func newPathPartition(p *graph.Path, cut []int, k float64) (*PathPartition, erro
 }
 
 func newTreePartition(t *graph.Tree, cut []int, k float64) (*TreePartition, error) {
+	ws, err := t.ComponentWeights(cut)
+	if err != nil {
+		return nil, err
+	}
+	return treePartition(t, cut, ws, k)
+}
+
+// treePartition is newTreePartition with the component weights already
+// computed.
+func treePartition(t *graph.Tree, cut []int, ws []float64, k float64) (*TreePartition, error) {
 	cw, err := t.CutWeight(cut)
 	if err != nil {
 		return nil, err
 	}
 	bn, err := t.MaxCutEdgeWeight(cut)
-	if err != nil {
-		return nil, err
-	}
-	ws, err := t.ComponentWeights(cut)
 	if err != nil {
 		return nil, err
 	}

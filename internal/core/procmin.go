@@ -23,6 +23,13 @@ import (
 // realizes Algorithm 2.2 as a single post-order sweep with the per-node
 // sort-and-prune step, the same greedy that Kundu and Misra proved produces
 // the minimum number of parts. O(Σ d(v) log d(v)) = O(n log n).
+//
+// PartitionTree chains the §2.1 and §2.2 algorithms. Its contraction labels
+// the bottleneck components once (graph.Contract, one union-find pass); the
+// contracted tree is a tree by construction, so it is not validated again,
+// and the minproc stage runs the cut-only sweep MinProcessors wraps. The
+// final component weights are read off the contraction's vertex labels, so
+// the input tree is never labelled a second time.
 
 // MinProcessors solves processor minimization with Algorithm 2.2.
 func MinProcessors(ctx context.Context, t *graph.Tree, k float64) (*TreePartition, int64, error) {
@@ -30,13 +37,28 @@ func MinProcessors(ctx context.Context, t *graph.Tree, k float64) (*TreePartitio
 	if err != nil {
 		return nil, 0, err
 	}
-	tk := newTicker(ctx)
 	if err := checkBound(k); err != nil {
 		return nil, 0, err
 	}
 	if err := t.Validate(); err != nil {
 		return nil, 0, err
 	}
+	cut, iters, err := minProcessorsCut(ctx, t, k)
+	if err != nil {
+		return nil, iters, err
+	}
+	tp, err := newTreePartition(t, graph.NormalizeCut(cut), k)
+	return tp, iters, err
+}
+
+// minProcessorsCut returns a minimum-processor cut of the valid tree t for
+// the valid bound k, in pruning order, and the iteration count.
+func minProcessorsCut(ctx context.Context, t *graph.Tree, k float64) ([]int, int64, error) {
+	ctx, err := enter(ctx)
+	if err != nil {
+		return nil, 0, err
+	}
+	tk := newTicker(ctx)
 	if t.MaxNodeWeight() > k {
 		return nil, 0, fmt.Errorf("max vertex weight %v > K=%v: %w", t.MaxNodeWeight(), k, ErrInfeasible)
 	}
@@ -49,15 +71,12 @@ func MinProcessors(ctx context.Context, t *graph.Tree, k float64) (*TreePartitio
 	var csr graph.CSR
 	csr, sc.csrBuf = t.BuildCSR(sc.csrBuf)
 	// Iterative BFS from the root; reverse BFS order is a post-order for
-	// trees (children precede parents).
+	// trees (children precede parents). A vertex's parent is set when it is
+	// queued, before it is read.
 	sc.order = grow(sc.order, n)
 	sc.parentV = grow(sc.parentV, n)
-	sc.parentEdge = grow(sc.parentEdge, n)
-	order, parent, parentEdge := sc.order[:0], sc.parentV, sc.parentEdge
-	for v := range parent {
-		parent[v] = -1
-		parentEdge[v] = -1
-	}
+	order, parent := sc.order[:0], sc.parentV
+	parent[0] = -1
 	order = append(order, 0)
 	for qi := 0; qi < len(order); qi++ {
 		v := order[qi]
@@ -65,7 +84,6 @@ func MinProcessors(ctx context.Context, t *graph.Tree, k float64) (*TreePartitio
 		for a := lo; a < hi; a++ {
 			if to := int(csr.To[a]); to != parent[v] {
 				parent[to] = v
-				parentEdge[to] = int(csr.EIdx[a])
 				order = append(order, to)
 			}
 		}
@@ -78,6 +96,8 @@ func MinProcessors(ctx context.Context, t *graph.Tree, k float64) (*TreePartitio
 	res := sc.res
 	copy(res, t.NodeW)
 	var cut []int
+	children := sc.children[:0]
+	defer func() { sc.children = children }()
 	// One span for the whole post-order absorb/prune sweep; per-node rounds
 	// are summarized by the pruned-edge attr rather than per-round spans.
 	sweep := obs.Phase(ctx, "leaf-pruning")
@@ -87,18 +107,13 @@ func MinProcessors(ctx context.Context, t *graph.Tree, k float64) (*TreePartitio
 			return nil, tk.n, err
 		}
 		v := order[i]
-		children := sc.children[:0]
 		total := t.NodeW[v]
 		lo, hi := csr.Arcs(v)
 		for a := lo; a < hi; a++ {
-			to := int(csr.To[a])
-			if to == parent[v] {
-				continue
+			if to := int(csr.To[a]); to != parent[v] {
+				total += res[to]
 			}
-			children = append(children, childSlot{res: res[to], edge: int(csr.EIdx[a])})
-			total += res[to]
 		}
-		sc.children = children
 		if total <= k {
 			res[v] = total
 			continue
@@ -106,6 +121,12 @@ func MinProcessors(ctx context.Context, t *graph.Tree, k float64) (*TreePartitio
 		// Prune the heaviest absorbed leaves first (paper step 5: "sort the
 		// leaves adjacent to v in decreasing order of weights ... find
 		// minimum r such that W − Σ_{i≤r} w_i ≤ K").
+		children = children[:0]
+		for a := lo; a < hi; a++ {
+			if to := int(csr.To[a]); to != parent[v] {
+				children = append(children, childSlot{res: res[to], edge: int(csr.EIdx[a])})
+			}
+		}
 		slices.SortFunc(children, func(a, b childSlot) int { return cmp.Compare(b.res, a.res) })
 		for _, c := range children {
 			if total <= k {
@@ -123,8 +144,7 @@ func MinProcessors(ctx context.Context, t *graph.Tree, k float64) (*TreePartitio
 	}
 	sweep.SetAttr("pruned", len(cut))
 	sweep.End()
-	tp, err := newTreePartition(t, graph.NormalizeCut(cut), k)
-	return tp, tk.n, err
+	return cut, tk.n, nil
 }
 
 // MinProcessorsPath solves processor minimization on a linear task graph by
@@ -170,13 +190,19 @@ func MinProcessorsPath(ctx context.Context, p *graph.Path, k float64) (*PathPart
 // the contracted tree to undo the over-fragmentation of the greedy
 // bottleneck cut. The final cut is a subset of the bottleneck cut, so its
 // bottleneck never exceeds the optimum, and among such cuts it uses the
-// minimum number of processors. The iteration count is summed over the
+// minimum number of processors. The input tree is validated once, by the
+// bottleneck stage; the contracted tree is a tree by construction, so the
+// minproc stage runs its cut-only sweep on it directly, and only the final
+// cut becomes a TreePartition, its component weights read off the
+// contraction's labels. The iteration count is summed over the
 // pipeline's stages.
 func PartitionTree(ctx context.Context, t *graph.Tree, k float64) (*TreePartition, int64, error) {
 	// Each pipeline stage runs inside its own span, so the stage's internal
 	// phase spans (edge-sort, feasibility-sweep, leaf-pruning) nest under it.
 	bctx, sp := obs.StartSpan(ctx, "stage:bottleneck")
-	bcut, it1, err := bottleneckCut(bctx, t, k, true)
+	sc := getScratch()
+	bcut, it1, err := bottleneckCut(bctx, t, k, true, sc)
+	sc.release()
 	sp.End()
 	if err != nil {
 		return nil, it1, err
@@ -188,15 +214,21 @@ func PartitionTree(ctx context.Context, t *graph.Tree, k float64) (*TreePartitio
 		return nil, it1, err
 	}
 	mctx, sp := obs.StartSpan(ctx, "stage:minproc")
-	mp, it2, err := MinProcessors(mctx, contraction.Tree, k)
+	cut, it2, err := minProcessorsCut(mctx, contraction.Tree, k)
 	sp.End()
 	if err != nil {
 		return nil, it1 + it2, err
 	}
-	cut := make([]int, len(mp.Cut))
-	for i, ce := range mp.Cut {
+	// Contracted edge i is original edge CutEdges[i], and CutEdges is
+	// increasing, so the sorted contracted cut maps to a sorted cut.
+	slices.Sort(cut)
+	ws, err := contraction.ComponentWeights(cut)
+	if err != nil {
+		return nil, it1 + it2, err
+	}
+	for i, ce := range cut {
 		cut[i] = contraction.CutEdges[ce]
 	}
-	tp, err := newTreePartition(t, graph.NormalizeCut(cut), k)
+	tp, err := treePartition(t, cut, ws, k)
 	return tp, it1 + it2, err
 }

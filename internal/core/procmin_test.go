@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/graph"
@@ -313,5 +314,90 @@ func TestErrorPaths(t *testing.T) {
 	p, _ := graph.NewPath([]float64{1, 2}, []float64{1})
 	if err := CheckPathFeasible(p, []int{7}, 5); !errors.Is(err, graph.ErrBadCut) {
 		t.Errorf("CheckPathFeasible bad cut: %v", err)
+	}
+}
+
+// partitionTreeTwoStage is the §2.2 pipeline as two public stages, the
+// reference PartitionTree must match: the bottleneck cut, contraction, then
+// MinProcessors on the contracted tree with its cut mapped back.
+func partitionTreeTwoStage(tr *graph.Tree, k float64) (*TreePartition, error) {
+	bt, _, err := Bottleneck(ctx, tr, k)
+	if err != nil {
+		return nil, err
+	}
+	c, err := tr.Contract(bt.Cut)
+	if err != nil {
+		return nil, err
+	}
+	mp, _, err := MinProcessors(ctx, c.Tree, k)
+	if err != nil {
+		return nil, err
+	}
+	cut := make([]int, len(mp.Cut))
+	for i, ce := range mp.Cut {
+		cut[i] = c.CutEdges[ce]
+	}
+	return newTreePartition(tr, graph.NormalizeCut(cut), k)
+}
+
+// TestPartitionTreeMatchesTwoStage pins PartitionTree's one-labelling
+// pipeline to the two-stage reference on 1,200 seeded trees, half with
+// float weights and half with tie-heavy integer weights 0–3: the same cut,
+// and the same cut weight, bottleneck and component weights bit for bit, or
+// the same error.
+func TestPartitionTreeMatchesTwoStage(t *testing.T) {
+	r := workload.NewRNG(1994)
+	errs := 0
+	for trial := 0; trial < 1200; trial++ {
+		n := 1 + r.Intn(200)
+		tr := workload.RandomTree(r, n, workload.UniformWeights(0, 100), workload.UniformWeights(0, 100))
+		if trial%2 == 1 {
+			for i := range tr.NodeW {
+				tr.NodeW[i] = float64(r.Intn(4))
+			}
+			for i := range tr.Edges {
+				tr.Edges[i].W = float64(r.Intn(4))
+			}
+		}
+		for _, f := range []float64{1, 1.5, 3, 10} {
+			k := max(f*tr.MaxNodeWeight(), 1)
+			got, _, err := PartitionTree(ctx, tr, k)
+			want, werr := partitionTreeTwoStage(tr, k)
+			if err != nil || werr != nil {
+				if err == nil || werr == nil || err.Error() != werr.Error() {
+					t.Fatalf("trial %d n=%d K=%v: PartitionTree error %v, two-stage error %v", trial, n, k, err, werr)
+				}
+				errs++
+				continue
+			}
+			if !slices.Equal(got.Cut, want.Cut) || math.Float64bits(got.CutWeight) != math.Float64bits(want.CutWeight) ||
+				math.Float64bits(got.Bottleneck) != math.Float64bits(want.Bottleneck) ||
+				!slices.EqualFunc(got.ComponentWeights, want.ComponentWeights, func(a, b float64) bool {
+					return math.Float64bits(a) == math.Float64bits(b)
+				}) {
+				t.Fatalf("trial %d n=%d K=%v:\n got %+v\nwant %+v", trial, n, k, got, want)
+			}
+		}
+	}
+	t.Logf("%d of 4800 solves failed alike in both pipelines", errs)
+}
+
+// TestPartitionTreeContractOverflow: component sums the bottleneck stage
+// keeps within K = MaxFloat64 in its union order can round up to +Inf when
+// contraction sums a super-node in vertex order, the one way a contracted
+// tree can be invalid. The error keeps its class and text.
+func TestPartitionTreeContractOverflow(t *testing.T) {
+	tr, err := graph.NewTree([]float64{0x1p969, 0x1p969, math.MaxFloat64},
+		[]graph.Edge{{U: 0, V: 2, W: 5}, {U: 1, V: 2, W: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "contract: NodeW[0] = +Inf: graph: weight must be finite and non-negative"
+	_, _, err = PartitionTree(ctx, tr, math.MaxFloat64)
+	if !errors.Is(err, graph.ErrBadWeight) || err.Error() != want {
+		t.Errorf("PartitionTree = %v, want %q (ErrBadWeight)", err, want)
+	}
+	if _, werr := partitionTreeTwoStage(tr, math.MaxFloat64); werr == nil || werr.Error() != want {
+		t.Errorf("two-stage reference = %v, want %q", werr, want)
 	}
 }

@@ -32,16 +32,16 @@ type scratch struct {
 	// candidate list of BandwidthHeap (as heapBuf).
 	deque   []int
 	heapBuf minHeap
-	// order is the weight-sorted edge permutation (bottleneck) or the BFS
+	// order is the weight-bucketed edge permutation (bottleneck) or the BFS
 	// vertex order (procmin).
 	order []int
-	// orderTmp, keys, keysTmp and radixCount are the bottleneck edge sort's
-	// double buffers and per-byte digit counts.
-	orderTmp      []int
-	keys, keysTmp []uint64
-	radixCount    [8][256]int32
-	// parentV / parentEdge / res are the rooted-tree columns of the procmin
-	// sweep; parentV doubles as the bottleneck's union-find parent.
+	// bucketStart holds the bottleneck's weight-bucket bounds into order,
+	// bucketKeys the packed sort keys of its large buckets.
+	bucketStart []int32
+	bucketKeys  []uint64
+	// parentV / res are the rooted-tree columns of the procmin sweep (with
+	// parentEdge, of the max–min probes); parentV doubles as the
+	// bottleneck's union-find parent.
 	parentV    []int
 	parentEdge []int
 	res        []float64

@@ -15,7 +15,7 @@ import (
 // must wind down without leaking goroutines.
 func TestBatchParentCancelDrainsWorkers(t *testing.T) {
 	started := make(chan struct{}, 64)
-	registerForTest(t, &funcSolver{name: "test-cancel-blocker", kind: KindPath,
+	RegisterForTest(t, &funcSolver{name: "test-cancel-blocker", kind: KindPath,
 		fn: func(ctx context.Context, req Request) (Result, error) {
 			started <- struct{}{}
 			<-ctx.Done()

@@ -80,7 +80,7 @@ func TestBatchBoundedParallelism(t *testing.T) {
 		atomic.AddInt64(&inFlight, -1)
 		return Result{Solver: "test-probe"}, nil
 	}}
-	registerForTest(t, probe)
+	RegisterForTest(t, probe)
 	reqs := make([]Request, 16)
 	for i := range reqs {
 		reqs[i] = Request{Solver: "test-probe"}
@@ -92,21 +92,6 @@ func TestBatchBoundedParallelism(t *testing.T) {
 	if peak > 2 {
 		t.Errorf("peak concurrency = %d, want <= 2", peak)
 	}
-}
-
-// registerForTest registers s until t ends, so a stand-in never outlives
-// its test in the process-wide registry.
-func registerForTest(t *testing.T, s Solver) {
-	t.Helper()
-	Register(s)
-	t.Cleanup(func() { unregister(s.Name()) })
-}
-
-// unregister removes name from the registry.
-func unregister(name string) {
-	regMu.Lock()
-	delete(registry, name)
-	regMu.Unlock()
 }
 
 // funcSolver is a test-only Solver.
@@ -258,7 +243,7 @@ func BenchmarkBatch(b *testing.B) {
 // TestBatchSolverPanic: a solver panic fails its own batch item with a
 // *PanicError carrying the stack, and leaves the other items solved.
 func TestBatchSolverPanic(t *testing.T) {
-	registerForTest(t, &funcSolver{name: "test-panic", kind: KindPath, fn: func(context.Context, Request) (Result, error) {
+	RegisterForTest(t, &funcSolver{name: "test-panic", kind: KindPath, fn: func(context.Context, Request) (Result, error) {
 		panic("boom")
 	}})
 	p := testPath(t, 200)

@@ -132,35 +132,41 @@ func (t *Tree) Adjacency() [][]Arc {
 }
 
 // componentLabels returns, for each vertex, the index of its component in
-// T − cut, along with the number of components. The cut must be valid.
-func (t *Tree) componentLabels(cut []int) ([]int, int, error) {
+// T − cut, along with the number of components. Labels follow the smallest
+// contained vertex. The cut must be valid.
+func (t *Tree) componentLabels(cut []int) ([]int32, int, error) {
 	if err := checkCut(cut, len(t.Edges)); err != nil {
 		return nil, 0, err
 	}
-	inCut := make([]bool, len(t.Edges))
-	for _, e := range cut {
-		inCut[e] = true
-	}
 	uf := newUnionFind(len(t.NodeW))
-	for i, e := range t.Edges {
-		if !inCut[i] {
+	// cut is strictly increasing: unite the runs of edges between cut edges.
+	from := 0
+	for _, c := range cut {
+		for _, e := range t.Edges[from:c] {
 			uf.union(e.U, e.V)
 		}
+		from = c + 1
 	}
-	label := make([]int, len(t.NodeW))
-	// rootLabel[r] is 1 + the label of the component rooted at r, 0 until
-	// its first vertex is seen, so labels follow smallest contained vertex.
-	rootLabel := make([]int32, len(t.NodeW))
-	next := 0
+	for _, e := range t.Edges[from:] {
+		uf.union(e.U, e.V)
+	}
+	// A root's slot takes its component's label at the component's first
+	// vertex, and every other slot is written only when its own vertex is
+	// labelled, so one column serves both.
+	label := make([]int32, len(t.NodeW))
+	for v := range label {
+		label[v] = -1
+	}
+	k := 0
 	for v := range label {
 		r := uf.find(v)
-		if rootLabel[r] == 0 {
-			next++
-			rootLabel[r] = int32(next)
+		if label[r] < 0 {
+			label[r] = int32(k)
+			k++
 		}
-		label[v] = int(rootLabel[r]) - 1
+		label[v] = label[r]
 	}
-	return label, next, nil
+	return label, k, nil
 }
 
 // Components returns the vertex sets of the connected components of T − cut.
@@ -253,56 +259,64 @@ func (t *Tree) MaxCutEdgeWeight(cut []int) (float64, error) {
 // edges are exactly the original cut edges.
 type Contraction struct {
 	// Tree is the contracted super-node tree. Tree.Edges[i] corresponds to
-	// the original edge CutEdges[i].
+	// the original edge CutEdges[i]. Super-nodes are numbered by smallest
+	// contained vertex.
 	Tree *Tree
-	// Members[s] lists the original vertices merged into super-node s.
-	Members [][]int
 	// CutEdges[i] is the original edge index behind contracted edge i.
 	CutEdges []int
+	// orig is the tree that was contracted and label[v] the super-node of
+	// its vertex v.
+	orig  *Tree
+	label []int32
 }
 
 // Contract lumps each component of T − cut into a super-node whose weight is
 // the component's total weight, producing the super-node tree used by the
 // processor-minimization stage of the paper's pipeline (§2.2: "the resulting
-// graph is still a tree").
+// graph is still a tree"). t must be a valid tree. The contracted tree is
+// then a tree by construction and its edges keep their valid weights, so the
+// one check it needs is that no super-node sum overflowed to infinity.
 func (t *Tree) Contract(cut []int) (*Contraction, error) {
 	label, k, err := t.componentLabels(cut)
 	if err != nil {
 		return nil, err
 	}
-	// Members share one backing array, counting-sorted by label; each keeps
-	// its vertices in increasing order.
 	nodeW := make([]float64, k)
-	end := make([]int, k)
 	for v, l := range label {
 		nodeW[l] += t.NodeW[v]
-		end[l]++
 	}
-	for l := 1; l < k; l++ {
-		end[l] += end[l-1]
-	}
-	backing := make([]int, len(label))
-	members := make([][]int, k)
-	start := 0
-	for l := range members {
-		members[l] = backing[start:start:end[l]]
-		start = end[l]
-	}
-	for v, l := range label {
-		members[l] = append(members[l], v)
-	}
-	edges := make([]Edge, 0, len(cut))
-	cutEdges := make([]int, 0, len(cut))
-	for _, e := range cut {
-		orig := t.Edges[e]
-		edges = append(edges, Edge{U: label[orig.U], V: label[orig.V], W: orig.W})
-		cutEdges = append(cutEdges, e)
-	}
-	ct := &Tree{NodeW: nodeW, Edges: edges}
-	if err := ct.Validate(); err != nil {
+	if err := checkWeights(nil, "NodeW", nodeW, nil); err != nil {
 		return nil, fmt.Errorf("contract: %w", err)
 	}
-	return &Contraction{Tree: ct, Members: members, CutEdges: cutEdges}, nil
+	edges := make([]Edge, len(cut))
+	for i, e := range cut {
+		orig := t.Edges[e]
+		edges[i] = Edge{U: int(label[orig.U]), V: int(label[orig.V]), W: orig.W}
+	}
+	return &Contraction{
+		Tree:     &Tree{NodeW: nodeW, Edges: edges},
+		CutEdges: append([]int(nil), cut...),
+		orig:     t,
+		label:    label,
+	}, nil
+}
+
+// ComponentWeights returns what the original tree's ComponentWeights
+// returns for the cut {CutEdges[i] : i ∈ ccut}, bit for bit: the weights
+// ordered by smallest contained vertex and each summed in vertex order. ccut
+// is a cut of the contracted tree. Only the contracted tree is labelled
+// again: super-nodes are numbered by smallest contained vertex, so the
+// smallest super-node of a component holds its smallest vertex.
+func (c *Contraction) ComponentWeights(ccut []int) ([]float64, error) {
+	super, k, err := c.Tree.componentLabels(ccut)
+	if err != nil {
+		return nil, err
+	}
+	ws := make([]float64, k)
+	for v, l := range c.label {
+		ws[super[l]] += c.orig.NodeW[v]
+	}
+	return ws, nil
 }
 
 // IsStar reports whether the tree is a star: one centre vertex adjacent to

@@ -145,8 +145,8 @@ func TestTreeContract(t *testing.T) {
 	if !reflect.DeepEqual(c.CutEdges, []int{1}) {
 		t.Errorf("CutEdges = %v, want [1]", c.CutEdges)
 	}
-	if len(c.Members) != 2 {
-		t.Fatalf("Members = %v, want 2 components", c.Members)
+	if !reflect.DeepEqual(c.Tree.NodeW, []float64{3, 12}) {
+		t.Errorf("super-node weights = %v, want [3 12] in smallest-vertex order", c.Tree.NodeW)
 	}
 }
 

@@ -9,7 +9,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
-	"sync"
 	"testing"
 
 	"repro/internal/engine"
@@ -18,8 +17,6 @@ import (
 
 // panicSolver panics on every solve, standing in for a solver bug.
 type panicSolver struct{}
-
-var panicSolverOnce sync.Once
 
 func (panicSolver) Name() string      { return "test-panic" }
 func (panicSolver) Kind() engine.Kind { return engine.KindPath }
@@ -32,7 +29,7 @@ func (panicSolver) Solve(context.Context, engine.Request) (engine.Result, error)
 // batch whose siblings succeed, a failed job — retains an error trace, and
 // leaves the daemon serving.
 func TestSolverPanicContained(t *testing.T) {
-	panicSolverOnce.Do(func() { engine.Register(panicSolver{}) })
+	engine.RegisterForTest(t, panicSolver{})
 	s := newTestServer(t, Config{})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -97,7 +94,7 @@ func TestSolverPanicContained(t *testing.T) {
 // error, falls back to a local solve — which panics too, the solver being
 // the same — and answers 500 with a JSON error. Both nodes keep serving.
 func TestForwardedSolvePanicOnOwner(t *testing.T) {
-	panicSolverOnce.Do(func() { engine.Register(panicSolver{}) })
+	engine.RegisterForTest(t, panicSolver{})
 	nodes := newTestCluster(t, 2)
 	g, _ := graphOwnedBy(t, nodes, 0)
 	forwarder := nodes[1]

@@ -100,15 +100,12 @@ var (
 	gateStarted  chan struct{}
 	gateRelease  chan struct{}
 	gateCanceled chan struct{}
-	gateOnce     sync.Once
 )
 
-// armGate resets the gate channels and registers the solver on first use.
+// armGate resets the gate channels and registers the solver until t ends.
 func armGate(t *testing.T) (started <-chan struct{}, release func()) {
 	t.Helper()
-	gateOnce.Do(func() {
-		engine.Register(&gateSolver{})
-	})
+	engine.RegisterForTest(t, gateSolver{})
 	gateMu.Lock()
 	defer gateMu.Unlock()
 	gateStarted = make(chan struct{}, 64)

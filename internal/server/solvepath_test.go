@@ -23,7 +23,6 @@ import (
 type countGateSolver struct{}
 
 var (
-	countGateOnce    sync.Once
 	countGateRunning atomic.Int64
 	countGateMax     atomic.Int64
 )
@@ -31,7 +30,7 @@ var (
 // armCountGate arms the shared gate (see armGate) and resets the counters.
 func armCountGate(t *testing.T) (started <-chan struct{}, release func()) {
 	t.Helper()
-	countGateOnce.Do(func() { engine.Register(countGateSolver{}) })
+	engine.RegisterForTest(t, countGateSolver{})
 	countGateRunning.Store(0)
 	countGateMax.Store(0)
 	return armGate(t)

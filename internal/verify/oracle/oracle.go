@@ -213,62 +213,95 @@ func PathDP(p *graph.Path, k float64) (*PathResult, error) {
 
 // MinComponentsTree returns the minimum number of components of any feasible
 // partition of the tree, with a cut attaining it. It implements the
-// Kundu–Misra greedy independently of internal/core: process vertices in
-// post-order, and whenever a vertex's residual subtree weight exceeds K,
+// Kundu–Misra greedy independently of internal/core: process vertices
+// children first, and whenever a vertex's residual subtree weight exceeds K,
 // detach its heaviest child subtrees until it fits. Cutting the heaviest
 // residual first is exchange-optimal, so the count is exactly minimal.
-// Returns ErrInfeasible when a single task outweighs K.
+// Returns ErrInfeasible, naming the lowest-numbered such task, when a single
+// task outweighs K.
 func MinComponentsTree(t *graph.Tree, k float64) (int, []int, error) {
 	if err := t.Validate(); err != nil {
 		return 0, nil, err
 	}
-	adj := t.Adjacency()
-	n := t.Len()
-	// Iterative post-order from vertex 0 (explicit stack: tree depth is
-	// unbounded, e.g. a path viewed as a tree).
-	type frame struct {
-		v, parent int
-		next      int // next adjacency index to visit
+	for v, w := range t.NodeW {
+		if w > k {
+			return 0, nil, fmt.Errorf("task %d weight %v > K=%v: %w", v, w, k, ErrInfeasible)
+		}
 	}
-	residual := make([]float64, n)
-	childArcs := make([][]graph.Arc, n)
-	var cut []int
-	stack := []frame{{v: 0, parent: -1}}
-	for len(stack) > 0 {
-		f := &stack[len(stack)-1]
-		if f.next < len(adj[f.v]) {
-			a := adj[f.v][f.next]
-			f.next++
-			if a.To != f.parent {
-				childArcs[f.v] = append(childArcs[f.v], a)
-				stack = append(stack, frame{v: a.To, parent: f.v})
-			}
-			continue
-		}
-		v := f.v
-		stack = stack[:len(stack)-1]
-		if t.NodeW[v] > k {
-			return 0, nil, fmt.Errorf("task %d weight %v > K=%v: %w", v, t.NodeW[v], k, ErrInfeasible)
-		}
+	rt := rootTree(t)
+	residual := make([]float64, t.Len())
+	inCut := make([]bool, t.NumEdges())
+	var kids []int32
+	cuts := 0
+	for i := len(rt.order) - 1; i >= 0; i-- {
+		v := rt.order[i]
 		total := t.NodeW[v]
-		kids := childArcs[v]
-		for _, a := range kids {
-			total += residual[a.To]
+		kids = kids[:0]
+		lo, hi := rt.csr.Arcs(int(v))
+		for a := lo; a < hi; a++ {
+			if to := rt.csr.To[a]; to != rt.parent[v] {
+				kids = append(kids, a)
+				total += residual[to]
+			}
 		}
 		if total > k {
-			slices.SortFunc(kids, func(a, b graph.Arc) int {
-				return cmp.Compare(residual[b.To], residual[a.To])
+			slices.SortFunc(kids, func(a, b int32) int {
+				return cmp.Compare(residual[rt.csr.To[b]], residual[rt.csr.To[a]])
 			})
 			for _, a := range kids {
 				if total <= k {
 					break
 				}
-				total -= residual[a.To]
-				cut = append(cut, a.Edge)
+				total -= residual[rt.csr.To[a]]
+				inCut[rt.csr.EIdx[a]] = true
+				cuts++
 			}
 		}
 		residual[v] = total
 	}
-	slices.Sort(cut)
+	var cut []int
+	if cuts > 0 {
+		cut = make([]int, 0, cuts)
+	}
+	for e, in := range inCut {
+		if in {
+			cut = append(cut, e)
+		}
+	}
 	return len(cut) + 1, cut, nil
+}
+
+// rootedTree is a tree rooted at vertex 0, as the bottom-up oracles walk
+// it: the columnar adjacency, a BFS order from the root and each vertex's
+// parent, all carved out of one []int32. Walking order backwards visits
+// every child before its parent, and a vertex's children are its arcs in
+// CSR order, which is edge-index order, minus the arc to its parent.
+type rootedTree struct {
+	csr graph.CSR
+	// order is the BFS order from vertex 0.
+	order []int32
+	// parent[v] is v's parent, −1 at the root.
+	parent []int32
+}
+
+// rootTree roots the valid tree t at vertex 0.
+func rootTree(t *graph.Tree) rootedTree {
+	n := t.Len()
+	csrLen := n + 1 + 4*t.NumEdges()
+	buf := make([]int32, csrLen+2*n)
+	csr, _ := t.BuildCSR(buf[:csrLen:csrLen])
+	order, parent := buf[csrLen:csrLen+n:csrLen+n], buf[csrLen+n:]
+	order[0], parent[0] = 0, -1
+	tail := 1
+	for _, v := range order {
+		lo, hi := csr.Arcs(int(v))
+		for a := lo; a < hi; a++ {
+			if to := csr.To[a]; to != parent[v] {
+				parent[to] = v
+				order[tail] = to
+				tail++
+			}
+		}
+	}
+	return rootedTree{csr: csr, order: order, parent: parent}
 }

@@ -135,7 +135,7 @@ func SumOfMaxBrute(t *graph.Tree, parts int) (*PartsResult, error) {
 
 // MaxPartsOver returns the maximum number of components a partition of the
 // tree can produce with every component weighing ≥ b. It implements the
-// Perl–Schach greedy independently of internal/core: in post-order, sever a
+// Perl–Schach greedy independently of internal/core: children first, sever a
 // subtree as soon as its residual weight reaches b. The greedy is
 // exchange-optimal, so the count is exact; certificates use it as evidence
 // that no max–min partition beats a claimed value. Runs in O(n).
@@ -143,37 +143,26 @@ func MaxPartsOver(t *graph.Tree, b float64) (int, error) {
 	if err := t.Validate(); err != nil {
 		return 0, err
 	}
-	adj := t.Adjacency()
-	n := t.Len()
-	type frame struct {
-		v, parent int
-		next      int
-	}
-	residual := make([]float64, n)
+	rt := rootTree(t)
+	// residual[v] is what v hands its parent: its residual weight, or 0
+	// once severed.
+	residual := make([]float64, t.Len())
 	cnt := 0
-	stack := []frame{{v: 0, parent: -1}}
-	for len(stack) > 0 {
-		f := &stack[len(stack)-1]
-		if f.next < len(adj[f.v]) {
-			a := adj[f.v][f.next]
-			f.next++
-			if a.To != f.parent {
-				stack = append(stack, frame{v: a.To, parent: f.v})
+	for i := len(rt.order) - 1; i >= 0; i-- {
+		v := rt.order[i]
+		var kids float64
+		lo, hi := rt.csr.Arcs(int(v))
+		for a := lo; a < hi; a++ {
+			if to := rt.csr.To[a]; to != rt.parent[v] {
+				kids += residual[to]
 			}
-			continue
 		}
-		v, p := f.v, f.parent
-		stack = stack[:len(stack)-1]
-		total := t.NodeW[v] + residual[v]
-		if total >= b && p >= 0 {
+		total := t.NodeW[v] + kids
+		if total >= b {
 			cnt++
 			continue
 		}
-		if p >= 0 {
-			residual[p] += total
-		} else if total >= b {
-			cnt++
-		}
+		residual[v] = total
 	}
 	return cnt, nil
 }
@@ -187,32 +176,18 @@ func SumOfMaxDP(t *graph.Tree, parts int) (float64, error) {
 	if err := checkPartsArg(t, parts); err != nil {
 		return 0, err
 	}
-	adj := t.Adjacency()
-	n := t.Len()
-	tab := make([]map[smKey]float64, n)
-	type frame struct {
-		v, parent int
-		next      int
-	}
-	stack := []frame{{v: 0, parent: -1}}
-	for len(stack) > 0 {
-		f := &stack[len(stack)-1]
-		if f.next < len(adj[f.v]) {
-			a := adj[f.v][f.next]
-			f.next++
-			if a.To != f.parent {
-				stack = append(stack, frame{v: a.To, parent: f.v})
-			}
-			continue
-		}
-		v, p := f.v, f.parent
-		stack = stack[:len(stack)-1]
+	rt := rootTree(t)
+	tab := make([]map[smKey]float64, t.Len())
+	for i := len(rt.order) - 1; i >= 0; i-- {
+		v := rt.order[i]
 		cur := map[smKey]float64{{j: 0, m: t.NodeW[v]}: 0}
-		for _, a := range adj[v] {
-			if a.To == p {
+		lo, hi := rt.csr.Arcs(int(v))
+		for a := lo; a < hi; a++ {
+			to := rt.csr.To[a]
+			if to == rt.parent[v] {
 				continue
 			}
-			child := tab[a.To]
+			child := tab[to]
 			next := make(map[smKey]float64, len(cur))
 			for pk, pc := range cur {
 				for ck, cc := range child {
@@ -231,7 +206,7 @@ func SumOfMaxDP(t *graph.Tree, parts int) (float64, error) {
 				}
 			}
 			cur = next
-			tab[a.To] = nil
+			tab[to] = nil
 		}
 		tab[v] = cur
 	}

@@ -28,6 +28,14 @@
 // solver under test: the evidence comes from different code paths
 // (internal/prime + internal/hitting for bandwidth, internal/verify/oracle
 // for processors, the feasibility checker itself for bottleneck).
+//
+// The tree oracles walk the columnar adjacency graph.CSR, rooted at vertex 0
+// by a BFS whose order and parent columns share the CSR's one []int32, and
+// sum each vertex's children in CSR arc order, which is edge-index order,
+// the order of graph.Tree.Adjacency: a residual does not depend on the walk
+// that reaches it. They import internal/graph and the standard library only
+// and share no code with internal/core, whose solvers root their own CSR
+// walks.
 package verify
 
 import (

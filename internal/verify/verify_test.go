@@ -201,7 +201,7 @@ func (anonSolver) Solve(ctx context.Context, req engine.Request) (engine.Result,
 }
 
 func TestCertifyResultUnknownObjective(t *testing.T) {
-	engine.Register(anonSolver{})
+	engine.RegisterForTest(t, anonSolver{})
 	p := mustPath(t, []float64{1, 1}, []float64{1})
 	req := engine.Request{Solver: "verify-test-anon", Path: p, K: 2}
 	if _, err := CertifyResult(req, &engine.Result{}); !errors.Is(err, ErrNotCertifiable) {
