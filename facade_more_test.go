@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro"
+	"repro/internal/graph/graphtest"
 )
 
 func TestFacadeLimitedAndTradeoff(t *testing.T) {
@@ -78,5 +79,42 @@ func TestFacadeGreedyAndPathVariants(t *testing.T) {
 	}
 	if math.Abs(met.TotalTraffic-a.CutWeight) > 1e-9 {
 		t.Errorf("metrics traffic %v != cut weight %v", met.TotalTraffic, a.CutWeight)
+	}
+}
+
+// TestFacadeMalformedPaths: BandwidthInstrumented and TradeoffCurve reach
+// the core solver without the engine, so they check their path themselves.
+// Each malformed path must come back as a graph sentinel error, never a
+// panic.
+func TestFacadeMalformedPaths(t *testing.T) {
+	calls := []struct {
+		name string
+		run  func(p *repro.Path) error
+	}{
+		{"BandwidthInstrumented", func(p *repro.Path) error {
+			_, _, err := repro.BandwidthInstrumented(p, 2)
+			return err
+		}},
+		{"TradeoffCurve", func(p *repro.Path) error {
+			_, err := repro.TradeoffCurve(p, []float64{2, 3})
+			return err
+		}},
+	}
+	for _, c := range calls {
+		for _, col := range graphtest.MalformedGraphs() {
+			if col.Path == nil {
+				continue
+			}
+			t.Run(c.name+"/"+col.Name, func(t *testing.T) {
+				defer func() {
+					if v := recover(); v != nil {
+						t.Fatalf("panic: %v", v)
+					}
+				}()
+				if err := c.run(col.Path); !graphtest.IsGraphError(err) {
+					t.Errorf("err = %v, want a graph validation error", err)
+				}
+			})
+		}
 	}
 }

@@ -40,8 +40,12 @@ func Bandwidth(ctx context.Context, p *graph.Path, k float64) (*PathPartition, i
 }
 
 // BandwidthInstrumented is Bandwidth with the TEMP_S queue instrumentation
-// used by the Figure 2(d) / Appendix B study.
+// used by the Figure 2(d) / Appendix B study. It is reached without the
+// solver engine, so it validates p itself.
 func BandwidthInstrumented(p *graph.Path, k float64) (*PathPartition, *hitting.Trace, error) {
+	if err := p.Validate(); err != nil {
+		return nil, nil, err
+	}
 	tr := &hitting.Trace{}
 	pp, _, err := bandwidthTempS(context.Background(), p, k, tr)
 	if err != nil {
@@ -58,9 +62,6 @@ func bandwidthTempS(ctx context.Context, p *graph.Path, k float64, tr *hitting.T
 		return nil, 0, err
 	}
 	if err := checkBound(k); err != nil {
-		return nil, 0, err
-	}
-	if err := p.Validate(); err != nil {
 		return nil, 0, err
 	}
 	// Phase 1 (§2.3.1): prime critical subpaths + non-redundant edge
@@ -127,25 +128,6 @@ func (s *dpState) reconstruct(i int) []int {
 		cut[l], cut[r] = cut[r], cut[l]
 	}
 	return cut
-}
-
-// prepDPCheck validates inputs and handles the trivial cases, returning a
-// non-nil partition when the answer is already decided (empty cut feasible).
-// Callers then size the dpState arrays out of their pooled scratch.
-func prepDPCheck(p *graph.Path, k float64) (*PathPartition, error) {
-	if err := checkBound(k); err != nil {
-		return nil, err
-	}
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	if p.MaxNodeWeight() > k {
-		return nil, fmt.Errorf("max vertex weight %v > K=%v: %w", p.MaxNodeWeight(), k, ErrInfeasible)
-	}
-	if p.TotalNodeWeight() <= k {
-		return newPathPartition(p, nil, k)
-	}
-	return nil, nil
 }
 
 func (s *dpState) finish(p *graph.Path, k float64) (*PathPartition, error) {

@@ -136,15 +136,6 @@ func TestBandwidthBadBound(t *testing.T) {
 	}
 }
 
-func TestBandwidthBadGraph(t *testing.T) {
-	bad := &graph.Path{NodeW: []float64{1, 2}, EdgeW: []float64{1, 2, 3}}
-	for _, s := range bandwidthSolvers() {
-		if _, _, err := s.f(ctx, bad, 10); !errors.Is(err, graph.ErrBadShape) {
-			t.Errorf("%s: error = %v, want ErrBadShape", s.name, err)
-		}
-	}
-}
-
 func TestBandwidthAllSolversMatchBrute(t *testing.T) {
 	r := workload.NewRNG(7777)
 	for trial := 0; trial < 400; trial++ {

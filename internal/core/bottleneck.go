@@ -306,9 +306,6 @@ func bottleneckCut(ctx context.Context, t *graph.Tree, k float64, sweep bool, sc
 	if err := checkBound(k); err != nil {
 		return nil, 0, err
 	}
-	if err := t.Validate(); err != nil {
-		return nil, 0, err
-	}
 	if t.MaxNodeWeight() > k {
 		return nil, 0, fmt.Errorf("max vertex weight %v > K=%v: %w", t.MaxNodeWeight(), k, ErrInfeasible)
 	}

@@ -132,10 +132,6 @@ func TestBottleneckInfeasibleAndBadInput(t *testing.T) {
 	if _, _, err := Bottleneck(ctx, tr, -1); !errors.Is(err, ErrBadBound) {
 		t.Errorf("error = %v, want ErrBadBound", err)
 	}
-	bad := &graph.Tree{NodeW: []float64{1, 2}, Edges: nil}
-	if _, _, err := Bottleneck(ctx, bad, 10); !errors.Is(err, graph.ErrBadShape) {
-		t.Errorf("error = %v, want ErrBadShape", err)
-	}
 }
 
 func TestBottleneckValue(t *testing.T) {

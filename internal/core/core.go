@@ -13,8 +13,10 @@
 // minimization over the contracted tree.
 //
 // Each algorithm has one context-aware entry point (ctx.go), the one the
-// solver engine registers. It validates its graph once; nothing below it
-// re-checks.
+// solver engine registers. A valid graph is its precondition: engine.Solve
+// checks the request graph where it enters the solver layer, and nothing
+// in this package re-checks it. The two functions reached without the
+// engine, BandwidthInstrumented and TradeoffCurve, check their path once.
 package core
 
 import (

@@ -4,10 +4,11 @@ import "context"
 
 // Context-aware solver entry points. Every partitioner in this package has
 // exactly one entry point, X(ctx, graph, bound) (partition, iterations,
-// error). It validates its graph once, polls ctx for cancellation inside its
-// main loop, and reports the number of loop iterations it performed, so
-// callers (the solver engine) can abort long solves and account per-solve
-// work. Nothing below an entry point re-checks the graph it was given.
+// error). It takes a valid graph as its precondition (the solver engine
+// checks a request's graph once, before the entry point runs), polls ctx for
+// cancellation inside its main loop, and reports the number of loop
+// iterations it performed, so callers (the solver engine) can abort long
+// solves and account per-solve work.
 
 // tickMask controls how often loops poll ctx: every tickMask+1 iterations.
 // 256 keeps the polling branch far off the hot path while bounding the

@@ -29,9 +29,6 @@ func BandwidthLimited(ctx context.Context, p *graph.Path, k float64, m int) (*Pa
 	if err := checkBound(k); err != nil {
 		return nil, 0, err
 	}
-	if err := p.Validate(); err != nil {
-		return nil, 0, err
-	}
 	if m <= 0 {
 		return nil, 0, fmt.Errorf("m = %d: %w", m, ErrBadBound)
 	}
@@ -162,7 +159,8 @@ type TradeoffPoint struct {
 // TradeoffCurve evaluates Bandwidth across the given bounds, returning one
 // point per feasible K (infeasible bounds are skipped). Cut weight is
 // non-increasing in K; the curve is how a deployment picks its
-// per-processor budget.
+// per-processor budget. It is reached without the solver engine, so it
+// validates p once for the whole curve.
 func TradeoffCurve(p *graph.Path, ks []float64) ([]TradeoffPoint, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err

@@ -16,7 +16,7 @@ import (
 // for path and tree partitioning (arXiv 1711.00599), the direct successor to
 // this paper's bottleneck criteria.
 //
-// Both solvers share the same parametric-search skeleton over a threshold B:
+// Both solvers run one parametric search over a threshold B (maxMinSearch):
 //
 //   - g(B) = the maximum number of components of weight ≥ B any partition can
 //     produce. On a path the left-to-right first-fit greedy realizes g; on a
@@ -61,6 +61,55 @@ func checkParts(parts, n int) error {
 	return nil
 }
 
+// maxMinSearch is the parametric search over B that both solvers share.
+// probe(b) runs the greedy at threshold b and, when g(b) ≥ parts, returns
+// true with the minimum component weight of the exactly-parts partition it
+// leaves behind. The first probe, at the average total/parts, bounds the
+// optimum from above: when it is feasible the partition it left is
+// perfectly balanced and optimal, and the search reports balanced without
+// calling keep. Otherwise every later feasible probe calls keep(lo) with the
+// raised lower end, so the caller can save that partition (and, on a tree,
+// drop the vertices lo rules out). It returns the optimum and the number of
+// probes.
+func maxMinSearch(total float64, parts, n int, probe func(b float64) (bool, float64, error), keep func(lo float64)) (value float64, probes int, balanced bool, err error) {
+	// No partition's minimum exceeds the average: start at total/parts.
+	hi := total / float64(parts)
+	probes = 1
+	if ok, _, err := probe(hi); err != nil || ok {
+		return hi, probes, ok, err
+	}
+	// B = 0 closes a component at every task: always feasible for parts ≤ n.
+	probes++
+	ok, lo, err := probe(0)
+	if err != nil {
+		return 0, probes, false, err
+	}
+	if !ok {
+		return 0, probes, false, fmt.Errorf("parts %d > %d tasks: %w", parts, n, ErrInfeasible)
+	}
+	keep(lo)
+	for {
+		mid := lo + (hi-lo)/2
+		if !(mid > lo && mid < hi) {
+			return lo, probes, false, nil
+		}
+		probes++
+		ok, v, err := probe(mid)
+		if err != nil {
+			return 0, probes, false, err
+		}
+		if ok {
+			// Feasibility at mid alone justifies lo = mid; the achieved value
+			// usually jumps further, but float summation noise can land it a
+			// hair below mid, so take the max to guarantee progress.
+			lo = math.Max(v, mid)
+			keep(lo)
+		} else {
+			hi = mid
+		}
+	}
+}
+
 // MaxMinPath partitions a linear task graph into exactly parts contiguous
 // components maximizing the minimum component weight.
 func MaxMinPath(ctx context.Context, p *graph.Path, parts int) (*PathPartition, int64, error) {
@@ -69,10 +118,8 @@ func MaxMinPath(ctx context.Context, p *graph.Path, parts int) (*PathPartition, 
 		return nil, 0, err
 	}
 	tk := newTicker(ctx)
-	if err := p.Validate(); err != nil {
-		return nil, tk.n, err
-	}
-	if err := checkParts(parts, p.Len()); err != nil {
+	n := p.Len()
+	if err := checkParts(parts, n); err != nil {
 		return nil, tk.n, err
 	}
 	if parts == 1 {
@@ -80,7 +127,6 @@ func MaxMinPath(ctx context.Context, p *graph.Path, parts int) (*PathPartition, 
 		return pp, tk.n, err
 	}
 	total := p.TotalNodeWeight()
-	n := p.Len()
 	cutBuf := make([]int, 0, parts-1)
 	bestCut := make([]int, 0, parts-1)
 
@@ -119,53 +165,18 @@ func MaxMinPath(ctx context.Context, p *graph.Path, parts int) (*PathPartition, 
 
 	sp := obs.Phase(ctx, "parametric-search")
 	defer sp.End()
-	probes := 0
-	run := func(b float64) (bool, float64, error) {
-		probes++
-		return probe(b)
-	}
-	// No partition's minimum exceeds the average: start at total/parts.
-	hi := total / float64(parts)
-	ok, v, err := run(hi)
+	value, probes, balanced, err := maxMinSearch(total, parts, n, probe, func(float64) {
+		bestCut = append(bestCut[:0], cutBuf...)
+	})
 	if err != nil {
 		return nil, tk.n, err
-	}
-	if ok {
-		// Achieved ≥ hi while the optimum is ≤ hi: perfectly balanced.
-		sp.SetAttr("probes", probes)
-		pp, err := newPathPartition(p, append([]int(nil), cutBuf...), float64(parts))
-		return pp, tk.n, err
-	}
-	// B = 0 closes a component at every task: always feasible for parts ≤ n.
-	ok, lo, err := run(0)
-	if err != nil {
-		return nil, tk.n, err
-	}
-	if !ok {
-		return nil, tk.n, fmt.Errorf("parts %d > %d tasks: %w", parts, n, ErrInfeasible)
-	}
-	bestCut = append(bestCut[:0], cutBuf...)
-	for {
-		mid := lo + (hi-lo)/2
-		if !(mid > lo && mid < hi) {
-			break
-		}
-		ok, v, err = run(mid)
-		if err != nil {
-			return nil, tk.n, err
-		}
-		if ok {
-			// Feasibility at mid alone justifies lo = mid; the achieved value
-			// usually jumps further, but float summation noise can land it a
-			// hair below mid, so take the max to guarantee progress.
-			lo = math.Max(v, mid)
-			bestCut = append(bestCut[:0], cutBuf...)
-		} else {
-			hi = mid
-		}
 	}
 	sp.SetAttr("probes", probes)
-	sp.SetAttr("value", lo)
+	if balanced {
+		bestCut = cutBuf
+	} else {
+		sp.SetAttr("value", value)
+	}
 	pp, err := newPathPartition(p, append([]int(nil), bestCut...), float64(parts))
 	return pp, tk.n, err
 }
@@ -178,9 +189,6 @@ func MaxMinTree(ctx context.Context, t *graph.Tree, parts int) (*TreePartition, 
 		return nil, 0, err
 	}
 	tk := newTicker(ctx)
-	if err := t.Validate(); err != nil {
-		return nil, tk.n, err
-	}
 	n := t.Len()
 	if err := checkParts(parts, n); err != nil {
 		return nil, tk.n, err
@@ -193,31 +201,7 @@ func MaxMinTree(ctx context.Context, t *graph.Tree, parts int) (*TreePartition, 
 
 	sc := getScratch()
 	defer sc.release()
-	sp := obs.Phase(ctx, "postorder-build")
-	var csr graph.CSR
-	csr, sc.csrBuf = t.BuildCSR(sc.csrBuf)
-	sc.order = grow(sc.order, n)
-	sc.parentV = grow(sc.parentV, n)
-	sc.parentEdge = grow(sc.parentEdge, n)
-	order, parent, parentEdge := sc.order[:0], sc.parentV, sc.parentEdge
-	for v := range parent {
-		parent[v] = -1
-		parentEdge[v] = -1
-	}
-	order = append(order, 0)
-	for qi := 0; qi < len(order); qi++ {
-		v := order[qi]
-		lo, hi := csr.Arcs(v)
-		for a := lo; a < hi; a++ {
-			if to := int(csr.To[a]); to != parent[v] {
-				parent[to] = v
-				parentEdge[to] = int(csr.EIdx[a])
-				order = append(order, to)
-			}
-		}
-	}
-	sp.SetAttr("nodes", n)
-	sp.End()
+	_, order, parent, parentEdge := sc.rootTree(ctx, t)
 
 	// subW is W from the header, summed in the order a full probe sums
 	// residuals; base[v] is NodeW[v] plus the W of v's dropped children.
@@ -238,11 +222,12 @@ func MaxMinTree(ctx context.Context, t *graph.Tree, parts int) (*TreePartition, 
 	cutBuf := make([]int, 0, parts-1)
 	bestCut := make([]int, 0, parts-1)
 
-	// shrink drops the vertices with W < lo from the active list (reverse
-	// BFS order) and folds each into its parent's base while the parent
-	// stays. The root stays last: lo never exceeds total/2 while W[root] is
-	// the total.
-	shrink := func(lo float64) {
+	// keep saves the probe's cut and drops the vertices with W < lo from
+	// the active list (reverse BFS order), folding each into its parent's
+	// base while the parent stays. The root stays last: lo never exceeds
+	// total/2 while W[root] is the total.
+	keep := func(lo float64) {
+		bestCut = append(bestCut[:0], cutBuf...)
 		kept := active[:0]
 		for _, v := range active {
 			if subW[v] >= lo {
@@ -306,54 +291,17 @@ func MaxMinTree(ctx context.Context, t *graph.Tree, parts int) (*TreePartition, 
 
 	sweep := obs.Phase(ctx, "parametric-search")
 	defer sweep.End()
-	probes := 0
-	run := func(b float64) (bool, float64, error) {
-		probes++
-		return probe(b)
-	}
-	hi := total / float64(parts)
-	ok, v, err := run(hi)
+	value, probes, balanced, err := maxMinSearch(total, parts, n, probe, keep)
 	if err != nil {
 		return nil, tk.n, err
-	}
-	if ok {
-		sweep.SetAttr("probes", probes)
-		sweep.SetAttr("walked", walked)
-		tp, err := newTreePartition(t, graph.NormalizeCut(append([]int(nil), cutBuf...)), float64(parts))
-		return tp, tk.n, err
-	}
-	ok, lo, err := run(0)
-	if err != nil {
-		return nil, tk.n, err
-	}
-	if !ok {
-		return nil, tk.n, fmt.Errorf("parts %d > %d tasks: %w", parts, n, ErrInfeasible)
-	}
-	bestCut = append(bestCut[:0], cutBuf...)
-	shrink(lo)
-	for {
-		mid := lo + (hi-lo)/2
-		if !(mid > lo && mid < hi) {
-			break
-		}
-		ok, v, err = run(mid)
-		if err != nil {
-			return nil, tk.n, err
-		}
-		if ok {
-			// Feasibility at mid alone justifies lo = mid; the achieved value
-			// usually jumps further, but float summation noise can land it a
-			// hair below mid, so take the max to guarantee progress.
-			lo = math.Max(v, mid)
-			bestCut = append(bestCut[:0], cutBuf...)
-			shrink(lo)
-		} else {
-			hi = mid
-		}
 	}
 	sweep.SetAttr("probes", probes)
 	sweep.SetAttr("walked", walked)
-	sweep.SetAttr("value", lo)
+	if balanced {
+		bestCut = cutBuf
+	} else {
+		sweep.SetAttr("value", value)
+	}
 	tp, err := newTreePartition(t, graph.NormalizeCut(append([]int(nil), bestCut...)), float64(parts))
 	return tp, tk.n, err
 }

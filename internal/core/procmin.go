@@ -26,8 +26,8 @@ import (
 //
 // PartitionTree chains the §2.1 and §2.2 algorithms. Its contraction labels
 // the bottleneck components once (graph.Contract, one union-find pass); the
-// contracted tree is a tree by construction, so it is not validated again,
-// and the minproc stage runs the cut-only sweep MinProcessors wraps. The
+// contracted tree is a tree by construction, so it is not validated, and
+// the minproc stage runs the cut-only sweep MinProcessors wraps. The
 // final component weights are read off the contraction's vertex labels, so
 // the input tree is never labelled a second time.
 
@@ -38,9 +38,6 @@ func MinProcessors(ctx context.Context, t *graph.Tree, k float64) (*TreePartitio
 		return nil, 0, err
 	}
 	if err := checkBound(k); err != nil {
-		return nil, 0, err
-	}
-	if err := t.Validate(); err != nil {
 		return nil, 0, err
 	}
 	cut, iters, err := minProcessorsCut(ctx, t, k)
@@ -65,31 +62,7 @@ func minProcessorsCut(ctx context.Context, t *graph.Tree, k float64) ([]int, int
 	n := t.Len()
 	sc := getScratch()
 	defer sc.release()
-	sp := obs.Phase(ctx, "postorder-build")
-	// Columnar adjacency: three flat int32 columns out of one pooled buffer
-	// instead of a []Arc slice per vertex.
-	var csr graph.CSR
-	csr, sc.csrBuf = t.BuildCSR(sc.csrBuf)
-	// Iterative BFS from the root; reverse BFS order is a post-order for
-	// trees (children precede parents). A vertex's parent is set when it is
-	// queued, before it is read.
-	sc.order = grow(sc.order, n)
-	sc.parentV = grow(sc.parentV, n)
-	order, parent := sc.order[:0], sc.parentV
-	parent[0] = -1
-	order = append(order, 0)
-	for qi := 0; qi < len(order); qi++ {
-		v := order[qi]
-		lo, hi := csr.Arcs(v)
-		for a := lo; a < hi; a++ {
-			if to := int(csr.To[a]); to != parent[v] {
-				parent[to] = v
-				order = append(order, to)
-			}
-		}
-	}
-	sp.SetAttr("nodes", n)
-	sp.End()
+	csr, order, parent, _ := sc.rootTree(ctx, t)
 	// res[v] is the weight of the super-node that v has been merged into so
 	// far: v plus all absorbed descendant subtrees.
 	sc.res = grow(sc.res, n)
@@ -120,7 +93,11 @@ func minProcessorsCut(ctx context.Context, t *graph.Tree, k float64) ([]int, int
 		}
 		// Prune the heaviest absorbed leaves first (paper step 5: "sort the
 		// leaves adjacent to v in decreasing order of weights ... find
-		// minimum r such that W − Σ_{i≤r} w_i ≤ K").
+		// minimum r such that W − Σ_{i≤r} w_i ≤ K"). Each candidate load is
+		// summed afresh, v's own weight plus the kept children lightest
+		// first: subtracting pruned children from total drifts from the
+		// exact sum on float weights. Pruning every child leaves
+		// t.NodeW[v] ≤ k, so the loop always finds r.
 		children = children[:0]
 		for a := lo; a < hi; a++ {
 			if to := int(csr.To[a]); to != parent[v] {
@@ -128,19 +105,15 @@ func minProcessorsCut(ctx context.Context, t *graph.Tree, k float64) ([]int, int
 			}
 		}
 		slices.SortFunc(children, func(a, b childSlot) int { return cmp.Compare(b.res, a.res) })
-		for _, c := range children {
-			if total <= k {
-				break
-			}
-			total -= c.res
+		load, r := t.NodeW[v], len(children)
+		for r > 0 && load+children[r-1].res <= k {
+			r--
+			load += children[r].res
+		}
+		for _, c := range children[:r] {
 			cut = append(cut, c.edge)
 		}
-		if total > k {
-			// Cannot happen: total is now just t.NodeW[v] ≤ k. Guard anyway.
-			sweep.End()
-			return nil, tk.n, ErrInfeasible
-		}
-		res[v] = total
+		res[v] = load
 	}
 	sweep.SetAttr("pruned", len(cut))
 	sweep.End()
@@ -156,9 +129,6 @@ func MinProcessorsPath(ctx context.Context, p *graph.Path, k float64) (*PathPart
 	}
 	tk := newTicker(ctx)
 	if err := checkBound(k); err != nil {
-		return nil, 0, err
-	}
-	if err := p.Validate(); err != nil {
 		return nil, 0, err
 	}
 	if p.MaxNodeWeight() > k {
@@ -190,12 +160,11 @@ func MinProcessorsPath(ctx context.Context, p *graph.Path, k float64) (*PathPart
 // the contracted tree to undo the over-fragmentation of the greedy
 // bottleneck cut. The final cut is a subset of the bottleneck cut, so its
 // bottleneck never exceeds the optimum, and among such cuts it uses the
-// minimum number of processors. The input tree is validated once, by the
-// bottleneck stage; the contracted tree is a tree by construction, so the
-// minproc stage runs its cut-only sweep on it directly, and only the final
-// cut becomes a TreePartition, its component weights read off the
-// contraction's labels. The iteration count is summed over the
-// pipeline's stages.
+// minimum number of processors. The contracted tree is a tree by
+// construction, so the minproc stage runs its cut-only sweep on it
+// directly, and only the final cut becomes a TreePartition, its component
+// weights read off the contraction's labels. The iteration count is summed
+// over the pipeline's stages.
 func PartitionTree(ctx context.Context, t *graph.Tree, k float64) (*TreePartition, int64, error) {
 	// Each pipeline stage runs inside its own span, so the stage's internal
 	// phase spans (edge-sort, feasibility-sweep, leaf-pruning) nest under it.

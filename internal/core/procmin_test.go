@@ -343,11 +343,10 @@ func partitionTreeTwoStage(tr *graph.Tree, k float64) (*TreePartition, error) {
 // TestPartitionTreeMatchesTwoStage pins PartitionTree's one-labelling
 // pipeline to the two-stage reference on 1,200 seeded trees, half with
 // float weights and half with tie-heavy integer weights 0–3: the same cut,
-// and the same cut weight, bottleneck and component weights bit for bit, or
-// the same error.
+// and the same cut weight, bottleneck and component weights bit for bit.
+// Every K is at least the largest task, so neither pipeline may fail.
 func TestPartitionTreeMatchesTwoStage(t *testing.T) {
 	r := workload.NewRNG(1994)
-	errs := 0
 	for trial := 0; trial < 1200; trial++ {
 		n := 1 + r.Intn(200)
 		tr := workload.RandomTree(r, n, workload.UniformWeights(0, 100), workload.UniformWeights(0, 100))
@@ -364,11 +363,7 @@ func TestPartitionTreeMatchesTwoStage(t *testing.T) {
 			got, _, err := PartitionTree(ctx, tr, k)
 			want, werr := partitionTreeTwoStage(tr, k)
 			if err != nil || werr != nil {
-				if err == nil || werr == nil || err.Error() != werr.Error() {
-					t.Fatalf("trial %d n=%d K=%v: PartitionTree error %v, two-stage error %v", trial, n, k, err, werr)
-				}
-				errs++
-				continue
+				t.Fatalf("trial %d n=%d K=%v: PartitionTree error %v, two-stage error %v", trial, n, k, err, werr)
 			}
 			if !slices.Equal(got.Cut, want.Cut) || math.Float64bits(got.CutWeight) != math.Float64bits(want.CutWeight) ||
 				math.Float64bits(got.Bottleneck) != math.Float64bits(want.Bottleneck) ||
@@ -379,7 +374,6 @@ func TestPartitionTreeMatchesTwoStage(t *testing.T) {
 			}
 		}
 	}
-	t.Logf("%d of 4800 solves failed alike in both pipelines", errs)
 }
 
 // TestPartitionTreeContractOverflow: component sums the bottleneck stage

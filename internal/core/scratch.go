@@ -1,11 +1,14 @@
 package core
 
 import (
+	"context"
+	"fmt"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/graph"
 	"repro/internal/hitting"
+	"repro/internal/obs"
 	"repro/internal/prime"
 )
 
@@ -33,15 +36,15 @@ type scratch struct {
 	deque   []int
 	heapBuf minHeap
 	// order is the weight-bucketed edge permutation (bottleneck) or the BFS
-	// vertex order (procmin).
+	// vertex order of rootTree.
 	order []int
 	// bucketStart holds the bottleneck's weight-bucket bounds into order,
 	// bucketKeys the packed sort keys of its large buckets.
 	bucketStart []int32
 	bucketKeys  []uint64
-	// parentV / res are the rooted-tree columns of the procmin sweep (with
-	// parentEdge, of the max–min probes); parentV doubles as the
-	// bottleneck's union-find parent.
+	// parentV / parentEdge are rootTree's parent columns and res the
+	// residual loads of the procmin sweep and the max–min probes; parentV
+	// doubles as the bottleneck's union-find parent.
 	parentV    []int
 	parentEdge []int
 	res        []float64
@@ -100,16 +103,56 @@ func grow[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-// prepDPScratch wires the DP state to sc's pooled arrays and runs prepDP's
-// validation and trivial-case handling.
+// prepDP checks the bound and handles the trivial cases, returning a
+// non-nil partition when the answer is already decided (empty cut feasible);
+// otherwise it wires the DP state to sc's pooled arrays.
 func (sc *scratch) prepDP(p *graph.Path, k float64) (*PathPartition, *dpState, error) {
-	done, err := prepDPCheck(p, k)
-	if done != nil || err != nil {
-		return done, nil, err
+	if err := checkBound(k); err != nil {
+		return nil, nil, err
+	}
+	if p.MaxNodeWeight() > k {
+		return nil, nil, fmt.Errorf("max vertex weight %v > K=%v: %w", p.MaxNodeWeight(), k, ErrInfeasible)
+	}
+	if p.TotalNodeWeight() <= k {
+		pp, err := newPathPartition(p, nil, k)
+		return pp, nil, err
 	}
 	n := p.Len()
 	sc.dp.f = grow(sc.dp.f, n-1)
 	sc.dp.parent = grow(sc.dp.parent, n-1)
 	sc.dp.prefix = p.PrefixNodeWeightsInto(sc.dp.prefix)
 	return nil, &sc.dp, nil
+}
+
+// rootTree roots the valid tree t at vertex 0 in sc's buffers, inside a
+// "postorder-build" span: the columnar adjacency (three flat int32 columns
+// out of one pooled buffer instead of a []Arc slice per vertex), the BFS
+// order from the root, and each vertex's parent and parent edge, −1 at the
+// root. Reverse BFS order is a post-order for trees (children precede
+// parents), and a vertex's children are its CSR arcs minus the one to its
+// parent. A vertex's parent is set when it is queued, before it is read.
+func (sc *scratch) rootTree(ctx context.Context, t *graph.Tree) (csr graph.CSR, order, parent, parentEdge []int) {
+	n := t.Len()
+	sp := obs.Phase(ctx, "postorder-build")
+	csr, sc.csrBuf = t.BuildCSR(sc.csrBuf)
+	sc.order = grow(sc.order, n)
+	sc.parentV = grow(sc.parentV, n)
+	sc.parentEdge = grow(sc.parentEdge, n)
+	order, parent, parentEdge = sc.order[:0], sc.parentV, sc.parentEdge
+	parent[0], parentEdge[0] = -1, -1
+	order = append(order, 0)
+	for qi := 0; qi < len(order); qi++ {
+		v := order[qi]
+		lo, hi := csr.Arcs(v)
+		for a := lo; a < hi; a++ {
+			if to := int(csr.To[a]); to != parent[v] {
+				parent[to] = v
+				parentEdge[to] = int(csr.EIdx[a])
+				order = append(order, to)
+			}
+		}
+	}
+	sp.SetAttr("nodes", n)
+	sp.End()
+	return csr, order, parent, parentEdge
 }

@@ -245,9 +245,6 @@ func SumOfMaxTree(ctx context.Context, t *graph.Tree, parts int) (*TreePartition
 		return nil, 0, err
 	}
 	tk := newTicker(ctx)
-	if err := t.Validate(); err != nil {
-		return nil, tk.n, err
-	}
 	n := t.Len()
 	if err := checkParts(parts, n); err != nil {
 		return nil, tk.n, err
@@ -259,28 +256,7 @@ func SumOfMaxTree(ctx context.Context, t *graph.Tree, parts int) (*TreePartition
 
 	sc := getScratch()
 	defer sc.release()
-	sp := obs.Phase(ctx, "postorder-build")
-	var csr graph.CSR
-	csr, sc.csrBuf = t.BuildCSR(sc.csrBuf)
-	sc.order = grow(sc.order, n)
-	sc.parentV = grow(sc.parentV, n)
-	order, parent := sc.order[:0], sc.parentV
-	for v := range parent {
-		parent[v] = -1
-	}
-	order = append(order, 0)
-	for qi := 0; qi < len(order); qi++ {
-		v := order[qi]
-		lo, hi := csr.Arcs(v)
-		for a := lo; a < hi; a++ {
-			if to := int(csr.To[a]); to != parent[v] {
-				parent[to] = v
-				order = append(order, to)
-			}
-		}
-	}
-	sp.SetAttr("nodes", n)
-	sp.End()
+	csr, order, parent, _ := sc.rootTree(ctx, t)
 
 	sm := &sc.sm
 	sm.tab, sm.level = sm.tab[:0], append(sm.level[:0], 0)

@@ -13,6 +13,11 @@
 //   - Batch runs many requests concurrently on a bounded worker pool with
 //     per-request deadlines and aggregate statistics.
 //
+// Solve is where a request graph enters the solver layer: each registered
+// solver checks it once, inside its instrumented span, before the algorithm
+// runs, and the algorithm packages take a valid graph as their
+// precondition.
+//
 // Solvers poll their context inside their main loops, so canceling a context
 // aborts a long solve promptly with the context's error. Observers receive
 // one Event per completed solve — the hook where a serving layer attaches

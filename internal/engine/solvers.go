@@ -49,6 +49,12 @@ func (s *pathSolver) Solve(ctx context.Context, req Request) (Result, error) {
 		return Result{Solver: s.name}, fmt.Errorf("solver %q needs a path graph: %w", s.name, ErrBadRequest)
 	}
 	return instrumented(ctx, s.name, req.Options, func(ctx context.Context) (Result, int64, error) {
+		// The request graph enters the solver layer here, and only here is
+		// it checked: the algorithms take a valid graph as their
+		// precondition.
+		if err := req.Path.Validate(); err != nil {
+			return Result{}, 0, err
+		}
 		pp, iters, err := s.solve(ctx, req)
 		if err != nil {
 			return Result{}, iters, err
@@ -81,14 +87,17 @@ func (s *treeSolver) Solve(ctx context.Context, req Request) (Result, error) {
 		return Result{Solver: s.name}, fmt.Errorf("solver %q needs a tree (or path) graph: %w", s.name, ErrBadRequest)
 	}
 	return instrumented(ctx, s.name, req.Options, func(ctx context.Context) (Result, int64, error) {
+		// The request graph is checked here, once, as in pathSolver. A path
+		// is checked before AsTree views it as a tree, which is then a tree
+		// by construction.
 		t := req.Tree
 		if t == nil {
-			// AsTree reads one edge weight per node pair, so a malformed path
-			// must be refused before it is viewed as a tree.
 			if err := req.Path.Validate(); err != nil {
 				return Result{}, 0, err
 			}
 			t = req.Path.AsTree()
+		} else if err := t.Validate(); err != nil {
+			return Result{}, 0, err
 		}
 		tp, iters, err := s.solve(ctx, t, req.K)
 		if err != nil {

@@ -9,6 +9,16 @@
 //   - All weights are non-negative float64 values.
 //   - A cut is a sorted slice of edge indices; removing the cut edges splits
 //     the graph into connected components, one per processor.
+//
+// Where a graph is checked: the constructors (NewPath, NewTree, ...) and the
+// decoders (text, JSON, PGB1) validate what they build. A graph's fields
+// stay exported and writable after that, so no validity mark travels with
+// it; instead the solver layer re-checks a caller's graph where it enters:
+// engine.Solve (once per request, before any solver runs),
+// verify.CertifyResult, and the two internal/core functions reached without
+// the engine, BandwidthInstrumented and TradeoffCurve. Nothing below them
+// re-checks: the solvers in internal/core and internal/treecut and the
+// certificate oracles take a valid graph as their precondition.
 package graph
 
 import (

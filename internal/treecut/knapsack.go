@@ -8,8 +8,9 @@
 //   - an exact branch-and-bound for small trees with real weights, and
 //   - a greedy heuristic with a redundancy-elimination pass for large trees.
 //
-// Each tree solver has one context-aware entry point that validates its tree
-// once; nothing below it re-checks.
+// Each tree solver has one context-aware entry point, which takes a valid
+// tree as its precondition: engine.Solve checks a request's tree before the
+// entry runs, and nothing in this package re-checks it.
 package treecut
 
 import (

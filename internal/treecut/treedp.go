@@ -23,11 +23,12 @@ import (
 //     redundancy-elimination pass; no optimality guarantee (Theorem 1 says
 //     none is cheap), evaluated against the exact DP in tests and benches.
 //
-// Each solver is one context-aware entry point: it validates its tree once,
-// polls the context inside its main loop (so a cancelled context aborts a
-// long solve promptly), reports main-loop iterations, and opens obs phase
-// spans — the shape the engine registry and the async jobs subsystem
-// consume. Nothing below the entry re-checks the tree.
+// Each solver is one context-aware entry point: it takes a valid tree as
+// its precondition (engine.Solve checks a request's graph once, before the
+// entry runs), polls the context inside its main loop (so a cancelled
+// context aborts a long solve promptly), reports main-loop iterations, and
+// opens obs phase spans — the shape the engine registry and the async jobs
+// subsystem consume.
 
 // pollEvery is the iteration stride between context checks; a power of two
 // so the check compiles to a mask.
@@ -64,9 +65,6 @@ func rootOrder(t *graph.Tree) (order, parent, parentEdge []int) {
 // n·k product would be excessive. ctx is polled inside the DP sweep, and the
 // "exact-dp" and "dp-reconstruct" phases open spans when it carries a trace.
 func TreeBandwidthExact(ctx context.Context, t *graph.Tree, k int) (*CutResult, int64, error) {
-	if err := t.Validate(); err != nil {
-		return nil, 0, err
-	}
 	if k <= 0 {
 		return nil, 0, fmt.Errorf("bound %d: %w", k, ErrBadInput)
 	}
@@ -217,9 +215,6 @@ var errCancelled = fmt.Errorf("treecut: cancelled")
 // is polled at every pollEvery-th search node, inside a "branch-and-bound"
 // phase span.
 func TreeBandwidthBB(ctx context.Context, t *graph.Tree, k float64) (*CutResult, int64, error) {
-	if err := t.Validate(); err != nil {
-		return nil, 0, err
-	}
 	if !(k > 0) || math.IsNaN(k) || math.IsInf(k, 0) {
 		return nil, 0, fmt.Errorf("bound %v: %w", k, ErrBadInput)
 	}
@@ -286,9 +281,6 @@ func TreeBandwidthBB(ctx context.Context, t *graph.Tree, k float64) (*CutResult,
 // return keeps the partition feasible. ctx is polled per swept vertex, and
 // the "greedy-sweep" and "redundancy-pass" phases open spans.
 func TreeBandwidthGreedy(ctx context.Context, t *graph.Tree, k float64) (*CutResult, int64, error) {
-	if err := t.Validate(); err != nil {
-		return nil, 0, err
-	}
 	if !(k > 0) || math.IsNaN(k) || math.IsInf(k, 0) {
 		return nil, 0, fmt.Errorf("bound %v: %w", k, ErrBadInput)
 	}

@@ -3,6 +3,10 @@
 // greedy leaf-pruning component minimizer — used as ground truth by the
 // differential test harness (internal/verify) and by per-package tests.
 //
+// Every oracle takes a valid graph as its precondition, as the certificate
+// checkers that call them do; only the exhaustive TreeBrute and PathDP
+// check theirs.
+//
 // The oracles are deliberately written against internal/graph only, with no
 // dependency on internal/core: they share nothing with the production
 // algorithms they check, so a bug must be present in two independent
@@ -220,9 +224,6 @@ func PathDP(p *graph.Path, k float64) (*PathResult, error) {
 // Returns ErrInfeasible, naming the lowest-numbered such task, when a single
 // task outweighs K.
 func MinComponentsTree(t *graph.Tree, k float64) (int, []int, error) {
-	if err := t.Validate(); err != nil {
-		return 0, nil, err
-	}
 	for v, w := range t.NodeW {
 		if w > k {
 			return 0, nil, fmt.Errorf("task %d weight %v > K=%v: %w", v, w, k, ErrInfeasible)
@@ -245,17 +246,22 @@ func MinComponentsTree(t *graph.Tree, k float64) (int, []int, error) {
 			}
 		}
 		if total > k {
+			// Keep the lightest children while they fit, summing the load
+			// afresh from v's own weight: subtracting the detached ones from
+			// total would drift from the exact sum on float weights.
 			slices.SortFunc(kids, func(a, b int32) int {
 				return cmp.Compare(residual[rt.csr.To[b]], residual[rt.csr.To[a]])
 			})
-			for _, a := range kids {
-				if total <= k {
-					break
-				}
-				total -= residual[rt.csr.To[a]]
-				inCut[rt.csr.EIdx[a]] = true
-				cuts++
+			total = t.NodeW[v]
+			r := len(kids)
+			for r > 0 && total+residual[rt.csr.To[kids[r-1]]] <= k {
+				r--
+				total += residual[rt.csr.To[kids[r]]]
 			}
+			for _, a := range kids[:r] {
+				inCut[rt.csr.EIdx[a]] = true
+			}
+			cuts += r
 		}
 		residual[v] = total
 	}

@@ -22,11 +22,8 @@ type PartsResult struct {
 	Cut   []int
 }
 
-// checkPartsArg validates a part count against the graph size.
+// checkPartsArg checks a part count against the graph size.
 func checkPartsArg(t *graph.Tree, parts int) error {
-	if err := t.Validate(); err != nil {
-		return err
-	}
 	if parts < 1 || parts > t.Len() {
 		return fmt.Errorf("parts = %d of %d tasks: %w", parts, t.Len(), ErrInfeasible)
 	}
@@ -140,9 +137,6 @@ func SumOfMaxBrute(t *graph.Tree, parts int) (*PartsResult, error) {
 // exchange-optimal, so the count is exact; certificates use it as evidence
 // that no max–min partition beats a claimed value. Runs in O(n).
 func MaxPartsOver(t *graph.Tree, b float64) (int, error) {
-	if err := t.Validate(); err != nil {
-		return 0, err
-	}
 	rt := rootTree(t)
 	// residual[v] is what v hands its parent: its residual weight, or 0
 	// once severed.

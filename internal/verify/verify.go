@@ -29,6 +29,11 @@
 // (internal/prime + internal/hitting for bandwidth, internal/verify/oracle
 // for processors, the feasibility checker itself for bottleneck).
 //
+// CertifyResult is the certify boundary: it checks the request graph once
+// and refuses a malformed one with the graph package's sentinel. The
+// Certify* checkers and the oracles below them take a valid graph as their
+// precondition.
+//
 // The tree oracles walk the columnar adjacency graph.CSR, rooted at vertex 0
 // by a BFS whose order and parent columns share the CSR's one []int32, and
 // sum each vertex's children in CSR arc order, which is edge-index order,

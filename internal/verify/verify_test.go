@@ -9,6 +9,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/graph"
+	"repro/internal/graph/graphtest"
 )
 
 func mustPath(t *testing.T, nodeW, edgeW []float64) *graph.Path {
@@ -180,14 +181,6 @@ func TestCertifyResultErrors(t *testing.T) {
 	if _, err := CertifyResult(engine.Request{Solver: "bandwidth", Path: p, K: 2}, nil); !errors.Is(err, ErrNotCertifiable) {
 		t.Errorf("nil result = %v, want ErrNotCertifiable", err)
 	}
-	// A path one edge weight short is refused before any checker indexes it.
-	short := &graph.Path{NodeW: []float64{1, 1, 1}, EdgeW: []float64{1}}
-	for _, solver := range []string{"bandwidth", "bottleneck", "minproc"} {
-		req := engine.Request{Solver: solver, Path: short, K: 2}
-		if _, err := CertifyResult(req, &engine.Result{Cut: []int{1}}); !errors.Is(err, graph.ErrBadShape) {
-			t.Errorf("%s on a short path = %v, want ErrBadShape", solver, err)
-		}
-	}
 }
 
 // A solver registered without an Objective declaration must be reported as
@@ -274,6 +267,29 @@ func TestCertifyResultNoGraphTreeCriterion(t *testing.T) {
 		req := engine.Request{Solver: solver, K: 4}
 		if _, err := CertifyResult(req, &engine.Result{}); !errors.Is(err, ErrNotCertifiable) {
 			t.Errorf("%s without graph: error = %v, want ErrNotCertifiable", solver, err)
+		}
+	}
+}
+
+// TestCertifyResultMalformedGraphs sends CertifyResult, for every registered
+// solver and so every objective, graphs that no decoder has checked. It is
+// the certify boundary: each must be refused with one of the graph
+// package's sentinels before any checker or oracle indexes it, never with a
+// panic.
+func TestCertifyResultMalformedGraphs(t *testing.T) {
+	for _, solver := range engine.Names() {
+		for _, col := range graphtest.MalformedGraphs() {
+			t.Run(solver+"/"+col.Name, func(t *testing.T) {
+				defer func() {
+					if v := recover(); v != nil {
+						t.Fatalf("panic: %v", v)
+					}
+				}()
+				req := engine.Request{Solver: solver, Path: col.Path, Tree: col.Tree, K: 2}
+				if _, err := CertifyResult(req, &engine.Result{Cut: []int{0}}); !graphtest.IsGraphError(err) {
+					t.Errorf("err = %v, want a graph validation error", err)
+				}
+			})
 		}
 	}
 }
