@@ -28,6 +28,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"runtime"
 	"testing"
 
 	"repro"
@@ -45,6 +46,9 @@ import (
 	"repro/internal/verify"
 	"repro/internal/workload"
 )
+
+// raceEnabled is set by race_test.go in builds with the race detector.
+var raceEnabled bool
 
 // benchPath draws the Figure 2 instance family: uniform weights on [1,100].
 func benchPath(seed uint64, n int) *graph.Path {
@@ -342,6 +346,9 @@ func BenchmarkCertifyTree(b *testing.B) {
 // solve allocates only its result and O(1) working arrays; the rest,
 // sum-of-max's DP tables included, comes from the pooled scratch.
 func TestTreeSolverAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops pooled scratch at random under the race detector")
+	}
 	type solveFunc func(*graph.Tree) (*core.TreePartition, int64, error)
 	byBound := func(f func(context.Context, *graph.Tree, float64) (*core.TreePartition, int64, error)) solveFunc {
 		return func(tr *graph.Tree) (*core.TreePartition, int64, error) {
@@ -379,22 +386,48 @@ func TestTreeSolverAllocBudget(t *testing.T) {
 	}
 }
 
+// bytesPerRun is testing.AllocsPerRun for bytes: the mean number of heap
+// bytes one call of f allocates, after a warm-up call, with one P.
+func bytesPerRun(runs int, f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.TotalAlloc - before.TotalAlloc) / uint64(runs)
+}
+
 // TestPathSolverAllocBudget gates the allocations of the paper's bandwidth
-// solver on the n=10⁴ path BenchmarkBandwidthTempS uses. Prime extraction
-// runs in pooled scratch sized once per high-water mark, so a warm
-// prime.Scratch.Analyze allocates nothing.
+// solver on the n=10⁴ path BenchmarkBandwidthTempS uses, in count and in
+// bytes. Prime extraction and the TEMP_S sweep run in pooled scratch sized
+// once per high-water mark, so a warm prime.Scratch.Analyze allocates
+// nothing. A solve allocates its answer (the partition, the hitting-set
+// solution, its points, which become the cut, and the component weights)
+// and three span attributes, boxed even when the solve is not traced.
 func TestPathSolverAllocBudget(t *testing.T) {
-	const n, budget = 10000, 12
+	const n, budget, byteBudget = 10000, 7, 28 << 10
+	if raceEnabled {
+		t.Skip("sync.Pool drops pooled scratch at random under the race detector")
+	}
 	p := benchPath(2, n)
 	k := 4 * p.MaxNodeWeight()
-	avg := testing.AllocsPerRun(20, func() {
+	solve := func() {
 		if _, _, err := core.Bandwidth(context.Background(), p, k); err != nil {
 			t.Fatal(err)
 		}
-	})
+	}
+	avg := testing.AllocsPerRun(20, solve)
 	t.Logf("bandwidth: %.1f allocs/op, budget %d", avg, budget)
 	if avg > budget {
 		t.Errorf("Bandwidth on a %d-node path allocates %.1f/op, budget %d", n, avg, budget)
+	}
+	bytes := bytesPerRun(20, solve)
+	t.Logf("bandwidth: %d B/op, budget %d", bytes, byteBudget)
+	if bytes > byteBudget {
+		t.Errorf("Bandwidth on a %d-node path allocates %d B/op, budget %d", n, bytes, byteBudget)
 	}
 	var sc prime.Scratch
 	if avg := testing.AllocsPerRun(20, func() {

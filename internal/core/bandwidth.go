@@ -98,8 +98,10 @@ func bandwidthTempS(ctx context.Context, p *graph.Path, k float64, tr *hitting.T
 		return nil, iters, err
 	}
 	sp = obs.Phase(ctx, "build-partition")
-	cut := make([]int, len(sol.Points))
-	for i, pt := range sol.Points {
+	// The solution's points are a fresh slice this solve owns; Orig is
+	// increasing, so mapping them in place keeps the cut sorted.
+	cut := sol.Points
+	for i, pt := range cut {
 		cut[i] = inst.Orig[pt]
 	}
 	pp, err := newPathPartition(p, cut, k)

@@ -79,18 +79,11 @@ func checkBound(k float64) error {
 	return nil
 }
 
-// newPathPartition assembles a PathPartition from a cut, validating nothing;
-// callers guarantee the cut is sorted and in range.
+// newPathPartition assembles a PathPartition from a cut, which callers
+// guarantee is sorted and in range; graph.Path.CutSummary still checks it
+// once.
 func newPathPartition(p *graph.Path, cut []int, k float64) (*PathPartition, error) {
-	cw, err := p.CutWeight(cut)
-	if err != nil {
-		return nil, err
-	}
-	bn, err := p.MaxCutEdgeWeight(cut)
-	if err != nil {
-		return nil, err
-	}
-	ws, err := p.ComponentWeights(cut)
+	cw, bn, ws, err := p.CutSummary(cut)
 	if err != nil {
 		return nil, err
 	}

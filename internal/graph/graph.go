@@ -65,7 +65,14 @@ func checkWeights(h *Hasher, name string, ws []float64, src []byte) error {
 		h.Word(uint64(len(ws)))
 		bad = h.FillWeights(ws, src)
 	} else {
-		bad = slices.IndexFunc(ws, func(w float64) bool { return !validWeight(w) })
+		bad = -1
+		for i, w := range ws {
+			// Finite and non-negative; NaN fails both compares.
+			if !(w >= 0 && w <= math.MaxFloat64) {
+				bad = i
+				break
+			}
+		}
 	}
 	if bad >= 0 {
 		return fmt.Errorf("%s[%d] = %v: %w", name, bad, ws[bad], ErrBadWeight)

@@ -141,24 +141,49 @@ func (p *Path) Components(cut []int) ([][2]int, error) {
 // ComponentWeights returns the total task weight of each component of
 // P − cut, in left-to-right order.
 func (p *Path) ComponentWeights(cut []int) ([]float64, error) {
-	comps, err := p.Components(cut)
-	if err != nil {
+	if err := checkCut(cut, p.NumEdges()); err != nil {
 		return nil, err
 	}
-	// One running prefix sum instead of a materialized prefix array. The
-	// components tile [0, n) left to right, so `run` after node c[1] equals
-	// prefix[c[1]+1] bit-for-bit (same accumulation order), keeping every
-	// weight identical to the array-based computation.
-	ws := make([]float64, len(comps))
+	return p.componentWeights(cut), nil
+}
+
+// componentWeights is ComponentWeights for a checked cut. One running
+// prefix sum instead of a materialized prefix array: the components tile
+// [0, n) left to right, so `run` after a component's last node equals
+// prefix[last+1] bit for bit (same accumulation order), keeping every
+// weight identical to the array-based computation.
+func (p *Path) componentWeights(cut []int) []float64 {
+	ws := make([]float64, len(cut)+1)
 	var run float64
-	for i, c := range comps {
+	v := 0
+	for i := range ws {
+		end := len(p.NodeW) // one past the component's last node
+		if i < len(cut) {
+			end = cut[i] + 1
+		}
 		start := run
-		for v := c[0]; v <= c[1]; v++ {
+		for ; v < end; v++ {
 			run += p.NodeW[v]
 		}
 		ws[i] = run - start
 	}
-	return ws, nil
+	return ws
+}
+
+// CutSummary returns what CutWeight, MaxCutEdgeWeight and ComponentWeights
+// return for cut, bit for bit, after checking cut once.
+func (p *Path) CutSummary(cut []int) (cutWeight, bottleneck float64, ws []float64, err error) {
+	if err := checkCut(cut, p.NumEdges()); err != nil {
+		return 0, 0, nil, err
+	}
+	for _, e := range cut {
+		w := p.EdgeW[e]
+		cutWeight += w
+		if w > bottleneck {
+			bottleneck = w
+		}
+	}
+	return cutWeight, bottleneck, p.componentWeights(cut), nil
 }
 
 // ComponentMaxNodeWeights returns, per component of P − cut left to right,

@@ -2,7 +2,9 @@ package graph
 
 import (
 	"errors"
+	"fmt"
 	"math"
+	"math/rand/v2"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -230,5 +232,91 @@ func TestPathComponentWeightsSumProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestCutSummaryMatchesParts: CutSummary returns what CutWeight,
+// MaxCutEdgeWeight and a Components-based component sum return, bit for
+// bit, and the same error for a bad cut.
+func TestCutSummaryMatchesParts(t *testing.T) {
+	rng := rand.New(rand.NewPCG(1, 2))
+	for trial := 0; trial < 2000; trial++ {
+		n := 1 + rng.IntN(40)
+		nodeW := make([]float64, n)
+		for i := range nodeW {
+			nodeW[i] = rng.Float64() * 10
+		}
+		edgeW := make([]float64, n-1)
+		for i := range edgeW {
+			edgeW[i] = rng.Float64() * 10
+		}
+		p := mustPath(t, nodeW, edgeW)
+		var cut []int
+		for e := 0; e < n-1; e++ {
+			if rng.IntN(3) == 0 {
+				cut = append(cut, e)
+			}
+		}
+		if trial%10 == 0 && n > 1 {
+			cut = append(cut, rng.IntN(n+1)-1) // often out of range or out of order
+		}
+		cw, bn, ws, err := p.CutSummary(cut)
+		wantCW, wantErr := p.CutWeight(cut)
+		if fmt.Sprint(err) != fmt.Sprint(wantErr) {
+			t.Fatalf("cut %v: error %v, CutWeight's %v", cut, err, wantErr)
+		}
+		if err != nil {
+			continue
+		}
+		wantBN, _ := p.MaxCutEdgeWeight(cut)
+		comps, _ := p.Components(cut)
+		wantWS := make([]float64, len(comps))
+		var run float64
+		for i, c := range comps {
+			start := run
+			for v := c[0]; v <= c[1]; v++ {
+				run += p.NodeW[v]
+			}
+			wantWS[i] = run - start
+		}
+		if math.Float64bits(cw) != math.Float64bits(wantCW) || math.Float64bits(bn) != math.Float64bits(wantBN) ||
+			!reflect.DeepEqual(bitsOf(ws), bitsOf(wantWS)) {
+			t.Fatalf("cut %v: summary (%v, %v, %v), parts (%v, %v, %v)", cut, cw, bn, ws, wantCW, wantBN, wantWS)
+		}
+		if got, _ := p.ComponentWeights(cut); !reflect.DeepEqual(bitsOf(got), bitsOf(wantWS)) {
+			t.Fatalf("cut %v: ComponentWeights %v, want %v", cut, got, wantWS)
+		}
+	}
+}
+
+// TestCheckWeightsFirstBad: the plain-loop weight check reports the first
+// weight validWeight rejects, with the same error text.
+func TestCheckWeightsFirstBad(t *testing.T) {
+	bads := []float64{-1, -math.SmallestNonzeroFloat64, math.NaN(), math.Inf(1), math.Inf(-1)}
+	for _, n := range []int{1, 2, 7, 33} {
+		for at := 0; at < n; at++ {
+			for _, b := range bads {
+				ws := make([]float64, n)
+				for i := range ws {
+					ws[i] = float64(i)
+				}
+				ws[0] = math.Copysign(0, -1) // -0 is a valid weight
+				ws[at] = b
+				if at+1 < n {
+					ws[n-1] = math.NaN() // a later bad weight must not win
+				}
+				err := checkWeights(nil, "NodeW", ws, nil)
+				want := fmt.Errorf("NodeW[%d] = %v: %w", at, b, ErrBadWeight)
+				if !errors.Is(err, ErrBadWeight) || err.Error() != want.Error() {
+					t.Fatalf("n=%d bad %v at %d: %v, want %v", n, b, at, err, want)
+				}
+			}
+		}
+		ws := make([]float64, n)
+		ws[0] = math.Copysign(0, -1)
+		ws[n-1] = math.MaxFloat64
+		if err := checkWeights(nil, "EdgeW", ws, nil); err != nil {
+			t.Fatalf("valid weights rejected: %v", err)
+		}
 	}
 }

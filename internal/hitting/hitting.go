@@ -107,26 +107,36 @@ func (s *Solution) covers(in *Instance) bool {
 	return true
 }
 
-// cutNode is a persistent linked list of chosen points; cuts for different
-// intervals share tails, keeping the sweep O(1) per extension.
+// cutNode is one link of a persistent linked list of chosen points, kept
+// in an arena and linked by arena index (noCut ends a list). Cuts for
+// different intervals share tails, keeping the sweep O(1) per extension,
+// and an arena of plain integers has no pointers: storing a link needs no
+// write barrier and the garbage collector never scans the arena.
 type cutNode struct {
 	point int
-	prev  *cutNode
+	prev  int
 }
 
-func (c *cutNode) materialize() []int {
+// noCut is the empty cut: the link past a list's last node.
+const noCut = -1
+
+// materialize returns the points of the cut headed at arena[head] in
+// increasing order. A list runs from its largest point down (each node
+// extends the cut of an interval that ends before its point), so the
+// points are written back to front and need no sort.
+func materialize(arena []cutNode, head int) []int {
 	count := 0
-	for n := c; n != nil; n = n.prev {
+	for n := head; n != noCut; n = arena[n].prev {
 		count++
 	}
 	if count == 0 {
 		return nil
 	}
-	out := make([]int, 0, count)
-	for n := c; n != nil; n = n.prev {
-		out = append(out, n.point)
+	out := make([]int, count)
+	for n := head; n != noCut; n = arena[n].prev {
+		count--
+		out[count] = arena[n].point
 	}
-	sort.Ints(out)
 	return out
 }
 
@@ -175,20 +185,21 @@ func SolveTempSInstrumented(in *Instance) (*Solution, *Trace, error) {
 }
 
 // row is one entry of the TEMP_S queue: intervals lo..hi currently share the
-// minimum W-value w, achieved by the cut headed at cut.
+// minimum W-value w, achieved by the cut headed at arena index cut.
 type row struct {
 	lo, hi int
 	w      float64
-	cut    *cutNode
+	cut    int
 }
 
 // tempSScratch holds the sweep's working arrays. Nothing in it escapes a
 // solve (Solution materializes fresh slices), so SolveTempSCtx checks one
 // out of a package pool per call and the steady-state sweep allocates
-// nothing but the Solution itself.
+// nothing but the Solution itself. None of the element types holds a
+// pointer.
 type tempSScratch struct {
 	sw    []float64
-	scut  []*cutNode
+	scut  []int
 	arena []cutNode
 	rows  []row
 }
@@ -197,14 +208,13 @@ var tempSPool = sync.Pool{New: func() any { return new(tempSScratch) }}
 
 // grab returns the four arrays sized for p intervals and r points, reusing
 // pooled capacity. The arena comes back with length 0 and capacity ≥ r: the
-// sweep appends at most one node per point, so the backing array never moves
-// and interior *cutNode pointers stay valid.
-func (s *tempSScratch) grab(p, r int) (sw []float64, scut []*cutNode, arena []cutNode, rows []row) {
+// sweep appends at most one node per point, so appending never reallocates.
+func (s *tempSScratch) grab(p, r int) (sw []float64, scut []int, arena []cutNode, rows []row) {
 	if cap(s.sw) < p {
 		s.sw = make([]float64, p)
 	}
 	if cap(s.scut) < p {
-		s.scut = make([]*cutNode, p)
+		s.scut = make([]int, p)
 	}
 	if cap(s.rows) < p {
 		s.rows = make([]row, p)
@@ -278,14 +288,13 @@ func SolveTempSCtx(ctx context.Context, in *Instance, tr *Trace) (*Solution, int
 		default:
 			continue // point covered by no interval; never useful
 		}
-		var prevW float64
-		var prevCut *cutNode
+		prevW, prevCut := 0.0, noCut
 		if gamma >= 0 {
 			prevW, prevCut = sw[gamma], scut[gamma]
 		}
 		w := in.Beta[e] + prevW
+		cut := len(arena)
 		arena = append(arena, cutNode{point: e, prev: prevCut})
-		cut := &arena[len(arena)-1]
 		// Collapse: all rows with W-value >= w now share minimum w achieved
 		// by e. Binary search for the first such row (paper step 2a), then
 		// merge the suffix in O(1) by index arithmetic.
@@ -337,7 +346,7 @@ func SolveTempSCtx(ctx context.Context, in *Instance, tr *Trace) (*Solution, int
 		}
 		head++
 	}
-	return &Solution{Points: scut[p-1].materialize(), Weight: sw[p-1]}, iters, nil
+	return &Solution{Points: materialize(arena, scut[p-1]), Weight: sw[p-1]}, iters, nil
 }
 
 // SolveNaiveDP evaluates the paper's recurrence directly, scanning every
@@ -364,25 +373,25 @@ func SolveNaiveDP(in *Instance) (*Solution, error) {
 		}
 	}
 	sw := make([]float64, p)
-	scut := make([]*cutNode, p)
+	scut := make([]int, p)
+	arena := make([]cutNode, 0, p)
 	for j := 0; j < p; j++ {
 		best := math.Inf(1)
-		var bestCut *cutNode
+		bestE, bestPrev := -1, noCut
 		for e := in.A[j]; e <= in.B[j]; e++ {
 			gamma := first[e] - 1
-			var prevW float64
-			var prevCut *cutNode
+			prevW, prevCut := 0.0, noCut
 			if gamma >= 0 {
 				prevW, prevCut = sw[gamma], scut[gamma]
 			}
 			if w := in.Beta[e] + prevW; w < best {
-				best = w
-				bestCut = &cutNode{point: e, prev: prevCut}
+				best, bestE, bestPrev = w, e, prevCut
 			}
 		}
-		sw[j], scut[j] = best, bestCut
+		sw[j], scut[j] = best, len(arena)
+		arena = append(arena, cutNode{point: bestE, prev: bestPrev})
 	}
-	return &Solution{Points: scut[p-1].materialize(), Weight: sw[p-1]}, nil
+	return &Solution{Points: materialize(arena, scut[p-1]), Weight: sw[p-1]}, nil
 }
 
 // SolveBrute enumerates all point subsets; it is exponential and refuses

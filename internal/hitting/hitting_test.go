@@ -379,3 +379,56 @@ func TestGeneralMatchesStructuredOnIntervals(t *testing.T) {
 		}
 	}
 }
+
+// hasPointers reports whether a value of type t holds anything the garbage
+// collector must trace.
+func hasPointers(t reflect.Type) bool {
+	switch t.Kind() {
+	case reflect.Bool, reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+		reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr,
+		reflect.Float32, reflect.Float64, reflect.Complex64, reflect.Complex128:
+		return false
+	case reflect.Array:
+		return t.Len() > 0 && hasPointers(t.Elem())
+	case reflect.Struct:
+		for i := 0; i < t.NumField(); i++ {
+			if hasPointers(t.Field(i).Type) {
+				return true
+			}
+		}
+		return false
+	default:
+		return true
+	}
+}
+
+// TestTempSScratchHoldsNoPointers: every array of the sweep's pooled
+// scratch (and of the variants' fork, which uses the same element types)
+// has a pointer-free element type, so filling it needs no write barriers
+// and the garbage collector never scans it.
+func TestTempSScratchHoldsNoPointers(t *testing.T) {
+	for _, c := range []struct {
+		v    any
+		want bool
+	}{
+		{struct{ p *int }{}, true},
+		{[]int{}, true},
+		{[2]string{}, true},
+		{struct{ a [3]float64 }{}, false},
+	} {
+		if got := hasPointers(reflect.TypeOf(c.v)); got != c.want {
+			t.Fatalf("hasPointers(%T) = %v, want %v", c.v, got, c.want)
+		}
+	}
+	st := reflect.TypeOf(tempSScratch{})
+	for i := 0; i < st.NumField(); i++ {
+		f := st.Field(i)
+		if f.Type.Kind() != reflect.Slice {
+			t.Errorf("tempSScratch.%s is a %s, want a slice", f.Name, f.Type)
+			continue
+		}
+		if hasPointers(f.Type.Elem()) {
+			t.Errorf("tempSScratch.%s holds %s, which has pointers", f.Name, f.Type.Elem())
+		}
+	}
+}

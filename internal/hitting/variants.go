@@ -105,7 +105,7 @@ func solveTempSSearch(in *Instance, search searchFunc) (*Solution, error) {
 	}
 	r := in.NumPoints()
 	sw := make([]float64, p)
-	scut := make([]*cutNode, p)
+	scut := make([]int, p)
 	arena := make([]cutNode, 0, r)
 	rows := make([]row, p)
 	head, tail := 0, -1
@@ -129,14 +129,13 @@ func solveTempSSearch(in *Instance, search searchFunc) (*Solution, error) {
 		default:
 			continue
 		}
-		var prevW float64
-		var prevCut *cutNode
+		prevW, prevCut := 0.0, noCut
 		if gamma >= 0 {
 			prevW, prevCut = sw[gamma], scut[gamma]
 		}
 		w := in.Beta[e] + prevW
+		cut := len(arena)
 		arena = append(arena, cutNode{point: e, prev: prevCut})
-		cut := &arena[len(arena)-1]
 		if s := search(rows, head, tail, w); s <= tail {
 			rows[s] = row{lo: rows[s].lo, hi: rows[tail].hi, w: w, cut: cut}
 			tail = s
@@ -160,5 +159,5 @@ func solveTempSSearch(in *Instance, search searchFunc) (*Solution, error) {
 		}
 		head++
 	}
-	return &Solution{Points: scut[p-1].materialize(), Weight: sw[p-1]}, nil
+	return &Solution{Points: materialize(arena, scut[p-1]), Weight: sw[p-1]}, nil
 }

@@ -82,7 +82,11 @@ func (s *Server) forwardSolve(ctx context.Context, tr *obs.Trace, p *parsedSolve
 		return resolved{}, false
 	}
 	graftSpans(sp, spans, peer)
-	return resolved{frame: body, via: peer}, true
+	// io.ReadAll grew body by doubling; the frame outlives this request in
+	// the cache, so keep exactly its bytes.
+	exact := make([]byte, len(body))
+	copy(exact, body)
+	return resolved{frame: exact, via: peer}, true
 }
 
 // maxSpansTrailer bounds the decoded size of a peer's span-tree trailer. A

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 	"strings"
 	"time"
@@ -194,6 +195,12 @@ func appendString(dst []byte, s string) []byte {
 	return append(dst, s...)
 }
 
+// stringLen is the number of bytes appendString writes for s.
+func stringLen(s string) int { return uvarintLen(uint64(len(s))) + len(s) }
+
+// uvarintLen is the number of bytes binary.AppendUvarint writes for x.
+func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
+
 func appendF64(dst []byte, v float64) []byte {
 	return binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
 }
@@ -363,17 +370,21 @@ func appendSolveResult(dst []byte, fp uint64, res engine.Result, cert *verifyInf
 }
 
 // appendSolveFrame encodes r as a PRS1 frame; DecodeSolveResult is its
-// exact inverse.
+// exact inverse. A nil dst gets one allocation of exactly the frame's
+// length, varints included: the cache keeps the frame long after the
+// request, so no spare capacity may ride along with it.
 func appendSolveFrame(dst []byte, r *SolveResult) []byte {
 	if dst == nil {
-		// One allocation for the whole frame: fixed fields plus worst-case
-		// varints (10 bytes each) and the weight arrays.
-		est := len(solveRespMagic) + 1 + 10 + len(r.Solver) + 8*5 + 10*2 +
-			10*len(r.Cut) + 10 + 8*len(r.ComponentWeights)
-		if r.Verify != nil {
-			est += 10 + len(r.Verify.Criterion) + 1 + 16 + 10 + len(r.Verify.Detail)
+		n := len(solveRespMagic) + 1 + stringLen(r.Solver) + 8*5 +
+			uvarintLen(uint64(r.Iterations)) + uvarintLen(uint64(len(r.Cut))) +
+			uvarintLen(uint64(len(r.ComponentWeights))) + 8*len(r.ComponentWeights)
+		for _, e := range r.Cut {
+			n += uvarintLen(uint64(e))
 		}
-		dst = make([]byte, 0, est)
+		if v := r.Verify; v != nil {
+			n += stringLen(v.Criterion) + 1 + 8*2 + stringLen(v.Detail)
+		}
+		dst = make([]byte, 0, n)
 	}
 	dst = append(dst, solveRespMagic...)
 	var flags byte

@@ -502,8 +502,12 @@ func FuzzDecodeSolveResult(f *testing.F) {
 	f.Add([]byte("PBR1\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00"))
 	f.Fuzz(func(t *testing.T, b []byte) {
 		if r, rest, err := DecodeSolveResult(b); err == nil {
-			if got, want := appendSolveFrame(nil, r), b[:len(b)-len(rest)]; !bytes.Equal(got, want) {
+			got, want := appendSolveFrame(nil, r), b[:len(b)-len(rest)]
+			if !bytes.Equal(got, want) {
 				t.Fatalf("PRS1 frame re-encodes to\n%x\ndecoded from\n%x", got, want)
+			}
+			if cap(got) != len(got) {
+				t.Fatalf("PRS1 frame of %d bytes allocated with capacity %d", len(got), cap(got))
 			}
 		}
 		r, err := DecodeBatchResult(b)
