@@ -16,7 +16,6 @@
 //	BenchmarkCCP*                   — TAB-CMP prior-work chains-on-chains ladder
 //	BenchmarkSumBottleneck          — prior work: Bokhari's linear-array model
 //	BenchmarkHostSatellite          — prior work: host-satellite trees
-//	BenchmarkTempSSearchVariants    — §2.3.2 future-work search ablation
 //	BenchmarkTreeBandwidthExact     — THM1: pseudo-polynomial DP cost
 //	BenchmarkLogicsimProfile        — APP-DES substrate cost
 //	BenchmarkSchedSimulate          — APP-DES/RT replay cost
@@ -137,38 +136,6 @@ func BenchmarkTempSCompressionAblation(b *testing.B) {
 			}
 		}
 	})
-}
-
-// BenchmarkTempSSearchVariants compares the paper's binary-search collapse
-// against the §2.3.2 future-work galloping search and the amortized pop
-// loop, on the same compressed instances.
-func BenchmarkTempSSearchVariants(b *testing.B) {
-	p := benchPath(11, 200000)
-	for _, ratio := range []float64{1.2, 20} {
-		k := ratio * p.MaxNodeWeight()
-		ivs, err := prime.Find(p.NodeW, k)
-		if err != nil {
-			b.Fatal(err)
-		}
-		ci := prime.Compress(p.EdgeW, ivs)
-		in := &hitting.Instance{Beta: ci.Beta, A: ci.A, B: ci.B}
-		for _, v := range []struct {
-			name string
-			f    func(*hitting.Instance) (*hitting.Solution, error)
-		}{
-			{"binary", hitting.SolveTempS},
-			{"gallop", hitting.SolveTempSGallop},
-			{"amortized", hitting.SolveTempSAmortized},
-		} {
-			b.Run(fmt.Sprintf("K=%.1fxWmax/%s", ratio, v.name), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					if _, err := v.f(in); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
-	}
 }
 
 func benchTree(seed uint64, n int) *graph.Tree {

@@ -265,17 +265,6 @@ func WriteTree(w io.Writer, t *Tree) error {
 	return bw.Flush()
 }
 
-// WriteGraph writes g in the text format.
-func WriteGraph(w io.Writer, g *Graph) error {
-	bw := bufio.NewWriter(w)
-	fmt.Fprintf(bw, "graph %d %d\n", g.Len(), len(g.Edges))
-	writeFloats(bw, g.NodeW)
-	for _, e := range g.Edges {
-		fmt.Fprintf(bw, "%d %d %s\n", e.U, e.V, formatWeight(e.W))
-	}
-	return bw.Flush()
-}
-
 func writeFloats(w io.Writer, ws []float64) {
 	for i, v := range ws {
 		if i > 0 {

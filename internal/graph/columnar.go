@@ -18,9 +18,6 @@ type CSR struct {
 	EIdx []int32
 }
 
-// Degree returns the number of arcs incident to v.
-func (c *CSR) Degree(v int) int { return int(c.Off[v+1] - c.Off[v]) }
-
 // Arcs returns the arc index range [lo, hi) of vertex v.
 func (c *CSR) Arcs(v int) (lo, hi int32) { return c.Off[v], c.Off[v+1] }
 

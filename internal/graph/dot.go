@@ -40,18 +40,3 @@ func TreeDOT(w io.Writer, t *Tree, cut []int) error {
 	_, err := io.WriteString(w, b.String())
 	return err
 }
-
-// GraphDOT renders a general graph.
-func GraphDOT(w io.Writer, g *Graph) error {
-	var b strings.Builder
-	b.WriteString("graph task {\n  node [shape=circle];\n")
-	for v, wt := range g.NodeW {
-		fmt.Fprintf(&b, "  n%d [label=\"%d\\n%s\"];\n", v, v, formatWeight(wt))
-	}
-	for _, e := range g.Edges {
-		fmt.Fprintf(&b, "  n%d -- n%d [label=\"%s\"];\n", e.U, e.V, formatWeight(e.W))
-	}
-	b.WriteString("}\n")
-	_, err := io.WriteString(w, b.String())
-	return err
-}

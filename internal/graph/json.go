@@ -98,32 +98,6 @@ func DecodeJSON(data []byte) (any, error) {
 	return g, nil
 }
 
-// ReadJSONPath decodes a path envelope, rejecting other kinds.
-func ReadJSONPath(r io.Reader) (*Path, error) {
-	g, err := ReadJSON(r)
-	if err != nil {
-		return nil, err
-	}
-	p, ok := g.(*Path)
-	if !ok {
-		return nil, fmt.Errorf("expected path, got %T: %w", g, ErrBadFormat)
-	}
-	return p, nil
-}
-
-// ReadJSONTree decodes a tree envelope, rejecting other kinds.
-func ReadJSONTree(r io.Reader) (*Tree, error) {
-	g, err := ReadJSON(r)
-	if err != nil {
-		return nil, err
-	}
-	t, ok := g.(*Tree)
-	if !ok {
-		return nil, fmt.Errorf("expected tree, got %T: %w", g, ErrBadFormat)
-	}
-	return t, nil
-}
-
 // Field positions in graphFields and edgeFields.
 const (
 	fieldKind = iota

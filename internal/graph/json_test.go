@@ -22,12 +22,12 @@ func TestJSONPathRoundTrip(t *testing.T) {
 	if !strings.Contains(buf.String(), `"kind":"path"`) {
 		t.Errorf("missing kind: %s", buf.String())
 	}
-	got, err := ReadJSONPath(bytes.NewReader(buf.Bytes()))
+	got, err := DecodeJSON(buf.Bytes())
 	if err != nil {
-		t.Fatalf("ReadJSONPath: %v", err)
+		t.Fatalf("DecodeJSON: %v", err)
 	}
-	if !reflect.DeepEqual(got, p) {
-		t.Errorf("round trip = %+v, want %+v", got, p)
+	if gp, ok := got.(*Path); !ok || !reflect.DeepEqual(gp, p) {
+		t.Errorf("round trip = %+v (%T), want %+v", got, got, p)
 	}
 }
 
@@ -37,12 +37,12 @@ func TestJSONTreeRoundTrip(t *testing.T) {
 	if err := WriteJSON(&buf, tr); err != nil {
 		t.Fatalf("WriteJSON: %v", err)
 	}
-	got, err := ReadJSONTree(bytes.NewReader(buf.Bytes()))
+	got, err := DecodeJSON(buf.Bytes())
 	if err != nil {
-		t.Fatalf("ReadJSONTree: %v", err)
+		t.Fatalf("DecodeJSON: %v", err)
 	}
-	if !reflect.DeepEqual(got, tr) {
-		t.Errorf("round trip = %+v, want %+v", got, tr)
+	if gt, ok := got.(*Tree); !ok || !reflect.DeepEqual(gt, tr) {
+		t.Errorf("round trip = %+v (%T), want %+v", got, got, tr)
 	}
 }
 
@@ -79,23 +79,6 @@ func TestJSONErrors(t *testing.T) {
 	// Validation still applies.
 	if _, err := ReadJSON(strings.NewReader(`{"kind":"path","nodeWeights":[1,-2],"edgeWeights":[1]}`)); !errors.Is(err, ErrBadWeight) {
 		t.Errorf("invalid weight: %v", err)
-	}
-	// Kind mismatch helpers.
-	var tb bytes.Buffer
-	tr := mustTree(t, []float64{1, 2}, []Edge{{0, 1, 1}})
-	if err := WriteJSON(&tb, tr); err != nil {
-		t.Fatalf("WriteJSON: %v", err)
-	}
-	if _, err := ReadJSONPath(bytes.NewReader(tb.Bytes())); !errors.Is(err, ErrBadFormat) {
-		t.Errorf("tree as path: %v", err)
-	}
-	var pb bytes.Buffer
-	p := mustPath(t, []float64{1, 2}, []float64{1})
-	if err := WriteJSON(&pb, p); err != nil {
-		t.Fatalf("WriteJSON: %v", err)
-	}
-	if _, err := ReadJSONTree(bytes.NewReader(pb.Bytes())); !errors.Is(err, ErrBadFormat) {
-		t.Errorf("path as tree: %v", err)
 	}
 }
 

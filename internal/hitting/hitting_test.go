@@ -324,62 +324,6 @@ func TestTempSEqualsNaiveProperty(t *testing.T) {
 	}
 }
 
-func TestGeneralSolvers(t *testing.T) {
-	g := &GeneralInstance{
-		Sets:   [][]int{{0, 1}, {1, 2}, {2, 3}},
-		Weight: []float64{1, 5, 1, 5},
-	}
-	exact, err := SolveGeneralExact(g)
-	if err != nil {
-		t.Fatalf("exact: %v", err)
-	}
-	if exact.Weight != 2 {
-		t.Errorf("exact weight = %v, want 2 (points %v)", exact.Weight, exact.Points)
-	}
-	greedy, err := SolveGeneralGreedy(g)
-	if err != nil {
-		t.Fatalf("greedy: %v", err)
-	}
-	if greedy.Weight < exact.Weight-1e-9 {
-		t.Errorf("greedy %v beat exact %v", greedy.Weight, exact.Weight)
-	}
-}
-
-func TestGeneralValidate(t *testing.T) {
-	bad := []GeneralInstance{
-		{Sets: [][]int{{}}, Weight: []float64{1}},
-		{Sets: [][]int{{1}}, Weight: []float64{1}},
-		{Sets: [][]int{{0}}, Weight: []float64{-1}},
-	}
-	for i, g := range bad {
-		if err := g.Validate(); !errors.Is(err, ErrBadInstance) {
-			t.Errorf("case %d: error = %v, want ErrBadInstance", i, err)
-		}
-	}
-}
-
-func TestGeneralMatchesStructuredOnIntervals(t *testing.T) {
-	r := workload.NewRNG(31337)
-	for trial := 0; trial < 100; trial++ {
-		in := randomInstance(r, 14)
-		g := FromIntervals(in)
-		structured, err := SolveTempS(in)
-		if err != nil {
-			t.Fatalf("TempS: %v", err)
-		}
-		if len(g.Sets) == 0 {
-			continue
-		}
-		general, err := SolveGeneralExact(g)
-		if err != nil {
-			t.Fatalf("general exact: %v", err)
-		}
-		if math.Abs(structured.Weight-general.Weight) > 1e-9 {
-			t.Fatalf("structured %v != general %v on %+v", structured.Weight, general.Weight, in)
-		}
-	}
-}
-
 // hasPointers reports whether a value of type t holds anything the garbage
 // collector must trace.
 func hasPointers(t reflect.Type) bool {
@@ -403,7 +347,8 @@ func hasPointers(t reflect.Type) bool {
 }
 
 // TestTempSScratchHoldsNoPointers: every array of the sweep's pooled
-// scratch (and of the variants' fork, which uses the same element types)
+// scratch (and of the search variants' fork in variants_test.go, which
+// uses the same element types)
 // has a pointer-free element type, so filling it needs no write barriers
 // and the garbage collector never scans it.
 func TestTempSScratchHoldsNoPointers(t *testing.T) {

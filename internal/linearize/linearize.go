@@ -82,51 +82,6 @@ func BFSBands(g *graph.Graph, seed int) (*Banding, error) {
 	return buildBanding(g, band, levels)
 }
 
-// DFSChunks builds a banding by cutting the depth-first visit order into
-// the given number of equal-size chunks. Unlike BFS banding, DFS chunking
-// can place an edge between non-adjacent chunks; such edge weight is folded
-// into the nearer-of-the-two path edges and reported in SkippedWeight by
-// Quality. BFSBands is the principled construction; DFSChunks exists as the
-// ablation contrast.
-func DFSChunks(g *graph.Graph, chunks int) (*Banding, error) {
-	if err := g.Validate(); err != nil {
-		return nil, err
-	}
-	if chunks < 1 {
-		chunks = 1
-	}
-	n := g.Len()
-	if chunks > n {
-		chunks = n
-	}
-	adj := g.Adjacency()
-	visited := make([]bool, n)
-	order := make([]int, 0, n)
-	stack := []int{0}
-	visited[0] = true
-	for len(stack) > 0 {
-		v := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		order = append(order, v)
-		for i := len(adj[v]) - 1; i >= 0; i-- {
-			to := adj[v][i].To
-			if !visited[to] {
-				visited[to] = true
-				stack = append(stack, to)
-			}
-		}
-	}
-	if len(order) != n {
-		return nil, fmt.Errorf("visited %d of %d vertices: %w", len(order), n, ErrDisconnected)
-	}
-	band := make([]int, n)
-	for pos, v := range order {
-		b := pos * chunks / n
-		band[v] = b
-	}
-	return buildBanding(g, band, chunks)
-}
-
 func buildBanding(g *graph.Graph, band []int, levels int) (*Banding, error) {
 	nodeW := make([]float64, levels)
 	bands := make([][]int, levels)
@@ -145,9 +100,7 @@ func buildBanding(g *graph.Graph, band []int, levels int) (*Banding, error) {
 		if bu > bv {
 			bu, bv = bv, bu
 		}
-		// Edges between non-adjacent bands (possible only for DFSChunks)
-		// are charged to the edge after their lower band; Quality reports
-		// the distortion.
+		// BFS levels of an edge's ends differ by one, so bv == bu+1.
 		edgeW[bu] += e.W
 	}
 	p, err := graph.NewPath(nodeW, edgeW)

@@ -55,51 +55,6 @@ func TestBFSBandsErrors(t *testing.T) {
 	if _, err := BFSBands(disc, 0); !errors.Is(err, ErrDisconnected) {
 		t.Errorf("disconnected: %v", err)
 	}
-	if _, err := DFSChunks(disc, 2); !errors.Is(err, ErrDisconnected) {
-		t.Errorf("dfs disconnected: %v", err)
-	}
-}
-
-func TestDFSChunksPreservesWeight(t *testing.T) {
-	r := workload.NewRNG(11)
-	tr := workload.RandomTree(r, 60, workload.UniformWeights(1, 10), workload.UniformWeights(1, 5))
-	g, err := graph.NewGraph(tr.NodeW, tr.Edges)
-	if err != nil {
-		t.Fatalf("NewGraph: %v", err)
-	}
-	b, err := DFSChunks(g, 8)
-	if err != nil {
-		t.Fatalf("DFSChunks: %v", err)
-	}
-	if b.Path.Len() != 8 {
-		t.Errorf("chunks = %d, want 8", b.Path.Len())
-	}
-	if math.Abs(b.Path.TotalNodeWeight()-g.TotalNodeWeight()) > 1e-9 {
-		t.Errorf("node weight not preserved")
-	}
-	q := b.Quality(g)
-	total := q.AdjacentWeight + q.InternalWeight + q.SkippedWeight
-	if math.Abs(total-g.TotalEdgeWeight()) > 1e-9 {
-		t.Errorf("quality total %v != %v", total, g.TotalEdgeWeight())
-	}
-}
-
-func TestDFSChunksClamping(t *testing.T) {
-	g := ringGraph(t, []float64{1, 1, 1}, []float64{1, 1, 1})
-	b, err := DFSChunks(g, 100)
-	if err != nil {
-		t.Fatalf("DFSChunks: %v", err)
-	}
-	if b.Path.Len() != 3 {
-		t.Errorf("chunks = %d, want clamp to 3", b.Path.Len())
-	}
-	b, err = DFSChunks(g, 0)
-	if err != nil {
-		t.Fatalf("DFSChunks(0): %v", err)
-	}
-	if b.Path.Len() != 1 {
-		t.Errorf("chunks = %d, want 1", b.Path.Len())
-	}
 }
 
 func TestProjectCutWeightMatches(t *testing.T) {

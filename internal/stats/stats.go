@@ -1,113 +1,13 @@
-// Package stats provides the small statistical and tabular-output helpers
-// used by the experiment harness: summary statistics, histograms, aligned
-// text tables, and CSV output.
+// Package stats provides the tabular-output helpers used by the experiment
+// harness: aligned text tables and CSV output.
 package stats
 
 import (
-	"errors"
 	"fmt"
 	"io"
 	"math"
-	"sort"
 	"strings"
 )
-
-// ErrEmpty is returned by statistics that need at least one sample.
-var ErrEmpty = errors.New("stats: empty sample")
-
-// Mean returns the arithmetic mean.
-func Mean(xs []float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	var s float64
-	for _, x := range xs {
-		s += x
-	}
-	return s / float64(len(xs)), nil
-}
-
-// Std returns the population standard deviation.
-func Std(xs []float64) (float64, error) {
-	m, err := Mean(xs)
-	if err != nil {
-		return 0, err
-	}
-	var s float64
-	for _, x := range xs {
-		d := x - m
-		s += d * d
-	}
-	return math.Sqrt(s / float64(len(xs))), nil
-}
-
-// MinMax returns the smallest and largest sample.
-func MinMax(xs []float64) (minV, maxV float64, err error) {
-	if len(xs) == 0 {
-		return 0, 0, ErrEmpty
-	}
-	minV, maxV = xs[0], xs[0]
-	for _, x := range xs[1:] {
-		if x < minV {
-			minV = x
-		}
-		if x > maxV {
-			maxV = x
-		}
-	}
-	return minV, maxV, nil
-}
-
-// Percentile returns the p-th percentile (0 ≤ p ≤ 100) by nearest-rank.
-func Percentile(xs []float64, p float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	if p < 0 || p > 100 {
-		return 0, fmt.Errorf("percentile %v out of [0,100]: %w", p, ErrEmpty)
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	rank := int(math.Ceil(p / 100 * float64(len(sorted))))
-	if rank < 1 {
-		rank = 1
-	}
-	return sorted[rank-1], nil
-}
-
-// Histogram counts samples into equal-width buckets over [lo, hi].
-type Histogram struct {
-	Lo, Hi  float64
-	Counts  []int
-	Under   int
-	Over    int
-	Samples int
-}
-
-// NewHistogram creates a histogram with the given bucket count.
-func NewHistogram(lo, hi float64, buckets int) (*Histogram, error) {
-	if !(hi > lo) || buckets <= 0 {
-		return nil, fmt.Errorf("range [%v,%v] buckets %d: %w", lo, hi, buckets, ErrEmpty)
-	}
-	return &Histogram{Lo: lo, Hi: hi, Counts: make([]int, buckets)}, nil
-}
-
-// Add records one sample.
-func (h *Histogram) Add(x float64) {
-	h.Samples++
-	switch {
-	case x < h.Lo:
-		h.Under++
-	case x >= h.Hi:
-		h.Over++
-	default:
-		i := int((x - h.Lo) / (h.Hi - h.Lo) * float64(len(h.Counts)))
-		if i >= len(h.Counts) {
-			i = len(h.Counts) - 1
-		}
-		h.Counts[i]++
-	}
-}
 
 // Table renders aligned columns of strings.
 type Table struct {

@@ -2,77 +2,10 @@ package stats
 
 import (
 	"bytes"
-	"errors"
 	"math"
 	"strings"
 	"testing"
 )
-
-func TestMeanStd(t *testing.T) {
-	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
-	m, err := Mean(xs)
-	if err != nil || m != 5 {
-		t.Errorf("Mean = %v, %v; want 5", m, err)
-	}
-	s, err := Std(xs)
-	if err != nil || s != 2 {
-		t.Errorf("Std = %v, %v; want 2", s, err)
-	}
-	if _, err := Mean(nil); !errors.Is(err, ErrEmpty) {
-		t.Errorf("empty mean: %v", err)
-	}
-	if _, err := Std(nil); !errors.Is(err, ErrEmpty) {
-		t.Errorf("empty std: %v", err)
-	}
-}
-
-func TestMinMax(t *testing.T) {
-	lo, hi, err := MinMax([]float64{3, -1, 7, 0})
-	if err != nil || lo != -1 || hi != 7 {
-		t.Errorf("MinMax = %v %v %v", lo, hi, err)
-	}
-	if _, _, err := MinMax(nil); !errors.Is(err, ErrEmpty) {
-		t.Errorf("empty: %v", err)
-	}
-}
-
-func TestPercentile(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
-	for _, tt := range []struct{ p, want float64 }{{50, 5}, {90, 9}, {100, 10}, {0, 1}} {
-		got, err := Percentile(xs, tt.p)
-		if err != nil || got != tt.want {
-			t.Errorf("Percentile(%v) = %v, %v; want %v", tt.p, got, err, tt.want)
-		}
-	}
-	if _, err := Percentile(xs, 101); err == nil {
-		t.Error("out of range percentile accepted")
-	}
-	if _, err := Percentile(nil, 50); !errors.Is(err, ErrEmpty) {
-		t.Errorf("empty: %v", err)
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	h, err := NewHistogram(0, 10, 5)
-	if err != nil {
-		t.Fatalf("NewHistogram: %v", err)
-	}
-	for _, x := range []float64{-1, 0, 1.9, 2, 5, 9.99, 10, 42} {
-		h.Add(x)
-	}
-	if h.Under != 1 || h.Over != 2 || h.Samples != 8 {
-		t.Errorf("under/over/samples = %d/%d/%d", h.Under, h.Over, h.Samples)
-	}
-	wantCounts := []int{2, 1, 1, 0, 1}
-	for i, c := range wantCounts {
-		if h.Counts[i] != c {
-			t.Errorf("bucket %d = %d, want %d (all %v)", i, h.Counts[i], c, h.Counts)
-		}
-	}
-	if _, err := NewHistogram(5, 5, 3); err == nil {
-		t.Error("degenerate range accepted")
-	}
-}
 
 func TestTableRender(t *testing.T) {
 	tab := NewTable("name", "n", "value")

@@ -1,7 +1,7 @@
 // Package treecut addresses the NP-complete side of the paper: bandwidth
 // minimization on tree task graphs (§2.3, Theorem 1). It provides
 //
-//   - 0-1 knapsack solvers (the problem Theorem 1 reduces from),
+//   - a 0-1 knapsack solver (the problem Theorem 1 reduces from),
 //   - the Theorem 1 reduction in both directions, as executable code,
 //   - an exact pseudo-polynomial DP for tree bandwidth minimization with
 //     integer vertex weights,
@@ -84,70 +84,6 @@ func KnapsackDP(items []KnapsackItem, capacity int) (*KnapsackResult, error) {
 			c -= items[i].Weight
 		}
 	}
-	sort.Ints(res.Chosen)
-	return res, nil
-}
-
-// KnapsackBB solves 0-1 knapsack exactly by branch and bound with the
-// fractional-relaxation upper bound. Exponential worst case; fine for the
-// small instances the reduction tests use.
-func KnapsackBB(items []KnapsackItem, capacity int) (*KnapsackResult, error) {
-	if capacity < 0 {
-		return nil, fmt.Errorf("capacity %d: %w", capacity, ErrBadInput)
-	}
-	for i, it := range items {
-		if it.Weight < 0 || it.Profit < 0 || math.IsNaN(it.Profit) || math.IsInf(it.Profit, 0) {
-			return nil, fmt.Errorf("item %d = %+v: %w", i, it, ErrBadInput)
-		}
-	}
-	// Sort by profit density for the fractional bound.
-	order := make([]int, len(items))
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool {
-		ia, ib := items[order[a]], items[order[b]]
-		wa, wb := math.Max(float64(ia.Weight), 1e-12), math.Max(float64(ib.Weight), 1e-12)
-		return ia.Profit/wa > ib.Profit/wb
-	})
-	bestProfit := -1.0
-	var bestChosen []int
-	var cur []int
-	var rec func(pos, cap int, profit float64)
-	bound := func(pos, cap int, profit float64) float64 {
-		b := profit
-		for _, idx := range order[pos:] {
-			it := items[idx]
-			if it.Weight <= cap {
-				cap -= it.Weight
-				b += it.Profit
-			} else {
-				if it.Weight > 0 {
-					b += it.Profit * float64(cap) / float64(it.Weight)
-				}
-				break
-			}
-		}
-		return b
-	}
-	rec = func(pos, cap int, profit float64) {
-		if profit > bestProfit {
-			bestProfit = profit
-			bestChosen = append(bestChosen[:0], cur...)
-		}
-		if pos == len(order) || bound(pos, cap, profit) <= bestProfit+1e-12 {
-			return
-		}
-		it := items[order[pos]]
-		if it.Weight <= cap {
-			cur = append(cur, order[pos])
-			rec(pos+1, cap-it.Weight, profit+it.Profit)
-			cur = cur[:len(cur)-1]
-		}
-		rec(pos+1, cap, profit)
-	}
-	rec(0, capacity, 0)
-	res := &KnapsackResult{Profit: bestProfit, Chosen: append([]int(nil), bestChosen...)}
 	sort.Ints(res.Chosen)
 	return res, nil
 }

@@ -79,31 +79,8 @@ func TestKnapsackDPErrors(t *testing.T) {
 	if _, err := KnapsackDP([]KnapsackItem{{Weight: -1, Profit: 1}}, 5); !errors.Is(err, ErrBadInput) {
 		t.Errorf("negative weight: %v", err)
 	}
-	if _, err := KnapsackBB([]KnapsackItem{{Weight: 1, Profit: math.NaN()}}, 5); !errors.Is(err, ErrBadInput) {
+	if _, err := KnapsackDP([]KnapsackItem{{Weight: 1, Profit: math.NaN()}}, 5); !errors.Is(err, ErrBadInput) {
 		t.Errorf("nan profit: %v", err)
-	}
-}
-
-func TestKnapsackBBMatchesDP(t *testing.T) {
-	r := workload.NewRNG(42)
-	for trial := 0; trial < 200; trial++ {
-		n := 1 + r.Intn(14)
-		items := make([]KnapsackItem, n)
-		for i := range items {
-			items[i] = KnapsackItem{Weight: r.Intn(20), Profit: float64(r.Intn(50))}
-		}
-		capacity := r.Intn(60)
-		dp, err := KnapsackDP(items, capacity)
-		if err != nil {
-			t.Fatalf("dp: %v", err)
-		}
-		bb, err := KnapsackBB(items, capacity)
-		if err != nil {
-			t.Fatalf("bb: %v", err)
-		}
-		if math.Abs(dp.Profit-bb.Profit) > 1e-9 {
-			t.Fatalf("DP profit %v != BB profit %v on %+v cap %d", dp.Profit, bb.Profit, items, capacity)
-		}
 	}
 }
 
