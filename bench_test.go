@@ -334,11 +334,11 @@ func TestTreeSolverAllocBudget(t *testing.T) {
 		budget float64
 		solve  solveFunc
 	}{
-		{"bottleneck", 10000, 4, 12, byBound(core.Bottleneck)},
-		{"minproc", 10000, 5, 32, byBound(core.MinProcessors)},
-		{"partition-tree", 10000, 6, 48, byBound(core.PartitionTree)},
-		{"summax-tree", 1000, 7, 20, byParts(core.SumOfMaxTree, 10)},
-		{"maxmin-tree", 10000, 8, 24, byParts(core.MaxMinTree, 16)},
+		{"bottleneck", 10000, 4, 9, byBound(core.Bottleneck)},
+		{"minproc", 10000, 5, 30, byBound(core.MinProcessors)},
+		{"partition-tree", 10000, 6, 43, byBound(core.PartitionTree)},
+		{"summax-tree", 1000, 7, 18, byParts(core.SumOfMaxTree, 10)},
+		{"maxmin-tree", 10000, 8, 21, byParts(core.MaxMinTree, 16)},
 	} {
 		tr := benchTree(c.seed, c.n)
 		avg := testing.AllocsPerRun(20, func() {
@@ -372,10 +372,10 @@ func bytesPerRun(runs int, f func()) uint64 {
 // bytes. Prime extraction and the TEMP_S sweep run in pooled scratch sized
 // once per high-water mark, so a warm prime.Scratch.Analyze allocates
 // nothing. A solve allocates its answer (the partition, the hitting-set
-// solution, its points, which become the cut, and the component weights)
-// and three span attributes, boxed even when the solve is not traced.
+// solution, its points, which become the cut, and the component weights);
+// its span attributes box their values only when the solve is traced.
 func TestPathSolverAllocBudget(t *testing.T) {
-	const n, budget, byteBudget = 10000, 7, 28 << 10
+	const n, budget, byteBudget = 10000, 4, 28 << 10
 	if raceEnabled {
 		t.Skip("sync.Pool drops pooled scratch at random under the race detector")
 	}

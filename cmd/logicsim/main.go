@@ -103,8 +103,8 @@ func run() error {
 			return err
 		}
 		q := banding.Quality(pg)
-		fmt.Printf("linearize: BFS banding into %d bands (internal %.0f, adjacent %.0f, skipped %.0f edge weight)\n",
-			banding.Path.Len(), q.InternalWeight, q.AdjacentWeight, q.SkippedWeight)
+		fmt.Printf("linearize: BFS banding into %d bands (internal %.0f, adjacent %.0f edge weight)\n",
+			banding.Path.Len(), q.InternalWeight, q.AdjacentWeight)
 		path = banding.Path
 	}
 

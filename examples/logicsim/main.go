@@ -47,9 +47,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	q := banding.Quality(pg)
-	fmt.Printf("process graph: %d vertices, %d wires → %d BFS bands (skipped weight %.0f)\n",
-		pg.Len(), len(pg.Edges), banding.Path.Len(), q.SkippedWeight)
+	fmt.Printf("process graph: %d vertices, %d wires → %d BFS bands\n",
+		pg.Len(), len(pg.Edges), banding.Path.Len())
 
 	const procs = 8
 	path := banding.Path

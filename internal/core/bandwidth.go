@@ -79,8 +79,8 @@ func bandwidthTempS(ctx context.Context, p *graph.Path, k float64, tr *hitting.T
 		}
 		return nil, 0, err
 	}
-	sp.SetAttr("primeSubpaths", len(ivs))
-	sp.SetAttr("nonRedundantEdges", len(inst.Beta))
+	obs.SetAttr(sp, "primeSubpaths", len(ivs))
+	obs.SetAttr(sp, "nonRedundantEdges", len(inst.Beta))
 	sp.End()
 	// The instance lives in pooled scratch: it only needs to outlive the DP
 	// sweep below, and keeping it out of the heap saves an allocation per
@@ -92,7 +92,7 @@ func bandwidthTempS(ctx context.Context, p *graph.Path, k float64, tr *hitting.T
 	// Analyze builds a valid instance, so the sweep does not re-check it.
 	dctx, sp := obs.StartSpan(ctx, "temps-dp")
 	sol, iters, err := hitting.SolveTempSCtx(dctx, hin, tr)
-	sp.SetAttr("iterations", iters)
+	obs.SetAttr(sp, "iterations", iters)
 	sp.End()
 	if err != nil {
 		return nil, iters, err
@@ -154,9 +154,12 @@ func (s *dpState) finish(p *graph.Path, k float64) (*PathPartition, error) {
 	return newPathPartition(p, s.reconstruct(bestI), k)
 }
 
-// BandwidthDeque solves bandwidth minimization with the prefix DP and a
-// monotone deque for the sliding-window minimum: O(n) time.
-func BandwidthDeque(ctx context.Context, p *graph.Path, k float64) (*PathPartition, int64, error) {
+// prefixDP is the harness the three prefix-DP baselines share. It
+// normalizes ctx, answers at once when the uncut path fits (prepDP), and
+// otherwise runs sweep once inside a "dp-sweep" span tagged with the edge
+// count, then reads the optimum off in a "finish-scan" span. sweep fills
+// s.f and s.parent for every edge, polling tk; it may annotate sp.
+func prefixDP(ctx context.Context, p *graph.Path, k float64, sweep func(sc *scratch, s *dpState, tk *ticker, sp *obs.Span) error) (*PathPartition, int64, error) {
 	ctx, err := enter(ctx)
 	if err != nil {
 		return nil, 0, err
@@ -168,51 +171,62 @@ func BandwidthDeque(ctx context.Context, p *graph.Path, k float64) (*PathPartiti
 	if done != nil || err != nil {
 		return done, 0, err
 	}
-	n := p.Len()
-	// Deque of candidate predecessor cut indices with increasing f; -1 is
-	// the virtual "no previous cut" candidate with f = 0.
-	fval := func(j int) float64 {
-		if j < 0 {
-			return 0
-		}
-		return s.f[j]
+	sp := obs.Phase(ctx, "dp-sweep")
+	obs.SetAttr(sp, "edges", p.Len()-1)
+	err = sweep(sc, s, tk, sp)
+	sp.End()
+	if err != nil {
+		return nil, tk.n, err
 	}
-	// Candidates appear in increasing j and increasing f, so both the window
-	// eviction (front) and the dominance eviction (back) are valid.
-	sc.deque = grow(sc.deque, n)
-	deque := sc.deque[:0]
-	deque = append(deque, -1)
-	sweep := obs.Phase(ctx, "dp-sweep")
-	sweep.SetAttr("edges", n-1)
-	for i := 0; i < n-1; i++ {
-		if err := tk.tick(); err != nil {
-			sweep.End()
-			return nil, tk.n, err
-		}
-		// Evict candidates j whose segment v_{j+1}..v_i exceeds K.
-		for len(deque) > 0 && s.prefix[i+1]-s.prefix[deque[0]+1] > k {
-			deque = deque[1:]
-		}
-		if len(deque) == 0 {
-			s.f[i] = math.Inf(1)
-			s.parent[i] = -2
-		} else {
-			s.f[i] = p.EdgeW[i] + fval(deque[0])
-			s.parent[i] = deque[0]
-		}
-		// Insert candidate i for subsequent edges.
-		if !math.IsInf(s.f[i], 1) {
-			for len(deque) > 0 && fval(deque[len(deque)-1]) >= s.f[i] {
-				deque = deque[:len(deque)-1]
-			}
-			deque = append(deque, i)
-		}
-	}
-	sweep.End()
 	fin := obs.Phase(ctx, "finish-scan")
 	pp, err := s.finish(p, k)
 	fin.End()
 	return pp, tk.n, err
+}
+
+// BandwidthDeque solves bandwidth minimization with the prefix DP and a
+// monotone deque for the sliding-window minimum: O(n) time.
+func BandwidthDeque(ctx context.Context, p *graph.Path, k float64) (*PathPartition, int64, error) {
+	return prefixDP(ctx, p, k, func(sc *scratch, s *dpState, tk *ticker, _ *obs.Span) error {
+		n := p.Len()
+		// Deque of candidate predecessor cut indices with increasing f; -1 is
+		// the virtual "no previous cut" candidate with f = 0.
+		fval := func(j int) float64 {
+			if j < 0 {
+				return 0
+			}
+			return s.f[j]
+		}
+		// Candidates appear in increasing j and increasing f, so both the
+		// window eviction (front) and the dominance eviction (back) are valid.
+		sc.deque = grow(sc.deque, n)
+		deque := sc.deque[:0]
+		deque = append(deque, -1)
+		for i := 0; i < n-1; i++ {
+			if err := tk.tick(); err != nil {
+				return err
+			}
+			// Evict candidates j whose segment v_{j+1}..v_i exceeds K.
+			for len(deque) > 0 && s.prefix[i+1]-s.prefix[deque[0]+1] > k {
+				deque = deque[1:]
+			}
+			if len(deque) == 0 {
+				s.f[i] = math.Inf(1)
+				s.parent[i] = -2
+			} else {
+				s.f[i] = p.EdgeW[i] + fval(deque[0])
+				s.parent[i] = deque[0]
+			}
+			// Insert candidate i for subsequent edges.
+			if !math.IsInf(s.f[i], 1) {
+				for len(deque) > 0 && fval(deque[len(deque)-1]) >= s.f[i] {
+					deque = deque[:len(deque)-1]
+				}
+				deque = append(deque, i)
+			}
+		}
+		return nil
+	})
 }
 
 // heapItem pairs a candidate predecessor with its f value.
@@ -237,57 +251,41 @@ func (h *minHeap) pushItem(x heapItem) { heap.Push(h, x) }
 // previously known algorithm (Nicol & O'Hallaron 1991) that the paper
 // compares against.
 func BandwidthHeap(ctx context.Context, p *graph.Path, k float64) (*PathPartition, int64, error) {
-	ctx, err := enter(ctx)
-	if err != nil {
-		return nil, 0, err
-	}
-	tk := newTicker(ctx)
-	sc := getScratch()
-	defer sc.release()
-	done, s, err := sc.prepDP(p, k)
-	if done != nil || err != nil {
-		return done, 0, err
-	}
-	n := p.Len()
-	// The heap holds at most one candidate per edge plus the virtual root.
-	if cap(sc.heapBuf) < n+1 {
-		sc.heapBuf = make(minHeap, 0, n+1)
-	}
-	h := &sc.heapBuf
-	*h = append((*h)[:0], heapItem{j: -1, f: 0})
-	// winLo tracks the smallest predecessor index still inside the window;
-	// heap entries below it are stale and lazily discarded.
-	winLo := -1
-	sweep := obs.Phase(ctx, "dp-sweep")
-	sweep.SetAttr("edges", n-1)
-	for i := 0; i < n-1; i++ {
-		if err := tk.tick(); err != nil {
-			sweep.End()
-			return nil, tk.n, err
+	return prefixDP(ctx, p, k, func(sc *scratch, s *dpState, tk *ticker, _ *obs.Span) error {
+		n := p.Len()
+		// The heap holds at most one candidate per edge plus the virtual root.
+		if cap(sc.heapBuf) < n+1 {
+			sc.heapBuf = make(minHeap, 0, n+1)
 		}
-		for winLo <= i && s.prefix[i+1]-s.prefix[winLo+1] > k {
-			winLo++
+		h := &sc.heapBuf
+		*h = append((*h)[:0], heapItem{j: -1, f: 0})
+		// winLo tracks the smallest predecessor index still inside the
+		// window; heap entries below it are stale and lazily discarded.
+		winLo := -1
+		for i := 0; i < n-1; i++ {
+			if err := tk.tick(); err != nil {
+				return err
+			}
+			for winLo <= i && s.prefix[i+1]-s.prefix[winLo+1] > k {
+				winLo++
+			}
+			for h.Len() > 0 && h.peek().j < winLo {
+				h.popItem()
+			}
+			if h.Len() == 0 {
+				s.f[i] = math.Inf(1)
+				s.parent[i] = -2
+			} else {
+				top := h.peek()
+				s.f[i] = p.EdgeW[i] + top.f
+				s.parent[i] = top.j
+			}
+			if !math.IsInf(s.f[i], 1) {
+				h.pushItem(heapItem{j: i, f: s.f[i]})
+			}
 		}
-		for h.Len() > 0 && h.peek().j < winLo {
-			h.popItem()
-		}
-		if h.Len() == 0 {
-			s.f[i] = math.Inf(1)
-			s.parent[i] = -2
-		} else {
-			top := h.peek()
-			s.f[i] = p.EdgeW[i] + top.f
-			s.parent[i] = top.j
-		}
-		if !math.IsInf(s.f[i], 1) {
-			h.pushItem(heapItem{j: i, f: s.f[i]})
-		}
-	}
-	sweep.End()
-	fin := obs.Phase(ctx, "finish-scan")
-	pp, err := s.finish(p, k)
-	fin.End()
-	return pp, tk.n, err
+		return nil
+	})
 }
 
 // BandwidthNaive solves bandwidth minimization with the prefix DP, scanning
@@ -298,51 +296,35 @@ func BandwidthHeap(ctx context.Context, p *graph.Path, k float64) (*PathPartitio
 // The poll sits in the inner window scan, so even a single quadratic-width
 // window observes cancellation promptly.
 func BandwidthNaive(ctx context.Context, p *graph.Path, k float64) (*PathPartition, int64, error) {
-	ctx, err := enter(ctx)
-	if err != nil {
-		return nil, 0, err
-	}
-	tk := newTicker(ctx)
-	sc := getScratch()
-	defer sc.release()
-	done, s, err := sc.prepDP(p, k)
-	if done != nil || err != nil {
-		return done, 0, err
-	}
-	n := p.Len()
-	sweep := obs.Phase(ctx, "dp-sweep")
-	sweep.SetAttr("edges", n-1)
-	for i := 0; i < n-1; i++ {
-		best := math.Inf(1)
-		parent := -2
-		for j := i - 1; j >= -1; j-- {
-			if err := tk.tick(); err != nil {
-				sweep.End()
-				return nil, tk.n, err
+	return prefixDP(ctx, p, k, func(_ *scratch, s *dpState, tk *ticker, sp *obs.Span) error {
+		n := p.Len()
+		for i := 0; i < n-1; i++ {
+			best := math.Inf(1)
+			parent := -2
+			for j := i - 1; j >= -1; j-- {
+				if err := tk.tick(); err != nil {
+					return err
+				}
+				if s.prefix[i+1]-s.prefix[j+1] > k {
+					break
+				}
+				fj := 0.0
+				if j >= 0 {
+					fj = s.f[j]
+				}
+				if fj < best {
+					best, parent = fj, j
+				}
 			}
-			if s.prefix[i+1]-s.prefix[j+1] > k {
-				break
+			if math.IsInf(best, 1) {
+				s.f[i] = best
+				s.parent[i] = -2
+				continue
 			}
-			fj := 0.0
-			if j >= 0 {
-				fj = s.f[j]
-			}
-			if fj < best {
-				best, parent = fj, j
-			}
+			s.f[i] = p.EdgeW[i] + best
+			s.parent[i] = parent
 		}
-		if math.IsInf(best, 1) {
-			s.f[i] = best
-			s.parent[i] = -2
-			continue
-		}
-		s.f[i] = p.EdgeW[i] + best
-		s.parent[i] = parent
-	}
-	sweep.SetAttr("iterations", tk.n)
-	sweep.End()
-	fin := obs.Phase(ctx, "finish-scan")
-	pp, err := s.finish(p, k)
-	fin.End()
-	return pp, tk.n, err
+		obs.SetAttr(sp, "iterations", tk.n)
+		return nil
+	})
 }

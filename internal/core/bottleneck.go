@@ -319,7 +319,7 @@ func bottleneckCut(ctx context.Context, t *graph.Tree, k float64, sweep bool, sc
 		bk.order = sortedEdgeOrder(t, sc)
 	}
 	order := bk.order
-	sp.SetAttr("edges", len(order))
+	obs.SetAttr(sp, "edges", len(order))
 	sp.End()
 	// One span for the whole feasibility sweep in both modes: a span per
 	// greedy probe would cost O(n) allocations on traced solves for no extra
@@ -332,7 +332,7 @@ func bottleneckCut(ctx context.Context, t *graph.Tree, k float64, sweep bool, sc
 			ss.End()
 			return nil, tk.n, err
 		}
-		ss.SetAttr("edges", tk.n)
+		obs.SetAttr(ss, "edges", tk.n)
 	} else {
 		// Every edge cut leaves single vertices, all ≤ K by the check above,
 		// so the loop stops by cnt = len(order).
@@ -346,9 +346,9 @@ func bottleneckCut(ctx context.Context, t *graph.Tree, k float64, sweep bool, sc
 				break
 			}
 		}
-		ss.SetAttr("probes", cnt+1)
+		obs.SetAttr(ss, "probes", cnt+1)
 	}
-	ss.SetAttr("prefix", cnt)
+	obs.SetAttr(ss, "prefix", cnt)
 	ss.End()
 	return prefixCut(order, cnt, sc), tk.n, nil
 }

@@ -36,41 +36,31 @@ var (
 	ErrBadBound = errors.New("core: bound K must be positive and finite")
 )
 
-// PathPartition is the result of partitioning a linear task graph.
-type PathPartition struct {
-	// Cut lists the removed edge indices in increasing order.
+// Partition is the result of partitioning a linear or tree task graph.
+type Partition struct {
+	// Cut lists the removed edge indices (into Path.EdgeW or Tree.Edges) in
+	// increasing order.
 	Cut []int
-	// CutWeight is β(Cut), the total communication ("bandwidth") crossing
-	// the partition.
+	// CutWeight is the total weight of the cut edges: β(Cut) on a path,
+	// δ(Cut) on a tree, the communication ("bandwidth") crossing the
+	// partition.
 	CutWeight float64
 	// Bottleneck is the largest single cut-edge weight, 0 for an empty cut.
 	Bottleneck float64
-	// ComponentWeights are the component loads left to right.
+	// ComponentWeights are the component loads, left to right on a path.
 	ComponentWeights []float64
 	// K is the execution-time bound the partition satisfies.
 	K float64
 }
 
-// NumComponents returns the number of connected components (processors used).
-func (pp *PathPartition) NumComponents() int { return len(pp.ComponentWeights) }
-
-// TreePartition is the result of partitioning a tree task graph.
-type TreePartition struct {
-	// Cut lists the removed edge indices (into Tree.Edges) in increasing
-	// order.
-	Cut []int
-	// CutWeight is δ(Cut), the total weight of cut edges.
-	CutWeight float64
-	// Bottleneck is the largest single cut-edge weight, 0 for an empty cut.
-	Bottleneck float64
-	// ComponentWeights are the component loads.
-	ComponentWeights []float64
-	// K is the execution-time bound the partition satisfies.
-	K float64
-}
+// PathPartition and TreePartition name Partition by the graph it cuts.
+type (
+	PathPartition = Partition
+	TreePartition = Partition
+)
 
 // NumComponents returns the number of connected components (processors used).
-func (tp *TreePartition) NumComponents() int { return len(tp.ComponentWeights) }
+func (pt *Partition) NumComponents() int { return len(pt.ComponentWeights) }
 
 func checkBound(k float64) error {
 	if !(k > 0) || math.IsNaN(k) || math.IsInf(k, 0) {
@@ -82,12 +72,12 @@ func checkBound(k float64) error {
 // newPathPartition assembles a PathPartition from a cut, which callers
 // guarantee is sorted and in range; graph.Path.CutSummary still checks it
 // once.
-func newPathPartition(p *graph.Path, cut []int, k float64) (*PathPartition, error) {
+func newPathPartition(p *graph.Path, cut []int, k float64) (*Partition, error) {
 	cw, bn, ws, err := p.CutSummary(cut)
 	if err != nil {
 		return nil, err
 	}
-	return &PathPartition{
+	return &Partition{
 		Cut:              cut,
 		CutWeight:        cw,
 		Bottleneck:       bn,
@@ -96,7 +86,7 @@ func newPathPartition(p *graph.Path, cut []int, k float64) (*PathPartition, erro
 	}, nil
 }
 
-func newTreePartition(t *graph.Tree, cut []int, k float64) (*TreePartition, error) {
+func newTreePartition(t *graph.Tree, cut []int, k float64) (*Partition, error) {
 	ws, err := t.ComponentWeights(cut)
 	if err != nil {
 		return nil, err
@@ -106,7 +96,7 @@ func newTreePartition(t *graph.Tree, cut []int, k float64) (*TreePartition, erro
 
 // treePartition is newTreePartition with the component weights already
 // computed.
-func treePartition(t *graph.Tree, cut []int, ws []float64, k float64) (*TreePartition, error) {
+func treePartition(t *graph.Tree, cut []int, ws []float64, k float64) (*Partition, error) {
 	cw, err := t.CutWeight(cut)
 	if err != nil {
 		return nil, err
@@ -115,7 +105,7 @@ func treePartition(t *graph.Tree, cut []int, ws []float64, k float64) (*TreePart
 	if err != nil {
 		return nil, err
 	}
-	return &TreePartition{
+	return &Partition{
 		Cut:              cut,
 		CutWeight:        cw,
 		Bottleneck:       bn,
@@ -128,27 +118,20 @@ func treePartition(t *graph.Tree, cut []int, ws []float64, k float64) (*TreePart
 // p: every component of P − cut weighs at most K. It returns nil when
 // feasible and a descriptive error otherwise. All algorithm outputs in this
 // repository are expected to pass this check; tests enforce it.
-func CheckPathFeasible(p *graph.Path, cut []int, k float64) error {
-	if err := checkBound(k); err != nil {
-		return err
-	}
-	m, err := p.MaxComponentWeight(cut)
-	if err != nil {
-		return err
-	}
-	if m > k {
-		return fmt.Errorf("component weight %v exceeds K=%v: %w", m, k, ErrInfeasible)
-	}
-	return nil
-}
+func CheckPathFeasible(p *graph.Path, cut []int, k float64) error { return checkFeasible(p, cut, k) }
 
 // CheckTreeFeasible verifies that cut satisfies the execution-time bound on
 // t.
-func CheckTreeFeasible(t *graph.Tree, cut []int, k float64) error {
+func CheckTreeFeasible(t *graph.Tree, cut []int, k float64) error { return checkFeasible(t, cut, k) }
+
+// checkFeasible is CheckPathFeasible and CheckTreeFeasible on either graph.
+func checkFeasible(g interface {
+	MaxComponentWeight(cut []int) (float64, error)
+}, cut []int, k float64) error {
 	if err := checkBound(k); err != nil {
 		return err
 	}
-	m, err := t.MaxComponentWeight(cut)
+	m, err := g.MaxComponentWeight(cut)
 	if err != nil {
 		return err
 	}

@@ -125,7 +125,7 @@ func BandwidthLimited(ctx context.Context, p *graph.Path, k float64, m int) (*Pa
 		scanFinal(j, fCur)
 		fPrev, fCur = fCur, fPrev
 	}
-	dp.SetAttr("levels", m-1)
+	obs.SetAttr(dp, "levels", m-1)
 	dp.End()
 	if bestI < 0 {
 		return nil, tk.n, fmt.Errorf("no feasible cut with at most %d components: %w", m, ErrInfeasible)

@@ -50,15 +50,24 @@ import (
 // (the target component count) for these solvers, not a weight bound; the
 // partition's K field echoes float64(parts).
 
-// checkParts validates a component-count target against the task count.
-func checkParts(parts, n int) error {
-	if parts < 1 {
-		return fmt.Errorf("parts = %d: %w", parts, ErrBadBound)
+// startParts is the prologue the part-count solvers share: it normalizes
+// ctx, starts the ticker and checks parts against the task weights nodeW.
+// A non-nil partition or error is the answer: parts == 1 is the uncut
+// graph, whose one component sums nodeW in index order, as CutSummary and
+// ComponentWeights do.
+func startParts(ctx context.Context, parts int, nodeW []float64) (context.Context, *ticker, *Partition, error) {
+	ctx, err := enter(ctx)
+	tk := newTicker(ctx)
+	switch {
+	case err != nil:
+	case parts < 1:
+		err = fmt.Errorf("parts = %d: %w", parts, ErrBadBound)
+	case parts > len(nodeW):
+		err = fmt.Errorf("parts %d > %d tasks: %w", parts, len(nodeW), ErrInfeasible)
+	case parts == 1:
+		return ctx, tk, &Partition{Cut: []int{}, ComponentWeights: []float64{graph.SumWeights(nodeW)}, K: 1}, nil
 	}
-	if parts > n {
-		return fmt.Errorf("parts %d > %d tasks: %w", parts, n, ErrInfeasible)
-	}
-	return nil
+	return ctx, tk, nil, err
 }
 
 // maxMinSearch is the parametric search over B that both solvers share.
@@ -113,19 +122,11 @@ func maxMinSearch(total float64, parts, n int, probe func(b float64) (bool, floa
 // MaxMinPath partitions a linear task graph into exactly parts contiguous
 // components maximizing the minimum component weight.
 func MaxMinPath(ctx context.Context, p *graph.Path, parts int) (*PathPartition, int64, error) {
-	ctx, err := enter(ctx)
-	if err != nil {
-		return nil, 0, err
+	ctx, tk, whole, err := startParts(ctx, parts, p.NodeW)
+	if whole != nil || err != nil {
+		return whole, tk.n, err
 	}
-	tk := newTicker(ctx)
 	n := p.Len()
-	if err := checkParts(parts, n); err != nil {
-		return nil, tk.n, err
-	}
-	if parts == 1 {
-		pp, err := newPathPartition(p, []int{}, float64(parts))
-		return pp, tk.n, err
-	}
 	total := p.TotalNodeWeight()
 	cutBuf := make([]int, 0, parts-1)
 	bestCut := make([]int, 0, parts-1)
@@ -171,11 +172,11 @@ func MaxMinPath(ctx context.Context, p *graph.Path, parts int) (*PathPartition, 
 	if err != nil {
 		return nil, tk.n, err
 	}
-	sp.SetAttr("probes", probes)
+	obs.SetAttr(sp, "probes", probes)
 	if balanced {
 		bestCut = cutBuf
 	} else {
-		sp.SetAttr("value", value)
+		obs.SetAttr(sp, "value", value)
 	}
 	pp, err := newPathPartition(p, append([]int(nil), bestCut...), float64(parts))
 	return pp, tk.n, err
@@ -184,19 +185,11 @@ func MaxMinPath(ctx context.Context, p *graph.Path, parts int) (*PathPartition, 
 // MaxMinTree partitions a tree task graph into exactly parts components
 // maximizing the minimum component weight.
 func MaxMinTree(ctx context.Context, t *graph.Tree, parts int) (*TreePartition, int64, error) {
-	ctx, err := enter(ctx)
-	if err != nil {
-		return nil, 0, err
+	ctx, tk, whole, err := startParts(ctx, parts, t.NodeW)
+	if whole != nil || err != nil {
+		return whole, tk.n, err
 	}
-	tk := newTicker(ctx)
 	n := t.Len()
-	if err := checkParts(parts, n); err != nil {
-		return nil, tk.n, err
-	}
-	if parts == 1 {
-		tp, err := newTreePartition(t, []int{}, float64(parts))
-		return tp, tk.n, err
-	}
 	total := t.TotalNodeWeight()
 
 	sc := getScratch()
@@ -295,12 +288,12 @@ func MaxMinTree(ctx context.Context, t *graph.Tree, parts int) (*TreePartition, 
 	if err != nil {
 		return nil, tk.n, err
 	}
-	sweep.SetAttr("probes", probes)
-	sweep.SetAttr("walked", walked)
+	obs.SetAttr(sweep, "probes", probes)
+	obs.SetAttr(sweep, "walked", walked)
 	if balanced {
 		bestCut = cutBuf
 	} else {
-		sweep.SetAttr("value", value)
+		obs.SetAttr(sweep, "value", value)
 	}
 	tp, err := newTreePartition(t, graph.NormalizeCut(append([]int(nil), bestCut...)), float64(parts))
 	return tp, tk.n, err

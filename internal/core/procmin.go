@@ -115,7 +115,7 @@ func minProcessorsCut(ctx context.Context, t *graph.Tree, k float64) ([]int, int
 		}
 		res[v] = load
 	}
-	sweep.SetAttr("pruned", len(cut))
+	obs.SetAttr(sweep, "pruned", len(cut))
 	sweep.End()
 	return cut, tk.n, nil
 }
@@ -148,7 +148,7 @@ func MinProcessorsPath(ctx context.Context, p *graph.Path, k float64) (*PathPart
 		}
 		load += w
 	}
-	sweep.SetAttr("tasks", p.Len())
+	obs.SetAttr(sweep, "tasks", p.Len())
 	sweep.End()
 	pp, err := newPathPartition(p, cut, k)
 	return pp, tk.n, err

@@ -152,7 +152,7 @@ func (sc *scratch) rootTree(ctx context.Context, t *graph.Tree) (csr graph.CSR, 
 			}
 		}
 	}
-	sp.SetAttr("nodes", n)
+	obs.SetAttr(sp, "nodes", n)
 	sp.End()
 	return csr, order, parent, parentEdge
 }

@@ -240,19 +240,11 @@ func (sm *smDP) unite() {
 // SumOfMaxTree partitions a tree task graph into exactly parts components
 // minimizing the sum over components of the maximum task weight.
 func SumOfMaxTree(ctx context.Context, t *graph.Tree, parts int) (*TreePartition, int64, error) {
-	ctx, err := enter(ctx)
-	if err != nil {
-		return nil, 0, err
+	ctx, tk, whole, err := startParts(ctx, parts, t.NodeW)
+	if whole != nil || err != nil {
+		return whole, tk.n, err
 	}
-	tk := newTicker(ctx)
 	n := t.Len()
-	if err := checkParts(parts, n); err != nil {
-		return nil, tk.n, err
-	}
-	if parts == 1 {
-		tp, err := newTreePartition(t, []int{}, float64(parts))
-		return tp, tk.n, err
-	}
 
 	sc := getScratch()
 	defer sc.release()
@@ -280,8 +272,8 @@ func SumOfMaxTree(ctx context.Context, t *graph.Tree, parts int) (*TreePartition
 		}
 		sm.fin[v] = int32(len(sm.level) - 2)
 	}
-	dp.SetAttr("states", len(sm.tab))
-	dp.SetAttr("front_max", sm.frontMax)
+	obs.SetAttr(dp, "states", len(sm.tab))
+	obs.SetAttr(dp, "front_max", sm.frontMax)
 	dp.End()
 
 	// Root answer: exactly parts−1 closed components plus the root's open
@@ -320,7 +312,7 @@ func SumOfMaxTree(ctx context.Context, t *graph.Tree, parts int) (*TreePartition
 			si, l = s.prev, l-1
 		}
 	}
-	bp.SetAttr("components", parts)
+	obs.SetAttr(bp, "components", parts)
 	bp.End()
 	tp, err := newTreePartition(t, graph.NormalizeCut(cut), float64(parts))
 	return tp, tk.n, err

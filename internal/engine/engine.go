@@ -200,7 +200,7 @@ func instrumented(ctx context.Context, name string, opt Options, body func(conte
 	res.Stats.Iterations = iters
 	res.Solver = name
 	if err != nil {
-		span.SetAttr("error", err.Error())
+		obs.SetAttr(span, "error", err.Error())
 	}
 	if opt.Observer != nil {
 		opt.Observer.Observe(Event{

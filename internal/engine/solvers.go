@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
@@ -56,17 +57,7 @@ func (s *pathSolver) Solve(ctx context.Context, req Request) (Result, error) {
 			return Result{}, 0, err
 		}
 		pp, iters, err := s.solve(ctx, req)
-		if err != nil {
-			return Result{}, iters, err
-		}
-		return Result{
-			Cut:              pp.Cut,
-			CutWeight:        pp.CutWeight,
-			Bottleneck:       pp.Bottleneck,
-			ComponentWeights: pp.ComponentWeights,
-			K:                pp.K,
-			PathPartition:    pp,
-		}, iters, nil
+		return partitionResult(pp, nil, iters, err)
 	})
 }
 
@@ -100,18 +91,27 @@ func (s *treeSolver) Solve(ctx context.Context, req Request) (Result, error) {
 			return Result{}, 0, err
 		}
 		tp, iters, err := s.solve(ctx, t, req.K)
-		if err != nil {
-			return Result{}, iters, err
-		}
-		return Result{
-			Cut:              tp.Cut,
-			CutWeight:        tp.CutWeight,
-			Bottleneck:       tp.Bottleneck,
-			ComponentWeights: tp.ComponentWeights,
-			K:                tp.K,
-			TreePartition:    tp,
-		}, iters, nil
+		return partitionResult(nil, tp, iters, err)
 	})
+}
+
+// partitionResult is the Result of a core solve. The partition it returned
+// comes as path or as tree, the other nil, to fill the typed field of that
+// name.
+func partitionResult(path, tree *core.Partition, iters int64, err error) (Result, int64, error) {
+	if err != nil {
+		return Result{}, iters, err
+	}
+	pt := cmp.Or(path, tree)
+	return Result{
+		Cut:              pt.Cut,
+		CutWeight:        pt.CutWeight,
+		Bottleneck:       pt.Bottleneck,
+		ComponentWeights: pt.ComponentWeights,
+		K:                pt.K,
+		PathPartition:    path,
+		TreePartition:    tree,
+	}, iters, nil
 }
 
 // partsOf validates the request K of a part-count solver: the target

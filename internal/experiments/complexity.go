@@ -23,8 +23,8 @@ type ComplexityConfig struct {
 	N      []int
 	KRatio float64
 	Trials int
-	// IncludeNaive disables the O(n·window) DP at large n where it would
-	// dominate the run time.
+	// NaiveMaxN is the largest n at which the O(n·window) DP runs; above
+	// it the DP would dominate the run time and is left out.
 	NaiveMaxN int
 }
 

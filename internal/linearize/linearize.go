@@ -117,26 +117,17 @@ type Quality struct {
 	AdjacentWeight float64
 	// InternalWeight is edge weight inside bands (costless, also exact).
 	InternalWeight float64
-	// SkippedWeight is edge weight between non-adjacent bands (misplaced by
-	// the path approximation; 0 for BFS bandings).
-	SkippedWeight float64
 }
 
 // Quality computes the banding quality against the original graph.
 func (b *Banding) Quality(g *graph.Graph) Quality {
 	var q Quality
 	for _, e := range g.Edges {
-		d := b.Band[e.U] - b.Band[e.V]
-		if d < 0 {
-			d = -d
-		}
-		switch d {
-		case 0:
+		// BFS levels of an edge's ends differ by at most one.
+		if b.Band[e.U] == b.Band[e.V] {
 			q.InternalWeight += e.W
-		case 1:
+		} else {
 			q.AdjacentWeight += e.W
-		default:
-			q.SkippedWeight += e.W
 		}
 	}
 	return q

@@ -38,9 +38,6 @@ func TestBFSBandsOnRing(t *testing.T) {
 		t.Errorf("band weights sum %v, want %v", got, g.TotalNodeWeight())
 	}
 	q := b.Quality(g)
-	if q.SkippedWeight != 0 {
-		t.Errorf("BFS banding skipped weight %v, want 0", q.SkippedWeight)
-	}
 	if math.Abs(q.AdjacentWeight+q.InternalWeight-g.TotalEdgeWeight()) > 1e-9 {
 		t.Errorf("quality weights %v+%v don't sum to %v", q.AdjacentWeight, q.InternalWeight, g.TotalEdgeWeight())
 	}

@@ -12,7 +12,7 @@ func BenchmarkStartSpanDisabled(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		_, sp := StartSpan(ctx, "phase")
-		sp.SetAttr("n", i)
+		SetAttr(sp, "n", i)
 		sp.End()
 	}
 }

@@ -13,7 +13,7 @@ func buildSampleTrace() *Trace {
 	tr.RequestID = "rid42"
 	ctx := NewContext(context.Background(), tr)
 	sctx, a := StartSpan(ctx, "prime-extract")
-	a.SetAttr("intervals", 7)
+	SetAttr(a, "intervals", 7)
 	a.End()
 	_ = sctx
 	_, b := StartSpan(ctx, "temps-dp")

@@ -363,8 +363,8 @@ func (s *Span) End() {
 	}
 }
 
-// SetAttr annotates the span. Safe on a nil span.
-func (s *Span) SetAttr(key string, value any) {
+// SetAttr annotates span s. Safe on a nil span, where value is never boxed.
+func SetAttr[V int | int64 | float64 | string](s *Span, key string, value V) {
 	if s == nil {
 		return
 	}

@@ -20,7 +20,7 @@ func TestSpanTreeNesting(t *testing.T) {
 		t.Fatal("StartSpan returned nil span on a traced context")
 	}
 	_, a1 := StartSpan(actx, "phase-a-child")
-	a1.SetAttr("n", 42)
+	SetAttr(a1, "n", 42)
 	a1.End()
 	a.End()
 	_, b := StartSpan(ctx, "phase-b") // sibling of a: parent ctx reused
@@ -60,7 +60,7 @@ func TestStartSpanWithoutTraceIsNoop(t *testing.T) {
 	}
 	// All nil-span methods must be safe.
 	sp.End()
-	sp.SetAttr("k", "v")
+	SetAttr(sp, "k", "v")
 	if sp.PhaseTotals() != nil {
 		t.Error("nil span PhaseTotals should be nil")
 	}
@@ -76,9 +76,15 @@ func TestStartSpanWithoutTraceIsNoop(t *testing.T) {
 
 func TestStartSpanDisabledAllocFree(t *testing.T) {
 	ctx := context.Background()
+	// n starts past the runtime's cache of small boxed integers, so a
+	// setter that boxed its value before the nil check would allocate.
+	n := 1 << 10
 	allocs := testing.AllocsPerRun(1000, func() {
 		c, sp := StartSpan(ctx, "hot-phase")
-		sp.SetAttr("i", 1)
+		SetAttr(sp, "i", 1)
+		n++
+		SetAttr(sp, "n", n)
+		SetAttr(sp, "x", float64(n))
 		sp.End()
 		_ = c
 	})

@@ -21,7 +21,6 @@ import (
 	"container/heap"
 	"errors"
 	"fmt"
-	"io"
 
 	"repro/internal/arch"
 	"repro/internal/graph"
@@ -42,10 +41,6 @@ type Config struct {
 	// between distinct pairs never contend (§1 lists all three as
 	// shared-memory interconnects).
 	Links int
-	// Trace, when non-nil, receives one tab-separated line per simulation
-	// event: time, kind (compute|transfer), subject, detail. For debugging
-	// and teaching; adds I/O cost.
-	Trace io.Writer
 }
 
 // Result reports the simulation outcome.
@@ -65,17 +60,16 @@ type Result struct {
 	ComputeTime float64
 }
 
-const (
-	evComputeDone = iota
-	evTransferDone
-)
-
+// event is one simulation event: unit who finishing a compute (on item
+// item, in a stream) or, when xfer is set, a transfer posted at posted
+// landing on channel who.
 type event struct {
-	at   float64
-	kind int
-	comp int      // component that finished computing (evComputeDone)
-	tr   transfer // in-flight transfer (evTransferDone)
-	seq  int      // tie-break for determinism
+	at     float64
+	seq    int // posting order; breaks time ties deterministically
+	xfer   bool
+	who    int
+	item   int
+	posted float64
 }
 
 type eventQueue []event
@@ -97,36 +91,116 @@ func (q *eventQueue) Pop() any {
 	return x
 }
 
-// transfer is one queued bus message on a directed channel.
-type transfer struct {
-	channel int
-	size    float64
-	posted  float64
+// channel is one directed message route: each transfer on it carries size
+// weight units to unit to.
+type channel struct {
+	to   int
+	size float64
+}
+
+// sim is the discrete-event core both execution patterns share: one event
+// queue, and the interconnect serving posted transfers FIFO on links
+// identical channels of bandwidth bw.
+type sim struct {
+	q     eventQueue
+	seq   int
+	links int
+	// busy counts in-flight transfers; an explicit counter rather than time
+	// comparisons so that zero-duration transfers cannot double-start a link.
+	busy      int
+	bw        float64
+	chans     []channel
+	delivered []int   // transfers landed per channel
+	fifo      []event // posted transfers waiting for a link
+	busBusy   float64
+	messages  int
+	latency   float64 // summed post-to-delivery time
+}
+
+// checkMachine checks cfg.Machine.
+func (cfg Config) checkMachine() error {
+	if cfg.Machine == nil {
+		return fmt.Errorf("nil machine: %w", ErrBadConfig)
+	}
+	return cfg.Machine.Validate()
+}
+
+// linkCount returns cfg.Links, reading zero as one shared bus.
+func (cfg Config) linkCount() (int, error) {
+	if cfg.Links < 0 {
+		return 0, fmt.Errorf("links = %d: %w", cfg.Links, ErrBadConfig)
+	}
+	return max(cfg.Links, 1), nil
+}
+
+// newSim maps units components onto cfg.Machine and returns a core whose
+// transfers run over chans.
+func newSim(cfg Config, links, units int, chans []channel) (*sim, error) {
+	if _, err := arch.MapComponents(cfg.Machine, units); err != nil {
+		return nil, err
+	}
+	return &sim{links: links, bw: cfg.Machine.BusBandwidth, chans: chans, delivered: make([]int, len(chans))}, nil
+}
+
+func (s *sim) post(ev event) {
+	ev.seq = s.seq
+	s.seq++
+	heap.Push(&s.q, ev)
+}
+
+// send queues one transfer on channel ch.
+func (s *sim) send(ch int, now float64) {
+	s.fifo = append(s.fifo, event{xfer: true, who: ch, posted: now})
+}
+
+func (s *sim) startLinks(now float64) {
+	for s.busy < s.links && len(s.fifo) > 0 {
+		ev := s.fifo[0]
+		s.fifo = s.fifo[1:]
+		s.busy++
+		d := s.chans[ev.who].size / s.bw
+		s.busBusy += d
+		ev.at = now + d
+		s.post(ev)
+	}
+}
+
+// run drains the event queue. A finished compute goes to finish, which may
+// send transfers; then idle links start, and wake(unit) may post the unit's
+// next compute. A landed transfer wakes its destination before the freed
+// link starts the next transfer.
+func (s *sim) run(finish func(ev event), wake func(c int, now float64)) {
+	for len(s.q) > 0 {
+		ev := heap.Pop(&s.q).(event)
+		if ev.xfer {
+			s.busy--
+			s.messages++
+			s.latency += ev.at - ev.posted
+			s.delivered[ev.who]++
+			wake(s.chans[ev.who].to, ev.at)
+			s.startLinks(ev.at)
+		} else {
+			finish(ev)
+			s.startLinks(ev.at)
+			wake(ev.who, ev.at)
+		}
+	}
 }
 
 // SimulateTree runs the model on a tree task graph with the given cut.
 func SimulateTree(cfg Config, t *graph.Tree, cut []int) (*Result, error) {
-	if cfg.Machine == nil {
-		return nil, fmt.Errorf("nil machine: %w", ErrBadConfig)
-	}
-	if err := cfg.Machine.Validate(); err != nil {
+	if err := cfg.checkMachine(); err != nil {
 		return nil, err
 	}
 	if cfg.Rounds <= 0 {
 		return nil, fmt.Errorf("rounds = %d: %w", cfg.Rounds, ErrBadConfig)
 	}
-	links := cfg.Links
-	if links == 0 {
-		links = 1
-	}
-	if links < 0 {
-		return nil, fmt.Errorf("links = %d: %w", cfg.Links, ErrBadConfig)
-	}
-	comps, err := t.Components(cut)
+	links, err := cfg.linkCount()
 	if err != nil {
 		return nil, err
 	}
-	if _, err := arch.MapComponents(cfg.Machine, len(comps)); err != nil {
+	comps, err := t.Components(cut)
+	if err != nil {
 		return nil, err
 	}
 	nc := len(comps)
@@ -138,125 +212,67 @@ func SimulateTree(cfg Config, t *graph.Tree, cut []int) (*Result, error) {
 			loads[ci] += t.NodeW[v]
 		}
 	}
-	// Directed channels: one per (cut edge, direction). sendChannels[c] are
-	// the channels c posts to after computing; recvChannels[c] are the
-	// channels c must drain to finish a round.
-	type channel struct {
-		to   int
-		size float64
-	}
-	var channels []channel
-	sendChannels := make([][]int, nc)
-	recvChannels := make([][]int, nc)
+	// Directed channels: one per (cut edge, direction). send[c] are the
+	// channels c posts to after computing; recv[c] are the channels c must
+	// drain to finish a round.
+	chans := make([]channel, 0, 2*len(cut))
+	send := make([][]int, nc)
+	recv := make([][]int, nc)
 	for _, e := range cut {
 		u, v := comp[t.Edges[e].U], comp[t.Edges[e].V]
 		w := t.Edges[e].W
-		channels = append(channels, channel{to: v, size: w})
-		sendChannels[u] = append(sendChannels[u], len(channels)-1)
-		recvChannels[v] = append(recvChannels[v], len(channels)-1)
-		channels = append(channels, channel{to: u, size: w})
-		sendChannels[v] = append(sendChannels[v], len(channels)-1)
-		recvChannels[u] = append(recvChannels[u], len(channels)-1)
+		send[u] = append(send[u], len(chans))
+		recv[v] = append(recv[v], len(chans))
+		chans = append(chans, channel{to: v, size: w})
+		send[v] = append(send[v], len(chans))
+		recv[u] = append(recv[u], len(chans))
+		chans = append(chans, channel{to: u, size: w})
+	}
+	s, err := newSim(cfg, links, nc, chans)
+	if err != nil {
+		return nil, err
 	}
 	speed := cfg.Machine.Speed
-	bw := cfg.Machine.BusBandwidth
-
-	round := make([]int, nc)                // round currently being executed
-	computed := make([]bool, nc)            // current round's compute finished
-	delivered := make([]int, len(channels)) // messages delivered per channel
+	round := make([]int, nc)     // round currently being executed
+	computed := make([]bool, nc) // current round's compute finished
 	done := make([]bool, nc)
-
-	var q eventQueue
-	seq := 0
-	push := func(ev event) {
-		ev.seq = seq
-		heap.Push(&q, ev)
-		seq++
-	}
-	var busQueue []transfer
-	// linksBusy counts in-flight transfers; an explicit counter rather than
-	// time comparisons so that zero-duration transfers cannot double-start
-	// a link.
-	linksBusy := 0
 	res := &Result{}
-	var latencySum float64
-
-	for c := 0; c < nc; c++ {
+	compute := func(c int, now float64) {
 		d := loads[c] / speed
 		res.ComputeTime += d
-		push(event{at: d, kind: evComputeDone, comp: c})
+		s.post(event{at: now + d, who: c})
 	}
-	startLinks := func(now float64) {
-		for linksBusy < links && len(busQueue) > 0 {
-			tr := busQueue[0]
-			busQueue = busQueue[1:]
-			linksBusy++
-			d := tr.size / bw
-			res.BusBusy += d
-			push(event{at: now + d, kind: evTransferDone, tr: tr})
-		}
+	for c := range nc {
+		compute(c, 0)
 	}
-	// roundComplete reports whether component c has finished computing its
-	// current round and received this round's message on every channel.
-	roundComplete := func(c int) bool {
-		if !computed[c] {
-			return false
+	s.run(func(ev event) {
+		computed[ev.who] = true
+		for _, ch := range send[ev.who] {
+			s.send(ch, ev.at)
 		}
-		need := round[c] + 1
-		for _, ch := range recvChannels[c] {
-			if delivered[ch] < need {
-				return false
-			}
-		}
-		return true
-	}
-	advance := func(c int, now float64) {
-		if done[c] || !roundComplete(c) {
+	}, func(c int, now float64) {
+		// c completes its round once it has computed it and received the
+		// round's message on every incident channel.
+		if done[c] || !computed[c] {
 			return
+		}
+		for _, ch := range recv[c] {
+			if s.delivered[ch] <= round[c] {
+				return
+			}
 		}
 		if round[c]+1 >= cfg.Rounds {
 			done[c] = true
-			if now > res.Makespan {
-				res.Makespan = now
-			}
+			res.Makespan = max(res.Makespan, now)
 			return
 		}
 		round[c]++
 		computed[c] = false
-		d := loads[c] / speed
-		res.ComputeTime += d
-		push(event{at: now + d, kind: evComputeDone, comp: c})
-	}
-	for q.Len() > 0 {
-		ev := heap.Pop(&q).(event)
-		now := ev.at
-		switch ev.kind {
-		case evComputeDone:
-			c := ev.comp
-			if cfg.Trace != nil {
-				fmt.Fprintf(cfg.Trace, "%.6f\tcompute\tcomponent=%d\tround=%d\n", now, c, round[c])
-			}
-			computed[c] = true
-			for _, ch := range sendChannels[c] {
-				busQueue = append(busQueue, transfer{channel: ch, size: channels[ch].size, posted: now})
-			}
-			startLinks(now)
-			advance(c, now)
-		case evTransferDone:
-			linksBusy--
-			tr := ev.tr
-			if cfg.Trace != nil {
-				fmt.Fprintf(cfg.Trace, "%.6f\ttransfer\tto=%d\tsize=%g\n", now, channels[tr.channel].to, tr.size)
-			}
-			res.Messages++
-			latencySum += now - tr.posted
-			delivered[tr.channel]++
-			advance(channels[tr.channel].to, now)
-			startLinks(now)
-		}
-	}
+		compute(c, now)
+	})
+	res.BusBusy, res.Messages = s.busBusy, s.messages
 	if res.Messages > 0 {
-		res.MeanMessageLatency = latencySum / float64(res.Messages)
+		res.MeanMessageLatency = s.latency / float64(res.Messages)
 	}
 	if res.Makespan > 0 {
 		res.BusUtilization = res.BusBusy / (res.Makespan * float64(links))

@@ -1,10 +1,8 @@
 package sched
 
 import (
-	"container/heap"
 	"fmt"
 
-	"repro/internal/arch"
 	"repro/internal/graph"
 )
 
@@ -37,10 +35,7 @@ type StreamResult struct {
 // SimulatePipelineStream pushes the given number of items through the
 // partitioned chain.
 func SimulatePipelineStream(cfg Config, p *graph.Path, cut []int, items int) (*StreamResult, error) {
-	if cfg.Machine == nil {
-		return nil, fmt.Errorf("nil machine: %w", ErrBadConfig)
-	}
-	if err := cfg.Machine.Validate(); err != nil {
+	if err := cfg.checkMachine(); err != nil {
 		return nil, err
 	}
 	if err := p.Validate(); err != nil {
@@ -49,138 +44,64 @@ func SimulatePipelineStream(cfg Config, p *graph.Path, cut []int, items int) (*S
 	if items <= 0 {
 		return nil, fmt.Errorf("items = %d: %w", items, ErrBadConfig)
 	}
-	links := cfg.Links
-	if links == 0 {
-		links = 1
-	}
-	if links < 0 {
-		return nil, fmt.Errorf("links = %d: %w", cfg.Links, ErrBadConfig)
+	links, err := cfg.linkCount()
+	if err != nil {
+		return nil, err
 	}
 	ws, err := p.ComponentWeights(cut)
 	if err != nil {
 		return nil, err
 	}
-	if _, err := arch.MapComponents(cfg.Machine, len(ws)); err != nil {
+	nc := len(ws)
+	// Channel c carries items from stage c over cut edge c to stage c+1
+	// (stages are in chain order).
+	chans := make([]channel, len(cut))
+	for i, e := range cut {
+		chans[i] = channel{to: i + 1, size: p.EdgeW[e]}
+	}
+	s, err := newSim(cfg, links, nc, chans)
+	if err != nil {
 		return nil, err
 	}
-	nc := len(ws)
-	// Transfer size out of stage c = weight of cut edge c (stages are in
-	// chain order).
-	xferSize := make([]float64, nc-1)
-	for i, e := range cut {
-		xferSize[i] = p.EdgeW[e]
-	}
 	speed := cfg.Machine.Speed
-	bw := cfg.Machine.BusBandwidth
-
-	q := &seventQueue{}
-	seq := 0
-	push := func(ev sevent) {
-		ev.seq = seq
-		seq++
-		heap.Push(q, ev)
-	}
-	arrived := make([]int, nc) // items delivered to stage c (stage 0: all)
-	arrived[0] = items
-	nextItem := make([]int, nc)
-	idle := make([]bool, nc)
-	for c := range idle {
-		idle[c] = true
-	}
-	var busQueue []transfer
-	linksBusy := 0
+	next := make([]int, nc) // next item each stage processes
+	busy := make([]bool, nc)
 	res := &StreamResult{}
-	var firstDone, lastDone float64
+	// tryStart starts stage c on its next item if c is idle and the item has
+	// arrived (stage 0 holds every item from the start).
 	tryStart := func(c int, now float64) {
-		if !idle[c] || nextItem[c] >= items || nextItem[c] >= arrived[c] {
+		arrived := items
+		if c > 0 {
+			arrived = s.delivered[c-1]
+		}
+		if busy[c] || next[c] >= arrived {
 			return
 		}
-		idle[c] = false
+		busy[c] = true
 		d := ws[c] / speed
-		push(sevent{at: now + d, kind: evStage, stage: c, item: nextItem[c]})
-		nextItem[c]++
-	}
-	startLinks := func(now float64) {
-		for linksBusy < links && len(busQueue) > 0 {
-			tr := busQueue[0]
-			busQueue = busQueue[1:]
-			linksBusy++
-			d := tr.size / bw
-			res.BusBusy += d
-			// transfer.channel reused as destination stage here.
-			push(sevent{at: now + d, kind: evXfer, stage: tr.channel, size: tr.size})
-		}
+		s.post(event{at: now + d, who: c, item: next[c]})
+		next[c]++
 	}
 	tryStart(0, 0)
-	for q.Len() > 0 {
-		ev := heap.Pop(q).(sevent)
-		now := ev.at
-		switch ev.kind {
-		case evStage:
-			c := ev.stage
-			idle[c] = true
-			if c == nc-1 {
-				if ev.item == 0 {
-					firstDone = now
-					res.FirstItemLatency = now
-				}
-				if ev.item == items-1 {
-					lastDone = now
-					res.Makespan = now
-				}
-			} else {
-				busQueue = append(busQueue, transfer{channel: c + 1, size: xferSize[c], posted: now})
-				startLinks(now)
-			}
-			tryStart(c, now)
-		case evXfer:
-			linksBusy--
-			res.Messages++
-			arrived[ev.stage]++
-			tryStart(ev.stage, now)
-			startLinks(now)
+	s.run(func(ev event) {
+		c := ev.who
+		busy[c] = false
+		if c < nc-1 {
+			s.send(c, ev.at)
+			return
 		}
-	}
-	if items > 1 && lastDone > firstDone {
-		res.Throughput = float64(items-1) / (lastDone - firstDone)
+		if ev.item == 0 {
+			res.FirstItemLatency = ev.at
+		}
+		if ev.item == items-1 {
+			res.Makespan = ev.at
+		}
+	}, tryStart)
+	res.BusBusy, res.Messages = s.busBusy, s.messages
+	if items > 1 && res.Makespan > res.FirstItemLatency {
+		res.Throughput = float64(items-1) / (res.Makespan - res.FirstItemLatency)
 	} else if res.Makespan > 0 {
 		res.Throughput = float64(items) / res.Makespan
 	}
 	return res, nil
-}
-
-// Stream-simulation event kinds.
-const (
-	evStage = iota
-	evXfer
-)
-
-// sevent is one stream-simulation event: a stage finishing an item or a
-// transfer landing at a stage.
-type sevent struct {
-	at    float64
-	kind  int
-	stage int
-	item  int
-	size  float64
-	seq   int
-}
-
-type seventQueue []sevent
-
-func (q seventQueue) Len() int { return len(q) }
-func (q seventQueue) Less(i, j int) bool {
-	if q[i].at != q[j].at {
-		return q[i].at < q[j].at
-	}
-	return q[i].seq < q[j].seq
-}
-func (q seventQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
-func (q *seventQueue) Push(x any)   { *q = append(*q, x.(sevent)) }
-func (q *seventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	x := old[n-1]
-	*q = old[:n-1]
-	return x
 }

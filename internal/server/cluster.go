@@ -64,7 +64,7 @@ func (s *Server) forwardSolve(ctx context.Context, tr *obs.Trace, p *parsedSolve
 		return resolved{}, false
 	}
 	sp := obs.Phase(ctx, "cluster-forward")
-	sp.SetAttr("peer", peer)
+	obs.SetAttr(sp, "peer", peer)
 	hdr := obs.FormatTraceHeader(obs.Remote{Trace: tr.ID, Span: sp.ID, Flags: obs.FlagSampled})
 	body, spans, err := s.cluster.ForwardSolve(ctx, peer, frame, obs.RequestIDFrom(ctx), hdr)
 	defer sp.End()

@@ -104,8 +104,8 @@ func TreeBandwidthExact(ctx context.Context, t *graph.Tree, k int) (*CutResult, 
 	bestW := make([]int, n)
 	bestVal := make([]float64, n)
 	sweep := obs.Phase(ctx, "exact-dp")
-	sweep.SetAttr("n", n)
-	sweep.SetAttr("k", k)
+	obs.SetAttr(sweep, "n", n)
+	obs.SetAttr(sweep, "k", k)
 	for i := n - 1; i >= 0; i-- {
 		v := order[i]
 		cur := make([]float64, k+1)
@@ -226,7 +226,7 @@ func TreeBandwidthBB(ctx context.Context, t *graph.Tree, k float64) (*CutResult,
 		return nil, 0, fmt.Errorf("%d edges: %w", m, ErrTooLarge)
 	}
 	span := obs.Phase(ctx, "branch-and-bound")
-	span.SetAttr("edges", m)
+	obs.SetAttr(span, "edges", m)
 	defer span.End()
 	best := math.Inf(1)
 	var bestCut []int
