@@ -14,229 +14,188 @@
 package main
 
 import (
+	"bytes"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"slices"
+	"strings"
 
 	"repro/internal/experiments"
 )
 
-func main() {
-	if err := run(); err != nil {
-		fmt.Fprintln(os.Stderr, "experiments:", err)
-		os.Exit(1)
-	}
+// options are the parsed flags.
+type options struct {
+	fig, table, csv string
+	all, quick      bool
 }
 
-func run() error {
-	fig := flag.String("fig", "", "figure to regenerate: 2")
-	table := flag.String("table", "", "table to regenerate: complexity | ccp | des | rt | priorwork | treeheuristic")
-	csv := flag.String("csv", "", "write the Figure 2 sweep as CSV to this file")
-	all := flag.Bool("all", false, "run every figure and table")
-	quick := flag.Bool("quick", false, "use reduced sweep sizes")
-	flag.Parse()
+// section is one titled block of output.
+type section struct {
+	title string
+	run   func(w io.Writer, o options) error
+}
 
+// artifact is one figure (fig set, selected by -fig) or table (selected by
+// -table). -all runs every artifact in table order.
+type artifact struct {
+	name     string
+	fig      bool
+	sections []section
+}
+
+// titled makes a section from a Run*/Render* pair.
+func titled[R any](title string, run func(options) (R, error), render func(io.Writer, R) error) section {
+	return section{title, func(w io.Writer, o options) error {
+		rows, err := run(o)
+		if err != nil {
+			return err
+		}
+		return render(w, rows)
+	}}
+}
+
+// pick returns quick under -quick and full otherwise.
+func (o options) pick(quick, full int) int {
+	if o.quick {
+		return quick
+	}
+	return full
+}
+
+var artifacts = []artifact{
+	{name: "2", fig: true, sections: []section{{"Figure 2: bandwidth-instance statistics vs n and K", func(w io.Writer, o options) error {
+		cfg := experiments.DefaultFig2Config()
+		if o.quick {
+			cfg.N = []int{1000, 10000}
+			cfg.Trials = 2
+		}
+		fmt.Fprintf(w, "vertex weights ~ U[%g,%g], edge weights ~ U[%g,%g], %d trials/point, seed %d\n\n",
+			cfg.W1, cfg.W2, cfg.EdgeW1, cfg.EdgeW2, cfg.Trials, cfg.Seed)
+		rows, err := experiments.RunFig2(cfg)
+		if err != nil {
+			return err
+		}
+		if err := experiments.RenderFig2(w, rows); err != nil || o.csv == "" {
+			return err
+		}
+		var csv bytes.Buffer
+		if err := experiments.Fig2CSV(&csv, rows); err != nil {
+			return err
+		}
+		if err := os.WriteFile(o.csv, csv.Bytes(), 0o666); err != nil {
+			return err
+		}
+		_, err = fmt.Fprintf(w, "\ncsv written to %s\n", o.csv)
+		return err
+	}}}},
+	{name: "complexity", sections: []section{titled("Bandwidth solver ladder: wall-clock scaling (TAB-CMP)",
+		func(o options) ([]experiments.ComplexityRow, error) {
+			cfg := experiments.DefaultComplexityConfig()
+			if o.quick {
+				cfg.N = []int{1000, 10000, 100000}
+				cfg.Trials = 2
+			}
+			return experiments.RunComplexity(cfg)
+		}, experiments.RenderComplexity)}},
+	{name: "ccp", sections: []section{titled("Chains-on-chains prior-work ladder (Bokhari / Nicol / Hansen-Lih classes)",
+		func(o options) ([]experiments.CCPRow, error) {
+			cfg := experiments.DefaultCCPConfig()
+			if o.quick {
+				cfg.Points = []experiments.CCPPoint{{N: 1000, M: 8}, {N: 10000, M: 16}}
+				cfg.Trials = 2
+			}
+			return experiments.RunCCP(cfg)
+		}, experiments.RenderCCP)}},
+	{name: "des", sections: []section{titled("§3 application: distributed discrete-event logic simulation",
+		func(o options) ([]experiments.DESRow, error) { return experiments.RunDES(8, o.pick(50, 200)) }, experiments.RenderDES)}},
+	{name: "rt", sections: []section{titled("§3 application: real-time pipelines under deadline",
+		func(options) ([]experiments.RTRow, error) { return experiments.RunRT(1994) }, experiments.RenderRT)}},
+	{name: "priorwork", sections: []section{
+		titled("Prior work: Bokhari sum-bottleneck (linear array) vs shared-memory cut",
+			func(o options) ([]experiments.PriorWorkRow, error) {
+				points := []experiments.CCPPoint{{N: 1000, M: 8}, {N: 10000, M: 16}, {N: 100000, M: 16}}
+				return experiments.RunSumBottleneck(23, points[:o.pick(2, 3)], o.pick(2, 3))
+			}, experiments.RenderSumBottleneck),
+		titled("Prior work: single-host / multi-satellite tree partitioning",
+			func(o options) ([]experiments.HostSatRow, error) {
+				return experiments.RunHostSat(29, []int{1000, 10000, 100000}[:o.pick(2, 3)], o.pick(2, 3))
+			}, experiments.RenderHostSat),
+	}},
+	{name: "treeheuristic", sections: []section{titled("Theorem 1 in practice: greedy vs exact tree bandwidth minimization",
+		func(o options) ([]experiments.TreeHeuristicRow, error) {
+			return experiments.RunTreeHeuristic(31, 60, o.pick(25, 100))
+		}, experiments.RenderTreeHeuristic)}},
+}
+
+// names lists the -fig (fig set) or -table names in table order.
+func names(fig bool) []string {
+	var ns []string
+	for _, a := range artifacts {
+		if a.fig == fig {
+			ns = append(ns, a.name)
+		}
+	}
+	return ns
+}
+
+func main() { os.Exit(run(os.Args, os.Stdout, os.Stderr)) }
+
+// run is the whole command. args[0] names the program in the usage text.
+// The exit status is 0 on success and for -h, 2 when the flags do not parse,
+// and 1 for any other error, printed to stderr as "experiments: <err>".
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet(args[0], flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var o options
+	fs.StringVar(&o.fig, "fig", "", "figure to regenerate: "+strings.Join(names(true), " | "))
+	fs.StringVar(&o.table, "table", "", "table to regenerate: "+strings.Join(names(false), " | "))
+	fs.StringVar(&o.csv, "csv", "", "write the Figure 2 sweep as CSV to this file")
+	fs.BoolVar(&o.all, "all", false, "run every figure and table")
+	fs.BoolVar(&o.quick, "quick", false, "use reduced sweep sizes")
+	if err := fs.Parse(args[1:]); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	if err := regenerate(stdout, fs, o); err != nil {
+		fmt.Fprintln(stderr, "experiments:", err)
+		return 1
+	}
+	return 0
+}
+
+// regenerate writes every selected artifact to w, section by section.
+func regenerate(w io.Writer, fs *flag.FlagSet, o options) error {
 	// Fail fast on unknown selections instead of silently running nothing.
-	if *fig != "" && *fig != "2" {
-		return fmt.Errorf("-fig must be 2 (got %q)", *fig)
+	if o.fig != "" && !slices.Contains(names(true), o.fig) {
+		return fmt.Errorf("-fig must be %s (got %q)", strings.Join(names(true), " | "), o.fig)
 	}
-	validTables := map[string]bool{
-		"complexity": true, "ccp": true, "des": true,
-		"rt": true, "priorwork": true, "treeheuristic": true,
+	if o.table != "" && !slices.Contains(names(false), o.table) {
+		return fmt.Errorf("-table must be one of %s (got %q)", strings.Join(names(false), " | "), o.table)
 	}
-	if *table != "" && !validTables[*table] {
-		return fmt.Errorf("-table must be one of complexity | ccp | des | rt | priorwork | treeheuristic (got %q)", *table)
+	if o.csv != "" && !o.all && o.fig == "" {
+		return errors.New("-csv only applies to the Figure 2 sweep; add -fig 2 or -all")
 	}
-	if *csv != "" && !*all && *fig != "2" {
-		return fmt.Errorf("-csv only applies to the Figure 2 sweep; add -fig 2 or -all")
+	if o.fig == "" && o.table == "" && !o.all {
+		fs.Usage()
+		return errors.New("nothing selected; use -fig, -table or -all")
 	}
-
-	ran := false
-	if *all || *fig == "2" {
-		ran = true
-		if err := runFig2(*quick, *csv); err != nil {
-			return err
+	picked := map[bool]string{true: o.fig, false: o.table} // the selection per artifact kind
+	for _, a := range artifacts {
+		if !o.all && a.name != picked[a.fig] {
+			continue
+		}
+		for _, s := range a.sections {
+			fmt.Fprintf(w, "== %s ==\n", s.title)
+			if err := s.run(w, o); err != nil {
+				return err
+			}
+			fmt.Fprintln(w)
 		}
 	}
-	if *all || *table == "complexity" {
-		ran = true
-		if err := runComplexity(*quick); err != nil {
-			return err
-		}
-	}
-	if *all || *table == "ccp" {
-		ran = true
-		if err := runCCP(*quick); err != nil {
-			return err
-		}
-	}
-	if *all || *table == "des" {
-		ran = true
-		if err := runDES(*quick); err != nil {
-			return err
-		}
-	}
-	if *all || *table == "rt" {
-		ran = true
-		if err := runRT(); err != nil {
-			return err
-		}
-	}
-	if *all || *table == "priorwork" {
-		ran = true
-		if err := runPriorWork(*quick); err != nil {
-			return err
-		}
-	}
-	if *all || *table == "treeheuristic" {
-		ran = true
-		trials := 100
-		if *quick {
-			trials = 25
-		}
-		fmt.Println("== Theorem 1 in practice: greedy vs exact tree bandwidth minimization ==")
-		rows, err := experiments.RunTreeHeuristic(31, 60, trials)
-		if err != nil {
-			return err
-		}
-		if err := experiments.RenderTreeHeuristic(os.Stdout, rows); err != nil {
-			return err
-		}
-		fmt.Println()
-	}
-	if !ran {
-		flag.Usage()
-		return fmt.Errorf("nothing selected; use -fig, -table or -all")
-	}
-	return nil
-}
-
-func runFig2(quick bool, csvPath string) error {
-	cfg := experiments.DefaultFig2Config()
-	if quick {
-		cfg.N = []int{1000, 10000}
-		cfg.Trials = 2
-	}
-	fmt.Println("== Figure 2: bandwidth-instance statistics vs n and K ==")
-	fmt.Printf("vertex weights ~ U[%g,%g], edge weights ~ U[%g,%g], %d trials/point, seed %d\n\n",
-		cfg.W1, cfg.W2, cfg.EdgeW1, cfg.EdgeW2, cfg.Trials, cfg.Seed)
-	rows, err := experiments.RunFig2(cfg)
-	if err != nil {
-		return err
-	}
-	if err := experiments.RenderFig2(os.Stdout, rows); err != nil {
-		return err
-	}
-	fmt.Println()
-	if csvPath != "" {
-		f, err := os.Create(csvPath)
-		if err != nil {
-			return err
-		}
-		if err := experiments.Fig2CSV(f, rows); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Printf("csv written to %s\n\n", csvPath)
-	}
-	return nil
-}
-
-func runComplexity(quick bool) error {
-	cfg := experiments.DefaultComplexityConfig()
-	if quick {
-		cfg.N = []int{1000, 10000, 100000}
-		cfg.Trials = 2
-	}
-	fmt.Println("== Bandwidth solver ladder: wall-clock scaling (TAB-CMP) ==")
-	rows, err := experiments.RunComplexity(cfg)
-	if err != nil {
-		return err
-	}
-	if err := experiments.RenderComplexity(os.Stdout, rows); err != nil {
-		return err
-	}
-	fmt.Println()
-	return nil
-}
-
-func runCCP(quick bool) error {
-	cfg := experiments.DefaultCCPConfig()
-	if quick {
-		cfg.Points = []experiments.CCPPoint{{N: 1000, M: 8}, {N: 10000, M: 16}}
-		cfg.Trials = 2
-	}
-	fmt.Println("== Chains-on-chains prior-work ladder (Bokhari / Nicol / Hansen-Lih classes) ==")
-	rows, err := experiments.RunCCP(cfg)
-	if err != nil {
-		return err
-	}
-	if err := experiments.RenderCCP(os.Stdout, rows); err != nil {
-		return err
-	}
-	fmt.Println()
-	return nil
-}
-
-func runDES(quick bool) error {
-	cycles := 200
-	if quick {
-		cycles = 50
-	}
-	fmt.Println("== §3 application: distributed discrete-event logic simulation ==")
-	rows, err := experiments.RunDES(8, cycles)
-	if err != nil {
-		return err
-	}
-	if err := experiments.RenderDES(os.Stdout, rows); err != nil {
-		return err
-	}
-	fmt.Println()
-	return nil
-}
-
-func runPriorWork(quick bool) error {
-	points := []experiments.CCPPoint{{N: 1000, M: 8}, {N: 10000, M: 16}, {N: 100000, M: 16}}
-	sizes := []int{1000, 10000, 100000}
-	trials := 3
-	if quick {
-		points = points[:2]
-		sizes = sizes[:2]
-		trials = 2
-	}
-	fmt.Println("== Prior work: Bokhari sum-bottleneck (linear array) vs shared-memory cut ==")
-	sb, err := experiments.RunSumBottleneck(23, points, trials)
-	if err != nil {
-		return err
-	}
-	if err := experiments.RenderSumBottleneck(os.Stdout, sb); err != nil {
-		return err
-	}
-	fmt.Println()
-	fmt.Println("== Prior work: single-host / multi-satellite tree partitioning ==")
-	hs, err := experiments.RunHostSat(29, sizes, trials)
-	if err != nil {
-		return err
-	}
-	if err := experiments.RenderHostSat(os.Stdout, hs); err != nil {
-		return err
-	}
-	fmt.Println()
-	return nil
-}
-
-func runRT() error {
-	fmt.Println("== §3 application: real-time pipelines under deadline ==")
-	rows, err := experiments.RunRT(1994)
-	if err != nil {
-		return err
-	}
-	if err := experiments.RenderRT(os.Stdout, rows); err != nil {
-		return err
-	}
-	fmt.Println()
 	return nil
 }

@@ -11,7 +11,7 @@ import (
 
 	"repro"
 	"repro/internal/arch"
-	"repro/internal/graph"
+	"repro/internal/experiments"
 	"repro/internal/linearize"
 	"repro/internal/logicsim"
 	"repro/internal/sched"
@@ -57,7 +57,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	naive := equalBlocks(path, part.NumComponents())
+	naive := experiments.EqualBlocksCut(path, part.NumComponents())
 	naiveW, _ := path.CutWeight(naive)
 	fmt.Printf("bandwidth-minimal partition: %d components, %0.f messages cross processors\n",
 		part.NumComponents(), part.CutWeight)
@@ -83,15 +83,4 @@ func main() {
 	}
 	fmt.Printf("bus replay: optimal makespan %.3f (bus busy %.3f) vs equal blocks %.3f (bus busy %.3f)\n",
 		opt.Makespan, opt.BusBusy, base.Makespan, base.BusBusy)
-}
-
-func equalBlocks(p *graph.Path, blocks int) []int {
-	var cut []int
-	for b := 1; b < blocks; b++ {
-		e := b*p.Len()/blocks - 1
-		if e >= 0 && e < p.NumEdges() && (len(cut) == 0 || cut[len(cut)-1] < e) {
-			cut = append(cut, e)
-		}
-	}
-	return cut
 }

@@ -50,6 +50,15 @@ func (m *Machine) Validate() error {
 	return nil
 }
 
+// CheckComponents reports, wrapping ErrTooFewProcessors, whether a partition
+// of numComponents components needs more processors than m has.
+func (m *Machine) CheckComponents(numComponents int) error {
+	if numComponents > m.Processors {
+		return fmt.Errorf("%d components, %d processors: %w", numComponents, m.Processors, ErrTooFewProcessors)
+	}
+	return nil
+}
+
 // Mapping assigns partition components to processors. On a shared-memory
 // machine the identity assignment is optimal (§3: "renders a straightforward
 // mapping of the optimally partitioned graph onto the available processors").
@@ -64,9 +73,8 @@ func MapComponents(m *Machine, numComponents int) (*Mapping, error) {
 	if err := m.Validate(); err != nil {
 		return nil, err
 	}
-	if numComponents > m.Processors {
-		return nil, fmt.Errorf("%d components, %d processors: %w",
-			numComponents, m.Processors, ErrTooFewProcessors)
+	if err := m.CheckComponents(numComponents); err != nil {
+		return nil, err
 	}
 	mp := &Mapping{Processor: make([]int, numComponents)}
 	for c := range mp.Processor {
@@ -107,8 +115,8 @@ func EvaluatePath(m *Machine, p *graph.Path, cut []int) (*Metrics, error) {
 	if err != nil {
 		return nil, err
 	}
-	if len(ws) > m.Processors {
-		return nil, fmt.Errorf("%d components, %d processors: %w", len(ws), m.Processors, ErrTooFewProcessors)
+	if err := m.CheckComponents(len(ws)); err != nil {
+		return nil, err
 	}
 	// Component of vertex v: count cuts before v.
 	comp := make([]int, p.Len())
@@ -143,8 +151,8 @@ func EvaluateTree(m *Machine, t *graph.Tree, cut []int) (*Metrics, error) {
 	if err != nil {
 		return nil, err
 	}
-	if len(comps) > m.Processors {
-		return nil, fmt.Errorf("%d components, %d processors: %w", len(comps), m.Processors, ErrTooFewProcessors)
+	if err := m.CheckComponents(len(comps)); err != nil {
+		return nil, err
 	}
 	comp := make([]int, t.Len())
 	ws := make([]float64, len(comps))

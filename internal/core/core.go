@@ -86,7 +86,10 @@ func newPathPartition(p *graph.Path, cut []int, k float64) (*Partition, error) {
 	}, nil
 }
 
-func newTreePartition(t *graph.Tree, cut []int, k float64) (*Partition, error) {
+// NewTreePartition builds the Partition of t that cut (increasing edge
+// indices) leaves under bound k: cut weight, bottleneck and component
+// weights.
+func NewTreePartition(t *graph.Tree, cut []int, k float64) (*Partition, error) {
 	ws, err := t.ComponentWeights(cut)
 	if err != nil {
 		return nil, err
@@ -94,7 +97,7 @@ func newTreePartition(t *graph.Tree, cut []int, k float64) (*Partition, error) {
 	return treePartition(t, cut, ws, k)
 }
 
-// treePartition is newTreePartition with the component weights already
+// treePartition is NewTreePartition with the component weights already
 // computed.
 func treePartition(t *graph.Tree, cut []int, ws []float64, k float64) (*Partition, error) {
 	cw, err := t.CutWeight(cut)

@@ -295,6 +295,6 @@ func MaxMinTree(ctx context.Context, t *graph.Tree, parts int) (*TreePartition, 
 	} else {
 		obs.SetAttr(sweep, "value", value)
 	}
-	tp, err := newTreePartition(t, graph.NormalizeCut(append([]int(nil), bestCut...)), float64(parts))
+	tp, err := NewTreePartition(t, graph.NormalizeCut(append([]int(nil), bestCut...)), float64(parts))
 	return tp, tk.n, err
 }

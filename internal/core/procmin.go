@@ -44,7 +44,7 @@ func MinProcessors(ctx context.Context, t *graph.Tree, k float64) (*TreePartitio
 	if err != nil {
 		return nil, iters, err
 	}
-	tp, err := newTreePartition(t, graph.NormalizeCut(cut), k)
+	tp, err := NewTreePartition(t, graph.NormalizeCut(cut), k)
 	return tp, iters, err
 }
 

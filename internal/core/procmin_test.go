@@ -337,7 +337,7 @@ func partitionTreeTwoStage(tr *graph.Tree, k float64) (*TreePartition, error) {
 	for i, ce := range mp.Cut {
 		cut[i] = c.CutEdges[ce]
 	}
-	return newTreePartition(tr, graph.NormalizeCut(cut), k)
+	return NewTreePartition(tr, graph.NormalizeCut(cut), k)
 }
 
 // TestPartitionTreeMatchesTwoStage pins PartitionTree's one-labelling

@@ -314,6 +314,6 @@ func SumOfMaxTree(ctx context.Context, t *graph.Tree, parts int) (*TreePartition
 	}
 	obs.SetAttr(bp, "components", parts)
 	bp.End()
-	tp, err := newTreePartition(t, graph.NormalizeCut(cut), float64(parts))
+	tp, err := NewTreePartition(t, graph.NormalizeCut(cut), float64(parts))
 	return tp, tk.n, err
 }

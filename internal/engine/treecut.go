@@ -40,30 +40,6 @@ func treecutErr(err error) error {
 	}
 }
 
-// treecutPartition lifts a CutResult into the engine's TreePartition shape,
-// deriving the component loads and bottleneck from the tree.
-func treecutPartition(t *graph.Tree, cr *treecut.CutResult, k float64) (*core.TreePartition, error) {
-	ws, err := t.ComponentWeights(cr.Cut)
-	if err != nil {
-		return nil, err
-	}
-	bn, err := t.MaxCutEdgeWeight(cr.Cut)
-	if err != nil {
-		return nil, err
-	}
-	cut := cr.Cut
-	if cut == nil {
-		cut = []int{}
-	}
-	return &core.TreePartition{
-		Cut:              cut,
-		CutWeight:        cr.Weight,
-		Bottleneck:       bn,
-		ComponentWeights: ws,
-		K:                k,
-	}, nil
-}
-
 // liftTreecut adapts a treecut solver to the treeSolver solve signature.
 func liftTreecut(f func(context.Context, *graph.Tree, float64) (*treecut.CutResult, int64, error)) func(context.Context, *graph.Tree, float64) (*core.TreePartition, int64, error) {
 	return func(ctx context.Context, t *graph.Tree, k float64) (*core.TreePartition, int64, error) {
@@ -71,7 +47,11 @@ func liftTreecut(f func(context.Context, *graph.Tree, float64) (*treecut.CutResu
 		if err != nil {
 			return nil, iters, treecutErr(err)
 		}
-		tp, err := treecutPartition(t, cr, k)
+		cut := cr.Cut
+		if cut == nil {
+			cut = []int{}
+		}
+		tp, err := core.NewTreePartition(t, cut, k)
 		return tp, iters, err
 	}
 }

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 
@@ -43,8 +44,9 @@ type DESRow struct {
 	FMTraffic float64
 }
 
-// equalBlocksCut cuts a path into the given number of equal-length blocks.
-func equalBlocksCut(p *graph.Path, blocks int) []int {
+// EqualBlocksCut cuts a path into the given number of equal-length blocks:
+// the naive baseline the §3 studies compare bandwidth minimization against.
+func EqualBlocksCut(p *graph.Path, blocks int) []int {
 	var cut []int
 	for b := 1; b < blocks; b++ {
 		e := b*p.Len()/blocks - 1
@@ -55,105 +57,111 @@ func equalBlocksCut(p *graph.Path, blocks int) []int {
 	return cut
 }
 
-// RunDES builds each evaluation circuit, profiles it, derives the process
-// graph, linearizes it, partitions it both ways at a bound sized to use
-// roughly the given number of processors, and replays both partitions on the
-// bus model.
+// CircuitStudy is the §3 pipeline run on one circuit.
+type CircuitStudy struct {
+	Profile *logicsim.Profile
+	// Graph is the process graph derived from Profile.
+	Graph *graph.Graph
+	// Banding is Graph's BFS linearization, nil when Graph is a ring that
+	// converted to Path exactly.
+	Banding *linearize.Banding
+	Path    *graph.Path
+	// K is the load bound; Opt is the bandwidth-minimal partition under it
+	// and Naive the equal-blocks cut with as many components.
+	K     float64
+	Opt   *core.PathPartition
+	Naive []int
+	// OptRun and NaiveRun replay Opt.Cut and Naive on the bus model.
+	OptRun, NaiveRun *sched.Result
+}
+
+// StudyCircuit profiles circ for the given cycles under stim, derives its
+// process graph, linearizes it, partitions it both ways at a bound sized to
+// use roughly procs processors, and replays both partitions for 3 rounds on
+// the bus model.
+func StudyCircuit(circ *logicsim.Circuit, stim logicsim.Stimulus, cycles, procs int) (*CircuitStudy, error) {
+	prof, err := logicsim.Run(circ, cycles, stim)
+	if err != nil {
+		return nil, err
+	}
+	pg, err := logicsim.ProcessGraph(circ, prof)
+	if err != nil {
+		return nil, err
+	}
+	st := &CircuitStudy{Profile: prof, Graph: pg}
+	// Linearize: rings convert exactly, general graphs via BFS bands.
+	if p, _, ok := linearize.RingToPath(pg); ok {
+		st.Path = p
+	} else {
+		if st.Banding, err = linearize.BFSBands(pg, 0); err != nil {
+			return nil, err
+		}
+		st.Path = st.Banding.Path
+	}
+	// Bound: spread total load over about procs components.
+	st.K = st.Path.TotalNodeWeight()/float64(procs) + st.Path.MaxNodeWeight()
+	if st.Opt, _, err = core.Bandwidth(context.Background(), st.Path, st.K); err != nil {
+		return nil, fmt.Errorf("bandwidth: %w", err)
+	}
+	// The naive cut may violate K; that is part of the point — replay it
+	// anyway. Bandwidth minimization does not bound the component count, so
+	// size the simulated machine to the path; procs only sizes K above.
+	st.Naive = EqualBlocksCut(st.Path, st.Opt.NumComponents())
+	cfg := sched.Config{Machine: &arch.Machine{Processors: st.Path.Len(), Speed: 1000, BusBandwidth: 500}, Rounds: 3}
+	if st.OptRun, err = sched.SimulatePath(cfg, st.Path, st.Opt.Cut); err != nil {
+		return nil, fmt.Errorf("simulate opt: %w", err)
+	}
+	if st.NaiveRun, err = sched.SimulatePath(cfg, st.Path, st.Naive); err != nil {
+		return nil, fmt.Errorf("simulate naive: %w", err)
+	}
+	return st, nil
+}
+
+// RunDES runs StudyCircuit on each evaluation circuit and adds the FM
+// baseline on the unlinearized process graph.
 func RunDES(procs, cycles int) ([]DESRow, error) {
-	type build struct {
-		name string
-		make func() (*logicsim.Circuit, logicsim.Stimulus, error)
+	adder, errA := logicsim.RippleCarryAdder(32)
+	ring, errJ := logicsim.JohnsonCounter(64)
+	lfsr, errL := logicsim.LFSR(48, []int{47, 46, 20, 19})
+	if err := errors.Join(errA, errJ, errL); err != nil {
+		return nil, err
 	}
 	rng := workload.NewRNG(5)
-	builds := []build{
-		{"adder-chain-32b", func() (*logicsim.Circuit, logicsim.Stimulus, error) {
-			ad, err := logicsim.RippleCarryAdder(32)
-			if err != nil {
-				return nil, nil, err
-			}
-			stim := func(cycle, inputIdx int) bool { return rng.Float64() < 0.5 }
-			return ad.Circuit, stim, nil
-		}},
-		{"johnson-ring-64", func() (*logicsim.Circuit, logicsim.Stimulus, error) {
-			c, err := logicsim.JohnsonCounter(64)
-			return c, nil, err
-		}},
-		{"lfsr-48", func() (*logicsim.Circuit, logicsim.Stimulus, error) {
-			l, err := logicsim.LFSR(48, []int{47, 46, 20, 19})
-			if err != nil {
-				return nil, nil, err
-			}
-			return l.Circuit, l.SeedStimulus(), nil
-		}},
+	circuits := []struct {
+		name string
+		circ *logicsim.Circuit
+		stim logicsim.Stimulus
+	}{
+		{"adder-chain-32b", adder.Circuit, func(cycle, inputIdx int) bool { return rng.Float64() < 0.5 }},
+		{"johnson-ring-64", ring, nil},
+		{"lfsr-48", lfsr.Circuit, lfsr.SeedStimulus()},
 	}
 	var rows []DESRow
-	for _, b := range builds {
-		circ, stim, err := b.make()
+	for _, c := range circuits {
+		st, err := StudyCircuit(c.circ, c.stim, cycles, procs)
 		if err != nil {
-			return nil, fmt.Errorf("%s: %w", b.name, err)
+			return nil, fmt.Errorf("%s: %w", c.name, err)
 		}
-		prof, err := logicsim.Run(circ, cycles, stim)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", b.name, err)
-		}
-		pg, err := logicsim.ProcessGraph(circ, prof)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", b.name, err)
-		}
-		// Linearize: rings convert exactly, general graphs via BFS bands.
-		var path *graph.Path
-		var banding *linearize.Banding
-		if p, _, ok := linearize.RingToPath(pg); ok {
-			path = p
-		} else {
-			banding, err = linearize.BFSBands(pg, 0)
-			if err != nil {
-				return nil, fmt.Errorf("%s: %w", b.name, err)
-			}
-			path = banding.Path
-		}
-		// Bound: spread total load over about procs components.
-		k := path.TotalNodeWeight()/float64(procs) + path.MaxNodeWeight()
-		opt, _, err := core.Bandwidth(context.Background(), path, k)
-		if err != nil {
-			return nil, fmt.Errorf("%s: bandwidth: %w", b.name, err)
-		}
-		blocks := opt.NumComponents()
-		naive := equalBlocksCut(path, blocks)
-		// The naive cut may violate K; that is part of the point — measure
-		// its traffic and makespan anyway. Bandwidth minimization does not
-		// bound the component count, so size the simulated machine to the
-		// path; procs only sizes the load bound K above.
-		machine := &arch.Machine{Processors: path.Len(), Speed: 1000, BusBandwidth: 500}
-		optTraffic, _ := path.CutWeight(opt.Cut)
-		naiveTraffic, _ := path.CutWeight(naive)
-		cfg := sched.Config{Machine: machine, Rounds: 3}
-		optRes, err := sched.SimulatePath(cfg, path, opt.Cut)
-		if err != nil {
-			return nil, fmt.Errorf("%s: simulate opt: %w", b.name, err)
-		}
-		naiveRes, err := sched.SimulatePath(cfg, path, naive)
-		if err != nil {
-			return nil, fmt.Errorf("%s: simulate naive: %w", b.name, err)
-		}
+		optTraffic, _ := st.Path.CutWeight(st.Opt.Cut)
+		naiveTraffic, _ := st.Path.CutWeight(st.Naive)
 		// §3 heuristic baseline: FM directly on the process graph, with the
 		// conventional 10% imbalance tolerance (recursive bisection cannot
 		// generally hit a zero-slack bound).
 		fmTraffic := -1.0
-		if part, err := fm.Partition(pg, blocks, 1.1*k, 1); err == nil {
-			if wgt, err := fm.CutWeight(pg, part); err == nil {
+		if part, err := fm.Partition(st.Graph, st.Opt.NumComponents(), 1.1*st.K, 1); err == nil {
+			if wgt, err := fm.CutWeight(st.Graph, part); err == nil {
 				fmTraffic = wgt
 			}
 		}
 		rows = append(rows, DESRow{
-			Circuit:       b.name,
-			Gates:         len(circ.Gates),
-			Components:    blocks,
+			Circuit:       c.name,
+			Gates:         len(c.circ.Gates),
+			Components:    st.Opt.NumComponents(),
 			OptTraffic:    optTraffic,
 			NaiveTraffic:  naiveTraffic,
-			OptMakespan:   optRes.Makespan,
-			NaiveMakespan: naiveRes.Makespan,
-			NaiveFeasible: core.CheckPathFeasible(path, naive, k) == nil,
+			OptMakespan:   st.OptRun.Makespan,
+			NaiveMakespan: st.NaiveRun.Makespan,
+			NaiveFeasible: core.CheckPathFeasible(st.Path, st.Naive, st.K) == nil,
 			FMTraffic:     fmTraffic,
 		})
 	}

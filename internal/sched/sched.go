@@ -133,10 +133,11 @@ func (cfg Config) linkCount() (int, error) {
 	return max(cfg.Links, 1), nil
 }
 
-// newSim maps units components onto cfg.Machine and returns a core whose
-// transfers run over chans.
+// newSim checks that cfg.Machine, already validated, has a processor for
+// each of units components and returns a core whose transfers run over
+// chans.
 func newSim(cfg Config, links, units int, chans []channel) (*sim, error) {
-	if _, err := arch.MapComponents(cfg.Machine, units); err != nil {
+	if err := cfg.Machine.CheckComponents(units); err != nil {
 		return nil, err
 	}
 	return &sim{links: links, bw: cfg.Machine.BusBandwidth, chans: chans, delivered: make([]int, len(chans))}, nil

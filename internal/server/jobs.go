@@ -99,16 +99,9 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	timeout := s.cfg.MaxJobTimeout
-	if ms := p.req.TimeoutMs; ms > 0 {
-		timeout = time.Duration(ms) * time.Millisecond
-		if timeout > s.cfg.MaxJobTimeout {
-			timeout = s.cfg.MaxJobTimeout
-		}
-	}
 	j, err := s.jobs.Submit(jobs.Spec{
 		Priority: priority,
-		Timeout:  timeout,
+		Timeout:  requestTimeout(p.req.TimeoutMs, s.cfg.MaxJobTimeout, s.cfg.MaxJobTimeout),
 		Run:      s.jobRun(p, obs.RequestIDFrom(r.Context())),
 	})
 	if err != nil {

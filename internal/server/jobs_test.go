@@ -592,6 +592,29 @@ func TestJobDeadline(t *testing.T) {
 	}
 }
 
+// TestHugeTimeoutMsClamps: a timeoutMs past the time.Duration range clamps
+// to the server maximum instead of wrapping. A job keeps a deadline no later
+// than MaxJobTimeout after submission, and a synchronous solve still runs
+// instead of failing at once with 504.
+func TestHugeTimeoutMsClamps(t *testing.T) {
+	s := newTestServer(t, Config{})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	g := pathGraphJSON(t, 32, 7)
+	for i, ms := range []int64{1e13, 1 << 62} {
+		sub := submitJob(t, ts.URL, jobSubmitRequest{solveRequest: solveRequest{
+			Solver: "bandwidth", K: 500, Graph: g, TimeoutMs: ms}})
+		if sub.Deadline == nil || sub.Deadline.After(sub.Created.Add(s.cfg.MaxJobTimeout)) {
+			t.Errorf("timeoutMs %d: job deadline %v, want one at most %v after created %v",
+				ms, sub.Deadline, s.cfg.MaxJobTimeout, sub.Created)
+		}
+		waitJobState(t, ts.URL, sub.ID, jobs.StateSucceeded)
+		if rec := doJSON(t, s.Handler(), "POST", "/v1/solve", solveBody(t, 63+uint64(i), map[string]any{"timeoutMs": ms})); rec.Code != http.StatusOK {
+			t.Errorf("timeoutMs %d: solve status = %d, want 200; body %s", ms, rec.Code, rec.Body)
+		}
+	}
+}
+
 // TestJobBinarySubmit submits a PSV1 binary body with a priority query
 // parameter and checks the job solves like its JSON twin.
 func TestJobBinarySubmit(t *testing.T) {

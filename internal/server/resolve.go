@@ -278,14 +278,21 @@ func (s *Server) forwardTimeoutMs(ctx context.Context, p *parsedSolve, c caller)
 // solveTimeoutOf resolves the effective engine deadline for a requested
 // timeoutMs: the server default when unset, clamped to the server maximum.
 func (s *Server) solveTimeoutOf(ms int64) time.Duration {
-	timeout := s.cfg.DefaultTimeout
+	return requestTimeout(ms, s.cfg.DefaultTimeout, s.cfg.MaxTimeout)
+}
+
+// requestTimeout is the deadline for a request's timeoutMs: def when ms is
+// not positive, and at most limit. It clamps in milliseconds before
+// converting, so a timeoutMs past the time.Duration range cannot wrap to a
+// negative or zero deadline.
+func requestTimeout(ms int64, def, limit time.Duration) time.Duration {
 	if ms > 0 {
-		timeout = time.Duration(ms) * time.Millisecond
+		if ms > limit.Milliseconds() {
+			return limit
+		}
+		def = time.Duration(ms) * time.Millisecond
 	}
-	if timeout > s.cfg.MaxTimeout {
-		timeout = s.cfg.MaxTimeout
-	}
-	return timeout
+	return min(def, limit)
 }
 
 // syncBudget bounds a synchronous solve for a requested timeoutMs: the

@@ -2,6 +2,7 @@ package server
 
 import (
 	"encoding/json"
+	"math"
 	"net/http"
 	"strconv"
 	"time"
@@ -55,11 +56,16 @@ func (s *Server) handleTraceList(w http.ResponseWriter, r *http.Request) {
 	}
 	if v := r.URL.Query().Get("minDurationMs"); v != "" {
 		ms, err := strconv.ParseFloat(v, 64)
-		if err != nil || ms < 0 {
+		if err != nil || ms < 0 || math.IsNaN(ms) || math.IsInf(ms, 0) {
 			s.writeError(w, http.StatusBadRequest, `"minDurationMs" must be a non-negative number`)
 			return
 		}
-		q.MinDuration = time.Duration(ms * float64(time.Millisecond))
+		// float64(math.MaxInt64) is 2^63: anything at or past it would wrap,
+		// so it filters as the longest duration instead.
+		q.MinDuration = math.MaxInt64
+		if d := ms * float64(time.Millisecond); d < math.MaxInt64 {
+			q.MinDuration = time.Duration(d)
+		}
 	}
 	if v := r.URL.Query().Get("since"); v != "" {
 		if d, err := time.ParseDuration(v); err == nil && d > 0 {

@@ -102,9 +102,22 @@ func TestTracesListFiltersAndValidation(t *testing.T) {
 		t.Errorf("list for an unknown solver has %d traces, want 0", len(other.Traces))
 	}
 
-	for _, q := range []string{"minDurationMs=abc", "minDurationMs=-1", "since=not-a-time", "limit=0", "limit=x"} {
+	for _, q := range []string{"minDurationMs=abc", "minDurationMs=-1", "minDurationMs=NaN", "minDurationMs=Inf",
+		"minDurationMs=-Inf", "since=not-a-time", "limit=0", "limit=x"} {
 		if rec := doJSON(t, h, "GET", "/v1/traces?"+q, nil); rec.Code != http.StatusBadRequest {
 			t.Errorf("GET /v1/traces?%s status = %d, want 400", q, rec.Code)
+		}
+	}
+	// A finite bound past the time.Duration range filters as the longest
+	// duration: no trace took that long.
+	for _, ms := range []string{"1000000", "9223372036854.775807", "1e300"} {
+		var long traceListResponse
+		rec := doJSON(t, h, "GET", "/v1/traces?minDurationMs="+ms, nil)
+		if err := json.Unmarshal(rec.Body.Bytes(), &long); err != nil {
+			t.Fatal(err)
+		}
+		if rec.Code != http.StatusOK || len(long.Traces) != 0 {
+			t.Errorf("GET /v1/traces?minDurationMs=%s: status %d, %d traces; want 200 and none", ms, rec.Code, len(long.Traces))
 		}
 	}
 }
