@@ -194,7 +194,8 @@ func MaxMinTree(ctx context.Context, t *graph.Tree, parts int) (*TreePartition, 
 
 	sc := getScratch()
 	defer sc.release()
-	_, order, parent, parentEdge := sc.rootTree(ctx, t)
+	rt := sc.rootTree(ctx, t)
+	parent := rt.Parent
 
 	// subW is W from the header, summed in the order a full probe sums
 	// residuals; base[v] is NodeW[v] plus the W of v's dropped children.
@@ -207,9 +208,9 @@ func MaxMinTree(ctx context.Context, t *graph.Tree, parts int) (*TreePartition, 
 	copy(base, t.NodeW)
 	active := sc.deque32[:0]
 	for i := n - 1; i >= 1; i-- {
-		v := order[i]
+		v := rt.Order[i]
 		subW[parent[v]] += subW[v]
-		active = append(active, int32(v))
+		active = append(active, v)
 	}
 	active = append(active, 0)
 	cutBuf := make([]int, 0, parts-1)
@@ -249,11 +250,10 @@ func MaxMinTree(ctx context.Context, t *graph.Tree, parts int) (*TreePartition, 
 		cnt := 0
 		top := active[:len(active)-1]
 		walked += len(top)
-		for _, v32 := range top {
+		for _, v := range top {
 			if err := tk.tick(); err != nil {
 				return false, 0, err
 			}
-			v := int(v32)
 			if res[v] >= b {
 				// Sever and reset even past the first parts−1 chunks — the
 				// count must match the full greedy — but only the recorded
@@ -261,7 +261,7 @@ func MaxMinTree(ctx context.Context, t *graph.Tree, parts int) (*TreePartition, 
 				// remainder component.
 				cnt++
 				if len(cutBuf) < parts-1 {
-					cutBuf = append(cutBuf, parentEdge[v])
+					cutBuf = append(cutBuf, int(rt.ParentEdge[v]))
 					sumSevered += res[v]
 					if res[v] < minSevered {
 						minSevered = res[v]

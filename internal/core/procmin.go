@@ -62,7 +62,7 @@ func minProcessorsCut(ctx context.Context, t *graph.Tree, k float64) ([]int, int
 	n := t.Len()
 	sc := getScratch()
 	defer sc.release()
-	csr, order, parent, _ := sc.rootTree(ctx, t)
+	rt := sc.rootTree(ctx, t)
 	// res[v] is the weight of the super-node that v has been merged into so
 	// far: v plus all absorbed descendant subtrees.
 	sc.res = grow(sc.res, n)
@@ -79,11 +79,11 @@ func minProcessorsCut(ctx context.Context, t *graph.Tree, k float64) ([]int, int
 			sweep.End()
 			return nil, tk.n, err
 		}
-		v := order[i]
+		v := rt.Order[i]
 		total := t.NodeW[v]
-		lo, hi := csr.Arcs(v)
+		lo, hi := rt.Arcs(int(v))
 		for a := lo; a < hi; a++ {
-			if to := int(csr.To[a]); to != parent[v] {
+			if to := rt.To[a]; to != rt.Parent[v] {
 				total += res[to]
 			}
 		}
@@ -100,8 +100,8 @@ func minProcessorsCut(ctx context.Context, t *graph.Tree, k float64) ([]int, int
 		// t.NodeW[v] ≤ k, so the loop always finds r.
 		children = children[:0]
 		for a := lo; a < hi; a++ {
-			if to := int(csr.To[a]); to != parent[v] {
-				children = append(children, childSlot{res: res[to], edge: int(csr.EIdx[a])})
+			if to := rt.To[a]; to != rt.Parent[v] {
+				children = append(children, childSlot{res: res[to], edge: int(rt.EIdx[a])})
 			}
 		}
 		slices.SortFunc(children, func(a, b childSlot) int { return cmp.Compare(b.res, a.res) })

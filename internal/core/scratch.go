@@ -35,25 +35,22 @@ type scratch struct {
 	// candidate list of BandwidthHeap (as heapBuf).
 	deque   []int
 	heapBuf minHeap
-	// order is the weight-bucketed edge permutation (bottleneck) or the BFS
-	// vertex order of rootTree.
+	// order is the bottleneck's weight-bucketed edge permutation.
 	order []int
 	// bucketStart holds the bottleneck's weight-bucket bounds into order,
 	// bucketKeys the packed sort keys of its large buckets.
 	bucketStart []int32
 	bucketKeys  []uint64
-	// parentV / parentEdge are rootTree's parent columns and res the
-	// residual loads of the procmin sweep and the max–min probes; parentV
-	// doubles as the bottleneck's union-find parent.
-	parentV    []int
-	parentEdge []int
-	res        []float64
+	// parentV is the bottleneck's union-find parent, and res the residual
+	// loads of the procmin sweep and the max–min probes.
+	parentV []int
+	res     []float64
 	// weight is the bottleneck's union-find component weight.
 	weight []float64
 	// inCut marks the bottleneck's cut edges.
 	inCut []bool
-	// csrBuf backs the columnar adjacency (graph.CSR) of tree solvers.
-	csrBuf []int32
+	// rootBuf backs the rooted view (graph.Rooted) of tree solvers.
+	rootBuf []int32
 	// children collects a vertex's absorbed children for the procmin
 	// sort-and-prune step, reused across vertices.
 	children []childSlot
@@ -124,35 +121,13 @@ func (sc *scratch) prepDP(p *graph.Path, k float64) (*PathPartition, *dpState, e
 	return nil, &sc.dp, nil
 }
 
-// rootTree roots the valid tree t at vertex 0 in sc's buffers, inside a
-// "postorder-build" span: the columnar adjacency (three flat int32 columns
-// out of one pooled buffer instead of a []Arc slice per vertex), the BFS
-// order from the root, and each vertex's parent and parent edge, −1 at the
-// root. Reverse BFS order is a post-order for trees (children precede
-// parents), and a vertex's children are its CSR arcs minus the one to its
-// parent. A vertex's parent is set when it is queued, before it is read.
-func (sc *scratch) rootTree(ctx context.Context, t *graph.Tree) (csr graph.CSR, order, parent, parentEdge []int) {
-	n := t.Len()
+// rootTree roots the valid tree t at vertex 0 in sc's pooled buffer, inside
+// a "postorder-build" span.
+func (sc *scratch) rootTree(ctx context.Context, t *graph.Tree) graph.Rooted {
 	sp := obs.Phase(ctx, "postorder-build")
-	csr, sc.csrBuf = t.BuildCSR(sc.csrBuf)
-	sc.order = grow(sc.order, n)
-	sc.parentV = grow(sc.parentV, n)
-	sc.parentEdge = grow(sc.parentEdge, n)
-	order, parent, parentEdge = sc.order[:0], sc.parentV, sc.parentEdge
-	parent[0], parentEdge[0] = -1, -1
-	order = append(order, 0)
-	for qi := 0; qi < len(order); qi++ {
-		v := order[qi]
-		lo, hi := csr.Arcs(v)
-		for a := lo; a < hi; a++ {
-			if to := int(csr.To[a]); to != parent[v] {
-				parent[to] = v
-				parentEdge[to] = int(csr.EIdx[a])
-				order = append(order, to)
-			}
-		}
-	}
-	obs.SetAttr(sp, "nodes", n)
+	rt, buf := t.Root(0, sc.rootBuf)
+	sc.rootBuf = buf
+	obs.SetAttr(sp, "nodes", t.Len())
 	sp.End()
-	return csr, order, parent, parentEdge
+	return rt
 }

@@ -248,7 +248,7 @@ func SumOfMaxTree(ctx context.Context, t *graph.Tree, parts int) (*TreePartition
 
 	sc := getScratch()
 	defer sc.release()
-	csr, order, parent, _ := sc.rootTree(ctx, t)
+	rt := sc.rootTree(ctx, t)
 
 	sm := &sc.sm
 	sm.tab, sm.level = sm.tab[:0], append(sm.level[:0], 0)
@@ -258,12 +258,12 @@ func SumOfMaxTree(ctx context.Context, t *graph.Tree, parts int) (*TreePartition
 	dp := obs.Phase(ctx, "summax-dp")
 	// Reverse BFS order is a post-order: children are final before parents.
 	for i := n - 1; i >= 0; i-- {
-		v := order[i]
+		v := rt.Order[i]
 		sm.tab = append(sm.tab, smState{j: 0, m: t.NodeW[v], cost: 0, prev: -1, child: -1})
 		sm.level = append(sm.level, int32(len(sm.tab)))
-		lo, hi := csr.Arcs(v)
+		lo, hi := rt.Arcs(int(v))
 		for a := lo; a < hi; a++ {
-			if c := int(csr.To[a]); c != parent[v] {
+			if c := rt.To[a]; c != rt.Parent[v] {
 				if err := sm.merge(tk, sm.fin[c]); err != nil {
 					dp.End()
 					return nil, tk.n, err
@@ -296,17 +296,17 @@ func SumOfMaxTree(ctx context.Context, t *graph.Tree, parts int) (*TreePartition
 	bp := obs.Phase(ctx, "build-partition")
 	cut := make([]int, 0, parts-1)
 	sel[0] = int32(bestIdx)
-	for _, v := range order {
+	for _, v := range rt.Order {
 		l, si := fin[v], sel[v]
-		lo, hi := csr.Arcs(v)
+		lo, hi := rt.Arcs(int(v))
 		for a := hi - 1; a >= lo; a-- {
-			c := int(csr.To[a])
-			if c == parent[v] {
+			c := rt.To[a]
+			if c == rt.Parent[v] {
 				continue
 			}
 			s := tab[level[l]+si]
 			if s.cut {
-				cut = append(cut, int(csr.EIdx[a]))
+				cut = append(cut, int(rt.EIdx[a]))
 			}
 			sel[c] = s.child
 			si, l = s.prev, l-1

@@ -1,8 +1,8 @@
 package graph
 
 // Columnar adjacency for tree task graphs. The pointer-free CSR (compressed
-// sparse row) layout replaces the [][]Arc adjacency of Adjacency() on the
-// solver hot paths: three flat int32 columns carved out of a single backing
+// sparse row) layout is what every tree walker reads, through the rooted
+// view Root builds: flat int32 columns carved out of a single backing
 // allocation, so building it costs O(1) allocations (zero when a pooled
 // buffer is recycled) instead of one slice per vertex, and traversals walk
 // contiguous memory.
@@ -67,4 +67,50 @@ func (t *Tree) BuildCSR(buf []int32) (CSR, []int32) {
 	}
 	off[0] = 0
 	return CSR{Off: off, To: to, EIdx: eidx}, buf
+}
+
+// Rooted is a tree rooted at one vertex: its columnar adjacency, a BFS order
+// from the root, and each vertex's parent and parent edge. Walking Order
+// backwards visits every child before its parent, and a vertex's children
+// are its arcs in CSR order, which is edge-index order, minus the arc to its
+// parent.
+type Rooted struct {
+	CSR
+	// Order is the BFS order from the root; Order[0] is the root.
+	Order []int32
+	// Parent[v] is v's parent, −1 at the root.
+	Parent []int32
+	// ParentEdge[v] is the index into Tree.Edges of the edge from v to its
+	// parent, −1 at the root.
+	ParentEdge []int32
+}
+
+// Root roots the valid tree t at vertex root, which must be in range. It
+// builds the CSR and the BFS columns in buf when it is large enough and
+// returns the view and the (possibly grown) backing buffer, as BuildCSR
+// does. A vertex's parent is set when it is queued, before it is read.
+func (t *Tree) Root(root int, buf []int32) (Rooted, []int32) {
+	n := len(t.NodeW)
+	csrLen := n + 1 + 4*len(t.Edges)
+	need := csrLen + 3*n
+	if cap(buf) < need {
+		buf = make([]int32, need)
+	}
+	buf = buf[:need]
+	csr, _ := t.BuildCSR(buf[:csrLen:csrLen])
+	cols := buf[csrLen:]
+	order, parent, parentEdge := cols[:n:n], cols[n:2*n:2*n], cols[2*n:]
+	order[0], parent[root], parentEdge[root] = int32(root), -1, -1
+	tail := 1
+	for _, v := range order {
+		lo, hi := csr.Arcs(int(v))
+		for a := lo; a < hi; a++ {
+			if to := csr.To[a]; to != parent[v] {
+				parent[to], parentEdge[to] = v, csr.EIdx[a]
+				order[tail] = to
+				tail++
+			}
+		}
+	}
+	return Rooted{CSR: csr, Order: order, Parent: parent, ParentEdge: parentEdge}, buf
 }

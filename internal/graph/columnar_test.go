@@ -188,3 +188,35 @@ func TestPrefixNodeWeightsInto(t *testing.T) {
 		t.Fatal("PrefixNodeWeightsInto did not reuse the buffer")
 	}
 }
+
+func TestRootColumns(t *testing.T) {
+	// 3 is the root; edge order differs from BFS order and endpoints are
+	// flipped, so Order follows the CSR arcs, not the edge list.
+	tr := &Tree{NodeW: []float64{1, 1, 1, 1, 1}, Edges: []Edge{
+		{U: 4, V: 1, W: 1}, {U: 0, V: 3, W: 1}, {U: 3, V: 1, W: 1}, {U: 2, V: 0, W: 1},
+	}}
+	rt, buf := tr.Root(3, nil)
+	check := func(name string, got, want []int32) {
+		t.Helper()
+		if len(got) != len(want) {
+			t.Fatalf("%s = %v, want %v", name, got, want)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%s = %v, want %v", name, got, want)
+			}
+		}
+	}
+	check("Order", rt.Order, []int32{3, 0, 1, 2, 4})
+	check("Parent", rt.Parent, []int32{3, 3, 0, -1, 1})
+	check("ParentEdge", rt.ParentEdge, []int32{1, 2, 3, -1, 0})
+	// Rooting again in the returned buffer reuses it and overwrites every
+	// column, stale parents included.
+	rt2, buf2 := tr.Root(4, buf)
+	if &buf[0] != &buf2[0] {
+		t.Fatal("second Root did not reuse the buffer")
+	}
+	check("Order", rt2.Order, []int32{4, 1, 3, 0, 2})
+	check("Parent", rt2.Parent, []int32{3, 4, 0, 1, -1})
+	check("ParentEdge", rt2.ParentEdge, []int32{1, 0, 3, 2, -1})
+}

@@ -58,9 +58,8 @@ type Partition struct {
 type instance struct {
 	t        *graph.Tree
 	host     int
-	order    []int // BFS order from host
-	parent   []int
-	parentW  []float64 // root-edge weight per vertex (0 for host)
+	rt       graph.Rooted // rooted at host
+	parentW  []float64    // root-edge weight per vertex (0 for host)
 	subtreeW []float64
 	total    float64
 }
@@ -73,38 +72,25 @@ func prepare(t *graph.Tree, host int) (*instance, error) {
 		return nil, fmt.Errorf("host %d out of range [0,%d): %w", host, t.Len(), ErrBadInput)
 	}
 	n := t.Len()
-	adj := t.Adjacency()
+	rt, _ := t.Root(host, nil)
 	in := &instance{
 		t:        t,
 		host:     host,
-		parent:   make([]int, n),
+		rt:       rt,
 		parentW:  make([]float64, n),
 		subtreeW: make([]float64, n),
 		total:    t.TotalNodeWeight(),
 	}
-	for v := range in.parent {
-		in.parent[v] = -1
-	}
-	in.order = append(in.order, host)
-	seen := make([]bool, n)
-	seen[host] = true
-	for qi := 0; qi < len(in.order); qi++ {
-		v := in.order[qi]
-		for _, a := range adj[v] {
-			if !seen[a.To] {
-				seen[a.To] = true
-				in.parent[a.To] = v
-				in.parentW[a.To] = t.Edges[a.Edge].W
-				in.order = append(in.order, a.To)
-			}
-		}
-	}
 	for i := n - 1; i >= 0; i-- {
-		v := in.order[i]
+		v := rt.Order[i]
+		if e := rt.ParentEdge[v]; e >= 0 {
+			in.parentW[v] = t.Edges[e].W
+		}
 		in.subtreeW[v] = t.NodeW[v]
-		for _, a := range adj[v] {
-			if a.To != in.parent[v] && in.parent[a.To] == v {
-				in.subtreeW[v] += in.subtreeW[a.To]
+		lo, hi := rt.Arcs(int(v))
+		for a := lo; a < hi; a++ {
+			if to := rt.To[a]; to != rt.Parent[v] {
+				in.subtreeW[v] += in.subtreeW[to]
 			}
 		}
 	}
@@ -121,16 +107,17 @@ func (in *instance) cost(v int) float64 {
 // The host vertex itself can never be offloaded. O(n).
 func (in *instance) bestOffload(b float64) (float64, []int) {
 	n := in.t.Len()
-	adj := in.t.Adjacency()
+	rt := &in.rt
 	// gain[v]: max offloadable weight within v's subtree.
 	gain := make([]float64, n)
 	whole := make([]bool, n) // v's subtree offloaded as one unit on the optimal path
 	for i := n - 1; i >= 0; i-- {
-		v := in.order[i]
+		v := int(rt.Order[i])
 		var childSum float64
-		for _, a := range adj[v] {
-			if in.parent[a.To] == v {
-				childSum += gain[a.To]
+		lo, hi := rt.Arcs(v)
+		for a := lo; a < hi; a++ {
+			if to := rt.To[a]; to != rt.Parent[v] {
+				childSum += gain[to]
 			}
 		}
 		gain[v] = childSum
@@ -150,9 +137,10 @@ func (in *instance) bestOffload(b float64) (float64, []int) {
 			roots = append(roots, v)
 			continue
 		}
-		for _, a := range adj[v] {
-			if in.parent[a.To] == v {
-				stack = append(stack, a.To)
+		lo, hi := rt.Arcs(v)
+		for a := lo; a < hi; a++ {
+			if to := rt.To[a]; to != rt.Parent[v] {
+				stack = append(stack, int(to))
 			}
 		}
 	}
@@ -184,7 +172,7 @@ func (in *instance) buildPartition(roots []int) *Partition {
 func (in *instance) candidates() []float64 {
 	set := map[float64]bool{0: true}
 	for v := range in.subtreeW {
-		if v != in.host && in.parent[v] != -1 {
+		if v != in.host {
 			set[in.cost(v)] = true
 		}
 	}
@@ -281,7 +269,7 @@ func SolveLimited(t *graph.Tree, host, m int) (*Partition, error) {
 // satellites.
 func (in *instance) bestOffloadLimited(b float64, m int) []int {
 	n := in.t.Len()
-	adj := in.t.Adjacency()
+	rt := &in.rt
 	dp := make([][]float64, n)
 	// choice[v][k]: per-child satellite allocation on the optimal path, plus
 	// whether v is offloaded whole.
@@ -292,11 +280,12 @@ func (in *instance) bestOffloadLimited(b float64, m int) []int {
 	}
 	choice := make([]map[int]pick, n)
 	for i := n - 1; i >= 0; i-- {
-		v := in.order[i]
+		v := int(rt.Order[i])
 		var children []int
-		for _, a := range adj[v] {
-			if in.parent[a.To] == v {
-				children = append(children, a.To)
+		lo, hi := rt.Arcs(v)
+		for a := lo; a < hi; a++ {
+			if to := rt.To[a]; to != rt.Parent[v] {
+				children = append(children, int(to))
 			}
 		}
 		// Combine children with a budget-split DP.
@@ -349,10 +338,11 @@ func (in *instance) bestOffloadLimited(b float64, m int) []int {
 			continue
 		}
 		idx := 0
-		for _, a := range adj[fr.v] {
-			if in.parent[a.To] == fr.v {
+		lo, hi := rt.Arcs(fr.v)
+		for a := lo; a < hi; a++ {
+			if to := rt.To[a]; to != rt.Parent[fr.v] {
 				if idx < len(pc.alloc) && pc.alloc[idx] > 0 {
-					stack = append(stack, frame{a.To, int(pc.alloc[idx])})
+					stack = append(stack, frame{int(to), int(pc.alloc[idx])})
 				}
 				idx++
 			}

@@ -22,7 +22,7 @@ func bruteSolve(t *testing.T, tr *graph.Tree, host, m int) float64 {
 	best := math.Inf(1)
 	// ancestor[v][u]: u is a strict ancestor of v (towards host).
 	isAncestor := func(u, v int) bool {
-		for x := v; x != -1; x = in.parent[x] {
+		for x := v; x != -1; x = int(in.rt.Parent[x]) {
 			if x == u && x != v {
 				return true
 			}

@@ -34,32 +34,6 @@ import (
 // so the check compiles to a mask.
 const pollEvery = 4096
 
-// rootOrder returns a BFS order from vertex 0 plus parent and parent-edge
-// arrays; reversing the order gives a post-order.
-func rootOrder(t *graph.Tree) (order, parent, parentEdge []int) {
-	n := t.Len()
-	adj := t.Adjacency()
-	order = make([]int, 0, n)
-	parent = make([]int, n)
-	parentEdge = make([]int, n)
-	for v := range parent {
-		parent[v] = -1
-		parentEdge[v] = -1
-	}
-	order = append(order, 0)
-	for qi := 0; qi < len(order); qi++ {
-		v := order[qi]
-		for _, a := range adj[v] {
-			if a.To != parent[v] {
-				parent[a.To] = v
-				parentEdge[a.To] = a.Edge
-				order = append(order, a.To)
-			}
-		}
-	}
-	return order, parent, parentEdge
-}
-
 // TreeBandwidthExact computes a minimum-weight feasible cut for a tree with
 // integral vertex weights and integral bound k. It refuses instances whose
 // n·k product would be excessive. ctx is polled inside the DP sweep, and the
@@ -83,8 +57,7 @@ func TreeBandwidthExact(ctx context.Context, t *graph.Tree, k int) (*CutResult, 
 			return nil, 0, fmt.Errorf("vertex %d weight %d > K=%d: %w", v, wInt[v], k, ErrInfeasible)
 		}
 	}
-	order, parent, parentEdge := rootOrder(t)
-	adj := t.Adjacency()
+	rt, _ := t.Root(0, nil)
 	// dp[v][w] = min cut weight within v's subtree such that the component
 	// containing v weighs exactly w; math.Inf(1) if impossible.
 	// choice[v] records, per child, whether the child edge was cut and at
@@ -107,17 +80,18 @@ func TreeBandwidthExact(ctx context.Context, t *graph.Tree, k int) (*CutResult, 
 	obs.SetAttr(sweep, "n", n)
 	obs.SetAttr(sweep, "k", k)
 	for i := n - 1; i >= 0; i-- {
-		v := order[i]
+		v := rt.Order[i]
 		cur := make([]float64, k+1)
 		for w := range cur {
 			cur[w] = math.Inf(1)
 		}
 		cur[wInt[v]] = 0
-		for _, a := range adj[v] {
-			if a.To == parent[v] {
+		lo, hi := rt.Arcs(int(v))
+		for a := lo; a < hi; a++ {
+			c := int(rt.To[a])
+			if c == int(rt.Parent[v]) {
 				continue
 			}
-			c := a.To
 			cdp := dp[c]
 			next := make([]float64, k+1)
 			dec := childDecision{child: c, cutAt: make([]bool, k+1), childW: make([]int, k+1)}
@@ -136,7 +110,7 @@ func TreeBandwidthExact(ctx context.Context, t *graph.Tree, k int) (*CutResult, 
 				if !math.IsInf(cur[w], 1) {
 					// Cut the child edge: pay edge weight plus the child's
 					// best standalone subtree cost.
-					if v2 := cur[w] + t.Edges[a.Edge].W + bestVal[c]; v2 < next[w] {
+					if v2 := cur[w] + t.Edges[rt.EIdx[a]].W + bestVal[c]; v2 < next[w] {
 						next[w] = v2
 						dec.cutAt[w] = true
 						dec.childW[w] = bestW[c]
@@ -189,7 +163,7 @@ func TreeBandwidthExact(ctx context.Context, t *graph.Tree, k int) (*CutResult, 
 		for di := len(decisions[fr.v]) - 1; di >= 0; di-- {
 			dec := decisions[fr.v][di]
 			if dec.cutAt[w] {
-				res.Cut = append(res.Cut, parentEdge[dec.child])
+				res.Cut = append(res.Cut, int(rt.ParentEdge[dec.child]))
 				stack = append(stack, frame{v: dec.child, w: dec.childW[w]})
 				// component weight at v unchanged by a cut child
 			} else {
@@ -289,8 +263,7 @@ func TreeBandwidthGreedy(ctx context.Context, t *graph.Tree, k float64) (*CutRes
 	}
 	var iters int64
 	n := t.Len()
-	order, parent, _ := rootOrder(t)
-	adj := t.Adjacency()
+	rt, _ := t.Root(0, nil)
 	res := make([]float64, n)
 	copy(res, t.NodeW)
 	cutSet := make(map[int]bool)
@@ -298,6 +271,7 @@ func TreeBandwidthGreedy(ctx context.Context, t *graph.Tree, k float64) (*CutRes
 		res  float64
 		edge int
 	}
+	var children []cand
 	sweep := obs.Phase(ctx, "greedy-sweep")
 	for i := n - 1; i >= 0; i-- {
 		if iters++; iters&(pollEvery-1) == 0 {
@@ -308,15 +282,15 @@ func TreeBandwidthGreedy(ctx context.Context, t *graph.Tree, k float64) (*CutRes
 			default:
 			}
 		}
-		v := order[i]
-		var children []cand
+		v := rt.Order[i]
+		children = children[:0]
 		total := t.NodeW[v]
-		for _, a := range adj[v] {
-			if a.To == parent[v] {
-				continue
+		lo, hi := rt.Arcs(int(v))
+		for a := lo; a < hi; a++ {
+			if to := rt.To[a]; to != rt.Parent[v] {
+				children = append(children, cand{res: res[to], edge: int(rt.EIdx[a])})
+				total += res[to]
 			}
-			children = append(children, cand{res: res[a.To], edge: a.Edge})
-			total += res[a.To]
 		}
 		if total <= k {
 			res[v] = total

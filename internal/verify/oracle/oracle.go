@@ -229,18 +229,18 @@ func MinComponentsTree(t *graph.Tree, k float64) (int, []int, error) {
 			return 0, nil, fmt.Errorf("task %d weight %v > K=%v: %w", v, w, k, ErrInfeasible)
 		}
 	}
-	rt := rootTree(t)
+	rt, _ := t.Root(0, nil)
 	residual := make([]float64, t.Len())
 	inCut := make([]bool, t.NumEdges())
 	var kids []int32
 	cuts := 0
-	for i := len(rt.order) - 1; i >= 0; i-- {
-		v := rt.order[i]
+	for i := len(rt.Order) - 1; i >= 0; i-- {
+		v := rt.Order[i]
 		total := t.NodeW[v]
 		kids = kids[:0]
-		lo, hi := rt.csr.Arcs(int(v))
+		lo, hi := rt.Arcs(int(v))
 		for a := lo; a < hi; a++ {
-			if to := rt.csr.To[a]; to != rt.parent[v] {
+			if to := rt.To[a]; to != rt.Parent[v] {
 				kids = append(kids, a)
 				total += residual[to]
 			}
@@ -250,16 +250,16 @@ func MinComponentsTree(t *graph.Tree, k float64) (int, []int, error) {
 			// afresh from v's own weight: subtracting the detached ones from
 			// total would drift from the exact sum on float weights.
 			slices.SortFunc(kids, func(a, b int32) int {
-				return cmp.Compare(residual[rt.csr.To[b]], residual[rt.csr.To[a]])
+				return cmp.Compare(residual[rt.To[b]], residual[rt.To[a]])
 			})
 			total = t.NodeW[v]
 			r := len(kids)
-			for r > 0 && total+residual[rt.csr.To[kids[r-1]]] <= k {
+			for r > 0 && total+residual[rt.To[kids[r-1]]] <= k {
 				r--
-				total += residual[rt.csr.To[kids[r]]]
+				total += residual[rt.To[kids[r]]]
 			}
 			for _, a := range kids[:r] {
-				inCut[rt.csr.EIdx[a]] = true
+				inCut[rt.EIdx[a]] = true
 			}
 			cuts += r
 		}
@@ -275,39 +275,4 @@ func MinComponentsTree(t *graph.Tree, k float64) (int, []int, error) {
 		}
 	}
 	return len(cut) + 1, cut, nil
-}
-
-// rootedTree is a tree rooted at vertex 0, as the bottom-up oracles walk
-// it: the columnar adjacency, a BFS order from the root and each vertex's
-// parent, all carved out of one []int32. Walking order backwards visits
-// every child before its parent, and a vertex's children are its arcs in
-// CSR order, which is edge-index order, minus the arc to its parent.
-type rootedTree struct {
-	csr graph.CSR
-	// order is the BFS order from vertex 0.
-	order []int32
-	// parent[v] is v's parent, −1 at the root.
-	parent []int32
-}
-
-// rootTree roots the valid tree t at vertex 0.
-func rootTree(t *graph.Tree) rootedTree {
-	n := t.Len()
-	csrLen := n + 1 + 4*t.NumEdges()
-	buf := make([]int32, csrLen+2*n)
-	csr, _ := t.BuildCSR(buf[:csrLen:csrLen])
-	order, parent := buf[csrLen:csrLen+n:csrLen+n], buf[csrLen+n:]
-	order[0], parent[0] = 0, -1
-	tail := 1
-	for _, v := range order {
-		lo, hi := csr.Arcs(int(v))
-		for a := lo; a < hi; a++ {
-			if to := csr.To[a]; to != parent[v] {
-				parent[to] = v
-				order[tail] = to
-				tail++
-			}
-		}
-	}
-	return rootedTree{csr: csr, order: order, parent: parent}
 }

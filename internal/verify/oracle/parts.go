@@ -137,17 +137,17 @@ func SumOfMaxBrute(t *graph.Tree, parts int) (*PartsResult, error) {
 // exchange-optimal, so the count is exact; certificates use it as evidence
 // that no max–min partition beats a claimed value. Runs in O(n).
 func MaxPartsOver(t *graph.Tree, b float64) (int, error) {
-	rt := rootTree(t)
+	rt, _ := t.Root(0, nil)
 	// residual[v] is what v hands its parent: its residual weight, or 0
 	// once severed.
 	residual := make([]float64, t.Len())
 	cnt := 0
-	for i := len(rt.order) - 1; i >= 0; i-- {
-		v := rt.order[i]
+	for i := len(rt.Order) - 1; i >= 0; i-- {
+		v := rt.Order[i]
 		var kids float64
-		lo, hi := rt.csr.Arcs(int(v))
+		lo, hi := rt.Arcs(int(v))
 		for a := lo; a < hi; a++ {
-			if to := rt.csr.To[a]; to != rt.parent[v] {
+			if to := rt.To[a]; to != rt.Parent[v] {
 				kids += residual[to]
 			}
 		}
@@ -170,15 +170,15 @@ func SumOfMaxDP(t *graph.Tree, parts int) (float64, error) {
 	if err := checkPartsArg(t, parts); err != nil {
 		return 0, err
 	}
-	rt := rootTree(t)
+	rt, _ := t.Root(0, nil)
 	tab := make([]map[smKey]float64, t.Len())
-	for i := len(rt.order) - 1; i >= 0; i-- {
-		v := rt.order[i]
+	for i := len(rt.Order) - 1; i >= 0; i-- {
+		v := rt.Order[i]
 		cur := map[smKey]float64{{j: 0, m: t.NodeW[v]}: 0}
-		lo, hi := rt.csr.Arcs(int(v))
+		lo, hi := rt.Arcs(int(v))
 		for a := lo; a < hi; a++ {
-			to := rt.csr.To[a]
-			if to == rt.parent[v] {
+			to := rt.To[a]
+			if to == rt.Parent[v] {
 				continue
 			}
 			child := tab[to]
