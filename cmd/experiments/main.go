@@ -3,14 +3,16 @@
 //
 // Usage:
 //
-//	experiments -fig 2            # Figure 2 sweep (p, q, p·log q, queue stats)
-//	experiments -fig 2 -csv f.csv # also dump the sweep as CSV
-//	experiments -table complexity # bandwidth solver ladder timings
-//	experiments -table ccp        # chains-on-chains prior-work ladder
-//	experiments -table des        # §3 DDES circuit study
-//	experiments -table rt         # §3 real-time pipeline study
-//	experiments -all              # everything
-//	experiments -quick            # smaller sweeps for a fast smoke run
+//	experiments -fig 2               # Figure 2 sweep (p, q, p·log q, queue stats)
+//	experiments -fig 2 -csv f.csv    # also dump the sweep as CSV
+//	experiments -table complexity    # bandwidth solver ladder timings
+//	experiments -table ccp           # chains-on-chains prior-work ladder
+//	experiments -table des           # §3 DDES circuit study
+//	experiments -table rt            # §3 real-time pipeline study
+//	experiments -table priorwork     # sum-bottleneck and host-satellite prior work
+//	experiments -table treeheuristic # Theorem 1: greedy vs exact tree cut
+//	experiments -all                 # everything
+//	experiments -quick               # smaller sweeps for a fast smoke run
 package main
 
 import (

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"regexp"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -51,4 +53,24 @@ func readFile(t *testing.T, elem ...string) string {
 		t.Fatal(err)
 	}
 	return string(b)
+}
+
+// TestDocumentedSelectionsExist scans the repository's documents for every
+// -fig X and -table X, where X may list alternatives as a|b, and checks
+// each X against the artifacts table, so that a documented command cannot
+// name a figure or table the command rejects.
+func TestDocumentedSelectionsExist(t *testing.T) {
+	sel := regexp.MustCompile("-(fig|table)[ =]([A-Za-z0-9_|]+)")
+	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md"} {
+		for i, line := range strings.Split(readFile(t, "..", "..", doc), "\n") {
+			for _, m := range sel.FindAllStringSubmatch(line, -1) {
+				fig := m[1] == "fig"
+				for _, x := range strings.Split(m[2], "|") {
+					if !slices.Contains(names(fig), x) {
+						t.Errorf("%s:%d: -%s %s is not one of %v", doc, i+1, m[1], x, names(fig))
+					}
+				}
+			}
+		}
+	}
 }

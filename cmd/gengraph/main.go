@@ -14,8 +14,7 @@
 // -format selects the output encoding: "text" (default) is the line-oriented
 // codec of internal/graph, "json" is the envelope partitiond's /v1/solve
 // accepts, and "bin" is the PGB1 binary frame (internal/codec) that both
-// cmd/partition and partitiond's binary wire format consume. -json is kept
-// as a deprecated alias for -format json.
+// cmd/partition and partitiond's binary wire format consume.
 package main
 
 import (
@@ -50,21 +49,11 @@ func run() error {
 	leaves := flag.Int("leaves", 3, "leaves per spine vertex for -kind caterpillar")
 	rows := flag.Int("rows", 32, "grid rows for -kind pde")
 	cols := flag.Int("cols", 1024, "grid columns for -kind pde")
-	format := flag.String("format", "", "output encoding: text | json | bin (default text)")
-	asJSON := flag.Bool("json", false, "deprecated alias for -format json")
+	format := flag.String("format", "text", "output encoding: text | json | bin")
 	flag.Parse()
 
 	switch *format {
-	case "":
-		if *asJSON {
-			*format = "json"
-		} else {
-			*format = "text"
-		}
 	case "text", "json", "bin":
-		if *asJSON && *format != "json" {
-			return fmt.Errorf("-json conflicts with -format %s", *format)
-		}
 	default:
 		return fmt.Errorf("unknown format %q (want text, json, or bin)", *format)
 	}

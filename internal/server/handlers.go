@@ -54,15 +54,6 @@ type solveRequest struct {
 	Trace bool `json:"trace,omitempty"`
 }
 
-// verifyInfo is the wire form of a verify.Certificate.
-type verifyInfo struct {
-	Criterion string  `json:"criterion"`
-	Certified bool    `json:"certified"`
-	Objective float64 `json:"objective"`
-	Bound     float64 `json:"bound"`
-	Detail    string  `json:"detail,omitempty"`
-}
-
 // SolveResponse is the body of a successful solve, rendered from the cached
 // PRS1 frame. Hits render the same bytes as the original answer, so Stats
 // describe the solve that produced the result; the X-Cache header says which
@@ -80,7 +71,7 @@ type SolveResponse struct {
 	// hits replay the certificate of the original solve (the cache key
 	// includes the verify flag, so unverified entries never satisfy a
 	// verified request).
-	Verify *verifyInfo `json:"verify,omitempty"`
+	Verify *verify.Certificate `json:"verify,omitempty"`
 	// Trace is the solve's span tree, present only when the request set
 	// "trace" (such requests always solve afresh).
 	Trace *obs.SpanNode `json:"trace,omitempty"`
@@ -174,24 +165,18 @@ func (s *Server) readBody(r *http.Request) (*bytes.Buffer, error) {
 // objective is reported as an uncertified response rather than an error —
 // the caller asked a question the certificate machinery cannot answer, and
 // the Detail field says so.
-func (s *Server) certifyResult(req engine.Request, res engine.Result) *verifyInfo {
+func (s *Server) certifyResult(req engine.Request, res engine.Result) *verify.Certificate {
 	cert, err := verify.CertifyResult(req, &res)
 	if err != nil {
 		s.verifyUncertified.Add(1)
-		return &verifyInfo{Certified: false, Detail: err.Error()}
+		return &verify.Certificate{Certified: false, Detail: err.Error()}
 	}
 	if cert.Certified {
 		s.verifyCertified.Add(1)
 	} else {
 		s.verifyUncertified.Add(1)
 	}
-	return &verifyInfo{
-		Criterion: cert.Criterion,
-		Certified: cert.Certified,
-		Objective: cert.Objective,
-		Bound:     cert.Bound,
-		Detail:    cert.Detail,
-	}
+	return cert
 }
 
 // writeJSON writes a JSON body with the given status.

@@ -13,6 +13,7 @@ import (
 	"repro/internal/jobs"
 	"repro/internal/obs"
 	"repro/internal/obs/flight"
+	"repro/internal/verify"
 )
 
 // The solve path. /v1/solve, every /v1/batch item and every /v1/jobs run
@@ -232,7 +233,7 @@ func (s *Server) solveLocal(ctx context.Context, p *parsedSolve, c caller) (reso
 		}
 		return resolved{solved: res.Stats.Duration}, err
 	}
-	var cert *verifyInfo
+	var cert *verify.Certificate
 	if p.req.Verify {
 		cert = s.certifyResult(req, res)
 	}

@@ -13,6 +13,7 @@ import (
 	"repro/internal/codec"
 	"repro/internal/engine"
 	"repro/internal/graph"
+	"repro/internal/verify"
 )
 
 // Binary wire frames for /v1/solve and /v1/batch, negotiated by media type:
@@ -354,7 +355,7 @@ func (s *Server) parseBinaryBatch(b []byte) (parsed []parsedSolve, errMsgs []str
 // appendSolveResult renders the canonical PRS1 frame for one solve result —
 // the artifact the cache stores and every response format renders from.
 // cert is nil unless the request asked for verification.
-func appendSolveResult(dst []byte, fp uint64, res engine.Result, cert *verifyInfo) []byte {
+func appendSolveResult(dst []byte, fp uint64, res engine.Result, cert *verify.Certificate) []byte {
 	return appendSolveFrame(dst, &SolveResult{
 		Solver:           res.Solver,
 		K:                res.K,
@@ -433,7 +434,7 @@ type SolveResult struct {
 	Iterations       int64
 	Cut              []int
 	ComponentWeights []float64
-	Verify           *verifyInfo
+	Verify           *verify.Certificate
 }
 
 // DecodeSolveResult decodes one PRS1 frame from the front of b, returning
@@ -478,7 +479,7 @@ func DecodeSolveResult(b []byte) (*SolveResult, []byte, error) {
 		out.ComponentWeights[i] = rd.f64()
 	}
 	if flags&wireFlagHasVerify != 0 {
-		v := &verifyInfo{}
+		v := &verify.Certificate{}
 		v.Criterion = rd.str()
 		certified := rd.u8()
 		if certified > 1 {

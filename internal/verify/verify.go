@@ -65,22 +65,22 @@ var ErrNotCertifiable = errors.New("verify: result not certifiable")
 type Certificate struct {
 	// Criterion is the certified objective ("bottleneck", "minprocs",
 	// "bandwidth", "maxmin", "summax").
-	Criterion string
+	Criterion string `json:"criterion"`
 	// Certified reports whether the cut is feasible AND its objective value
 	// matches the independent evidence. False means the certificate could
 	// not establish optimality — the answer may still be correct (see
 	// Detail), but it is not proven.
-	Certified bool
+	Certified bool `json:"certified"`
 	// Objective is the cut's objective value under Criterion.
-	Objective float64
+	Objective float64 `json:"objective"`
 	// Bound is the independent evidence compared against Objective: the
 	// packing lower bound for bandwidth, the greedy reference count for
 	// minprocs, and the strictly-lighter bottleneck threshold probed for
 	// bottleneck.
-	Bound float64
+	Bound float64 `json:"bound"`
 	// Detail explains a false Certified (infeasible cut, bound gap, binding
 	// component cap, …). Empty when certified.
-	Detail string
+	Detail string `json:"detail,omitempty"`
 }
 
 // eps returns the comparison tolerance for an objective value v: floating
