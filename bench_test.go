@@ -17,6 +17,7 @@
 //	BenchmarkSumBottleneck          — prior work: Bokhari's linear-array model
 //	BenchmarkHostSatellite          — prior work: host-satellite trees
 //	BenchmarkTreeBandwidthExact     — THM1: pseudo-polynomial DP cost
+//	BenchmarkTreeBandwidthGreedy    — THM1: heuristic sweep and redundancy pass
 //	BenchmarkLogicsimProfile        — APP-DES substrate cost
 //	BenchmarkSchedSimulate          — APP-DES/RT replay cost
 //
@@ -467,6 +468,22 @@ func BenchmarkTreeBandwidthExact(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkTreeBandwidthGreedy runs the heuristic on a 5k-node tree at
+// K = 30 × max task, where its redundancy pass retries hundreds of cut edges.
+func BenchmarkTreeBandwidthGreedy(b *testing.B) {
+	r := workload.NewRNG(7)
+	tr := workload.RandomTree(r, 5000, workload.UniformWeights(1, 100), workload.UniformWeights(1, 50))
+	k := 30 * tr.MaxNodeWeight()
+	b.Run("n=5000/K=30x", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, _, err := treecut.TreeBandwidthGreedy(context.Background(), tr, k); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 func BenchmarkSumBottleneck(b *testing.B) {

@@ -8,13 +8,16 @@
 // re-solved across K values and solver choices when sizing a deployment — so
 // the cache turns repeated solves into O(1) lookups of the canonical PRS1
 // result frame, from which every response format renders byte-identically
-// to the first answer.
+// to the first answer. A JSON hit writes the entry's memo of its untraced
+// JSON body, which the first JSON hit on that entry renders and fills; a
+// miss renders and keeps nothing, since most keys are never asked again.
 package server
 
 import (
 	"container/list"
 	"math"
 	"sync"
+	"sync/atomic"
 )
 
 // cacheKey identifies one solve: the graph's stable fingerprint plus every
@@ -60,9 +63,14 @@ func (k cacheKey) shardIndex(n int) int {
 	return int(h % uint64(n))
 }
 
+// cacheEntry is one cached answer: its PRS1 frame, and the memo of its
+// untraced JSON body (see renderJSONResult). The frame never changes: a Put
+// on a stored key swaps in a new entry, which drops the old frame's memo
+// with it. Both are shared and read-only.
 type cacheEntry struct {
 	key  cacheKey
 	body []byte
+	json atomic.Pointer[[]byte]
 }
 
 // cacheShard is one independently locked LRU list + index.
@@ -110,9 +118,9 @@ func NewCache(size, shards int) *Cache {
 	return c
 }
 
-// Get returns the cached frame for key, marking it most recently
-// used. The returned slice is shared — callers must not modify it.
-func (c *Cache) Get(key cacheKey) ([]byte, bool) {
+// Get returns the cache entry for key, marking it most recently used. Its
+// frame and memo are shared — callers must not modify them.
+func (c *Cache) Get(key cacheKey) (*cacheEntry, bool) {
 	if c == nil {
 		return nil, false
 	}
@@ -124,11 +132,12 @@ func (c *Cache) Get(key cacheKey) ([]byte, bool) {
 		return nil, false
 	}
 	s.ll.MoveToFront(el)
-	return el.Value.(*cacheEntry).body, true
+	return el.Value.(*cacheEntry), true
 }
 
 // Put stores body under key, evicting the least recently used entry of the
-// key's shard when the shard is full. Storing an existing key refreshes it.
+// key's shard when the shard is full. Storing an existing key refreshes it
+// with a new entry.
 func (c *Cache) Put(key cacheKey, body []byte) {
 	if c == nil {
 		return
@@ -137,7 +146,7 @@ func (c *Cache) Put(key cacheKey, body []byte) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if el, ok := s.items[key]; ok {
-		el.Value.(*cacheEntry).body = body
+		el.Value = &cacheEntry{key: key, body: body}
 		s.ll.MoveToFront(el)
 		return
 	}

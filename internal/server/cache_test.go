@@ -8,13 +8,22 @@ import (
 
 func k(fp uint64) cacheKey { return newCacheKey(fp, "bandwidth", 100, 0, false) }
 
+// get is c.Get's frame, nil on a miss.
+func get(c *Cache, key cacheKey) ([]byte, bool) {
+	e, ok := c.Get(key)
+	if !ok {
+		return nil, false
+	}
+	return e.body, true
+}
+
 func TestCacheHitMiss(t *testing.T) {
 	c := NewCache(8, 1)
 	if _, ok := c.Get(k(1)); ok {
 		t.Fatal("empty cache reported a hit")
 	}
 	c.Put(k(1), []byte("one"))
-	body, ok := c.Get(k(1))
+	body, ok := get(c, k(1))
 	if !ok || string(body) != "one" {
 		t.Fatalf("Get = %q, %v; want \"one\", true", body, ok)
 	}
@@ -58,7 +67,7 @@ func TestCachePutRefreshesExisting(t *testing.T) {
 	c := NewCache(4, 1)
 	c.Put(k(1), []byte("a"))
 	c.Put(k(1), []byte("b"))
-	body, ok := c.Get(k(1))
+	body, ok := get(c, k(1))
 	if !ok || string(body) != "b" {
 		t.Fatalf("Get = %q, %v; want \"b\", true", body, ok)
 	}
@@ -109,7 +118,7 @@ func TestCacheConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
 				key := newCacheKey(uint64(i%64), fmt.Sprintf("solver-%d", g%2), float64(i%8+1), 0, false)
-				if body, ok := c.Get(key); ok && len(body) == 0 {
+				if body, ok := get(c, key); ok && len(body) == 0 {
 					t.Error("hit with empty body")
 					return
 				}

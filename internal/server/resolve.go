@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"slices"
 	"time"
 
 	"repro/internal/engine"
@@ -19,9 +20,11 @@ import (
 // The solve path. /v1/solve, every /v1/batch item and every /v1/jobs run
 // resolve one request the same way and produce the same artifact: the
 // canonical PRS1 frame, which encodes a result losslessly (floats travel as
-// their exact bits). The cache stores only frames, keyed on the parameters
-// that change the answer, and JSON responses render from the frame at the
-// edge — so one solve serves every route and encoding.
+// their exact bits). The cache stores frames, keyed on the parameters that
+// change the answer, and JSON responses render from the frame at the edge —
+// so one solve serves every route and encoding. A JSON hit writes the cache
+// entry's memo of its untraced body instead, which the first JSON hit fills
+// (renderJSONResult).
 //
 // A miss resolves under a single-flight group keyed like the cache, so N
 // identical concurrent misses perform one solve however the callers mix
@@ -38,6 +41,7 @@ import (
 type resolved struct {
 	frame   []byte
 	cached  bool          // served from the result cache
+	entry   *cacheEntry   // the entry a hit read, whose JSON memo it uses
 	shared  bool          // joined a concurrent identical miss
 	via     string        // forwarding peer URL; empty for a local solve or a hit
 	tree    *obs.SpanNode // non-nil for traced requests and remote-parented solves
@@ -83,9 +87,9 @@ func (s *Server) resolve(ctx context.Context, p *parsedSolve, c caller) (resolve
 	key := newCacheKey(p.fp, p.req.Solver, p.req.K, p.req.MaxComponents, p.req.Verify)
 	lookup := !p.req.NoCache && !p.req.Trace
 	if lookup {
-		if frame, ok := s.cache.Get(key); ok {
+		if e, ok := s.cache.Get(key); ok {
 			s.clusterm.observeLookup(c.peer, true)
-			return resolved{frame: frame, cached: true}, nil
+			return resolved{frame: e.body, cached: true, entry: e}, nil
 		}
 		s.clusterm.observeLookup(c.peer, false)
 	}
@@ -306,7 +310,16 @@ func (s *Server) syncBudget(ms int64) time.Duration {
 // renderJSONResult renders the JSON solve response from a resolved frame.
 // The span tree renders only when traced is set: a remote-parented miss also
 // carries one (for the trailer), and it must not leak into untraced JSON.
+// An untraced render of a cache hit returns the entry's memo, rendering and
+// storing it first when it is empty; the stored body is clipped, so an
+// append to it copies rather than writing into the shared array.
 func renderJSONResult(res *resolved, traced bool) ([]byte, error) {
+	memo := res.entry != nil && !traced
+	if memo {
+		if out := res.entry.json.Load(); out != nil {
+			return *out, nil
+		}
+	}
 	sr, rest, err := DecodeSolveResult(res.frame)
 	if err != nil {
 		return nil, err
@@ -329,7 +342,12 @@ func renderJSONResult(res *resolved, traced bool) ([]byte, error) {
 	}
 	body.Stats.DurationMs = sr.DurationMs
 	body.Stats.Iterations = sr.Iterations
-	return json.Marshal(&body)
+	out, err := json.Marshal(&body)
+	if memo && err == nil {
+		out = slices.Clip(out)
+		res.entry.json.Store(&out)
+	}
+	return out, err
 }
 
 // errStatus maps a resolve error to the HTTP status it is written as:

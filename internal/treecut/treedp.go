@@ -1,9 +1,11 @@
 package treecut
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/graph"
@@ -266,7 +268,8 @@ func TreeBandwidthGreedy(ctx context.Context, t *graph.Tree, k float64) (*CutRes
 	rt, _ := t.Root(0, nil)
 	res := make([]float64, n)
 	copy(res, t.NodeW)
-	cutSet := make(map[int]bool)
+	isCut := make([]bool, len(t.Edges))
+	var cut []int
 	type cand struct {
 		res  float64
 		edge int
@@ -308,22 +311,20 @@ func TreeBandwidthGreedy(ctx context.Context, t *graph.Tree, k float64) (*CutRes
 				break
 			}
 			total -= c.res
-			cutSet[c.edge] = true
+			isCut[c.edge] = true
+			cut = append(cut, c.edge)
 		}
 		res[v] = total
 	}
 	sweep.End()
 	// Redundancy elimination: try to restore the heaviest cut edges first.
+	// Tied edges are retried in index order.
 	redo := obs.Phase(ctx, "redundancy-pass")
 	defer redo.End()
-	// Index order first, then a stable weight sort: tied edges are retried
-	// in index order, never in map order.
-	cut := make([]int, 0, len(cutSet))
-	for e := range cutSet {
-		cut = append(cut, e)
-	}
-	sort.Ints(cut)
-	sort.SliceStable(cut, func(a, b int) bool { return t.Edges[cut[a]].W > t.Edges[cut[b]].W })
+	slices.SortFunc(cut, func(a, b int) int {
+		return cmp.Or(cmp.Compare(t.Edges[b].W, t.Edges[a].W), cmp.Compare(a, b))
+	})
+	comps := newCutComponents(t, isCut, k)
 	for _, e := range cut {
 		if iters++; iters&(pollEvery-1) == 0 {
 			select {
@@ -332,24 +333,135 @@ func TreeBandwidthGreedy(ctx context.Context, t *graph.Tree, k float64) (*CutRes
 			default:
 			}
 		}
-		delete(cutSet, e)
-		trial := make([]int, 0, len(cutSet))
-		for x := range cutSet {
-			trial = append(trial, x)
-		}
-		sort.Ints(trial)
-		maxW, err := t.MaxComponentWeight(trial)
-		if err != nil || maxW > k {
-			cutSet[e] = true
+		if comps.restore(t.Edges[e].U, t.Edges[e].V) {
+			isCut[e] = false
 		}
 	}
 	out := &CutResult{}
-	for e := range cutSet {
-		out.Cut = append(out.Cut, e)
-	}
-	sort.Ints(out.Cut)
-	for _, e := range out.Cut {
-		out.Weight += t.Edges[e].W
+	for e, c := range isCut {
+		if c {
+			out.Cut = append(out.Cut, e)
+			out.Weight += t.Edges[e].W
+		}
 	}
 	return out, iters, nil
+}
+
+// cutComponents are the components of T − cut while the redundancy pass
+// restores cut edges. A restore is decided from the two components the
+// edge joins: it succeeds iff no other component weighs over k and the
+// merged one does not. Each component keeps its vertices as an ascending
+// linked list and its weight summed in that order from 0, the arithmetic of
+// graph.(*Tree).ComponentWeights, so each decision is the one a full
+// recount of T − cut would make, bit for bit.
+type cutComponents struct {
+	nodeW []float64
+	k     float64
+	uf    []int32   // union-find parent, −size at a root
+	head  []int32   // per root: the component's smallest vertex
+	next  []int32   // the next larger vertex of the same component, −1 last
+	w     []float64 // per root: the component's weight
+	over  int       // components weighing over k
+}
+
+func newCutComponents(t *graph.Tree, isCut []bool, k float64) *cutComponents {
+	n := t.Len()
+	c := &cutComponents{
+		nodeW: t.NodeW,
+		k:     k,
+		uf:    make([]int32, n),
+		head:  make([]int32, n),
+		next:  make([]int32, n),
+		w:     make([]float64, n),
+	}
+	for v := range c.uf {
+		c.uf[v], c.head[v] = -1, -1
+	}
+	for e, ed := range t.Edges {
+		if !isCut[e] {
+			c.union(c.find(ed.U), c.find(ed.V))
+		}
+	}
+	for v := range n {
+		r := c.find(v)
+		c.w[r] += t.NodeW[v]
+	}
+	for v := n - 1; v >= 0; v-- {
+		r := c.find(v)
+		c.next[v], c.head[r] = c.head[r], int32(v)
+	}
+	for v, p := range c.uf {
+		if p < 0 && c.w[v] > k {
+			c.over++
+		}
+	}
+	return c
+}
+
+func (c *cutComponents) find(x int) int {
+	for c.uf[x] >= 0 {
+		if p := c.uf[x]; c.uf[p] >= 0 {
+			c.uf[x] = c.uf[p]
+		}
+		x = int(c.uf[x])
+	}
+	return x
+}
+
+// union links roots a ≠ b by size and returns the surviving root.
+func (c *cutComponents) union(a, b int) int {
+	if a == b {
+		return a
+	}
+	if c.uf[a] > c.uf[b] {
+		a, b = b, a
+	}
+	c.uf[a] += c.uf[b]
+	c.uf[b] = int32(a)
+	return a
+}
+
+// restore joins the components of u and v, adjacent across a cut edge, iff
+// the partition stays within k, and reports whether it did.
+func (c *cutComponents) restore(u, v int) bool {
+	a, b := c.find(u), c.find(v)
+	others := c.over
+	if c.w[a] > c.k {
+		others--
+	}
+	if c.w[b] > c.k {
+		others--
+	}
+	if others > 0 {
+		return false
+	}
+	var sum float64
+	for x, y := c.head[a], c.head[b]; x >= 0 || y >= 0; {
+		if y < 0 || x >= 0 && x < y {
+			sum, x = sum+c.nodeW[x], c.next[x]
+		} else {
+			sum, y = sum+c.nodeW[y], c.next[y]
+		}
+	}
+	if sum > c.k {
+		return false
+	}
+	head, tail := int32(-1), int32(-1)
+	for x, y := c.head[a], c.head[b]; x >= 0 || y >= 0; {
+		var z int32
+		if y < 0 || x >= 0 && x < y {
+			z, x = x, c.next[x]
+		} else {
+			z, y = y, c.next[y]
+		}
+		if tail < 0 {
+			head = z
+		} else {
+			c.next[tail] = z
+		}
+		tail = z
+	}
+	r := c.union(a, b)
+	c.head[r], c.w[r], c.over = head, sum, others
+	return true
 }
