@@ -172,12 +172,17 @@ type Options struct {
 	// MaxNodes rejects graphs declaring more vertices (ErrTooLarge) before
 	// any allocation happens; 0 means unlimited.
 	MaxNodes int
+	// Store, when set, is consulted for paths and trees as graph.Store
+	// describes: the fingerprint is folded from the frame's bytes first,
+	// and a hit returns the stored graph without decoding the arrays.
+	Store graph.Store
 }
 
 // Decode decodes one graph from the front of data, returning the graph, its
 // stable fingerprint (identical to graph.Fingerprint, computed during the
 // decode), and the bytes remaining after the graph. The returned graph is
-// validated and owns its arrays: it never aliases data.
+// validated and owns its arrays: it never aliases data. With opt.Store set,
+// a path or tree may instead be the store's frozen graph.
 func Decode(data []byte, opt Options) (g any, fp uint64, rest []byte, err error) {
 	if len(data) < headerLen {
 		if !Sniff(data) && len(data) >= 4 {
@@ -235,19 +240,52 @@ func Decode(data []byte, opt Options) (g any, fp uint64, rest []byte, err error)
 		return nil, 0, data, fmt.Errorf("declared %d payload bytes, have %d: %w", need, len(b), ErrTruncated)
 	}
 	rest = b[need:]
-	nodeW := b[:8*n]
+	nodeW, edges := b[:8*n], b[8*n:need]
+	store := opt.Store
+	if kind == KindGraph {
+		store = nil
+	}
+	if store != nil {
+		fp = frameFingerprint(kind, nodeW, edges)
+		if g := store.Get(fp); g != nil {
+			return g, fp, rest, nil
+		}
+	}
 	switch kind {
 	case KindPath:
-		g, fp, err = graph.FillPath(nodeW, b[8*n:need])
+		g, fp, err = graph.FillPath(nodeW, edges)
 	case KindTree:
-		g, fp, err = graph.FillTree(nodeW, decodeEdges(make([]graph.Edge, m), b[8*n:]))
+		g, fp, err = graph.FillTree(nodeW, decodeEdges(make([]graph.Edge, m), edges))
 	default: // KindGraph
-		g, fp, err = graph.FillGraph(nodeW, decodeEdges(make([]graph.Edge, m), b[8*n:]))
+		g, fp, err = graph.FillGraph(nodeW, decodeEdges(make([]graph.Edge, m), edges))
 	}
 	if err != nil {
 		return nil, 0, data, err
 	}
+	if store != nil {
+		store.Put(fp, g)
+	}
 	return g, fp, rest, nil
+}
+
+// frameFingerprint is the fingerprint of the path or tree a frame's arrays
+// encode, folded from their bytes without decoding them: for a valid graph
+// it equals the one FillPath or FillTree computes.
+func frameFingerprint(kind byte, nodeW, edges []byte) uint64 {
+	h := graph.NewPathHasher()
+	if kind == KindTree {
+		h = graph.NewTreeHasher()
+	}
+	h.Word(uint64(len(nodeW) / 8))
+	h.WeightBytes(nodeW)
+	if kind == KindTree {
+		h.Word(uint64(len(edges) / 16))
+		h.EdgeRecords(edges)
+	} else {
+		h.Word(uint64(len(edges) / 8))
+		h.WeightBytes(edges)
+	}
+	return h.Sum()
 }
 
 // decodeEdges fills out from the front of b.

@@ -417,3 +417,64 @@ func BenchmarkAppendPath20k(b *testing.B) {
 		}
 	})
 }
+
+// mapStore is a graph.Store over a map, freezing what it keeps.
+type mapStore map[uint64]any
+
+func (s mapStore) Get(fp uint64) any { return s[fp] }
+
+func (s mapStore) Put(fp uint64, g any) {
+	switch g := g.(type) {
+	case *graph.Path:
+		g.Freeze()
+	case *graph.Tree:
+		g.Freeze()
+	}
+	s[fp] = g
+}
+
+// TestDecodeStore: with a store, a second decode of a path or tree frame
+// returns the stored graph with the same fingerprint and rest, as does a
+// frame that differs only in the sign of a zero weight; general graphs and
+// frames that fail are not stored.
+func TestDecodeStore(t *testing.T) {
+	st := mapStore{}
+	opt := Options{Store: st}
+	p, tr := mustPath(t, 300), mustTree(t, 300)
+	p.NodeW[5], tr.Edges[6].W = 0, 0
+	pz, tz := p.Clone(), tr.Clone()
+	pz.NodeW[5], tz.Edges[6].W = math.Copysign(0, -1), math.Copysign(0, -1)
+	for _, gs := range [][2]any{{p, pz}, {tr, tz}} {
+		a, err := Append(nil, gs[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, _ := Append(nil, gs[1])
+		g1, fp1, rest1, err := Decode(append(a, 9), opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g2, fp2, rest2, err := Decode(append(b, 9), opt)
+		if err != nil || g1 != g2 || fp1 != fp2 || len(rest1) != 1 || len(rest2) != 1 {
+			t.Fatalf("%T: second decode %p/%016x, first %p/%016x (%v)", gs[0], g2, fp2, g1, fp1, err)
+		}
+		if fp, _ := graph.Fingerprint(gs[0]); fp != fp1 {
+			t.Fatalf("%T: fingerprint %016x, want %016x", gs[0], fp1, fp)
+		}
+	}
+	gen, err := graph.NewGraph([]float64{1, 2}, []graph.Edge{{U: 0, V: 1, W: 3}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := p.Clone()
+	bad.NodeW[1] = -1
+	for _, g := range []any{gen, bad} {
+		b, _ := Append(nil, g)
+		if _, _, _, err := Decode(b, opt); (err != nil) != (g == bad) {
+			t.Fatalf("%T: %v", g, err)
+		}
+	}
+	if len(st) != 2 {
+		t.Fatalf("%d graphs stored, want 2", len(st))
+	}
+}

@@ -122,10 +122,11 @@ func (sc *scratch) prepDP(p *graph.Path, k float64) (*PathPartition, *dpState, e
 }
 
 // rootTree roots the valid tree t at vertex 0 in sc's pooled buffer, inside
-// a "postorder-build" span.
+// a "postorder-build" span. A frozen tree's shared view leaves the buffer
+// alone (graph.Tree.Root0); the solvers only read the view.
 func (sc *scratch) rootTree(ctx context.Context, t *graph.Tree) graph.Rooted {
 	sp := obs.Phase(ctx, "postorder-build")
-	rt, buf := t.Root(0, sc.rootBuf)
+	rt, buf := t.Root0(sc.rootBuf)
 	sc.rootBuf = buf
 	obs.SetAttr(sp, "nodes", t.Len())
 	sp.End()

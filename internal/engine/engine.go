@@ -16,7 +16,8 @@
 // Solve is where a request graph enters the solver layer: each registered
 // solver checks it once, inside its instrumented span, before the algorithm
 // runs, and the algorithm packages take a valid graph as their
-// precondition.
+// precondition. A frozen graph (graph.Tree.Freeze) passes that check at
+// once: it was checked when it was built and cannot have changed since.
 //
 // Solvers poll their context inside their main loops, so canceling a context
 // aborts a long solve promptly with the context's error. Observers receive

@@ -51,8 +51,8 @@ func (s *pathSolver) Solve(ctx context.Context, req Request) (Result, error) {
 	}
 	return instrumented(ctx, s.name, req.Options, func(ctx context.Context) (Result, int64, error) {
 		// The request graph enters the solver layer here, and only here is
-		// it checked: the algorithms take a valid graph as their
-		// precondition.
+		// it checked (at once for a frozen graph): the algorithms take a
+		// valid graph as their precondition.
 		if err := req.Path.Validate(); err != nil {
 			return Result{}, 0, err
 		}

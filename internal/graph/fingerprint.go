@@ -235,6 +235,67 @@ func (fh *Hasher) FillWeights(dst []float64, src []byte) (bad int) {
 	return -1
 }
 
+// WeightBytes folds len(src)/8 little-endian float64 words as Weights
+// folds the weights they encode. Unlike FillWeights it neither copies nor
+// checks them: a decoder uses it to look a graph up in a Store before it
+// fills and checks one.
+func (fh *Hasher) WeightBytes(src []byte) {
+	for fh.n != 0 && len(src) >= 8 {
+		fh.Word(canonWord(binary.LittleEndian.Uint64(src)))
+		src = src[8:]
+	}
+	fh.total += uint64(len(src) / 32 * 4)
+	v0, v1, v2, v3 := fh.v[0], fh.v[1], fh.v[2], fh.v[3]
+	for ; len(src) >= 32; src = src[32:] {
+		s := src[:32:32]
+		v0 = xxRound(v0, canonWord(binary.LittleEndian.Uint64(s[0:])))
+		v1 = xxRound(v1, canonWord(binary.LittleEndian.Uint64(s[8:])))
+		v2 = xxRound(v2, canonWord(binary.LittleEndian.Uint64(s[16:])))
+		v3 = xxRound(v3, canonWord(binary.LittleEndian.Uint64(s[24:])))
+	}
+	fh.v = [4]uint64{v0, v1, v2, v3}
+	for ; len(src) >= 8; src = src[8:] {
+		fh.Word(canonWord(binary.LittleEndian.Uint64(src)))
+	}
+}
+
+// EdgeRecords folds len(src)/16 edges packed as the PGB1 codec packs them,
+// u and v as little-endian uint32 and then w as a little-endian float64, as
+// Edges folds the same edges. Like WeightBytes it checks nothing.
+func (fh *Hasher) EdgeRecords(src []byte) {
+	for fh.n != 0 && len(src) >= 16 {
+		fh.edgeRecord(src)
+		src = src[16:]
+	}
+	fh.total += uint64(len(src) / 64 * 12)
+	v0, v1, v2, v3 := fh.v[0], fh.v[1], fh.v[2], fh.v[3]
+	for ; len(src) >= 64; src = src[64:] {
+		q := src[:64:64]
+		v0 = xxRound(v0, uint64(binary.LittleEndian.Uint32(q[0:])))
+		v1 = xxRound(v1, uint64(binary.LittleEndian.Uint32(q[4:])))
+		v2 = xxRound(v2, canonWord(binary.LittleEndian.Uint64(q[8:])))
+		v3 = xxRound(v3, uint64(binary.LittleEndian.Uint32(q[16:])))
+		v0 = xxRound(v0, uint64(binary.LittleEndian.Uint32(q[20:])))
+		v1 = xxRound(v1, canonWord(binary.LittleEndian.Uint64(q[24:])))
+		v2 = xxRound(v2, uint64(binary.LittleEndian.Uint32(q[32:])))
+		v3 = xxRound(v3, uint64(binary.LittleEndian.Uint32(q[36:])))
+		v0 = xxRound(v0, canonWord(binary.LittleEndian.Uint64(q[40:])))
+		v1 = xxRound(v1, uint64(binary.LittleEndian.Uint32(q[48:])))
+		v2 = xxRound(v2, uint64(binary.LittleEndian.Uint32(q[52:])))
+		v3 = xxRound(v3, canonWord(binary.LittleEndian.Uint64(q[56:])))
+	}
+	fh.v = [4]uint64{v0, v1, v2, v3}
+	for ; len(src) >= 16; src = src[16:] {
+		fh.edgeRecord(src)
+	}
+}
+
+func (fh *Hasher) edgeRecord(b []byte) {
+	fh.Word(uint64(binary.LittleEndian.Uint32(b)))
+	fh.Word(uint64(binary.LittleEndian.Uint32(b[4:])))
+	fh.Word(canonWord(binary.LittleEndian.Uint64(b[8:])))
+}
+
 func (fh *Hasher) edge(e Edge) {
 	fh.Word(uint64(e.U))
 	fh.Word(uint64(e.V))
@@ -266,22 +327,26 @@ func (fh *Hasher) Sum() uint64 {
 }
 
 // FingerprintPath returns the stable fingerprint of a linear task graph.
-func FingerprintPath(p *Path) uint64 {
+func FingerprintPath(p *Path) uint64 { return fingerprintPath(p.NodeW, p.EdgeW) }
+
+func fingerprintPath(nodeW, edgeW []float64) uint64 {
 	h := NewPathHasher()
-	h.Word(uint64(len(p.NodeW)))
-	h.Weights(p.NodeW)
-	h.Word(uint64(len(p.EdgeW)))
-	h.Weights(p.EdgeW)
+	h.Word(uint64(len(nodeW)))
+	h.Weights(nodeW)
+	h.Word(uint64(len(edgeW)))
+	h.Weights(edgeW)
 	return h.Sum()
 }
 
 // FingerprintTree returns the stable fingerprint of a tree task graph.
-func FingerprintTree(t *Tree) uint64 {
+func FingerprintTree(t *Tree) uint64 { return fingerprintTree(t.NodeW, t.Edges) }
+
+func fingerprintTree(nodeW []float64, edges []Edge) uint64 {
 	h := NewTreeHasher()
-	h.Word(uint64(len(t.NodeW)))
-	h.Weights(t.NodeW)
-	h.Word(uint64(len(t.Edges)))
-	h.Edges(t.Edges)
+	h.Word(uint64(len(nodeW)))
+	h.Weights(nodeW)
+	h.Word(uint64(len(edges)))
+	h.Edges(edges)
 	return h.Sum()
 }
 

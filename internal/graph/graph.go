@@ -12,13 +12,21 @@
 //
 // Where a graph is checked: the constructors (NewPath, NewTree, ...) and the
 // decoders (text, JSON, PGB1) validate what they build. A graph's fields
-// stay exported and writable after that, so no validity mark travels with
-// it; instead the solver layer re-checks a caller's graph where it enters:
-// engine.Solve (once per request, before any solver runs),
+// stay exported and writable after that, so an ordinary graph carries no
+// validity mark; instead the solver layer re-checks a caller's graph where
+// it enters: engine.Solve (once per request, before any solver runs),
 // verify.CertifyResult, and the two internal/core functions reached without
 // the engine, BandwidthInstrumented and TradeoffCurve. Nothing below them
 // re-checks: the solvers in internal/core and internal/treecut and the
 // certificate oracles take a valid graph as their precondition.
+//
+// A frozen graph is the one exception. Freeze marks a graph that was just
+// built and checked as shared and read-only; only a Store (the serving
+// layer's graph store) freezes one, and nothing writes to it afterwards.
+// It remembers that it is valid, so those entry checks return at once, and
+// a frozen tree builds its rooted view at vertex 0 once, for every solver
+// and oracle that walks it (Tree.Root0). Clone gives a writable, unfrozen
+// copy, which is checked again wherever it enters.
 package graph
 
 import (

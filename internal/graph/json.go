@@ -84,7 +84,7 @@ func ReadJSON(r io.Reader) (any, error) {
 // alias data.
 func DecodeJSON(data []byte) (any, error) {
 	sc := jsonscan.NewScanner(data)
-	g, _, err := ScanJSON(sc, 0)
+	g, _, err := ScanJSON(sc, 0, nil)
 	if serr := sc.End(); serr != nil {
 		return nil, fmt.Errorf("decoding graph JSON: %w", serr)
 	}
@@ -126,14 +126,32 @@ const maxPooledScratch = 1 << 21
 
 var scratchPool = sync.Pool{New: func() any { return new(jsonScratch) }}
 
+// Store is a table of frozen graphs keyed by fingerprint that the decoders
+// (ScanJSON, and Decode in internal/codec) consult before they build a path
+// or a tree. A decoder fingerprints the graph from what it was sent; on a
+// hit it returns the stored graph, with no fill, no graph-sized allocation
+// and no check, and on a miss it builds and checks the graph as it would
+// without a store and offers it to Put. A fingerprint names a graph up to
+// the sign of its zero weights (see Hasher), so a hit may carry +0 where
+// the request sent -0, as a result cached under that fingerprint does; and
+// like that cache, the store trusts the 64-bit fingerprint.
+type Store interface {
+	// Get returns the frozen *Path or *Tree stored under fp, or nil.
+	Get(fp uint64) any
+	// Put offers g, a *Path or *Tree just built and checked, whose
+	// fingerprint is fp. The store may freeze g and keep it.
+	Put(fp uint64, g any)
+}
+
 // ScanJSON decodes the graph envelope at the scanner's position and leaves
 // the scanner after it, returning the graph with its fingerprint. A null
 // yields a nil graph and no error; what an absent graph means is the
 // caller's call. With maxNodes > 0, a node-weight array longer than
 // maxNodes stops decoding with ErrTooManyNodes, before the rest of the
 // graph is read. Any other error leaves the scanner after the envelope (or
-// in its syntax-error state), so an enclosing document can go on.
-func ScanJSON(sc *jsonscan.Scanner, maxNodes int) (any, uint64, error) {
+// in its syntax-error state), so an enclosing document can go on. A
+// non-nil store is consulted for paths and trees as Store describes.
+func ScanJSON(sc *jsonscan.Scanner, maxNodes int, store Store) (any, uint64, error) {
 	ok, err := sc.Object()
 	if !ok {
 		if err != nil {
@@ -175,17 +193,35 @@ func ScanJSON(sc *jsonscan.Scanner, maxNodes int) (any, uint64, error) {
 	if first != nil {
 		return nil, 0, fmt.Errorf("decoding graph JSON: %w", first)
 	}
-	nodeW := weightBytes(st.nodeW[:nNodes])
+	nodeW, edgeW, edges := st.nodeW[:nNodes], st.edgeW[:nEdgeW], st.edges[:nEdge]
+	var (
+		g  any
+		fp uint64
+	)
+	if store != nil && (kind == "path" || kind == "tree") {
+		if kind == "path" {
+			fp = fingerprintPath(nodeW, edgeW)
+		} else {
+			fp = fingerprintTree(nodeW, edges)
+		}
+		if g := store.Get(fp); g != nil {
+			return g, fp, nil
+		}
+	}
 	switch kind {
 	case "path":
-		return FillPath(nodeW, weightBytes(st.edgeW[:nEdgeW]))
+		g, fp, err = FillPath(weightBytes(nodeW), weightBytes(edgeW))
 	case "tree":
-		return FillTree(nodeW, append([]Edge(nil), st.edges[:nEdge]...))
+		g, fp, err = FillTree(weightBytes(nodeW), append([]Edge(nil), edges...))
 	case "graph":
-		return FillGraph(nodeW, append([]Edge(nil), st.edges[:nEdge]...))
+		return FillGraph(weightBytes(nodeW), append([]Edge(nil), edges...))
 	default:
 		return nil, 0, fmt.Errorf("unknown graph kind %q: %w", kind, ErrBadFormat)
 	}
+	if err == nil && store != nil {
+		store.Put(fp, g)
+	}
+	return g, fp, err
 }
 
 // weightBytes returns ws as the little-endian float64 bytes the Fill

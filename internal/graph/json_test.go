@@ -247,10 +247,10 @@ func FuzzReadJSON(f *testing.F) {
 func TestScanJSONNodeLimit(t *testing.T) {
 	doc := []byte(`{"kind":"path","nodeWeights":[1,2,3,4,x`)
 	sc := jsonscan.NewScanner(doc)
-	if _, _, err := ScanJSON(sc, 3); !errors.Is(err, ErrTooManyNodes) {
+	if _, _, err := ScanJSON(sc, 3, nil); !errors.Is(err, ErrTooManyNodes) {
 		t.Fatalf("4 nodes over a limit of 3: %v, want ErrTooManyNodes", err)
 	}
-	if _, _, err := ScanJSON(jsonscan.NewScanner(doc[:len(doc)-3]), 4); errors.Is(err, ErrTooManyNodes) {
+	if _, _, err := ScanJSON(jsonscan.NewScanner(doc[:len(doc)-3]), 4, nil); errors.Is(err, ErrTooManyNodes) {
 		t.Fatalf("4 nodes at a limit of 4: %v", err)
 	}
 }

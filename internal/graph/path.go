@@ -14,6 +14,8 @@ type Path struct {
 	// EdgeW[i] is the communication volume between tasks i and i+1.
 	// len(EdgeW) == len(NodeW)-1.
 	EdgeW []float64
+	// frozen is set by Freeze.
+	frozen bool
 }
 
 // NewPath constructs and validates a linear task graph. The slices are
@@ -64,8 +66,24 @@ func (p *Path) NumEdges() int {
 	return len(p.NodeW) - 1
 }
 
-// Validate checks shape and weight invariants.
-func (p *Path) Validate() error { return p.validate(nil, nil, nil) }
+// Validate checks shape and weight invariants. A frozen path returns nil
+// at once, as a frozen tree does.
+func (p *Path) Validate() error {
+	if p.frozen {
+		return nil
+	}
+	return p.validate(nil, nil, nil)
+}
+
+// Freeze marks the valid path p as shared and read-only, as Tree.Freeze
+// does: Validate trusts it from here on, and nothing may write to it.
+func (p *Path) Freeze() { p.frozen = true }
+
+// Frozen reports whether Freeze was called on p.
+func (p *Path) Frozen() bool { return p.frozen }
+
+// Footprint is the bytes p's weight arrays hold.
+func (p *Path) Footprint() int { return 8 * (len(p.NodeW) + len(p.EdgeW)) }
 
 // validate is Validate, or FillPath's checks when h is not nil.
 func (p *Path) validate(h *Hasher, nodeW, edgeW []byte) error {

@@ -3,6 +3,8 @@ package graph
 import (
 	"fmt"
 	"math"
+	"sync"
+	"unsafe"
 )
 
 // Tree is a tree task graph: n vertices and exactly n−1 undirected weighted
@@ -14,6 +16,15 @@ type Tree struct {
 	// Edges are the n−1 data dependencies. Edge order is significant: cuts
 	// index into this slice.
 	Edges []Edge
+	// frozen is set by Freeze and holds the shared rooted view.
+	frozen *frozenTree
+}
+
+// frozenTree is what a frozen tree remembers: that it is valid, and its
+// rooted view at vertex 0, built by the first Root0.
+type frozenTree struct {
+	once sync.Once
+	rt   Rooted
 }
 
 // Arc is one direction of an undirected edge in an adjacency list.
@@ -63,8 +74,50 @@ func (t *Tree) Len() int { return len(t.NodeW) }
 func (t *Tree) NumEdges() int { return len(t.Edges) }
 
 // Validate checks that the edge list forms a spanning tree over the vertices
-// and that all weights are valid.
-func (t *Tree) Validate() error { return t.validate(nil, nil) }
+// and that all weights are valid. A frozen tree was valid when it was frozen
+// and has not changed since, so its Validate returns nil at once.
+func (t *Tree) Validate() error {
+	if t.frozen != nil {
+		return nil
+	}
+	return t.validate(nil, nil)
+}
+
+// Freeze marks the valid tree t as shared and read-only: from here on
+// Validate trusts it and Root0 builds its rooted view once for every
+// caller. Freeze does not check t, and nothing may write to t's arrays
+// afterwards, since concurrent readers share them. Clone gives a writable,
+// unfrozen copy. Call Freeze before t is shared, not concurrently with its
+// use.
+func (t *Tree) Freeze() {
+	if t.frozen == nil {
+		t.frozen = new(frozenTree)
+	}
+}
+
+// Frozen reports whether Freeze was called on t.
+func (t *Tree) Frozen() bool { return t.frozen != nil }
+
+// Root0 is Root(0, buf) for the tree solvers and oracles, which all root at
+// vertex 0. A frozen tree builds that view once, on the first call, and
+// returns the same view to every caller along with buf unchanged; the view
+// is then shared, and callers must not write to it. Any other tree is
+// rooted in buf as Root does.
+func (t *Tree) Root0(buf []int32) (Rooted, []int32) {
+	f := t.frozen
+	if f == nil {
+		return t.Root(0, buf)
+	}
+	f.once.Do(func() { f.rt, _ = t.Root(0, nil) })
+	return f.rt, buf
+}
+
+// Footprint is the bytes a frozen t holds: its node and edge arrays plus
+// the rooted view Root0 builds.
+func (t *Tree) Footprint() int {
+	n, m := len(t.NodeW), len(t.Edges)
+	return 8*n + int(unsafe.Sizeof(Edge{}))*m + 4*(n+1+4*m+3*n)
+}
 
 // validate is Validate, or FillTree's checks when h is not nil.
 func (t *Tree) validate(h *Hasher, nodeW []byte) error {

@@ -3,12 +3,15 @@ package server
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"io"
 	"log/slog"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -93,16 +96,79 @@ func BenchmarkSolveUncached(b *testing.B) {
 }
 
 // BenchmarkSolveUncachedBinary is BenchmarkSolveUncached over the binary
-// wire format in both directions — the ISSUE's headline comparison: the JSON
-// run is dominated by decode+marshal, the binary run by the solve itself.
+// wire format in both directions, on a 5k-node path (bandwidth) and a
+// 5k-node tree (minproc, which roots the tree): the JSON run is dominated by
+// decode+marshal, the binary run by the solve itself. The stored case sends
+// one graph, which the graph store holds after the first request; the fresh
+// case changes one weight every iteration, so each request decodes, checks
+// and roots a new graph.
 func BenchmarkSolveUncachedBinary(b *testing.B) {
-	s := benchServer(b, Config{MaxConcurrent: 1, MaxQueue: 4})
-	body := benchBodyBin(b, 5000, func(p *graph.Path) float64 { return 4 * p.MaxNodeWeight() }, "bandwidth", true)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if rec := postBin(s.Handler(), body); rec.Code != http.StatusOK {
-			b.Fatalf("status %d: %s", rec.Code, rec.Body.String())
+	tr := workload.RandomTree(workload.NewRNG(11), 5000, workload.UniformWeights(1, 100), workload.UniformWeights(1, 100))
+	treeBody, err := AppendSolveRequest(nil, SolveParams{Solver: "minproc", K: 10 * tr.MaxNodeWeight(), NoCache: true}, tr)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		body []byte
+	}{
+		{"path5k", benchBodyBin(b, 5000, func(p *graph.Path) float64 { return 4 * p.MaxNodeWeight() }, "bandwidth", true)},
+		{"tree5k", treeBody},
+	} {
+		for _, fresh := range []bool{false, true} {
+			b.Run(c.name+"/"+storedOrFresh(fresh), func(b *testing.B) {
+				s := benchServer(b, Config{MaxConcurrent: 1, MaxQueue: 4})
+				defer benchShutdownJobs(b, s)
+				body, next := freshGraphs(b, c.body)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if fresh {
+						next(i)
+					}
+					if rec := postBin(s.Handler(), body); rec.Code != http.StatusOK {
+						b.Fatalf("status %d: %s", rec.Code, rec.Body.String())
+					}
+				}
+			})
+		}
+	}
+}
+
+func storedOrFresh(fresh bool) string {
+	if fresh {
+		return "fresh"
+	}
+	return "stored"
+}
+
+// freshGraphs returns a copy of body, a JSON solve request or a PSV1 frame,
+// and a function that rewrites the copy's first node weight in place to a
+// value that depends on i alone and lies in [1, 11): each i sends a graph
+// that no other i sends, which the graph store has not seen.
+func freshGraphs(tb testing.TB, body []byte) ([]byte, func(i int)) {
+	tb.Helper()
+	if at := bytes.Index(body, []byte("PGB1")); bytes.HasPrefix(body, solveReqMagic) && at > 0 {
+		b := slices.Clone(body)
+		_, n1 := binary.Uvarint(b[at+6:])
+		_, n2 := binary.Uvarint(b[at+6+n1:])
+		off := at + 6 + n1 + n2
+		return b, func(i int) {
+			binary.LittleEndian.PutUint64(b[off:], math.Float64bits(1+float64(i%(10<<20))/(1<<20)))
+		}
+	}
+	key := []byte(`"nodeWeights":[`)
+	at := bytes.Index(body, key) + len(key)
+	end := at + bytes.IndexByte(body[at:], ',')
+	if at < len(key) || end < at {
+		tb.Fatalf("no node weights in %.60q", body)
+	}
+	// A fixed-width first weight, 1.0000000, whose seven decimals i sets.
+	b := slices.Concat(body[:at], []byte("1.0000000"), body[end:])
+	return b, func(i int) {
+		for d := at + 8; d > at+1; d-- {
+			b[d] = byte('0' + i%10)
+			i /= 10
 		}
 	}
 }

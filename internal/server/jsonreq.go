@@ -151,7 +151,7 @@ func (s *Server) scanItem(sc *jsonscan.Scanner, it *jsonItem, withPriority bool)
 		case fieldK:
 			err = sc.Float64(&it.req.K)
 		case fieldGraph:
-			it.g, it.fp, it.gerr = graph.ScanJSON(sc, s.cfg.MaxNodes)
+			it.g, it.fp, it.gerr = graph.ScanJSON(sc, s.cfg.MaxNodes, s.graphStore())
 			if errors.Is(it.gerr, graph.ErrTooManyNodes) {
 				return fmt.Errorf("graph has more than %d nodes: %w", s.cfg.MaxNodes, errNodeLimit)
 			}

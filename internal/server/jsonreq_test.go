@@ -74,25 +74,33 @@ func decodeLoop(tb testing.TB, s *Server, body []byte) func() {
 }
 
 // BenchmarkDecodeSolveJSON measures the JSON request decode of /v1/solve —
-// body read, envelope and graph decode, validation, fingerprint — on a
-// 5k-node path and a 5k-node tree.
+// body read, envelope and graph decode, fingerprint — on a 5k-node path and
+// a 5k-node tree. The stored case decodes one body, whose graph the graph
+// store holds after the first decode; the fresh case changes one weight
+// every iteration, so each decode also builds and checks the graph.
 func BenchmarkDecodeSolveJSON(b *testing.B) {
 	path, tree := decodeBench5k(b)
 	for _, c := range []struct {
 		name string
 		body []byte
 	}{{"path5k", path}, {"tree5k", tree}} {
-		b.Run(c.name, func(b *testing.B) {
-			s := benchServer(b, Config{})
-			defer benchShutdownJobs(b, s)
-			decode := decodeLoop(b, s, c.body)
-			b.SetBytes(int64(len(c.body)))
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				decode()
-			}
-		})
+		for _, fresh := range []bool{false, true} {
+			b.Run(c.name+"/"+storedOrFresh(fresh), func(b *testing.B) {
+				s := benchServer(b, Config{})
+				defer benchShutdownJobs(b, s)
+				body, next := freshGraphs(b, c.body)
+				decode := decodeLoop(b, s, body)
+				b.SetBytes(int64(len(body)))
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if fresh {
+						next(i)
+					}
+					decode()
+				}
+			})
+		}
 	}
 }
 
@@ -103,7 +111,7 @@ func TestJSONSolveDecodeAllocBudget(t *testing.T) {
 		t.Skip("the race detector defeats the pooled body buffer and decode scratch")
 	}
 	path, _ := decodeBench5k(t)
-	s := newTestServer(t, Config{})
+	s := newTestServer(t, Config{CacheSize: -1}) // no graph store: every decode builds the graph
 	decode := decodeLoop(t, s, path)
 	decode() // warm the body buffer and decode scratch
 	const budget = 16
@@ -390,14 +398,62 @@ func FuzzDecodeSolveJSON(f *testing.F) {
 	for _, c := range jsonRequestEdgeCases() {
 		f.Add([]byte(c))
 	}
-	s := New(Config{Logger: quietLogger(), MaxNodes: -1})
+	// s decodes every graph afresh, as the reference does; stored keeps a
+	// graph store, whose hits checkStoredDecode holds to s's decodes.
+	s := New(Config{Logger: quietLogger(), MaxNodes: -1, CacheSize: -1})
+	stored := New(Config{Logger: quietLogger(), MaxNodes: -1})
 	f.Cleanup(func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
 		s.jobs.Shutdown(ctx)
+		stored.jobs.Shutdown(ctx)
 	})
 	f.Fuzz(func(t *testing.T, body []byte) {
 		checkSolveAgainstReference(t, s, body)
 		checkBatchAgainstReference(t, s, []byte(`{"requests":[`+string(body)+`],"timeoutMs":7}`))
+		checkStoredDecode(t, s, stored, body)
 	})
+}
+
+// checkStoredDecode compares the decode of a server that keeps a graph
+// store with that of one that does not: the same error, or the same values
+// with graphs equal up to the sign of zero weights, since a stored graph
+// answers for its ±0 twins as its cached results do.
+func checkStoredDecode(t *testing.T, fresh, stored *Server, body []byte) {
+	t.Helper()
+	want, _, werr := fresh.parseSolveJSON(body)
+	got, _, gerr := stored.parseSolveJSON(body)
+	if (gerr == nil) != (werr == nil) || gerr != nil && gerr.Error() != werr.Error() {
+		t.Fatalf("solve %q: with the graph store error %v, without %v", body, gerr, werr)
+	}
+	if gerr == nil {
+		got.g, want.g = positiveZeros(got.g), positiveZeros(want.g)
+		if d := sameParsed(got, want); d != "" {
+			t.Fatalf("solve %q: with and without the graph store: %s", body, d)
+		}
+	}
+}
+
+// positiveZeros is a copy of a path or tree with every zero weight +0.
+func positiveZeros(g any) any {
+	fix := func(ws []float64) {
+		for i := range ws {
+			ws[i] += 0 // -0 + 0 is +0; every other weight is unchanged
+		}
+	}
+	switch g := g.(type) {
+	case *graph.Path:
+		c := g.Clone()
+		fix(c.NodeW)
+		fix(c.EdgeW)
+		return c
+	case *graph.Tree:
+		c := g.Clone()
+		fix(c.NodeW)
+		for i := range c.Edges {
+			c.Edges[i].W += 0
+		}
+		return c
+	}
+	return g
 }

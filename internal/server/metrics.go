@@ -21,8 +21,8 @@ import (
 //     series, from the solve's own engine.Event (solvemetrics.go),
 //   - the resolver's lookup counters: cache hits and misses by requester
 //     tier (cluster.go),
-//   - the cache, limiter, jobs, flight-recorder and cluster stats, read from
-//     their owners at scrape time,
+//   - the cache, graph store, limiter, jobs, flight-recorder and cluster
+//     stats, read from their owners at scrape time,
 //   - the HTTP layer's own per-route request counters.
 
 // routeMetrics is one route's HTTP series: request counts by status code and
@@ -62,6 +62,12 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	single(p, "partitiond_cache_evictions_total", "counter", "Result cache LRU evictions.", cs.Evictions)
 	single(p, "partitiond_cache_entries", "gauge", "Result cache resident entries.", cs.Entries)
 	single(p, "partitiond_cache_capacity", "gauge", "Result cache capacity in entries.", cs.Capacity)
+
+	gs := s.graphs.stats()
+	p.Family("partitiond_graph_store_total", "counter", "Graph store lookups by the request decoders, by result.")
+	p.Sample("partitiond_graph_store_total", gs.Hits, "result", "hit")
+	p.Sample("partitiond_graph_store_total", gs.Misses, "result", "miss")
+	single(p, "partitiond_graph_store_bytes", "gauge", "Bytes of frozen graphs resident in the graph store, rooted views included.", gs.Bytes)
 
 	ls := s.limiter.Stats()
 	single(p, "partitiond_admission_in_flight", "gauge", "Solves currently holding an admission slot.", ls.InFlight)

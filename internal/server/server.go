@@ -144,6 +144,7 @@ func (cfg Config) withDefaults() Config {
 type Server struct {
 	cfg      Config
 	cache    *Cache
+	graphs   *graphStore // the decoded graphs the cache's keys name; nil with the cache off
 	limiter  *Limiter
 	solvem   *solveMetrics    // the engine observer of every solve: all solver metrics
 	jobs     *jobs.Manager    // async job queue and its dispatcher
@@ -194,6 +195,7 @@ func New(cfg Config) *Server {
 	}
 	if cfg.CacheSize > 0 {
 		s.cache = NewCache(cfg.CacheSize, 16)
+		s.graphs = newGraphStore()
 	}
 	if cfg.TraceStore >= 0 {
 		s.recorder = flight.New(flight.Config{

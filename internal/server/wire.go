@@ -285,7 +285,7 @@ func (s *Server) parseBinarySolve(b []byte) (parsedSolve, []byte, error) {
 	if maxComp > math.MaxInt32 || timeoutMs > math.MaxInt32 {
 		return parsedSolve{}, b, errBadFrame
 	}
-	g, fp, rest, err := codec.Decode(rd.b, codec.Options{MaxNodes: s.cfg.MaxNodes})
+	g, fp, rest, err := codec.Decode(rd.b, codec.Options{MaxNodes: s.cfg.MaxNodes, Store: s.graphStore()})
 	if err != nil {
 		return parsedSolve{}, b, fmt.Errorf("bad graph: %w", err)
 	}

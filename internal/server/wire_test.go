@@ -382,7 +382,7 @@ func TestBinarySolveDecodeAllocBudget(t *testing.T) {
 		t.Skip("the race detector defeats the pooled body buffer")
 	}
 	path, _ := decodeBench5k(t)
-	s := newTestServer(t, Config{})
+	s := newTestServer(t, Config{CacheSize: -1}) // no graph store: every decode builds the graph
 	p, _, err := s.parseSolveJSON(path)
 	if err != nil {
 		t.Fatal(err)

@@ -59,7 +59,7 @@ func TreeBandwidthExact(ctx context.Context, t *graph.Tree, k int) (*CutResult, 
 			return nil, 0, fmt.Errorf("vertex %d weight %d > K=%d: %w", v, wInt[v], k, ErrInfeasible)
 		}
 	}
-	rt, _ := t.Root(0, nil)
+	rt, _ := t.Root0(nil)
 	// dp[v][w] = min cut weight within v's subtree such that the component
 	// containing v weighs exactly w; math.Inf(1) if impossible.
 	// choice[v] records, per child, whether the child edge was cut and at
@@ -265,7 +265,7 @@ func TreeBandwidthGreedy(ctx context.Context, t *graph.Tree, k float64) (*CutRes
 	}
 	var iters int64
 	n := t.Len()
-	rt, _ := t.Root(0, nil)
+	rt, _ := t.Root0(nil)
 	res := make([]float64, n)
 	copy(res, t.NodeW)
 	isCut := make([]bool, len(t.Edges))

@@ -229,7 +229,7 @@ func MinComponentsTree(t *graph.Tree, k float64) (int, []int, error) {
 			return 0, nil, fmt.Errorf("task %d weight %v > K=%v: %w", v, w, k, ErrInfeasible)
 		}
 	}
-	rt, _ := t.Root(0, nil)
+	rt, _ := t.Root0(nil)
 	residual := make([]float64, t.Len())
 	inCut := make([]bool, t.NumEdges())
 	var kids []int32

@@ -137,7 +137,7 @@ func SumOfMaxBrute(t *graph.Tree, parts int) (*PartsResult, error) {
 // exchange-optimal, so the count is exact; certificates use it as evidence
 // that no max–min partition beats a claimed value. Runs in O(n).
 func MaxPartsOver(t *graph.Tree, b float64) (int, error) {
-	rt, _ := t.Root(0, nil)
+	rt, _ := t.Root0(nil)
 	// residual[v] is what v hands its parent: its residual weight, or 0
 	// once severed.
 	residual := make([]float64, t.Len())
@@ -170,7 +170,7 @@ func SumOfMaxDP(t *graph.Tree, parts int) (float64, error) {
 	if err := checkPartsArg(t, parts); err != nil {
 		return 0, err
 	}
-	rt, _ := t.Root(0, nil)
+	rt, _ := t.Root0(nil)
 	tab := make([]map[smKey]float64, t.Len())
 	for i := len(rt.Order) - 1; i >= 0; i-- {
 		v := rt.Order[i]

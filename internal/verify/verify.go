@@ -29,18 +29,19 @@
 // (internal/prime + internal/hitting for bandwidth, internal/verify/oracle
 // for processors, the feasibility checker itself for bottleneck).
 //
-// CertifyResult is the certify boundary: it checks the request graph once
-// and refuses a malformed one with the graph package's sentinel. The
-// Certify* checkers and the oracles below them take a valid graph as their
-// precondition.
+// CertifyResult is the certify boundary: it checks the request graph once,
+// at once for a frozen graph, and refuses a malformed one with the graph
+// package's sentinel. The Certify* checkers and the oracles below them take
+// a valid graph as their precondition.
 //
 // The tree oracles walk the columnar adjacency graph.CSR, rooted at vertex 0
 // by a BFS whose order and parent columns share the CSR's one []int32, and
 // sum each vertex's children in CSR arc order, which is edge-index order,
 // the order of graph.Tree.Adjacency: a residual does not depend on the walk
 // that reaches it. They import internal/graph and the standard library only
-// and share no code with internal/core, whose solvers root their own CSR
-// walks.
+// and share no code with internal/core. Both root through
+// graph.Tree.Root0, so a frozen tree's one rooted view serves the solver
+// and its certificate alike.
 package verify
 
 import (
@@ -302,7 +303,8 @@ func CertifyResult(req engine.Request, res *engine.Result) (*Certificate, error)
 	if err != nil {
 		return nil, err
 	}
-	// The checkers index the graph's columns: refuse a malformed one first.
+	// The checkers index the graph's columns: refuse a malformed one first
+	// (a frozen one passes at once).
 	if req.Tree != nil {
 		err = req.Tree.Validate()
 	} else if req.Path != nil {
