@@ -433,6 +433,10 @@ func (s mapStore) Put(fp uint64, g any) {
 	s[fp] = g
 }
 
+// GetText and PutText complete graph.Store; binary frames have no text key.
+func (s mapStore) GetText(graph.TextKey) (any, uint64) { return nil, 0 }
+func (s mapStore) PutText(graph.TextKey, uint64)       {}
+
 // TestDecodeStore: with a store, a second decode of a path or tree frame
 // returns the stored graph with the same fingerprint and rest, as does a
 // frame that differs only in the sign of a zero weight; general graphs and

@@ -143,9 +143,10 @@ func TestByteHashersMatchFill(t *testing.T) {
 	}
 }
 
-// mapStore is a Store over a map, freezing what it keeps.
+// mapStore is a Store over maps, freezing what it keeps.
 type mapStore struct {
 	m          map[uint64]any
+	texts      map[TextKey]uint64
 	gets, puts int
 }
 
@@ -163,6 +164,21 @@ func (s *mapStore) Put(fp uint64, g any) {
 		g.Freeze()
 	}
 	s.m[fp] = g
+}
+
+func (s *mapStore) GetText(key TextKey) (any, uint64) {
+	fp, ok := s.texts[key]
+	if g := s.m[fp]; ok && g != nil {
+		return g, fp
+	}
+	return nil, 0
+}
+
+func (s *mapStore) PutText(key TextKey, fp uint64) {
+	if s.texts == nil {
+		s.texts = map[TextKey]uint64{}
+	}
+	s.texts[key] = fp
 }
 
 // TestScanJSONStore: a second decode of a path or tree returns the stored

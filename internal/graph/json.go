@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/maphash"
 	"io"
 	"math"
 	"slices"
@@ -135,13 +136,37 @@ var scratchPool = sync.Pool{New: func() any { return new(jsonScratch) }}
 // the sign of its zero weights (see Hasher), so a hit may carry +0 where
 // the request sent -0, as a result cached under that fingerprint does; and
 // like that cache, the store trusts the 64-bit fingerprint.
+//
+// A JSON envelope is also looked up by its text before it is parsed at all
+// (ScanJSON): a TextKey hashes the envelope's bytes, and the store maps it
+// to the fingerprint of the graph those bytes decoded to before. Decoding is
+// a function of the envelope's bytes alone, so a byte-identical envelope
+// decodes to that graph again, and on a text hit ScanJSON skips its numbers
+// instead of parsing them. The text key trusts a 64-bit hash too, but one
+// seeded per process, so colliding envelopes cannot be made without the
+// seed.
 type Store interface {
 	// Get returns the frozen *Path or *Tree stored under fp, or nil.
 	Get(fp uint64) any
 	// Put offers g, a *Path or *Tree just built and checked, whose
 	// fingerprint is fp. The store may freeze g and keep it.
 	Put(fp uint64, g any)
+	// GetText returns the graph stored for the fingerprint that key was
+	// recorded with, and that fingerprint, or nil.
+	GetText(key TextKey) (any, uint64)
+	// PutText records that the envelope named by key decoded to the path
+	// or tree whose fingerprint is fp.
+	PutText(key TextKey, fp uint64)
 }
+
+// TextKey names a JSON envelope by its bytes: their length and their hash
+// under this process's seed.
+type TextKey struct {
+	Hash uint64
+	Len  int
+}
+
+var textSeed = maphash.MakeSeed()
 
 // ScanJSON decodes the graph envelope at the scanner's position and leaves
 // the scanner after it, returning the graph with its fingerprint. A null
@@ -150,8 +175,41 @@ type Store interface {
 // maxNodes stops decoding with ErrTooManyNodes, before the rest of the
 // graph is read. Any other error leaves the scanner after the envelope (or
 // in its syntax-error state), so an enclosing document can go on. A
-// non-nil store is consulted for paths and trees as Store describes.
+// non-nil store is consulted for paths and trees as Store describes: first
+// by the envelope's text, then by the fingerprint of what it parsed.
 func ScanJSON(sc *jsonscan.Scanner, maxNodes int, store Store) (any, uint64, error) {
+	var key TextKey
+	if store != nil {
+		if text, end := sc.Extent(); text != nil {
+			key = TextKey{Hash: maphash.Bytes(textSeed, text), Len: len(text)}
+			if g, fp := store.GetText(key); g != nil {
+				if maxNodes <= 0 || nodeCount(g) <= maxNodes {
+					sc.SkipTo(end)
+					return g, fp, nil
+				}
+			}
+		}
+	}
+	g, fp, err := scanJSON(sc, maxNodes, store)
+	if err == nil && key.Len > 0 {
+		switch g.(type) {
+		case *Path, *Tree:
+			store.PutText(key, fp)
+		}
+	}
+	return g, fp, err
+}
+
+// nodeCount returns the node count of a stored graph, a *Path or *Tree.
+func nodeCount(g any) int {
+	if p, ok := g.(*Path); ok {
+		return p.Len()
+	}
+	return g.(*Tree).Len()
+}
+
+// scanJSON is ScanJSON after the text lookup: it parses the envelope.
+func scanJSON(sc *jsonscan.Scanner, maxNodes int, store Store) (any, uint64, error) {
 	ok, err := sc.Object()
 	if !ok {
 		if err != nil {

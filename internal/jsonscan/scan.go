@@ -21,6 +21,10 @@
 // null leaves the destination unchanged, and a value of the wrong JSON type
 // is skipped (and still validated) and reported as a *TypeError. Syntax
 // errors are sticky: after one, every call is a no-op and Err returns it.
+//
+// Extent delimits the object or array that comes next without reading it,
+// eight bytes at a time, for a caller that can answer for a value from its
+// bytes alone; SkipTo then moves past it.
 package jsonscan
 
 import (

@@ -23,6 +23,20 @@
 // (graphStoreBytes, arrays plus rooted views). Fingerprints normalise -0 to
 // +0, so graphs that differ only in the sign of a zero share a store entry
 // as they share cache entries. The store is off when the cache is.
+//
+// A JSON graph is found before it is parsed, too. Its envelope's bytes,
+// delimited by a bracket-matching scan that reads no numbers
+// (jsonscan.Scanner.Extent), are hashed into a text key, and the store's
+// text index maps that key to the fingerprint of the graph the same bytes
+// decoded to before: a byte-identical envelope, as a client sweeping K
+// over one graph sends, skips the parse along with the fill. Decoding is a
+// function of the envelope's bytes alone (the pooled scratch is emptied on
+// release), so the answer is the full decode's, up to the ±0 rule above.
+// The text index trusts a 64-bit hash as the fingerprint does, but one
+// seeded per process (hash/maphash), so a client cannot craft a collision
+// without the seed. It is a second LRU, charged textEntryBytes an entry
+// against its share of graphStoreBytes; only successful path and tree
+// decodes add to it.
 package server
 
 import (
@@ -256,8 +270,16 @@ func (c *Cache) Stats() CacheStats {
 
 // graphStoreBytes is the graph store's budget: the arrays of the stored
 // graphs plus their rooted views (graph.Tree.Footprint), about fifty
-// 5,000-node trees.
+// 5,000-node trees, and its text index (textIndexBytes).
 const graphStoreBytes = 16 << 20
+
+// textIndexBytes is the share of graphStoreBytes the text index holds, at
+// textEntryBytes an entry: 2,048 envelopes.
+const textIndexBytes = 256 << 10
+
+// textEntryBytes is what one text entry is charged: about what it holds
+// in memory, the entry, its list element and its map slot.
+const textEntryBytes = 128
 
 // graphStoreShards is the graph store's shard count. Graphs are large and
 // few, so fewer shards than the result cache's keep a shard's share of the
@@ -280,17 +302,38 @@ type storedGraph struct {
 func (e *storedGraph) lruKey() graphKey { return e.fp }
 func (e *storedGraph) lruCost() int     { return e.size }
 
+// textKey is a JSON envelope's text key, keying the text index. It is
+// already a hash, so it picks its shard directly.
+type textKey graph.TextKey
+
+func (k textKey) shardIndex(n int) int { return int(k.Hash % uint64(n)) }
+
+// textEntry is one entry of the text index: the fingerprint of the graph
+// an envelope decoded to.
+type textEntry struct {
+	key textKey
+	fp  uint64
+}
+
+func (e *textEntry) lruKey() textKey { return e.key }
+func (e *textEntry) lruCost() int    { return textEntryBytes }
+
 // graphStore is the graph.Store the request decoders consult: frozen paths
 // and trees by the fingerprint that also keys the result cache, in an LRU
-// bounded by graphStoreBytes. A nil *graphStore stores nothing; it is nil
-// when the result cache is disabled.
+// bounded by graphStoreBytes less the text index, and the text index, an
+// LRU from JSON envelopes' text keys to those fingerprints. A nil
+// *graphStore stores nothing; it is nil when the result cache is disabled.
 type graphStore struct {
 	lru[graphKey, *storedGraph]
-	hits, misses atomic.Uint64
+	texts                  lru[textKey, *textEntry]
+	hits, misses, textHits atomic.Uint64
 }
 
 func newGraphStore() *graphStore {
-	return &graphStore{lru: newLRU[graphKey, *storedGraph](graphStoreBytes, graphStoreShards)}
+	return &graphStore{
+		lru:   newLRU[graphKey, *storedGraph](graphStoreBytes-textIndexBytes, graphStoreShards),
+		texts: newLRU[textKey, *textEntry](textIndexBytes, graphStoreShards),
+	}
 }
 
 // Get implements graph.Store, counting the lookup's outcome.
@@ -320,11 +363,32 @@ func (s *graphStore) Put(fp uint64, g any) {
 	s.put(&storedGraph{fp: graphKey(fp), g: g, size: size})
 }
 
-// graphStoreStats are the graph store's lookup counters and its resident
-// bytes.
+// GetText implements graph.Store, counting only the lookups it answers: a
+// text entry whose graph is still stored. A miss is counted by the Get
+// that follows the parse.
+func (s *graphStore) GetText(key graph.TextKey) (any, uint64) {
+	t, ok := s.texts.get(textKey(key))
+	if !ok {
+		return nil, 0
+	}
+	e, ok := s.get(graphKey(t.fp))
+	if !ok {
+		return nil, 0
+	}
+	s.textHits.Add(1)
+	return e.g, t.fp
+}
+
+// PutText implements graph.Store.
+func (s *graphStore) PutText(key graph.TextKey, fp uint64) {
+	s.texts.put(&textEntry{key: textKey(key), fp: fp})
+}
+
+// graphStoreStats are the graph store's lookup counters and the bytes of
+// its resident graphs.
 type graphStoreStats struct {
-	Hits, Misses uint64
-	Bytes        int
+	Hits, Misses, TextHits uint64
+	Bytes                  int
 }
 
 // stats snapshots the store. Safe on a nil store.
@@ -332,7 +396,7 @@ func (s *graphStore) stats() graphStoreStats {
 	if s == nil {
 		return graphStoreStats{}
 	}
-	return graphStoreStats{Hits: s.hits.Load(), Misses: s.misses.Load(), Bytes: s.lru.stats().Used}
+	return graphStoreStats{Hits: s.hits.Load(), Misses: s.misses.Load(), TextHits: s.textHits.Load(), Bytes: s.lru.stats().Used}
 }
 
 // graphStore returns the store for the decoders: nil, not a nil

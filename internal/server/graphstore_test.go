@@ -26,7 +26,8 @@ func frozen(g any) bool {
 }
 
 // TestGraphStoreSharesDecodedGraphs: the JSON and PSV1 encodings of one
-// graph decode to the same frozen object, whichever came first; a graph that differs in one
+// graph decode to the same frozen object, whichever came first, and the
+// repeated JSON body finds it by its text key; a graph that differs in one
 // weight gets its own entry, and one that differs only in the sign of a
 // zero weight shares the entry, as it shares result-cache entries.
 func TestGraphStoreSharesDecodedGraphs(t *testing.T) {
@@ -85,8 +86,8 @@ func TestGraphStoreSharesDecodedGraphs(t *testing.T) {
 			t.Fatalf("%T with -0 for +0 decodes to its own graph", c.g)
 		}
 	}
-	if st := s.graphs.stats(); st.Hits != 6 || st.Misses != 4 || s.graphs.lru.stats().Entries != stored {
-		t.Fatalf("store stats %+v, %d entries; want 6 hits, 4 misses, %d entries", st, s.graphs.lru.stats().Entries, stored)
+	if st := s.graphs.stats(); st.Hits != 4 || st.Misses != 4 || st.TextHits != 2 || s.graphs.lru.stats().Entries != stored {
+		t.Fatalf("store stats %+v, %d entries; want 4 hits, 4 misses, 2 text hits, %d entries", st, s.graphs.lru.stats().Entries, stored)
 	}
 }
 
@@ -281,10 +282,11 @@ func repeat[T any](v T, n int) []T {
 }
 
 // graphStoreMetricRe matches the graph store's samples on /metrics.
-var graphStoreMetricRe = regexp.MustCompile(`(?m)^partitiond_graph_store_(total\{result="(?:hit|miss)"\}|bytes) (\d+)$`)
+var graphStoreMetricRe = regexp.MustCompile(`(?m)^partitiond_graph_store_(total\{result="(?:hit|miss|text)"\}|bytes) (\d+)$`)
 
-// TestGraphStoreMetrics: a JSON miss then a PSV1 hit on one tree show on
-// /metrics as one miss, one hit, and the tree's footprint in bytes.
+// TestGraphStoreMetrics: a JSON miss, a PSV1 hit and a repeat of the JSON
+// body on one tree show on /metrics as one miss, one hit, one text hit, and
+// the tree's footprint in bytes.
 func TestGraphStoreMetrics(t *testing.T) {
 	s := newTestServer(t, Config{})
 	tr := workload.RandomTree(workload.NewRNG(47), 500, workload.UniformWeights(1, 100), workload.UniformWeights(1, 100))
@@ -295,6 +297,9 @@ func TestGraphStoreMetrics(t *testing.T) {
 	if rec := doBin(s.Handler(), "/v1/solve", mustSolveFrame(t, params, tr), ""); rec.Code != http.StatusOK {
 		t.Fatalf("binary solve = %d: %s", rec.Code, rec.Body)
 	}
+	if rec := doJSONRaw(s.Handler(), "POST", "/v1/solve", json.RawMessage(jsonSolveParams(t, params, tr))); rec.Code != http.StatusOK {
+		t.Fatalf("repeated JSON solve = %d: %s", rec.Code, rec.Body)
+	}
 	got := map[string]string{}
 	for _, m := range graphStoreMetricRe.FindAllStringSubmatch(getMetricsText(t, s), -1) {
 		got[m[1]] = m[2]
@@ -302,6 +307,7 @@ func TestGraphStoreMetrics(t *testing.T) {
 	want := map[string]string{
 		`total{result="hit"}`:  "1",
 		`total{result="miss"}`: "1",
+		`total{result="text"}`: "1",
 		"bytes":                strconv.Itoa(tr.Footprint()),
 	}
 	if fmt.Sprint(got) != fmt.Sprint(want) {
@@ -319,8 +325,10 @@ func getMetricsText(t *testing.T, s *Server) string {
 	return rec.Body.String()
 }
 
-// TestStoredGraphDecodeAllocBudget gates a PSV1 decode whose graph the store
-// holds, a 5k-node tree and a 10k-node path: no graph-sized allocation.
+// TestStoredGraphDecodeAllocBudget gates decodes whose graph the store
+// holds, a 5k-node tree and a 10k-node path: a PSV1 body, and a JSON body
+// through parseSolveJSON that its envelope's text key answers. Neither
+// makes a graph-sized allocation.
 func TestStoredGraphDecodeAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector defeats the pooled body buffer")
@@ -331,28 +339,47 @@ func TestStoredGraphDecodeAllocBudget(t *testing.T) {
 	s := newTestServer(t, Config{})
 	w := workload.UniformWeights(1, 100)
 	tr := workload.RandomTree(workload.NewRNG(53), 5000, w, w)
-	for _, c := range []struct {
-		name  string
-		frame []byte
-	}{
-		{"5k-node tree", mustSolveFrame(t, SolveParams{Solver: "minproc", K: 10 * tr.MaxNodeWeight()}, tr)},
-		{"10k-node path", mustSolveFrame(t, SolveParams{Solver: "bandwidth", K: 500}, testPath(t, 10000, 59))},
-	} {
-		decode := decodeLoop(t, s, c.frame)
-		decode() // stores the graph and warms the body buffer
-		if ps, _, err := s.parseBinarySolve(c.frame); err != nil || !frozen(ps.g) {
-			t.Fatalf("%s: not stored (%v)", c.name, err)
+	p := testPath(t, 10000, 59)
+	treeParams := SolveParams{Solver: "minproc", K: 10 * tr.MaxNodeWeight()}
+	pathParams := SolveParams{Solver: "bandwidth", K: 500}
+	jsonDecode := func(name string, body []byte) func() {
+		return func() {
+			if ps, _, err := s.parseSolveJSON(body); err != nil || !frozen(ps.g) {
+				t.Fatalf("%s: not stored (%v)", name, err)
+			}
 		}
+	}
+	for _, c := range []struct {
+		name   string
+		decode func()
+		text   bool // answered by the text key
+	}{
+		{"PSV1 5k-node tree", decodeLoop(t, s, mustSolveFrame(t, treeParams, tr)), false},
+		{"PSV1 10k-node path", decodeLoop(t, s, mustSolveFrame(t, pathParams, p)), false},
+		{"JSON 5k-node tree", jsonDecode("JSON 5k-node tree", jsonSolveParams(t, treeParams, tr)), true},
+		{"JSON 10k-node path", jsonDecode("JSON 10k-node path", jsonSolveParams(t, pathParams, p)), true},
+	} {
+		c.decode() // stores the graph (or its text key) and warms the body buffer
+		stats := s.graphs.stats()
 		const runs = 100
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		for range runs {
-			decode()
+			c.decode()
 		}
 		runtime.ReadMemStats(&after)
-		const budget = 1024
-		if per := (after.TotalAlloc - before.TotalAlloc) / runs; per > budget {
-			t.Errorf("stored %s: PSV1 decode allocates %d B/op (frame %d B), budget %d", c.name, per, len(c.frame), budget)
+		hits := s.graphs.stats().Hits - stats.Hits
+		if c.text {
+			hits = s.graphs.stats().TextHits - stats.TextHits
 		}
+		if hits != runs {
+			t.Fatalf("%s: %d of %d decodes found the stored graph (text key %t)", c.name, hits, runs, c.text)
+		}
+		const budget = 1024
+		per := (after.TotalAlloc - before.TotalAlloc) / runs
+		if per > budget {
+			t.Errorf("stored %s: decode allocates %d B/op, budget %d", c.name, per, budget)
+		}
+		t.Logf("stored %s: %d B/op", c.name, per)
 	}
 }

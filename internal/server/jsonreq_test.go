@@ -75,9 +75,10 @@ func decodeLoop(tb testing.TB, s *Server, body []byte) func() {
 
 // BenchmarkDecodeSolveJSON measures the JSON request decode of /v1/solve —
 // body read, envelope and graph decode, fingerprint — on a 5k-node path and
-// a 5k-node tree. The stored case decodes one body, whose graph the graph
-// store holds after the first decode; the fresh case changes one weight
-// every iteration, so each decode also builds and checks the graph.
+// a 5k-node tree. The stored case decodes one body, whose envelope the
+// graph store answers by its text key after the first decode, so it parses
+// no numbers; the fresh case changes one weight every iteration, so each
+// decode misses the text key, parses, and builds and checks the graph.
 func BenchmarkDecodeSolveJSON(b *testing.B) {
 	path, tree := decodeBench5k(b)
 	for _, c := range []struct {
@@ -381,6 +382,48 @@ func jsonRequestEdgeCases() []string {
 	}
 }
 
+// jsonEnvelopeEdgeCases are solve bodies whose graph envelopes test the
+// text key's extent scan: strings holding brackets, quotes and backslashes,
+// unknown nested values, whitespace, repeated keys, bytes after the
+// envelope and truncation. Several share an envelope's text with another,
+// so that a graph store fed them in order answers some by text key.
+func jsonEnvelopeEdgeCases() []string {
+	g := `{"kind":"path","nodeWeights":[1,2,3],"edgeWeights":[4,5]}`
+	tr := `{"kind":"tree","nodeWeights":[1,2,3],"edges":[{"u":0,"v":1,"w":5},{"u":1,"v":2,"w":6}]}`
+	solve := func(graph string) string { return `{"solver":"bandwidth","k":10,"graph":` + graph + `}` }
+	return []string{
+		solve(`{"kind":"path]","nodeWeights":[1,2,3],"edgeWeights":[4,5]}`),
+		solve(`{"kind":"pa}th","nodeWeights":[1,2,3],"edgeWeights":[4,5]}`),
+		solve(`{"kind":"path\"","nodeWeights":[1,2,3],"edgeWeights":[4,5]}`),
+		solve(`{"kind":"p\u0061th","nodeWeights":[1,2,3],"edgeWeights":[4,5]}`),
+		solve(`{"kind":"path","x":"]}\"\\","nodeWeights":[1,2,3],"edgeWeights":[4,5]}`),
+		solve(`{"kind":"path","x":"\\\"}","nodeWeights":[1,2,3],"edgeWeights":[4,5]}`),
+		solve(`{"kind":"path","x\"]":"}","nodeWeights":[1,2,3],"edgeWeights":[4,5]}`),
+		solve(`{"kind":"tree","nodeWeights":[1,2,3],"edges":[{"u":0,"v":1,"w":5,"note":"}]"},{"u":1,"v":2,"w":6}]}`),
+		solve(`{"kind":"path","meta":{"a":[1,{"b":"}"}],"c":{},"d":[[],[{}]]},"nodeWeights":[1,2,3],"edgeWeights":[4,5]}`),
+		solve(`{"kind":"tree","nodeWeights":[1,2,3],"edges":[{"u":0,"v":1,"w":5,"x":[{"y":[]}]},{"u":1,"v":2,"w":6}]}`),
+		solve(" {\n\t\"kind\" : \"path\" ,\r\n \"nodeWeights\" : [ 1 , 2 , 3 ] , \"edgeWeights\" : [4,5] } "),
+		solve(`{ "kind":"path","nodeWeights":[1,2,3],"edgeWeights":[4,5]}`),
+		solve(`{"kind":"tree","kind":"path","nodeWeights":[9,9],"nodeWeights":[1,2,3],"edgeWeights":[4,5]}`),
+		solve(`{"kind":"path","nodeWeights":[1,2,3,4],"nodeWeights":[1,2,3],"edgeWeights":[4,5]}`),
+		solve(`{"kind":"tree","nodeWeights":[1,2,3],"edges":[{"u":0,"v":1,"w":5,"w":7},{"u":1,"v":2,"w":6}]}`),
+		solve(g),
+		solve(g) + `x`,
+		solve(g + `]`),
+		solve(g + g),
+		solve(g + `,"k":11`),
+		`{"solver":"bandwidth","k":10,"graph":` + g + `   `,
+		solve(tr),
+		solve(tr + `}`),
+		`{"solver":"bandwidth","k":10,"graph":` + tr[:len(tr)-1],
+		`{"solver":"bandwidth","k":10,"graph":` + tr[:len(tr)-1] + `]}`,
+		`{"solver":"bandwidth","k":10,"graph":` + g[:20],
+		solve(`{"kind":"path","nodeWeights":[1,2,3],"edgeWeights":[4,5],"x":"}`),
+		solve(`{"kind":"path","nodeWeights":[1,-0,3],"edgeWeights":[4,5]}`),
+		solve(`{"kind":"path","nodeWeights":[1,0,3],"edgeWeights":[4,5]}`),
+	}
+}
+
 // FuzzDecodeSolveJSON holds the one-pass request decoder to a reference
 // built on json.Unmarshal alone, for a solve or job body and for the same
 // body as the single item of a batch: the same accept/reject outcome with
@@ -395,7 +438,7 @@ func FuzzDecodeSolveJSON(f *testing.F) {
 		}
 		f.Add(body)
 	}
-	for _, c := range jsonRequestEdgeCases() {
+	for _, c := range append(jsonRequestEdgeCases(), jsonEnvelopeEdgeCases()...) {
 		f.Add([]byte(c))
 	}
 	// s decodes every graph afresh, as the reference does; stored keeps a
@@ -415,21 +458,26 @@ func FuzzDecodeSolveJSON(f *testing.F) {
 	})
 }
 
-// checkStoredDecode compares the decode of a server that keeps a graph
+// checkStoredDecode compares the decodes of a server that keeps a graph
 // store with that of one that does not: the same error, or the same values
 // with graphs equal up to the sign of zero weights, since a stored graph
-// answers for its ±0 twins as its cached results do.
+// answers for its ±0 twins as its cached results do. The stored server
+// decodes body twice, so that the second decode finds a graph the first
+// stored by its envelope's text key.
 func checkStoredDecode(t *testing.T, fresh, stored *Server, body []byte) {
 	t.Helper()
 	want, _, werr := fresh.parseSolveJSON(body)
-	got, _, gerr := stored.parseSolveJSON(body)
-	if (gerr == nil) != (werr == nil) || gerr != nil && gerr.Error() != werr.Error() {
-		t.Fatalf("solve %q: with the graph store error %v, without %v", body, gerr, werr)
-	}
-	if gerr == nil {
-		got.g, want.g = positiveZeros(got.g), positiveZeros(want.g)
-		if d := sameParsed(got, want); d != "" {
-			t.Fatalf("solve %q: with and without the graph store: %s", body, d)
+	want.g = positiveZeros(want.g)
+	for pass := 1; pass <= 2; pass++ {
+		got, _, gerr := stored.parseSolveJSON(body)
+		if (gerr == nil) != (werr == nil) || gerr != nil && gerr.Error() != werr.Error() {
+			t.Fatalf("solve %q, decode %d: with the graph store error %v, without %v", body, pass, gerr, werr)
+		}
+		if gerr == nil {
+			got.g = positiveZeros(got.g)
+			if d := sameParsed(got, want); d != "" {
+				t.Fatalf("solve %q, decode %d: with and without the graph store: %s", body, pass, d)
+			}
 		}
 	}
 }

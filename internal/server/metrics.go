@@ -67,6 +67,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	p.Family("partitiond_graph_store_total", "counter", "Graph store lookups by the request decoders, by result.")
 	p.Sample("partitiond_graph_store_total", gs.Hits, "result", "hit")
 	p.Sample("partitiond_graph_store_total", gs.Misses, "result", "miss")
+	p.Sample("partitiond_graph_store_total", gs.TextHits, "result", "text")
 	single(p, "partitiond_graph_store_bytes", "gauge", "Bytes of frozen graphs resident in the graph store, rooted views included.", gs.Bytes)
 
 	ls := s.limiter.Stats()
