@@ -1,21 +1,19 @@
 package jsonscan
 
 import (
-	"bytes"
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"math"
-	"math/big"
 	"math/rand"
 	"strconv"
 	"strings"
 	"testing"
 )
 
-// TestFloat64MatchesParseFloat runs seeded tokens through Float64, bit for
-// bit against strconv: random bit patterns and 1+99·U task weights, each
-// formatted shortest ('g'), in 'e' at precision 0–24 and in 'f'.
+// TestFloat64MatchesParseFloat checks that Float64's grammar check accepts
+// every token strconv formats, and that the value read matches strconv's bit
+// for bit: random bit patterns and 1+99·U task weights, each formatted
+// shortest ('g'), in 'e' at precision 0–24 and in 'f'.
 func TestFloat64MatchesParseFloat(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
 	var tok []byte
@@ -47,8 +45,9 @@ func TestFloat64MatchesParseFloat(t *testing.T) {
 	}
 }
 
-// TestIntMatchesParseInt checks Int64 on integer tokens around the 18-,
-// 19- and 20-digit boundaries against strconv.
+// TestIntMatchesParseInt checks that Int64's grammar check accepts every
+// integer token strconv formats, around the 18-, 19- and 20-digit
+// boundaries, and that Int64 agrees with strconv on value and range.
 func TestIntMatchesParseInt(t *testing.T) {
 	r := rand.New(rand.NewSource(2))
 	for i := 0; i < 20000; i++ {
@@ -70,100 +69,16 @@ func TestIntMatchesParseInt(t *testing.T) {
 	}
 }
 
-// TestPow10Table recomputes every row of the Eisel–Lemire table: floor(10^e
-// · 2^s) for the s that gives exactly 128 bits, stored {lo, hi}.
-func TestPow10Table(t *testing.T) {
-	ten := big.NewInt(10)
-	for e := pow10MinExp10; e <= pow10MaxExp10; e++ {
-		num, den := big.NewInt(1), big.NewInt(1)
-		if e >= 0 {
-			num.Exp(ten, big.NewInt(int64(e)), nil)
-		} else {
-			den.Exp(ten, big.NewInt(int64(-e)), nil)
-		}
-		// floor(num·2^s / den), with s stepped until it has 128 bits.
-		scaled := func(s int) *big.Int {
-			n, d := new(big.Int).Set(num), new(big.Int).Set(den)
-			if s >= 0 {
-				n.Lsh(n, uint(s))
-			} else {
-				d.Lsh(d, uint(-s))
-			}
-			return n.Quo(n, d)
-		}
-		s := 128 - (num.BitLen() - den.BitLen())
-		m := scaled(s)
-		for m.BitLen() > 128 {
-			s--
-			m = scaled(s)
-		}
-		for m.BitLen() < 128 {
-			s++
-			m = scaled(s)
-		}
-		lo := new(big.Int).And(m, new(big.Int).SetUint64(math.MaxUint64)).Uint64()
-		hi := new(big.Int).Rsh(m, 64).Uint64()
-		if got := pow10Table[e-pow10MinExp10]; got != [2]uint64{lo, hi} {
-			t.Fatalf("1e%d: table {%#x, %#x}, want {%#x, %#x}", e, got[0], got[1], lo, hi)
-		}
-	}
-}
-
-// TestDigits checks the SWAR digit runs: digitPrefix on every single-byte
-// change of a word of digits, and digits on runs of 0–24 digits followed by
-// a random tail, against strconv.
-func TestDigits(t *testing.T) {
-	base := []byte("31415926")
-	for pos := 0; pos < 8; pos++ {
-		for c := 0; c < 256; c++ {
-			b := append([]byte(nil), base...)
-			b[pos] = byte(c)
-			n := 0
-			for n < 8 && isDigit(b[n]) {
-				n++
-			}
-			if got := digitPrefix(binary.LittleEndian.Uint64(b)); got != n {
-				t.Fatalf("%q: digitPrefix = %d, want %d", b, got, n)
-			}
-		}
-	}
-	r := rand.New(rand.NewSource(3))
-	for i := 0; i < 50000; i++ {
-		run := make([]byte, r.Intn(25))
-		for j := range run {
-			run[j] = byte('0' + r.Intn(10))
-			if r.Intn(4) == 0 {
-				run[j] = '0'
-			}
-		}
-		b := append([]byte(nil), run...)
-		for j := r.Intn(10); j > 0; j-- {
-			c := byte(r.Intn(256))
-			if j == 1 && isDigit(c) {
-				c = ','
-			}
-			b = append(b, c)
-		}
-		if len(b) > len(run) && isDigit(b[len(run)]) {
-			b[len(run)] = ']'
-		}
-		sig := len(bytes.TrimLeft(run, "0"))
-		d := decimal{exact: true}
-		if end := d.digits(b, 0); end != len(run) || d.exact != (sig <= 19) {
-			t.Fatalf("%q: digits end %d, exact %t; want end %d with %d significant digits", b, end, d.exact, len(run), sig)
-		}
-		if want, _ := strconv.ParseUint("0"+string(run), 10, 64); d.exact && d.man != want {
-			t.Fatalf("%q: digits = %d, want %d", b, d.man, want)
-		}
-	}
-}
-
 // TestNumberReadersAllocFree gates Float64 and Int on numeric tokens at
-// zero allocations, over both the fast path and Eisel–Lemire.
+// zero allocations, up to the longest tokens encoding/json writes for a
+// float64: the string a token of up to 32 bytes is copied into for strconv
+// stays on the stack.
 func TestNumberReadersAllocFree(t *testing.T) {
 	floats := [][]byte{
 		[]byte("57.38492019384712"), []byte("1"), []byte("-0"), []byte("1e23"),
 		[]byte("2.2250738585072014e-308"), []byte("0.1"), []byte("-123.456e-7"),
+		[]byte("-0.0000012345678901234567"), []byte("-123456789012345680000"),
+		[]byte("-1.2345678901234567e-100"),
 	}
 	ints := [][]byte{[]byte("0"), []byte("-9223372036854775808"), []byte("4999")}
 	var (

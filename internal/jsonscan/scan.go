@@ -5,15 +5,10 @@
 // straight into the caller's variables while it validates, so a request is
 // read once, without reflection and without a per-number allocation.
 //
-// Numbers are converted in the same pass that checks their grammar: the
-// scanner accumulates the decimal mantissa as it goes, up to eight digits
-// per word load, then converts it exactly, by Clinger's fast path when
-// mantissa and power of ten are both exact in a float64, otherwise by
-// Eisel–Lemire over a 128-bit power-of-ten table (Lemire, "Number Parsing
-// at a Gigabyte per Second", 2021). strconv.ParseFloat or ParseInt takes
-// over for the rare token it cannot settle: more than 19 significant
-// digits, an exponent of more than 5 digits, a result that is subnormal
-// or out of range, or an Eisel–Lemire product too close to call.
+// Numbers are checked against JSON's grammar by the scanner itself, since
+// strconv also accepts forms JSON does not, and then converted by
+// strconv.ParseFloat or ParseInt. A token of up to 32 bytes, which covers
+// every number encoding/json writes, converts without an allocation.
 //
 // A Scanner walks one document. Object and Array enter containers, NextKey
 // and NextElem iterate them, and Float64, Int, Int64, Bool and String read
@@ -205,13 +200,9 @@ func (s *Scanner) Skip() { s.skip() }
 func (s *Scanner) Float64(dst *float64) error {
 	if s.err == nil && isNumberStart(s.peek()) {
 		start := s.off
-		tok, d := s.number()
+		tok := s.number()
 		if s.err != nil {
 			return s.err
-		}
-		if v, ok := d.float64(); ok {
-			*dst = v
-			return nil
 		}
 		v, err := strconv.ParseFloat(string(tok), 64)
 		if err != nil {
@@ -241,13 +232,9 @@ func (s *Scanner) Int(dst *int) error {
 func (s *Scanner) integer(dst *int64, typ string, lo, hi int64) error {
 	if s.err == nil && isNumberStart(s.peek()) {
 		start := s.off
-		tok, d := s.number()
+		tok := s.number()
 		if s.err != nil {
 			return s.err
-		}
-		if v, ok := d.int64(lo, hi); ok {
-			*dst = v
-			return nil
 		}
 		v, err := strconv.ParseInt(string(tok), 10, 64)
 		if err != nil || v < lo || v > hi {
@@ -411,69 +398,56 @@ func isDigit(c byte) bool { return '0' <= c && c <= '9' }
 
 func isNumberStart(c byte) bool { return c == '-' || isDigit(c) }
 
-// number consumes a number token, checking the JSON grammar
+// number consumes a number token and returns it, checking the JSON grammar
 // -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)? itself: strconv also
 // accepts forms JSON does not, such as Inf, NaN, hex floats and underscores.
-// On the way it reads the token as a decimal, which is exact when the token
-// has at most 19 significant digits and at most maxExpDigits exponent
-// digits.
-func (s *Scanner) number() ([]byte, decimal) {
-	d := decimal{exact: true}
+func (s *Scanner) number() []byte {
 	b, i := s.data, s.off
 	start := i
 	if b[i] == '-' {
-		d.neg = true
 		i++
 	}
 	switch {
 	case i < len(b) && b[i] == '0':
 		i++
 	case i < len(b) && '1' <= b[i] && b[i] <= '9':
-		i = d.digits(b, i)
+		i = digits(b, i)
 	default:
 		s.off = i
 		s.unexpected("in numeric literal")
-		return nil, d
+		return nil
 	}
-	d.integral = true
 	if i < len(b) && b[i] == '.' {
-		d.integral = false
 		i++
 		frac := i
-		if i = d.digits(b, i); i == frac {
+		if i = digits(b, i); i == frac {
 			s.off = i
 			s.unexpected("after decimal point in numeric literal")
-			return nil, d
+			return nil
 		}
-		d.exp = frac - i
 	}
 	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
-		d.integral = false
 		i++
-		neg := false
 		if i < len(b) && (b[i] == '+' || b[i] == '-') {
-			neg = b[i] == '-'
 			i++
 		}
-		first, e := i, 0
-		for ; i < len(b) && isDigit(b[i]); i++ {
-			e = e*10 + int(b[i]-'0')
-		}
-		switch {
-		case i == first:
+		first := i
+		if i = digits(b, i); i == first {
 			s.off = i
 			s.unexpected("in exponent of numeric literal")
-			return nil, d
-		case i-first > maxExpDigits:
-			d.exact = false
-		case neg:
-			d.exp -= e
-		default:
-			d.exp += e
+			return nil
 		}
 	}
 	s.off = i
-	return b[start:i], d
+	return b[start:i]
+}
+
+// digits returns the offset after the run of ASCII digits at b[i:].
+func digits(b []byte, i int) int {
+	for i < len(b) && isDigit(b[i]) {
+		i++
+	}
+	return i
 }
 
 // str consumes a string whose opening quote is next and returns its

@@ -4,6 +4,8 @@ import (
 	"context"
 	"encoding/base64"
 	"encoding/json"
+	"fmt"
+	"math"
 	"net/http"
 	"sync/atomic"
 
@@ -74,11 +76,19 @@ func (s *Server) forwardSolve(ctx context.Context, tr *obs.Trace, p *parsedSolve
 		return resolved{}, false
 	}
 	// Validate the frame before sharing it: waiters of every format render
-	// from these bytes, and a corrupt answer must degrade to a local solve,
-	// not surface as a 500.
-	if _, rest, err := DecodeSolveResult(body); err != nil || len(rest) != 0 {
+	// from these bytes and the cache keeps them under this request's key,
+	// so a corrupt answer, or a well-formed one to another request, must
+	// degrade to a local solve, not surface as a 500 or a wrong answer.
+	sr, rest, err := DecodeSolveResult(body)
+	if err != nil || len(rest) != 0 {
 		s.cfg.Logger.Warn("cluster forward returned a bad frame, solving locally",
 			"peer", peer, "err", err)
+		return resolved{}, false
+	}
+	if sr.Fingerprint != p.fp || sr.Solver != p.req.Solver ||
+		math.Float64bits(sr.K) != math.Float64bits(p.req.K) || (sr.Verify != nil) != p.req.Verify {
+		s.cfg.Logger.Warn("cluster forward answered another request, solving locally",
+			"peer", peer, "solver", sr.Solver, "k", sr.K, "fingerprint", fmt.Sprintf("%016x", sr.Fingerprint))
 		return resolved{}, false
 	}
 	graftSpans(sp, spans, peer)

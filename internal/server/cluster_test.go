@@ -10,8 +10,10 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -361,6 +363,103 @@ func TestClusterOwnerDeathFailover(t *testing.T) {
 	}
 	if got := resp2.Header.Get("X-Cache"); got != "HIT" {
 		t.Errorf("retry X-Cache = %q, want HIT", got)
+	}
+}
+
+// TestClusterForwardRejectsForeignFrame: an owner that answers 200 with a
+// PRS1 frame for another request, or with a truncated one, costs the
+// forwarder its forward, never its answer. The forwarder solves locally,
+// says so in X-Cluster, and caches its own frame, not the peer's.
+func TestClusterForwardRejectsForeignFrame(t *testing.T) {
+	ref := newTestServer(t, Config{}).Handler()
+	answer := func(params SolveParams, g *graph.Path) []byte {
+		rec := doBin(ref, "/v1/solve", mustSolveFrame(t, params, g), codec.ContentType)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("reference solve: %d %s", rec.Code, rec.Body)
+		}
+		return rec.Body.Bytes()
+	}
+	want := SolveParams{Solver: "bandwidth", K: 500}
+	other, _ := fingerprintedPath(t, 64, 0)
+	for _, c := range []struct {
+		name  string
+		frame func(g *graph.Path) []byte // the stub owner's answer for g
+	}{
+		{"other graph", func(*graph.Path) []byte { return answer(want, other) }},
+		{"other K", func(g *graph.Path) []byte { return answer(SolveParams{Solver: "bandwidth", K: 600}, g) }},
+		{"other solver", func(g *graph.Path) []byte { return answer(SolveParams{Solver: "bandwidth-naive", K: 500}, g) }},
+		{"unasked certificate", func(g *graph.Path) []byte {
+			return answer(SolveParams{Solver: "bandwidth", K: 500, Verify: true}, g)
+		}},
+		{"truncated", func(g *graph.Path) []byte { b := answer(want, g); return b[:len(b)-3] }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			var stub atomic.Pointer[[]byte]
+			owner := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				w.Header().Set("Content-Type", codec.ContentType)
+				w.Write(*stub.Load())
+			}))
+			defer owner.Close()
+			l, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			self := "http://" + l.Addr().String()
+			clu, err := cluster.New(cluster.Config{
+				Self:           self,
+				Peers:          []string{self, owner.URL},
+				HealthInterval: time.Hour,
+				Logger:         quietLogger(),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer clu.Close()
+			srv := New(Config{Cluster: clu, Logger: quietLogger()})
+			go srv.Serve(l)
+			defer func() {
+				ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+				defer cancel()
+				srv.Shutdown(ctx)
+			}()
+			var g *graph.Path
+			var fp uint64
+			for seed := uint64(1); g == nil; seed++ {
+				h, hfp := fingerprintedPath(t, 64, seed)
+				if _, local := clu.Route(hfp); !local {
+					g, fp = h, hfp
+				}
+			}
+			frame := c.frame(g)
+			stub.Store(&frame)
+			local, _, err := DecodeSolveResult(answer(want, g))
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			req := mustSolveFrame(t, want, g)
+			resp, body := postBinarySolve(t, self, req, nil)
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("solve: %d %s", resp.StatusCode, body)
+			}
+			if got := resp.Header.Get("X-Cluster"); got != "local" {
+				t.Errorf("X-Cluster = %q, want local (the owner's frame must be refused)", got)
+			}
+			sr, rest, err := DecodeSolveResult(body)
+			if err != nil || len(rest) != 0 {
+				t.Fatalf("response is not one PRS1 frame: %v (%d trailing)", err, len(rest))
+			}
+			if sr.Fingerprint != fp || sr.K != want.K || sr.Verify != nil || !slices.Equal(sr.Cut, local.Cut) {
+				t.Errorf("answer: fingerprint %x, K %v, cut %v; want %x, %v, %v", sr.Fingerprint, sr.K, sr.Cut, fp, want.K, local.Cut)
+			}
+			if got := solveCount(srv); got != 1 {
+				t.Errorf("forwarder performed %d solves, want 1", got)
+			}
+			resp, again := postBinarySolve(t, self, req, nil)
+			if got := resp.Header.Get("X-Cache"); got != "HIT" || !bytes.Equal(again, body) {
+				t.Errorf("repeat: X-Cache %q, same bytes %t; want a HIT on the local answer", got, bytes.Equal(again, body))
+			}
+		})
 	}
 }
 
