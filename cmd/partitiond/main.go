@@ -64,36 +64,39 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args); err != nil {
 		fmt.Fprintln(os.Stderr, "partitiond:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
-	addr := flag.String("addr", ":8080", "listen address")
-	cacheSize := flag.Int("cache-size", 4096, "result cache capacity in entries (negative disables caching)")
-	maxConcurrent := flag.Int("max-concurrent", 0, "max simultaneous solves (0 = GOMAXPROCS)")
-	queue := flag.Int("queue", 0, "max requests waiting for a solve slot (0 = 4x max-concurrent); beyond it requests are shed with 429")
-	queueTimeout := flag.Duration("queue-timeout", 2*time.Second, "max time a request may wait for a solve slot before a 503")
-	timeout := flag.Duration("timeout", 10*time.Second, "default per-solve deadline")
-	maxTimeout := flag.Duration("max-timeout", time.Minute, "cap on client-requested solve deadlines")
-	retryAfter := flag.Duration("retry-after", time.Second, "Retry-After hint on 429/503 responses")
-	jobQueue := flag.Int("job-queue", 64, "max jobs waiting for a solve slot; beyond it submissions are shed with 429")
-	jobRetention := flag.Duration("job-retention", 15*time.Minute, "how long finished jobs (and their results) stay fetchable")
-	maxJobTimeout := flag.Duration("max-job-timeout", 15*time.Minute, "cap on a job's total lifetime (queue wait included); also the default when the submission names none")
-	drain := flag.Duration("drain", 15*time.Second, "how long to wait for in-flight solves and running jobs on shutdown")
-	peers := flag.String("peers", "", "comma-separated cluster peer addresses including this node (empty = standalone)")
-	self := flag.String("self", "", "this node's own address within -peers (required with -peers)")
-	healthInterval := flag.Duration("health-interval", 2*time.Second, "period of the cluster peer health sweep")
-	healthTimeout := flag.Duration("health-timeout", time.Second, "deadline for one cluster peer health probe")
-	traceSample := flag.Float64("trace-sample", 0.01, "flight recorder head-sampling rate in [0,1]: probability an ordinary solve's trace is retained (slow/errored/shed/forwarded traces are always kept)")
-	traceStore := flag.Int("trace-store", 512, "max traces retained by the flight recorder (negative disables it and /v1/traces answers enabled:false)")
-	slowTrace := flag.Duration("slow-trace", 500*time.Millisecond, "absolute duration beyond which any solve's trace is retained regardless of sampling")
-	logFormat := flag.String("log", "text", "log format: text | json")
-	debugAddr := flag.String("debug-addr", "", "listen address for net/http/pprof profiling endpoints (empty disables); keep it off public interfaces")
-	showVersion := flag.Bool("version", false, "print version and exit")
-	flag.Parse()
+// run is the whole command; args[0] names the program in the usage text.
+// A flag that does not parse exits 2 and -h exits 0, as with flag.Parse.
+func run(args []string) error {
+	fs := flag.NewFlagSet(args[0], flag.ExitOnError)
+	addr := fs.String("addr", ":8080", "listen address")
+	cacheSize := fs.Int("cache-size", 4096, "result cache capacity in entries (negative disables caching)")
+	maxConcurrent := fs.Int("max-concurrent", 0, "max simultaneous solves (0 = GOMAXPROCS)")
+	queue := fs.Int("queue", 0, "max requests waiting for a solve slot (0 = 4x max-concurrent); beyond it requests are shed with 429")
+	queueTimeout := fs.Duration("queue-timeout", 2*time.Second, "max time a request may wait for a solve slot before a 503")
+	timeout := fs.Duration("timeout", 10*time.Second, "default per-solve deadline")
+	maxTimeout := fs.Duration("max-timeout", time.Minute, "cap on client-requested solve deadlines")
+	retryAfter := fs.Duration("retry-after", time.Second, "Retry-After hint on 429/503 responses")
+	jobQueue := fs.Int("job-queue", 64, "max jobs waiting for a solve slot; beyond it submissions are shed with 429")
+	jobRetention := fs.Duration("job-retention", 15*time.Minute, "how long finished jobs (and their results) stay fetchable")
+	maxJobTimeout := fs.Duration("max-job-timeout", 15*time.Minute, "cap on a job's total lifetime (queue wait included); also the default when the submission names none")
+	drain := fs.Duration("drain", 15*time.Second, "how long to wait for in-flight solves and running jobs on shutdown")
+	peers := fs.String("peers", "", "comma-separated cluster peer addresses including this node (empty = standalone)")
+	self := fs.String("self", "", "this node's own address within -peers (required with -peers)")
+	healthInterval := fs.Duration("health-interval", 2*time.Second, "period of the cluster peer health sweep")
+	healthTimeout := fs.Duration("health-timeout", time.Second, "deadline for one cluster peer health probe")
+	traceSample := fs.Float64("trace-sample", 0.01, "flight recorder head-sampling rate in [0,1]: probability an ordinary solve's trace is retained (slow/errored/shed/forwarded traces are always kept)")
+	traceStore := fs.Int("trace-store", 512, "max traces retained by the flight recorder (negative disables it and /v1/traces answers enabled:false)")
+	slowTrace := fs.Duration("slow-trace", 500*time.Millisecond, "absolute duration beyond which any solve's trace is retained regardless of sampling")
+	logFormat := fs.String("log", "text", "log format: text | json")
+	debugAddr := fs.String("debug-addr", "", "listen address for net/http/pprof profiling endpoints (empty disables); keep it off public interfaces")
+	showVersion := fs.Bool("version", false, "print version and exit")
+	fs.Parse(args[1:])
 
 	if *showVersion {
 		fmt.Printf("partitiond %s %s\n", version.Version, version.GoVersion())
@@ -132,7 +135,7 @@ func run() error {
 	if *jobQueue <= 0 {
 		return fmt.Errorf("-job-queue must be positive (got %d)", *jobQueue)
 	}
-	if *traceSample < 0 || *traceSample > 1 {
+	if !(*traceSample >= 0 && *traceSample <= 1) {
 		return fmt.Errorf("-trace-sample must be in [0,1] (got %g)", *traceSample)
 	}
 	if *peers == "" && *self != "" {

@@ -434,8 +434,8 @@ func (s mapStore) Put(fp uint64, g any) {
 }
 
 // GetText and PutText complete graph.Store; binary frames have no text key.
-func (s mapStore) GetText(graph.TextKey) (any, uint64) { return nil, 0 }
-func (s mapStore) PutText(graph.TextKey, uint64)       {}
+func (s mapStore) GetText(uint64, []byte, int) (any, graph.TextEntry) { return nil, graph.TextEntry{} }
+func (s mapStore) PutText(graph.TextEntry)                            {}
 
 // TestDecodeStore: with a store, a second decode of a path or tree frame
 // returns the stored graph with the same fingerprint and rest, as does a

@@ -146,7 +146,7 @@ func TestByteHashersMatchFill(t *testing.T) {
 // mapStore is a Store over maps, freezing what it keeps.
 type mapStore struct {
 	m          map[uint64]any
-	texts      map[TextKey]uint64
+	texts      map[uint64]TextEntry
 	gets, puts int
 }
 
@@ -166,19 +166,19 @@ func (s *mapStore) Put(fp uint64, g any) {
 	s.m[fp] = g
 }
 
-func (s *mapStore) GetText(key TextKey) (any, uint64) {
-	fp, ok := s.texts[key]
-	if g := s.m[fp]; ok && g != nil {
-		return g, fp
+func (s *mapStore) GetText(prefix uint64, doc []byte, depth int) (any, TextEntry) {
+	e, ok := s.texts[prefix]
+	if !ok || !e.Matches(doc, depth) {
+		return nil, TextEntry{}
 	}
-	return nil, 0
+	return s.m[e.FP], e
 }
 
-func (s *mapStore) PutText(key TextKey, fp uint64) {
+func (s *mapStore) PutText(e TextEntry) {
 	if s.texts == nil {
-		s.texts = map[TextKey]uint64{}
+		s.texts = map[uint64]TextEntry{}
 	}
-	s.texts[key] = fp
+	s.texts[e.Prefix] = e
 }
 
 // TestScanJSONStore: a second decode of a path or tree returns the stored

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -138,32 +139,57 @@ var scratchPool = sync.Pool{New: func() any { return new(jsonScratch) }}
 // like that cache, the store trusts the 64-bit fingerprint.
 //
 // A JSON envelope is also looked up by its text before it is parsed at all
-// (ScanJSON): a TextKey hashes the envelope's bytes, and the store maps it
-// to the fingerprint of the graph those bytes decoded to before. Decoding is
-// a function of the envelope's bytes alone, so a byte-identical envelope
-// decodes to that graph again, and on a text hit ScanJSON skips its numbers
-// instead of parsing them. The text key trusts a 64-bit hash too, but one
-// seeded per process, so colliding envelopes cannot be made without the
-// seed.
+// (ScanJSON). The store keeps a TextEntry for each envelope it recorded,
+// under a hash of the envelope's first textPrefix bytes, and returns that
+// entry's graph for a document that holds the same envelope: the next
+// Len bytes hash to the entry's Hash. Decoding is a function of the
+// envelope's bytes alone, so a byte-identical envelope decodes to that
+// graph again, and on a text hit ScanJSON skips its numbers instead of
+// parsing them. Envelopes that share their first textPrefix bytes share an
+// entry, the last one recorded. The text index trusts 64-bit hashes too,
+// but ones seeded per process, so colliding envelopes cannot be made
+// without the seed.
 type Store interface {
 	// Get returns the frozen *Path or *Tree stored under fp, or nil.
 	Get(fp uint64) any
 	// Put offers g, a *Path or *Tree just built and checked, whose
 	// fingerprint is fp. The store may freeze g and keep it.
 	Put(fp uint64, g any)
-	// GetText returns the graph stored for the fingerprint that key was
-	// recorded with, and that fingerprint, or nil.
-	GetText(key TextKey) (any, uint64)
-	// PutText records that the envelope named by key decoded to the path
-	// or tree whose fingerprint is fp.
-	PutText(key TextKey, fp uint64)
+	// GetText returns the text entry recorded under prefix and the graph
+	// stored under its fingerprint, if the entry matches doc, the document
+	// from the next value on, at depth (see TextEntry.Matches); otherwise
+	// it returns a nil graph.
+	GetText(prefix uint64, doc []byte, depth int) (any, TextEntry)
+	// PutText records e under e.Prefix, replacing what was there.
+	PutText(e TextEntry)
 }
 
-// TextKey names a JSON envelope by its bytes: their length and their hash
-// under this process's seed.
-type TextKey struct {
+// textPrefix is how many of an envelope's first bytes key the text index.
+// Shorter envelopes are not looked up by their text; a graph worth
+// skipping the parse of is much longer.
+const textPrefix = 64
+
+// TextEntry records that an envelope decoded to the path or tree whose
+// fingerprint is FP. The hashes are under this process's seed.
+type TextEntry struct {
+	// Prefix is the hash of the envelope's first textPrefix bytes, which
+	// keys the entry.
+	Prefix uint64
+	// Hash is the hash of the envelope's Len bytes.
 	Hash uint64
 	Len  int
+	// Depth is the scanner depth the envelope was parsed at. Reading it
+	// there stayed within jsonscan's nesting limit, so reading it at any
+	// shallower depth does too.
+	Depth int
+	FP    uint64
+}
+
+// Matches reports whether doc, the document from the next value on,
+// starts with the envelope e records, and whether reading it at depth
+// stays within the nesting limit.
+func (e TextEntry) Matches(doc []byte, depth int) bool {
+	return len(doc) >= e.Len && depth <= e.Depth && maphash.Bytes(textSeed, doc[:e.Len]) == e.Hash
 }
 
 var textSeed = maphash.MakeSeed()
@@ -178,23 +204,32 @@ var textSeed = maphash.MakeSeed()
 // non-nil store is consulted for paths and trees as Store describes: first
 // by the envelope's text, then by the fingerprint of what it parsed.
 func ScanJSON(sc *jsonscan.Scanner, maxNodes int, store Store) (any, uint64, error) {
-	var key TextKey
-	if store != nil {
-		if text, end := sc.Extent(); text != nil {
-			key = TextKey{Hash: maphash.Bytes(textSeed, text), Len: len(text)}
-			if g, fp := store.GetText(key); g != nil {
-				if maxNodes <= 0 || nodeCount(g) <= maxNodes {
-					sc.SkipTo(end)
-					return g, fp, nil
-				}
+	if store == nil || sc.Err() != nil {
+		return scanJSON(sc, maxNodes, store)
+	}
+	start, doc := sc.Rest()
+	depth := sc.Depth()
+	var prefix uint64
+	if len(doc) >= textPrefix {
+		prefix = maphash.Bytes(textSeed, doc[:textPrefix])
+		if g, e := store.GetText(prefix, doc, depth); g != nil {
+			if maxNodes <= 0 || nodeCount(g) <= maxNodes {
+				sc.SkipTo(start + e.Len)
+				return g, e.FP, nil
 			}
 		}
 	}
 	g, fp, err := scanJSON(sc, maxNodes, store)
-	if err == nil && key.Len > 0 {
-		switch g.(type) {
-		case *Path, *Tree:
-			store.PutText(key, fp)
+	if err != nil {
+		return g, fp, err
+	}
+	switch g.(type) {
+	case *Path, *Tree:
+		// Rest skipped the whitespace after the envelope, an object,
+		// which ends at its last '}'.
+		end, _ := sc.Rest()
+		if n := bytes.LastIndexByte(doc[:end-start], '}') + 1; n >= textPrefix {
+			store.PutText(TextEntry{Prefix: prefix, Hash: maphash.Bytes(textSeed, doc[:n]), Len: n, Depth: depth, FP: fp})
 		}
 	}
 	return g, fp, err

@@ -17,9 +17,9 @@
 // is skipped (and still validated) and reported as a *TypeError. Syntax
 // errors are sticky: after one, every call is a no-op and Err returns it.
 //
-// Extent delimits the object or array that comes next without reading it,
-// eight bytes at a time, for a caller that can answer for a value from its
-// bytes alone; SkipTo then moves past it.
+// A caller that can answer for a value from its bytes alone, such as a
+// table keyed by a value's text, reads them with Rest and Depth and moves
+// past the value with SkipTo; the scanner does not delimit values itself.
 package jsonscan
 
 import (
@@ -194,6 +194,22 @@ func (s *Scanner) NextElem() bool {
 
 // Skip validates and consumes the next value, whatever its type.
 func (s *Scanner) Skip() { s.skip() }
+
+// Rest skips whitespace and returns the offset where the next value starts
+// and the document from there on.
+func (s *Scanner) Rest() (int, []byte) {
+	s.peek()
+	return s.off, s.data[s.off:]
+}
+
+// Depth returns the number of containers the scanner is inside.
+func (s *Scanner) Depth() int { return s.depth }
+
+// SkipTo moves the scanner to offset end of the document, leaving it where
+// reading the values before end would. It checks nothing: the caller
+// answers for those values being well-formed and nesting no deeper than
+// the limit allows from the scanner's depth.
+func (s *Scanner) SkipTo(end int) { s.off = end }
 
 // Float64 reads a number into *dst, parsed as strconv.ParseFloat parses it;
 // a number out of float64's range is a *TypeError.

@@ -24,19 +24,18 @@
 // +0, so graphs that differ only in the sign of a zero share a store entry
 // as they share cache entries. The store is off when the cache is.
 //
-// A JSON graph is found before it is parsed, too. Its envelope's bytes,
-// delimited by a bracket-matching scan that reads no numbers
-// (jsonscan.Scanner.Extent), are hashed into a text key, and the store's
-// text index maps that key to the fingerprint of the graph the same bytes
-// decoded to before: a byte-identical envelope, as a client sweeping K
-// over one graph sends, skips the parse along with the fill. Decoding is a
-// function of the envelope's bytes alone (the pooled scratch is emptied on
-// release), so the answer is the full decode's, up to the ±0 rule above.
-// The text index trusts a 64-bit hash as the fingerprint does, but one
-// seeded per process (hash/maphash), so a client cannot craft a collision
-// without the seed. It is a second LRU, charged textEntryBytes an entry
-// against its share of graphStoreBytes; only successful path and tree
-// decodes add to it.
+// A JSON graph is found before it is parsed, too. The store's text index
+// maps a hash of an envelope's first bytes to the length, hash and
+// fingerprint of the last envelope recorded with them (graph.TextEntry);
+// an envelope whose bytes hash to that entry's again, as a client sweeping
+// K over one graph sends, skips the parse along with the fill. Decoding is
+// a function of the envelope's bytes alone (the pooled scratch is emptied
+// on release), so the answer is the full decode's, up to the ±0 rule
+// above. The text index trusts 64-bit hashes as the fingerprint does, but
+// ones seeded per process (hash/maphash), so a client cannot craft a
+// collision without the seed. It is a second LRU, charged textEntryBytes
+// an entry against its share of graphStoreBytes; only successful path and
+// tree decodes add to it.
 package server
 
 import (
@@ -302,26 +301,22 @@ type storedGraph struct {
 func (e *storedGraph) lruKey() graphKey { return e.fp }
 func (e *storedGraph) lruCost() int     { return e.size }
 
-// textKey is a JSON envelope's text key, keying the text index. It is
-// already a hash, so it picks its shard directly.
-type textKey graph.TextKey
+// textKey is the hash of a JSON envelope's first bytes, keying the text
+// index. It is already a hash, so it picks its shard directly.
+type textKey uint64
 
-func (k textKey) shardIndex(n int) int { return int(k.Hash % uint64(n)) }
+func (k textKey) shardIndex(n int) int { return int(uint64(k) % uint64(n)) }
 
-// textEntry is one entry of the text index: the fingerprint of the graph
-// an envelope decoded to.
-type textEntry struct {
-	key textKey
-	fp  uint64
-}
+// textEntry is one entry of the text index.
+type textEntry graph.TextEntry
 
-func (e *textEntry) lruKey() textKey { return e.key }
+func (e *textEntry) lruKey() textKey { return textKey(e.Prefix) }
 func (e *textEntry) lruCost() int    { return textEntryBytes }
 
 // graphStore is the graph.Store the request decoders consult: frozen paths
 // and trees by the fingerprint that also keys the result cache, in an LRU
 // bounded by graphStoreBytes less the text index, and the text index, an
-// LRU from JSON envelopes' text keys to those fingerprints. A nil
+// LRU from the first bytes of JSON envelopes to those fingerprints. A nil
 // *graphStore stores nothing; it is nil when the result cache is disabled.
 type graphStore struct {
 	lru[graphKey, *storedGraph]
@@ -364,24 +359,23 @@ func (s *graphStore) Put(fp uint64, g any) {
 }
 
 // GetText implements graph.Store, counting only the lookups it answers: a
-// text entry whose graph is still stored. A miss is counted by the Get
-// that follows the parse.
-func (s *graphStore) GetText(key graph.TextKey) (any, uint64) {
-	t, ok := s.texts.get(textKey(key))
-	if !ok {
-		return nil, 0
+// matching text entry whose graph is still stored. A miss is counted by
+// the Get that follows the parse.
+func (s *graphStore) GetText(prefix uint64, doc []byte, depth int) (any, graph.TextEntry) {
+	if t, ok := s.texts.get(textKey(prefix)); ok {
+		if e := graph.TextEntry(*t); e.Matches(doc, depth) {
+			if g, ok := s.get(graphKey(e.FP)); ok {
+				s.textHits.Add(1)
+				return g.g, e
+			}
+		}
 	}
-	e, ok := s.get(graphKey(t.fp))
-	if !ok {
-		return nil, 0
-	}
-	s.textHits.Add(1)
-	return e.g, t.fp
+	return nil, graph.TextEntry{}
 }
 
 // PutText implements graph.Store.
-func (s *graphStore) PutText(key graph.TextKey, fp uint64) {
-	s.texts.put(&textEntry{key: textKey(key), fp: fp})
+func (s *graphStore) PutText(e graph.TextEntry) {
+	s.texts.put((*textEntry)(&e))
 }
 
 // graphStoreStats are the graph store's lookup counters and the bytes of

@@ -383,10 +383,11 @@ func jsonRequestEdgeCases() []string {
 }
 
 // jsonEnvelopeEdgeCases are solve bodies whose graph envelopes test the
-// text key's extent scan: strings holding brackets, quotes and backslashes,
-// unknown nested values, whitespace, repeated keys, bytes after the
-// envelope and truncation. Several share an envelope's text with another,
-// so that a graph store fed them in order answers some by text key.
+// text key: strings holding brackets, quotes and backslashes, unknown
+// nested values, whitespace, repeated keys, bytes after the envelope and
+// truncation. Several share an envelope's text with another, so that a
+// graph store fed them in order answers those of 64 bytes or more by text
+// key.
 func jsonEnvelopeEdgeCases() []string {
 	g := `{"kind":"path","nodeWeights":[1,2,3],"edgeWeights":[4,5]}`
 	tr := `{"kind":"tree","nodeWeights":[1,2,3],"edges":[{"u":0,"v":1,"w":5},{"u":1,"v":2,"w":6}]}`
