@@ -146,19 +146,34 @@ func benchTree(seed uint64, n int) *graph.Tree {
 
 // benchTreeAnswer is the served tree-routes instance: a 5k-node tree with
 // K at 3, 10 and 30 × max task, the ends and middle of the workload's range.
+// Each row also runs on a frozen copy with its rooted view built, which is
+// the tree the daemon's graph store serves.
 func benchTreeAnswer(b *testing.B, solve func(context.Context, *graph.Tree, float64) (*core.TreePartition, int64, error)) {
-	tr := benchTree(7, 5000)
+	tr, frozen := benchTree(7, 5000), benchFrozenTree(7, 5000)
 	for _, f := range []float64{3, 10, 30} {
 		k := f * tr.MaxNodeWeight()
-		b.Run(fmt.Sprintf("n=5000/K=%vx", f), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, _, err := solve(context.Background(), tr, k); err != nil {
-					b.Fatal(err)
+		for _, c := range []struct {
+			name string
+			tr   *graph.Tree
+		}{{"", tr}, {"/frozen", frozen}} {
+			b.Run(fmt.Sprintf("n=5000/K=%vx%s", f, c.name), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, _, err := solve(context.Background(), c.tr, k); err != nil {
+						b.Fatal(err)
+					}
 				}
-			}
-		})
+			})
+		}
 	}
+}
+
+// benchFrozenTree is benchTree frozen, with its rooted view built.
+func benchFrozenTree(seed uint64, n int) *graph.Tree {
+	tr := benchTree(seed, n)
+	tr.Freeze()
+	tr.Root0(nil)
+	return tr
 }
 
 // oneBucketTree gives every edge but one a distinct weight 1 + i·2⁻⁴⁰, in
@@ -272,38 +287,44 @@ func BenchmarkMaxMinTree(b *testing.B) {
 
 // BenchmarkCertifyTree times the tree certificates on the answers of the
 // solvers they check, on the served 5k-node tree: minprocs and bottleneck at
-// K = 3/10/30 × max task, max–min at 2/16/64 parts.
+// K = 3/10/30 × max task, max–min at 2/16/64 parts. Each row also certifies
+// the same cut on a frozen copy of the tree, as the daemon does.
 func BenchmarkCertifyTree(b *testing.B) {
-	tr := benchTree(7, 5000)
+	tr, frozen := benchTree(7, 5000), benchFrozenTree(7, 5000)
 	ctx := context.Background()
-	run := func(name string, tp *core.TreePartition, err error, certify func([]int) (*verify.Certificate, error)) {
+	run := func(name string, tp *core.TreePartition, err error, certify func(*graph.Tree, []int) (*verify.Certificate, error)) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.Run(name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if c, err := certify(tp.Cut); err != nil || !c.Certified {
-					b.Fatalf("certificate %+v, %v", c, err)
+		for _, c := range []struct {
+			name string
+			tr   *graph.Tree
+		}{{"", tr}, {"/frozen", frozen}} {
+			b.Run(name+c.name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if cert, err := certify(c.tr, tp.Cut); err != nil || !cert.Certified {
+						b.Fatalf("certificate %+v, %v", cert, err)
+					}
 				}
-			}
-		})
+			})
+		}
 	}
 	for _, f := range []float64{3, 10, 30} {
 		k := f * tr.MaxNodeWeight()
 		tp, _, err := core.MinProcessors(ctx, tr, k)
-		run(fmt.Sprintf("minprocs/n=5000/K=%vx", f), tp, err, func(cut []int) (*verify.Certificate, error) {
-			return verify.CertifyProcMin(tr, k, cut)
+		run(fmt.Sprintf("minprocs/n=5000/K=%vx", f), tp, err, func(t *graph.Tree, cut []int) (*verify.Certificate, error) {
+			return verify.CertifyProcMin(t, k, cut)
 		})
 		tp, _, err = core.Bottleneck(ctx, tr, k)
-		run(fmt.Sprintf("bottleneck/n=5000/K=%vx", f), tp, err, func(cut []int) (*verify.Certificate, error) {
-			return verify.CertifyBottleneck(tr, k, cut)
+		run(fmt.Sprintf("bottleneck/n=5000/K=%vx", f), tp, err, func(t *graph.Tree, cut []int) (*verify.Certificate, error) {
+			return verify.CertifyBottleneck(t, k, cut)
 		})
 	}
 	for _, parts := range []int{2, 16, 64} {
 		tp, _, err := core.MaxMinTree(ctx, tr, parts)
-		run(fmt.Sprintf("maxmin/n=5000/parts=%d", parts), tp, err, func(cut []int) (*verify.Certificate, error) {
-			return verify.CertifyMaxMin(tr, parts, cut)
+		run(fmt.Sprintf("maxmin/n=5000/parts=%d", parts), tp, err, func(t *graph.Tree, cut []int) (*verify.Certificate, error) {
+			return verify.CertifyMaxMin(t, parts, cut)
 		})
 	}
 }

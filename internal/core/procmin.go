@@ -25,7 +25,7 @@ import (
 // the minimum number of parts. O(Σ d(v) log d(v)) = O(n log n).
 //
 // PartitionTree chains the §2.1 and §2.2 algorithms. Its contraction labels
-// the bottleneck components once (graph.Contract, one union-find pass); the
+// the bottleneck components once (graph.Contract, one labelling pass); the
 // contracted tree is a tree by construction, so it is not validated, and
 // the minproc stage runs the cut-only sweep MinProcessors wraps. The
 // final component weights are read off the contraction's vertex labels, so

@@ -25,8 +25,11 @@
 // layer's graph store) freezes one, and nothing writes to it afterwards.
 // It remembers that it is valid, so those entry checks return at once, and
 // a frozen tree builds its rooted view at vertex 0 once, for every solver
-// and oracle that walks it (Tree.Root0). Clone gives a writable, unfrozen
-// copy, which is checked again wherever it enters.
+// and oracle that walks it (Tree.Root0). The same view labels the
+// components of T − cut for every cut evaluated on a frozen tree (component
+// weights, components, Contract, MaxComponentWeight), in one walk with no
+// union-find. Clone gives a writable, unfrozen copy, which is checked again
+// wherever it enters.
 package graph
 
 import (
@@ -134,7 +137,8 @@ func MaxWeight(ws []float64) float64 {
 }
 
 // unionFind is a standard disjoint-set structure used by tree validation and
-// component extraction: parent[x] is x's parent, or −size for a root.
+// by component labelling on unfrozen trees: parent[x] is x's parent, or
+// −size for a root.
 type unionFind []int32
 
 func newUnionFind(n int) unionFind {

@@ -186,11 +186,37 @@ func (t *Tree) Adjacency() [][]Arc {
 
 // componentLabels returns, for each vertex, the index of its component in
 // T − cut, along with the number of components. Labels follow the smallest
-// contained vertex. The cut must be valid.
+// contained vertex. The cut must be valid. A frozen tree labels in one walk
+// over its cached rooted view (walkLabels) and renumbers the walk's labels;
+// any other tree unites the uncut edges in a union-find, since rooting it
+// first would cost about twice that.
 func (t *Tree) componentLabels(cut []int) ([]int32, int, error) {
 	if err := checkCut(cut, len(t.Edges)); err != nil {
 		return nil, 0, err
 	}
+	if t.frozen != nil {
+		label, next := t.walkLabels(cut, len(cut)+1)
+		// next[l] is the final label of walk label l, assigned at the
+		// component's first vertex.
+		for i := range next {
+			next[i] = -1
+		}
+		k := int32(0)
+		for v, l := range label {
+			if next[l] < 0 {
+				next[l] = k
+				k++
+			}
+			label[v] = next[l]
+		}
+		return label, int(k), nil
+	}
+	label, k := t.unionFindLabels(cut)
+	return label, k, nil
+}
+
+// unionFindLabels is componentLabels by union-find, for any valid t and cut.
+func (t *Tree) unionFindLabels(cut []int) ([]int32, int) {
 	uf := newUnionFind(len(t.NodeW))
 	// cut is strictly increasing: unite the runs of edges between cut edges.
 	from := 0
@@ -219,7 +245,39 @@ func (t *Tree) componentLabels(cut []int) ([]int32, int, error) {
 		}
 		label[v] = label[r]
 	}
-	return label, k, nil
+	return label, k
+}
+
+// walkLabels labels the components of T − cut, for a frozen t and a valid
+// cut, by one walk down t's rooted view at vertex 0: the root and the child
+// end of each cut edge open a component, in BFS order, and every other vertex
+// takes its parent's label. The len(cut)+1 labels are numbered in the order
+// the walk opens them. extra is spare int32s of scratch for the caller, cut
+// from the same allocation.
+func (t *Tree) walkLabels(cut []int, spare int) (label, extra []int32) {
+	rt, _ := t.Root0(nil)
+	n := len(t.NodeW)
+	buf := make([]int32, n+spare)
+	label, extra = buf[:n:n], buf[n:]
+	// The child end of an edge is the endpoint whose parent is the other.
+	for _, c := range cut {
+		e := t.Edges[c]
+		if int(rt.Parent[e.U]) == e.V {
+			label[e.U] = -1
+		} else {
+			label[e.V] = -1
+		}
+	}
+	k := int32(1) // the root, Order[0], keeps label 0
+	for _, v := range rt.Order[1:] {
+		if label[v] < 0 {
+			label[v] = k
+			k++
+		} else {
+			label[v] = label[rt.Parent[v]]
+		}
+	}
+	return label, extra
 }
 
 // Components returns the vertex sets of the connected components of T − cut.
@@ -271,11 +329,25 @@ func (t *Tree) ComponentMaxNodeWeights(cut []int) ([]float64, error) {
 	return ms, nil
 }
 
-// MaxComponentWeight returns the heaviest component weight of T − cut.
+// MaxComponentWeight returns the heaviest component weight of T − cut. A
+// frozen tree takes the maximum over the walk's labels as they come: each
+// component is still summed in vertex order, and the maximum does not
+// depend on the order of the components.
 func (t *Tree) MaxComponentWeight(cut []int) (float64, error) {
-	ws, err := t.ComponentWeights(cut)
-	if err != nil {
+	if t.frozen == nil {
+		ws, err := t.ComponentWeights(cut)
+		if err != nil {
+			return 0, err
+		}
+		return MaxWeight(ws), nil
+	}
+	if err := checkCut(cut, len(t.Edges)); err != nil {
 		return 0, err
+	}
+	label, _ := t.walkLabels(cut, 0)
+	ws := make([]float64, len(cut)+1)
+	for v, l := range label {
+		ws[l] += t.NodeW[v]
 	}
 	return MaxWeight(ws), nil
 }

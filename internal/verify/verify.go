@@ -95,7 +95,9 @@ func eps(v float64) float64 {
 // bottleneck — the heaviest cut-edge weight — is minimal. Optimality
 // evidence: cut every edge strictly lighter than the claimed bottleneck;
 // adding edges to a tree cut only shrinks components, so that maximal cut is
-// feasible iff some cut with a strictly smaller bottleneck is. O(n α(n)).
+// feasible iff some cut with a strictly smaller bottleneck is. Each
+// feasibility check labels T − cut: O(n) on a frozen tree, by a walk over its
+// rooted view, and O(n α(n)) by union-find otherwise.
 func CertifyBottleneck(t *graph.Tree, k float64, cut []int) (*Certificate, error) {
 	cut = graph.NormalizeCut(cut)
 	cert := &Certificate{Criterion: "bottleneck"}
