@@ -127,6 +127,19 @@ func FuzzTreeAlgorithms(f *testing.F) {
 			t.Fatalf("pipeline components %d below the unconstrained minimum %d",
 				pt.NumComponents(), mp.NumComponents())
 		}
+		// The pipeline's component weights are the input tree's own, bit for
+		// bit, and a frozen tree (labelled by walking its rooted view) gets
+		// the same answer.
+		ws, err := tr.ComponentWeights(pt.Cut)
+		if err != nil || firstBitDiff(pt.ComponentWeights, ws) >= 0 {
+			t.Fatalf("PartitionTree component weights %v, ComponentWeights(%v) = %v, %v",
+				pt.ComponentWeights, pt.Cut, ws, err)
+		}
+		frozen := tr.Clone()
+		frozen.Freeze()
+		if fpt, _, err := PartitionTree(ctx, frozen, k); err != nil || !reflect.DeepEqual(fpt, pt) {
+			t.Fatalf("PartitionTree on the frozen tree = %+v, %v; unfrozen %+v", fpt, err, pt)
+		}
 		// Small instances are additionally checked against the shared
 		// exhaustive oracle.
 		if tr.NumEdges() <= oracle.MaxBruteEdges {

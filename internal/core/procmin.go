@@ -25,11 +25,12 @@ import (
 // the minimum number of parts. O(Σ d(v) log d(v)) = O(n log n).
 //
 // PartitionTree chains the §2.1 and §2.2 algorithms. Its contraction labels
-// the bottleneck components once (graph.Contract, one labelling pass); the
-// contracted tree is a tree by construction, so it is not validated, and
-// the minproc stage runs the cut-only sweep MinProcessors wraps. The
-// final component weights are read off the contraction's vertex labels, so
-// the input tree is never labelled a second time.
+// the bottleneck components (graph.Contract); the contracted tree is a tree
+// by construction, so it is not validated, and the minproc stage runs the
+// cut-only sweep MinProcessors wraps. The final cut, mapped back to the
+// input tree's edges, becomes the answer as every other tree answer does
+// (NewTreePartition), so its component weights are the input tree's own: a
+// frozen tree labels them in one walk over its rooted view.
 
 // MinProcessors solves processor minimization with Algorithm 2.2.
 func MinProcessors(ctx context.Context, t *graph.Tree, k float64) (*TreePartition, int64, error) {
@@ -162,9 +163,9 @@ func MinProcessorsPath(ctx context.Context, p *graph.Path, k float64) (*PathPart
 // bottleneck never exceeds the optimum, and among such cuts it uses the
 // minimum number of processors. The contracted tree is a tree by
 // construction, so the minproc stage runs its cut-only sweep on it
-// directly, and only the final cut becomes a TreePartition, its component
-// weights read off the contraction's labels. The iteration count is summed
-// over the pipeline's stages.
+// directly, and only the final cut, mapped back to the input tree's edges,
+// becomes a TreePartition. The iteration count is summed over the
+// pipeline's stages.
 func PartitionTree(ctx context.Context, t *graph.Tree, k float64) (*TreePartition, int64, error) {
 	// Each pipeline stage runs inside its own span, so the stage's internal
 	// phase spans (edge-sort, feasibility-sweep, leaf-pruning) nest under it.
@@ -191,13 +192,9 @@ func PartitionTree(ctx context.Context, t *graph.Tree, k float64) (*TreePartitio
 	// Contracted edge i is original edge CutEdges[i], and CutEdges is
 	// increasing, so the sorted contracted cut maps to a sorted cut.
 	slices.Sort(cut)
-	ws, err := contraction.ComponentWeights(cut)
-	if err != nil {
-		return nil, it1 + it2, err
-	}
 	for i, ce := range cut {
 		cut[i] = contraction.CutEdges[ce]
 	}
-	tp, err := treePartition(t, cut, ws, k)
+	tp, err := NewTreePartition(t, cut, k)
 	return tp, it1 + it2, err
 }

@@ -340,10 +340,10 @@ func partitionTreeTwoStage(tr *graph.Tree, k float64) (*TreePartition, error) {
 	return NewTreePartition(tr, graph.NormalizeCut(cut), k)
 }
 
-// TestPartitionTreeMatchesTwoStage pins PartitionTree's one-labelling
-// pipeline to the two-stage reference on 1,200 seeded trees, half with
-// float weights and half with tie-heavy integer weights 0–3: the same cut,
-// and the same cut weight, bottleneck and component weights bit for bit.
+// TestPartitionTreeMatchesTwoStage pins PartitionTree's pipeline to the
+// two-stage reference on 1,200 seeded trees, half with float weights and
+// half with tie-heavy integer weights 0–3: the same cut, and the same cut
+// weight, bottleneck and component weights bit for bit.
 // Every K is at least the largest task, so neither pipeline may fail.
 func TestPartitionTreeMatchesTwoStage(t *testing.T) {
 	r := workload.NewRNG(1994)

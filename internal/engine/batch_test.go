@@ -101,8 +101,9 @@ type funcSolver struct {
 	fn   func(context.Context, Request) (Result, error)
 }
 
-func (s *funcSolver) Name() string { return s.name }
-func (s *funcSolver) Kind() Kind   { return s.kind }
+func (s *funcSolver) Name() string         { return s.name }
+func (s *funcSolver) Kind() Kind           { return s.kind }
+func (s *funcSolver) Objective() Objective { return ObjectiveUnknown }
 func (s *funcSolver) Solve(ctx context.Context, req Request) (Result, error) {
 	return s.fn(ctx, req)
 }

@@ -155,6 +155,9 @@ type Solver interface {
 	Name() string
 	// Kind is the graph shape the solver consumes.
 	Kind() Kind
+	// Objective is what the solver's result optimizes, the criterion
+	// internal/verify certifies; ObjectiveUnknown declares none.
+	Objective() Objective
 	// Solve runs the algorithm. It honors ctx cancellation and
 	// req.Options.Timeout, fills Result.Stats, and notifies observers.
 	Solve(ctx context.Context, req Request) (Result, error)

@@ -11,11 +11,10 @@ type Objective int
 const (
 	// ObjectiveNone marks solvers that deliberately declare no certifiable
 	// objective (the NP-hard treecut tier): verification skips them by
-	// policy. It is distinct from ObjectiveUnknown — the accidental
-	// zero value of solvers that simply never declared one.
+	// policy. It is distinct from ObjectiveUnknown, the zero value.
 	ObjectiveNone Objective = -1
-	// ObjectiveUnknown is reported for solvers that do not declare an
-	// objective; such solvers cannot be certified or cross-checked.
+	// ObjectiveUnknown is the objective of a solver that declares none;
+	// such solvers cannot be certified or cross-checked.
 	ObjectiveUnknown Objective = iota
 	// ObjectiveBandwidth minimizes the total cut weight (§2.3).
 	ObjectiveBandwidth
@@ -53,18 +52,5 @@ func (o Objective) String() string {
 	}
 }
 
-// Objectiver is the optional interface a Solver implements to declare its
-// objective. It is optional so third-party Solver implementations predating
-// it keep compiling; they report ObjectiveUnknown.
-type Objectiver interface {
-	Objective() Objective
-}
-
-// ObjectiveOf returns the solver's declared objective, or ObjectiveUnknown
-// when the solver does not implement Objectiver.
-func ObjectiveOf(s Solver) Objective {
-	if o, ok := s.(Objectiver); ok {
-		return o.Objective()
-	}
-	return ObjectiveUnknown
-}
+// ObjectiveOf returns the solver's declared objective.
+func ObjectiveOf(s Solver) Objective { return s.Objective() }

@@ -103,18 +103,3 @@ func TestRegistryDeclaresAllObjectives(t *testing.T) {
 		}
 	}
 }
-
-// noObjectiveSolver predates the Objectiver interface.
-type noObjectiveSolver struct{}
-
-func (noObjectiveSolver) Name() string { return "engine-test-no-objective" }
-func (noObjectiveSolver) Kind() Kind   { return KindPath }
-func (noObjectiveSolver) Solve(ctx context.Context, req Request) (Result, error) {
-	return Result{}, nil
-}
-
-func TestObjectiveOfDefaultsToUnknown(t *testing.T) {
-	if got := ObjectiveOf(noObjectiveSolver{}); got != ObjectiveUnknown {
-		t.Errorf("ObjectiveOf(plain solver) = %v, want ObjectiveUnknown", got)
-	}
-}

@@ -124,29 +124,22 @@ func (fh *Hasher) Word(w uint64) {
 // Weight folds one weight into the hash with the canonical -0.0 rule.
 func (fh *Hasher) Weight(w float64) { fh.Word(canonBits(w)) }
 
-// Weights folds ws in order, as Weight on each would, with whole stripes
-// hashed straight from the slice.
-func (fh *Hasher) Weights(ws []float64) {
-	for fh.n != 0 && len(ws) > 0 {
-		fh.Weight(ws[0])
-		ws = ws[1:]
+// Weights folds ws in order, as Weight on each would.
+func (fh *Hasher) Weights(ws []float64) { fh.WeightBytes(weightBytes(ws)) }
+
+// weightBytes returns ws as the little-endian float64 bytes that
+// WeightBytes and the Fill constructors read: a view of ws on a
+// little-endian host, a copy elsewhere.
+func weightBytes(ws []float64) []byte {
+	b := unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(ws))), 8*len(ws))
+	if binary.NativeEndian.Uint16([]byte{1, 0}) == 1 {
+		return b
 	}
-	fh.total += uint64(len(ws) &^ 3)
-	// The stripes read the weights as their bit patterns: a float64 loaded
-	// and then passed to math.Float64bits travels through a vector register,
-	// which costs this loop a quarter of its speed.
-	u := unsafe.Slice((*uint64)(unsafe.Pointer(unsafe.SliceData(ws))), len(ws))
-	v0, v1, v2, v3 := fh.v[0], fh.v[1], fh.v[2], fh.v[3]
-	for ; len(u) >= 4; u = u[4:] {
-		v0 = xxRound(v0, canonWord(u[0]))
-		v1 = xxRound(v1, canonWord(u[1]))
-		v2 = xxRound(v2, canonWord(u[2]))
-		v3 = xxRound(v3, canonWord(u[3]))
+	out := make([]byte, 0, len(b))
+	for _, w := range ws {
+		out = binary.LittleEndian.AppendUint64(out, math.Float64bits(w))
 	}
-	fh.v = [4]uint64{v0, v1, v2, v3}
-	for _, w := range ws[len(ws)&^3:] {
-		fh.Weight(w)
-	}
+	return out
 }
 
 // Edges folds (u, v, w) per edge in declaration order, as Word, Word and

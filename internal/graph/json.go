@@ -2,16 +2,13 @@ package graph
 
 import (
 	"bytes"
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/maphash"
 	"io"
-	"math"
 	"slices"
 	"sync"
-	"unsafe"
 
 	"repro/internal/jsonscan"
 )
@@ -315,20 +312,6 @@ func scanJSON(sc *jsonscan.Scanner, maxNodes int, store Store) (any, uint64, err
 		store.Put(fp, g)
 	}
 	return g, fp, err
-}
-
-// weightBytes returns ws as the little-endian float64 bytes the Fill
-// constructors read: a view of ws on a little-endian host, a copy elsewhere.
-func weightBytes(ws []float64) []byte {
-	b := unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(ws))), 8*len(ws))
-	if binary.NativeEndian.Uint16([]byte{1, 0}) == 1 {
-		return b
-	}
-	out := make([]byte, 0, len(b))
-	for _, w := range ws {
-		out = binary.LittleEndian.AppendUint64(out, math.Float64bits(w))
-	}
-	return out
 }
 
 // release empties the scratch and returns it to the pool.

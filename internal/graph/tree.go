@@ -389,10 +389,6 @@ type Contraction struct {
 	Tree *Tree
 	// CutEdges[i] is the original edge index behind contracted edge i.
 	CutEdges []int
-	// orig is the tree that was contracted and label[v] the super-node of
-	// its vertex v.
-	orig  *Tree
-	label []int32
 }
 
 // Contract lumps each component of T − cut into a super-node whose weight is
@@ -421,27 +417,7 @@ func (t *Tree) Contract(cut []int) (*Contraction, error) {
 	return &Contraction{
 		Tree:     &Tree{NodeW: nodeW, Edges: edges},
 		CutEdges: append([]int(nil), cut...),
-		orig:     t,
-		label:    label,
 	}, nil
-}
-
-// ComponentWeights returns what the original tree's ComponentWeights
-// returns for the cut {CutEdges[i] : i ∈ ccut}, bit for bit: the weights
-// ordered by smallest contained vertex and each summed in vertex order. ccut
-// is a cut of the contracted tree. Only the contracted tree is labelled
-// again: super-nodes are numbered by smallest contained vertex, so the
-// smallest super-node of a component holds its smallest vertex.
-func (c *Contraction) ComponentWeights(ccut []int) ([]float64, error) {
-	super, k, err := c.Tree.componentLabels(ccut)
-	if err != nil {
-		return nil, err
-	}
-	ws := make([]float64, k)
-	for v, l := range c.label {
-		ws[super[l]] += c.orig.NodeW[v]
-	}
-	return ws, nil
 }
 
 // IsStar reports whether the tree is a star: one centre vertex adjacent to

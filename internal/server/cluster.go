@@ -53,15 +53,12 @@ func (m *clusterMetrics) observeLookup(internal, hit bool) {
 // cluster transport has already recorded the outcome and marked the peer
 // dead when the failure was transport-level.
 func (s *Server) forwardSolve(ctx context.Context, tr *obs.Trace, p *parsedSolve, peer string, timeoutMs int64) (resolved, bool) {
-	// Trace and noCache are local concerns and do not cross the hop; the
-	// owner always answers the cacheable untraced binary form.
-	frame, err := AppendSolveRequest(nil, SolveParams{
-		Solver:        p.req.Solver,
-		K:             p.req.K,
-		MaxComponents: p.req.MaxComponents,
-		TimeoutMs:     timeoutMs,
-		Verify:        p.req.Verify,
-	}, p.g)
+	// Trace is a local concern and does not cross the hop (nor does
+	// noCache: such requests are never forwarded); the owner always
+	// answers the cacheable untraced binary form.
+	req := p.req
+	req.TimeoutMs, req.Trace = timeoutMs, false
+	frame, err := AppendSolveRequest(nil, req, p.g)
 	if err != nil {
 		return resolved{}, false
 	}

@@ -17,6 +17,7 @@ import (
 	"repro/internal/codec"
 	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/graph"
 	"repro/internal/obs"
 	"repro/internal/verify"
 )
@@ -115,9 +116,10 @@ type batchResponse struct {
 	} `json:"stats"`
 }
 
-// parsedSolve is a decoded, validated solve item ready for the engine.
+// parsedSolve is a decoded, validated solve item ready for the engine. Both
+// request decoders fill req, the record a PSV1 frame encodes.
 type parsedSolve struct {
-	req solveRequest
+	req SolveParams
 	g   any    // *graph.Path or *graph.Tree
 	fp  uint64 // graph fingerprint
 }
@@ -126,9 +128,26 @@ type parsedSolve struct {
 // maps to 413 like the body-size and codec limits.
 var errNodeLimit = errors.New("node count exceeds the server limit")
 
-// checkSolveParams validates the non-graph solve parameters, shared by the
-// JSON and binary request paths. Errors are client errors.
-func checkSolveParams(req solveRequest) error {
+// checkItem is the one check of a decoded solve item, shared by the JSON
+// and binary request paths: its parameters, then its graph — gerr, the
+// error that decoding it left (nil when it decoded), then its kind. Errors
+// are client errors.
+func checkItem(req SolveParams, g any, fp uint64, gerr error) (parsedSolve, error) {
+	if err := checkSolveParams(req); err != nil {
+		return parsedSolve{}, err
+	}
+	if gerr != nil {
+		return parsedSolve{}, gerr
+	}
+	switch g.(type) {
+	case *graph.Path, *graph.Tree:
+		return parsedSolve{req: req, g: g, fp: fp}, nil
+	}
+	return parsedSolve{}, fmt.Errorf(`graph kind %T is not solvable; send "path" or "tree"`, g)
+}
+
+// checkSolveParams validates the non-graph solve parameters.
+func checkSolveParams(req SolveParams) error {
 	if req.Solver == "" {
 		return errors.New(`"solver" is required`)
 	}
@@ -301,7 +320,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	if res.cached {
+	if res.entry != nil {
 		w.Header().Set("X-Cache", "HIT")
 		writeBody(w, http.StatusOK, out, wantBin)
 		return
@@ -427,7 +446,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 				outcomes[i].errMsg = err.Error()
 				return
 			}
-			outcomes[i] = batchOutcome{body: body, cached: res.cached}
+			outcomes[i] = batchOutcome{body: body, cached: res.entry != nil}
 		}(i, p)
 	}
 	wg.Wait()

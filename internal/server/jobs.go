@@ -74,7 +74,7 @@ func (s *Server) jobRun(p parsedSolve, rid string) jobs.RunFunc {
 		if err != nil {
 			return nil, err
 		}
-		return jobResult{body: body, cached: res.cached}, nil
+		return jobResult{body: body, cached: res.entry != nil}, nil
 	}
 }
 

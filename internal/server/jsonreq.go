@@ -23,7 +23,7 @@ import (
 // than failing the body, because a later "graph" key replaces it, as it
 // replaces a json.RawMessage.
 type jsonItem struct {
-	req      solveRequest
+	req      SolveParams
 	priority int
 	g        any
 	fp       uint64
@@ -185,19 +185,12 @@ func (s *Server) scanItem(sc *jsonscan.Scanner, it *jsonItem, withPriority bool)
 // validateItem checks a decoded item, whose graph the decoder has already
 // fingerprinted. Errors are client errors (400).
 func validateItem(it *jsonItem) (parsedSolve, error) {
-	if err := checkSolveParams(it.req); err != nil {
-		return parsedSolve{}, err
+	var gerr error
+	switch {
+	case !it.hasGraph:
+		gerr = errors.New(`"graph" is required`)
+	case it.gerr != nil:
+		gerr = fmt.Errorf("bad graph: %v", it.gerr)
 	}
-	if !it.hasGraph {
-		return parsedSolve{}, errors.New(`"graph" is required`)
-	}
-	if it.gerr != nil {
-		return parsedSolve{}, fmt.Errorf("bad graph: %v", it.gerr)
-	}
-	switch it.g.(type) {
-	case *graph.Path, *graph.Tree:
-	default:
-		return parsedSolve{}, fmt.Errorf(`graph kind %T is not solvable; send "path" or "tree"`, it.g)
-	}
-	return parsedSolve{req: it.req, g: it.g, fp: it.fp}, nil
+	return checkItem(it.req, it.g, it.fp, gerr)
 }

@@ -213,7 +213,9 @@ func refGraph(raw []byte) (any, error) {
 // server did before the one-pass decoder (a null graph is missing, as it is
 // now).
 func refItem(req solveRequest) (parsedSolve, error) {
-	if err := checkSolveParams(req); err != nil {
+	params := SolveParams{Solver: req.Solver, K: req.K, MaxComponents: req.MaxComponents,
+		TimeoutMs: req.TimeoutMs, NoCache: req.NoCache, Verify: req.Verify, Trace: req.Trace}
+	if err := checkSolveParams(params); err != nil {
 		return parsedSolve{}, err
 	}
 	if len(req.Graph) == 0 || string(req.Graph) == "null" {
@@ -229,7 +231,7 @@ func refItem(req solveRequest) (parsedSolve, error) {
 		return parsedSolve{}, fmt.Errorf("graph kind %T is not solvable", g)
 	}
 	fp, err := graph.Fingerprint(g)
-	return parsedSolve{req: req, g: g, fp: fp}, err
+	return parsedSolve{req: params, g: g, fp: fp}, err
 }
 
 // sameParsed reports how two decoded solves differ, or "" when their

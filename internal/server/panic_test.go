@@ -18,8 +18,9 @@ import (
 // panicSolver panics on every solve, standing in for a solver bug.
 type panicSolver struct{}
 
-func (panicSolver) Name() string      { return "test-panic" }
-func (panicSolver) Kind() engine.Kind { return engine.KindPath }
+func (panicSolver) Name() string                { return "test-panic" }
+func (panicSolver) Kind() engine.Kind           { return engine.KindPath }
+func (panicSolver) Objective() engine.Objective { return engine.ObjectiveUnknown }
 func (panicSolver) Solve(context.Context, engine.Request) (engine.Result, error) {
 	panic("boom")
 }

@@ -40,8 +40,7 @@ import (
 // obtained. It is also the single-flight value every waiter shares.
 type resolved struct {
 	frame   []byte
-	cached  bool          // served from the result cache
-	entry   *cacheEntry   // the entry a hit read, whose JSON memo it uses
+	entry   *cacheEntry   // the entry a hit read, whose JSON memo it uses; nil on a miss
 	shared  bool          // joined a concurrent identical miss
 	via     string        // forwarding peer URL; empty for a local solve or a hit
 	tree    *obs.SpanNode // non-nil for traced requests and remote-parented solves
@@ -89,7 +88,7 @@ func (s *Server) resolve(ctx context.Context, p *parsedSolve, c caller) (resolve
 	if lookup {
 		if e, ok := s.cache.Get(key); ok {
 			s.clusterm.observeLookup(c.peer, true)
-			return resolved{frame: e.body, cached: true, entry: e}, nil
+			return resolved{frame: e.body, entry: e}, nil
 		}
 		s.clusterm.observeLookup(c.peer, false)
 	}

@@ -126,8 +126,9 @@ func gateCancels() <-chan struct{} {
 
 type gateSolver struct{}
 
-func (gateSolver) Name() string      { return "test-gate" }
-func (gateSolver) Kind() engine.Kind { return engine.KindPath }
+func (gateSolver) Name() string                { return "test-gate" }
+func (gateSolver) Kind() engine.Kind           { return engine.KindPath }
+func (gateSolver) Objective() engine.Objective { return engine.ObjectiveUnknown }
 func (gateSolver) Solve(ctx context.Context, req engine.Request) (engine.Result, error) {
 	gateMu.Lock()
 	st, rel, canceled := gateStarted, gateRelease, gateCanceled

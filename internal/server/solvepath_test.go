@@ -36,8 +36,9 @@ func armCountGate(t *testing.T) (started <-chan struct{}, release func()) {
 	return armGate(t)
 }
 
-func (countGateSolver) Name() string      { return "test-count-gate" }
-func (countGateSolver) Kind() engine.Kind { return engine.KindPath }
+func (countGateSolver) Name() string                { return "test-count-gate" }
+func (countGateSolver) Kind() engine.Kind           { return engine.KindPath }
+func (countGateSolver) Objective() engine.Objective { return engine.ObjectiveUnknown }
 func (countGateSolver) Solve(ctx context.Context, req engine.Request) (engine.Result, error) {
 	n := countGateRunning.Add(1)
 	defer countGateRunning.Add(-1)

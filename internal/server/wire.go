@@ -12,7 +12,6 @@ import (
 
 	"repro/internal/codec"
 	"repro/internal/engine"
-	"repro/internal/graph"
 	"repro/internal/verify"
 )
 
@@ -231,8 +230,9 @@ func AppendSolveRequest(dst []byte, req SolveParams, g any) ([]byte, error) {
 	return codec.Append(dst, g)
 }
 
-// SolveParams are the non-graph fields of a binary solve request — the wire
-// twin of the JSON solveRequest body.
+// SolveParams are the non-graph fields of a solve request: what a PSV1
+// frame encodes ahead of its graph, and what both request decoders fill
+// (the JSON body's fields bar "graph").
 type SolveParams struct {
 	Solver        string
 	K             float64
@@ -289,7 +289,7 @@ func (s *Server) parseBinarySolve(b []byte) (parsedSolve, []byte, error) {
 	if err != nil {
 		return parsedSolve{}, b, fmt.Errorf("bad graph: %w", err)
 	}
-	req := solveRequest{
+	p, err := checkItem(SolveParams{
 		Solver:        solver,
 		K:             k,
 		MaxComponents: int(maxComp),
@@ -297,16 +297,8 @@ func (s *Server) parseBinarySolve(b []byte) (parsedSolve, []byte, error) {
 		NoCache:       flags&wireFlagNoCache != 0,
 		Verify:        flags&wireFlagVerify != 0,
 		Trace:         flags&wireFlagTrace != 0,
-	}
-	if err := checkSolveParams(req); err != nil {
-		return parsedSolve{}, rest, err
-	}
-	switch g.(type) {
-	case *graph.Path, *graph.Tree:
-	default:
-		return parsedSolve{}, rest, fmt.Errorf(`graph kind %T is not solvable; send "path" or "tree"`, g)
-	}
-	return parsedSolve{req: req, g: g, fp: fp}, rest, nil
+	}, g, fp, nil)
+	return p, rest, err
 }
 
 // parseBinaryBatch decodes a PBT1 frame into per-item parsed solves. The

@@ -458,9 +458,7 @@ func FuzzDecodeSolveBinary(f *testing.F) {
 		if d := sameParsed(got, items[0]); d != "" {
 			t.Fatalf("decodeSolve and batch item differ: %s", d)
 		}
-		r := got.req
-		again, err := AppendSolveRequest(nil, SolveParams{Solver: r.Solver, K: r.K, MaxComponents: r.MaxComponents,
-			TimeoutMs: r.TimeoutMs, NoCache: r.NoCache, Verify: r.Verify, Trace: r.Trace}, got.g)
+		again, err := AppendSolveRequest(nil, got.req, got.g)
 		if err != nil {
 			t.Fatalf("re-encode: %v", err)
 		}

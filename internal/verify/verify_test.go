@@ -187,8 +187,9 @@ func TestCertifyResultErrors(t *testing.T) {
 // not certifiable rather than mis-certified.
 type anonSolver struct{}
 
-func (anonSolver) Name() string      { return "verify-test-anon" }
-func (anonSolver) Kind() engine.Kind { return engine.KindPath }
+func (anonSolver) Name() string                { return "verify-test-anon" }
+func (anonSolver) Kind() engine.Kind           { return engine.KindPath }
+func (anonSolver) Objective() engine.Objective { return engine.ObjectiveUnknown }
 func (anonSolver) Solve(ctx context.Context, req engine.Request) (engine.Result, error) {
 	return engine.Result{}, nil
 }
