@@ -146,8 +146,8 @@ func benchTree(seed uint64, n int) *graph.Tree {
 
 // benchTreeAnswer is the served tree-routes instance: a 5k-node tree with
 // K at 3, 10 and 30 × max task, the ends and middle of the workload's range.
-// Each row also runs on a frozen copy with its rooted view built, which is
-// the tree the daemon's graph store serves.
+// Each row runs on the tree (…/unfrozen) and on a frozen copy with its
+// rooted view built (…/frozen), the tree the daemon's graph store serves.
 func benchTreeAnswer(b *testing.B, solve func(context.Context, *graph.Tree, float64) (*core.TreePartition, int64, error)) {
 	tr, frozen := benchTree(7, 5000), benchFrozenTree(7, 5000)
 	for _, f := range []float64{3, 10, 30} {
@@ -155,8 +155,8 @@ func benchTreeAnswer(b *testing.B, solve func(context.Context, *graph.Tree, floa
 		for _, c := range []struct {
 			name string
 			tr   *graph.Tree
-		}{{"", tr}, {"/frozen", frozen}} {
-			b.Run(fmt.Sprintf("n=5000/K=%vx%s", f, c.name), func(b *testing.B) {
+		}{{"unfrozen", tr}, {"frozen", frozen}} {
+			b.Run(fmt.Sprintf("n=5000/K=%vx/%s", f, c.name), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
 					if _, _, err := solve(context.Background(), c.tr, k); err != nil {
@@ -333,7 +333,10 @@ func BenchmarkCertifyTree(b *testing.B) {
 // trees their benchmarks use: n=10⁴ for the bound solvers at K = 4 × max
 // task and for max–min at 16 parts, n=10³ for sum-of-max at 10 parts. A
 // solve allocates only its result and O(1) working arrays; the rest,
-// sum-of-max's DP tables included, comes from the pooled scratch.
+// sum-of-max's DP tables included, comes from the pooled scratch. The
+// bottleneck and pipeline rows also run on a frozen copy of their tree, the
+// one the daemon serves, with its rooted view and edge order cached: those
+// rows gate bytes as well.
 func TestTreeSolverAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops pooled scratch at random under the race detector")
@@ -353,24 +356,36 @@ func TestTreeSolverAllocBudget(t *testing.T) {
 		name   string
 		n      int
 		seed   uint64
+		frozen bool
 		budget float64
-		solve  solveFunc
+		// bytes is the budget in bytes, not gated when 0.
+		bytes uint64
+		solve solveFunc
 	}{
-		{"bottleneck", 10000, 4, 9, byBound(core.Bottleneck)},
-		{"minproc", 10000, 5, 30, byBound(core.MinProcessors)},
-		{"partition-tree", 10000, 6, 43, byBound(core.PartitionTree)},
-		{"summax-tree", 1000, 7, 18, byParts(core.SumOfMaxTree, 10)},
-		{"maxmin-tree", 10000, 8, 21, byParts(core.MaxMinTree, 16)},
+		{"bottleneck", 10000, 4, false, 9, 0, byBound(core.Bottleneck)},
+		{"bottleneck/frozen", 10000, 4, true, 4, 180_000, byBound(core.Bottleneck)},
+		{"minproc", 10000, 5, false, 30, 0, byBound(core.MinProcessors)},
+		{"partition-tree", 10000, 6, false, 8, 0, byBound(core.PartitionTree)},
+		{"partition-tree/frozen", 10000, 6, true, 6, 155_000, byBound(core.PartitionTree)},
+		{"summax-tree", 1000, 7, false, 18, 0, byParts(core.SumOfMaxTree, 10)},
+		{"maxmin-tree", 10000, 8, false, 21, 0, byParts(core.MaxMinTree, 16)},
 	} {
 		tr := benchTree(c.seed, c.n)
-		avg := testing.AllocsPerRun(20, func() {
+		if c.frozen {
+			tr = benchFrozenTree(c.seed, c.n)
+		}
+		solve := func() {
 			if _, _, err := c.solve(tr); err != nil {
 				t.Fatal(err)
 			}
-		})
-		t.Logf("%s: %.1f allocs/op, budget %.0f", c.name, avg, c.budget)
+		}
+		avg, bytes := testing.AllocsPerRun(20, solve), bytesPerRun(20, solve)
+		t.Logf("%s: %.1f allocs/op, budget %.0f; %d B/op, budget %d", c.name, avg, c.budget, bytes, c.bytes)
 		if avg > c.budget {
 			t.Errorf("%s on a %d-node tree allocates %.1f/op, budget %.0f", c.name, c.n, avg, c.budget)
+		}
+		if c.bytes != 0 && bytes > c.bytes {
+			t.Errorf("%s on a %d-node tree allocates %d B/op, budget %d", c.name, c.n, bytes, c.bytes)
 		}
 	}
 }

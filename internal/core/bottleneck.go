@@ -3,9 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"math"
-	"math/bits"
-	"slices"
 
 	"repro/internal/graph"
 	"repro/internal/obs"
@@ -23,132 +20,21 @@ import (
 // lightest with a union-find, and the first union that would exceed K marks
 // the last edge the prefix needs. The edges are never sorted as a whole. Two
 // counting passes spread them over about 2m buckets keyed by their weight
-// bits, and the sweep orders a bucket only when it reaches it, so the edges
-// below the stopping point stay unsorted. The ordering is expected O(m) when
-// the weights spread over the buckets and O(m log m) in the worst case, all
-// weights in one bucket; the union-find adds O(m α(n)). BottleneckGreedy
-// grows the prefix one edge at a time exactly as the paper states (O(n²) with
-// per-step feasibility checks) over the same order with every bucket sorted
-// up front.
-
-// weightKey maps a validated (non-negative) edge weight to its IEEE-754
-// bits, which order like the weights themselves; −0 is mapped to +0 so the
-// two tie.
-func weightKey(w float64) uint64 {
-	if w == 0 {
-		return 0
-	}
-	return math.Float64bits(w)
-}
-
-// edgeBuckets is the edges of a tree spread over weight buckets: bucket b
-// holds order[start[b]:start[b+1]], and every weight key in bucket b is below
-// every key in bucket b+1.
-type edgeBuckets struct {
-	order []int
-	start []int32
-	// Key k falls in bucket (k−lo)>>shift; idxBits is the bit length of the
-	// edge count.
-	lo             uint64
-	shift, idxBits uint
-}
-
-// bucketEdges spreads the edge indices of t over at most 2m buckets by their
-// weight keys, in two counting passes after a min/max scan, each bucket in
-// index order. The slices live in sc.
-func bucketEdges(t *graph.Tree, sc *scratch) edgeBuckets {
-	m := len(t.Edges)
-	sc.order = grow(sc.order, m)
-	bk := edgeBuckets{order: sc.order, idxBits: uint(bits.Len(uint(m)))}
-	if m == 0 {
-		return bk
-	}
-	lo, hi := uint64(math.MaxUint64), uint64(0)
-	for _, e := range t.Edges {
-		key := weightKey(e.W)
-		lo, hi = min(lo, key), max(hi, key)
-	}
-	// The smallest shift that fits the key span into 2m buckets.
-	for (hi-lo)>>bk.shift >= uint64(2*m) {
-		bk.shift++
-	}
-	bk.lo = lo
-	nb := int((hi-lo)>>bk.shift) + 1
-	sc.bucketStart = grow(sc.bucketStart, nb+1)
-	start := sc.bucketStart
-	clear(start)
-	for _, e := range t.Edges {
-		start[(weightKey(e.W)-lo)>>bk.shift]++
-	}
-	for b := 1; b <= nb; b++ {
-		start[b] += start[b-1]
-	}
-	// start[b] is now the end of bucket b. Scattering the edges from the
-	// last down, with start[b] as bucket b's cursor, fills each bucket back
-	// to front in index order and leaves start[b] at the bucket's start.
-	for i := m - 1; i >= 0; i-- {
-		b := (weightKey(t.Edges[i].W) - lo) >> bk.shift
-		start[b]--
-		bk.order[start[b]] = i
-	}
-	bk.start = start
-	return bk
-}
-
-// insertionMax is the largest bucket sort orders by insertion sort.
-const insertionMax = 12
-
-// sort orders bucket b by (weight, index), −0 tying with +0, and returns
-// it. A bucket comes out of bucketEdges in index order, so insertion sort
-// on weight alone keeps ties in index order. Above insertionMax edges it
-// sorts packed keys instead: a key's offset in its bucket is below 2^shift,
-// and since the span of the keys reaches m·2^shift and stays below 2^63,
-// offset and index fit one uint64 together, which slices.Sort orders
-// without a comparison callback.
-func (bk *edgeBuckets) sort(b int, edges []graph.Edge, sc *scratch) []int {
-	bucket := bk.order[bk.start[b]:bk.start[b+1]]
-	if len(bucket) <= insertionMax {
-		for i := 1; i < len(bucket); i++ {
-			x := bucket[i]
-			wx := edges[x].W
-			j := i
-			for ; j > 0 && wx < edges[bucket[j-1]].W; j-- {
-				bucket[j] = bucket[j-1]
-			}
-			bucket[j] = x
-		}
-		return bucket
-	}
-	sc.bucketKeys = grow(sc.bucketKeys, len(bucket))
-	keys := sc.bucketKeys
-	offset := uint64(1)<<bk.shift - 1
-	for j, e := range bucket {
-		keys[j] = (weightKey(edges[e].W)-bk.lo)&offset<<bk.idxBits | uint64(e)
-	}
-	slices.Sort(keys)
-	index := uint64(1)<<bk.idxBits - 1
-	for j, key := range keys {
-		bucket[j] = int(key & index)
-	}
-	return bucket
-}
-
-// sortedEdgeOrder returns edge indices sorted by increasing weight into
-// sc.order, breaking ties by index (−0 ties with +0): bucketEdges with every
-// bucket sorted.
-func sortedEdgeOrder(t *graph.Tree, sc *scratch) []int {
-	bk := bucketEdges(t, sc)
-	for b := 0; b+1 < len(bk.start); b++ {
-		bk.sort(b, t.Edges, sc)
-	}
-	return bk.order
-}
+// bits (graph.EdgeBuckets), and the sweep orders a bucket only when it
+// reaches it, so the edges below the stopping point stay unsorted. The
+// ordering is expected O(m) when the weights spread over the buckets and
+// O(m log m) in the worst case, all weights in one bucket; the union-find
+// adds O(m α(n)). A frozen tree, the kind the serving layer shares, keeps
+// its edges sorted once (graph.Tree.SortedEdges), and its sweep reads that
+// order as one sorted bucket. BottleneckGreedy grows the prefix one edge at
+// a time exactly as the paper states (O(n²) with per-step feasibility
+// checks) over the same order with every bucket sorted up front.
 
 // prefixFeasible reports whether cutting the first cnt edges of order leaves
 // all components of t within the bound k. O(n α(n)) per call over sc's pooled
 // union-find arrays. The ticker counts the union sweep and surfaces
 // cancellation.
-func prefixFeasible(t *graph.Tree, order []int, cnt int, k float64, tk *ticker, sc *scratch) (bool, error) {
+func prefixFeasible(t *graph.Tree, order []int32, cnt int, k float64, tk *ticker, sc *scratch) (bool, error) {
 	sc.inCut = grow(sc.inCut, len(t.Edges))
 	inCut := sc.inCut
 	for i := range inCut {
@@ -212,18 +98,19 @@ func ufFind(parent []int, x int) int {
 // shortestFeasiblePrefix returns the length of the shortest prefix of the
 // weight order whose removal leaves every component of t within k, given
 // that each vertex alone fits. bk holds the edges bucketed; each bucket is
-// sorted when the sweep reaches it, so on return bk.order[:cnt] is the
+// sorted when the sweep reaches it, so on return bk.Order[:cnt] is the
 // prefix as a set (the buckets below the stopping point unsorted) and every
-// position from cnt on is in sorted order. The sweep starts from the all-cut
+// position from cnt on is in sorted order. A frozen tree's order comes as
+// one bucket already sorted. The sweep starts from the all-cut
 // forest and un-cuts the edges from the back, so after position i the forest
 // is t minus the first i edges. The first union that would exceed k, at
 // position i, shows that cutting the first i edges is infeasible, and with
 // it every shorter prefix, while cutting the first i+1 was feasible. One tick
 // per edge visited.
-func shortestFeasiblePrefix(t *graph.Tree, bk *edgeBuckets, k float64, tk *ticker, sc *scratch) (int, error) {
+func shortestFeasiblePrefix(t *graph.Tree, bk *graph.EdgeBuckets, k float64, tk *ticker, sc *scratch) (int, error) {
 	parent, weight := sc.resetForest(t)
-	for b := len(bk.start) - 2; b >= 0; b-- {
-		bucket := bk.sort(b, t.Edges, sc)
+	for b := bk.Len() - 1; b >= 0; b-- {
+		bucket := bk.Sort(b, t.Edges)
 		for j := len(bucket) - 1; j >= 0; j-- {
 			if err := tk.tick(); err != nil {
 				return 0, err
@@ -233,7 +120,7 @@ func shortestFeasiblePrefix(t *graph.Tree, bk *edgeBuckets, k float64, tk *ticke
 			ru, rv := ufFind(parent, e.U), ufFind(parent, e.V)
 			w := weight[ru] + weight[rv]
 			if w > k {
-				return int(bk.start[b]) + j + 1, nil
+				return bk.Start(b) + j + 1, nil
 			}
 			if parent[ru] > parent[rv] {
 				ru, rv = rv, ru
@@ -248,7 +135,7 @@ func shortestFeasiblePrefix(t *graph.Tree, bk *edgeBuckets, k float64, tk *ticke
 
 // prefixCut returns the first cnt edges of order as a cut in increasing
 // index order, nil when cnt is 0.
-func prefixCut(order []int, cnt int, sc *scratch) []int {
+func prefixCut(order []int32, cnt int, sc *scratch) []int {
 	if cnt == 0 {
 		return nil
 	}
@@ -258,18 +145,24 @@ func prefixCut(order []int, cnt int, sc *scratch) []int {
 	for _, e := range order[:cnt] {
 		inCut[e] = true
 	}
-	cut := make([]int, 0, cnt)
+	// Every index is written and only a cut edge advances j, so the loop
+	// has no branch to mispredict; the spare slot takes the writes past
+	// the last cut edge.
+	cut := make([]int, cnt+1)
+	j := 0
 	for e, in := range inCut {
+		cut[j] = e
 		if in {
-			cut = append(cut, e)
+			j++
 		}
 	}
-	return cut
+	return cut[:cnt]
 }
 
 // Bottleneck solves bottleneck minimization with one reverse union-find
 // sweep over the weight-bucketed edges, each bucket sorted as the sweep
-// reaches it: expected O(n α(n)), O(n log n) in the worst case. The returned
+// reaches it: expected O(n α(n)), O(n log n) in the worst case. A frozen
+// tree's sweep reads its cached weight order instead. The returned
 // cut is the paper's output — the shortest feasible prefix of the
 // weight-sorted edge list.
 func Bottleneck(ctx context.Context, t *graph.Tree, k float64) (*TreePartition, int64, error) {
@@ -309,16 +202,22 @@ func bottleneckCut(ctx context.Context, t *graph.Tree, k float64, sweep bool, sc
 	if t.MaxNodeWeight() > k {
 		return nil, 0, fmt.Errorf("max vertex weight %v > K=%v: %w", t.MaxNodeWeight(), k, ErrInfeasible)
 	}
-	// The sweep sorts each bucket when it reaches it; the greedy probes
+	// A frozen tree's cached order is one sorted bucket. Otherwise the
+	// sweep sorts each bucket when it reaches it, and the greedy probes
 	// prefixes of the full order.
 	sp := obs.Phase(ctx, "edge-sort")
-	var bk edgeBuckets
-	if sweep {
-		bk = bucketEdges(t, sc)
+	bk := &sc.edges
+	var cached graph.EdgeBuckets
+	if t.Frozen() {
+		cached = graph.SortedBucket(t.SortedEdges())
+		bk = &cached
 	} else {
-		bk.order = sortedEdgeOrder(t, sc)
+		bk.Fill(t.Edges)
 	}
-	order := bk.order
+	if !sweep {
+		bk.SortAll(t.Edges)
+	}
+	order := bk.Order
 	obs.SetAttr(sp, "edges", len(order))
 	sp.End()
 	// One span for the whole feasibility sweep in both modes: a span per
@@ -327,7 +226,7 @@ func bottleneckCut(ctx context.Context, t *graph.Tree, k float64, sweep bool, sc
 	ss := obs.Phase(ctx, "feasibility-sweep")
 	var cnt int
 	if sweep {
-		cnt, err = shortestFeasiblePrefix(t, &bk, k, tk, sc)
+		cnt, err = shortestFeasiblePrefix(t, bk, k, tk, sc)
 		if err != nil {
 			ss.End()
 			return nil, tk.n, err

@@ -321,30 +321,40 @@ func TestErrorPaths(t *testing.T) {
 // reference PartitionTree must match: the bottleneck cut, contraction, then
 // MinProcessors on the contracted tree with its cut mapped back.
 func partitionTreeTwoStage(tr *graph.Tree, k float64) (*TreePartition, error) {
-	bt, _, err := Bottleneck(ctx, tr, k)
+	tp, _, err := partitionTreeTwoStageIters(tr, k)
+	return tp, err
+}
+
+// partitionTreeTwoStageIters is partitionTreeTwoStage that also returns the
+// iteration count, summed over both stages.
+func partitionTreeTwoStageIters(tr *graph.Tree, k float64) (*TreePartition, int64, error) {
+	bt, it1, err := Bottleneck(ctx, tr, k)
 	if err != nil {
-		return nil, err
+		return nil, it1, err
 	}
 	c, err := tr.Contract(bt.Cut)
 	if err != nil {
-		return nil, err
+		return nil, it1, err
 	}
-	mp, _, err := MinProcessors(ctx, c.Tree, k)
+	mp, it2, err := MinProcessors(ctx, c.Tree, k)
 	if err != nil {
-		return nil, err
+		return nil, it1 + it2, err
 	}
 	cut := make([]int, len(mp.Cut))
 	for i, ce := range mp.Cut {
 		cut[i] = c.CutEdges[ce]
 	}
-	return NewTreePartition(tr, graph.NormalizeCut(cut), k)
+	tp, err := NewTreePartition(tr, graph.NormalizeCut(cut), k)
+	return tp, it1 + it2, err
 }
 
 // TestPartitionTreeMatchesTwoStage pins PartitionTree's pipeline to the
 // two-stage reference on 1,200 seeded trees, half with float weights and
-// half with tie-heavy integer weights 0–3: the same cut, and the same cut
-// weight, bottleneck and component weights bit for bit.
-// Every K is at least the largest task, so neither pipeline may fail.
+// half with tie-heavy integer weights 0–3: the same cut, the same cut
+// weight, bottleneck and component weights bit for bit, and the same
+// iteration count. Each trial also runs on a frozen clone, which reads its
+// cached rooted view and edge order. Every K is at least the largest task,
+// so neither pipeline may fail.
 func TestPartitionTreeMatchesTwoStage(t *testing.T) {
 	r := workload.NewRNG(1994)
 	for trial := 0; trial < 1200; trial++ {
@@ -358,19 +368,25 @@ func TestPartitionTreeMatchesTwoStage(t *testing.T) {
 				tr.Edges[i].W = float64(r.Intn(4))
 			}
 		}
+		frozen := tr.Clone()
+		frozen.Freeze()
 		for _, f := range []float64{1, 1.5, 3, 10} {
 			k := max(f*tr.MaxNodeWeight(), 1)
-			got, _, err := PartitionTree(ctx, tr, k)
-			want, werr := partitionTreeTwoStage(tr, k)
-			if err != nil || werr != nil {
-				t.Fatalf("trial %d n=%d K=%v: PartitionTree error %v, two-stage error %v", trial, n, k, err, werr)
-			}
-			if !slices.Equal(got.Cut, want.Cut) || math.Float64bits(got.CutWeight) != math.Float64bits(want.CutWeight) ||
-				math.Float64bits(got.Bottleneck) != math.Float64bits(want.Bottleneck) ||
-				!slices.EqualFunc(got.ComponentWeights, want.ComponentWeights, func(a, b float64) bool {
-					return math.Float64bits(a) == math.Float64bits(b)
-				}) {
-				t.Fatalf("trial %d n=%d K=%v:\n got %+v\nwant %+v", trial, n, k, got, want)
+			want, wantIters, werr := partitionTreeTwoStageIters(tr, k)
+			for _, g := range []*graph.Tree{tr, frozen} {
+				got, iters, err := PartitionTree(ctx, g, k)
+				if err != nil || werr != nil {
+					t.Fatalf("trial %d n=%d K=%v frozen=%v: PartitionTree error %v, two-stage error %v",
+						trial, n, k, g.Frozen(), err, werr)
+				}
+				if !slices.Equal(got.Cut, want.Cut) || math.Float64bits(got.CutWeight) != math.Float64bits(want.CutWeight) ||
+					math.Float64bits(got.Bottleneck) != math.Float64bits(want.Bottleneck) ||
+					!slices.EqualFunc(got.ComponentWeights, want.ComponentWeights, func(a, b float64) bool {
+						return math.Float64bits(a) == math.Float64bits(b)
+					}) || iters != wantIters {
+					t.Fatalf("trial %d n=%d K=%v frozen=%v:\n got %+v, %d iterations\nwant %+v, %d iterations",
+						trial, n, k, g.Frozen(), got, iters, want, wantIters)
+				}
 			}
 		}
 	}
@@ -393,5 +409,30 @@ func TestPartitionTreeContractOverflow(t *testing.T) {
 	}
 	if _, werr := partitionTreeTwoStage(tr, math.MaxFloat64); werr == nil || werr.Error() != want {
 		t.Errorf("two-stage reference = %v, want %q", werr, want)
+	}
+}
+
+// TestPartitionTreeContractOverflowNumbering: the overflow error names the
+// super-node by Contract's numbering, smallest contained vertex first, not
+// by the order the walk over the rooted view opens super-nodes. Vertex 0
+// (MaxFloat64) is cut off from both neighbours; the walk opens {3, 4}
+// (edge 0) before {1, 2, 5} (edge 1), whose vertex-order sum overflows, but
+// Contract numbers {1, 2, 5} first.
+func TestPartitionTreeContractOverflowNumbering(t *testing.T) {
+	tr, err := graph.NewTree([]float64{math.MaxFloat64, 0x1p969, 0x1p969, 1, 1, math.MaxFloat64},
+		[]graph.Edge{{U: 0, V: 3, W: 0}, {U: 0, V: 1, W: 0}, {U: 1, V: 5, W: 5}, {U: 2, V: 5, W: 4}, {U: 3, V: 4, W: 3}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "contract: NodeW[1] = +Inf: graph: weight must be finite and non-negative"
+	if _, werr := partitionTreeTwoStage(tr, math.MaxFloat64); werr == nil || werr.Error() != want {
+		t.Fatalf("two-stage reference = %v, want %q", werr, want)
+	}
+	frozen := tr.Clone()
+	frozen.Freeze()
+	for _, g := range []*graph.Tree{tr, frozen} {
+		if _, _, err := PartitionTree(ctx, g, math.MaxFloat64); !errors.Is(err, graph.ErrBadWeight) || err.Error() != want {
+			t.Errorf("PartitionTree (frozen=%t) = %v, want %q (ErrBadWeight)", g.Frozen(), err, want)
+		}
 	}
 }

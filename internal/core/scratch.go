@@ -35,12 +35,8 @@ type scratch struct {
 	// candidate list of BandwidthHeap (as heapBuf).
 	deque   []int
 	heapBuf minHeap
-	// order is the bottleneck's weight-bucketed edge permutation.
-	order []int
-	// bucketStart holds the bottleneck's weight-bucket bounds into order,
-	// bucketKeys the packed sort keys of its large buckets.
-	bucketStart []int32
-	bucketKeys  []uint64
+	// edges is the bottleneck's weight-bucketed edge permutation.
+	edges graph.EdgeBuckets
 	// parentV is the bottleneck's union-find parent, and res the residual
 	// loads of the procmin sweep and the max–min probes.
 	parentV []int
@@ -54,6 +50,11 @@ type scratch struct {
 	// children collects a vertex's absorbed children for the procmin
 	// sort-and-prune step, reused across vertices.
 	children []childSlot
+	// superLabel, superOff and superArcs are PartitionTree's super-node
+	// labels and child arcs (scratch.superNodes).
+	superLabel []int32
+	superOff   []int32
+	superArcs  []superArc
 	// f64a / f64b are the level-DP rows of BandwidthLimited; deque32 is its
 	// per-level monotone deque. MaxMinTree keeps its subtree weights, probe
 	// base weights and active vertex list in the same three.

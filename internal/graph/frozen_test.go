@@ -74,8 +74,43 @@ func TestFrozenTreeRoot0(t *testing.T) {
 	if c := tr.Clone(); c.Frozen() {
 		t.Fatal("the clone of a frozen tree is frozen")
 	}
-	if n, m := 500, 499; tr.Footprint() != 8*n+24*m+4*(n+1+4*m+3*n) {
+	if n, m := 500, 499; tr.Footprint() != 8*n+24*m+4*(n+1+4*m+3*n)+4*m {
 		t.Fatalf("Footprint = %d", tr.Footprint())
+	}
+}
+
+// TestFrozenTreeSortedEdges: a frozen tree's SortedEdges hands every
+// caller, concurrent ones included, one order, equal to every bucket of
+// EdgeBuckets sorted, with −0 tying +0. An unfrozen tree has none.
+func TestFrozenTreeSortedEdges(t *testing.T) {
+	tr := lcgTree(500, 3, true)
+	if tr.SortedEdges() != nil {
+		t.Fatal("an unfrozen tree has a cached edge order")
+	}
+	var bk EdgeBuckets
+	bk.Fill(tr.Edges)
+	bk.SortAll(tr.Edges)
+	for i := 1; i < len(bk.Order); i++ {
+		a, b := tr.Edges[bk.Order[i-1]].W, tr.Edges[bk.Order[i]].W
+		if a > b || a == b && bk.Order[i-1] > bk.Order[i] {
+			t.Fatalf("order[%d:%d] = edges %d (w=%v), %d (w=%v)", i-1, i+1, bk.Order[i-1], a, bk.Order[i], b)
+		}
+	}
+	tr.Freeze()
+	orders := make([][]int32, 8)
+	var wg sync.WaitGroup
+	for i := range orders {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			orders[i] = tr.SortedEdges()
+		}()
+	}
+	wg.Wait()
+	for _, o := range orders {
+		if &o[0] != &orders[0][0] || !slices.Equal(o, bk.Order) {
+			t.Fatal("frozen tree: SortedEdges orders differ")
+		}
 	}
 }
 

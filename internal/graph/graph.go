@@ -27,9 +27,11 @@
 // a frozen tree builds its rooted view at vertex 0 once, for every solver
 // and oracle that walks it (Tree.Root0). The same view labels the
 // components of T − cut for every cut evaluated on a frozen tree (component
-// weights, components, Contract, MaxComponentWeight), in one walk with no
-// union-find. Clone gives a writable, unfrozen copy, which is checked again
-// wherever it enters.
+// weights, components, Contract, MaxComponentWeight and
+// MaxComponentWeightCutBelow), in one walk with no union-find. A frozen
+// tree also sorts its edges by weight once, on first use, for every
+// bottleneck sweep (Tree.SortedEdges). Clone gives a writable, unfrozen
+// copy, which is checked again wherever it enters.
 package graph
 
 import (

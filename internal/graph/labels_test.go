@@ -150,6 +150,40 @@ func FuzzComponentLabels(f *testing.F) {
 	})
 }
 
+// TestMaxComponentWeightCutBelow: the heaviest component of T minus every
+// edge lighter than b equals MaxComponentWeight of that cut bit for bit, on
+// an unfrozen tree (union-find) and on a frozen one (a walk over its rooted
+// view), for b at 0, at and just above every edge weight, and at +Inf, on
+// trees with and without −0 weights.
+func TestMaxComponentWeightCutBelow(t *testing.T) {
+	for seed := uint64(0); seed < 40; seed++ {
+		plain := lcgTree(1+int(seed*7%90), seed, seed%2 == 1)
+		frozen := plain.Clone()
+		frozen.Freeze()
+		bs := []float64{0, math.Inf(1)}
+		for _, e := range plain.Edges {
+			bs = append(bs, e.W, math.Nextafter(e.W, math.Inf(1)))
+		}
+		for _, b := range bs {
+			var lighter []int
+			for i, e := range plain.Edges {
+				if e.W < b {
+					lighter = append(lighter, i)
+				}
+			}
+			want, err := plain.MaxComponentWeight(lighter)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, g := range []*Tree{plain, frozen} {
+				if got := g.MaxComponentWeightCutBelow(b); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("seed %d b=%v frozen=%t: %v, MaxComponentWeight(%v) = %v", seed, b, g.Frozen(), got, lighter, want)
+				}
+			}
+		}
+	}
+}
+
 // BenchmarkComponentWeights times the component weights and the heaviest
 // component of a 5k-node tree cut at every seventh edge, on an unfrozen
 // tree (union-find) and on a frozen one with its rooted view built (one

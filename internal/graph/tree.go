@@ -20,11 +20,14 @@ type Tree struct {
 	frozen *frozenTree
 }
 
-// frozenTree is what a frozen tree remembers: that it is valid, and its
-// rooted view at vertex 0, built by the first Root0.
+// frozenTree is what a frozen tree remembers: that it is valid, its rooted
+// view at vertex 0, built by the first Root0, and its edges in weight
+// order, built by the first SortedEdges.
 type frozenTree struct {
-	once sync.Once
-	rt   Rooted
+	once      sync.Once
+	rt        Rooted
+	orderOnce sync.Once
+	order     []int32
 }
 
 // Arc is one direction of an undirected edge in an adjacency list.
@@ -84,8 +87,8 @@ func (t *Tree) Validate() error {
 }
 
 // Freeze marks the valid tree t as shared and read-only: from here on
-// Validate trusts it and Root0 builds its rooted view once for every
-// caller. Freeze does not check t, and nothing may write to t's arrays
+// Validate trusts it, and Root0 and SortedEdges build their views once for
+// every caller. Freeze does not check t, and nothing may write to t's arrays
 // afterwards, since concurrent readers share them. Clone gives a writable,
 // unfrozen copy. Call Freeze before t is shared, not concurrently with its
 // use.
@@ -113,10 +116,10 @@ func (t *Tree) Root0(buf []int32) (Rooted, []int32) {
 }
 
 // Footprint is the bytes a frozen t holds: its node and edge arrays plus
-// the rooted view Root0 builds.
+// the rooted view Root0 builds and the edge order SortedEdges builds.
 func (t *Tree) Footprint() int {
 	n, m := len(t.NodeW), len(t.Edges)
-	return 8*n + int(unsafe.Sizeof(Edge{}))*m + 4*(n+1+4*m+3*n)
+	return 8*n + int(unsafe.Sizeof(Edge{}))*m + 4*(n+1+4*m+3*n) + 4*m
 }
 
 // validate is Validate, or FillTree's checks when h is not nil.
@@ -229,10 +232,16 @@ func (t *Tree) unionFindLabels(cut []int) ([]int32, int) {
 	for _, e := range t.Edges[from:] {
 		uf.union(e.U, e.V)
 	}
+	return uf.labels()
+}
+
+// labels numbers the sets of uf by smallest member and returns each
+// member's label and the number of sets.
+func (uf unionFind) labels() ([]int32, int) {
 	// A root's slot takes its component's label at the component's first
 	// vertex, and every other slot is written only when its own vertex is
 	// labelled, so one column serves both.
-	label := make([]int32, len(t.NodeW))
+	label := make([]int32, len(uf))
 	for v := range label {
 		label[v] = -1
 	}
@@ -302,11 +311,17 @@ func (t *Tree) ComponentWeights(cut []int) ([]float64, error) {
 	if err != nil {
 		return nil, err
 	}
+	return t.sumLabels(label, k), nil
+}
+
+// sumLabels returns the total task weight of each of the k labels, each
+// summed in vertex order.
+func (t *Tree) sumLabels(label []int32, k int) []float64 {
 	ws := make([]float64, k)
 	for v, l := range label {
 		ws[l] += t.NodeW[v]
 	}
-	return ws, nil
+	return ws
 }
 
 // ComponentMaxNodeWeights returns, per component of T − cut, the heaviest
@@ -345,11 +360,37 @@ func (t *Tree) MaxComponentWeight(cut []int) (float64, error) {
 		return 0, err
 	}
 	label, _ := t.walkLabels(cut, 0)
-	ws := make([]float64, len(cut)+1)
-	for v, l := range label {
-		ws[l] += t.NodeW[v]
+	return MaxWeight(t.sumLabels(label, len(cut)+1)), nil
+}
+
+// MaxComponentWeightCutBelow returns the heaviest component weight of T
+// minus every edge lighter than b, each component summed in vertex order as
+// MaxComponentWeight sums it, without building that cut. A frozen tree
+// labels the components in one walk over its rooted view, where a vertex
+// whose parent edge is lighter than b opens a component; any other tree
+// unites the edges of weight at least b in a union-find.
+func (t *Tree) MaxComponentWeightCutBelow(b float64) float64 {
+	if t.frozen == nil {
+		uf := newUnionFind(len(t.NodeW))
+		for _, e := range t.Edges {
+			if e.W >= b {
+				uf.union(e.U, e.V)
+			}
+		}
+		return MaxWeight(t.sumLabels(uf.labels()))
 	}
-	return MaxWeight(ws), nil
+	rt, _ := t.Root0(nil)
+	label := make([]int32, len(t.NodeW))
+	k := int32(1) // the root, Order[0], keeps label 0
+	for _, v := range rt.Order[1:] {
+		if t.Edges[rt.ParentEdge[v]].W < b {
+			label[v] = k
+			k++
+		} else {
+			label[v] = label[rt.Parent[v]]
+		}
+	}
+	return MaxWeight(t.sumLabels(label, int(k)))
 }
 
 // CutWeight returns δ(cut), the total weight of the cut edges.
@@ -397,15 +438,14 @@ type Contraction struct {
 // graph is still a tree"). t must be a valid tree. The contracted tree is
 // then a tree by construction and its edges keep their valid weights, so the
 // one check it needs is that no super-node sum overflowed to infinity.
+// core.PartitionTree reads the same super-nodes off t's rooted view without
+// building this tree; Contract is the reference it is tested against.
 func (t *Tree) Contract(cut []int) (*Contraction, error) {
 	label, k, err := t.componentLabels(cut)
 	if err != nil {
 		return nil, err
 	}
-	nodeW := make([]float64, k)
-	for v, l := range label {
-		nodeW[l] += t.NodeW[v]
-	}
+	nodeW := t.sumLabels(label, k)
 	if err := checkWeights(nil, "NodeW", nodeW, nil); err != nil {
 		return nil, fmt.Errorf("contract: %w", err)
 	}

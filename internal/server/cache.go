@@ -17,12 +17,13 @@
 // the fingerprint the cache keys on. The request decoders fold the
 // fingerprint from the bytes they were sent and, on a hit, reuse the stored
 // graph: no fill, no graph-sized allocation, no check, and for a tree the
-// rooted view its solvers and certificates walk, built once. A miss decodes
-// as before, then freezes and stores the graph (graph.Store). Both are one
-// sharded LRU (lru below): the cache counts entries, the store bytes
-// (graphStoreBytes, arrays plus rooted views). Fingerprints normalise -0 to
-// +0, so graphs that differ only in the sign of a zero share a store entry
-// as they share cache entries. The store is off when the cache is.
+// rooted view its solvers and certificates walk and the weight order of its
+// edges, each built once. A miss decodes as before, then freezes and stores
+// the graph (graph.Store). Both are one sharded LRU (lru below): the cache
+// counts entries, the store bytes (graphStoreBytes, arrays plus what is
+// built from them). Fingerprints normalise -0 to +0, so graphs that differ
+// only in the sign of a zero share a store entry as they share cache
+// entries. The store is off when the cache is.
 //
 // A JSON graph is found before it is parsed, too. The store's text index
 // maps a hash of an envelope's first bytes to the length, hash and
@@ -268,8 +269,9 @@ func (c *Cache) Stats() CacheStats {
 }
 
 // graphStoreBytes is the graph store's budget: the arrays of the stored
-// graphs plus their rooted views (graph.Tree.Footprint), about fifty
-// 5,000-node trees, and its text index (textIndexBytes).
+// graphs plus a tree's rooted view and edge order (graph.Tree.Footprint),
+// 48 5,000-node trees of 340 KB, 12 to a shard, and its text index
+// (textIndexBytes).
 const graphStoreBytes = 16 << 20
 
 // textIndexBytes is the share of graphStoreBytes the text index holds, at

@@ -58,7 +58,7 @@ func TestTreeCertificateAllocBudget(t *testing.T) {
 			certify: func(tr *graph.Tree, cut []int) (*Certificate, error) { return CertifyProcMin(tr, k, cut) },
 		}, certCase{
 			name: fmt.Sprintf("bottleneck/K=%vx", f), budget: allocBudget{allocs: 16},
-			frozen:  allocBudget{allocs: 11, bytes: 210_000},
+			frozen:  allocBudget{allocs: 8, bytes: 180_000},
 			solve:   func() (*core.TreePartition, int64, error) { return core.Bottleneck(ctx, tr, k) },
 			certify: func(tr *graph.Tree, cut []int) (*Certificate, error) { return CertifyBottleneck(tr, k, cut) },
 		})

@@ -95,9 +95,11 @@ func eps(v float64) float64 {
 // bottleneck — the heaviest cut-edge weight — is minimal. Optimality
 // evidence: cut every edge strictly lighter than the claimed bottleneck;
 // adding edges to a tree cut only shrinks components, so that maximal cut is
-// feasible iff some cut with a strictly smaller bottleneck is. Each
-// feasibility check labels T − cut: O(n) on a frozen tree, by a walk over its
-// rooted view, and O(n α(n)) by union-find otherwise.
+// feasible iff some cut with a strictly smaller bottleneck is. The evidence
+// comes from t and b alone: the components of T minus the lighter edges are
+// labelled without listing those edges (graph.Tree.MaxComponentWeightCutBelow).
+// Each feasibility check labels components: O(n) on a frozen tree, by a walk
+// over its rooted view, and O(n α(n)) by union-find otherwise.
 func CertifyBottleneck(t *graph.Tree, k float64, cut []int) (*Certificate, error) {
 	cut = graph.NormalizeCut(cut)
 	cert := &Certificate{Criterion: "bottleneck"}
@@ -118,18 +120,10 @@ func CertifyBottleneck(t *graph.Tree, k float64, cut []int) (*Certificate, error
 		cert.Certified = true
 		return cert, nil
 	}
-	lighter := make([]int, 0, t.NumEdges())
-	for i, e := range t.Edges {
-		if e.W < b {
-			lighter = append(lighter, i)
-		}
-	}
 	cert.Bound = b
-	if err := core.CheckTreeFeasible(t, lighter, k); err == nil {
+	if t.MaxComponentWeightCutBelow(b) <= k {
 		cert.Detail = fmt.Sprintf("a feasible cut exists using only edges lighter than %v", b)
 		return cert, nil
-	} else if !errors.Is(err, core.ErrInfeasible) {
-		return nil, err
 	}
 	cert.Certified = true
 	return cert, nil

@@ -3,6 +3,8 @@ package verify
 import (
 	"context"
 	"errors"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -10,6 +12,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/graph"
 	"repro/internal/graph/graphtest"
+	"repro/internal/workload"
 )
 
 func mustPath(t *testing.T, nodeW, edgeW []float64) *graph.Path {
@@ -79,6 +82,36 @@ func TestCertifyBottleneck(t *testing.T) {
 	// Malformed cut index: error, not a false certificate.
 	if _, err := CertifyBottleneck(tr, 4, []int{99}); !errors.Is(err, graph.ErrBadCut) {
 		t.Errorf("out-of-range cut = %v, want ErrBadCut", err)
+	}
+}
+
+// TestCertifyBottleneckFrozen: on a frozen tree, which labels T minus the
+// lighter edges by walking its rooted view, CertifyBottleneck gives the
+// certificate the unfrozen tree gives, for the solver's cut and for that
+// cut with one more edge, on float and on tie-heavy integer weights.
+func TestCertifyBottleneckFrozen(t *testing.T) {
+	r := workload.NewRNG(4)
+	for trial := 0; trial < 300; trial++ {
+		tr := workload.RandomTree(r, 2+r.Intn(100), workload.UniformWeights(0, 10), workload.UniformWeights(0, 10))
+		if trial%2 == 1 {
+			for i := range tr.Edges {
+				tr.Edges[i].W = float64(r.Intn(4))
+			}
+		}
+		frozen := tr.Clone()
+		frozen.Freeze()
+		k := tr.MaxNodeWeight() * (1 + 3*r.Float64())
+		bt, _, err := core.Bottleneck(context.Background(), tr, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, cut := range [][]int{bt.Cut, append(slices.Clone(bt.Cut), r.Intn(tr.NumEdges()))} {
+			want, werr := CertifyBottleneck(tr, k, cut)
+			got, err := CertifyBottleneck(frozen, k, cut)
+			if werr != nil || err != nil || !reflect.DeepEqual(got, want) {
+				t.Fatalf("trial %d cut %v: frozen %+v, %v; unfrozen %+v, %v", trial, cut, got, err, want, werr)
+			}
+		}
 	}
 }
 
