@@ -3,8 +3,9 @@
 //
 //	BenchmarkFig2PrimeSubpaths      — FIG2-A/B: instance analysis cost across K
 //	BenchmarkBandwidth*             — FIG2-C / TAB-CMP: the solver ladder
-//	BenchmarkTempSCompressionAblation — DESIGN §5 ablation: with/without
-//	                                  non-redundant edge compression
+//	BenchmarkTempSCompressionAblation — DESIGN §5 ablation: the sweep over
+//	                                  a compressed instance vs. over the
+//	                                  raw edges, finding runs as it goes
 //	BenchmarkBottleneck             — §2.1 bucketed reverse union-find sweep,
 //	                                  expected O(n α(n)), one-bucket worst case
 //	BenchmarkBottleneckPaperGreedy  — §2.1 paper greedy, O(n²)
@@ -105,8 +106,12 @@ func BenchmarkBandwidthNaive(b *testing.B) {
 	bandwidthLadder(b, core.BandwidthNaive, []int{1000, 10000})
 }
 
-// BenchmarkTempSCompressionAblation solves the same hitting instances with
-// and without the non-redundant-edge compression of §2.3.1.
+// BenchmarkTempSCompressionAblation solves the same hitting instance over
+// the non-redundant edges of §2.3.1, compressed beforehand (compressed), and
+// over the raw edges (raw-runs), where the sweep finds each run's lightest
+// edge as it walks, as the served solver does. Every point of the compressed
+// instance is a run, so both rows take the same r steps; raw-runs adds the
+// O(n) scan that Compress does outside the timed loop.
 func BenchmarkTempSCompressionAblation(b *testing.B) {
 	p := benchPath(3, 100000)
 	k := 4 * p.MaxNodeWeight()
@@ -116,13 +121,13 @@ func BenchmarkTempSCompressionAblation(b *testing.B) {
 	}
 	compressed := prime.Compress(p.EdgeW, ivs)
 	withC := &hitting.Instance{Beta: compressed.Beta, A: compressed.A, B: compressed.B}
-	// Uncompressed: intervals address raw edge indices directly.
+	// Raw: intervals address raw edge indices directly.
 	rawA := make([]int, len(ivs))
 	rawB := make([]int, len(ivs))
 	for i, iv := range ivs {
 		rawA[i], rawB[i] = iv.A, iv.B
 	}
-	withoutC := &hitting.Instance{Beta: p.EdgeW, A: rawA, B: rawB}
+	raw := &hitting.Instance{Beta: p.EdgeW, A: rawA, B: rawB}
 	b.Run("compressed", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := hitting.SolveTempS(withC); err != nil {
@@ -130,9 +135,9 @@ func BenchmarkTempSCompressionAblation(b *testing.B) {
 			}
 		}
 	})
-	b.Run("uncompressed", func(b *testing.B) {
+	b.Run("raw-runs", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := hitting.SolveTempS(withoutC); err != nil {
+			if _, err := hitting.SolveTempS(raw); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -287,8 +292,9 @@ func BenchmarkMaxMinTree(b *testing.B) {
 
 // BenchmarkCertifyTree times the tree certificates on the answers of the
 // solvers they check, on the served 5k-node tree: minprocs and bottleneck at
-// K = 3/10/30 × max task, max–min at 2/16/64 parts. Each row also certifies
-// the same cut on a frozen copy of the tree, as the daemon does.
+// K = 3/10/30 × max task, max–min at 2/16/64 parts. Each row certifies the
+// cut on the tree (…/unfrozen) and on a frozen copy (…/frozen), as the
+// daemon does.
 func BenchmarkCertifyTree(b *testing.B) {
 	tr, frozen := benchTree(7, 5000), benchFrozenTree(7, 5000)
 	ctx := context.Background()
@@ -299,8 +305,8 @@ func BenchmarkCertifyTree(b *testing.B) {
 		for _, c := range []struct {
 			name string
 			tr   *graph.Tree
-		}{{"", tr}, {"/frozen", frozen}} {
-			b.Run(name+c.name, func(b *testing.B) {
+		}{{"unfrozen", tr}, {"frozen", frozen}} {
+			b.Run(name+"/"+c.name, func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
 					if cert, err := certify(c.tr, tp.Cut); err != nil || !cert.Certified {
@@ -407,12 +413,13 @@ func bytesPerRun(runs int, f func()) uint64 {
 // TestPathSolverAllocBudget gates the allocations of the paper's bandwidth
 // solver on the n=10⁴ path BenchmarkBandwidthTempS uses, in count and in
 // bytes. Prime extraction and the TEMP_S sweep run in pooled scratch sized
-// once per high-water mark, so a warm prime.Scratch.Analyze allocates
-// nothing. A solve allocates its answer (the partition, the hitting-set
-// solution, its points, which become the cut, and the component weights);
-// its span attributes box their values only when the solve is traced.
+// once per high-water mark, so a warm prime.FindInto, and a warm
+// prime.Scratch.Analyze, allocate nothing. A solve allocates its answer
+// (the partition, the sweep's points, which are the cut, and the
+// component weights); its span attributes box their values only when the
+// solve is traced.
 func TestPathSolverAllocBudget(t *testing.T) {
-	const n, budget, byteBudget = 10000, 4, 28 << 10
+	const n, budget, byteBudget = 10000, 3, 28 << 10
 	if raceEnabled {
 		t.Skip("sync.Pool drops pooled scratch at random under the race detector")
 	}
@@ -432,6 +439,15 @@ func TestPathSolverAllocBudget(t *testing.T) {
 	t.Logf("bandwidth: %d B/op, budget %d", bytes, byteBudget)
 	if bytes > byteBudget {
 		t.Errorf("Bandwidth on a %d-node path allocates %d B/op, budget %d", n, bytes, byteBudget)
+	}
+	var a, b []int
+	if avg := testing.AllocsPerRun(20, func() {
+		var err error
+		if a, b, err = prime.FindInto(a, b, p.NodeW, k); err != nil {
+			t.Fatal(err)
+		}
+	}); avg != 0 {
+		t.Errorf("warm prime.FindInto allocates %.1f/op, want 0", avg)
 	}
 	var sc prime.Scratch
 	if avg := testing.AllocsPerRun(20, func() {

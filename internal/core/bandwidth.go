@@ -18,7 +18,8 @@ import (
 // weighs at most K.
 //
 // Bandwidth is the paper's O(n + p log q) algorithm: prime critical subpaths
-// → non-redundant edge compression → TEMP_S sweep. The other entry points
+// → TEMP_S sweep, which picks each run's non-redundant edge as it walks, so
+// no compressed instance is built. The other entry points
 // are the comparison baselines of the evaluation:
 //
 //   - BandwidthHeap:  the prior state of the art's O(n log n) shape (Nicol &
@@ -33,7 +34,7 @@ import (
 // against those rather than a package-local brute force.
 
 // Bandwidth solves bandwidth minimization with the paper's algorithm. The
-// TEMP_S sweep polls ctx and its point count is the iteration count; the
+// TEMP_S sweep polls ctx and its run count, r, is the iteration count; the
 // prime-extract, temps-dp and build-partition phases each open a span.
 func Bandwidth(ctx context.Context, p *graph.Path, k float64) (*PathPartition, int64, error) {
 	return bandwidthTempS(ctx, p, k, nil)
@@ -64,14 +65,13 @@ func bandwidthTempS(ctx context.Context, p *graph.Path, k float64, tr *hitting.T
 	if err := checkBound(k); err != nil {
 		return nil, 0, err
 	}
-	// Phase 1 (§2.3.1): prime critical subpaths + non-redundant edge
-	// compression — the O(n) part of the O(n + p log q) bound. The analysis
-	// writes into pooled scratch; everything it returns is dead once the cut
-	// has been translated back to original edge indices below.
+	// Phase 1 (§2.3.1): the prime critical subpaths, one O(n) window sweep.
+	// Their endpoint columns live in pooled scratch; they are dead once the
+	// sweep below has run.
 	sc := getScratch()
 	defer sc.release()
 	sp := obs.Phase(ctx, "prime-extract")
-	inst, ivs, err := sc.prime.Analyze(p.NodeW, p.EdgeW, k)
+	a, b, err := prime.FindInto(sc.primeA, sc.primeB, p.NodeW, k)
 	if err != nil {
 		sp.End()
 		if errors.Is(err, prime.ErrVertexTooHeavy) {
@@ -79,31 +79,26 @@ func bandwidthTempS(ctx context.Context, p *graph.Path, k float64, tr *hitting.T
 		}
 		return nil, 0, err
 	}
-	obs.SetAttr(sp, "primeSubpaths", len(ivs))
-	obs.SetAttr(sp, "nonRedundantEdges", len(inst.Beta))
+	sc.primeA, sc.primeB = a, b
+	obs.SetAttr(sp, "primeSubpaths", len(a))
 	sp.End()
-	// The instance lives in pooled scratch: it only needs to outlive the DP
-	// sweep below, and keeping it out of the heap saves an allocation per
-	// solve (the &Instance literal would escape through the Solve call).
-	sc.hin = hitting.Instance{Beta: inst.Beta, A: inst.A, B: inst.B}
-	hin := &sc.hin
-	// Phase 2 (§2.3.1 Algorithm 4.1): the TEMP_S monotone-queue DP sweep —
-	// the O(p log q) part.
-	// Analyze builds a valid instance, so the sweep does not re-check it.
+	// Phase 2 (§2.3.1 Algorithm 4.1): the TEMP_S sweep over the runs of
+	// edges the subpaths cover — the O(n) non-redundant edge scan and the
+	// O(p log q) monotone-queue DP in one walk. Each run's lightest edge is
+	// a non-redundant edge, so the sweep's iteration count is r and its
+	// points are original edge indices: the cut. Find's subpaths are valid
+	// intervals over the edges, so the sweep does not re-check them.
 	dctx, sp := obs.StartSpan(ctx, "temps-dp")
-	sol, iters, err := hitting.SolveTempSCtx(dctx, hin, tr)
+	cut, _, iters, err := hitting.SolveTempSIntervals(dctx, p.EdgeW, a, b, tr)
 	obs.SetAttr(sp, "iterations", iters)
+	if err == nil {
+		obs.SetAttr(sp, "nonRedundantEdges", iters)
+	}
 	sp.End()
 	if err != nil {
 		return nil, iters, err
 	}
 	sp = obs.Phase(ctx, "build-partition")
-	// The solution's points are a fresh slice this solve owns; Orig is
-	// increasing, so mapping them in place keeps the cut sorted.
-	cut := sol.Points
-	for i, pt := range cut {
-		cut[i] = inst.Orig[pt]
-	}
 	pp, err := newPathPartition(p, cut, k)
 	sp.End()
 	return pp, iters, err

@@ -13,14 +13,20 @@ import (
 
 // FuzzBandwidthAgreement drives the paper's algorithm and the two DP
 // baselines with adversarial byte-derived instances and requires exact
-// agreement on the optimal cut weight (or identical infeasibility). Run
-// with `go test -fuzz=FuzzBandwidthAgreement ./internal/core` to explore;
-// the seed corpus runs under plain `go test`.
+// agreement on the optimal cut weight (or identical infeasibility), and
+// the paper's algorithm to return the reference pipeline's answer bit for
+// bit (checkMatchesReference). Run with
+// `go test -fuzz=FuzzBandwidthAgreement ./internal/core` to explore; the
+// seed corpus runs under plain `go test`.
 func FuzzBandwidthAgreement(f *testing.F) {
 	f.Add([]byte{10, 20, 30, 5, 5}, byte(40))
 	f.Add([]byte{1, 1, 1, 1, 1, 1, 1, 1}, byte(2))
 	f.Add([]byte{255, 0, 255, 0, 255}, byte(255))
 	f.Add([]byte{7}, byte(7))
+	// Six tasks of weight 2 and five edges of weight 5 at K = 9: the prime
+	// subpaths are edges [0,3] and [1,4], so edges 1–3 form one run of
+	// equal weights, and the first of them, edge 1, is the cut.
+	f.Add([]byte{1, 5, 1, 5, 1, 5, 1, 5, 1, 5, 1}, byte(8))
 	f.Fuzz(func(t *testing.T, raw []byte, kRaw byte) {
 		if len(raw) < 1 || len(raw) > 300 {
 			t.Skip()
@@ -59,6 +65,7 @@ func FuzzBandwidthAgreement(f *testing.F) {
 		if err := CheckPathFeasible(p, a.Cut, k); err != nil {
 			t.Fatalf("TempS cut infeasible: %v", err)
 		}
+		checkMatchesReference(t, fmt.Sprintf("nodeW=%v edgeW=%v k=%v", nodeW, edgeW, k), p, k)
 		// Small instances are additionally checked against the shared
 		// ground-truth oracle, not just for mutual agreement.
 		if p.NumEdges() <= oracle.MaxBruteEdges {

@@ -141,32 +141,65 @@ func firstBitDiff(a, b []float64) int {
 	return -1
 }
 
+// checkMatchesReference fails t unless Bandwidth on (p, k) returns
+// refPartition's answer bit for bit: cut, cut weight, bottleneck,
+// component weights and iteration count.
+func checkMatchesReference(t *testing.T, name string, p *graph.Path, k float64) {
+	t.Helper()
+	want, wantIters := refPartition(t, p, k)
+	got, iters, err := Bandwidth(ctx, p, k)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	switch {
+	case !slices.Equal(got.Cut, want.Cut):
+		t.Errorf("%s: cut %v, reference %v", name, got.Cut, want.Cut)
+	case math.Float64bits(got.CutWeight) != math.Float64bits(want.CutWeight):
+		t.Errorf("%s: cut weight %v, reference %v", name, got.CutWeight, want.CutWeight)
+	case math.Float64bits(got.Bottleneck) != math.Float64bits(want.Bottleneck):
+		t.Errorf("%s: bottleneck %v, reference %v", name, got.Bottleneck, want.Bottleneck)
+	case firstBitDiff(got.ComponentWeights, want.ComponentWeights) >= 0:
+		i := firstBitDiff(got.ComponentWeights, want.ComponentWeights)
+		t.Errorf("%s: %d component weights, reference %d; first difference at %d",
+			name, len(got.ComponentWeights), len(want.ComponentWeights), i)
+	case iters != wantIters:
+		t.Errorf("%s: %d iterations, reference %d", name, iters, wantIters)
+	}
+}
+
 // TestBandwidthMatchesReference pins Bandwidth to the reference pipeline
-// bit for bit on 2,400 seeded solves: float and 0–3 integer weights, and K
-// at 1.2, 4 and 20 × the largest task and at the weight of a window around
-// it, where ties at exactly K decide the prime subpaths.
+// (prime.Analyze's compressed instance, then refTempS) bit for bit on
+// 2,400 seeded solves: float and 0–3 integer weights, and K at 1.2, 4 and
+// 20 × the largest task and at the weight of a window around it, where ties
+// at exactly K decide the prime subpaths. The served size follows: n = 10⁴
+// paths at K = 1.2, 4 and 20 × the largest task.
 func TestBandwidthMatchesReference(t *testing.T) {
-	kinds := []struct {
+	type kind struct {
 		name string
 		w    workload.Weights
 		int  bool
-	}{
+	}
+	kinds := []kind{
 		{"float", workload.UniformWeights(0, 100), false},
 		{"int0-3", workload.UniformWeights(0, 4), true},
+	}
+	pathOf := func(r *workload.RNG, n int, kind kind) *graph.Path {
+		p := workload.RandomPath(r, n, kind.w, kind.w)
+		if kind.int {
+			for i := range p.NodeW {
+				p.NodeW[i] = math.Floor(p.NodeW[i])
+			}
+			for i := range p.EdgeW {
+				p.EdgeW[i] = math.Floor(p.EdgeW[i])
+			}
+		}
+		return p
 	}
 	solves := 0
 	for seed := uint64(0); seed < 300; seed++ {
 		for _, kind := range kinds {
 			r := workload.NewRNG(seed)
-			p := workload.RandomPath(r, 2+r.Intn(300), kind.w, kind.w)
-			if kind.int {
-				for i := range p.NodeW {
-					p.NodeW[i] = math.Floor(p.NodeW[i])
-				}
-				for i := range p.EdgeW {
-					p.EdgeW[i] = math.Floor(p.EdgeW[i])
-				}
-			}
+			p := pathOf(r, 2+r.Intn(300), kind)
 			top := 0
 			for i, w := range p.NodeW {
 				if w > p.NodeW[top] {
@@ -182,31 +215,22 @@ func TestBandwidthMatchesReference(t *testing.T) {
 				window += p.NodeW[v]
 			}
 			for _, k := range []float64{1.2 * p.NodeW[top], 4 * p.NodeW[top], 20 * p.NodeW[top], window} {
-				name := fmt.Sprintf("seed=%d/%s/n=%d/K=%v", seed, kind.name, p.Len(), k)
-				want, wantIters := refPartition(t, p, k)
-				got, iters, err := Bandwidth(ctx, p, k)
-				if err != nil {
-					t.Fatalf("%s: %v", name, err)
-				}
-				switch {
-				case !slices.Equal(got.Cut, want.Cut):
-					t.Errorf("%s: cut %v, reference %v", name, got.Cut, want.Cut)
-				case math.Float64bits(got.CutWeight) != math.Float64bits(want.CutWeight):
-					t.Errorf("%s: cut weight %v, reference %v", name, got.CutWeight, want.CutWeight)
-				case math.Float64bits(got.Bottleneck) != math.Float64bits(want.Bottleneck):
-					t.Errorf("%s: bottleneck %v, reference %v", name, got.Bottleneck, want.Bottleneck)
-				case firstBitDiff(got.ComponentWeights, want.ComponentWeights) >= 0:
-					i := firstBitDiff(got.ComponentWeights, want.ComponentWeights)
-					t.Errorf("%s: %d component weights, reference %d; first difference at %d",
-						name, len(got.ComponentWeights), len(want.ComponentWeights), i)
-				case iters != wantIters:
-					t.Errorf("%s: %d iterations, reference %d", name, iters, wantIters)
-				}
+				checkMatchesReference(t, fmt.Sprintf("seed=%d/%s/n=%d/K=%v", seed, kind.name, p.Len(), k), p, k)
 				solves++
 			}
 		}
 	}
 	if solves < 1000 {
 		t.Fatalf("%d solves, want at least 1000", solves)
+	}
+	// The served size, bin-miss-path's: n = 10⁴. The integer weights tie
+	// inside runs, where the first lightest edge must win.
+	for seed := uint64(0); seed < 2; seed++ {
+		for _, kind := range kinds {
+			p := pathOf(workload.NewRNG(seed), 10000, kind)
+			for _, f := range []float64{1.2, 4, 20} {
+				checkMatchesReference(t, fmt.Sprintf("seed=%d/%s/n=10000/K=%vx", seed, kind.name, f), p, f*p.MaxNodeWeight())
+			}
+		}
 	}
 }

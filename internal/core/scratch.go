@@ -7,9 +7,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/graph"
-	"repro/internal/hitting"
 	"repro/internal/obs"
-	"repro/internal/prime"
 )
 
 // Per-solve scratch memory. Every solver in this package works over a set of
@@ -22,15 +20,12 @@ import (
 // assembled from fresh allocations — so recycling is safe.
 
 type scratch struct {
-	// prime is the bandwidth solver's Analyze scratch (prime subpaths +
-	// compressed instance).
-	prime prime.Scratch
+	// primeA and primeB are the bandwidth solver's prime subpath endpoint
+	// columns (prime.FindInto).
+	primeA, primeB []int
 	// dp is the window-constrained prefix DP state shared by the
 	// Bandwidth{Deque,Heap,Naive} family.
 	dp dpState
-	// hin is the hitting-set instance handed to the TEMP_S sweep; it lives
-	// here so building it does not allocate per solve.
-	hin hitting.Instance
 	// deque backs the monotone deque of BandwidthDeque and the heap-ordered
 	// candidate list of BandwidthHeap (as heapBuf).
 	deque   []int

@@ -17,10 +17,18 @@
 // cut) rows. SolveNaiveDP is the paper's "naive" O(Σ|P_i|) evaluation, and
 // SolveBrute is an exponential reference for tests.
 //
-// Every solver validates the instance it is handed except SolveTempSCtx,
-// the one internal/core calls: its caller already holds a valid instance
-// (prime.Analyze builds one from a validated path), and nothing in the
-// sweep re-checks it.
+// There is one sweep, SolveTempSIntervals, and it walks runs of points
+// covered by the same intervals, taking each run's lightest point: on a
+// path's raw edges those are §2.3's non-redundant edges, so the sweep does
+// the O(n) compression as it goes, and on a compressed instance each point
+// is a run of its own. internal/core hands it a path's edge weights and
+// prime subpaths (prime.FindInto) directly; SolveTempSCtx runs it over an
+// Instance.
+//
+// Every solver validates the instance it is handed except
+// SolveTempSIntervals and SolveTempSCtx: their callers already hold valid
+// intervals (prime.FindInto's subpaths of a validated path, or an Instance
+// prime.Analyze built), and nothing in the sweep re-checks them.
 package hitting
 
 import (
@@ -28,13 +36,13 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 )
 
 // Sentinel errors.
 var (
-	// ErrBadInstance is returned by Validate for malformed instances.
+	// ErrBadInstance is returned by Validate for malformed instances, and by
+	// the sweeps for instances of more than math.MaxInt32 points.
 	ErrBadInstance = errors.New("hitting: bad instance")
 	// ErrTooLarge is returned by SolveBrute for instances beyond brute reach.
 	ErrTooLarge = errors.New("hitting: instance too large for brute force")
@@ -111,10 +119,12 @@ func (s *Solution) covers(in *Instance) bool {
 // in an arena and linked by arena index (noCut ends a list). Cuts for
 // different intervals share tails, keeping the sweep O(1) per extension,
 // and an arena of plain integers has no pointers: storing a link needs no
-// write barrier and the garbage collector never scans the arena.
+// write barrier and the garbage collector never scans the arena. Links and
+// points are int32, half the bytes of an int, which caps the sweeps at
+// math.MaxInt32 points.
 type cutNode struct {
-	point int
-	prev  int
+	point int32
+	prev  int32
 }
 
 // noCut is the empty cut: the link past a list's last node.
@@ -124,7 +134,7 @@ const noCut = -1
 // increasing order. A list runs from its largest point down (each node
 // extends the cut of an interval that ends before its point), so the
 // points are written back to front and need no sort.
-func materialize(arena []cutNode, head int) []int {
+func materialize(arena []cutNode, head int32) []int {
 	count := 0
 	for n := head; n != noCut; n = arena[n].prev {
 		count++
@@ -135,20 +145,29 @@ func materialize(arena []cutNode, head int) []int {
 	out := make([]int, count)
 	for n := head; n != noCut; n = arena[n].prev {
 		count--
-		out[count] = arena[n].point
+		out[count] = int(arena[n].point)
 	}
 	return out
+}
+
+// checkPoints refuses instances whose point indices do not fit a cutNode.
+func checkPoints(r int) error {
+	if r > math.MaxInt32 {
+		return fmt.Errorf("%d points exceed the sweep's int32 indices: %w", r, ErrBadInstance)
+	}
+	return nil
 }
 
 // Trace records the instrumentation used for the Appendix B / Figure 2(d)
 // study of TEMP_S queue behaviour.
 type Trace struct {
-	// QueueLenSum is the sum of queue lengths observed after processing each
-	// covered point; divide by Steps for the mean length.
+	// QueueLenSum is the sum of queue lengths observed after each step;
+	// divide by Steps for the mean length.
 	QueueLenSum int
 	// MaxQueueLen is the largest queue length observed.
 	MaxQueueLen int
-	// Steps is the number of covered points processed.
+	// Steps is the number of runs processed: one per point of a compressed
+	// instance, whose every point is a run of its own.
 	Steps int
 	// Collapses counts binary-search collapse operations that removed at
 	// least one row.
@@ -184,144 +203,194 @@ func SolveTempSInstrumented(in *Instance) (*Solution, *Trace, error) {
 	return sol, tr, err
 }
 
-// row is one entry of the TEMP_S queue: intervals lo..hi currently share the
-// minimum W-value w, achieved by the cut headed at arena index cut.
+// row is one entry of the TEMP_S queue: its intervals, from the one after
+// the previous row's hi (the first unfinalized interval for the queue's
+// head) to hi, currently share the minimum W-value w, achieved by the cut
+// headed at arena index cut.
 type row struct {
-	lo, hi int
-	w      float64
-	cut    int
+	w   float64
+	hi  int32
+	cut int32
 }
 
 // tempSScratch holds the sweep's working arrays. Nothing in it escapes a
-// solve (Solution materializes fresh slices), so SolveTempSCtx checks one
-// out of a package pool per call and the steady-state sweep allocates
-// nothing but the Solution itself. None of the element types holds a
-// pointer.
+// solve (the cut is materialized into a fresh slice), so the sweep checks
+// one out of a package pool per call and the steady-state sweep allocates
+// nothing but the cut itself. None of the element types holds a pointer.
 type tempSScratch struct {
 	sw    []float64
-	scut  []int
+	scut  []int32
 	arena []cutNode
 	rows  []row
 }
 
 var tempSPool = sync.Pool{New: func() any { return new(tempSScratch) }}
 
-// grab returns the four arrays sized for p intervals and r points, reusing
-// pooled capacity. The arena comes back with length 0 and capacity ≥ r: the
-// sweep appends at most one node per point, so appending never reallocates.
-func (s *tempSScratch) grab(p, r int) (sw []float64, scut []int, arena []cutNode, rows []row) {
+// grab returns the four arrays sized for p intervals and at most runs
+// runs, reusing pooled capacity. The arena comes back with length 0 and
+// capacity ≥ runs: the sweep appends one node per run, so appending never
+// reallocates.
+func (s *tempSScratch) grab(p, runs int) (sw []float64, scut []int32, arena []cutNode, rows []row) {
 	if cap(s.sw) < p {
 		s.sw = make([]float64, p)
 	}
 	if cap(s.scut) < p {
-		s.scut = make([]int, p)
+		s.scut = make([]int32, p)
 	}
 	if cap(s.rows) < p {
 		s.rows = make([]row, p)
 	}
-	if cap(s.arena) < r {
-		s.arena = make([]cutNode, 0, r)
+	if cap(s.arena) < runs {
+		s.arena = make([]cutNode, 0, runs)
 	}
 	return s.sw[:p], s.scut[:p], s.arena[:0], s.rows[:p]
 }
 
 // SolveTempSCtx is SolveTempS for a caller that already holds a valid
-// instance, such as the one prime.Analyze builds: it does not re-check in.
-// The sweep polls ctx periodically and aborts with its error once it is
-// cancelled; the second return value is the number of points it processed.
-// A non-nil tr records the queue behaviour.
+// instance: it runs SolveTempSIntervals over in's points and intervals
+// without re-checking in. On a compressed instance (prime.Analyze's) every
+// run is a single point. A non-nil tr records the queue behaviour.
 func SolveTempSCtx(ctx context.Context, in *Instance, tr *Trace) (*Solution, int64, error) {
+	points, w, iters, err := SolveTempSIntervals(ctx, in.Beta, in.A, in.B, tr)
+	if err != nil {
+		return nil, iters, err
+	}
+	return &Solution{Points: points, Weight: w}, iters, nil
+}
+
+// SolveTempSIntervals is the paper's Algorithm 4.1 over points weighted by
+// beta and the intervals [a[j], b[j]] over them, which must be a valid
+// Instance's (it does not check them). It returns the chosen points in
+// increasing order, their weight, and the number of runs it processed.
+//
+// The sweep walks runs, not points: a run is a maximal stretch of points
+// covered by the same intervals, so runs break at every a[j] and b[j]+1,
+// and uncovered gaps are skipped. Points of one run are interchangeable but
+// for weight, so each run contributes its lightest point, the first on
+// ties — the non-redundant edge of §2.3, found here in the O(n) scan rather
+// than in a compressed instance built first. The sweep polls ctx every 256
+// runs and aborts with its error once it is cancelled. A non-nil tr
+// records the queue behaviour.
+func SolveTempSIntervals(ctx context.Context, beta []float64, a, b []int, tr *Trace) (points []int, weight float64, iters int64, err error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, 0, err
+		return nil, 0, 0, err
 	}
-	var iters int64
-	p := in.NumIntervals()
+	p := len(a)
 	if p == 0 {
-		return &Solution{}, 0, nil
+		return nil, 0, 0, nil
 	}
-	r := in.NumPoints()
+	if err := checkPoints(len(beta)); err != nil {
+		return nil, 0, 0, err
+	}
 	// Working arrays from the package pool: the finalized per-interval optima
-	// (the paper's S_i weight and cut), the cut-node arena (at most one node
-	// per covered point, so a single allocation replaces r small ones — this
-	// constant factor is what the O(n + p log q) claim is sold on), and the
-	// TEMP_S queue rows[head..tail], whose W-values are sorted in increasing
-	// order from head to tail (paper §2.3.1: "the third column will always
-	// remain sorted in increasing order").
+	// (the paper's S_i weight and cut), the cut-node arena (one node per run,
+	// and there are at most 2p−1 runs, so a single allocation replaces many
+	// small ones — this constant factor is what the O(n + p log q) claim is
+	// sold on), and the TEMP_S queue rows[head..tail], whose W-values are
+	// sorted in increasing order from head to tail (paper §2.3.1: "the third
+	// column will always remain sorted in increasing order").
 	scratch := tempSPool.Get().(*tempSScratch)
 	defer tempSPool.Put(scratch)
-	sw, scut, arena, rows := scratch.grab(p, r)
+	sw, scut, arena, rows := scratch.grab(p, min(2*p-1, len(beta)))
 	head, tail := 0, -1
-	nextStart := 0
-	for e := 0; e < r; e++ {
-		// The sweep is the algorithm's main loop; poll for cancellation
-		// every 256 points so huge instances stay responsive.
-		iters++
-		if iters&255 == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, iters, err
-			}
-		}
+	closed := 0 // the first interval not yet finalized
+	next := 0   // the next interval to admit
+	e := 0      // the first point of the current run
+	for {
 		// Finalize intervals whose last point precedes e. Their minimum is
-		// settled; at most one per step for compressed instances, but the
-		// loop is safe for any valid instance.
-		for head <= tail && in.B[rows[head].lo] < e {
-			j := rows[head].lo
-			sw[j], scut[j] = rows[head].w, rows[head].cut
-			rows[head].lo++
-			if rows[head].lo > rows[head].hi {
+		// settled; at most one per step for a valid instance, whose runs
+		// break after every interval's last point.
+		for closed < next && b[closed] < e {
+			sw[closed], scut[closed] = rows[head].w, rows[head].cut
+			closed++
+			if int(rows[head].hi) < closed {
 				head++
 			}
 		}
-		// Determine gamma(e) = first covering interval − 1. Active queue
-		// intervals all contain e; if the queue is empty the point is only
-		// covered if a new interval starts exactly here.
-		starts := nextStart < p && in.A[nextStart] == e
-		var gamma int
-		switch {
-		case head <= tail:
-			gamma = rows[head].lo - 1
-		case starts:
-			gamma = nextStart - 1
-		default:
-			continue // point covered by no interval; never useful
+		// The queue holds the intervals closed..next-1. The first of them,
+		// or with an empty queue the next to start, ends first; with an empty
+		// queue the run starts at the next interval, skipping the uncovered
+		// gap. gamma(e), the last interval not covering the run, is closed−1.
+		if closed == next {
+			if next == p {
+				return materialize(arena, scut[p-1]), sw[p-1], iters, nil
+			}
+			e = max(e, a[next])
 		}
-		prevW, prevCut := 0.0, noCut
-		if gamma >= 0 {
-			prevW, prevCut = sw[gamma], scut[gamma]
+		starts := next < p && a[next] == e
+		// The run ends before the first interval's end or the next start.
+		n := next // the next interval to start after e
+		if starts {
+			n++
 		}
-		w := in.Beta[e] + prevW
-		cut := len(arena)
-		arena = append(arena, cutNode{point: e, prev: prevCut})
+		end := b[closed] + 1
+		if n < p && a[n] < end {
+			end = a[n]
+		}
+		if end <= e {
+			// An interval was skipped or is empty: impossible for a valid
+			// instance, but guard rather than loop or return a wrong answer.
+			return nil, 0, iters, fmt.Errorf("intervals out of order at point %d: %w", e, ErrBadInstance)
+		}
+		// The sweep is the algorithm's main loop; poll for cancellation
+		// every 256 runs so huge instances stay responsive.
+		iters++
+		if iters&255 == 0 {
+			if err := ctx.Err(); err != nil {
+				return nil, 0, iters, err
+			}
+		}
+		best, bw := e, beta[e] // the run's lightest point, the first on ties
+		for i, v := range beta[e+1 : end] {
+			if v < bw {
+				best, bw = e+1+i, v
+			}
+		}
+		e = end
+		prevW, prevCut := 0.0, int32(noCut)
+		if closed > 0 {
+			prevW, prevCut = sw[closed-1], scut[closed-1]
+		}
+		w := bw + prevW
+		cut := int32(len(arena))
+		arena = append(arena, cutNode{point: int32(best), prev: prevCut})
 		// Collapse: all rows with W-value >= w now share minimum w achieved
-		// by e. Binary search for the first such row (paper step 2a), then
-		// merge the suffix in O(1) by index arithmetic.
-		s := head + sort.Search(tail-head+1, func(i int) bool {
-			return rows[head+i].w >= w
-		})
-		if s <= tail {
-			rows[s] = row{lo: rows[s].lo, hi: rows[tail].hi, w: w, cut: cut}
-			tail = s
+		// by best. Unless the bottom row is lighter, binary search for the
+		// first such row (paper step 2a), then merge the suffix in O(1) by
+		// index arithmetic.
+		if head <= tail && rows[tail].w >= w {
+			lo, hi := head, tail
+			for lo < hi {
+				m := int(uint(lo+hi) >> 1)
+				if rows[m].w < w {
+					lo = m + 1
+				} else {
+					hi = m
+				}
+			}
+			rows[lo] = row{w: w, hi: rows[tail].hi, cut: cut}
+			tail = lo
 			if tr != nil {
 				tr.Collapses++
 			}
 		}
-		// Admit an interval starting at this point. Its only processed point
-		// is e, so its current minimum is exactly w.
+		// Admit an interval starting at this run. Its only processed point
+		// is best, so its current minimum is exactly w.
 		if starts {
 			if head <= tail && rows[tail].w == w {
 				// The bottom row's minimum is already w and its cut contains
-				// e (the collapse above just installed it), so the new
+				// best (the collapse above just installed it), so the new
 				// interval joins that row (paper: "increase the value of R
 				// column BOTTOM row by one").
-				rows[tail].hi = nextStart
+				rows[tail].hi = int32(next)
 			} else {
 				tail++
-				rows[tail] = row{lo: nextStart, hi: nextStart, w: w, cut: cut}
+				rows[tail] = row{w: w, hi: int32(next), cut: cut}
 			}
-			nextStart++
+			next++
 		}
 		if tr != nil {
 			tr.Steps++
@@ -333,20 +402,6 @@ func SolveTempSCtx(ctx context.Context, in *Instance, tr *Trace) (*Solution, int
 			}
 		}
 	}
-	if nextStart < p {
-		// Some interval's first point was never visited; impossible for a
-		// valid instance, but guard rather than return a wrong answer.
-		return nil, iters, fmt.Errorf("interval %d starting at %d never admitted: %w",
-			nextStart, in.A[nextStart], ErrBadInstance)
-	}
-	// Finalize the intervals still in the queue (they end at the last points).
-	for head <= tail {
-		for j := rows[head].lo; j <= rows[head].hi; j++ {
-			sw[j], scut[j] = rows[head].w, rows[head].cut
-		}
-		head++
-	}
-	return &Solution{Points: materialize(arena, scut[p-1]), Weight: sw[p-1]}, iters, nil
 }
 
 // SolveNaiveDP evaluates the paper's recurrence directly, scanning every
@@ -362,6 +417,9 @@ func SolveNaiveDP(in *Instance) (*Solution, error) {
 		return &Solution{}, nil
 	}
 	r := in.NumPoints()
+	if err := checkPoints(r); err != nil {
+		return nil, err
+	}
 	// first[e] = first interval containing point e, or -1.
 	first := make([]int, r)
 	for e := range first {
@@ -373,14 +431,14 @@ func SolveNaiveDP(in *Instance) (*Solution, error) {
 		}
 	}
 	sw := make([]float64, p)
-	scut := make([]int, p)
+	scut := make([]int32, p)
 	arena := make([]cutNode, 0, p)
 	for j := 0; j < p; j++ {
 		best := math.Inf(1)
-		bestE, bestPrev := -1, noCut
+		bestE, bestPrev := -1, int32(noCut)
 		for e := in.A[j]; e <= in.B[j]; e++ {
 			gamma := first[e] - 1
-			prevW, prevCut := 0.0, noCut
+			prevW, prevCut := 0.0, int32(noCut)
 			if gamma >= 0 {
 				prevW, prevCut = sw[gamma], scut[gamma]
 			}
@@ -388,8 +446,8 @@ func SolveNaiveDP(in *Instance) (*Solution, error) {
 				best, bestE, bestPrev = w, e, prevCut
 			}
 		}
-		sw[j], scut[j] = best, len(arena)
-		arena = append(arena, cutNode{point: bestE, prev: bestPrev})
+		sw[j], scut[j] = best, int32(len(arena))
+		arena = append(arena, cutNode{point: int32(bestE), prev: bestPrev})
 	}
 	return &Solution{Points: materialize(arena, scut[p-1]), Weight: sw[p-1]}, nil
 }

@@ -1,6 +1,7 @@
 package hitting
 
 import (
+	"context"
 	"errors"
 	"math"
 	"reflect"
@@ -347,10 +348,10 @@ func hasPointers(t reflect.Type) bool {
 }
 
 // TestTempSScratchHoldsNoPointers: every array of the sweep's pooled
-// scratch (and of the search variants' fork in variants_test.go, which
-// uses the same element types)
-// has a pointer-free element type, so filling it needs no write barriers
-// and the garbage collector never scans it.
+// scratch (the int32 queue rows and arena links, and the search variants'
+// fork in variants_test.go, which uses the same element types) has a
+// pointer-free element type, so filling it needs no write barriers and
+// the garbage collector never scans it.
 func TestTempSScratchHoldsNoPointers(t *testing.T) {
 	for _, c := range []struct {
 		v    any
@@ -374,6 +375,74 @@ func TestTempSScratchHoldsNoPointers(t *testing.T) {
 		}
 		if hasPointers(f.Type.Elem()) {
 			t.Errorf("tempSScratch.%s holds %s, which has pointers", f.Name, f.Type.Elem())
+		}
+	}
+}
+
+// TestTempSWalksRuns: on a raw instance the sweep takes one step per run,
+// a maximal stretch of points covered by the same intervals, and picks the
+// run's first lightest point; uncovered points take no step.
+func TestTempSWalksRuns(t *testing.T) {
+	// Intervals [1,4] and [3,6] over 8 points: runs {1,2}, {3,4}, {5,6};
+	// points 0 and 7 are uncovered. Points 3 and 4 tie at the minimum.
+	in := &Instance{Beta: []float64{0, 4, 4, 1, 1, 4, 4, 0}, A: []int{1, 3}, B: []int{4, 6}}
+	sol, tr, err := SolveTempSInstrumented(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(sol.Points, []int{3}) || sol.Weight != 1 {
+		t.Errorf("solution %v of weight %v, want [3] of weight 1", sol.Points, sol.Weight)
+	}
+	if tr.Steps != 3 {
+		t.Errorf("%d steps, want 3 (one per run)", tr.Steps)
+	}
+	if _, iters, _ := SolveTempSCtx(context.Background(), in, nil); iters != 3 {
+		t.Errorf("%d iterations, want 3", iters)
+	}
+}
+
+// TestTempSRunsMatchCompressed: on path instances the sweep over the raw
+// edges and the prime subpaths takes the same steps as over the compressed
+// instance, one per non-redundant edge, and returns the same cut (mapped
+// through Orig), the same weight bits and the same queue trace.
+func TestTempSRunsMatchCompressed(t *testing.T) {
+	r := workload.NewRNG(909)
+	for trial := 0; trial < 300; trial++ {
+		n := 2 + r.Intn(400)
+		nodeW := make([]float64, n)
+		edgeW := make([]float64, n-1)
+		for i := range nodeW {
+			nodeW[i] = float64(1 + r.Intn(20))
+		}
+		for i := range edgeW {
+			// Few distinct weights, so runs hold ties.
+			edgeW[i] = float64(r.Intn(4))
+		}
+		k := float64(20 + r.Intn(100))
+		inst, ivs, err := prime.Analyze(nodeW, edgeW, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, b := make([]int, len(ivs)), make([]int, len(ivs))
+		for j, iv := range ivs {
+			a[j], b[j] = iv.A, iv.B
+		}
+		var rawTr, compTr Trace
+		points, w, iters, err := SolveTempSIntervals(context.Background(), edgeW, a, b, &rawTr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		comp, compIters, err := SolveTempSCtx(context.Background(), &Instance{Beta: inst.Beta, A: inst.A, B: inst.B}, &compTr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, pt := range comp.Points {
+			comp.Points[i] = inst.Orig[pt]
+		}
+		if !reflect.DeepEqual(points, comp.Points) || math.Float64bits(w) != math.Float64bits(comp.Weight) ||
+			iters != compIters || iters != int64(inst.NumEdges()) || rawTr != compTr {
+			t.Fatalf("n=%d k=%v: raw %v (%v, %d iterations, %+v), compressed %v (%v, %d, %+v), r = %d",
+				n, k, points, w, iters, rawTr, comp.Points, comp.Weight, compIters, compTr, inst.NumEdges())
 		}
 	}
 }

@@ -98,7 +98,8 @@ func popSearch(rows []row, head, tail int, w float64) int {
 	return s
 }
 
-// solveTempSSearch is SolveTempSCtx with a pluggable collapse search. It
+// solveTempSSearch is SolveTempSCtx, point by point as it walks a
+// compressed instance, with a pluggable collapse search. It
 // duplicates the sweep rather than threading the search through the hot
 // loop of the production solver. Both ways of merging the two were measured
 // (BenchmarkTempSSearchVariants/*/binary, n = 200,000, -cpu 1, median of 6
@@ -117,59 +118,52 @@ func solveTempSSearch(in *Instance, search searchFunc) (*Solution, error) {
 	}
 	r := in.NumPoints()
 	sw := make([]float64, p)
-	scut := make([]int, p)
+	scut := make([]int32, p)
 	arena := make([]cutNode, 0, r)
 	rows := make([]row, p)
 	head, tail := 0, -1
-	nextStart := 0
+	closed, next := 0, 0
 	for e := 0; e < r; e++ {
-		for head <= tail && in.B[rows[head].lo] < e {
-			j := rows[head].lo
-			sw[j], scut[j] = rows[head].w, rows[head].cut
-			rows[head].lo++
-			if rows[head].lo > rows[head].hi {
+		for closed < next && in.B[closed] < e {
+			sw[closed], scut[closed] = rows[head].w, rows[head].cut
+			closed++
+			if int(rows[head].hi) < closed {
 				head++
 			}
 		}
-		starts := nextStart < p && in.A[nextStart] == e
-		var gamma int
-		switch {
-		case head <= tail:
-			gamma = rows[head].lo - 1
-		case starts:
-			gamma = nextStart - 1
-		default:
+		starts := next < p && in.A[next] == e
+		if closed == next && !starts {
 			continue
 		}
-		prevW, prevCut := 0.0, noCut
-		if gamma >= 0 {
-			prevW, prevCut = sw[gamma], scut[gamma]
+		prevW, prevCut := 0.0, int32(noCut)
+		if closed > 0 {
+			prevW, prevCut = sw[closed-1], scut[closed-1]
 		}
 		w := in.Beta[e] + prevW
-		cut := len(arena)
-		arena = append(arena, cutNode{point: e, prev: prevCut})
+		cut := int32(len(arena))
+		arena = append(arena, cutNode{point: int32(e), prev: prevCut})
 		if s := search(rows, head, tail, w); s <= tail {
-			rows[s] = row{lo: rows[s].lo, hi: rows[tail].hi, w: w, cut: cut}
+			rows[s] = row{w: w, hi: rows[tail].hi, cut: cut}
 			tail = s
 		}
 		if starts {
 			if head <= tail && rows[tail].w == w {
-				rows[tail].hi = nextStart
+				rows[tail].hi = int32(next)
 			} else {
 				tail++
-				rows[tail] = row{lo: nextStart, hi: nextStart, w: w, cut: cut}
+				rows[tail] = row{w: w, hi: int32(next), cut: cut}
 			}
-			nextStart++
+			next++
 		}
 	}
-	if nextStart < p {
+	if next < p {
 		return nil, ErrBadInstance
 	}
-	for head <= tail {
-		for j := rows[head].lo; j <= rows[head].hi; j++ {
-			sw[j], scut[j] = rows[head].w, rows[head].cut
+	for ; closed < p; closed++ {
+		if int(rows[head].hi) < closed {
+			head++
 		}
-		head++
+		sw[closed], scut[closed] = rows[head].w, rows[head].cut
 	}
 	return &Solution{Points: materialize(arena, scut[p-1]), Weight: sw[p-1]}, nil
 }

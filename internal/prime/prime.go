@@ -17,6 +17,13 @@
 // one vertex wider on the left is the prime subpath ending at r, final when
 // appended. Compress walks the runs between consecutive subpath endpoints
 // (coverage changes only there) and keeps each run's lightest edge.
+//
+// The bandwidth solver uses only the first half: it takes FindInto's
+// endpoint columns and hands them, with the raw edge weights, to the TEMP_S
+// sweep (hitting.SolveTempSIntervals), which walks the same runs and picks
+// the same edges without building an Instance. Analyze, Compress and the
+// Instance statistics serve Figure 2, the bandwidth certificate and the
+// benchmarks.
 package prime
 
 import (
@@ -44,21 +51,26 @@ type Interval struct {
 // is lo−1..r, and it is prime exactly when lo had to move for r. It returns
 // ErrVertexTooHeavy if some single vertex already exceeds K.
 func Find(nodeW []float64, k float64) ([]Interval, error) {
-	ivs, err := findInto(nil, nodeW, k)
+	var s Scratch
+	ivs, err := s.find(nodeW, k)
 	if len(ivs) == 0 {
 		return nil, err
 	}
 	return ivs, nil
 }
 
-// findInto is Find appending into dst[:0], reusing its capacity. There are
-// at most n−1 prime subpaths (one per right end r ≥ 1), so the result is
-// sized once up front.
-func findInto(dst []Interval, nodeW []float64, k float64) ([]Interval, error) {
+// FindInto is Find writing the subpaths as columns: subpath j is the edge
+// range [a[j], b[j]]. It appends into a[:0] and b[:0], reusing their
+// capacity, so a caller that keeps the columns between calls (the
+// bandwidth solver's pooled scratch) allocates nothing once they have
+// grown. There are at most n−1 prime subpaths (one per right end r ≥ 1),
+// so the columns are sized once up front.
+func FindInto(a, b []int, nodeW []float64, k float64) ([]int, []int, error) {
 	if math.IsNaN(k) {
-		return nil, fmt.Errorf("prime: K=%v is not a number", k)
+		return nil, nil, fmt.Errorf("prime: K=%v is not a number", k)
 	}
-	out := slices.Grow(dst[:0], max(len(nodeW)-1, 0))
+	a = slices.Grow(a[:0], max(len(nodeW)-1, 0))
+	b = slices.Grow(b[:0], max(len(nodeW)-1, 0))
 	lo := 0
 	var sum float64
 	for r, w := range nodeW {
@@ -68,16 +80,17 @@ func findInto(dst []Interval, nodeW []float64, k float64) ([]Interval, error) {
 		}
 		for sum > k {
 			if lo == r {
-				return nil, fmt.Errorf("vertex %d weight %v > K=%v: %w", r, w, k, ErrVertexTooHeavy)
+				return nil, nil, fmt.Errorf("vertex %d weight %v > K=%v: %w", r, w, k, ErrVertexTooHeavy)
 			}
 			sum -= nodeW[lo]
 			lo++
 		}
 		// lo moved, so lo−1..r is critical while lo..r and lo−1..r−1 (inside
 		// the window kept for r−1) are not: it is prime, and final.
-		out = append(out, Interval{A: lo - 1, B: r - 1})
+		a = append(a, lo-1)
+		b = append(b, r-1)
 	}
-	return out, nil
+	return a, b, nil
 }
 
 // Instance is the compressed bandwidth-minimization instance: the
@@ -130,6 +143,11 @@ func (in *Instance) MaxCoverage() int {
 // the prime subpaths returned by Find. Edges covered by no prime subpath are
 // dropped; among consecutive edges covered by exactly the same prime
 // subpaths, only a lightest one is kept. Runs in O(n + p) time.
+//
+// The bandwidth solver does not build this instance: its TEMP_S sweep
+// (hitting.SolveTempSIntervals) walks the same runs over the original edges
+// and picks the same edge of each. Figure 2's statistics, the bandwidth
+// certificate's packing bound and the compression ablation read it.
 func Compress(edgeW []float64, ivs []Interval) *Instance {
 	return compressInto(&Instance{}, edgeW, ivs)
 }
@@ -186,23 +204,36 @@ func Analyze(nodeW, edgeW []float64, k float64) (*Instance, []Interval, error) {
 	return s.Analyze(nodeW, edgeW, k)
 }
 
-// Scratch holds the working arrays of Analyze so repeated solves reuse them
-// instead of reallocating — the bandwidth solver's per-solve scratch
-// (internal/core pools one per solve). The Instance and Interval slices
-// returned by Scratch.Analyze alias the scratch and are invalidated by the
-// next Analyze call on the same Scratch.
+// Scratch holds the working arrays of Analyze so repeated analyses reuse
+// them instead of reallocating. The Instance and Interval slices returned
+// by Scratch.Analyze alias the scratch and are invalidated by the next
+// Analyze call on the same Scratch.
 type Scratch struct {
+	a, b []int
 	ivs  []Interval
 	inst Instance
 }
 
+// find is Find into s's arrays: FindInto's columns, zipped into intervals.
+func (s *Scratch) find(nodeW []float64, k float64) ([]Interval, error) {
+	a, b, err := FindInto(s.a, s.b, nodeW, k)
+	if err != nil {
+		return nil, err
+	}
+	s.a, s.b = a, b
+	s.ivs = slices.Grow(s.ivs[:0], len(a))
+	for j := range a {
+		s.ivs = append(s.ivs, Interval{A: a[j], B: b[j]})
+	}
+	return s.ivs, nil
+}
+
 // Analyze is the package-level Analyze writing into s's reusable arrays.
 func (s *Scratch) Analyze(nodeW, edgeW []float64, k float64) (*Instance, []Interval, error) {
-	ivs, err := findInto(s.ivs, nodeW, k)
+	ivs, err := s.find(nodeW, k)
 	if err != nil {
 		return nil, nil, err
 	}
-	s.ivs = ivs
 	return compressInto(&s.inst, edgeW, ivs), ivs, nil
 }
 
