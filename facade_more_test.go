@@ -1,11 +1,13 @@
 package repro_test
 
 import (
+	"errors"
 	"math"
 	"reflect"
 	"testing"
 
 	"repro"
+	"repro/internal/graph"
 	"repro/internal/graph/graphtest"
 )
 
@@ -115,6 +117,29 @@ func TestFacadeMalformedPaths(t *testing.T) {
 					t.Errorf("err = %v, want a graph validation error", err)
 				}
 			})
+		}
+	}
+}
+
+// TestTreeEntriesRejectNonTrees: CheckTreeFeasible and EvaluateTree take a
+// caller's tree, so they refuse n−1 in-range edges that do not form a tree
+// (a triangle beside an isolated vertex, a path to a detached triangle)
+// instead of labelling its components on a rooted view it does not have.
+func TestTreeEntriesRejectNonTrees(t *testing.T) {
+	m := &repro.Machine{Processors: 8, Speed: 1, BusBandwidth: 1}
+	for name, edges := range map[string][]repro.Edge{
+		"triangle+isolated": {{U: 0, V: 1, W: 1}, {U: 1, V: 2, W: 1}, {U: 2, V: 0, W: 1}},
+		"edge+triangle":     {{U: 0, V: 1, W: 1}, {U: 2, V: 3, W: 1}, {U: 3, V: 4, W: 1}, {U: 4, V: 2, W: 1}},
+	} {
+		tr := &repro.Tree{NodeW: make([]float64, len(edges)+1), Edges: edges}
+		for i := range tr.NodeW {
+			tr.NodeW[i] = 1
+		}
+		if err := repro.CheckTreeFeasible(tr, []int{0}, 100); !errors.Is(err, graph.ErrNotTree) {
+			t.Errorf("%s: CheckTreeFeasible = %v, want ErrNotTree", name, err)
+		}
+		if _, err := repro.EvaluateTree(m, tr, []int{0}); !errors.Is(err, graph.ErrNotTree) {
+			t.Errorf("%s: EvaluateTree = %v, want ErrNotTree", name, err)
 		}
 	}
 }

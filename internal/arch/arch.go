@@ -142,9 +142,14 @@ func EvaluatePath(m *Machine, p *graph.Path, cut []int) (*Metrics, error) {
 	return buildMetrics(m, ws, total, perProc), nil
 }
 
-// EvaluateTree computes Metrics for a tree partition.
+// EvaluateTree computes Metrics for a tree partition. It checks t first (a
+// frozen tree passes at once), since its components are labelled on t's
+// rooted view.
 func EvaluateTree(m *Machine, t *graph.Tree, cut []int) (*Metrics, error) {
 	if err := m.Validate(); err != nil {
+		return nil, err
+	}
+	if err := t.Validate(); err != nil {
 		return nil, err
 	}
 	comps, err := t.Components(cut)

@@ -18,17 +18,12 @@ import (
 // prefix length. Bottleneck finds the shortest feasible prefix from the other
 // end: it starts from the all-cut forest and un-cuts edges from heaviest to
 // lightest with a union-find, and the first union that would exceed K marks
-// the last edge the prefix needs. The edges are never sorted as a whole. Two
-// counting passes spread them over about 2m buckets keyed by their weight
-// bits (graph.EdgeBuckets), and the sweep orders a bucket only when it
-// reaches it, so the edges below the stopping point stay unsorted. The
-// ordering is expected O(m) when the weights spread over the buckets and
-// O(m log m) in the worst case, all weights in one bucket; the union-find
-// adds O(m α(n)). A frozen tree, the kind the serving layer shares, keeps
-// its edges sorted once (graph.Tree.SortedEdges), and its sweep reads that
-// order as one sorted bucket. BottleneckGreedy grows the prefix one edge at
-// a time exactly as the paper states (O(n²) with per-step feasibility
-// checks) over the same order with every bucket sorted up front.
+// the last edge the prefix needs. The weight order comes from
+// graph.Tree.SortedEdges: expected O(m) when the weights spread over its
+// buckets and O(m log m) in the worst case; a frozen tree, the kind the
+// serving layer shares, builds it once. The union-find adds O(m α(n)).
+// BottleneckGreedy grows the prefix one edge at a time exactly as the paper
+// states (O(n²) with per-step feasibility checks) over the same order.
 
 // prefixFeasible reports whether cutting the first cnt edges of order leaves
 // all components of t within the bound k. O(n α(n)) per call over sc's pooled
@@ -97,38 +92,31 @@ func ufFind(parent []int, x int) int {
 
 // shortestFeasiblePrefix returns the length of the shortest prefix of the
 // weight order whose removal leaves every component of t within k, given
-// that each vertex alone fits. bk holds the edges bucketed; each bucket is
-// sorted when the sweep reaches it, so on return bk.Order[:cnt] is the
-// prefix as a set (the buckets below the stopping point unsorted) and every
-// position from cnt on is in sorted order. A frozen tree's order comes as
-// one bucket already sorted. The sweep starts from the all-cut
-// forest and un-cuts the edges from the back, so after position i the forest
-// is t minus the first i edges. The first union that would exceed k, at
-// position i, shows that cutting the first i edges is infeasible, and with
-// it every shorter prefix, while cutting the first i+1 was feasible. One tick
-// per edge visited.
-func shortestFeasiblePrefix(t *graph.Tree, bk *graph.EdgeBuckets, k float64, tk *ticker, sc *scratch) (int, error) {
+// that each vertex alone fits. The sweep starts from the all-cut forest and
+// un-cuts the edges from the back, so after position i the forest is t
+// minus the first i edges. The first union that would exceed k, at position
+// i, shows that cutting the first i edges is infeasible, and with it every
+// shorter prefix, while cutting the first i+1 was feasible. One tick per
+// edge visited.
+func shortestFeasiblePrefix(t *graph.Tree, order []int32, k float64, tk *ticker, sc *scratch) (int, error) {
 	parent, weight := sc.resetForest(t)
-	for b := bk.Len() - 1; b >= 0; b-- {
-		bucket := bk.Sort(b, t.Edges)
-		for j := len(bucket) - 1; j >= 0; j-- {
-			if err := tk.tick(); err != nil {
-				return 0, err
-			}
-			e := t.Edges[bucket[j]]
-			// Distinct roots: the edges of a tree never close a cycle.
-			ru, rv := ufFind(parent, e.U), ufFind(parent, e.V)
-			w := weight[ru] + weight[rv]
-			if w > k {
-				return bk.Start(b) + j + 1, nil
-			}
-			if parent[ru] > parent[rv] {
-				ru, rv = rv, ru
-			}
-			parent[ru] += parent[rv]
-			parent[rv] = ru
-			weight[ru] = w
+	for i := len(order) - 1; i >= 0; i-- {
+		if err := tk.tick(); err != nil {
+			return 0, err
 		}
+		e := t.Edges[order[i]]
+		// Distinct roots: the edges of a tree never close a cycle.
+		ru, rv := ufFind(parent, e.U), ufFind(parent, e.V)
+		w := weight[ru] + weight[rv]
+		if w > k {
+			return i + 1, nil
+		}
+		if parent[ru] > parent[rv] {
+			ru, rv = rv, ru
+		}
+		parent[ru] += parent[rv]
+		parent[rv] = ru
+		weight[ru] = w
 	}
 	return 0, nil
 }
@@ -160,11 +148,9 @@ func prefixCut(order []int32, cnt int, sc *scratch) []int {
 }
 
 // Bottleneck solves bottleneck minimization with one reverse union-find
-// sweep over the weight-bucketed edges, each bucket sorted as the sweep
-// reaches it: expected O(n α(n)), O(n log n) in the worst case. A frozen
-// tree's sweep reads its cached weight order instead. The returned
-// cut is the paper's output — the shortest feasible prefix of the
-// weight-sorted edge list.
+// sweep over the weight-sorted edges: expected O(n α(n)), O(n log n) in the
+// worst case. The returned cut is the paper's output — the shortest
+// feasible prefix of the weight-sorted edge list.
 func Bottleneck(ctx context.Context, t *graph.Tree, k float64) (*TreePartition, int64, error) {
 	return bottleneck(ctx, t, k, true)
 }
@@ -202,22 +188,8 @@ func bottleneckCut(ctx context.Context, t *graph.Tree, k float64, sweep bool, sc
 	if t.MaxNodeWeight() > k {
 		return nil, 0, fmt.Errorf("max vertex weight %v > K=%v: %w", t.MaxNodeWeight(), k, ErrInfeasible)
 	}
-	// A frozen tree's cached order is one sorted bucket. Otherwise the
-	// sweep sorts each bucket when it reaches it, and the greedy probes
-	// prefixes of the full order.
 	sp := obs.Phase(ctx, "edge-sort")
-	bk := &sc.edges
-	var cached graph.EdgeBuckets
-	if t.Frozen() {
-		cached = graph.SortedBucket(t.SortedEdges())
-		bk = &cached
-	} else {
-		bk.Fill(t.Edges)
-	}
-	if !sweep {
-		bk.SortAll(t.Edges)
-	}
-	order := bk.Order
+	order := t.SortedEdges(&sc.edges)
 	obs.SetAttr(sp, "edges", len(order))
 	sp.End()
 	// One span for the whole feasibility sweep in both modes: a span per
@@ -226,7 +198,7 @@ func bottleneckCut(ctx context.Context, t *graph.Tree, k float64, sweep bool, sc
 	ss := obs.Phase(ctx, "feasibility-sweep")
 	var cnt int
 	if sweep {
-		cnt, err = shortestFeasiblePrefix(t, bk, k, tk, sc)
+		cnt, err = shortestFeasiblePrefix(t, order, k, tk, sc)
 		if err != nil {
 			ss.End()
 			return nil, tk.n, err

@@ -177,8 +177,8 @@ func TestBottleneckCutIsSortedPrefixOfWeights(t *testing.T) {
 }
 
 // TestBottleneckFrozenMatchesUnfrozen: a frozen tree's sweep reads its
-// cached edge order as one sorted bucket, an unfrozen tree's sorts its
-// buckets as it reaches them, and both answer alike: the same partition,
+// cached edge order and rooted view, an unfrozen tree's builds them per
+// call, and both answer alike: the same partition,
 // every weight bit and the same iteration count, or the same error, on
 // 4,000 seeded trees, half with float and half with tie-heavy integer
 // weights 0–3, at 6 K each.
@@ -243,23 +243,22 @@ func TestSortedEdgeOrderMatchesStable(t *testing.T) {
 			}
 			sort.SliceStable(want, func(a, b int) bool { return ws[want[a]] < ws[want[b]] })
 			var bk graph.EdgeBuckets
-			bk.Fill(tr.Edges)
-			bk.SortAll(tr.Edges)
-			if !slices.Equal(bk.Order, want) {
-				t.Fatalf("bucketed order %v, stable sort %v", bk.Order, want)
+			if got := tr.SortedEdges(&bk); !slices.Equal(got, want) {
+				t.Fatalf("bucketed order %v, stable sort %v", got, want)
 			}
 			tr.Freeze()
-			if got := tr.SortedEdges(); !slices.Equal(got, want) {
+			if got := tr.SortedEdges(nil); !slices.Equal(got, want) {
 				t.Fatalf("frozen order %v, stable sort %v", got, want)
 			}
 		})
 	}
 }
 
-// oneBucketTree is the bucketed sweep's worst case: a random tree whose n−2
-// lighter edges carry distinct weights 1 + i·2⁻⁴⁰ in shuffled order, which a
-// single edge of weight MaxFloat64 packs into one weight bucket, so the
-// sweep must sort one bucket of every edge but one.
+// oneBucketTree is the bucketed edge order's worst case: a random tree
+// whose n−2 lighter edges carry distinct weights 1 + i·2⁻⁴⁰ in shuffled
+// order, which a single edge of weight MaxFloat64 packs into one weight
+// bucket (graph's TestEdgeBucketsWorstCases checks the packing), so the
+// order must sort one bucket of every edge but one.
 func oneBucketTree(r *workload.RNG, n int) *graph.Tree {
 	tr := workload.RandomTree(r, n, workload.UniformWeights(1, 100), workload.UniformWeights(1, 100))
 	for i, j := range r.Perm(len(tr.Edges)) {
@@ -269,9 +268,10 @@ func oneBucketTree(r *workload.RNG, n int) *graph.Tree {
 	return tr
 }
 
-// TestBottleneckBucketWorstCases runs the sweep where its buckets do not
-// spread the edges: distinct weights packed into one bucket by a far
-// outlier, and all-equal weights. The cut must equal the paper greedy's.
+// TestBottleneckBucketWorstCases runs the sweep where the edge order's
+// buckets do not spread the edges: distinct weights packed into one bucket
+// by a far outlier, and all-equal weights. The cut must equal the paper
+// greedy's.
 func TestBottleneckBucketWorstCases(t *testing.T) {
 	r := workload.NewRNG(2026)
 	for trial := 0; trial < 20; trial++ {
@@ -282,15 +282,6 @@ func TestBottleneckBucketWorstCases(t *testing.T) {
 			equal.Edges[i].W = 7
 		}
 		for name, tr := range map[string]*graph.Tree{"one bucket": packed, "all equal": equal} {
-			var bk graph.EdgeBuckets
-			bk.Fill(tr.Edges)
-			widest := 0
-			for b := range bk.Len() {
-				widest = max(widest, bk.Start(b+1)-bk.Start(b))
-			}
-			if widest < tr.NumEdges()-1 {
-				t.Fatalf("%s: widest bucket holds %d of %d edges, want all but one at most", name, widest, tr.NumEdges())
-			}
 			for _, f := range []float64{1, 2, 5, 20} {
 				k := f * tr.MaxNodeWeight()
 				a, _, err := Bottleneck(ctx, tr, k)

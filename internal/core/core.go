@@ -124,7 +124,7 @@ func treePartition(t *graph.Tree, cut []int, ws []float64, k float64) (*Partitio
 func CheckPathFeasible(p *graph.Path, cut []int, k float64) error { return checkFeasible(p, cut, k) }
 
 // CheckTreeFeasible verifies that cut satisfies the execution-time bound on
-// t.
+// t, which must be a valid tree.
 func CheckTreeFeasible(t *graph.Tree, cut []int, k float64) error { return checkFeasible(t, cut, k) }
 
 // checkFeasible is CheckPathFeasible and CheckTreeFeasible on either graph.

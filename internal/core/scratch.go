@@ -30,7 +30,8 @@ type scratch struct {
 	// candidate list of BandwidthHeap (as heapBuf).
 	deque   []int
 	heapBuf minHeap
-	// edges is the bottleneck's weight-bucketed edge permutation.
+	// edges is the bottleneck's weight-sorted edge order on an unfrozen
+	// tree (graph.Tree.SortedEdges).
 	edges graph.EdgeBuckets
 	// parentV is the bottleneck's union-find parent, and res the residual
 	// loads of the procmin sweep and the max–min probes.

@@ -80,13 +80,15 @@ func (s *treeSolver) Solve(ctx context.Context, req Request) (Result, error) {
 	return instrumented(ctx, s.name, req.Options, func(ctx context.Context) (Result, int64, error) {
 		// The request graph is checked here, once, as in pathSolver. A path
 		// is checked before AsTree views it as a tree, which is then a tree
-		// by construction.
+		// by construction. The view is frozen, so the solver and its answer
+		// share one rooted view and edge order.
 		t := req.Tree
 		if t == nil {
 			if err := req.Path.Validate(); err != nil {
 				return Result{}, 0, err
 			}
 			t = req.Path.AsTree()
+			t.Freeze()
 		} else if err := t.Validate(); err != nil {
 			return Result{}, 0, err
 		}

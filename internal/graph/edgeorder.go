@@ -8,12 +8,11 @@ import (
 
 // The weight order of a tree's edges. Algorithm 2.1 (§2.1) reads a tree's
 // edges in increasing weight order, ties broken by index, −0 tying with +0.
-// EdgeBuckets never sorts the edges as a whole: two counting passes spread
-// them over at most 2m buckets keyed by their weight bits, and a reader
-// sorts a bucket only when it reaches it. That is expected O(m) when the
-// weights spread over the buckets and O(m log m) in the worst case, all
-// weights in one bucket. A frozen tree keeps the whole order, built the
-// same way on first use (Tree.SortedEdges).
+// Tree.SortedEdges builds it without sorting the edges as a whole: two
+// counting passes spread them over at most 2m buckets keyed by their weight
+// bits, and each bucket is then sorted on its own. That is expected O(m)
+// when the weights spread over the buckets and O(m log m) in the worst
+// case, all weights in one bucket.
 
 // weightKey maps a valid (non-negative) edge weight to its IEEE-754 bits,
 // which order like the weights themselves; −0 is mapped to +0 so the two
@@ -25,13 +24,13 @@ func weightKey(w float64) uint64 {
 	return math.Float64bits(w)
 }
 
-// EdgeBuckets is the edges of a tree spread over weight buckets: bucket b
-// holds Order[Start(b):Start(b+1)], and every weight key in bucket b is
-// below every key in bucket b+1. Fill reuses the arrays of the value it is
-// called on, so a pooled EdgeBuckets allocates only on high-water marks.
+// EdgeBuckets is the scratch that Tree.SortedEdges builds an edge order in:
+// the edges spread over weight buckets, bucket b holding
+// order[start[b]:start[b+1]], every weight key in bucket b below every key
+// in bucket b+1. Its arrays are reused, so a pooled EdgeBuckets allocates
+// only on high-water marks.
 type EdgeBuckets struct {
-	// Order is the edge indices, bucket by bucket.
-	Order []int32
+	order []int32
 	start []int32
 	// keys holds the packed sort keys of a large bucket.
 	keys []uint64
@@ -39,23 +38,24 @@ type EdgeBuckets struct {
 	// the edge count.
 	lo             uint64
 	shift, idxBits uint
-	// sorted marks the one bucket of SortedBucket.
-	sorted bool
 }
 
-// SortedBucket presents order, the edge indices already sorted by weight
-// and index (Tree.SortedEdges), as one bucket that Sort returns as it is.
-// order may be shared, so the result is only read: never Fill it.
-func SortedBucket(order []int32) EdgeBuckets {
-	return EdgeBuckets{Order: order, sorted: true}
+// sort returns the indices of edges, whose weights must be valid, sorted by
+// (weight, index), −0 tying with +0, in bk's order array.
+func (bk *EdgeBuckets) sort(edges []Edge) []int32 {
+	bk.fill(edges)
+	for b := range len(bk.start) - 1 {
+		bk.sortBucket(b, edges)
+	}
+	return bk.order
 }
 
-// Fill spreads the indices of edges, whose weights must be valid, over at
-// most 2m buckets by their weight keys, each bucket in index order: a
-// min/max scan, then two counting passes.
-func (bk *EdgeBuckets) Fill(edges []Edge) {
+// fill spreads the indices of edges over at most 2m buckets by their weight
+// keys, each bucket in index order: a min/max scan, then two counting
+// passes.
+func (bk *EdgeBuckets) fill(edges []Edge) {
 	m := len(edges)
-	bk.Order = grow(bk.Order, m)
+	bk.order = grow(bk.order, m)
 	bk.idxBits = uint(bits.Len(uint(m)))
 	if m == 0 {
 		bk.start = append(bk.start[:0], 0)
@@ -88,42 +88,22 @@ func (bk *EdgeBuckets) Fill(edges []Edge) {
 	for i := m - 1; i >= 0; i-- {
 		b := (weightKey(edges[i].W) - lo) >> bk.shift
 		start[b]--
-		bk.Order[start[b]] = int32(i)
+		bk.order[start[b]] = int32(i)
 	}
 }
 
-// Len returns the number of buckets.
-func (bk *EdgeBuckets) Len() int {
-	if bk.sorted {
-		return 1
-	}
-	return len(bk.start) - 1
-}
-
-// Start returns the position in Order of bucket b's first edge, and
-// Start(Len()) is len(Order).
-func (bk *EdgeBuckets) Start(b int) int {
-	if bk.sorted {
-		return b * len(bk.Order)
-	}
-	return int(bk.start[b])
-}
-
-// insertionMax is the largest bucket Sort orders by insertion sort.
+// insertionMax is the largest bucket sortBucket orders by insertion sort.
 const insertionMax = 12
 
-// Sort orders bucket b of edges by (weight, index), −0 tying with +0, and
-// returns it. A bucket comes out of Fill in index order, so insertion sort
-// on weight alone keeps ties in index order. Above insertionMax edges it
-// sorts packed keys instead: a key's offset in its bucket is below 2^shift,
-// and since the span of the keys reaches m·2^shift and stays below 2^63,
-// offset and index fit one uint64 together, which slices.Sort orders
-// without a comparison callback.
-func (bk *EdgeBuckets) Sort(b int, edges []Edge) []int32 {
-	if bk.sorted {
-		return bk.Order
-	}
-	bucket := bk.Order[bk.start[b]:bk.start[b+1]]
+// sortBucket orders bucket b of edges by (weight, index), −0 tying with +0.
+// A bucket comes out of fill in index order, so insertion sort on weight
+// alone keeps ties in index order. Above insertionMax edges it sorts packed
+// keys instead: a key's offset in its bucket is below 2^shift, and since
+// the span of the keys reaches m·2^shift and stays below 2^63, offset and
+// index fit one uint64 together, which slices.Sort orders without a
+// comparison callback.
+func (bk *EdgeBuckets) sortBucket(b int, edges []Edge) {
+	bucket := bk.order[bk.start[b]:bk.start[b+1]]
 	if len(bucket) <= insertionMax {
 		for i := 1; i < len(bucket); i++ {
 			x := bucket[i]
@@ -134,7 +114,7 @@ func (bk *EdgeBuckets) Sort(b int, edges []Edge) []int32 {
 			}
 			bucket[j] = x
 		}
-		return bucket
+		return
 	}
 	bk.keys = grow(bk.keys, len(bucket))
 	keys := bk.keys
@@ -147,31 +127,22 @@ func (bk *EdgeBuckets) Sort(b int, edges []Edge) []int32 {
 	for j, key := range keys {
 		bucket[j] = int32(key & index)
 	}
-	return bucket
 }
 
-// SortAll sorts every bucket, which leaves Order sorted by (weight, index).
-func (bk *EdgeBuckets) SortAll(edges []Edge) {
-	for b := range bk.Len() {
-		bk.Sort(b, edges)
-	}
-}
-
-// SortedEdges returns a frozen tree's edge indices sorted by weight, ties
-// by index and −0 tying with +0. The order is built once, on the first
-// call, and shared: callers must not write to it. An unfrozen tree has no
-// such order, and SortedEdges returns nil.
-func (t *Tree) SortedEdges() []int32 {
+// SortedEdges returns t's edge indices sorted by weight, ties by index and
+// −0 tying with +0. A frozen tree builds the order once, on the first call,
+// and returns the same order to every caller, who must not write to it;
+// bk is then unused. Any other tree's order is built in bk, and the next
+// SortedEdges on bk overwrites it; a nil bk builds it in a new one.
+func (t *Tree) SortedEdges(bk *EdgeBuckets) []int32 {
 	f := t.frozen
 	if f == nil {
-		return nil
+		if bk == nil {
+			bk = new(EdgeBuckets)
+		}
+		return bk.sort(t.Edges)
 	}
-	f.orderOnce.Do(func() {
-		var bk EdgeBuckets
-		bk.Fill(t.Edges)
-		bk.SortAll(t.Edges)
-		f.order = bk.Order
-	})
+	f.orderOnce.Do(func() { f.order = new(EdgeBuckets).sort(t.Edges) })
 	return f.order
 }
 

@@ -80,20 +80,20 @@ func TestFrozenTreeRoot0(t *testing.T) {
 }
 
 // TestFrozenTreeSortedEdges: a frozen tree's SortedEdges hands every
-// caller, concurrent ones included, one order, equal to every bucket of
-// EdgeBuckets sorted, with −0 tying +0. An unfrozen tree has none.
+// caller, concurrent ones included, one order, equal to the order the
+// unfrozen tree builds in its scratch or, given none, in its own, with −0
+// tying +0.
 func TestFrozenTreeSortedEdges(t *testing.T) {
 	tr := lcgTree(500, 3, true)
-	if tr.SortedEdges() != nil {
-		t.Fatal("an unfrozen tree has a cached edge order")
-	}
 	var bk EdgeBuckets
-	bk.Fill(tr.Edges)
-	bk.SortAll(tr.Edges)
-	for i := 1; i < len(bk.Order); i++ {
-		a, b := tr.Edges[bk.Order[i-1]].W, tr.Edges[bk.Order[i]].W
-		if a > b || a == b && bk.Order[i-1] > bk.Order[i] {
-			t.Fatalf("order[%d:%d] = edges %d (w=%v), %d (w=%v)", i-1, i+1, bk.Order[i-1], a, bk.Order[i], b)
+	order := tr.SortedEdges(&bk)
+	if own := tr.SortedEdges(nil); !slices.Equal(own, order) || &own[0] == &order[0] {
+		t.Fatal("unfrozen tree: SortedEdges(nil) differs from SortedEdges(&bk) or shares its array")
+	}
+	for i := 1; i < len(order); i++ {
+		a, b := tr.Edges[order[i-1]].W, tr.Edges[order[i]].W
+		if a > b || a == b && order[i-1] > order[i] {
+			t.Fatalf("order[%d:%d] = edges %d (w=%v), %d (w=%v)", i-1, i+1, order[i-1], a, order[i], b)
 		}
 	}
 	tr.Freeze()
@@ -103,12 +103,12 @@ func TestFrozenTreeSortedEdges(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			orders[i] = tr.SortedEdges()
+			orders[i] = tr.SortedEdges(nil)
 		}()
 	}
 	wg.Wait()
 	for _, o := range orders {
-		if &o[0] != &orders[0][0] || !slices.Equal(o, bk.Order) {
+		if &o[0] != &orders[0][0] || !slices.Equal(o, order) {
 			t.Fatal("frozen tree: SortedEdges orders differ")
 		}
 	}

@@ -21,16 +21,17 @@
 // certificate oracles take a valid graph as their precondition.
 //
 // A frozen graph is the one exception. Freeze marks a graph that was just
-// built and checked as shared and read-only; only a Store (the serving
-// layer's graph store) freezes one, and nothing writes to it afterwards.
-// It remembers that it is valid, so those entry checks return at once, and
-// a frozen tree builds its rooted view at vertex 0 once, for every solver
-// and oracle that walks it (Tree.Root0). The same view labels the
-// components of T − cut for every cut evaluated on a frozen tree (component
-// weights, components, Contract, MaxComponentWeight and
-// MaxComponentWeightCutBelow), in one walk with no union-find. A frozen
-// tree also sorts its edges by weight once, on first use, for every
-// bottleneck sweep (Tree.SortedEdges). Clone gives a writable, unfrozen
+// built and checked as shared and read-only: a Store (the serving layer's
+// graph store) freezes the graphs it keeps, and engine.Solve and
+// verify.CertifyResult freeze the tree view of a checked path (Path.AsTree).
+// Nothing writes to a frozen graph afterwards, and it remembers that it is
+// valid, so those entry checks return at once, and
+// a frozen tree builds its rooted view at vertex 0 (Tree.Root0) and its
+// edges' weight order (Tree.SortedEdges) once, on first use, for every
+// solver and oracle that reads them; any other tree builds them per call.
+// Either way, every cut is evaluated (component weights, components,
+// Contract, MaxComponentWeight and MaxComponentWeightCutBelow) by one walk
+// over the rooted view. Clone gives a writable, unfrozen
 // copy, which is checked again wherever it enters.
 package graph
 
@@ -139,8 +140,7 @@ func MaxWeight(ws []float64) float64 {
 }
 
 // unionFind is a standard disjoint-set structure used by tree validation and
-// by component labelling on unfrozen trees: parent[x] is x's parent, or
-// −size for a root.
+// the connectivity check: parent[x] is x's parent, or −size for a root.
 type unionFind []int32
 
 func newUnionFind(n int) unionFind {

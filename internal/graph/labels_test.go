@@ -67,10 +67,49 @@ func fuzzLabelCut(m int, mask []byte, mode uint8) []int {
 	return cut
 }
 
-// FuzzComponentLabels checks that a frozen tree, which labels T − cut by
-// walking its rooted view, gives every component answer its unfrozen Clone
-// gives by union-find: the components, the bits of every weight, the
-// contraction, and the error text of a bad cut.
+// ufLabels is the reference the walk over the rooted view is tested
+// against: it unites the uncut edges of t in a union-find and numbers the
+// sets by smallest member, returning each vertex's label and the number of
+// sets. cut must be valid.
+func ufLabels(t *Tree, cut []int) ([]int32, int) {
+	uf := newUnionFind(len(t.NodeW))
+	for i, e := range t.Edges {
+		if _, in := slices.BinarySearch(cut, i); !in {
+			uf.union(e.U, e.V)
+		}
+	}
+	label := make([]int32, len(uf))
+	for v := range label {
+		label[v] = -1
+	}
+	k := 0
+	for v := range label {
+		r := uf.find(v)
+		if label[r] < 0 {
+			label[r] = int32(k)
+			k++
+		}
+		label[v] = label[r]
+	}
+	return label, k
+}
+
+// ufMaxComponentWeight is the heaviest of the reference components, each
+// summed in vertex order.
+func ufMaxComponentWeight(t *Tree, cut []int) float64 {
+	label, k := ufLabels(t, cut)
+	ws := make([]float64, k)
+	for v, l := range label {
+		ws[l] += t.NodeW[v]
+	}
+	return MaxWeight(ws)
+}
+
+// FuzzComponentLabels checks that a tree's walk over its rooted view labels
+// T − cut as the union-find reference does, frozen (the cached view) and
+// unfrozen (a view built per call), and that a frozen tree gives every
+// component answer its unfrozen Clone gives: the components, the bits of
+// every weight, the contraction, and the error text of a bad cut.
 func FuzzComponentLabels(f *testing.F) {
 	path := []byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
 	star := make([]byte, 11)
@@ -100,6 +139,19 @@ func FuzzComponentLabels(f *testing.F) {
 		plain := frozen.Clone()
 		frozen.Freeze()
 		cut := fuzzLabelCut(len(plain.Edges), mask, mode)
+		if checkCut(cut, len(plain.Edges)) == nil {
+			want, wantK := ufLabels(plain, cut)
+			wantMax := ufMaxComponentWeight(plain, cut)
+			for _, g := range []*Tree{plain, frozen} {
+				label, k, _ := g.componentLabels(cut)
+				if k != wantK || !slices.Equal(label, want) {
+					t.Fatalf("labels(%v) frozen=%t: %v (%d), union-find %v (%d)", cut, g.Frozen(), label, k, want, wantK)
+				}
+				if got, _ := g.MaxComponentWeight(cut); math.Float64bits(got) != math.Float64bits(wantMax) {
+					t.Fatalf("MaxComponentWeight(%v) frozen=%t: %v, union-find %v", cut, g.Frozen(), got, wantMax)
+				}
+			}
+		}
 
 		same := func(what string, a, b error) bool {
 			t.Helper()
@@ -151,9 +203,9 @@ func FuzzComponentLabels(f *testing.F) {
 }
 
 // TestMaxComponentWeightCutBelow: the heaviest component of T minus every
-// edge lighter than b equals MaxComponentWeight of that cut bit for bit, on
-// an unfrozen tree (union-find) and on a frozen one (a walk over its rooted
-// view), for b at 0, at and just above every edge weight, and at +Inf, on
+// edge lighter than b equals MaxComponentWeight of that cut and the
+// union-find reference's bit for bit, on an unfrozen tree and on a frozen
+// one, for b at 0, at and just above every edge weight, and at +Inf, on
 // trees with and without −0 weights.
 func TestMaxComponentWeightCutBelow(t *testing.T) {
 	for seed := uint64(0); seed < 40; seed++ {
@@ -171,9 +223,9 @@ func TestMaxComponentWeightCutBelow(t *testing.T) {
 					lighter = append(lighter, i)
 				}
 			}
-			want, err := plain.MaxComponentWeight(lighter)
-			if err != nil {
-				t.Fatal(err)
+			want := ufMaxComponentWeight(plain, lighter)
+			if got, err := plain.MaxComponentWeight(lighter); err != nil || math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("seed %d: MaxComponentWeight(%v) = %v, %v; union-find %v", seed, lighter, got, err, want)
 			}
 			for _, g := range []*Tree{plain, frozen} {
 				if got := g.MaxComponentWeightCutBelow(b); math.Float64bits(got) != math.Float64bits(want) {
@@ -186,8 +238,7 @@ func TestMaxComponentWeightCutBelow(t *testing.T) {
 
 // BenchmarkComponentWeights times the component weights and the heaviest
 // component of a 5k-node tree cut at every seventh edge, on an unfrozen
-// tree (union-find) and on a frozen one with its rooted view built (one
-// walk over the view).
+// tree (rooted per call) and on a frozen one with its rooted view built.
 func BenchmarkComponentWeights(b *testing.B) {
 	tr := lcgTree(5000, 7, false)
 	var cut []int

@@ -189,77 +189,32 @@ func (t *Tree) Adjacency() [][]Arc {
 
 // componentLabels returns, for each vertex, the index of its component in
 // T − cut, along with the number of components. Labels follow the smallest
-// contained vertex. The cut must be valid. A frozen tree labels in one walk
-// over its cached rooted view (walkLabels) and renumbers the walk's labels;
-// any other tree unites the uncut edges in a union-find, since rooting it
-// first would cost about twice that.
+// contained vertex. t must be a valid tree; the cut is checked. It labels in
+// one walk over t's rooted view (walkLabels) and renumbers the walk's labels.
 func (t *Tree) componentLabels(cut []int) ([]int32, int, error) {
 	if err := checkCut(cut, len(t.Edges)); err != nil {
 		return nil, 0, err
 	}
-	if t.frozen != nil {
-		label, next := t.walkLabels(cut, len(cut)+1)
-		// next[l] is the final label of walk label l, assigned at the
-		// component's first vertex.
-		for i := range next {
-			next[i] = -1
-		}
-		k := int32(0)
-		for v, l := range label {
-			if next[l] < 0 {
-				next[l] = k
-				k++
-			}
-			label[v] = next[l]
-		}
-		return label, int(k), nil
+	label, next := t.walkLabels(cut, len(cut)+1)
+	// next[l] is the final label of walk label l, assigned at the
+	// component's first vertex.
+	for i := range next {
+		next[i] = -1
 	}
-	label, k := t.unionFindLabels(cut)
-	return label, k, nil
-}
-
-// unionFindLabels is componentLabels by union-find, for any valid t and cut.
-func (t *Tree) unionFindLabels(cut []int) ([]int32, int) {
-	uf := newUnionFind(len(t.NodeW))
-	// cut is strictly increasing: unite the runs of edges between cut edges.
-	from := 0
-	for _, c := range cut {
-		for _, e := range t.Edges[from:c] {
-			uf.union(e.U, e.V)
-		}
-		from = c + 1
-	}
-	for _, e := range t.Edges[from:] {
-		uf.union(e.U, e.V)
-	}
-	return uf.labels()
-}
-
-// labels numbers the sets of uf by smallest member and returns each
-// member's label and the number of sets.
-func (uf unionFind) labels() ([]int32, int) {
-	// A root's slot takes its component's label at the component's first
-	// vertex, and every other slot is written only when its own vertex is
-	// labelled, so one column serves both.
-	label := make([]int32, len(uf))
-	for v := range label {
-		label[v] = -1
-	}
-	k := 0
-	for v := range label {
-		r := uf.find(v)
-		if label[r] < 0 {
-			label[r] = int32(k)
+	k := int32(0)
+	for v, l := range label {
+		if next[l] < 0 {
+			next[l] = k
 			k++
 		}
-		label[v] = label[r]
+		label[v] = next[l]
 	}
-	return label, k
+	return label, int(k), nil
 }
 
-// walkLabels labels the components of T − cut, for a frozen t and a valid
-// cut, by one walk down t's rooted view at vertex 0: the root and the child
-// end of each cut edge open a component, in BFS order, and every other vertex
+// walkLabels labels the components of T − cut, for a valid cut, by one walk
+// down t's rooted view at vertex 0 (Root0): the root and the child end of
+// each cut edge open a component, in BFS order, and every other vertex
 // takes its parent's label. The len(cut)+1 labels are numbered in the order
 // the walk opens them. extra is spare int32s of scratch for the caller, cut
 // from the same allocation.
@@ -291,7 +246,8 @@ func (t *Tree) walkLabels(cut []int, spare int) (label, extra []int32) {
 
 // Components returns the vertex sets of the connected components of T − cut.
 // Vertices within each component and the components themselves are ordered by
-// smallest contained vertex.
+// smallest contained vertex. t must be a valid tree (Validate), as for every
+// component method below; the cut is checked.
 func (t *Tree) Components(cut []int) ([][]int, error) {
 	label, k, err := t.componentLabels(cut)
 	if err != nil {
@@ -344,18 +300,11 @@ func (t *Tree) ComponentMaxNodeWeights(cut []int) ([]float64, error) {
 	return ms, nil
 }
 
-// MaxComponentWeight returns the heaviest component weight of T − cut. A
-// frozen tree takes the maximum over the walk's labels as they come: each
-// component is still summed in vertex order, and the maximum does not
-// depend on the order of the components.
+// MaxComponentWeight returns the heaviest component weight of T − cut. It
+// takes the maximum over the walk's labels as they come: each component is
+// still summed in vertex order, and the maximum does not depend on the
+// order of the components.
 func (t *Tree) MaxComponentWeight(cut []int) (float64, error) {
-	if t.frozen == nil {
-		ws, err := t.ComponentWeights(cut)
-		if err != nil {
-			return 0, err
-		}
-		return MaxWeight(ws), nil
-	}
 	if err := checkCut(cut, len(t.Edges)); err != nil {
 		return 0, err
 	}
@@ -365,20 +314,11 @@ func (t *Tree) MaxComponentWeight(cut []int) (float64, error) {
 
 // MaxComponentWeightCutBelow returns the heaviest component weight of T
 // minus every edge lighter than b, each component summed in vertex order as
-// MaxComponentWeight sums it, without building that cut. A frozen tree
-// labels the components in one walk over its rooted view, where a vertex
-// whose parent edge is lighter than b opens a component; any other tree
-// unites the edges of weight at least b in a union-find.
+// MaxComponentWeight sums it, without building that cut. t must be a valid
+// tree. It labels the
+// components in one walk over t's rooted view, where a vertex whose parent
+// edge is lighter than b opens a component.
 func (t *Tree) MaxComponentWeightCutBelow(b float64) float64 {
-	if t.frozen == nil {
-		uf := newUnionFind(len(t.NodeW))
-		for _, e := range t.Edges {
-			if e.W >= b {
-				uf.union(e.U, e.V)
-			}
-		}
-		return MaxWeight(t.sumLabels(uf.labels()))
-	}
 	rt, _ := t.Root0(nil)
 	label := make([]int32, len(t.NodeW))
 	k := int32(1) // the root, Order[0], keeps label 0

@@ -98,8 +98,8 @@ func eps(v float64) float64 {
 // feasible iff some cut with a strictly smaller bottleneck is. The evidence
 // comes from t and b alone: the components of T minus the lighter edges are
 // labelled without listing those edges (graph.Tree.MaxComponentWeightCutBelow).
-// Each feasibility check labels components: O(n) on a frozen tree, by a walk
-// over its rooted view, and O(n α(n)) by union-find otherwise.
+// Each feasibility check labels components in O(n), by a walk over t's
+// rooted view.
 func CertifyBottleneck(t *graph.Tree, k float64, cut []int) (*Certificate, error) {
 	cut = graph.NormalizeCut(cut)
 	cert := &Certificate{Criterion: "bottleneck"}
@@ -314,7 +314,11 @@ func CertifyResult(req engine.Request, res *engine.Result) (*Certificate, error)
 			return req.Tree, nil
 		}
 		if req.Path != nil {
-			return req.Path.AsTree(), nil
+			// A checked path's tree view is valid by construction, and
+			// frozen it roots and sorts its edges once for the checker.
+			t := req.Path.AsTree()
+			t.Freeze()
+			return t, nil
 		}
 		return nil, fmt.Errorf("verify: request has no graph: %w", ErrNotCertifiable)
 	}

@@ -323,8 +323,12 @@ func CheckPathFeasible(p *Path, cut []int, k float64) error {
 	return core.CheckPathFeasible(p, cut, k)
 }
 
-// CheckTreeFeasible verifies the execution-time bound for a tree cut.
+// CheckTreeFeasible verifies the execution-time bound for a tree cut. It
+// checks t first (a frozen tree passes at once).
 func CheckTreeFeasible(t *Tree, cut []int, k float64) error {
+	if err := t.Validate(); err != nil {
+		return err
+	}
 	return core.CheckTreeFeasible(t, cut, k)
 }
 
